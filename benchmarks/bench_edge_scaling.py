@@ -27,6 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness import edge_experiments as edge
+from repro.harness.parallel import sweep as run_sweep
+from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -71,17 +73,16 @@ def _point_entry(run: edge.EdgeRunResult) -> dict:
 
 def test_edge_scaling_trajectory(scale, save_result, edge_report):
     run_scale = Scale.named(scale)
-    points = (
-        edge.EDGE_SWEEP_FULL if run_scale.name == "full" else edge.EDGE_SWEEP
-    )
+    specs = edge.edge_sweep(RunContext(run_scale))
+    points = tuple(specs)
     jobs = min(os.cpu_count() or 1, len(points))
 
     t0 = time.perf_counter()
-    sweep = edge.run_edge_sweep(points, "narada", scale=run_scale, jobs=jobs)
+    sweep = run_sweep(specs, jobs)
     direct = edge.direct_point("narada", scale=run_scale)
     sweep_s = time.perf_counter() - t0
 
-    result = edge.edge_scaling(sweep, direct, "narada")
+    result = edge.edge_scaling(sweep, {"narada": direct})
     save_result(result)
 
     edge_report["edge"] = {

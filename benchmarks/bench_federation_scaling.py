@@ -27,6 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness import federation_experiments as fed
+from repro.harness.parallel import sweep
+from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -65,18 +67,13 @@ def _leg_entry(run: fed.FederationRunResult) -> dict:
 
 def test_federation_scaling_trajectory(scale, save_result, federation_report):
     run_scale = Scale.named(scale)
-    counts = (
-        fed.FEDERATION_SWEEP_FULL
-        if run_scale.name == "full"
-        else fed.FEDERATION_SWEEP
-    )
+    ctx = RunContext(run_scale)
+    counts = tuple(fed.routed_sweep(ctx))
     jobs = min(os.cpu_count() or 1, len(counts))
 
     t0 = time.perf_counter()
-    routed = fed.run_federation_sweep(counts, "routed", scale=run_scale, jobs=jobs)
-    broadcast = fed.run_federation_sweep(
-        counts, "broadcast", scale=run_scale, jobs=jobs
-    )
+    routed = sweep(fed.routed_sweep(ctx), jobs)
+    broadcast = sweep(fed.broadcast_sweep(ctx), jobs)
     sweep_s = time.perf_counter() - t0
 
     result = fed.federation_scaling(routed, broadcast)

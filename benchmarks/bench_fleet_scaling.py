@@ -30,6 +30,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness import fleet_experiments as fleet
+from repro.harness.parallel import sweep
+from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 from repro.powergrid.fleet_engine import FLEET_MIDDLEWARES, run_fleet_point
 
@@ -82,18 +84,9 @@ def test_fleet_scaling_trajectory(scale, save_result, fleet_report):
     jobs = min(os.cpu_count() or 1, len(fleet.FLEET_SWEEP))
 
     t0 = time.perf_counter()
-    aggregate = {
-        mw: fleet.run_fleet_sweep(
-            fleet.FLEET_SWEEP, mw, "aggregate", scale=run_scale, jobs=jobs
-        )
-        for mw in FLEET_MIDDLEWARES
-    }
-    process = {
-        mw: fleet.run_fleet_sweep(
-            fleet.PROCESS_SWEEP, mw, "process", scale=run_scale, jobs=jobs
-        )
-        for mw in FLEET_MIDDLEWARES
-    }
+    ctx = RunContext(run_scale)
+    aggregate = sweep(fleet.fleet_sweep(ctx, "aggregate"), jobs)
+    process = sweep(fleet.fleet_sweep(ctx, "process"), jobs)
     sweep_s = time.perf_counter() - t0
 
     # Raises on any aggregate-vs-process or zoom disagreement: the CI gate.
@@ -117,10 +110,12 @@ def test_fleet_scaling_trajectory(scale, save_result, fleet_report):
         "points": {
             mw: {
                 "aggregate": {
-                    str(n): _point_entry(o) for n, o in aggregate[mw].items()
+                    str(n): _point_entry(o)
+                    for n, o in result.meta["aggregate"][mw].items()
                 },
                 "process": {
-                    str(n): _point_entry(o) for n, o in process[mw].items()
+                    str(n): _point_entry(o)
+                    for n, o in result.meta["process"][mw].items()
                 },
             }
             for mw in FLEET_MIDDLEWARES
@@ -133,7 +128,7 @@ def test_fleet_scaling_trajectory(scale, save_result, fleet_report):
             f"publisher than per-process (floor {SPEEDUP_FLOOR:.0f}x)"
         )
         # The million-publisher point actually ran, at sane throughput.
-        biggest = aggregate[mw][max(fleet.FLEET_SWEEP)]
+        biggest = aggregate[mw, max(fleet.FLEET_SWEEP)]
         assert biggest.published > 0
         assert biggest.events_per_s > 100_000
 

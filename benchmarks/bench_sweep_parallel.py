@@ -144,7 +144,7 @@ def test_sweep_wall_clock_parallel_and_cache(scale, bench_report):
     serial = runner.run("fig7", scale=scale, jobs=1)
     serial_s = time.perf_counter() - t0
 
-    runner._sweep_cache.clear()  # memory tier only: measure a *disk* hit
+    runner.SWEEPS.forget()  # memory tier only: measure a *disk* hit
     t0 = time.perf_counter()
     warm = runner.run("fig7", scale=scale, jobs=1)
     cache_hit_s = time.perf_counter() - t0

@@ -56,7 +56,7 @@ def run_experiment(
     The runner's sweep cache is kept warm for the *first* round (so benches
     sharing a sweep — e.g. fig6/7/8 — pay for it once) but cleared between
     subsequent rounds: repeated rounds should measure the experiment, not a
-    cache hit.  The cache itself is LRU-bounded (``runner.SWEEP_CACHE_MAX``)
+    cache hit.  The cache itself is LRU-bounded (``SweepCache.max_entries``)
     so a long bench session cannot accumulate every sweep's RecordBooks.
     """
     from repro.harness import runner

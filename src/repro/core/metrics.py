@@ -102,6 +102,21 @@ def percentile_curve(
     return [(float(p), float(v)) for p, v in zip(points, values)]
 
 
+def percentiles_ms(
+    rtts_seconds: Optional[Sequence[float] | np.ndarray],
+    points: Sequence[float],
+) -> tuple[float, ...]:
+    """RTT percentiles in milliseconds, one per requested point — the
+    scalar table cells (P50/P99, the p95-p100 tail) next to
+    :func:`percentile_curve`'s plotted series.  NaNs when nothing was
+    measured: a table row must still render."""
+    if rtts_seconds is None or len(rtts_seconds) == 0:
+        return (float("nan"),) * len(points)
+    return tuple(
+        float(v) for v in np.percentile(rtts_seconds, list(points)) * 1e3
+    )
+
+
 def within_threshold(
     rtts_seconds: Sequence[float] | np.ndarray, threshold_s: float
 ) -> float:

@@ -1,9 +1,8 @@
 """Gateway-tier tunables.
 
-One frozen dataclass so sweep-cache keys can fold the whole configuration
-(:meth:`EdgeConfig.cache_key`) the way ``FederationParams`` does — a sweep
-point run with a different gateway topology or budget must never satisfy a
-lookup for another.
+One frozen dataclass: a run spec carries the whole configuration (its
+``repr`` is part of the sweep-cache key), so a sweep point run with a
+different gateway budget never satisfies a lookup for another.
 """
 
 from __future__ import annotations
@@ -46,20 +45,3 @@ class EdgeConfig:
     #: per poll request handled.
     cpu_per_event: float = 20e-6
     cpu_per_poll: float = 30e-6
-
-    def cache_key(self) -> tuple:
-        return (
-            self.long_poll_timeout,
-            self.poll_request_bytes,
-            self.event_bytes,
-            self.replay_capacity,
-            self.parked_heap_bytes,
-            self.shed_heap_fraction,
-            self.max_events_per_poll,
-            self.retry_after,
-            self.retry_after_jitter,
-            self.catch_up_margin,
-            self.heap_bytes,
-            self.cpu_per_event,
-            self.cpu_per_poll,
-        )

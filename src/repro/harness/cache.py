@@ -1,36 +1,38 @@
-"""Content-addressed on-disk tier for the sweep cache.
+"""The sweep cache: an in-process LRU over a content-addressed disk tier.
 
-Sweeps are pure functions of ``(kind, scale, seed, fault plan)`` — and of
-the code that computes them.  Sweep kinds with extra shape parameters fold
-them into the key: federation sweeps carry one ``(broker_count,
-FederationParams.cache_key())`` pair per point — depth, fan-out and routing
-mode — so a cached broadcast-mode sweep can never satisfy a routed-mode
-lookup and trees of different shape never alias.  Fleet sweeps fold
-``(n, middleware, mode, cohort_size, service-model key)`` per point the
-same way, so an aggregate-mode entry can never satisfy a per-process
-lookup, a different cohort partition never aliases, and recalibrating a
-service model invalidates its sweeps.  The disk tier therefore keys every entry by
-those inputs **plus a code-version salt**: a digest over every ``*.py``
-file under ``src/repro``.  Editing any source file changes the salt, so a
-stale cache can never satisfy a lookup from newer code; there is nothing
-to remember to invalidate.
+A sweep is a pure function of its :class:`~repro.harness.parallel.RunSpec`
+values — run function, every argument (scale, seed, configs, fault-plan
+and scenario names, ...) — and of the code that computes it.  The key is
+therefore just the specs themselves (``repr`` of the ``{point_key: spec}``
+items) **plus a code-version salt**: a digest over every ``*.py`` file
+under ``src/repro``.  Two sweeps that differ in any argument never share
+an entry; editing any source file (a service model, a scenario template,
+a broker) changes the salt, so a stale cache can never satisfy a lookup
+from newer code; there is nothing to remember to invalidate.
 
-Entries live under ``$REPRO_CACHE_DIR`` (default ``.repro-cache/`` in the
-working directory) as pickle files named by the SHA-256 of their key.
+Disk entries live under ``$REPRO_CACHE_DIR`` (default ``.repro-cache/`` in
+the working directory) as pickle files named by the SHA-256 of their key.
 Writes go through a temp file + ``os.replace`` so concurrent processes
 (e.g. ``--jobs N`` workers warming the same sweep) never observe a torn
 entry; unreadable or truncated entries are treated as misses and removed.
+The disk tier is bypassed while a telemetry session is active — a sweep
+loaded from disk carries no live spans, and ``--trace`` must see real
+ones.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import tempfile
+from collections import OrderedDict
 from contextlib import suppress
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
+
+from repro.telemetry import context as tel_context
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -113,3 +115,60 @@ class DiskCache:
                     path.unlink()
         return removed
 
+
+#: Never-reused tokens for the telemetry sessions a cache has seen.  ``id()``
+#: is not safe here: a freed session's address can be handed to the next
+#: one, which would then satisfy lookups against the dead session's sweeps
+#: (whose spans it does not hold).
+_session_tokens = itertools.count(1)
+
+
+class SweepCache:
+    """Both tiers behind one lookup.
+
+    The in-process tier holds ``max_entries`` sweeps, evicting LRU-first:
+    sweeps hold whole record books, so an unbounded cache would grow
+    without limit when many (scale, seed) combinations run in one process
+    (a benchmark session); there are ~7 sweep kinds, so one combination
+    fits entirely.
+    """
+
+    def __init__(self, max_entries: int = 8):
+        self.max_entries = max_entries
+        self._memory: "OrderedDict[tuple, Any]" = OrderedDict()
+
+    def fetch(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The sweep cached under ``key``, building (and storing) it on a
+        miss.  A sweep built outside a telemetry session carries no spans,
+        so the identity of the active session is part of the in-process
+        key, and the disk tier only serves — and is only written by —
+        sessionless lookups."""
+        telemetry = tel_context.current()
+        token = None
+        if telemetry is not None:
+            token = getattr(telemetry, "_sweep_cache_token", None)
+            if token is None:
+                token = telemetry._sweep_cache_token = next(_session_tokens)
+        mem_key = (repr(key), token)
+        if mem_key in self._memory:
+            self._memory.move_to_end(mem_key)
+            return self._memory[mem_key]
+        disk = DiskCache() if telemetry is None else None
+        value = disk.get(key) if disk is not None else None
+        if value is None:
+            value = build()
+            if disk is not None:
+                disk.put(key, value)
+        self._memory[mem_key] = value
+        while len(self._memory) > self.max_entries:
+            self._memory.popitem(last=False)
+        return value
+
+    def forget(self) -> None:
+        """Drop the in-process tier only — what a fresh process starts with."""
+        self._memory.clear()
+
+    def clear(self) -> None:
+        """Empty both tiers."""
+        self.forget()
+        DiskCache().clear()

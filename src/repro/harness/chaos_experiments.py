@@ -16,14 +16,16 @@ suite (``tests/harness/test_chaos.py``).
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-import numpy as np
+from typing import Any
 
 from repro.core import ExperimentResult, percentile_curve
-from repro.core.metrics import soft_realtime_compliance
-from repro.faults import RetryPolicy, named_plan
-from repro.harness.scale import Scale
+from repro.core.metrics import percentiles_ms, soft_realtime_compliance
+from repro.faults import RetryPolicy
+from repro.harness.narada_experiments import narada_run
+from repro.harness.parallel import RunSpec
+from repro.harness.plog_experiments import plog_run
+from repro.harness.registry import Experiment, RunContext
+from repro.harness.rgma_experiments import rgma_run
 from repro.plog import ACKS_ALL, PlogConfig
 
 #: Shared load for the chaos legs: big enough that a fault window covers
@@ -45,100 +47,75 @@ FAILOVER_RETRY = RetryPolicy(retries=4, backoff=0.1)
 DURABILITY_RETRY = RetryPolicy(retries=8, backoff=0.1)
 
 
-def _tail(rtts: Any) -> tuple[float, float, float]:
-    """(p95, p99, p100) in milliseconds; NaNs when nothing was measured."""
-    if rtts is None or len(rtts) == 0:
-        return float("nan"), float("nan"), float("nan")
-    return tuple(float(np.percentile(rtts, p) * 1e3) for p in (95, 99, 100))
+#: The failover ladder's last leg (its fault log and election counts are
+#: the ones the report quotes).
+REPLICATED_LEG = "replicated (RF=2, acks=all, one-shot)"
+
+#: The RTT tail every chaos table reports: p95, p99, p100.
+TAIL = (95, 99, 100)
 
 
-def chaos_threeway(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    fault_plan: str = "loss_burst",
-    connections: int = CHAOS_CONNECTIONS,
+def _report(
+    experiment_id: str, title: str, runs: dict[str, Any], headers: list[str], row: Any
 ) -> ExperimentResult:
-    """Loss and RTT tail for all three middlewares under one fault plan.
+    """A chaos table: one ``row(label, run)`` per leg under ``headers``, and
+    each leg's RTT tail as a percentile series."""
+    result = ExperimentResult(experiment_id, title, "percentile", "millisecond")
+    result.table = (headers, [row(label, run) for label, run in runs.items()])
+    for label, run in runs.items():
+        for pct, ms in percentile_curve(run.rtts):
+            result.add_point(label, pct, ms)
+    return result
 
-    Four legs: Narada over acked UDP with publisher retry, R-GMA over its
+
+def threeway_legs(
+    ctx: RunContext, connections: int = CHAOS_CONNECTIONS
+) -> dict[str, RunSpec]:
+    """Four legs: Narada over acked UDP with publisher retry, R-GMA over its
     TCP servlet pipeline, and the partitioned log over acked UDP twice —
     once with the producer's one-shot legacy behaviour and once with
     retry-with-backoff — so the cost of the fault and the value of the
-    recovery machinery are both on the table.
-    """
-    from repro.harness.narada_experiments import narada_run
-    from repro.harness.plog_experiments import plog_run
-    from repro.harness.rgma_experiments import rgma_run
-
-    scale = scale or Scale.from_env()
-    template = named_plan(fault_plan)
-
-    legs: list[tuple[str, Any]] = []
-    legs.append((
-        "Narada (UDP, retry)",
-        narada_run(
-            connections,
-            transport_kind="udp",
-            scale=scale,
-            seed=seed,
-            fault_plan=template,
+    recovery machinery are both on the table."""
+    plog_base = PlogConfig(consumer_recovery=True)
+    return {
+        "Narada (UDP, retry)": ctx.spec(
+            narada_run, connections=connections, transport_kind="udp",
             fleet_retry=CHAOS_RETRY,
         ),
-    ))
-    legs.append((
-        "R-GMA (TCP)",
-        rgma_run(connections, scale=scale, seed=seed, fault_plan=template),
-    ))
-    plog_base = PlogConfig(consumer_recovery=True)
-    legs.append((
-        "Plog (UDP, no retry)",
-        plog_run(
-            connections,
-            transport_kind="udp",
-            scale=scale,
-            seed=seed,
+        "R-GMA (TCP)": ctx.spec(rgma_run, connections=connections),
+        "Plog (UDP, no retry)": ctx.spec(
+            plog_run, connections=connections, transport_kind="udp",
             config=plog_base,
-            fault_plan=template,
         ),
-    ))
-    legs.append((
-        "Plog (UDP, retry)",
-        plog_run(
-            connections,
-            transport_kind="udp",
-            scale=scale,
-            seed=seed,
+        "Plog (UDP, retry)": ctx.spec(
+            plog_run, connections=connections, transport_kind="udp",
             config=plog_base.with_(producer_retry=CHAOS_RETRY),
-            fault_plan=template,
         ),
-    ))
+    }
 
-    result = ExperimentResult(
-        "chaos_threeway",
-        f"Three middlewares under the {fault_plan!r} fault plan",
-        "percentile",
-        "millisecond",
-    )
-    rows = []
-    for label, run in legs:
-        p95, p99, p100 = _tail(run.rtts)
+
+def threeway_report(runs: dict[str, Any], fault_plan: str) -> ExperimentResult:
+    """Loss and RTT tail for all three middlewares under one fault plan."""
+    def row(label: str, run: Any) -> list:
         compliant, frac_late, _loss = soft_realtime_compliance(
             run.book, deadline_s=5.0, since=run.measure_since
         )
-        rows.append([
+        return [
             label, run.sent, run.received, f"{run.loss_rate:.4%}",
-            run.duplicates, p95, p99, p100, f"{frac_late:.4%}",
+            run.duplicates, *percentiles_ms(run.rtts, TAIL), f"{frac_late:.4%}",
             "PASS" if compliant else "FAIL",
-        ])
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(label, pct, ms)
-    result.table = (
+        ]
+
+    result = _report(
+        "chaos_threeway",
+        f"Three middlewares under the {fault_plan!r} fault plan",
+        runs,
         ["system", "sent", "received", "loss rate", "duplicates",
          "p95 (ms)", "p99 (ms)", "p100 (ms)", "late/lost",
          "SLA (<=5s, <0.5%)"],
-        rows,
+        row,
     )
-    plog_retry_run = legs[3][1]
+    plog_retry_run = runs["Plog (UDP, retry)"]
     for line in plog_retry_run.fault_log:
         result.note(f"fault: {line}")
     result.note(
@@ -155,16 +132,37 @@ def chaos_threeway(
         "second-scale process time"
     )
     result.meta["fault_plan"] = fault_plan
-    result.meta["runs"] = {label: run for label, run in legs}
+    result.meta["runs"] = runs
     return result
 
 
-def chaos_durability(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    fault_plan: str = "durability_gauntlet",
-    connections: int = CHAOS_CONNECTIONS,
-) -> ExperimentResult:
+def durability_legs(
+    ctx: RunContext, connections: int = CHAOS_CONNECTIONS
+) -> dict[str, RunSpec]:
+    """The three legs :func:`durability_report` describes."""
+    return {
+        "Narada durable (TCP, retry)": ctx.spec(
+            narada_run, connections=connections, transport_kind="tcp",
+            fleet_retry=DURABILITY_RETRY, durable_receivers=True,
+        ),
+        "R-GMA (TCP)": ctx.spec(rgma_run, connections=connections),
+        "Plog idempotent (TCP, RF=2, acks=all)": ctx.spec(
+            plog_run,
+            connections=connections,
+            n_brokers=4,
+            config=PlogConfig(
+                replication_factor=2,
+                acks=ACKS_ALL,
+                idempotent=True,
+                producer_retry=DURABILITY_RETRY,
+                consumer_recovery=True,
+            ),
+            dedup_receivers=True,
+        ),
+    }
+
+
+def durability_report(runs: dict[str, Any], fault_plan: str) -> ExperimentResult:
     """Exactly-once parity: both broker paths through the gauntlet.
 
     Three legs under one schedule — broker crash + consumer crash + client
@@ -186,74 +184,24 @@ def chaos_durability(
     The verdict per leg is *zero loss AND zero duplicates* — stricter than
     the §I SLA, and the CI durability gate.
     """
-    from repro.harness.narada_experiments import narada_run
-    from repro.harness.plog_experiments import plog_run
-    from repro.harness.rgma_experiments import rgma_run
+    def row(label: str, run: Any) -> list:
+        clean = run.loss_rate == 0.0 and run.duplicates == 0
+        return [
+            label, run.sent, run.received, f"{run.loss_rate:.2%}",
+            run.duplicates, getattr(run, "redeliveries", 0),
+            *percentiles_ms(run.rtts, TAIL[-1:]), "PASS" if clean else "FAIL",
+        ]
 
-    scale = scale or Scale.from_env()
-    template = named_plan(fault_plan)
-
-    legs: list[tuple[str, Any]] = []
-    legs.append((
-        "Narada durable (TCP, retry)",
-        narada_run(
-            connections,
-            transport_kind="tcp",
-            scale=scale,
-            seed=seed,
-            fault_plan=template,
-            fleet_retry=DURABILITY_RETRY,
-            durable_receivers=True,
-        ),
-    ))
-    legs.append((
-        "R-GMA (TCP)",
-        rgma_run(connections, scale=scale, seed=seed, fault_plan=template),
-    ))
-    legs.append((
-        "Plog idempotent (TCP, RF=2, acks=all)",
-        plog_run(
-            connections,
-            n_brokers=4,
-            scale=scale,
-            seed=seed,
-            config=PlogConfig(
-                replication_factor=2,
-                acks=ACKS_ALL,
-                idempotent=True,
-                producer_retry=DURABILITY_RETRY,
-                consumer_recovery=True,
-            ),
-            fault_plan=template,
-            dedup_receivers=True,
-        ),
-    ))
-
-    result = ExperimentResult(
+    result = _report(
         "chaos_durability",
         f"Durable delivery parity under the {fault_plan!r} fault plan",
-        "percentile",
-        "millisecond",
-    )
-    rows = []
-    for label, run in legs:
-        _p95, _p99, p100 = _tail(run.rtts)
-        redeliveries = getattr(run, "redeliveries", 0)
-        clean = run.loss_rate == 0.0 and run.duplicates == 0
-        rows.append([
-            label, run.sent, run.received, f"{run.loss_rate:.2%}",
-            run.duplicates, redeliveries, p100,
-            "PASS" if clean else "FAIL",
-        ])
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(label, pct, ms)
-    result.table = (
+        runs,
         ["system", "sent", "received", "loss rate", "duplicates",
          "redeliveries", "p100 (ms)", "0 loss AND 0 dup"],
-        rows,
+        row,
     )
-    narada_leg = legs[0][1]
-    plog_leg = legs[2][1]
+    narada_leg = runs["Narada durable (TCP, retry)"]
+    plog_leg = runs["Plog idempotent (TCP, RF=2, acks=all)"]
     for line in narada_leg.fault_log:
         result.note(f"fault (narada): {line}")
     for line in plog_leg.fault_log:
@@ -281,102 +229,72 @@ def chaos_durability(
         "stream is collapsed back to exactly-once at the edge"
     )
     result.meta["fault_plan"] = fault_plan
-    result.meta["runs"] = {label: run for label, run in legs}
+    result.meta["runs"] = runs
     return result
 
 
-def chaos_broker_failover(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    fault_plan: str = "broker_outage",
-    connections: int = CHAOS_CONNECTIONS,
-) -> ExperimentResult:
-    """Crash-and-restart one of four plog brokers; compare recovery modes.
-
-    Four legs, same outage: legacy one-shot clients, retry-with-backoff
+def failover_legs(
+    ctx: RunContext, connections: int = CHAOS_CONNECTIONS
+) -> dict[str, RunSpec]:
+    """Four legs, same outage: legacy one-shot clients, retry-with-backoff
     against the dead broker, retry plus failover (reroute to partitions
     owned by surviving brokers), and replication (RF=2, ``acks=all``) with
-    *no* producer retry at all — the leader election makes the outage
-    invisible to durability: zero acknowledged records lost.  The RTT tail
-    doubles as the recovery clock: records held up by the outage surface
-    at p100.
-    """
-    from repro.harness.plog_experiments import plog_run
-
-    scale = scale or Scale.from_env()
-    template = named_plan(fault_plan)
+    *no* producer retry at all."""
     base = PlogConfig()
+    configs = {
+        "one-shot (no recovery)": base,
+        "retry": base.with_(
+            producer_retry=FAILOVER_RETRY, consumer_recovery=True
+        ),
+        "retry + failover": base.with_(
+            producer_retry=FAILOVER_RETRY,
+            consumer_recovery=True,
+            failover=True,
+        ),
+        REPLICATED_LEG: base.with_(
+            replication_factor=2,
+            acks=ACKS_ALL,
+            consumer_recovery=True,
+        ),
+    }
+    return {
+        label: ctx.spec(plog_run, connections=connections, n_brokers=4, config=config)
+        for label, config in configs.items()
+    }
 
-    configs = [
-        ("one-shot (no recovery)", base),
-        (
-            "retry",
-            base.with_(producer_retry=FAILOVER_RETRY, consumer_recovery=True),
-        ),
-        (
-            "retry + failover",
-            base.with_(
-                producer_retry=FAILOVER_RETRY,
-                consumer_recovery=True,
-                failover=True,
-            ),
-        ),
-        (
-            "replicated (RF=2, acks=all, one-shot)",
-            base.with_(
-                replication_factor=2,
-                acks=ACKS_ALL,
-                consumer_recovery=True,
-            ),
-        ),
-    ]
-    result = ExperimentResult(
+
+def failover_report(runs: dict[str, Any], fault_plan: str) -> ExperimentResult:
+    """Crash-and-restart one of four plog brokers; compare recovery modes.
+
+    With replication the leader election makes the outage invisible to
+    durability: zero acknowledged records lost.  The RTT tail doubles as
+    the recovery clock: records held up by the outage surface at p100.
+    """
+    result = _report(
         "chaos_broker_failover",
         "Plog broker crash/restart: one-shot vs retry vs failover vs RF=2",
-        "percentile",
-        "millisecond",
-    )
-    rows = []
-    last_run = None
-    replicated_run = None
-    for label, config in configs:
-        run = plog_run(
-            connections,
-            n_brokers=4,
-            scale=scale,
-            seed=seed,
-            config=config,
-            fault_plan=template,
-        )
-        last_run = run
-        if config.replication_factor > 1:
-            replicated_run = run
-        p95, p99, p100 = _tail(run.rtts)
-        rows.append([
-            label, run.sent, run.received, f"{run.loss_rate:.4%}",
-            run.acked_lost, run.elections, p100, run.producer_retries,
-            run.producer_reconnects, run.consumer_recoveries, run.duplicates,
-        ])
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(label, pct, ms)
-    result.table = (
+        runs,
         ["mode", "sent", "received", "loss rate", "acked lost", "elections",
          "p100 (ms)", "retries", "reconnects", "consumer recoveries",
          "duplicates"],
-        rows,
+        lambda label, run: [
+            label, run.sent, run.received, f"{run.loss_rate:.4%}",
+            run.acked_lost, run.elections, *percentiles_ms(run.rtts, TAIL[-1:]),
+            run.producer_retries, run.producer_reconnects,
+            run.consumer_recoveries, run.duplicates,
+        ],
     )
-    if last_run is not None:
-        for line in last_run.fault_log:
-            result.note(f"fault: {line}")
-    if replicated_run is not None:
-        result.note(
-            f"replicated leg: {replicated_run.elections} leader elections, "
-            f"{replicated_run.coordinator_elections} coordinator elections, "
-            f"{replicated_run.isr_shrinks} ISR shrinks / "
-            f"{replicated_run.isr_expands} expands, "
-            f"{replicated_run.acked_lost} acknowledged records lost "
-            f"(of {replicated_run.acked} acked)"
-        )
+    replicated_run = runs[REPLICATED_LEG]
+    for line in replicated_run.fault_log:
+        result.note(f"fault: {line}")
+    result.note(
+        f"replicated leg: {replicated_run.elections} leader elections, "
+        f"{replicated_run.coordinator_elections} coordinator elections, "
+        f"{replicated_run.isr_shrinks} ISR shrinks / "
+        f"{replicated_run.isr_expands} expands, "
+        f"{replicated_run.acked_lost} acknowledged records lost "
+        f"(of {replicated_run.acked} acked)"
+    )
     result.note(
         "partition logs are durable, so records appended before the crash "
         "are served after restart; failover reroutes *new* records to "
@@ -390,79 +308,51 @@ def chaos_broker_failover(
     return result
 
 
-def chaos_replication(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    fault_plan: str = "broker_outage",
-    connections: int = CHAOS_CONNECTIONS,
-) -> ExperimentResult:
-    """Durability ladder under a broker crash: RF and acks swept upward.
-
-    Four legs, same outage, all one-shot producers except the last:
+def replication_legs(
+    ctx: RunContext, connections: int = CHAOS_CONNECTIONS
+) -> dict[str, RunSpec]:
+    """Four legs, same outage, all one-shot producers except the last:
     unreplicated baseline (records in the dead broker's partitions are
     unreadable until restart), RF=2 with ``acks=1`` (leader election keeps
     partitions *available* but the ack is a lie — records acked by the old
     leader and not yet replicated can vanish), RF=2 with ``acks=all`` (the
     headline property: zero acknowledged records lost), and RF=3 with
     ``acks=all`` plus producer retry (total loss also driven to ~zero —
-    the unacked window is retried against the new leader).
-    """
-    from repro.harness.plog_experiments import plog_run
-
-    scale = scale or Scale.from_env()
-    template = named_plan(fault_plan)
+    the unacked window is retried against the new leader)."""
     base = PlogConfig(consumer_recovery=True)
+    configs = {
+        "RF=1 (one-shot)": base,
+        "RF=2, acks=1 (one-shot)": base.with_(replication_factor=2),
+        "RF=2, acks=all (one-shot)": base.with_(
+            replication_factor=2, acks=ACKS_ALL
+        ),
+        "RF=3, acks=all + retry": base.with_(
+            replication_factor=3,
+            acks=ACKS_ALL,
+            min_insync_replicas=2,
+            producer_retry=CHAOS_RETRY,
+        ),
+    }
+    return {
+        label: ctx.spec(plog_run, connections=connections, n_brokers=4, config=config)
+        for label, config in configs.items()
+    }
 
-    configs = [
-        ("RF=1 (one-shot)", base),
-        (
-            "RF=2, acks=1 (one-shot)",
-            base.with_(replication_factor=2),
-        ),
-        (
-            "RF=2, acks=all (one-shot)",
-            base.with_(replication_factor=2, acks=ACKS_ALL),
-        ),
-        (
-            "RF=3, acks=all + retry",
-            base.with_(
-                replication_factor=3,
-                acks=ACKS_ALL,
-                min_insync_replicas=2,
-                producer_retry=CHAOS_RETRY,
-            ),
-        ),
-    ]
-    result = ExperimentResult(
+
+def replication_report(runs: dict[str, Any], fault_plan: str) -> ExperimentResult:
+    """Durability ladder under a broker crash: RF and acks swept upward."""
+    result = _report(
         "chaos_replication",
         "Plog replication ladder under a broker crash: RF x acks",
-        "percentile",
-        "millisecond",
-    )
-    rows = []
-    runs: dict[str, Any] = {}
-    for label, config in configs:
-        run = plog_run(
-            connections,
-            n_brokers=4,
-            scale=scale,
-            seed=seed,
-            config=config,
-            fault_plan=template,
-        )
-        runs[label] = run
-        p95, p99, p100 = _tail(run.rtts)
-        rows.append([
-            label, run.sent, run.acked, run.received,
-            f"{run.loss_rate:.4%}", run.acked_lost, run.elections,
-            run.isr_shrinks, run.isr_expands, p100, run.producer_retries,
-        ])
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(label, pct, ms)
-    result.table = (
+        runs,
         ["mode", "sent", "acked", "received", "loss rate", "acked lost",
          "elections", "ISR shrinks", "ISR expands", "p100 (ms)", "retries"],
-        rows,
+        lambda label, run: [
+            label, run.sent, run.acked, run.received,
+            f"{run.loss_rate:.4%}", run.acked_lost, run.elections,
+            run.isr_shrinks, run.isr_expands,
+            *percentiles_ms(run.rtts, TAIL[-1:]), run.producer_retries,
+        ],
     )
     sample = next(iter(runs.values()))
     for line in sample.fault_log:
@@ -484,12 +374,31 @@ def chaos_replication(
     return result
 
 
-def chaos_adaptive_backoff(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    fault_plan: str = "latency_spike",
-    connections: int = CHAOS_CONNECTIONS,
-) -> ExperimentResult:
+def backoff_legs(
+    ctx: RunContext, connections: int = CHAOS_CONNECTIONS
+) -> dict[str, RunSpec]:
+    """Both legs of :func:`backoff_report`: the same retry budget, fixed
+    then RTT-adaptive, under a deliberately tight ack timeout."""
+    base = PlogConfig(consumer_recovery=True, produce_ack_timeout=0.06)
+    configs = {
+        "fixed backoff": base.with_(producer_retry=CHAOS_RETRY),
+        "adaptive backoff (SRTT/RTTVAR)": base.with_(
+            producer_retry=RetryPolicy(
+                retries=CHAOS_RETRY.retries,
+                backoff=CHAOS_RETRY.backoff,
+                adaptive=True,
+            )
+        ),
+    }
+    return {
+        label: ctx.spec(
+            plog_run, connections=connections, transport_kind="udp", config=config
+        )
+        for label, config in configs.items()
+    }
+
+
+def backoff_report(runs: dict[str, Any], fault_plan: str) -> ExperimentResult:
     """Fixed vs RTT-adaptive retry backoff under a latency spike.
 
     Both legs run the same retry budget with a deliberately tight
@@ -502,57 +411,16 @@ def chaos_adaptive_backoff(
     RFC 6298 timeout backoff), so after a timeout or two its RTO climbs
     above the new RTT and the spurious retries stop.
     """
-    from repro.harness.plog_experiments import plog_run
-
-    scale = scale or Scale.from_env()
-    template = named_plan(fault_plan)
-    base = PlogConfig(consumer_recovery=True, produce_ack_timeout=0.06)
-
-    configs = [
-        (
-            "fixed backoff",
-            base.with_(producer_retry=CHAOS_RETRY),
-        ),
-        (
-            "adaptive backoff (SRTT/RTTVAR)",
-            base.with_(
-                producer_retry=RetryPolicy(
-                    retries=CHAOS_RETRY.retries,
-                    backoff=CHAOS_RETRY.backoff,
-                    adaptive=True,
-                )
-            ),
-        ),
-    ]
-    result = ExperimentResult(
+    result = _report(
         "chaos_adaptive_backoff",
         "Plog producer retry: fixed vs RTT-adaptive backoff under latency",
-        "percentile",
-        "millisecond",
-    )
-    rows = []
-    runs = {}
-    for label, config in configs:
-        run = plog_run(
-            connections,
-            transport_kind="udp",
-            scale=scale,
-            seed=seed,
-            config=config,
-            fault_plan=template,
-        )
-        runs[label] = run
-        p95, p99, p100 = _tail(run.rtts)
-        rows.append([
-            label, run.sent, run.received, f"{run.loss_rate:.4%}",
-            p95, p99, p100, run.producer_retries, run.duplicates,
-        ])
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(label, pct, ms)
-    result.table = (
+        runs,
         ["policy", "sent", "received", "loss rate", "p95 (ms)", "p99 (ms)",
          "p100 (ms)", "retries", "duplicates"],
-        rows,
+        lambda label, run: [
+            label, run.sent, run.received, f"{run.loss_rate:.4%}",
+            *percentiles_ms(run.rtts, TAIL), run.producer_retries, run.duplicates,
+        ],
     )
     sample = next(iter(runs.values()))
     for line in sample.fault_log:
@@ -569,3 +437,37 @@ def chaos_adaptive_backoff(
     result.meta["fault_plan"] = fault_plan
     result.meta["runs"] = runs
     return result
+
+
+chaos_threeway = Experiment(
+    "chaos_threeway", "All three middlewares under one deterministic fault plan",
+    threeway_report, (threeway_legs,), ("fault_plan",), fault_plan="loss_burst",
+)
+chaos_durability = Experiment(
+    "chaos_durability",
+    "Durable delivery parity: 0 loss AND 0 duplicates under faults",
+    durability_report, (durability_legs,), ("fault_plan",),
+    fault_plan="durability_gauntlet",
+)
+chaos_broker_failover = Experiment(
+    "chaos_broker_failover",
+    "Plog broker crash: one-shot vs retry vs failover vs RF=2",
+    failover_report, (failover_legs,), ("fault_plan",), fault_plan="broker_outage",
+)
+chaos_replication = Experiment(
+    "chaos_replication", "Plog durability ladder under a broker crash: RF x acks",
+    replication_report, (replication_legs,), ("fault_plan",),
+    fault_plan="broker_outage",
+)
+chaos_adaptive_backoff = Experiment(
+    "chaos_adaptive_backoff", "Plog retry: fixed vs RTT-adaptive backoff",
+    backoff_report, (backoff_legs,), ("fault_plan",), fault_plan="latency_spike",
+)
+
+EXPERIMENTS = (
+    chaos_threeway,
+    chaos_durability,
+    chaos_broker_failover,
+    chaos_replication,
+    chaos_adaptive_backoff,
+)

@@ -26,6 +26,7 @@ from typing import Optional
 from repro.core import ExperimentResult
 from repro.harness.narada_experiments import narada_run
 from repro.harness.plog_experiments import plog_run
+from repro.harness.registry import Experiment
 from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry
@@ -235,3 +236,31 @@ def fig15_threeway(
         "far inside the §I ~5 s budget"
     )
     return result
+
+
+#: These builders run under a telemetry session, which bypasses the sweep
+#: cache anyway — they take scale and seed and run directly.
+_DIRECT = ("scale", "seed")
+
+EXPERIMENTS = (
+    Experiment(
+        "fig15", "Fig 15: RTT decomposition (PRT/PT/SRT), R-GMA vs Narada", fig15,
+        params=_DIRECT,
+    ),
+    Experiment(
+        "fig15_threeway",
+        "RTT decomposition for R-GMA, Narada and the plog",
+        fig15_threeway,
+        params=_DIRECT,
+    ),
+    Experiment(
+        "fig15_federation",
+        "RTT decomposition on the federated broker tree",
+        fig15_federation,
+        params=_DIRECT,
+    ),
+    Experiment(
+        "fig15_edge", "RTT decomposition through the long-poll gateway hop", fig15_edge,
+        params=_DIRECT,
+    ),
+)

@@ -1,16 +1,14 @@
 """Edge-tier experiments: gateway scaling and gateway-crash recovery.
 
-Two building blocks:
+Two building blocks, both layers over the three middleware adapters:
 
-* :func:`edge_point` — one run: a middleware deployment (Narada broker,
-  R-GMA single-server site, or plog partitioned log) fed by a fixed
-  publisher fleet, fronted by ``n_gateways`` :class:`EdgeGateway` nodes,
-  polled by a client population of ``n_clients``.  The population is
-  simulated as cohort-weighted poll processes (bounded process count at
-  any scale — the gateway accounts parked memory per cohort weight), plus
-  exactly one *stamping* client whose deliveries produce the RTT records.
+* :func:`edge_point` — one run: a single-server middleware deployment fed
+  by a fixed publisher fleet, fronted by ``n_gateways``
+  :class:`EdgeGateway` nodes, polled by a client population of
+  ``n_clients`` (:class:`EdgeAdapter`);
 * :func:`direct_point` — the no-edge baseline: the same publisher
-  workload delivered to one native middleware subscriber.
+  workload delivered to one native middleware subscriber
+  (:class:`DirectAdapter`).
 
 The scaling headline: pooled upstream connections per broker stay
 O(topics) — independent of the client population — while edge P99 RTT at
@@ -25,31 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import numpy as np
-
-from repro.core import ExperimentResult, RecordBook, rtt_stats
+from repro.core import ExperimentResult
+from repro.core.metrics import percentiles_ms
 from repro.edge.client import EdgeClient
 from repro.edge.config import EdgeConfig
 from repro.edge.deployment import EdgeTier, gateway_node_names
-from repro.edge.upstream import NaradaUpstream, PlogUpstream, RgmaUpstream
 from repro.federation.deployment import FederationCluster
+from repro.harness.narada_experiments import NaradaAdapter
+from repro.harness.parallel import RunSpec
+from repro.harness.pipeline import Adapter, RunResult, run_point
+from repro.harness.plog_experiments import PlogAdapter
+from repro.harness.registry import Experiment, RunContext
+from repro.harness.rgma_experiments import RgmaAdapter
 from repro.harness.scale import Scale
-from repro.narada import Broker, NaradaConfig
-from repro.plog import PlogConfig, PlogDeployment
-from repro.powergrid import (
-    FleetConfig,
-    NaradaFleet,
-    NaradaReceiver,
-    PlogFleet,
-    PlogReceiver,
-    RgmaFleet,
-    RgmaReceiver,
-)
-from repro.powergrid.workload import MONITORING_TOPIC
-from repro.rgma import RGMADeployment
-from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
-from repro.transport.tcp import TcpTransport
+from repro.plog import PlogConfig
+from repro.powergrid import FleetConfig
 
 EDGE_MIDDLEWARES = ("narada", "rgma", "plog")
 
@@ -70,42 +58,24 @@ PUBLISH_INTERVAL = 2.0
 #: Cohort poll processes per gateway (plus the one stamping client).
 COHORTS_PER_GATEWAY = 4
 
-BROKER_NODE = "hydra1"
-NARADA_PORT = 5045
 CLIENT_NODES = ("ec0", "ec1", "ec2", "ec3")
 
 
-def sweep_cache_key(
-    points: tuple[tuple[int, int], ...],
-    middleware: str,
-    config: Optional[EdgeConfig] = None,
-) -> tuple:
-    """The topology half of an edge sweep-cache key.
-
-    One ``(clients, gateways, middleware, EdgeConfig.cache_key())`` tuple
-    per point, so a cached narada sweep never satisfies a plog lookup and
-    a re-tuned gateway config invalidates cleanly (the FederationParams
-    contract, applied to the client edge)."""
-    cfg = (config or EdgeConfig()).cache_key()
-    return tuple((c, g, middleware, cfg) for c, g in points)
-
-
-@dataclass
-class EdgeRunResult:
-    """Everything one edge run produces."""
+@dataclass(kw_only=True)
+class DirectRunResult(RunResult):
+    """The no-edge baseline: native middleware delivery."""
 
     middleware: str
-    n_clients: int
-    n_gateways: int
-    book: RecordBook
-    measure_since: float
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    loss_rate: float
     rtt_p50_ms: float
     rtt_p99_ms: float
-    rtts: Any  # np.ndarray of measured-window RTT seconds
+
+
+@dataclass(kw_only=True)
+class EdgeRunResult(DirectRunResult):
+    """Everything one edge run produces."""
+
+    n_clients: int
+    n_gateways: int
     #: Pooled middleware connections held by the whole gateway tier at run
     #: end — the number that must stay O(topics), not O(clients).
     pooled_connections: int
@@ -118,7 +88,8 @@ class EdgeRunResult:
     polls_shed: int = 0
     catch_up_polls: int = 0
     truncated_reads: int = 0
-    #: Stamping-client accounting (the exactly-once columns).
+    #: Stamping-client accounting (the exactly-once columns);
+    #: ``client_duplicates`` is also the run's ``duplicates``.
     client_received: int = 0
     client_redeliveries: int = 0
     client_duplicates: int = 0
@@ -127,101 +98,165 @@ class EdgeRunResult:
     gateway_stats: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class DirectRunResult:
-    """The no-edge baseline: native middleware delivery."""
-
-    middleware: str
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    loss_rate: float
-    rtt_p50_ms: float
-    rtt_p99_ms: float
-    rtts: Any
-
-
-def _percentiles(rtts: Any) -> tuple[float, float]:
-    if len(rtts) == 0:
-        return float("nan"), float("nan")
-    return (
-        float(np.percentile(rtts, 50) * 1e3),
-        float(np.percentile(rtts, 99) * 1e3),
-    )
-
-
-def _build_cluster(sim: Simulator, n_gateways: int) -> FederationCluster:
-    names = tuple(f"hydra{i}" for i in range(1, 9))
-    names += gateway_node_names(n_gateways)
-    names += CLIENT_NODES
-    return FederationCluster(sim, names)
-
-
-def _build_middleware(
-    sim: Simulator,
-    cluster: FederationCluster,
-    transport: TcpTransport,
-    middleware: str,
-    fleet_config: FleetConfig,
-    book: RecordBook,
-):
-    """Deploy one middleware + its publisher fleet.
-
-    Returns ``(topic, upstream, brokers, deployment)``: the topic string
-    the edge tier subscribes, the upstream adapter factory, the
-    fault-attachable broker list, and the deployment (for direct
-    receivers)."""
+def _middleware_adapter(middleware: str) -> Adapter:
+    """The single-server deployment of ``middleware`` the edge tier fronts."""
     if middleware == "narada":
-        config = NaradaConfig()
-        broker = Broker(sim, cluster.node(BROKER_NODE), "broker1", config)
-        broker.serve(transport, NARADA_PORT)
-        fleet = NaradaFleet(
-            sim,
-            cluster,
-            transport,
-            [(BROKER_NODE, NARADA_PORT)] * len(fleet_config.client_nodes),
-            fleet_config,
-            book,
-            config=config,
-            topic=MONITORING_TOPIC,
-        )
-        fleet.start()
-        upstream = NaradaUpstream(
-            sim, transport, (BROKER_NODE, NARADA_PORT), config
-        )
-        return MONITORING_TOPIC.name, upstream, [broker], broker
+        return NaradaAdapter()
     if middleware == "rgma":
-        deployment = RGMADeployment.single_server(
-            sim, cluster, node_name=BROKER_NODE, transport=transport
-        )
-        fleet = RgmaFleet(sim, cluster, deployment, fleet_config, book)
-        fleet.start()
-        upstream = RgmaUpstream(sim, deployment)
-        return "gridmon", upstream, [], deployment
+        return RgmaAdapter()
     if middleware == "plog":
-        config = PlogConfig(partitions=8)
-        deployment = PlogDeployment(
-            sim, cluster, transport, broker_hosts=(BROKER_NODE,), config=config
-        )
-        deployment.serve()
-        fleet = PlogFleet(sim, cluster, deployment, fleet_config, book)
-        fleet.start()
-        upstream = PlogUpstream(sim, deployment)
-        return deployment.topic, upstream, list(deployment.brokers), deployment
+        return PlogAdapter(config=PlogConfig(partitions=8))
     raise ValueError(f"unknown middleware {middleware!r}")
 
 
-def _fleet_config(scale: Scale, stop_at: float) -> FleetConfig:
-    return FleetConfig(
-        n_generators=N_PUBLISHERS,
-        publish_interval=PUBLISH_INTERVAL,
-        creation_interval=scale.creation_interval_narada,
-        warmup_min=scale.warmup[0],
-        warmup_max=scale.warmup[1],
-        duration=scale.duration,
-        stop_at=stop_at,
-        client_nodes=("hydra5", "hydra6", "hydra7", "hydra8"),
-    )
+@dataclass
+class DirectAdapter(Adapter):
+    """The edge testbed around a middleware adapter: ``inner`` deploys the
+    middleware, its publisher fleet and — as the no-edge baseline — its own
+    (tap) subscriber unchanged; this layer widens the cluster with client
+    nodes and fixes the publisher workload."""
+
+    inner: Adapter
+
+    settle = 4.0
+    n_gateways = 0
+
+    @property
+    def name(self) -> str:
+        return self.inner.name
+
+    def cluster(self, sim) -> FederationCluster:
+        names = tuple(f"hydra{i}" for i in range(1, 9))
+        return FederationCluster(
+            sim, names + gateway_node_names(self.n_gateways) + CLIENT_NODES
+        )
+
+    def fleet_options(self) -> dict[str, Any]:
+        return {
+            **self.inner.fleet_options(),
+            "publish_interval": PUBLISH_INTERVAL,
+            "client_nodes": ("hydra5", "hydra6", "hydra7", "hydra8"),
+        }
+
+    def build(self, sim, cluster) -> dict[str, str]:
+        self.sim, self.cluster = sim, cluster
+        sampled = self.inner.build(sim, cluster)
+        self.brokers = list(self.inner.brokers)
+        return sampled
+
+    def attach_subscribers(self, fleet: FleetConfig) -> None:
+        self.inner.tap = CLIENT_NODES[0]
+        self.inner.attach_subscribers(fleet)
+        self.receivers = self.inner.receivers
+
+    def attach_publishers(self, fleet: FleetConfig, book) -> Any:
+        return self.inner.attach_publishers(fleet, book)
+
+    def label(self, n_generators: int) -> str:
+        return f"edge_direct[{self.name}]"
+
+    def counters(self, run) -> dict[str, Any]:
+        p50, p99 = percentiles_ms(run["rtts"], (50, 99))
+        return dict(middleware=self.name, rtt_p50_ms=p50, rtt_p99_ms=p99)
+
+
+@dataclass
+class EdgeAdapter(DirectAdapter):
+    """The edge tier as a layer over a middleware adapter: ``n_gateways``
+    gateways replace ``inner``'s native subscribers, polled by a population
+    of ``n_clients`` — simulated as cohort-weighted poll processes (bounded
+    process count at any scale; the gateway accounts parked memory per
+    cohort weight) plus exactly one *stamping* client whose deliveries
+    produce the RTT records."""
+
+    n_clients: int = 0
+    n_gateways: int = 0
+    config: Optional[EdgeConfig] = None
+
+    def build(self, sim, cluster) -> dict[str, str]:
+        sampled = super().build(sim, cluster)
+        self.topic, upstream = self.inner.edge_upstream()
+        self.tier = EdgeTier(
+            sim, cluster, self.inner.transport, upstream, self.n_gateways,
+            (self.topic,), config=self.config,
+        )
+        # Gateways first: ``broker:0`` in a plan targets gateway 0 (the
+        # stamping client's home), per the gateway_outage template.
+        self.brokers = list(self.tier.gateways) + self.brokers
+        sampled.update((g.node.name, "edge") for g in self.tier.gateways)
+        return sampled
+
+    def attach_subscribers(self, fleet: FleetConfig) -> None:
+        self.tier.start()
+
+        def client(name: str, k: int, weight: float, stamping: bool) -> EdgeClient:
+            return EdgeClient(
+                self.sim,
+                self.inner.transport,
+                self.cluster.node(CLIENT_NODES[k % len(CLIENT_NODES)]),
+                self.tier.addresses,
+                self.topic,
+                config=self.config,
+                name=name,
+                home=k % self.n_gateways,
+                weight=weight,
+                stamping=stamping,
+                middleware_label=self.name,
+            )
+
+        # Client population: one stamping client homed on gateway 0 plus
+        # cohort-weighted load clients spread over gateways and client nodes.
+        self.stamper = client("edge-stamper", 0, 1.0, True)
+        self.receivers = [self.stamper.stats]
+        n_cohorts = COHORTS_PER_GATEWAY * self.n_gateways
+        cohort_weight = max(0.0, (self.n_clients - 1) / n_cohorts)
+        clients = [self.stamper] + [
+            client(f"edge-cohort{k}", k, cohort_weight, False)
+            for k in range(n_cohorts)
+        ]
+
+        def start_clients() -> None:
+            for edge_client in clients:
+                edge_client.start()
+
+        # Clients come up once the gateways are listening and subscribed.
+        self.sim.call_at(self.sim.now + 1.0, start_clients)
+
+    def label(self, n_generators: int) -> str:
+        return f"edge[{self.name},c{self.n_clients},g{self.n_gateways}]"
+
+    def counters(self, run) -> dict[str, Any]:
+        gateways, stamper = self.tier.gateways, self.stamper.stats
+        return dict(
+            super().counters(run),
+            n_clients=self.n_clients,
+            n_gateways=self.n_gateways,
+            pooled_connections=self.tier.total_upstream_connections(),
+            baseline_connections=self.n_clients,
+            polls=sum(g.stats.polls_received for g in gateways),
+            long_polls_parked=sum(g.stats.long_polls_parked for g in gateways),
+            polls_timed_out=sum(g.stats.polls_timed_out for g in gateways),
+            polls_shed=sum(g.stats.polls_shed for g in gateways),
+            catch_up_polls=sum(g.stats.catch_up_polls for g in gateways),
+            truncated_reads=sum(g.stats.truncated_reads for g in gateways),
+            client_received=stamper.received,
+            client_redeliveries=stamper.redeliveries,
+            client_duplicates=stamper.duplicates,
+            client_failovers=stamper.failovers,
+            client_sheds=stamper.sheds,
+            gateway_stats={
+                g.name: {
+                    "polls": g.stats.polls_received,
+                    "parked_total": g.stats.long_polls_parked,
+                    "timed_out": g.stats.polls_timed_out,
+                    "shed": g.stats.polls_shed,
+                    "events_in": g.stats.events_in,
+                    "events_out": g.stats.events_out,
+                    "upstream_connections": g.upstream_connections,
+                }
+                for g in gateways
+            },
+        )
 
 
 def edge_point(
@@ -238,149 +273,13 @@ def edge_point(
     """One edge run: ``n_clients`` long-polling clients over ``n_gateways``
     gateways in front of ``middleware``.  ``scenario`` perturbs the
     publisher fleet's rates and merges its fault fragment into
-    ``fault_plan``."""
-    scale = scale or Scale.from_env()
-    config = config or EdgeConfig()
-    sim = Simulator(seed=seed)
-    cluster = _build_cluster(sim, n_gateways)
-    transport = TcpTransport(sim, cluster.lan)
-    book = RecordBook()
-
-    creation_span = N_PUBLISHERS * scale.creation_interval_narada
-    measure_since = sim.now + creation_span + scale.warmup[1] + 4.0
-    stop_at = measure_since + scale.duration
-    fleet_config = _fleet_config(scale, stop_at)
-    from repro.scenario.compiler import arm_scenario, merge_fault_plan
-
-    fleet_config, compiled = arm_scenario(
-        scenario, measure_since, scale.duration, fleet_config
+    ``fault_plan`` (both: library names, templates or concrete objects)."""
+    adapter = EdgeAdapter(
+        _middleware_adapter(middleware), n_clients, n_gateways, config or EdgeConfig()
     )
-    topic, upstream, brokers, _deployment = _build_middleware(
-        sim, cluster, transport, middleware, fleet_config, book
-    )
-
-    tier = EdgeTier(
-        sim, cluster, transport, upstream, n_gateways, (topic,), config=config
-    )
-    tier.start()
-
-    tel = _telemetry()
-    if tel is not None:
-        tel.sample_node(sim, cluster.node(BROKER_NODE), middleware=middleware)
-        for gateway in tier.gateways:
-            tel.sample_node(sim, gateway.node, middleware="edge")
-
-    # Client population: one stamping client homed on gateway 0 plus
-    # cohort-weighted load clients spread over gateways and client nodes.
-    clients: list[EdgeClient] = []
-    stamper = EdgeClient(
-        sim,
-        transport,
-        cluster.node(CLIENT_NODES[0]),
-        tier.addresses,
-        topic,
-        config=config,
-        name="edge-stamper",
-        home=0,
-        weight=1.0,
-        stamping=True,
-        middleware_label=middleware,
-    )
-    clients.append(stamper)
-    n_cohorts = COHORTS_PER_GATEWAY * n_gateways
-    cohort_weight = max(0.0, (n_clients - 1) / n_cohorts)
-    for k in range(n_cohorts):
-        clients.append(
-            EdgeClient(
-                sim,
-                transport,
-                cluster.node(CLIENT_NODES[k % len(CLIENT_NODES)]),
-                tier.addresses,
-                topic,
-                config=config,
-                name=f"edge-cohort{k}",
-                home=k % n_gateways,
-                weight=cohort_weight,
-                stamping=False,
-            )
-        )
-
-    def start_clients() -> None:
-        for client in clients:
-            client.start()
-
-    # Clients come up once the gateways are listening and subscribed.
-    sim.call_at(sim.now + 1.0, start_clients)
-
-    plan = (
-        fault_plan(measure_since, scale.duration)
-        if callable(fault_plan)
-        else fault_plan
-    )
-    plan = merge_fault_plan(compiled, plan)
-    if plan is not None and len(plan):
-        from repro.faults import FaultScheduler
-
-        # Gateways first: ``broker:0`` in a plan targets gateway 0 (the
-        # stamping client's home), per the gateway_outage template.
-        FaultScheduler(sim, plan).attach(
-            lan=cluster.lan,
-            cluster=cluster,
-            brokers=list(tier.gateways) + brokers,
-        )
-
-    sim.run(until=stop_at + scale.drain)
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    p50, p99 = _percentiles(rtts)
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware=middleware,
-            measure_since=measure_since,
-            label=f"edge[{middleware},c{n_clients},g{n_gateways}]",
-        )
-    return EdgeRunResult(
-        middleware=middleware,
-        n_clients=n_clients,
-        n_gateways=n_gateways,
-        book=book,
-        measure_since=measure_since,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        loss_rate=stats.loss_rate,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        rtts=rtts,
-        pooled_connections=tier.total_upstream_connections(),
-        baseline_connections=n_clients,
-        polls=sum(g.stats.polls_received for g in tier.gateways),
-        long_polls_parked=sum(
-            g.stats.long_polls_parked for g in tier.gateways
-        ),
-        polls_timed_out=sum(g.stats.polls_timed_out for g in tier.gateways),
-        polls_shed=sum(g.stats.polls_shed for g in tier.gateways),
-        catch_up_polls=sum(g.stats.catch_up_polls for g in tier.gateways),
-        truncated_reads=sum(g.stats.truncated_reads for g in tier.gateways),
-        client_received=stamper.stats.received,
-        client_redeliveries=stamper.stats.redeliveries,
-        client_duplicates=stamper.stats.duplicates,
-        client_failovers=stamper.stats.failovers,
-        client_sheds=stamper.stats.sheds,
-        gateway_stats={
-            g.name: {
-                "polls": g.stats.polls_received,
-                "parked_total": g.stats.long_polls_parked,
-                "timed_out": g.stats.polls_timed_out,
-                "shed": g.stats.polls_shed,
-                "events_in": g.stats.events_in,
-                "events_out": g.stats.events_out,
-                "upstream_connections": g.upstream_connections,
-            }
-            for g in tier.gateways
-        },
+    return run_point(
+        adapter, N_PUBLISHERS, EdgeRunResult, scale=scale, seed=seed,
+        fault_plan=fault_plan, scenario=scenario,
     )
 
 
@@ -392,104 +291,38 @@ def direct_point(
 ) -> DirectRunResult:
     """The no-edge baseline: identical publisher workload, one native
     middleware subscriber stamping the records."""
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    cluster = _build_cluster(sim, n_gateways=0)
-    transport = TcpTransport(sim, cluster.lan)
-    book = RecordBook()
-
-    creation_span = N_PUBLISHERS * scale.creation_interval_narada
-    measure_since = sim.now + creation_span + scale.warmup[1] + 4.0
-    stop_at = measure_since + scale.duration
-    fleet_config = _fleet_config(scale, stop_at)
-    _topic, _upstream, _brokers, deployment = _build_middleware(
-        sim, cluster, transport, middleware, fleet_config, book
-    )
-
-    if middleware == "narada":
-        receiver = NaradaReceiver(
-            sim,
-            cluster,
-            transport,
-            (BROKER_NODE, NARADA_PORT),
-            CLIENT_NODES[0],
-            MONITORING_TOPIC,
-            selector=None,
-        )
-        sim.run_process(receiver.start())
-    elif middleware == "rgma":
-        receiver = RgmaReceiver(sim, cluster, deployment, CLIENT_NODES[0])
-        sim.run_process(receiver.start())
-    else:
-        receiver = PlogReceiver(
-            sim, cluster, deployment, CLIENT_NODES[0], group="direct.monitor"
-        )
-        receiver.start()
-
-    sim.run(until=stop_at + scale.drain)
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    p50, p99 = _percentiles(rtts)
-    tel = _telemetry()
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware=middleware,
-            measure_since=measure_since,
-            label=f"edge_direct[{middleware}]",
-        )
-    return DirectRunResult(
-        middleware=middleware,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        loss_rate=stats.loss_rate,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        rtts=rtts,
-    )
+    adapter = DirectAdapter(_middleware_adapter(middleware))
+    return run_point(adapter, N_PUBLISHERS, DirectRunResult, scale=scale, seed=seed)
 
 
 # ----------------------------------------------------------------- the sweep
 
-def run_edge_sweep(
-    points: tuple[tuple[int, int], ...],
-    middleware: str,
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    jobs: int = 1,
-    config: Optional[EdgeConfig] = None,
-) -> dict[tuple[int, int], EdgeRunResult]:
-    """Run every ``(clients, gateways)`` point, optionally fanned out."""
-    from repro.harness.parallel import map_points
+def edge_sweep(
+    ctx: RunContext,
+    points: Optional[tuple[tuple[int, int], ...]] = None,
+    middleware: str = "narada",
+) -> dict[tuple[int, int], RunSpec]:
+    """Every ``(clients, gateways)`` point of the grid for ``ctx.scale``."""
+    if points is None:
+        points = EDGE_SWEEP_FULL if ctx.scale.name == "full" else EDGE_SWEEP
+    return {
+        (c, g): ctx.spec(edge_point, n_clients=c, n_gateways=g, middleware=middleware)
+        for c, g in points
+    }
 
-    results = map_points(
-        __name__,
-        "edge_point",
-        [
-            dict(
-                n_clients=c,
-                n_gateways=g,
-                middleware=middleware,
-                scale=scale,
-                seed=seed,
-                config=config,
-            )
-            for c, g in points
-        ],
-        jobs=jobs,
-    )
-    return dict(zip(points, results))
+
+def direct_baseline(ctx: RunContext, middleware: str = "narada") -> dict[str, RunSpec]:
+    return {middleware: ctx.spec(direct_point, middleware=middleware)}
 
 
 def edge_scaling(
     sweep: dict[tuple[int, int], EdgeRunResult],
-    direct: DirectRunResult,
-    middleware: str = "narada",
+    baseline: dict[str, DirectRunResult],
 ) -> ExperimentResult:
     """Clients vs RTT percentiles and per-broker connection counts — the
-    pooling headline against the no-edge baseline."""
+    pooling headline against the no-edge baseline (``{middleware: run}``,
+    as :func:`direct_baseline` sweeps it)."""
+    ((middleware, direct),) = baseline.items()
     result = ExperimentResult(
         "edge_scaling",
         f"Edge gateway tier over {middleware}: clients 10k+ on pooled "
@@ -567,7 +400,7 @@ def edge_scaling(
 
 
 def edge_gateway_crash(
-    runs: dict[str, EdgeRunResult],
+    runs: dict[str, EdgeRunResult], fault_plan: str = "gateway_outage"
 ) -> ExperimentResult:
     """Gateway crash mid-window: dropped long-polls, failover, catch-up
     replay — loss and application-duplicate columns must both be zero."""
@@ -617,6 +450,7 @@ def edge_gateway_crash(
     result.meta["loss"] = {m: r.loss_rate for m, r in runs.items()}
     result.meta["duplicates"] = {m: r.client_duplicates for m, r in runs.items()}
     result.meta["failovers"] = {m: r.client_failovers for m, r in runs.items()}
+    result.meta["fault_plan"] = fault_plan
     return result
 
 
@@ -626,26 +460,32 @@ CRASH_CLIENTS = 500
 CRASH_GATEWAYS = 2
 
 
-def run_gateway_crash(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    fault_plan: str = "gateway_outage",
-) -> ExperimentResult:
-    """Run the gateway-crash chaos scenario over all three middlewares."""
-    from repro.faults.plan import named_plan
-
-    template = named_plan(fault_plan)
-    runs = {
-        middleware: edge_point(
-            CRASH_CLIENTS,
-            CRASH_GATEWAYS,
-            middleware,
-            scale=scale,
-            seed=seed,
-            fault_plan=template,
+def gateway_crash_legs(ctx: RunContext) -> dict[str, RunSpec]:
+    """The gateway-crash chaos run over all three middlewares."""
+    return {
+        middleware: ctx.spec(
+            edge_point, n_clients=CRASH_CLIENTS, n_gateways=CRASH_GATEWAYS,
+            middleware=middleware,
         )
         for middleware in EDGE_MIDDLEWARES
     }
-    result = edge_gateway_crash(runs)
-    result.meta["fault_plan"] = fault_plan
-    return result
+
+
+run_gateway_crash = Experiment(
+    "edge_gateway_crash",
+    "Gateway crash: failover, ring replay, exactly-once",
+    edge_gateway_crash,
+    reads=(gateway_crash_legs,),
+    params=("fault_plan",),
+    fault_plan="gateway_outage",
+)
+
+EXPERIMENTS = (
+    Experiment(
+        "edge_scaling",
+        "Edge tier: clients 10k+ pooled onto O(topics) connections",
+        edge_scaling,
+        reads=(edge_sweep, direct_baseline),
+    ),
+    run_gateway_crash,
+)

@@ -26,18 +26,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-import numpy as np
-
-from repro.core import ExperimentResult, RecordBook, rtt_stats
+from repro.core import ExperimentResult, RecordBook
+from repro.core.metrics import percentiles_ms
 from repro.federation import (
     FederationController,
     FederationDeployment,
-    FederationParams,
     FederationSitePublishers,
     FederationSubscriber,
     TreeTopology,
     site_topic,
 )
+from repro.harness.parallel import RunSpec
+from repro.harness.pipeline import (
+    RunResult,
+    arm_faults,
+    measurement_window,
+    summarize,
+)
+from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.jms.destination import Topic
 from repro.narada import Broker, NaradaConfig, star_network
@@ -59,48 +65,14 @@ PUBLISH_INTERVAL = 3.0
 FANOUT = 2
 
 
-def params_for(n_brokers: int, fanout: int, routing: str) -> FederationParams:
-    """The :class:`FederationParams` describing one sweep point.
-
-    Depth is derived from the (possibly left-packed) tree the point builds,
-    so ``cache_key()`` carries (depth, fanout, routing) as the sweep-cache
-    contract requires.
-    """
-    depth = TreeTopology(n_brokers, fanout).depth
-    return FederationParams(fanout=fanout, depth=depth, routing=routing)
-
-
-def sweep_cache_key(
-    broker_counts: tuple[int, ...], fanout: int, routing: str
-) -> tuple:
-    """The topology half of a federation sweep-cache key.
-
-    One ``(n, FederationParams.cache_key())`` pair per point: broker count
-    disambiguates left-packed trees of equal depth, the params tuple folds
-    in depth, fan-out and routing mode — so a cached broadcast-mode sweep
-    can never satisfy a routed-mode lookup (see ``repro.harness.cache``).
-    """
-    return tuple(
-        (n, params_for(n, fanout, routing).cache_key()) for n in broker_counts
-    )
-
-
-@dataclass
-class FederationRunResult:
+@dataclass(kw_only=True)
+class FederationRunResult(RunResult):
     """Everything one federation test run produces."""
 
     n_brokers: int
     routing: str
-    book: RecordBook
-    measure_since: float
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    stddev_rtt_ms: float
-    loss_rate: float
     rtt_p50_ms: float
     rtt_p99_ms: float
-    rtts: Any  # np.ndarray of measured-window RTT seconds
     #: Event messages per directed inter-broker link over the measured
     #: window (every tree/star link appears, idle ones at 0).
     link_messages: dict[tuple[str, str], int]
@@ -113,22 +85,29 @@ class FederationRunResult:
     broker_stats: dict[str, Any] = field(default_factory=dict)
 
 
-def _percentiles(rtts: Any) -> tuple[float, float]:
-    if len(rtts) == 0:
-        return float("nan"), float("nan")
-    return (
-        float(np.percentile(rtts, 50) * 1e3),
-        float(np.percentile(rtts, 99) * 1e3),
-    )
-
-
-def _link_summary(
-    totals: dict[tuple[str, str], int]
-) -> tuple[float, float]:
+def _result(
+    book: RecordBook,
+    measure_since: float,
+    scheduler: Any,
+    totals: dict[tuple[str, str], int],
+    middleware: str,
+    label: str,
+    **fields: Any,
+) -> FederationRunResult:
+    """A finished run's result: the shared summary, delivery P50/P99 and
+    the per-link traffic ``totals`` over the measured window."""
+    run = summarize(book, measure_since, scheduler, middleware, label)
+    p50, p99 = percentiles_ms(run["rtts"], (50, 99))
     counts = list(totals.values())
-    if not counts:
-        return 0.0, 0.0
-    return sum(counts) / len(counts), float(max(counts))
+    return FederationRunResult(
+        **run,
+        rtt_p50_ms=p50,
+        rtt_p99_ms=p99,
+        link_messages=totals,
+        per_link_mean=sum(counts) / len(counts) if counts else 0.0,
+        per_link_max=float(max(counts)) if counts else 0.0,
+        **fields,
+    )
 
 
 def federation_run(
@@ -147,8 +126,9 @@ def federation_run(
     site publisher fleet and a site-local subscriber, plus the control-room
     subscriber at the root — measured in steady state.
 
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan` or a template callable
-    ``(measure_since, duration) -> FaultPlan``) arms link partitions /
+    ``fault_plan`` (a library name, a :class:`repro.faults.FaultPlan` or a
+    template callable ``(measure_since, duration) -> FaultPlan``) arms link
+    partitions /
     broker crashes against the tree; the :class:`FederationController`
     re-parents and re-converges routing during the run.
     """
@@ -181,8 +161,7 @@ def federation_run(
         sim.run_process(sub.start())
         site_subs.append(sub)
 
-    measure_since = sim.now + scale.warmup[1] + 2.0
-    stop_at = measure_since + scale.duration
+    measure_since, stop_at = measurement_window(sim, 0.0, scale, settle=2.0)
     fleets = []
     for i, name in enumerate(topology.names):
         fleet = FederationSitePublishers(
@@ -200,52 +179,24 @@ def federation_run(
         fleet.start()
         fleets.append(fleet)
 
-    if fault_plan is not None:
-        from repro.faults import FaultScheduler
-
-        plan = (
-            fault_plan(measure_since, scale.duration)
-            if callable(fault_plan)
-            else fault_plan
-        )
-        FaultScheduler(sim, plan).attach(
-            lan=deployment.cluster.lan,
-            cluster=deployment.cluster,
-            brokers=deployment.brokers,
-        )
+    scheduler = arm_faults(
+        sim, deployment.cluster, fault_plan, measure_since, scale.duration,
+        brokers=deployment.brokers,
+    )
 
     snapshot: dict[tuple[str, str], int] = {}
     sim.call_at(measure_since, lambda: snapshot.update(deployment.link_snapshot()))
     sim.run(until=stop_at + scale.drain)
 
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    p50, p99 = _percentiles(rtts)
-    totals = deployment.link_totals(since_snapshot=snapshot)
-    per_link_mean, per_link_max = _link_summary(totals)
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="federation",
-            measure_since=measure_since,
-            label=f"federation[{n_brokers}]",
-        )
-    return FederationRunResult(
+    return _result(
+        book,
+        measure_since,
+        scheduler,
+        deployment.link_totals(since_snapshot=snapshot),
+        "federation",
+        f"federation[{n_brokers}]",
         n_brokers=n_brokers,
         routing="routed",
-        book=book,
-        measure_since=measure_since,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        rtts=rtts,
-        link_messages=totals,
-        per_link_mean=per_link_mean,
-        per_link_max=per_link_max,
         control_messages=sum(
             b.stats.control_messages for b in deployment.brokers
         ),
@@ -444,8 +395,7 @@ def federation_broadcast_run(
             )
         )
 
-    measure_since = sim.now + scale.warmup[1] + 2.0
-    stop_at = measure_since + scale.duration
+    measure_since, stop_at = measurement_window(sim, 0.0, scale, settle=2.0)
     for i, name in enumerate(names):
         _broadcast_publishers(
             sim,
@@ -464,36 +414,15 @@ def federation_broadcast_run(
     sim.call_at(measure_since, lambda: snapshot.update(ledger))
     sim.run(until=stop_at + scale.drain)
 
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    p50, p99 = _percentiles(rtts)
-    totals = {
-        key: count - snapshot.get(key, 0) for key, count in ledger.items()
-    }
-    per_link_mean, per_link_max = _link_summary(totals)
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="narada",
-            measure_since=measure_since,
-            label=f"federation_broadcast[{n_brokers}]",
-        )
-    return FederationRunResult(
+    return _result(
+        book,
+        measure_since,
+        None,
+        {key: count - snapshot.get(key, 0) for key, count in ledger.items()},
+        "narada",
+        f"federation_broadcast[{n_brokers}]",
         n_brokers=n_brokers,
         routing="broadcast",
-        book=book,
-        measure_since=measure_since,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        rtts=rtts,
-        link_messages=totals,
-        per_link_mean=per_link_mean,
-        per_link_max=per_link_max,
         broker_stats={
             b.name: {
                 "published": b.stats.messages_published,
@@ -507,27 +436,17 @@ def federation_broadcast_run(
 
 # ----------------------------------------------------------------- the sweep
 
-def run_federation_sweep(
-    broker_counts: tuple[int, ...],
-    routing: str,
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    jobs: int = 1,
-) -> dict[int, FederationRunResult]:
-    """One sweep leg: ``routing`` is ``"routed"`` or ``"broadcast"``."""
-    from repro.harness.parallel import map_points
+def _sweep(ctx: RunContext, run_fn: Any) -> dict[int, RunSpec]:
+    counts = FEDERATION_SWEEP_FULL if ctx.scale.name == "full" else FEDERATION_SWEEP
+    return {n: ctx.spec(run_fn, n_brokers=n) for n in counts}
 
-    fn = {
-        "routed": "federation_run",
-        "broadcast": "federation_broadcast_run",
-    }[routing]
-    results = map_points(
-        __name__,
-        fn,
-        [dict(n_brokers=n, scale=scale, seed=seed) for n in broker_counts],
-        jobs=jobs,
-    )
-    return dict(zip(broker_counts, results))
+
+def routed_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return _sweep(ctx, federation_run)
+
+
+def broadcast_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return _sweep(ctx, federation_broadcast_run)
 
 
 def federation_scaling(
@@ -601,3 +520,13 @@ def federation_scaling(
         n: b.per_link_mean for n, b in sorted(broadcast.items())
     }
     return result
+
+
+EXPERIMENTS = (
+    Experiment(
+        "federation_scaling",
+        "Per-link traffic + RTT: routed tree vs broadcast DBN",
+        federation_scaling,
+        reads=(routed_sweep, broadcast_sweep),
+    ),
+)

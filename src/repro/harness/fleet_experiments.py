@@ -15,15 +15,16 @@ change nothing at all.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.core import ExperimentResult
-from repro.harness.parallel import map_points
+from repro.harness.parallel import RunSpec
+from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.powergrid.fleet_engine import (
     DEFAULT_COHORT_SIZE,
     FLEET_MIDDLEWARES,
-    SERVICE_MODELS,
     FleetOutcome,
     FleetRunParams,
     run_fleet_point,
@@ -55,51 +56,26 @@ def sweep_points(scale: Scale, mode: str) -> tuple[int, ...]:
     return FLEET_SWEEP if mode == "aggregate" else PROCESS_SWEEP
 
 
-def sweep_cache_key(
-    points: tuple[int, ...],
-    middleware: str,
+def fleet_sweep(
+    ctx: RunContext,
     mode: str,
-    cohort_size: int,
-) -> tuple:
-    """The cohort/aggregation half of a fleet sweep-cache key.
-
-    One ``(n, middleware, mode, cohort_size, service-model key)`` tuple per
-    point, so an aggregate-mode entry can never satisfy a per-process
-    lookup, a different cohort partition never aliases, and recalibrating a
-    service model invalidates its cached sweeps (same contract as the
-    federation topology folding — see ``repro.harness.cache``).
-    """
-    model_key = SERVICE_MODELS[middleware].cache_key()
-    return tuple(
-        (n, middleware, mode, cohort_size, model_key) for n in points
-    )
-
-
-def run_fleet_sweep(
-    points: tuple[int, ...],
-    middleware: str,
-    mode: str,
-    scale: Scale,
-    seed: int = 1,
-    jobs: int = 1,
+    points: Optional[tuple[int, ...]] = None,
+    middlewares: tuple[str, ...] = FLEET_MIDDLEWARES,
     cohort_size: int = COHORT_SIZE,
-) -> dict[int, FleetOutcome]:
-    """One sweep leg: ``{n_publishers: FleetOutcome}`` in point order."""
-    kwargs_list = [
-        dict(
-            middleware=middleware,
-            n_publishers=n,
-            scale=scale,
-            seed=seed,
-            mode=mode,
+) -> dict[tuple[str, int], RunSpec]:
+    """One sweep leg (``"aggregate"`` or ``"process"``) over every service
+    model: ``{(middleware, n_publishers): spec}`` in middleware, then point
+    order."""
+    if points is None:
+        points = sweep_points(ctx.scale, mode)
+    return {
+        (mw, n): ctx.spec(
+            run_fleet_point, middleware=mw, n_publishers=n, mode=mode,
             cohort_size=cohort_size,
         )
+        for mw in middlewares
         for n in points
-    ]
-    results = map_points(
-        "repro.powergrid.fleet_engine", "run_fleet_point", kwargs_list, jobs
-    )
-    return dict(zip(points, results))
+    }
 
 
 def zoom_check(
@@ -122,13 +98,15 @@ def zoom_check(
 
 
 def fleet_scaling(
-    aggregate: dict[str, dict[int, FleetOutcome]],
-    process: dict[str, dict[int, FleetOutcome]],
+    aggregate: dict[tuple[str, int], FleetOutcome],
+    process: dict[tuple[str, int], FleetOutcome],
     scale: Scale,
     seed: int = 1,
     zoom: Optional[tuple[int, int]] = ZOOM_RANGE,
 ) -> ExperimentResult:
-    """Build the ``fleet_scaling`` result from the two sweep legs.
+    """Build the ``fleet_scaling`` result from the two sweep legs
+    (``{(middleware, n_publishers): outcome}``, as :func:`fleet_sweep`
+    keys them).
 
     Verifies aggregate-vs-process agreement at every common point (raises
     on any mismatch — the CI gate) and runs the zoom escape-hatch check on
@@ -147,6 +125,7 @@ def fleet_scaling(
     rows: list[list] = []
     speedups: dict[str, float] = {}
     agreement: dict[str, dict[int, bool]] = {}
+    aggregate, process = _by_middleware(aggregate), _by_middleware(process)
     for mw in FLEET_MIDDLEWARES:
         agg = aggregate.get(mw, {})
         proc = process.get(mw, {})
@@ -213,6 +192,15 @@ def fleet_scaling(
     return result
 
 
+def _by_middleware(
+    sweep: dict[tuple[str, int], FleetOutcome]
+) -> dict[str, dict[int, FleetOutcome]]:
+    nested: dict[str, dict[int, FleetOutcome]] = {}
+    for (mw, n), outcome in sweep.items():
+        nested.setdefault(mw, {})[n] = outcome
+    return nested
+
+
 def _row(mw: str, o: FleetOutcome) -> list:
     return [
         mw,
@@ -227,3 +215,17 @@ def _row(mw: str, o: FleetOutcome) -> list:
         f"{o.wall_per_publisher_s * 1e6:.1f}",
         f"{o.events_per_s:,.0f}",
     ]
+
+
+EXPERIMENTS = (
+    Experiment(
+        "fleet_scaling",
+        "Vectorized cohort fleets: 10^3-10^6 publishers, 3 middlewares",
+        fleet_scaling,
+        reads=(
+            partial(fleet_sweep, mode="aggregate"),
+            partial(fleet_sweep, mode="process"),
+        ),
+        params=("scale", "seed"),
+    ),
+)

@@ -11,78 +11,168 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSummary
-from repro.core import ExperimentResult, RecordBook, percentile_curve, rtt_stats
+from repro.core import ExperimentResult, percentile_curve
 from repro.core.metrics import within_threshold
+from repro.edge.upstream import NaradaUpstream
+from repro.harness import pipeline
+from repro.harness.figures import cpu_memory_figure, percentile_figure
+from repro.harness.parallel import RunSpec
+from repro.harness.pipeline import Adapter, RunResult, run_point
+from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.jms import AckMode
 from repro.narada import Broker, NaradaConfig, star_network
 from repro.powergrid import FleetConfig, NaradaFleet, NaradaReceiver
 from repro.powergrid.workload import MONITORING_TOPIC
-from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
-from repro.transport import NioTransport, TcpTransport, UdpTransport
 
 BROKER_PORT = 5045
-CLIENT_NODES = ("hydra5", "hydra6", "hydra7", "hydra8")
 BROKER_NODES_SINGLE = ("hydra1",)
 BROKER_NODES_DBN = ("hydra1", "hydra2", "hydra3", "hydra4")
 
 
-def steady_state_summary(vm: VmStat, since: float) -> VmStatSummary:
-    """CPU idle over the steady-state window; memory consumption (peak −
-    bottom, the paper's definition) over the whole run — connection setup is
-    where most memory is committed."""
-    cpu = vm.summary(warmup=since)
-    mem = vm.summary(warmup=0.0)
-    return VmStatSummary(
-        mean_cpu_idle_percent=cpu.mean_cpu_idle_percent,
-        memory_consumption_bytes=mem.memory_consumption_bytes,
-        samples=cpu.samples,
-    )
-
-
-@dataclass
-class NaradaRunResult:
+@dataclass(kw_only=True)
+class NaradaRunResult(RunResult):
     """Everything one test run produces."""
 
     connections: int
-    book: RecordBook
-    measure_since: float
-    vmstat: dict[str, VmStatSummary]
-    oom: bool
-    refused: int
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    stddev_rtt_ms: float
-    loss_rate: float
-    rtts: Any  # np.ndarray of measured-window RTT seconds
     broker_stats: dict[str, Any] = field(default_factory=dict)
-    #: Deliveries that escaped suppression and were counted twice.
-    duplicates: int = 0
     #: Redeliveries the durable receivers' (gen_id, seq) index absorbed.
     redeliveries: int = 0
     #: Supervised-receiver reconnects (durable mode under faults).
     receiver_reconnects: int = 0
     #: Retained copies the broker replayed on durable re-subscribes.
     messages_replayed: int = 0
-    #: Human-readable fault injection log ("t=... kind target note").
-    fault_log: list[str] = field(default_factory=list)
 
 
-def _make_transport(kind: str, sim: Simulator, lan: Any) -> Any:
-    if kind == "tcp":
-        return TcpTransport(sim, lan)
-    if kind == "nio":
-        return NioTransport(sim, lan)
-    if kind == "udp":
-        # JMS over UDP: transport-level ack with retransmission (§III.E.1).
-        return UdpTransport(
-            sim, lan, loss_probability=0.017, acked=True, rto=0.15, max_retries=1
+@dataclass
+class NaradaAdapter(Adapter):
+    """One broker or the 4-broker DBN, per-node selector subscribers and
+    the JMS generator fleet (the options are :func:`narada_run`'s)."""
+
+    dbn: bool = False
+    transport_kind: str = "tcp"
+    ack_mode: int = AckMode.AUTO_ACKNOWLEDGE
+    payload_multiplier: int = 1
+    publish_interval: float = 10.0
+    config: Optional[NaradaConfig] = None
+    fleet_retry: Any = None
+    fleet_failover: bool = False
+    durable_receivers: bool = False
+
+    name = "narada"
+
+    def fleet_options(self) -> dict[str, Any]:
+        return dict(
+            publish_interval=self.publish_interval,
+            payload_multiplier=self.payload_multiplier,
+            retry=self.fleet_retry,
+            failover=self.fleet_failover,
         )
-    raise ValueError(f"unknown transport {kind!r}")
+
+    def build(self, sim, cluster) -> dict[str, str]:
+        self.sim, self.cluster = sim, cluster
+        # JMS over UDP loses 1.7 % of datagrams at baseline (§III.E.1).
+        # (Looked up on the module: ablation_udp_ack swaps the factory.)
+        self.transport = pipeline.make_transport(
+            self.transport_kind, sim, cluster.lan, udp_loss=0.017
+        )
+        self.config = self.config or NaradaConfig()
+        self.nodes = BROKER_NODES_DBN if self.dbn else BROKER_NODES_SINGLE
+        self.brokers = []
+        for i, node_name in enumerate(self.nodes):
+            broker = Broker(sim, cluster.node(node_name), f"broker{i + 1}", self.config)
+            broker.serve(self.transport, BROKER_PORT)
+            self.brokers.append(broker)
+        if self.dbn:
+            # The paper's unit controller (hub) + three leaves, via the shared
+            # single-network builder (also the federation sweep's A/B leg).
+            sim.run_process(star_network(sim, self.transport, self.brokers, hub_index=0))
+        return dict.fromkeys(self.nodes, self.name)
+
+    def attach_subscribers(self, fleet: FleetConfig) -> None:
+        """Per-client-node subscribers, each with an id-range selector
+        covering its own node's generators ("data were received by the node
+        where they were sent", §III.E.2) — all on the *subscribing* broker
+        (the hub/unit controller in the DBN, Fig 5)."""
+        if self.tap is not None:
+            subscriptions = [(self.tap, None)]
+        else:
+            ranges = [fleet.id_range(k) for k in range(len(fleet.client_nodes))]
+            subscriptions = [
+                (node, f"id >= {lo} AND id < {hi}")
+                for node, (lo, hi) in zip(fleet.client_nodes, ranges)
+                if lo < hi
+            ]
+        self.receivers = self.consumers = []
+        for node_name, selector in subscriptions:
+            receiver = NaradaReceiver(
+                self.sim,
+                self.cluster,
+                self.transport,
+                (self.nodes[0], BROKER_PORT),
+                node_name,
+                MONITORING_TOPIC,
+                selector=selector,
+                ack_mode=self.ack_mode,
+                config=self.config,
+                durable_name=f"durable.{node_name}" if self.durable_receivers else None,
+                recover=self.durable_receivers,
+                name=f"narada-recv.{node_name}",
+            )
+            if self.durable_receivers:
+                # Supervised: start() is a long-running reconnect loop, not a
+                # one-shot connect — run it as a background process.
+                self.sim.process(receiver.start(), name=f"{receiver.name}.supervisor")
+            else:
+                try:
+                    self.sim.run_process(receiver.start())
+                except Exception:
+                    self.subscribers_failed += 1
+                    continue
+            self.receivers.append(receiver)
+
+    def attach_publishers(self, fleet: FleetConfig, book) -> NaradaFleet:
+        """In the DBN, publishers connect to the *publishing* brokers (the
+        leaves, Fig 5), so every event crosses the broker network."""
+        publishing = self.nodes[1:] or self.nodes
+        addresses = [
+            (publishing[k % len(publishing)], BROKER_PORT)
+            for k in range(len(fleet.client_nodes))
+        ]
+        narada_fleet = NaradaFleet(
+            self.sim, self.cluster, self.transport, addresses, fleet, book,
+            config=self.config, topic=MONITORING_TOPIC,
+        )
+        narada_fleet.start()
+        return narada_fleet
+
+    def edge_upstream(self) -> tuple[str, Any]:
+        """``(topic, upstream factory)`` for an edge tier fronting this run."""
+        address = (self.nodes[0], BROKER_PORT)
+        return MONITORING_TOPIC.name, NaradaUpstream(
+            self.sim, self.transport, address, self.config
+        )
+
+    def label(self, n_generators: int) -> str:
+        return f"narada{'_dbn' if self.dbn else ''}[{n_generators}]"
+
+    def counters(self, run) -> dict[str, Any]:
+        return dict(
+            redeliveries=sum(r.redeliveries for r in self.receivers),
+            receiver_reconnects=sum(r.reconnects for r in self.receivers),
+            messages_replayed=sum(b.stats.messages_replayed for b in self.brokers),
+            broker_stats={
+                b.name: {
+                    "published": b.stats.messages_published,
+                    "delivered": b.stats.messages_delivered,
+                    "forwards_received": b.stats.forwards_received,
+                    "forwarded": b.stats.messages_forwarded,
+                    "replayed": b.stats.messages_replayed,
+                    "threads_peak": b.jvm.threads_peak,
+                }
+                for b in self.brokers
+            },
+        )
 
 
 def narada_run(
@@ -105,10 +195,8 @@ def narada_run(
     """One §III.E test: ``connections`` generators against one broker or the
     4-broker DBN, measured in steady state.
 
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan` or a template callable
-    ``(measure_since, duration) -> FaultPlan``) arms fault injection against
-    this run; ``scenario`` (a :class:`repro.scenario.Scenario` or template)
-    additionally perturbs the workload and merges its fault fragment in;
+    ``fault_plan`` and ``scenario`` arm fault injection and workload
+    perturbation as :func:`~repro.harness.pipeline.run_point` describes;
     ``fleet_retry``/``fleet_failover`` give the publishers retry-with-backoff
     and broker-failover recovery; ``durable_receivers`` makes every
     subscriber a *supervised durable* subscription — the broker retains
@@ -117,177 +205,20 @@ def narada_run(
     own), and a ``(gen_id, seq)`` index turns the replayed at-least-once
     stream into exactly-once processing.
     """
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    cluster = HydraCluster(sim)
-    transport = _make_transport(transport_kind, sim, cluster.lan)
-    config = config or NaradaConfig()
-
-    broker_nodes = BROKER_NODES_DBN if dbn else BROKER_NODES_SINGLE
-    brokers: list[Broker] = []
-    for i, node_name in enumerate(broker_nodes):
-        broker = Broker(sim, cluster.node(node_name), f"broker{i + 1}", config)
-        broker.serve(transport, BROKER_PORT)
-        brokers.append(broker)
-    if dbn:
-        # The paper's unit controller (hub) + three leaves, via the shared
-        # single-network builder (also the federation sweep's A/B leg).
-        sim.run_process(star_network(sim, transport, brokers, hub_index=0))
-
-    vmstats = {
-        node_name: VmStat(sim, cluster.node(node_name)) for node_name in broker_nodes
-    }
-    tel = _telemetry()
-    if tel is not None:
-        for node_name in broker_nodes:
-            tel.sample_node(sim, cluster.node(node_name), middleware="narada")
-
-    creation_span = connections * scale.creation_interval_narada
-    measure_since = sim.now + creation_span + scale.warmup[1] + 2.0
-    stop_at = measure_since + scale.duration
-    fleet_config = FleetConfig(
-        n_generators=connections,
-        publish_interval=publish_interval,
-        creation_interval=scale.creation_interval_narada,
-        warmup_min=scale.warmup[0],
-        warmup_max=scale.warmup[1],
-        duration=scale.duration,
-        stop_at=stop_at,
+    adapter = NaradaAdapter(
+        dbn=dbn,
+        transport_kind=transport_kind,
+        ack_mode=ack_mode,
         payload_multiplier=payload_multiplier,
-        client_nodes=CLIENT_NODES,
-        retry=fleet_retry,
-        failover=fleet_failover,
-    )
-    from repro.scenario.compiler import arm_scenario, merge_fault_plan
-
-    fleet_config, compiled = arm_scenario(
-        scenario, measure_since, scale.duration, fleet_config
-    )
-    book = RecordBook()
-
-    # Per-client-node subscribers, each with an id-range selector covering
-    # its own node's generators ("data were received by the node where they
-    # were sent", §III.E.2).  In the DBN, publishers connect to *publishing*
-    # brokers (the leaves) and subscribers to the *subscribing* broker (the
-    # hub/unit controller) per Fig 5, so every event crosses the broker
-    # network.
-    if dbn:
-        leaf_addresses = [(node, BROKER_PORT) for node in broker_nodes[1:]]
-        publisher_addresses = [
-            leaf_addresses[k % len(leaf_addresses)] for k in range(len(CLIENT_NODES))
-        ]
-        subscriber_address = (broker_nodes[0], BROKER_PORT)
-    else:
-        publisher_addresses = [(broker_nodes[0], BROKER_PORT)] * len(CLIENT_NODES)
-        subscriber_address = (broker_nodes[0], BROKER_PORT)
-    receivers: list[NaradaReceiver] = []
-    receivers_failed = 0
-    for k, client_node in enumerate(CLIENT_NODES):
-        lo, hi = fleet_config.id_range(k)
-        if lo >= hi:
-            continue
-        address = subscriber_address
-        receiver = NaradaReceiver(
-            sim,
-            cluster,
-            transport,
-            address,
-            client_node,
-            MONITORING_TOPIC,
-            selector=f"id >= {lo} AND id < {hi}",
-            ack_mode=ack_mode,
-            config=config,
-            durable_name=f"durable.{client_node}" if durable_receivers else None,
-            recover=durable_receivers,
-            name=f"narada-recv.{client_node}",
-        )
-        if durable_receivers:
-            # Supervised: start() is a long-running reconnect loop, not a
-            # one-shot connect — run it as a background process.
-            sim.process(receiver.start(), name=f"{receiver.name}.supervisor")
-        else:
-            try:
-                sim.run_process(receiver.start())
-            except Exception:
-                receivers_failed += 1
-                continue
-        receivers.append(receiver)
-
-    fleet = NaradaFleet(
-        sim,
-        cluster,
-        transport,
-        publisher_addresses,
-        fleet_config,
-        book,
+        publish_interval=publish_interval,
         config=config,
-        topic=MONITORING_TOPIC,
+        fleet_retry=fleet_retry,
+        fleet_failover=fleet_failover,
+        durable_receivers=durable_receivers,
     )
-    fleet.start()
-
-    plan = (
-        fault_plan(measure_since, scale.duration)
-        if callable(fault_plan)
-        else fault_plan
-    )
-    plan = merge_fault_plan(compiled, plan)
-    scheduler = None
-    if plan is not None and len(plan):
-        from repro.faults import FaultScheduler
-
-        scheduler = FaultScheduler(sim, plan)
-        scheduler.attach(
-            lan=cluster.lan, cluster=cluster, brokers=brokers,
-            consumers=receivers,
-        )
-
-    end = stop_at + scale.drain
-    sim.run(until=end)
-    for vm in vmstats.values():
-        vm.stop()
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="narada",
-            measure_since=measure_since,
-            label=f"narada{'_dbn' if dbn else ''}[{connections}]",
-        )
-    oom = fleet.stats.connections_refused > 0 or receivers_failed > 0
-    return NaradaRunResult(
-        connections=connections,
-        book=book,
-        measure_since=measure_since,
-        vmstat={
-            name: steady_state_summary(vm, measure_since)
-            for name, vm in vmstats.items()
-        },
-        oom=oom,
-        refused=fleet.stats.connections_refused,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtts=rtts,
-        duplicates=sum(r.duplicates for r in receivers),
-        redeliveries=sum(r.redeliveries for r in receivers),
-        receiver_reconnects=sum(r.reconnects for r in receivers),
-        messages_replayed=sum(b.stats.messages_replayed for b in brokers),
-        fault_log=scheduler.render_log() if scheduler is not None else [],
-        broker_stats={
-            b.name: {
-                "published": b.stats.messages_published,
-                "delivered": b.stats.messages_delivered,
-                "forwards_received": b.stats.forwards_received,
-                "forwarded": b.stats.messages_forwarded,
-                "replayed": b.stats.messages_replayed,
-                "threads_peak": b.jvm.threads_peak,
-            }
-            for b in brokers
-        },
+    return run_point(
+        adapter, connections, NaradaRunResult, scale=scale, seed=seed,
+        fault_plan=fault_plan, scenario=scenario, connections=connections,
     )
 
 
@@ -306,20 +237,14 @@ COMPARISON_TESTS: dict[str, dict[str, Any]] = {
 COMPARISON_CONNECTIONS = 800
 
 
-def run_comparison_tests(
-    scale: Optional[Scale] = None, seed: int = 1, jobs: int = 1
-) -> dict[str, NaradaRunResult]:
+def comparison_tests(ctx: RunContext) -> dict[str, RunSpec]:
     """All six Table II settings (shared by fig3, fig4 and the loss table)."""
-    from repro.harness.parallel import map_points
-
-    points = []
-    for overrides in COMPARISON_TESTS.values():
-        kwargs = dict(overrides)
-        kwargs.setdefault("connections", COMPARISON_CONNECTIONS)
-        kwargs.update(scale=scale, seed=seed)
-        points.append(kwargs)
-    results = map_points(__name__, "narada_run", points, jobs=jobs)
-    return dict(zip(COMPARISON_TESTS, results))
+    return {
+        name: ctx.spec(
+            narada_run, **{"connections": COMPARISON_CONNECTIONS, **overrides}
+        )
+        for name, overrides in COMPARISON_TESTS.items()
+    }
 
 
 def fig3(runs: dict[str, NaradaRunResult]) -> ExperimentResult:
@@ -374,22 +299,12 @@ SINGLE_SWEEP = (500, 1000, 2000, 3000, 4000)
 DBN_SWEEP = (2000, 3000, 4000, 5000)
 
 
-def run_scaling_sweep(
-    connections: tuple[int, ...],
-    dbn: bool,
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    jobs: int = 1,
-) -> dict[int, NaradaRunResult]:
-    from repro.harness.parallel import map_points
+def single_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return {n: ctx.spec(narada_run, connections=n, dbn=False) for n in SINGLE_SWEEP}
 
-    results = map_points(
-        __name__,
-        "narada_run",
-        [dict(connections=n, dbn=dbn, scale=scale, seed=seed) for n in connections],
-        jobs=jobs,
-    )
-    return dict(zip(connections, results))
+
+def dbn_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return {n: ctx.spec(narada_run, connections=n, dbn=True) for n in DBN_SWEEP}
 
 
 def fig7(
@@ -440,55 +355,47 @@ def fig6(
     single: dict[int, NaradaRunResult], dbn: dict[int, NaradaRunResult]
 ) -> ExperimentResult:
     """Fig 6: CPU idle and memory consumption vs connections."""
-    result = ExperimentResult(
-        "fig6",
-        "Narada tests, CPU idle and memory consumption",
-        "concurrent connections",
-        "CPU idle % / memory MB",
+    return cpu_memory_figure(
+        "fig6", "Narada tests, CPU idle and memory consumption", single, dbn
     )
-    for n, run in sorted(single.items()):
-        if run.oom:
-            continue
-        vm = run.vmstat["hydra1"]
-        result.add_point("CPU", n, vm.mean_cpu_idle_percent)
-        result.add_point("MEM", n, vm.memory_consumption_mb)
-    for n, run in sorted(dbn.items()):
-        if run.oom:
-            continue
-        idles = [v.mean_cpu_idle_percent for v in run.vmstat.values()]
-        mems = [v.memory_consumption_mb for v in run.vmstat.values()]
-        result.add_point("CPU2", n, sum(idles) / len(idles))
-        result.add_point("MEM2", n, sum(mems) / len(mems))
-    return result
 
 
 def fig8(single: dict[int, NaradaRunResult]) -> ExperimentResult:
     """Fig 8: single-broker percentile of RTT for 500-3000 connections."""
-    result = ExperimentResult(
-        "fig8",
-        "Narada single server tests, percentile of RTT",
-        "percentile",
-        "millisecond",
+    return percentile_figure(
+        "fig8", "Narada single server tests, percentile of RTT", single, upto=3000
     )
-    for n, run in sorted(single.items()):
-        if run.oom or n > 3000:
-            continue
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(str(n), pct, ms)
-    return result
 
 
 def fig9(dbn: dict[int, NaradaRunResult]) -> ExperimentResult:
     """Fig 9: DBN percentile of RTT for 2000-4000 connections."""
-    result = ExperimentResult(
-        "fig9",
-        "Narada DBN tests, percentile of RTT",
-        "percentile",
-        "millisecond",
+    return percentile_figure(
+        "fig9", "Narada DBN tests, percentile of RTT", dbn, upto=4000
     )
-    for n, run in sorted(dbn.items()):
-        if run.oom or n > 4000:
-            continue
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(str(n), pct, ms)
-    return result
+
+
+EXPERIMENTS = (
+    Experiment(
+        "table2_fig3", "Table II / Fig 3: Narada comparison tests, RTT + STDDEV", fig3,
+        reads=(comparison_tests,),
+    ),
+    Experiment(
+        "fig4", "Fig 4: Narada comparison tests, percentile of RTT", fig4,
+        reads=(comparison_tests,),
+    ),
+    Experiment(
+        "fig6", "Fig 6: Narada CPU idle and memory vs connections", fig6,
+        reads=(single_sweep, dbn_sweep),
+    ),
+    Experiment(
+        "fig7", "Fig 7: Narada RTT/STDDEV vs connections, single vs DBN", fig7,
+        reads=(single_sweep, dbn_sweep),
+    ),
+    Experiment(
+        "fig8", "Fig 8: Narada single-broker percentile of RTT", fig8,
+        reads=(single_sweep,),
+    ),
+    Experiment(
+        "fig9", "Fig 9: Narada DBN percentile of RTT", fig9, reads=(dbn_sweep,)
+    ),
+)

@@ -1,15 +1,17 @@
-"""Parallel sweep execution across a process pool.
+"""Run specs, and their sweep across a process pool.
 
-Every sweep point (one ``narada_run`` / ``rgma_run`` / ``plog_run`` at one
-connection count) is an independent simulation: it builds its own
+Every sweep point (one ``narada_run`` / ``rgma_run`` / ``plog_run`` /
+``edge_point`` / ... call) is an independent simulation: it builds its own
 :class:`~repro.sim.kernel.Simulator` from the same ``(scale, seed)`` and
 shares no mutable state with its siblings.  That makes the fan-out
 trivially deterministic — a point computes the same record book whether it
 runs in-process or in a worker — so ``--jobs N`` and ``--jobs 1`` produce
 byte-identical results (asserted by ``tests/harness/test_parallel.py``).
 
-Workers are addressed by ``(module, function, kwargs)`` specs rather than
-callables so the pool only ever pickles plain data.  When the parent has
+A point is a frozen :class:`RunSpec` — the run function's import path plus
+its keyword arguments, all plain data — so the pool only ever pickles
+data, and ``repr(spec)`` names the run completely: it *is* the sweep-cache
+key (:class:`repro.harness.cache.SweepCache`).  When the parent has
 an active telemetry session, each worker observes its point under a fresh
 session and ships back an :func:`~repro.telemetry.merge.export_telemetry`
 snapshot; the parent merges the snapshots **in point order**, keeping
@@ -21,12 +23,38 @@ from __future__ import annotations
 import importlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.telemetry import context as tel_context
 
 #: Environment variable consulted when a jobs count is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One run as plain data: ``fn(**dict(args))``.
+
+    ``fn`` is ``"package.module:function"`` and ``args`` the keyword
+    arguments sorted by name, so two specs are equal — and share a cache
+    entry — exactly when they describe the same call.  Fault plans and
+    scenarios travel as library *names*; the run pipeline resolves them.
+    """
+
+    fn: str
+    args: tuple[tuple[str, Any], ...]
+
+    @classmethod
+    def of(cls, fn: Callable[..., Any], **kwargs: Any) -> "RunSpec":
+        return cls(
+            f"{fn.__module__}:{fn.__qualname__}", tuple(sorted(kwargs.items()))
+        )
+
+    def run(self) -> Any:
+        module_name, _, fn_name = self.fn.partition(":")
+        fn = getattr(importlib.import_module(module_name), fn_name)
+        return fn(**dict(self.args))
 
 
 def resolve_jobs(jobs: Optional[int] = None, default: Optional[int] = None) -> int:
@@ -57,35 +85,29 @@ def _books_of(result: Any) -> list:
     return [book] if book is not None else []
 
 
-def _run_point(spec: tuple) -> tuple[Any, Optional[dict]]:
-    """Worker entry: run one ``fn(**kwargs)`` sweep point.
+def _run_point(task: tuple[RunSpec, bool]) -> tuple[Any, Optional[dict]]:
+    """Worker entry: run one spec.
 
     With ``fork`` start the child inherits the parent's telemetry stack;
     that session's marks could never travel back through it, so the stack
     is cleared and — when the parent had a session — replaced by a fresh
     one whose snapshot ships home in the return value.
     """
-    module_name, fn_name, kwargs, with_telemetry = spec
-    fn = getattr(importlib.import_module(module_name), fn_name)
+    spec, with_telemetry = task
     tel_context._stack.clear()
     if not with_telemetry:
-        return fn(**kwargs), None
+        return spec.run(), None
     from repro.telemetry import Telemetry
     from repro.telemetry.merge import export_telemetry
 
-    telemetry = Telemetry(label=f"worker:{fn_name}")
+    telemetry = Telemetry(label=f"worker:{spec.fn}")
     with tel_context.session(telemetry):
-        result = fn(**kwargs)
+        result = spec.run()
     return result, export_telemetry(telemetry, books=_books_of(result))
 
 
-def map_points(
-    module_name: str,
-    fn_name: str,
-    kwargs_list: Sequence[dict],
-    jobs: Optional[int] = None,
-) -> list[Any]:
-    """Run ``fn(**kwargs)`` for every kwargs dict; results in input order.
+def map_points(specs: Sequence[RunSpec], jobs: Optional[int] = None) -> list[Any]:
+    """Run every spec; results in input order.
 
     ``jobs <= 1`` (after :func:`resolve_jobs`) or a single point runs the
     exact serial path — direct in-process calls, no executor, the parent's
@@ -94,17 +116,13 @@ def map_points(
     order.
     """
     jobs = resolve_jobs(jobs)
-    fn = getattr(importlib.import_module(module_name), fn_name)
-    if jobs <= 1 or len(kwargs_list) <= 1:
-        return [fn(**kwargs) for kwargs in kwargs_list]
+    if jobs <= 1 or len(specs) <= 1:
+        return [spec.run() for spec in specs]
 
     telemetry = tel_context.current()
-    specs = [
-        (module_name, fn_name, kwargs, telemetry is not None)
-        for kwargs in kwargs_list
-    ]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-        outcomes = list(pool.map(_run_point, specs))
+    tasks = [(spec, telemetry is not None) for spec in specs]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        outcomes = list(pool.map(_run_point, tasks))
 
     results: list[Any] = []
     if telemetry is not None:
@@ -117,3 +135,9 @@ def map_points(
     else:
         results = [result for result, _ in outcomes]
     return results
+
+
+def sweep(specs: Mapping[Any, RunSpec], jobs: Optional[int] = None) -> dict[Any, Any]:
+    """The one sweep: ``{point_key: spec}`` in, ``{point_key: result}`` out,
+    in the mapping's order, fanned out over ``jobs`` workers."""
+    return dict(zip(specs, map_points(list(specs.values()), jobs)))

@@ -20,20 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSummary
-from repro.core import ExperimentResult, RecordBook, percentile_curve, rtt_stats
+from repro.core import ExperimentResult
+from repro.core.dedup import DedupIndex
 from repro.core.metrics import soft_realtime_compliance
-from repro.faults import FaultScheduler
-from repro.harness.narada_experiments import steady_state_summary
+from repro.edge.upstream import PlogUpstream
+from repro.harness import pipeline
+from repro.harness.figures import percentile_figure
+from repro.harness.parallel import RunSpec
+from repro.harness.pipeline import CLIENT_NODES, Adapter, RunResult, run_point
+from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.plog import PlogConfig, PlogDeployment
 from repro.powergrid import FleetConfig, PlogFleet, PlogReceiver
-from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
-from repro.transport import TcpTransport, UdpTransport
 
-CLIENT_NODES = ("hydra5", "hydra6", "hydra7", "hydra8")
 BROKER_NODES_SINGLE = ("hydra1",)
 BROKER_NODES_SPREAD = ("hydra1", "hydra2", "hydra3", "hydra4")
 
@@ -43,28 +42,16 @@ BROKER_NODES_SPREAD = ("hydra1", "hydra2", "hydra3", "hydra4")
 CREATION_CAP_CONNECTIONS = 4000
 
 
-@dataclass
-class PlogRunResult:
+@dataclass(kw_only=True)
+class PlogRunResult(RunResult):
     """Everything one partitioned-log test run produces."""
 
     connections: int
     n_brokers: int
-    book: RecordBook
-    measure_since: float
-    vmstat: dict[str, VmStatSummary]
-    oom: bool
-    refused: int
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    stddev_rtt_ms: float
-    loss_rate: float
     #: §I requirement at this load: (compliant, frac_late_or_lost, loss).
     compliant: bool
     frac_late_or_lost: float
-    rtts: Any  # np.ndarray of measured-window RTT seconds
     broker_stats: dict[str, Any] = field(default_factory=dict)
-    duplicates: int = 0
     #: Redeliveries the shared (gen_id, seq) sink index absorbed
     #: (``dedup_receivers`` runs only).
     redeliveries: int = 0
@@ -73,8 +60,6 @@ class PlogRunResult:
     duplicate_batches: int = 0
     #: Offset commits the coordinator rejected for a stale generation.
     fenced_commits: int = 0
-    #: Human-readable fault injection log ("t=... kind target note").
-    fault_log: list[str] = field(default_factory=list)
     #: Recovery counters (all zero without faults / recovery config).
     producer_retries: int = 0
     producer_reconnects: int = 0
@@ -98,17 +83,133 @@ class PlogRunResult:
     election_log: list = field(default_factory=list)
 
 
-def _plog_transport(kind: str, sim: Simulator, lan: Any) -> Any:
-    if kind == "tcp":
-        return TcpTransport(sim, lan)
-    if kind == "udp":
+@dataclass
+class PlogAdapter(Adapter):
+    """A partitioned-log deployment, one consumer-group member per client
+    node and the batching producer fleet (the options are
+    :func:`plog_run`'s)."""
+
+    n_brokers: int = 1
+    config: Optional[PlogConfig] = None
+    deadline_s: float = 5.0
+    transport_kind: str = "tcp"
+    dedup_receivers: bool = False
+
+    name = "plog"
+
+    def creation_interval(self, scale: Scale, n_generators: int) -> float:
+        return scale.creation_interval_narada * min(
+            1.0, CREATION_CAP_CONNECTIONS / max(1, n_generators)
+        )
+
+    def build(self, sim, cluster) -> dict[str, str]:
+        self.sim, self.cluster = sim, cluster
         # Acked datagrams with zero baseline loss: the chaos experiments
         # inject loss through the LAN fault windows instead, so the no-fault
         # phases of a run stay clean.
-        return UdpTransport(
-            sim, lan, loss_probability=0.0, acked=True, rto=0.15, max_retries=1
+        self.transport = pipeline.make_transport(
+            self.transport_kind, sim, cluster.lan, udp_loss=0.0
         )
-    raise ValueError(f"unknown transport {kind!r}")
+        self.nodes = (
+            BROKER_NODES_SPREAD[: self.n_brokers]
+            if self.n_brokers > 1
+            else BROKER_NODES_SINGLE
+        )
+        self.deployment = PlogDeployment(
+            sim,
+            cluster,
+            self.transport,
+            broker_hosts=self.nodes,
+            config=self.config or PlogConfig(),
+        )
+        self.deployment.serve()
+        self.brokers = self.deployment.brokers
+        return dict.fromkeys(self.nodes, self.name)
+
+    def attach_subscribers(self, fleet: FleetConfig) -> None:
+        """One consumer-group member per client node ("data were received
+        by the node where they were sent", §III.E.2) — the coordinator
+        splits the topic's partitions evenly among them.  With
+        ``dedup_receivers`` they share one ``(gen_id, seq)`` index."""
+        if self.tap is not None:
+            members = [(self.tap, dict(group="direct.monitor"))]
+        else:
+            dedup = DedupIndex() if self.dedup_receivers else None
+            members = [(node, dict(dedup=dedup)) for node in CLIENT_NODES]
+        self.receivers = [
+            PlogReceiver(self.sim, self.cluster, self.deployment, node, **options)
+            for node, options in members
+        ]
+        for receiver in self.receivers:
+            receiver.start()
+        self.consumers = [r.consumer for r in self.receivers]
+
+    def attach_publishers(self, fleet: FleetConfig, book) -> PlogFleet:
+        self.fleet = PlogFleet(self.sim, self.cluster, self.deployment, fleet, book)
+        self.fleet.start()
+        return self.fleet
+
+    def edge_upstream(self) -> tuple[str, Any]:
+        """``(topic, upstream factory)`` for an edge tier fronting this run."""
+        return self.deployment.topic, PlogUpstream(self.sim, self.deployment)
+
+    def label(self, n_generators: int) -> str:
+        return f"plog[{n_generators}x{len(self.nodes)}]"
+
+    def counters(self, run) -> dict[str, Any]:
+        book, measure_since = run["book"], run["measure_since"]
+        compliant, frac_late, _loss = soft_realtime_compliance(
+            book, deadline_s=self.deadline_s, since=measure_since
+        )
+        window = [r for r in book.records if r.t_before_send >= measure_since]
+        acked = [r for r in window if r.t_after_send is not None]
+        brokers, receivers = self.deployment.brokers, self.receivers
+        controller = self.deployment.controller  # None when unreplicated
+        return dict(
+            n_brokers=len(self.nodes),
+            compliant=compliant,
+            frac_late_or_lost=frac_late,
+            broker_stats={
+                b.name: {
+                    "connections": b.stats.connections_accepted,
+                    "produce_batches": b.stats.produce_batches,
+                    "records_appended": b.stats.records_appended,
+                    "records_fetched": b.stats.records_fetched,
+                    "records_dropped": b.stats.records_dropped,
+                    "duplicate_batches": b.stats.duplicate_batches,
+                    "fetches": b.stats.fetches,
+                    "threads_peak": b.jvm.threads_peak,
+                    "heap_committed": b.jvm.committed_bytes,
+                }
+                for b in brokers
+            },
+            redeliveries=sum(r.redeliveries for r in receivers),
+            duplicate_batches=sum(b.stats.duplicate_batches for b in brokers),
+            fenced_commits=sum(
+                b.coordinator.fenced_commits
+                for b in brokers
+                if b.coordinator is not None
+            ),
+            producer_retries=sum(p.retries for p in self.fleet._producers),
+            producer_reconnects=sum(p.reconnects for p in self.fleet._producers),
+            consumer_recoveries=sum(
+                r.consumer.fetch_retries
+                + r.consumer.fetch_timeouts
+                + r.consumer.reconnects
+                for r in receivers
+            ),
+            acked=len(acked),
+            acked_lost=sum(1 for r in acked if r.t_received is None),
+            elections=getattr(controller, "elections", 0),
+            coordinator_elections=getattr(controller, "coordinator_elections", 0),
+            isr_shrinks=self.deployment.total_isr_shrinks(),
+            isr_expands=self.deployment.total_isr_expands(),
+            records_replicated=self.deployment.total_records_replicated(),
+            coordinator_rejoins=sum(
+                r.consumer.coordinator_rejoins for r in receivers
+            ),
+            election_log=list(getattr(controller, "election_log", ())),
+        )
 
 
 def plog_run(
@@ -128,186 +229,23 @@ def plog_run(
     partitioned-log deployment of ``n_brokers`` brokers, measured in steady
     state.
 
-    ``fault_plan`` is either a :class:`repro.faults.FaultPlan` or a template
-    callable ``(measure_since, duration) -> FaultPlan``; its events are
-    armed against this run's LAN, brokers and consumers.  ``scenario`` (a
-    :class:`repro.scenario.Scenario` or template) additionally perturbs the
-    producers' publication rates and merges its fault fragment in.
-    ``dedup_receivers`` gives all group members one shared ``(gen_id, seq)``
+    ``fault_plan`` and ``scenario`` are as :func:`~repro.harness.pipeline.
+    run_point` describes; faults are armed against this run's LAN, brokers
+    and consumers.  ``dedup_receivers`` gives all group members one shared ``(gen_id, seq)``
     index — the idempotent-sink half of exactly-once: post-rebalance replay
     of records a dead member already processed is absorbed as a
     redelivery, not a duplicate.
     """
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    cluster = HydraCluster(sim)
-    transport = _plog_transport(transport_kind, sim, cluster.lan)
-    config = config or PlogConfig()
-
-    broker_nodes = (
-        BROKER_NODES_SPREAD[:n_brokers] if n_brokers > 1 else BROKER_NODES_SINGLE
+    adapter = PlogAdapter(
+        n_brokers=n_brokers,
+        config=config,
+        deadline_s=deadline_s,
+        transport_kind=transport_kind,
+        dedup_receivers=dedup_receivers,
     )
-    deployment = PlogDeployment(
-        sim, cluster, transport, broker_hosts=broker_nodes, config=config
-    )
-    deployment.serve()
-    vmstats = {
-        node_name: VmStat(sim, cluster.node(node_name)) for node_name in broker_nodes
-    }
-    tel = _telemetry()
-    if tel is not None:
-        for node_name in broker_nodes:
-            tel.sample_node(sim, cluster.node(node_name), middleware="plog")
-
-    creation_interval = scale.creation_interval_narada * min(
-        1.0, CREATION_CAP_CONNECTIONS / max(1, connections)
-    )
-    creation_span = connections * creation_interval
-    measure_since = sim.now + creation_span + scale.warmup[1] + 2.0
-    stop_at = measure_since + scale.duration
-    fleet_config = FleetConfig(
-        n_generators=connections,
-        publish_interval=10.0,
-        creation_interval=creation_interval,
-        warmup_min=scale.warmup[0],
-        warmup_max=scale.warmup[1],
-        duration=scale.duration,
-        stop_at=stop_at,
-        client_nodes=CLIENT_NODES,
-    )
-    from repro.scenario.compiler import arm_scenario, merge_fault_plan
-
-    fleet_config, compiled = arm_scenario(
-        scenario, measure_since, scale.duration, fleet_config
-    )
-    book = RecordBook()
-
-    # One consumer-group member per client node ("data were received by the
-    # node where they were sent", §III.E.2) — the coordinator splits the
-    # topic's partitions evenly among them.
-    dedup = None
-    if dedup_receivers:
-        from repro.core.dedup import DedupIndex
-
-        dedup = DedupIndex()
-    receivers = [
-        PlogReceiver(sim, cluster, deployment, client_node, dedup=dedup)
-        for client_node in CLIENT_NODES
-    ]
-    for receiver in receivers:
-        receiver.start()
-
-    fleet = PlogFleet(sim, cluster, deployment, fleet_config, book)
-    fleet.start()
-
-    scheduler = None
-    plan = (
-        fault_plan(measure_since, scale.duration)
-        if callable(fault_plan)
-        else fault_plan
-    )
-    plan = merge_fault_plan(compiled, plan)
-    if plan is not None and len(plan):
-        scheduler = FaultScheduler(sim, plan)
-        scheduler.attach(
-            lan=cluster.lan,
-            cluster=cluster,
-            brokers=deployment.brokers,
-            consumers=[r.consumer for r in receivers],
-        )
-
-    sim.run(until=stop_at + scale.drain)
-    for vm in vmstats.values():
-        vm.stop()
-
-    stats = rtt_stats(book, since=measure_since)
-    rtts = book.rtts(since=measure_since)
-    compliant, frac_late, loss = soft_realtime_compliance(
-        book, deadline_s=deadline_s, since=measure_since
-    )
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="plog",
-            measure_since=measure_since,
-            label=f"plog[{connections}x{len(broker_nodes)}]",
-        )
-    refused = fleet.stats.connections_refused
-    window = [r for r in book.records if r.t_before_send >= measure_since]
-    acked = sum(1 for r in window if r.t_after_send is not None)
-    acked_lost = sum(
-        1
-        for r in window
-        if r.t_after_send is not None and r.t_received is None
-    )
-    controller = deployment.controller
-    return PlogRunResult(
-        connections=connections,
-        n_brokers=len(broker_nodes),
-        book=book,
-        measure_since=measure_since,
-        vmstat={
-            name: steady_state_summary(vm, measure_since)
-            for name, vm in vmstats.items()
-        },
-        oom=refused > 0,
-        refused=refused,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        compliant=compliant,
-        frac_late_or_lost=frac_late,
-        rtts=rtts,
-        broker_stats={
-            b.name: {
-                "connections": b.stats.connections_accepted,
-                "produce_batches": b.stats.produce_batches,
-                "records_appended": b.stats.records_appended,
-                "records_fetched": b.stats.records_fetched,
-                "records_dropped": b.stats.records_dropped,
-                "duplicate_batches": b.stats.duplicate_batches,
-                "fetches": b.stats.fetches,
-                "threads_peak": b.jvm.threads_peak,
-                "heap_committed": b.jvm.committed_bytes,
-            }
-            for b in deployment.brokers
-        },
-        duplicates=sum(r.duplicates for r in receivers),
-        redeliveries=sum(r.redeliveries for r in receivers),
-        duplicate_batches=sum(
-            b.stats.duplicate_batches for b in deployment.brokers
-        ),
-        fenced_commits=sum(
-            b.coordinator.fenced_commits
-            for b in deployment.brokers
-            if b.coordinator is not None
-        ),
-        fault_log=scheduler.render_log() if scheduler is not None else [],
-        producer_retries=sum(p.retries for p in fleet._producers),
-        producer_reconnects=sum(p.reconnects for p in fleet._producers),
-        consumer_recoveries=sum(
-            r.consumer.fetch_retries
-            + r.consumer.fetch_timeouts
-            + r.consumer.reconnects
-            for r in receivers
-        ),
-        acked=acked,
-        acked_lost=acked_lost,
-        elections=controller.elections if controller is not None else 0,
-        coordinator_elections=(
-            controller.coordinator_elections if controller is not None else 0
-        ),
-        isr_shrinks=deployment.total_isr_shrinks(),
-        isr_expands=deployment.total_isr_expands(),
-        records_replicated=deployment.total_records_replicated(),
-        coordinator_rejoins=sum(
-            r.consumer.coordinator_rejoins for r in receivers
-        ),
-        election_log=(
-            list(controller.election_log) if controller is not None else []
-        ),
+    return run_point(
+        adapter, connections, PlogRunResult, scale=scale, seed=seed,
+        fault_plan=fault_plan, scenario=scenario, connections=connections,
     )
 
 
@@ -319,25 +257,12 @@ SINGLE_SWEEP = (1000, 2000, 4000, 8000, 12000)
 SPREAD_SWEEP = (4000, 8000, 12000, 16000)
 
 
-def run_scaling_sweep(
-    connections: tuple[int, ...],
-    n_brokers: int = 1,
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    jobs: int = 1,
-) -> dict[int, PlogRunResult]:
-    from repro.harness.parallel import map_points
+def single_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return {n: ctx.spec(plog_run, connections=n, n_brokers=1) for n in SINGLE_SWEEP}
 
-    results = map_points(
-        __name__,
-        "plog_run",
-        [
-            dict(connections=n, n_brokers=n_brokers, scale=scale, seed=seed)
-            for n in connections
-        ],
-        jobs=jobs,
-    )
-    return dict(zip(connections, results))
+
+def spread_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return {n: ctx.spec(plog_run, connections=n, n_brokers=4) for n in SPREAD_SWEEP}
 
 
 def plog_scaling(
@@ -391,17 +316,9 @@ def plog_scaling(
 
 def plog_percentiles(single: dict[int, PlogRunResult]) -> ExperimentResult:
     """Percentile-of-RTT curves (the Fig 8 analogue for the commit log)."""
-    result = ExperimentResult(
-        "plog_percentiles",
-        "Partitioned log single broker, percentile of RTT",
-        "percentile",
-        "millisecond",
+    result = percentile_figure(
+        "plog_percentiles", "Partitioned log single broker, percentile of RTT", single
     )
-    for n, run in sorted(single.items()):
-        if run.oom:
-            continue
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(str(n), pct, ms)
     result.note(
         "tails stay flat with connection count: fetch batching amortises "
         "per-message broker work that grows per-connection in Narada"
@@ -409,20 +326,17 @@ def plog_percentiles(single: dict[int, PlogRunResult]) -> ExperimentResult:
     return result
 
 
-def fig15_threeway(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    connections: int = 400,
-) -> ExperimentResult:
-    """Fig 15 extended: RTT = PRT + PT + SRT for all three middlewares.
-
-    Delegates to :func:`repro.harness.decomposition.fig15_threeway`, which
-    computes every decomposition from the telemetry span pipeline.  (Import
-    is deferred: :mod:`repro.harness.decomposition` imports this module for
-    :func:`plog_run`.)
-    """
-    from repro.harness import decomposition
-
-    return decomposition.fig15_threeway(
-        scale=scale, seed=seed, connections=connections
-    )
+EXPERIMENTS = (
+    Experiment(
+        "plog_scaling",
+        "Partitioned log: RTT + §I SLA compliance to 16k connections",
+        plog_scaling,
+        reads=(single_sweep, spread_sweep),
+    ),
+    Experiment(
+        "plog_percentiles",
+        "Partitioned log: percentile of RTT per connection count",
+        plog_percentiles,
+        reads=(single_sweep,),
+    ),
+)

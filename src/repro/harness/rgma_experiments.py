@@ -8,18 +8,18 @@ WHERE clauses) every 100 ms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSummary
-from repro.core import ExperimentResult, RecordBook, percentile_curve, rtt_stats
-from repro.harness.narada_experiments import steady_state_summary
+from repro.core import ExperimentResult, percentile_curve, rtt_stats
+from repro.edge.upstream import RgmaUpstream
+from repro.harness.figures import cpu_memory_figure, percentile_figure
+from repro.harness.parallel import RunSpec
+from repro.harness.pipeline import Adapter, RunResult, run_point
+from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.powergrid import FleetConfig, RgmaFleet, RgmaReceiver
 from repro.rgma import RGMAConfig, RGMADeployment
-from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
 from repro.transport.http import HttpClient
 
 #: Generator client nodes (paper: two publish, two receive — §III.F.1).
@@ -27,22 +27,110 @@ PUBLISH_NODES = ("hydra5", "hydra6")
 RECEIVE_NODES = ("hydra7", "hydra8")
 
 
-@dataclass
-class RgmaRunResult:
+@dataclass(kw_only=True)
+class RgmaRunResult(RunResult):
     connections: int
-    book: RecordBook
-    measure_since: float
-    vmstat: dict[str, VmStatSummary]
-    oom: bool
-    refused: int
-    sent: int
-    received: int
-    mean_rtt_ms: float
-    stddev_rtt_ms: float
-    loss_rate: float
-    rtts: Any
-    #: Redelivered tuples the consumers suppressed (first delivery wins).
-    duplicates: int = 0
+
+
+@dataclass
+class RgmaAdapter(Adapter):
+    """Producer/consumer servlets on one server or four, polling
+    subscribers with genid-range WHERE clauses and the Primary Producer
+    fleet (the options are :func:`rgma_run`'s)."""
+
+    distributed: bool = False
+    secondary_producer: bool = False
+    skip_warmup: bool = False
+    use_https: bool = False
+    config: Optional[RGMAConfig] = None
+
+    name = "rgma"
+
+    def creation_interval(self, scale: Scale, n_generators: int) -> float:
+        return scale.creation_interval_rgma
+
+    def fleet_options(self) -> dict[str, Any]:
+        return dict(client_nodes=PUBLISH_NODES, skip_warmup=self.skip_warmup)
+
+    def build(self, sim, cluster) -> dict[str, str]:
+        self.sim, self.cluster = sim, cluster
+        self.config = self.config or RGMAConfig()
+        self.settle = self.config.mediation_period + 4.0
+        transport = None
+        if self.use_https:
+            from repro.transport.tls import TlsTransport
+
+            transport = TlsTransport(sim, cluster.lan)
+        if self.distributed:
+            self.deployment = RGMADeployment.distributed(sim, cluster, self.config)
+            server_nodes = ("hydra1", "hydra2", "hydra3", "hydra4")
+        else:
+            self.deployment = RGMADeployment.single_server(
+                sim, cluster, self.config, transport=transport
+            )
+            server_nodes = ("hydra1",)
+        self.transport = self.deployment.transport
+        if self.secondary_producer:
+            # Fig 10: one SP on the (first) producer site; the subscribers
+            # then read exclusively through it.  It adds its deliberate
+            # delay to every message: extend the drain so republished
+            # tuples are observed.
+            self.extra_drain = self.config.secondary_producer_delay + 10.0
+            http = HttpClient(
+                sim,
+                self.transport,
+                cluster.node(RECEIVE_NODES[0]),
+                self.deployment.producer_hosts[0],
+                8080,
+            )
+
+            def create_sp():
+                response = yield from http.request("/sp/create", {"table": "gridmon"}, 120)
+                assert response.status == 200, response.body
+
+            sim.run_process(create_sp())
+        return dict.fromkeys(server_nodes, self.name)
+
+    def attach_subscribers(self, fleet: FleetConfig) -> None:
+        """Two subscribers, each taking one publisher node's genid block
+        via a WHERE clause (content-based filtering at the producers)."""
+        self.receivers = []
+        if self.tap is not None:
+            return self._subscribe(self.tap)
+        for k, node_name in enumerate(RECEIVE_NODES):
+            lo, hi = fleet.id_range(k)
+            if lo < hi:
+                self._subscribe(
+                    node_name,
+                    select_sql="SELECT * FROM gridmon "
+                    f"WHERE genid >= {lo} AND genid < {hi}",
+                    consumer_index=k,
+                    producer_type="secondary" if self.secondary_producer else "primary",
+                    poll_interval=self.config.poll_interval,
+                )
+
+    def _subscribe(self, node_name: str, **options: Any) -> None:
+        receiver = RgmaReceiver(
+            self.sim, self.cluster, self.deployment, node_name, **options
+        )
+        self.sim.run_process(receiver.start())
+        self.receivers.append(receiver)
+
+    def attach_publishers(self, fleet: FleetConfig, book) -> RgmaFleet:
+        rgma_fleet = RgmaFleet(self.sim, self.cluster, self.deployment, fleet, book)
+        rgma_fleet.start()
+        return rgma_fleet
+
+    def stop(self) -> None:
+        for receiver in self.receivers:
+            receiver.stop()
+
+    def edge_upstream(self) -> tuple[str, Any]:
+        """``(topic, upstream factory)`` for an edge tier fronting this run."""
+        return "gridmon", RgmaUpstream(self.sim, self.deployment)
+
+    def label(self, n_generators: int) -> str:
+        return f"rgma{'_dist' if self.distributed else ''}[{n_generators}]"
 
 
 def rgma_run(
@@ -60,141 +148,21 @@ def rgma_run(
 ) -> RgmaRunResult:
     """One §III.F test: ``connections`` Primary Producers, two subscribers.
 
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan` or a template callable
-    ``(measure_since, duration) -> FaultPlan``) arms link- and node-level
-    fault injection; servlet stalls target the server nodes.  ``scenario``
-    (a :class:`repro.scenario.Scenario` or template) additionally perturbs
-    the producers' publication rates and merges its fault fragment in.
+    ``fault_plan`` and ``scenario`` are as :func:`~repro.harness.pipeline.
+    run_point` describes: link- and node-level faults apply (servlet stalls
+    target the server nodes); broker and consumer faults are logged as
+    skipped — this pipeline has no such process to kill.
     """
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    cluster = HydraCluster(sim)
-    config = config or RGMAConfig()
-    transport = None
-    if use_https:
-        from repro.transport.tls import TlsTransport
-
-        transport = TlsTransport(sim, cluster.lan)
-    if distributed:
-        deployment = RGMADeployment.distributed(sim, cluster, config)
-        server_nodes = ["hydra1", "hydra2", "hydra3", "hydra4"]
-    else:
-        deployment = RGMADeployment.single_server(
-            sim, cluster, config, transport=transport
-        )
-        server_nodes = ["hydra1"]
-
-    vmstats = {name: VmStat(sim, cluster.node(name)) for name in server_nodes}
-    tel = _telemetry()
-    if tel is not None:
-        for name in server_nodes:
-            tel.sample_node(sim, cluster.node(name), middleware="rgma")
-
-    # Secondary producer (Fig 10): one SP on the (first) producer site; the
-    # subscribers then read exclusively through it.
-    if secondary_producer:
-        http = HttpClient(
-            sim,
-            deployment.transport,
-            cluster.node(RECEIVE_NODES[0]),
-            deployment.producer_hosts[0],
-            8080,
-        )
-
-        def create_sp():
-            response = yield from http.request("/sp/create", {"table": "gridmon"}, 120)
-            assert response.status == 200, response.body
-
-        sim.run_process(create_sp())
-
-    creation_span = connections * scale.creation_interval_rgma
-    measure_since = sim.now + creation_span + scale.warmup[1] + config.mediation_period + 4.0
-    stop_at = measure_since + scale.duration
-    fleet_config = FleetConfig(
-        n_generators=connections,
-        publish_interval=10.0,
-        creation_interval=scale.creation_interval_rgma,
-        warmup_min=scale.warmup[0],
-        warmup_max=scale.warmup[1],
-        duration=scale.duration,
-        stop_at=stop_at,
-        client_nodes=PUBLISH_NODES,
+    adapter = RgmaAdapter(
+        distributed=distributed,
+        secondary_producer=secondary_producer,
         skip_warmup=skip_warmup,
+        use_https=use_https,
+        config=config,
     )
-    from repro.scenario.compiler import arm_scenario, merge_fault_plan
-
-    fleet_config, compiled = arm_scenario(
-        scenario, measure_since, scale.duration, fleet_config
-    )
-    book = RecordBook()
-
-    # Two subscribers, each taking one publisher node's genid block via a
-    # WHERE clause (content-based filtering at the producers).
-    receivers: list[RgmaReceiver] = []
-    for k, node_name in enumerate(RECEIVE_NODES):
-        lo, hi = fleet_config.id_range(k)
-        if lo >= hi:
-            continue
-        receiver = RgmaReceiver(
-            sim,
-            cluster,
-            deployment,
-            node_name,
-            select_sql=f"SELECT * FROM gridmon WHERE genid >= {lo} AND genid < {hi}",
-            consumer_index=k,
-            producer_type="secondary" if secondary_producer else "primary",
-            poll_interval=config.poll_interval,
-        )
-        sim.run_process(receiver.start())
-        receivers.append(receiver)
-
-    fleet = RgmaFleet(sim, cluster, deployment, fleet_config, book)
-    fleet.start()
-
-    plan = (
-        fault_plan(measure_since, scale.duration)
-        if callable(fault_plan)
-        else fault_plan
-    )
-    plan = merge_fault_plan(compiled, plan)
-    if plan is not None and len(plan):
-        from repro.faults import FaultScheduler
-
-        FaultScheduler(sim, plan).attach(lan=cluster.lan, cluster=cluster)
-
-    # The SP path adds its deliberate delay to every message: extend the
-    # drain so republished tuples are observed.
-    extra_drain = config.secondary_producer_delay + 10.0 if secondary_producer else 0.0
-    sim.run(until=stop_at + scale.drain + extra_drain)
-    for vm in vmstats.values():
-        vm.stop()
-    for receiver in receivers:
-        receiver.stop()
-
-    stats = rtt_stats(book, since=measure_since)
-    if tel is not None:
-        tel.observe_run(
-            book,
-            middleware="rgma",
-            measure_since=measure_since,
-            label=f"rgma{'_dist' if distributed else ''}[{connections}]",
-        )
-    return RgmaRunResult(
-        connections=connections,
-        book=book,
-        measure_since=measure_since,
-        vmstat={
-            n: steady_state_summary(vm, measure_since) for n, vm in vmstats.items()
-        },
-        oom=fleet.stats.connections_refused > 0,
-        refused=fleet.stats.connections_refused,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtts=book.rtts(since=measure_since),
-        duplicates=sum(r.duplicates for r in receivers),
+    return run_point(
+        adapter, connections, RgmaRunResult, scale=scale, seed=seed,
+        fault_plan=fault_plan, scenario=scenario, connections=connections,
     )
 
 
@@ -205,25 +173,30 @@ DISTRIBUTED_SWEEP = (400, 600, 800, 1000)
 SECONDARY_SWEEP = (50, 100, 200)
 
 
-def run_scaling_sweep(
-    connections: tuple[int, ...],
-    distributed: bool,
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    jobs: int = 1,
-) -> dict[int, RgmaRunResult]:
-    from repro.harness.parallel import map_points
+def single_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return {n: ctx.spec(rgma_run, connections=n, distributed=False) for n in SINGLE_SWEEP}
 
-    results = map_points(
-        __name__,
-        "rgma_run",
-        [
-            dict(connections=n, distributed=distributed, scale=scale, seed=seed)
-            for n in connections
-        ],
-        jobs=jobs,
-    )
-    return dict(zip(connections, results))
+
+def distributed_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return {
+        n: ctx.spec(rgma_run, connections=n, distributed=True)
+        for n in DISTRIBUTED_SWEEP
+    }
+
+
+def secondary_sweep(ctx: RunContext) -> dict[int, RunSpec]:
+    return {
+        n: ctx.spec(rgma_run, connections=n, secondary_producer=True)
+        for n in SECONDARY_SWEEP
+    }
+
+
+def warmup_pair(ctx: RunContext) -> dict[str, RunSpec]:
+    """The §III.F loss experiment's two runs, keyed by table label."""
+    return {
+        label: ctx.spec(rgma_run, connections=400, skip_warmup=skip)
+        for label, skip in (("no warm-up", True), ("10-20 s warm-up", False))
+    }
 
 
 def fig11(
@@ -252,8 +225,6 @@ def fig11(
             continue
         result.add_point("RTT2", n, run.mean_rtt_ms)
         result.add_point("STDDEV2", n, run.stddev_rtt_ms)
-    import numpy as np
-
     biggest = max((n for n, r in single.items() if not r.oom), default=None)
     if biggest is not None:
         frac = float((single[biggest].rtts <= 4.0).mean())
@@ -266,63 +237,31 @@ def fig11(
 
 def fig12(single: dict[int, RgmaRunResult]) -> ExperimentResult:
     """Fig 12: single-server percentiles, 100-600 connections."""
-    result = ExperimentResult(
+    return percentile_figure(
         "fig12",
         "R-GMA Primary Producer and Consumer single server tests, percentile of RTT",
-        "percentile",
-        "millisecond",
+        single,
+        upto=600,
     )
-    for n, run in sorted(single.items()):
-        if run.oom or n > 600:
-            continue
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(str(n), pct, ms)
-    return result
 
 
 def fig13(
     single: dict[int, RgmaRunResult], dist: dict[int, RgmaRunResult]
 ) -> ExperimentResult:
     """Fig 13: CPU idle and memory, single vs distributed."""
-    result = ExperimentResult(
-        "fig13",
-        "R-GMA Consumer tests, CPU idle and memory consumption",
-        "concurrent connections",
-        "CPU idle % / memory MB",
+    return cpu_memory_figure(
+        "fig13", "R-GMA Consumer tests, CPU idle and memory consumption", single, dist
     )
-    for n, run in sorted(single.items()):
-        if run.oom:
-            continue
-        vm = run.vmstat["hydra1"]
-        result.add_point("CPU", n, vm.mean_cpu_idle_percent)
-        result.add_point("MEM", n, vm.memory_consumption_mb)
-    for n, run in sorted(dist.items()):
-        if run.oom:
-            continue
-        idles = [v.mean_cpu_idle_percent for v in run.vmstat.values()]
-        mems = [v.memory_consumption_mb for v in run.vmstat.values()]
-        result.add_point("CPU2", n, sum(idles) / len(idles))
-        result.add_point("MEM2", n, sum(mems) / len(mems))
-    return result
 
 
 def fig14(dist: dict[int, RgmaRunResult]) -> ExperimentResult:
     """Fig 14: distributed percentiles, 400-1000 connections."""
-    result = ExperimentResult(
-        "fig14",
-        "R-GMA distributed network tests, percentile of RTT",
-        "percentile",
-        "millisecond",
+    return percentile_figure(
+        "fig14", "R-GMA distributed network tests, percentile of RTT", dist
     )
-    for n, run in sorted(dist.items()):
-        if run.oom:
-            continue
-        for pct, ms in percentile_curve(run.rtts):
-            result.add_point(str(n), pct, ms)
-    return result
 
 
-def fig10(scale: Optional[Scale] = None, seed: int = 1) -> ExperimentResult:
+def fig10(secondary: dict[int, RgmaRunResult]) -> ExperimentResult:
     """Fig 10: Primary + Secondary Producer percentiles (50-200 conns).
 
     "The delays were up to 35 seconds" — the SP's deliberate 30 s republish
@@ -334,8 +273,7 @@ def fig10(scale: Optional[Scale] = None, seed: int = 1) -> ExperimentResult:
         "percentile",
         "second",
     )
-    for n in SECONDARY_SWEEP:
-        run = rgma_run(n, secondary_producer=True, scale=scale, seed=seed)
+    for n, run in secondary.items():
         for pct, ms in percentile_curve(run.rtts):
             result.add_point(str(n), pct, ms / 1e3)  # the paper plots seconds
         result.note(
@@ -345,7 +283,7 @@ def fig10(scale: Optional[Scale] = None, seed: int = 1) -> ExperimentResult:
     return result
 
 
-def warmup_loss(scale: Optional[Scale] = None, seed: int = 1) -> ExperimentResult:
+def warmup_loss(runs: dict[str, RgmaRunResult]) -> ExperimentResult:
     """§III.F: '400 generators publishing data without waiting for the
     server to warm up ... loss rate was 0.17%'."""
     result = ExperimentResult(
@@ -354,12 +292,10 @@ def warmup_loss(scale: Optional[Scale] = None, seed: int = 1) -> ExperimentResul
         "case",
         "loss rate",
     )
-    no_warm = rgma_run(400, skip_warmup=True, scale=scale, seed=seed)
-    warm = rgma_run(400, skip_warmup=False, scale=scale, seed=seed)
     # Loss is counted over the WHOLE run (the paper counted every message,
     # including the pre-discovery ones).
     rows = []
-    for label, run in (("no warm-up", no_warm), ("10-20 s warm-up", warm)):
+    for label, run in runs.items():
         total_stats = rtt_stats(run.book, since=0.0)
         rows.append(
             [label, total_stats.sent, total_stats.count,
@@ -372,3 +308,33 @@ def warmup_loss(scale: Optional[Scale] = None, seed: int = 1) -> ExperimentResul
         "zero loss with the 10-20 s warm-up wait"
     )
     return result
+
+
+EXPERIMENTS = (
+    Experiment(
+        "fig10", "Fig 10: R-GMA percentile of RTT, light load", fig10,
+        reads=(secondary_sweep,),
+    ),
+    Experiment(
+        "fig11", "Fig 11: R-GMA RTT/STDDEV vs connections", fig11,
+        reads=(single_sweep, distributed_sweep),
+    ),
+    Experiment(
+        "fig12", "Fig 12: R-GMA single-server percentile of RTT", fig12,
+        reads=(single_sweep,),
+    ),
+    Experiment(
+        "fig13", "Fig 13: R-GMA CPU idle and memory vs connections", fig13,
+        reads=(single_sweep, distributed_sweep),
+    ),
+    Experiment(
+        "fig14", "Fig 14: R-GMA distributed percentile of RTT", fig14,
+        reads=(distributed_sweep,),
+    ),
+    Experiment(
+        "rgma_warmup_loss",
+        "R-GMA loss with and without the warm-up sleep",
+        warmup_loss,
+        reads=(warmup_pair,),
+    ),
+)

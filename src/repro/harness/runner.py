@@ -1,42 +1,34 @@
-"""Experiment registry, sweep caching and the CLI entry point.
+"""Experiment registry, the sweep cache instance and the CLI entry point.
+
+Every experiment is an :class:`~repro.harness.registry.Experiment` entry
+declared beside its builder (``EXPERIMENTS`` in each harness module); this
+module collects them into one registry, in the paper's order, and runs
+them under an explicit :class:`~repro.harness.registry.RunContext`.
 
 Several figures share the same underlying sweeps (Figs 6, 7, 8, 9 all read
 the Narada scaling runs; Figs 11-14 the R-GMA ones; the plog figures the
-partitioned-log ones), so sweeps are cached per (kind, scale, seed) — in
-two tiers:
-
-* an in-process LRU (``SWEEP_CACHE_MAX`` entries; sweeps hold whole record
-  books, so an unbounded cache would grow without limit when many
-  (scale, seed) combinations run in one process, e.g. a benchmark
-  session);
-* a content-addressed on-disk tier (:mod:`repro.harness.cache`) keyed by
-  the same inputs plus the active fault plan and a code-version salt, so
-  re-running a figure in a fresh process skips the sweep entirely.  The
-  disk tier is bypassed while a telemetry session is active — a sweep
-  loaded from disk carries no live spans, and ``--trace`` must see real
-  ones.
-
-``--no-cache`` disables both tiers; :func:`clear_cache` empties both.
-Sweep points fan out over a process pool when ``--jobs``/``$REPRO_JOBS``
-ask for it (:mod:`repro.harness.parallel`); results are identical to a
-serial run by construction.
+partitioned-log ones), so ``run`` hands its context the process-wide
+:class:`~repro.harness.cache.SweepCache` — an in-process LRU over a
+content-addressed disk tier, keyed by the sweeps' own run specs.  Only
+``run`` consults it: calling a run function or an entry directly always
+runs.  ``--no-cache`` bypasses both tiers; :func:`clear_cache` empties
+both.  Sweep points fan out over a process pool when
+``--jobs``/``$REPRO_JOBS`` ask for it (:mod:`repro.harness.parallel`);
+results are identical to a serial run by construction.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
-from collections import OrderedDict
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.cluster.hydra import HYDRA_SPEC
 from repro.core import ExperimentResult
-from repro.core.comparison import MiddlewareMeasurements, table_iii
-from repro.faults import PLANS
+from repro.faults import PLANS, named_plan
 from repro.harness import (
+    ablations,
     chaos_experiments,
     decomposition,
     edge_experiments,
@@ -46,1285 +38,73 @@ from repro.harness import (
     plog_experiments,
     rgma_experiments,
     scenario_experiments,
+    tables,
 )
-from repro.harness.cache import DiskCache
+from repro.harness.cache import SweepCache
 from repro.harness.parallel import resolve_jobs
+from repro.harness.registry import Experiment
 from repro.harness.scale import Scale
-from repro.scenario import SCENARIOS
+from repro.scenario import SCENARIOS, named_scenario
 from repro.telemetry import context as tel_context
 
-#: Max cached sweeps.  There are ~7 sweep kinds, so one (scale, seed)
-#: combination fits entirely; older entries evict LRU-first beyond that.
-SWEEP_CACHE_MAX = 8
+#: The process-wide sweep cache ``run`` uses.
+SWEEPS = SweepCache()
 
-_sweep_cache: "OrderedDict[tuple, Any]" = OrderedDict()
+_declared = {
+    entry.id: entry
+    for module in (
+        tables,
+        narada_experiments,
+        rgma_experiments,
+        plog_experiments,
+        decomposition,
+        federation_experiments,
+        fleet_experiments,
+        edge_experiments,
+        chaos_experiments,
+        scenario_experiments,
+        ablations,
+    )
+    for entry in module.EXPERIMENTS
+}
 
+#: The registry, in ``--list`` order: the paper's tables and figures in its
+#: own order (interleaving modules), then every other entry as declared.
+EXPERIMENTS: dict[str, Experiment] = {
+    experiment_id: _declared.pop(experiment_id)
+    for experiment_id in (
+        "table1", "table2_fig3", "fig4", "fig6", "fig7", "fig8", "fig9",
+        "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "losses",
+        "rgma_warmup_loss", "table3", "table3_extended",
+    )
+} | _declared
 
-#: Never-reused tokens for telemetry sessions seen by the cache.  ``id()``
-#: is not safe here: a freed session's address can be handed to the next
-#: one, which would then satisfy lookups against the dead session's sweeps
-#: (whose spans it does not hold).
-_session_tokens = itertools.count(1)
-
-
-def _cache_context() -> tuple:
-    """Context folded into every sweep-cache key.
-
-    A sweep built under an active fault plan or scenario must never satisfy
-    a later plain lookup (or vice versa), and a sweep built outside a
-    telemetry session carries no spans — so the active fault plan, the
-    active scenario and the identity of the active telemetry session are
-    part of the key.  ``run()`` maintains the plan/scenario halves via
-    :data:`_active_fault_plan` / :data:`_active_scenario`.
-    """
-    tel = tel_context.current()
-    if tel is None:
-        return (_active_fault_plan, _active_scenario, None)
-    token = getattr(tel, "_sweep_cache_token", None)
-    if token is None:
-        token = next(_session_tokens)
-        tel._sweep_cache_token = token
-    return (_active_fault_plan, _active_scenario, token)
-
-
-_active_fault_plan: Optional[str] = None
-
-#: Scenario name the current ``run()`` call armed (scenario experiments).
-_active_scenario: Optional[str] = None
-
-#: Worker count sweep builders pass to ``run_scaling_sweep`` (set per call
-#: by :func:`run`, the way ``_active_fault_plan`` is).
-_jobs: int = 1
-
-#: ``--no-cache`` switch: False bypasses both cache tiers entirely.
-_cache_enabled: bool = True
-
-
-def _disk_key(key: tuple) -> tuple:
-    """The on-disk key: the sweep key plus the active fault plan/scenario.
-
-    A sweep built under a fault plan or scenario must be namespaced away
-    from the plain entry even across processes.  (The telemetry part of
-    :func:`_cache_context` is deliberately absent: the disk tier is
-    skipped outright while a session is active.)
-    """
-    return key + (_active_fault_plan, _active_scenario)
-
-
-def _cached(key: tuple, builder: Callable[[], Any]) -> Any:
-    if not _cache_enabled:
-        return builder()
-    mem_key = key + _cache_context()
-    if mem_key in _sweep_cache:
-        _sweep_cache.move_to_end(mem_key)
-        return _sweep_cache[mem_key]
-    # The disk tier only serves sessionless lookups: entries carry record
-    # books but no spans, and an active --trace session must observe live
-    # runs.  (Disk writes are skipped symmetrically so a traced run never
-    # seeds the cache with data an untraced run would then trust — they
-    # would be identical, but keeping the tiers' contexts aligned is what
-    # the fault-plan regression test pins down.)
-    disk: Optional[DiskCache] = None
-    if tel_context.current() is None:
-        disk = DiskCache()
-        value = disk.get(_disk_key(key))
-        if value is not None:
-            _store_in_memory(mem_key, value)
-            return value
-    value = builder()
-    if disk is not None:
-        disk.put(_disk_key(key), value)
-    _store_in_memory(mem_key, value)
-    return value
-
-
-def _store_in_memory(mem_key: tuple, value: Any) -> None:
-    _sweep_cache[mem_key] = value
-    while len(_sweep_cache) > SWEEP_CACHE_MAX:
-        _sweep_cache.popitem(last=False)
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 
 def clear_cache() -> None:
     """Empty both cache tiers (the in-process LRU and the disk entries)."""
-    _sweep_cache.clear()
-    DiskCache().clear()
-
-
-# ------------------------------------------------------------ shared sweeps
-
-def _comparison_runs(scale: Scale, seed: int):
-    return _cached(
-        ("narada_comparison", scale.cache_key(), seed),
-        lambda: narada_experiments.run_comparison_tests(
-            scale=scale, seed=seed, jobs=_jobs
-        ),
-    )
-
-
-def _narada_single(scale: Scale, seed: int):
-    return _cached(
-        ("narada_single", scale.cache_key(), seed),
-        lambda: narada_experiments.run_scaling_sweep(
-            narada_experiments.SINGLE_SWEEP,
-            dbn=False,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _narada_dbn(scale: Scale, seed: int):
-    return _cached(
-        ("narada_dbn", scale.cache_key(), seed),
-        lambda: narada_experiments.run_scaling_sweep(
-            narada_experiments.DBN_SWEEP,
-            dbn=True,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _rgma_single(scale: Scale, seed: int):
-    return _cached(
-        ("rgma_single", scale.cache_key(), seed),
-        lambda: rgma_experiments.run_scaling_sweep(
-            rgma_experiments.SINGLE_SWEEP,
-            distributed=False,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _rgma_distributed(scale: Scale, seed: int):
-    return _cached(
-        ("rgma_distributed", scale.cache_key(), seed),
-        lambda: rgma_experiments.run_scaling_sweep(
-            rgma_experiments.DISTRIBUTED_SWEEP,
-            distributed=True,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _plog_single(scale: Scale, seed: int):
-    return _cached(
-        ("plog_single", scale.cache_key(), seed),
-        lambda: plog_experiments.run_scaling_sweep(
-            plog_experiments.SINGLE_SWEEP,
-            n_brokers=1,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _plog_spread(scale: Scale, seed: int):
-    return _cached(
-        ("plog_spread", scale.cache_key(), seed),
-        lambda: plog_experiments.run_scaling_sweep(
-            plog_experiments.SPREAD_SWEEP,
-            n_brokers=4,
-            scale=scale,
-            seed=seed,
-            jobs=_jobs,
-        ),
-    )
-
-
-def _federation_counts(scale: Scale) -> tuple[int, ...]:
-    return (
-        federation_experiments.FEDERATION_SWEEP_FULL
-        if scale.name == "full"
-        else federation_experiments.FEDERATION_SWEEP
-    )
-
-
-def _federation_leg(scale: Scale, seed: int, routing: str):
-    """One cached federation sweep leg (``"routed"`` or ``"broadcast"``).
-
-    The key folds in :func:`federation_experiments.sweep_cache_key` — one
-    ``(broker_count, FederationParams.cache_key())`` pair per point — so
-    topology (depth, fan-out) and routing mode namespace both cache tiers:
-    a cached broadcast-mode sweep can never satisfy a routed-mode lookup.
-    """
-    counts = _federation_counts(scale)
-    key = (
-        "federation",
-        federation_experiments.sweep_cache_key(
-            counts, federation_experiments.FANOUT, routing
-        ),
-        scale.cache_key(),
-        seed,
-    )
-    return _cached(
-        key,
-        lambda: federation_experiments.run_federation_sweep(
-            counts, routing, scale=scale, seed=seed, jobs=_jobs
-        ),
-    )
-
-
-def _federation_routed(scale: Scale, seed: int):
-    return _federation_leg(scale, seed, "routed")
-
-
-def _federation_broadcast(scale: Scale, seed: int):
-    return _federation_leg(scale, seed, "broadcast")
-
-
-def _edge_points(scale: Scale) -> tuple[tuple[int, int], ...]:
-    return (
-        edge_experiments.EDGE_SWEEP_FULL
-        if scale.name == "full"
-        else edge_experiments.EDGE_SWEEP
-    )
-
-
-def _edge_sweep(scale: Scale, seed: int, middleware: str = "narada"):
-    """One cached edge sweep leg.
-
-    The key folds :func:`edge_experiments.sweep_cache_key` — one
-    ``(clients, gateways, middleware, EdgeConfig.cache_key())`` tuple per
-    point — so gateway topology and edge tuning namespace both cache tiers.
-    """
-    points = _edge_points(scale)
-    key = (
-        "edge",
-        edge_experiments.sweep_cache_key(points, middleware, None),
-        scale.cache_key(),
-        seed,
-    )
-    return _cached(
-        key,
-        lambda: edge_experiments.run_edge_sweep(
-            points, middleware, scale=scale, seed=seed, jobs=_jobs
-        ),
-    )
-
-
-def _edge_direct(scale: Scale, seed: int, middleware: str = "narada"):
-    return _cached(
-        ("edge_direct", middleware, scale.cache_key(), seed),
-        lambda: edge_experiments.direct_point(
-            middleware, scale=scale, seed=seed
-        ),
-    )
-
-
-# ------------------------------------------------------- simple experiments
-
-def _table1(scale: Scale, seed: int) -> ExperimentResult:
-    result = ExperimentResult(
-        "table1", "Hardware specifications and software versions", "", ""
-    )
-    result.table = (
-        ["CPU and memory", "OS and JVM", "Middleware"],
-        [
-            [
-                f"{HYDRA_SPEC.cpu}, {HYDRA_SPEC.memory_bytes // 1024**3}GB",
-                f"{HYDRA_SPEC.os}, {HYDRA_SPEC.jvm}",
-                HYDRA_SPEC.middleware,
-            ]
-        ],
-    )
-    result.note(
-        f"{HYDRA_SPEC.node_count} nodes, "
-        f"{HYDRA_SPEC.lan_bandwidth_bps / 1e6:.0f} Mbps isolated LAN, "
-        "observed transfer rate 7-8 MB/s"
-    )
-    return result
-
-
-def _losses(scale: Scale, seed: int) -> ExperimentResult:
-    runs = _comparison_runs(scale, seed)
-    result = ExperimentResult(
-        "losses", "Message loss rates (§III.E.1 and §III.F)", "case", "loss rate"
-    )
-    rows = []
-    for name in ("UDP", "UDP CLI", "NIO", "TCP", "Triple", "80"):
-        run = runs[name]
-        rows.append([name, run.sent, run.received, f"{run.loss_rate:.4%}"])
-    warm = rgma_experiments.warmup_loss(scale=scale, seed=seed)
-    assert warm.table is not None
-    rows.extend([[f"R-GMA {r[0]}", r[1], r[2], r[3]] for r in warm.table[1]])
-    result.table = (["case", "sent", "received", "loss rate"], rows)
-    result.note(
-        "paper: UDP 0.06%, UDP CLI 0.03%, all TCP-family zero; R-GMA 0.17% "
-        "without warm-up, zero with"
-    )
-    return result
-
-
-def _table3(scale: Scale, seed: int) -> ExperimentResult:
-    comparison = _comparison_runs(scale, seed)
-    narada_single = _narada_single(scale, seed)
-    narada_dbn = _narada_dbn(scale, seed)
-    rgma_single = _rgma_single(scale, seed)
-    rgma_dist = _rgma_distributed(scale, seed)
-
-    def max_ok(sweep, extra_ok=lambda run: True):
-        ok = [n for n, r in sweep.items() if not r.oom and extra_ok(r)]
-        return max(ok) if ok else 0
-
-    not_congested = lambda run: run.mean_rtt_ms < 1000 and run.loss_rate < 0.01
-
-    narada_max_single = max_ok(narada_single)
-    narada_max_dist = max_ok(narada_dbn, not_congested)
-    # Mean RTT ratio over all common connection counts (a single point is
-    # noisy; the paper compares the curves).
-    common_ns = sorted(
-        set(n for n in narada_single if not narada_single[n].oom)
-        & set(n for n in narada_dbn if not narada_dbn[n].oom)
-    )
-    narada_ratio = sum(
-        narada_dbn[n].mean_rtt_ms / narada_single[n].mean_rtt_ms for n in common_ns
-    ) / len(common_ns)
-    common_narada = common_ns[-1]
-    narada_idle_ratio = (
-        min(v.mean_cpu_idle_percent for v in narada_dbn[common_narada].vmstat.values())
-        / max(1e-9, narada_single[common_narada].vmstat["hydra1"].mean_cpu_idle_percent)
-    )
-    narada = MiddlewareMeasurements(
-        name="Narada",
-        rtt_ms_light=comparison["TCP"].mean_rtt_ms,
-        max_connections_single=narada_max_single,
-        max_connections_distributed=max(narada_max_dist, narada_max_single),
-        distributed_rtt_ratio=narada_ratio,
-        distributed_idle_ratio=narada_idle_ratio,
-    )
-
-    common_rgma = max(
-        set(n for n in rgma_single if not rgma_single[n].oom)
-        & set(n for n in rgma_dist if not rgma_dist[n].oom)
-    )
-    rgma_ratio = (
-        rgma_dist[common_rgma].mean_rtt_ms / rgma_single[common_rgma].mean_rtt_ms
-    )
-    rgma_idle_ratio = (
-        min(v.mean_cpu_idle_percent for v in rgma_dist[common_rgma].vmstat.values())
-        / max(1e-9, rgma_single[common_rgma].vmstat["hydra1"].mean_cpu_idle_percent)
-    )
-    rgma = MiddlewareMeasurements(
-        name="R-GMA",
-        rtt_ms_light=rgma_single[min(rgma_single)].mean_rtt_ms,
-        max_connections_single=max_ok(rgma_single),
-        max_connections_distributed=max_ok(rgma_dist),
-        distributed_rtt_ratio=rgma_ratio,
-        distributed_idle_ratio=rgma_idle_ratio,
-    )
-
-    result = ExperimentResult(
-        "table3", "R-GMA and NaradaBrokering comparison", "", "rating"
-    )
-    result.table = table_iii(rgma, narada)
-    result.note(
-        "ratings derived from measured RTT / connection walls / "
-        "distributed-vs-single ratios (repro.core.comparison)"
-    )
-    result.meta["narada"] = narada
-    result.meta["rgma"] = rgma
-    return result
-
-
-# ------------------------------------------------- partitioned-log candidate
-
-def _plog_scaling(scale: Scale, seed: int) -> ExperimentResult:
-    return plog_experiments.plog_scaling(
-        _plog_single(scale, seed), _plog_spread(scale, seed)
-    )
-
-
-def _plog_percentiles(scale: Scale, seed: int) -> ExperimentResult:
-    return plog_experiments.plog_percentiles(_plog_single(scale, seed))
-
-
-def _fig15_threeway(scale: Scale, seed: int) -> ExperimentResult:
-    return decomposition.fig15_threeway(scale=scale, seed=seed)
-
-
-def _fig15_federation(scale: Scale, seed: int) -> ExperimentResult:
-    return decomposition.fig15_federation(scale=scale, seed=seed)
-
-
-# ------------------------------------------------------- federation overlay
-
-def _federation_scaling(scale: Scale, seed: int) -> ExperimentResult:
-    return federation_experiments.federation_scaling(
-        _federation_routed(scale, seed), _federation_broadcast(scale, seed)
-    )
-
-
-# ----------------------------------------------------- vectorized fleets
-
-def _fleet_sweep(scale: Scale, seed: int, middleware: str, mode: str):
-    """One cached fleet sweep leg (``"aggregate"`` or ``"process"``).
-
-    The key folds :func:`fleet_experiments.sweep_cache_key` — one
-    ``(n, middleware, mode, cohort_size, service-model key)`` tuple per
-    point — so an aggregate-mode entry can never satisfy a per-process
-    lookup in either cache tier (the cohort/aggregation analogue of the
-    federation topology folding).
-    """
-    points = fleet_experiments.sweep_points(scale, mode)
-    key = (
-        "fleet",
-        fleet_experiments.sweep_cache_key(
-            points, middleware, mode, fleet_experiments.COHORT_SIZE
-        ),
-        scale.cache_key(),
-        seed,
-    )
-    return _cached(
-        key,
-        lambda: fleet_experiments.run_fleet_sweep(
-            points, middleware, mode, scale=scale, seed=seed, jobs=_jobs
-        ),
-    )
-
-
-def _fleet_scaling(scale: Scale, seed: int) -> ExperimentResult:
-    from repro.powergrid.fleet_engine import FLEET_MIDDLEWARES
-
-    return fleet_experiments.fleet_scaling(
-        {mw: _fleet_sweep(scale, seed, mw, "aggregate") for mw in FLEET_MIDDLEWARES},
-        {mw: _fleet_sweep(scale, seed, mw, "process") for mw in FLEET_MIDDLEWARES},
-        scale=scale,
-        seed=seed,
-    )
-
-
-# -------------------------------------------------------------- edge tier
-
-def _edge_scaling(scale: Scale, seed: int) -> ExperimentResult:
-    return edge_experiments.edge_scaling(
-        _edge_sweep(scale, seed), _edge_direct(scale, seed), "narada"
-    )
-
-
-def _fig15_edge(scale: Scale, seed: int) -> ExperimentResult:
-    return decomposition.fig15_edge(scale=scale, seed=seed)
-
-
-def _table3_extended(scale: Scale, seed: int) -> ExperimentResult:
-    """Table III with a third row derived from the plog sweeps."""
-    base = _table3(scale, seed)
-    narada = base.meta["narada"]
-    rgma = base.meta["rgma"]
-    single = _plog_single(scale, seed)
-    spread = _plog_spread(scale, seed)
-
-    def max_ok(sweep):
-        ok = [n for n, r in sweep.items() if not r.oom and r.compliant]
-        return max(ok) if ok else 0
-
-    common_ns = sorted(
-        set(n for n in single if not single[n].oom)
-        & set(n for n in spread if not spread[n].oom)
-    )
-    ratio = sum(
-        spread[n].mean_rtt_ms / single[n].mean_rtt_ms for n in common_ns
-    ) / len(common_ns)
-    common = common_ns[-1]
-    idle_ratio = (
-        min(v.mean_cpu_idle_percent for v in spread[common].vmstat.values())
-        / max(1e-9, single[common].vmstat["hydra1"].mean_cpu_idle_percent)
-    )
-    plog = MiddlewareMeasurements(
-        name="Partitioned log",
-        rtt_ms_light=single[min(single)].mean_rtt_ms,
-        max_connections_single=max_ok(single),
-        max_connections_distributed=max(max_ok(spread), max_ok(single)),
-        distributed_rtt_ratio=ratio,
-        distributed_idle_ratio=idle_ratio,
-    )
-    result = ExperimentResult(
-        "table3_extended",
-        "Table III extended with the partitioned commit log",
-        "",
-        "rating",
-    )
-    result.table = table_iii(rgma, narada, plog)
-    result.note(
-        f"plog single-broker compliance wall: {plog.max_connections_single} "
-        f"connections (Narada: {narada.max_connections_single}; "
-        f"R-GMA: {rgma.max_connections_single})"
-    )
-    result.meta["narada"] = narada
-    result.meta["rgma"] = rgma
-    result.meta["plog"] = plog
-    return result
-
-
-# ------------------------------------------------------- chaos experiments
-
-#: Experiments that accept a ``fault_plan`` keyword (the ``--fault-plan``
-#: CLI flag is only forwarded to these).
-CHAOS_EXPERIMENTS = (
-    "chaos_threeway",
-    "chaos_durability",
-    "chaos_broker_failover",
-    "chaos_replication",
-    "chaos_adaptive_backoff",
-    "edge_gateway_crash",
-)
-
-#: Default plan per chaos experiment when ``--fault-plan`` is not given.
-_CHAOS_DEFAULT_PLAN = {
-    "chaos_threeway": "loss_burst",
-    "chaos_durability": "durability_gauntlet",
-    "chaos_broker_failover": "broker_outage",
-    "chaos_replication": "broker_outage",
-    "chaos_adaptive_backoff": "latency_spike",
-    "edge_gateway_crash": "gateway_outage",
-}
-
-
-def _chaos_threeway(
-    scale: Scale, seed: int, fault_plan: str = "loss_burst"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_threeway(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _chaos_durability(
-    scale: Scale, seed: int, fault_plan: str = "durability_gauntlet"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_durability(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _chaos_broker_failover(
-    scale: Scale, seed: int, fault_plan: str = "broker_outage"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_broker_failover(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _chaos_replication(
-    scale: Scale, seed: int, fault_plan: str = "broker_outage"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_replication(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _chaos_adaptive_backoff(
-    scale: Scale, seed: int, fault_plan: str = "latency_spike"
-) -> ExperimentResult:
-    return chaos_experiments.chaos_adaptive_backoff(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-def _edge_gateway_crash(
-    scale: Scale, seed: int, fault_plan: str = "gateway_outage"
-) -> ExperimentResult:
-    return edge_experiments.run_gateway_crash(
-        scale=scale, seed=seed, fault_plan=fault_plan
-    )
-
-
-# ----------------------------------------------------- scenario experiments
-
-#: Experiments that accept ``--scenario`` (and, like the chaos ones,
-#: ``--fault-plan`` — a scenario's own faults merge with the named plan).
-SCENARIO_EXPERIMENTS = ("scenario_threeway", "scenario_edge_storm")
-
-#: Default scenario per experiment when ``--scenario`` is not given.
-_SCENARIO_DEFAULT = {
-    "scenario_threeway": "storm_front",
-    "scenario_edge_storm": "alarm_storm",
-}
-
-
-def _scenario_threeway(
-    scale: Scale,
-    seed: int,
-    scenario: str = "storm_front",
-    fault_plan: Optional[str] = None,
-) -> ExperimentResult:
-    """Cached leg-set, then the scorecard.  The key folds the scenario's
-    *structure* (:func:`scenario_experiments.scenario_cache_key`) so library
-    edits invalidate cached legs; the active fault plan and scenario name
-    namespace both tiers via :func:`_cache_context`/:func:`_disk_key`."""
-    key = (
-        "scenario_threeway",
-        scenario_experiments.scenario_cache_key(scenario),
-        scale.cache_key(),
-        seed,
-    )
-    outcomes = _cached(
-        key,
-        lambda: scenario_experiments.threeway_outcomes(
-            scale=scale,
-            seed=seed,
-            scenario=scenario,
-            fault_plan=fault_plan,
-            jobs=_jobs,
-        ),
-    )
-    return scenario_experiments.scenario_threeway(
-        scale=scale,
-        seed=seed,
-        scenario=scenario,
-        fault_plan=fault_plan,
-        outcomes=outcomes,
-    )
-
-
-def _scenario_edge_storm(
-    scale: Scale,
-    seed: int,
-    scenario: str = "alarm_storm",
-    fault_plan: Optional[str] = None,
-) -> ExperimentResult:
-    key = (
-        "scenario_edge_storm",
-        scenario_experiments.scenario_cache_key(scenario),
-        scale.cache_key(),
-        seed,
-    )
-    outcomes = _cached(
-        key,
-        lambda: scenario_experiments.edge_outcomes(
-            scale=scale,
-            seed=seed,
-            scenario=scenario,
-            fault_plan=fault_plan,
-            jobs=_jobs,
-        ),
-    )
-    return scenario_experiments.scenario_edge_storm(
-        scale=scale,
-        seed=seed,
-        scenario=scenario,
-        fault_plan=fault_plan,
-        outcomes=outcomes,
-    )
-
-
-# -------------------------------------------------------------- experiments
-
-def _fig3(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig3(_comparison_runs(scale, seed))
-
-
-def _fig4(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig4(_comparison_runs(scale, seed))
-
-
-def _fig6(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig6(_narada_single(scale, seed), _narada_dbn(scale, seed))
-
-
-def _fig7(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig7(_narada_single(scale, seed), _narada_dbn(scale, seed))
-
-
-def _fig8(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig8(_narada_single(scale, seed))
-
-
-def _fig9(scale: Scale, seed: int) -> ExperimentResult:
-    return narada_experiments.fig9(_narada_dbn(scale, seed))
-
-
-def _fig10(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig10(scale=scale, seed=seed)
-
-
-def _fig11(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig11(_rgma_single(scale, seed), _rgma_distributed(scale, seed))
-
-
-def _fig12(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig12(_rgma_single(scale, seed))
-
-
-def _fig13(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig13(_rgma_single(scale, seed), _rgma_distributed(scale, seed))
-
-
-def _fig14(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.fig14(_rgma_distributed(scale, seed))
-
-
-def _fig15(scale: Scale, seed: int) -> ExperimentResult:
-    return decomposition.fig15(scale=scale, seed=seed)
-
-
-def _warmup_loss(scale: Scale, seed: int) -> ExperimentResult:
-    return rgma_experiments.warmup_loss(scale=scale, seed=seed)
-
-
-# ---------------------------------------------------------------- ablations
-
-def _ablation_dbn_routing(scale: Scale, seed: int) -> ExperimentResult:
-    """Broadcast flaw vs subscription-aware routing at a fixed load."""
-    from repro.narada import NaradaConfig
-
-    result = ExperimentResult(
-        "ablation_dbn_routing",
-        "DBN forwarding: v1.1.3 broadcast flaw vs subscription-aware routing",
-        "mode",
-        "millisecond",
-    )
-    rows = []
-    for label, flaw in (("broadcast (v1.1.3)", True), ("routed (fixed)", False)):
-        run = narada_experiments.narada_run(
-            3000,
-            dbn=True,
-            scale=scale,
-            seed=seed,
-            config=NaradaConfig(broadcast_flaw=flaw),
-        )
-        forwards = sum(
-            s["forwarded"] for s in run.broker_stats.values()
-        )
-        hub_idle = run.vmstat["hydra1"].mean_cpu_idle_percent
-        rows.append([label, run.mean_rtt_ms, forwards, f"{hub_idle:.0f}%"])
-        result.add_point(label, 0, run.mean_rtt_ms)
-    result.table = (
-        ["mode", "RTT (ms)", "inter-broker forwards", "hub CPU idle"], rows
-    )
-    result.note(
-        "fixing the routing removes the unnecessary data flow the paper "
-        "diagnosed and recovers DBN performance (paper §V future work)"
-    )
-    return result
-
-
-def _ablation_udp_ack(scale: Scale, seed: int) -> ExperimentResult:
-    """Per-message transport acking is what ruins JMS-over-UDP."""
-    from repro.transport import UdpTransport
-
-    result = ExperimentResult(
-        "ablation_udp_ack",
-        "UDP with and without the JMS acknowledgement protocol",
-        "mode",
-        "millisecond",
-    )
-    rows = []
-    runs = _comparison_runs(scale, seed)
-    acked = runs["UDP"]
-    rows.append(["acked (JMS requires it)", acked.mean_rtt_ms, f"{acked.loss_rate:.3%}"])
-    # Raw datagrams: same loss probability, no ack/retransmit.
-    import repro.harness.narada_experiments as ne
-
-    original = ne._make_transport
-
-    def raw_udp(kind, sim, lan):
-        if kind == "udp":
-            return UdpTransport(
-                sim, lan, loss_probability=0.03, acked=False, rto=0.15, max_retries=0
-            )
-        return original(kind, sim, lan)
-
-    ne._make_transport = raw_udp
-    try:
-        raw = ne.narada_run(
-            narada_experiments.COMPARISON_CONNECTIONS,
-            transport_kind="udp",
-            scale=scale,
-            seed=seed,
-        )
-    finally:
-        ne._make_transport = original
-    rows.append(["raw (no ack)", raw.mean_rtt_ms, f"{raw.loss_rate:.3%}"])
-    result.table = (["mode", "RTT (ms)", "loss rate"], rows)
-    result.note(
-        "without acking, UDP latency matches TCP but loss is unacceptable; "
-        "with acking, loss is small but RTT inflates (paper §III.E.1)"
-    )
-    for row in rows:
-        result.add_point(row[0], 0, row[1])
-    return result
-
-
-def _ablation_rgma_mediator(scale: Scale, seed: int) -> ExperimentResult:
-    """Remove the consumer-side processing cost: PT collapses."""
-    from repro.core import decompose
-    from repro.rgma import RGMAConfig
-
-    result = ExperimentResult(
-        "ablation_rgma_mediator",
-        "R-GMA process time vs consumer per-tuple cost",
-        "consumer_tuple_cpu (ms)",
-        "PT (ms)",
-    )
-    rows = []
-    for label, cfg in (
-        ("gLite 3.0 (modelled)", RGMAConfig()),
-        ("zero-cost mediator", RGMAConfig(consumer_tuple_cpu=0.0, stream_period=0.1)),
-    ):
-        run = rgma_experiments.rgma_run(200, scale=scale, seed=seed, config=cfg)
-        phases = decompose(run.book, since=run.measure_since)
-        rows.append([label, phases.prt_ms, phases.pt_ms, phases.srt_ms])
-        result.add_point(label, 0, phases.pt_ms)
-    result.table = (["config", "PRT (ms)", "PT (ms)", "SRT (ms)"], rows)
-    result.note(
-        "PT dominates R-GMA RTT and is a middleware property, not a network "
-        "one — the paper's Fig 15 conclusion"
-    )
-    return result
-
-
-def _ablation_aggregation(scale: Scale, seed: int) -> ExperimentResult:
-    """Message quantity vs message size (the §IV RMM observation)."""
-    runs = _comparison_runs(scale, seed)
-    tcp, triple = runs["TCP"], runs["Triple"]
-    result = ExperimentResult(
-        "ablation_aggregation",
-        "Message count vs byte volume (same payload rate)",
-        "case",
-        "millisecond",
-    )
-    result.table = (
-        ["case", "msgs (measured window)", "RTT (ms)"],
-        [
-            ["1x payload @ 10 s", tcp.sent, tcp.mean_rtt_ms],
-            ["3x payload @ 30 s (same bytes/s)", triple.sent, triple.mean_rtt_ms],
-        ],
-    )
-    per_msg_penalty = triple.mean_rtt_ms - tcp.mean_rtt_ms
-    result.note(
-        "tripling payload while cutting message rate to 1/3 changes RTT by "
-        f"only {per_msg_penalty:+.1f} ms: per-message overhead dominates "
-        "per-byte cost, so aggregation (fewer, bigger messages) raises "
-        "throughput — the RMM result the paper cites in §IV"
-    )
-    return result
-
-
-def _ablation_rgma_https(scale: Scale, seed: int) -> ExperimentResult:
-    """The encryption overhead the paper avoided (§III.F: 'We did not use
-    HTTPS because of the encryption overhead').
-
-    At the paper's message sizes the dominant TLS cost is the *handshake*
-    (asymmetric crypto on a PIII), paid once per producer connection —
-    exactly the resource-location-deadline concern §V raises.  Steady-state
-    RTT moves far less, so the assertion-bearing measurement is producer
-    setup time, with a bulk-transfer crypto throughput probe as the second
-    axis; RTT is reported as context.
-    """
-    from repro.cluster import HydraCluster
-    from repro.rgma import RGMADeployment
-    from repro.sim import Simulator
-    from repro.transport.tls import TlsTransport
-
-    rows = []
-    result = ExperimentResult(
-        "ablation_rgma_https",
-        "R-GMA over HTTP vs HTTPS",
-        "protocol",
-        "millisecond",
-    )
-    for label, https in (("HTTP (paper's choice)", False), ("HTTPS", True)):
-        # Producer setup probe: 50 timed create() calls on a fresh server.
-        sim = Simulator(seed=seed)
-        cluster = HydraCluster(sim)
-        transport = TlsTransport(sim, cluster.lan) if https else None
-        deployment = RGMADeployment.single_server(
-            sim, cluster, transport=transport
-        )
-        setup_times = []
-
-        def probe():
-            for i in range(50):
-                client = deployment.producer_client(cluster.node("hydra5"), 0)
-                t0 = sim.now
-                yield from client.create("gridmon")
-                setup_times.append(sim.now - t0)
-
-        sim.run_process(probe())
-        setup_ms = sum(setup_times) / len(setup_times) * 1e3
-        server_busy = cluster.node("hydra1").cpu_busy_time
-
-        # Steady-state context: the fleet experiment.
-        run = rgma_experiments.rgma_run(
-            200, use_https=https, scale=scale, seed=seed
-        )
-        rows.append([label, setup_ms, server_busy, run.mean_rtt_ms])
-        result.add_point(label, 0, setup_ms)
-    result.table = (
-        ["protocol", "producer setup (ms)", "server CPU for 50 setups (s)",
-         "steady-state RTT (ms)"],
-        rows,
-    )
-    result.note(
-        "the TLS handshake multiplies producer setup time and burns server "
-        "CPU per connection — the §III.F overhead, and a direct instance of "
-        "§V's 'locate resources within a predefined time limit' concern"
-    )
-    return result
-
-
-def _ablation_web_services(scale: Scale, seed: int) -> ExperimentResult:
-    """§III.D made measurable: SOAP publishing vs native JMS."""
-    import numpy as np
-
-    from repro.cluster import HydraCluster
-    from repro.jms.destination import Topic
-    from repro.narada import Broker, narada_connection_factory
-    from repro.powergrid.generator import PowerGenerator
-    from repro.powergrid.payload import narada_map_message
-    from repro.sim import Simulator
-    from repro.transport import TcpTransport
-    from repro.webservices import SoapCodec, WsPublishProxy, WsPublisherClient
-
-    topic = Topic("power.monitoring")
-    sim = Simulator(seed=seed)
-    cluster = HydraCluster(sim)
-    tcp = TcpTransport(sim, cluster.lan)
-    broker = Broker(sim, cluster.node("hydra1"), "b")
-    broker.serve(tcp, 5045)
-
-    # End-to-end observer: when does each reading reach a subscriber?
-    deliveries: dict[str, list[float]] = {"ws": [], "native": []}
-
-    def subscribe():
-        factory = narada_connection_factory(
-            sim, tcp, cluster.node("hydra3"), "hydra1", 5045
-        )
-        conn = yield from factory.create_connection()
-        conn.start()
-        session = conn.create_session()
-        yield from session.create_subscriber(
-            topic,
-            listener=lambda m: deliveries[m._path].append(sim.now - m._t0),
-        )
-
-    sim.run_process(subscribe())
-
-    def build_proxy():
-        factory = narada_connection_factory(
-            sim, tcp, cluster.node("hydra2"), "hydra1", 5045
-        )
-        conn = yield from factory.create_connection()
-        conn.start()
-        return WsPublishProxy(sim, cluster.node("hydra2"), tcp, 8099, conn, topic)
-
-    sim.run_process(build_proxy())
-    gen = PowerGenerator(1, np.random.default_rng(seed))
-    n = 50
-
-    def stamped(path: str):
-        message = narada_map_message(gen.sample(sim.now))
-        message._path = path
-        message._t0 = sim.now
-        return message
-
-    def ws_publish():
-        client = WsPublisherClient(
-            sim, tcp, cluster.node("hydra4"), "hydra2", 8099
-        )
-        times = []
-        for _ in range(n):
-            latency = yield from client.publish(stamped("ws"))
-            times.append(latency)
-            yield sim.timeout(0.05)
-        return times
-
-    ws_times = sim.run_process(ws_publish())
-
-    def native_publish():
-        factory = narada_connection_factory(
-            sim, tcp, cluster.node("hydra4"), "hydra1", 5045
-        )
-        conn = yield from factory.create_connection()
-        conn.start()
-        pub = conn.create_session().create_publisher(topic)
-        times = []
-        for _ in range(n):
-            message = stamped("native")
-            t0 = sim.now
-            yield from pub.publish(message)
-            times.append(sim.now - t0)
-            yield sim.timeout(0.05)
-        return times
-
-    native_times = sim.run_process(native_publish())
-    sim.run(until=sim.now + 2.0)
-    sample = narada_map_message(gen.sample(sim.now))
-    sample.destination = topic
-    expansion = SoapCodec().expansion_factor(sample)
-
-    result = ExperimentResult(
-        "ablation_web_services",
-        "Why not Web Services (§III.D): SOAP proxy vs native JMS publish",
-        "path",
-        "millisecond",
-    )
-    ws_ms = sum(ws_times) / n * 1e3
-    native_ms = sum(native_times) / n * 1e3
-    ws_e2e = sum(deliveries["ws"]) / max(1, len(deliveries["ws"])) * 1e3
-    native_e2e = (
-        sum(deliveries["native"]) / max(1, len(deliveries["native"])) * 1e3
-    )
-    result.table = (
-        ["path", "publish call (ms)", "end-to-end delivery (ms)"],
-        [
-            ["SOAP over HTTP via proxy", ws_ms, ws_e2e],
-            ["native JMS", native_ms, native_e2e],
-        ],
-    )
-    result.add_point("SOAP", 0, ws_e2e)
-    result.add_point("native", 0, native_e2e)
-    result.note(
-        f"XML expands the monitoring payload {expansion:.1f}x; end-to-end "
-        f"the SOAP path costs {ws_e2e / native_e2e:.1f}x native (publish "
-        f"call: {ws_ms / native_ms:.0f}x, since SOAP waits a full HTTP "
-        "round trip) — 'Web Services are known to be slow and not suitable "
-        "for high performance scientific computing' (§III.D)"
-    )
-    return result
-
-
-def _ablation_rgma_legacy_api(scale: Scale, seed: int) -> ExperimentResult:
-    """The §III.F.3 discrepancy: the old Stream Producer / Archiver API
-    measured in [11] versus the new Primary Producer / Consumer pipeline."""
-    import numpy as np
-
-    from repro.cluster import HydraCluster
-    from repro.powergrid.payload import rgma_row
-    from repro.powergrid.generator import PowerGenerator
-    from repro.rgma import RGMADeployment
-    from repro.rgma.stream_producer import LegacyDeployment, StreamProducerClient
-    from repro.sim import Simulator
-
-    n_producers = 100
-    # -- legacy path --------------------------------------------------------
-    sim = Simulator(seed=seed)
-    cluster = HydraCluster(sim)
-    deployment = RGMADeployment.single_server(sim, cluster)
-    legacy = LegacyDeployment(deployment)
-    from repro.transport.http import HttpClient
-
-    http = HttpClient(
-        sim, deployment.transport, cluster.node("hydra7"), "hydra1", 8080
-    )
-
-    def mk_archiver():
-        response = yield from http.request(
-            "/archiver/create", {"table": "gridmon", "where": None}, 140
-        )
-        return response.body["resource_id"]
-
-    archiver_id = sim.run_process(mk_archiver())
-    legacy_latencies: list[float] = []
-    legacy.archiver_callback(
-        archiver_id,
-        lambda t: legacy_latencies.append(sim.now - t.meta["t_before_send"]),
-    )
-
-    def legacy_generator(i: int):
-        client = StreamProducerClient(
-            sim, deployment.transport, cluster.node("hydra5"), "hydra1", 8080
-        )
-        yield from client.create("gridmon")
-        model = PowerGenerator(i, sim.rng.stream(f"lg.{i}"))
-        yield sim.timeout(sim.rng.uniform("lg.warm", *scale.warmup))
-        stop = sim.now + min(scale.duration, 60.0)
-        while sim.now < stop:
-            yield from client.insert(rgma_row(model.sample(sim.now)))
-            yield sim.timeout(10.0)
-
-    for i in range(n_producers):
-        sim.process(legacy_generator(i))
-    sim.run(until=scale.warmup[1] + min(scale.duration, 60.0) + 20.0)
-
-    # -- new API at the same load -------------------------------------------
-    new_run = rgma_experiments.rgma_run(n_producers, scale=scale, seed=seed)
-
-    result = ExperimentResult(
-        "ablation_rgma_legacy_api",
-        "R-GMA old Stream Producer/Archiver API vs new PP/Consumer pipeline",
-        "API generation",
-        "millisecond",
-    )
-    legacy_ms = float(np.mean(legacy_latencies) * 1e3)
-    result.table = (
-        ["API", "mean RTT (ms)", "tuples"],
-        [
-            ["Stream Producer + Archiver (old, [11])", legacy_ms,
-             len(legacy_latencies)],
-            ["Primary Producer + Consumer (gLite 3.0)", new_run.mean_rtt_ms,
-             new_run.received],
-        ],
-    )
-    result.add_point("old API", 0, legacy_ms)
-    result.add_point("new API", 0, new_run.mean_rtt_ms)
-    result.note(
-        "the old API streams tuples directly to archivers (no mediated "
-        "consumer, no batch period, no poll loop) — reproducing why [11] "
-        "'achieved high performance' where the paper's newer version did not"
-    )
-    return result
-
-
-def _ablation_clock_skew(scale: Scale, seed: int) -> ExperimentResult:
-    """Why the paper measured same-node round trips.
-
-    "Data were received by the node where they were sent and there was no
-    time synchronization problem" (§III.E.2); the distributed R-GMA test
-    instead synchronised clocks with NTP (§III.F.1).  This ablation shows
-    what cross-node timestamps would do to millisecond-scale RTTs under
-    unsynchronised clocks vs NTP-disciplined ones.
-    """
-    import numpy as np
-
-    run = narada_experiments.narada_run(400, scale=scale, seed=seed)
-    true_rtts = run.rtts  # seconds; same-clock ground truth
-    rng = np.random.default_rng(seed)
-
-    result = ExperimentResult(
-        "ablation_clock_skew",
-        "Cross-node timestamping error vs clock discipline",
-        "clock discipline",
-        "millisecond",
-    )
-    rows: list[list] = [
-        ["same node (paper's Narada method)", float(true_rtts.mean() * 1e3),
-         0.0, "0%"],
-    ]
-    for label, skew_s in (
-        ("NTP-synchronised (paper's R-GMA method)", 0.001),
-        ("unsynchronised (drifted ~50 ms)", 0.050),
-    ):
-        # Per-(sender,receiver) pair offset, fixed for a run.
-        offsets = rng.uniform(-skew_s, skew_s, size=8)
-        pair = rng.integers(0, 8, size=true_rtts.size)
-        apparent = true_rtts + offsets[pair]
-        negative = float((apparent < 0).mean())
-        rows.append(
-            [label, float(apparent.mean() * 1e3),
-             float(np.abs(apparent - true_rtts).mean() * 1e3),
-             f"{negative:.0%}"]
-        )
-    result.table = (
-        ["clocking", "apparent mean RTT (ms)", "mean |error| (ms)",
-         "negative RTTs"],
-        rows,
-    )
-    result.note(
-        "a ~50 ms drift swamps Narada's millisecond RTTs entirely (many "
-        "measurements go negative); NTP's ~1 ms residual is tolerable for "
-        "R-GMA's second-scale RTTs but not for Narada's — hence the paper's "
-        "same-node measurement design"
-    )
-    return result
-
-
-EXPERIMENTS: dict[str, Callable[[Scale, int], ExperimentResult]] = {
-    "table1": _table1,
-    "table2_fig3": _fig3,
-    "fig4": _fig4,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
-    "fig14": _fig14,
-    "fig15": _fig15,
-    "losses": _losses,
-    "rgma_warmup_loss": _warmup_loss,
-    "table3": _table3,
-    "table3_extended": _table3_extended,
-    "plog_scaling": _plog_scaling,
-    "plog_percentiles": _plog_percentiles,
-    "fig15_threeway": _fig15_threeway,
-    "fig15_federation": _fig15_federation,
-    "fig15_edge": _fig15_edge,
-    "federation_scaling": _federation_scaling,
-    "fleet_scaling": _fleet_scaling,
-    "edge_scaling": _edge_scaling,
-    "edge_gateway_crash": _edge_gateway_crash,
-    "chaos_threeway": _chaos_threeway,
-    "chaos_durability": _chaos_durability,
-    "chaos_broker_failover": _chaos_broker_failover,
-    "chaos_replication": _chaos_replication,
-    "chaos_adaptive_backoff": _chaos_adaptive_backoff,
-    "scenario_threeway": _scenario_threeway,
-    "scenario_edge_storm": _scenario_edge_storm,
-    "ablation_dbn_routing": _ablation_dbn_routing,
-    "ablation_udp_ack": _ablation_udp_ack,
-    "ablation_rgma_mediator": _ablation_rgma_mediator,
-    "ablation_aggregation": _ablation_aggregation,
-    "ablation_rgma_https": _ablation_rgma_https,
-    "ablation_web_services": _ablation_web_services,
-    "ablation_rgma_legacy_api": _ablation_rgma_legacy_api,
-    "ablation_clock_skew": _ablation_clock_skew,
-}
-
-EXPERIMENT_IDS = tuple(EXPERIMENTS)
-
-#: One-line description per experiment id (``--list``).
-DESCRIPTIONS: dict[str, str] = {
-    "table1": "Table I: hardware specifications and software versions",
-    "table2_fig3": "Table II / Fig 3: Narada comparison tests, RTT + STDDEV",
-    "fig4": "Fig 4: Narada comparison tests, percentile of RTT",
-    "fig6": "Fig 6: Narada CPU idle and memory vs connections",
-    "fig7": "Fig 7: Narada RTT/STDDEV vs connections, single vs DBN",
-    "fig8": "Fig 8: Narada single-broker percentile of RTT",
-    "fig9": "Fig 9: Narada DBN percentile of RTT",
-    "fig10": "Fig 10: R-GMA percentile of RTT, light load",
-    "fig11": "Fig 11: R-GMA RTT/STDDEV vs connections",
-    "fig12": "Fig 12: R-GMA single-server percentile of RTT",
-    "fig13": "Fig 13: R-GMA CPU idle and memory vs connections",
-    "fig14": "Fig 14: R-GMA distributed percentile of RTT",
-    "fig15": "Fig 15: RTT decomposition (PRT/PT/SRT), R-GMA vs Narada",
-    "losses": "Message loss rates (§III.E.1 and §III.F)",
-    "rgma_warmup_loss": "R-GMA loss with and without the warm-up sleep",
-    "table3": "Table III: derived qualitative comparison",
-    "table3_extended": "Table III plus a partitioned-commit-log row",
-    "plog_scaling": "Partitioned log: RTT + §I SLA compliance to 16k connections",
-    "plog_percentiles": "Partitioned log: percentile of RTT per connection count",
-    "fig15_threeway": "RTT decomposition for R-GMA, Narada and the plog",
-    "fig15_federation": "RTT decomposition on the federated broker tree",
-    "fig15_edge": "RTT decomposition through the long-poll gateway hop",
-    "federation_scaling": "Per-link traffic + RTT: routed tree vs broadcast DBN",
-    "fleet_scaling": "Vectorized cohort fleets: 10^3-10^6 publishers, 3 middlewares",
-    "edge_scaling": "Edge tier: clients 10k+ pooled onto O(topics) connections",
-    "edge_gateway_crash": "Gateway crash: failover, ring replay, exactly-once",
-    "chaos_threeway": "All three middlewares under one deterministic fault plan",
-    "chaos_durability": "Durable delivery parity: 0 loss AND 0 duplicates under faults",
-    "chaos_broker_failover": "Plog broker crash: one-shot vs retry vs failover vs RF=2",
-    "chaos_replication": "Plog durability ladder under a broker crash: RF x acks",
-    "chaos_adaptive_backoff": "Plog retry: fixed vs RTT-adaptive backoff",
-    "scenario_threeway": "One grid scenario on all three middlewares, SLA scorecard",
-    "scenario_edge_storm": "One grid scenario through the edge tier, SLA scorecard",
-    "ablation_dbn_routing": "DBN broadcast flaw vs subscription-aware routing",
-    "ablation_udp_ack": "UDP with and without the JMS ack protocol",
-    "ablation_rgma_mediator": "R-GMA process time vs consumer per-tuple cost",
-    "ablation_aggregation": "Message count vs byte volume at equal payload rate",
-    "ablation_rgma_https": "R-GMA over HTTP vs HTTPS",
-    "ablation_web_services": "SOAP proxy publish vs native JMS (§III.D)",
-    "ablation_rgma_legacy_api": "Old Stream Producer API vs new PP pipeline",
-    "ablation_clock_skew": "Cross-node timestamp error vs clock discipline",
-}
+    SWEEPS.clear()
 
 
 def list_experiments() -> str:
     """The ``--list`` text: one aligned line per registered experiment."""
-    width = max(len(i) for i in EXPERIMENT_IDS)
+    width = max(len(i) for i in EXPERIMENTS)
     return "\n".join(
-        f"{experiment_id:<{width}}  {DESCRIPTIONS.get(experiment_id, '')}"
-        for experiment_id in EXPERIMENT_IDS
+        f"{entry.id:<{width}}  {entry.description}"
+        for entry in EXPERIMENTS.values()
     )
+
+
+def _accepting(flag: str) -> tuple[str, ...]:
+    return tuple(e.id for e in EXPERIMENTS.values() if flag in e.params)
+
+
+def _params(experiment_id: str) -> tuple[str, ...]:
+    """What the id's builder takes (nothing, for an unknown id: ``run``
+    reports those)."""
+    entry = EXPERIMENTS.get(experiment_id)
+    return entry.params if entry is not None else ()
 
 
 def run(
@@ -1346,59 +126,33 @@ def run(
     identical either way); ``cache=False`` bypasses both sweep-cache tiers
     for this call.
     """
-    global _active_fault_plan, _active_scenario, _jobs, _cache_enabled
     if isinstance(scale, str):
         scale = Scale.named(scale)
-    scale = scale or Scale.from_env()
     try:
-        fn = EXPERIMENTS[experiment_id]
+        entry = EXPERIMENTS[experiment_id]
     except KeyError:
         raise ValueError(
             f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}"
         ) from None
-    if (
-        experiment_id not in CHAOS_EXPERIMENTS
-        and experiment_id not in SCENARIO_EXPERIMENTS
-        and fault_plan is not None
-    ):
+    if fault_plan is not None and "fault_plan" not in entry.params:
         raise ValueError(
-            f"--fault-plan only applies to chaos experiments "
-            f"{CHAOS_EXPERIMENTS} and scenario experiments "
-            f"{SCENARIO_EXPERIMENTS}, not {experiment_id!r}"
+            f"--fault-plan only applies to chaos and scenario experiments "
+            f"{_accepting('fault_plan')}, not {experiment_id!r}"
         )
-    if scenario is not None and experiment_id not in SCENARIO_EXPERIMENTS:
+    if scenario is not None and "scenario" not in entry.params:
         raise ValueError(
             f"--scenario only applies to scenario experiments "
-            f"{SCENARIO_EXPERIMENTS}, not {experiment_id!r}"
+            f"{_accepting('scenario')}, not {experiment_id!r}"
         )
-    previous_jobs, _jobs = _jobs, resolve_jobs(jobs)
-    previous_cache, _cache_enabled = _cache_enabled, _cache_enabled and cache
-    try:
-        if experiment_id in SCENARIO_EXPERIMENTS:
-            chosen = scenario or _SCENARIO_DEFAULT[experiment_id]
-            if chosen not in SCENARIOS:
-                raise ValueError(
-                    f"unknown scenario {chosen!r}; choose from {sorted(SCENARIOS)}"
-                )
-            previous_plan, _active_fault_plan = _active_fault_plan, fault_plan
-            previous_scenario, _active_scenario = _active_scenario, chosen
-            try:
-                return fn(scale, seed, scenario=chosen, fault_plan=fault_plan)
-            finally:
-                _active_fault_plan = previous_plan
-                _active_scenario = previous_scenario
-        if experiment_id in CHAOS_EXPERIMENTS:
-            plan = fault_plan or _CHAOS_DEFAULT_PLAN[experiment_id]
-            previous_plan = _active_fault_plan
-            _active_fault_plan = plan
-            try:
-                return fn(scale, seed, fault_plan=plan)
-            finally:
-                _active_fault_plan = previous_plan
-        return fn(scale, seed)
-    finally:
-        _jobs = previous_jobs
-        _cache_enabled = previous_cache
+    # Unknown names fail here, before anything runs.
+    if fault_plan is not None:
+        named_plan(fault_plan)
+    if scenario is not None:
+        named_scenario(scenario)
+    return entry.run(
+        scale, seed, fault_plan, scenario,
+        jobs=resolve_jobs(jobs), cache=SWEEPS if cache else None,
+    )
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -1463,6 +217,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     ids = list(args.experiment)
     if ids == ["all"]:
         ids = list(EXPERIMENT_IDS)
+    # A flag is forwarded only to the ids that accept it (so mixed lists and
+    # 'all' work) — but given to a list where *nothing* accepts it, it would
+    # be silently dropped: refuse instead.
+    flags = {"fault_plan": args.fault_plan, "scenario": args.scenario}
+    for flag, value in flags.items():
+        if value is not None and not any(flag in _params(i) for i in ids):
+            parser.error(
+                f"--{flag.replace('_', '-')} {value} applies to none of "
+                f"{', '.join(ids)} (accepted by: {', '.join(_accepting(flag))})"
+            )
 
     telemetry = None
     ctx: Any = contextlib.nullcontext()
@@ -1474,25 +238,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
     with ctx:
         for experiment_id in ids:
-            plan = (
-                args.fault_plan
-                if experiment_id in CHAOS_EXPERIMENTS
-                or experiment_id in SCENARIO_EXPERIMENTS
-                else None
-            )
-            scenario = (
-                args.scenario
-                if experiment_id in SCENARIO_EXPERIMENTS
-                else None
-            )
+            params = _params(experiment_id)
             result = run(
                 experiment_id,
                 scale=args.scale,
                 seed=args.seed,
-                fault_plan=plan,
-                scenario=scenario,
                 jobs=jobs,
                 cache=not args.no_cache,
+                **{f: v for f, v in flags.items() if f in params},
             )
             print(result.render())
             print()

@@ -9,7 +9,7 @@ untouched at either scale — they are the experiments' independent variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,3 @@ class Scale:
             return {"bench": cls.bench, "smoke": cls.smoke, "full": cls.full}[name]()
         except KeyError:
             raise ValueError(f"unknown scale {name!r}") from None
-
-    def cache_key(self) -> tuple:
-        """Every field, as a stable tuple for sweep-cache keys.
-
-        The preset ``name`` alone is not enough once cache entries persist
-        on disk: a hand-built ``Scale`` (tests do this) may reuse a preset
-        name with different timings, and two such scales must never share a
-        cache entry.
-        """
-        return (
-            self.name,
-            self.duration,
-            self.creation_interval_narada,
-            self.creation_interval_rgma,
-            self.warmup,
-            self.drain,
-        )

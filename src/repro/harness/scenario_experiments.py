@@ -9,29 +9,29 @@ drives the same script through the edge long-poll tier in front of each
 middleware, asking whether the gateway fan-out holds the SLA when the grid
 misbehaves.
 
-Legs are independent simulations, so ``--jobs`` fans them out over
-processes via :func:`repro.harness.parallel.map_points`; every leg function
-here is module-level and takes only picklable arguments (scenario *names*,
-not objects), and every number in the scorecard is rendered at fixed
-precision, so one seed gives byte-identical scorecards, serial or parallel.
+Legs are independent runs declared as :class:`~repro.harness.parallel.
+RunSpec` tables — scenario and fault plan travel as library *names* — so
+``--jobs`` fans them out over processes; every number in the scorecard is
+rendered at fixed precision, so one seed gives byte-identical scorecards,
+serial or parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 
 from repro.core import ExperimentResult, percentile_curve
-from repro.faults import RetryPolicy, named_plan
+from repro.faults import RetryPolicy
+from repro.harness.edge_experiments import EDGE_MIDDLEWARES, edge_point
+from repro.harness.narada_experiments import narada_run
+from repro.harness.parallel import RunSpec
+from repro.harness.plog_experiments import plog_run
+from repro.harness.registry import Experiment, RunContext
+from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
 from repro.plog import ACKS_ALL, PlogConfig
-from repro.scenario import (
-    LegScore,
-    burst_windows,
-    named_scenario,
-    score_leg,
-    scorecard,
-)
+from repro.scenario import burst_windows, named_scenario, score_leg, scorecard
 
 #: Shared load for the threeway legs: big enough that a regional burst
 #: covers hundreds of in-flight messages, small enough for smoke.
@@ -41,283 +41,122 @@ SCENARIO_CONNECTIONS = 200
 SCENARIO_RETRY = RetryPolicy(retries=6, backoff=0.1)
 
 #: The threeway legs, in scorecard order.
-THREEWAY_LEGS = ("narada", "rgma", "plog")
+THREEWAY_LEGS = ("Narada (UDP, retry)", "R-GMA (TCP)", "Plog (TCP, acks=all)")
 
 #: Edge-storm population: long-poll clients / gateways per middleware leg.
 EDGE_CLIENTS = 2000
 EDGE_GATEWAYS = 2
 
 
-@dataclass
-class LegOutcome:
-    """One leg's scorecard row plus its plot/annotation payload."""
-
-    score: LegScore
-    rtts: Any  # np.ndarray, measured-window RTT seconds
-    fault_log: list[str]
-
-
-def _score(
-    label: str,
-    run: Any,
-    scenario_name: str,
-    scale: Scale,
-    duplicates: int,
-) -> LegOutcome:
-    """Score a finished run against the scenario's burst windows.
-
-    The template is re-resolved with this run's *own* measurement window —
-    warmup differs per middleware, so each leg's bursts sit at different
-    absolute times but identical positions relative to its window.
-    """
-    concrete = named_scenario(scenario_name)(run.measure_since, scale.duration)
-    score = score_leg(
-        label,
-        run.book,
-        measure_since=run.measure_since,
-        stop_at=run.measure_since + scale.duration,
-        burst=burst_windows(concrete),
-        duplicates=duplicates,
-    )
-    return LegOutcome(
-        score=score,
-        rtts=run.rtts,
-        fault_log=list(getattr(run, "fault_log", ())),
-    )
-
-
-def threeway_leg(
-    middleware: str,
-    scenario_name: str,
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    fault_plan_name: Optional[str] = None,
-    connections: int = SCENARIO_CONNECTIONS,
-) -> LegOutcome:
-    """One middleware under one scenario (module-level: ``--jobs`` pickles it)."""
-    scale = scale or Scale.from_env()
-    template = named_scenario(scenario_name)
-    fault_template = named_plan(fault_plan_name) if fault_plan_name else None
-    if middleware == "narada":
-        from repro.harness.narada_experiments import narada_run
-
-        run = narada_run(
-            connections,
-            transport_kind="udp",
-            scale=scale,
-            seed=seed,
-            scenario=template,
-            fault_plan=fault_template,
+def threeway_legs(
+    ctx: RunContext, connections: int = SCENARIO_CONNECTIONS
+) -> dict[str, RunSpec]:
+    """One middleware per leg under ``ctx``'s scenario (and fault plan)."""
+    narada, rgma, plog = THREEWAY_LEGS
+    return {
+        narada: ctx.spec(
+            narada_run, connections=connections, transport_kind="udp",
             fleet_retry=SCENARIO_RETRY,
-        )
-        label = "Narada (UDP, retry)"
-    elif middleware == "rgma":
-        from repro.harness.rgma_experiments import rgma_run
-
-        run = rgma_run(
-            connections,
-            scale=scale,
-            seed=seed,
-            scenario=template,
-            fault_plan=fault_template,
-        )
-        label = "R-GMA (TCP)"
-    elif middleware == "plog":
-        from repro.harness.plog_experiments import plog_run
-
+        ),
+        rgma: ctx.spec(rgma_run, connections=connections),
         # TCP + acks=all + one-shot producer: nothing is retried blind, so
         # the receivers must absorb zero duplicates even mid-burst — the
         # scorecard's shape gate.
-        run = plog_run(
-            connections,
-            scale=scale,
-            seed=seed,
+        plog: ctx.spec(
+            plog_run, connections=connections,
             config=PlogConfig(acks=ACKS_ALL, consumer_recovery=True),
-            scenario=template,
-            fault_plan=fault_template,
+        ),
+    }
+
+
+def edge_legs(ctx: RunContext) -> dict[str, RunSpec]:
+    """The same scenario through the edge tier in front of each middleware."""
+    return {
+        f"edge/{middleware} ({EDGE_CLIENTS}c, {EDGE_GATEWAYS}g)": ctx.spec(
+            edge_point, n_clients=EDGE_CLIENTS, n_gateways=EDGE_GATEWAYS,
+            middleware=middleware,
         )
-        label = "Plog (TCP, acks=all)"
-    else:
-        raise ValueError(f"unknown threeway leg {middleware!r}")
-    return _score(label, run, scenario_name, scale, run.duplicates)
+        for middleware in EDGE_MIDDLEWARES
+    }
 
 
-def edge_leg(
-    middleware: str,
-    scenario_name: str,
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    fault_plan_name: Optional[str] = None,
-    n_clients: int = EDGE_CLIENTS,
-    n_gateways: int = EDGE_GATEWAYS,
-) -> LegOutcome:
-    """The same scenario through the edge tier in front of ``middleware``."""
-    from repro.harness.edge_experiments import edge_point
-
-    scale = scale or Scale.from_env()
-    run = edge_point(
-        n_clients,
-        n_gateways,
-        middleware,
-        scale=scale,
-        seed=seed,
-        scenario=named_scenario(scenario_name),
-        fault_plan=named_plan(fault_plan_name) if fault_plan_name else None,
-    )
-    label = f"edge/{middleware} ({n_clients}c, {n_gateways}g)"
-    return _score(label, run, scenario_name, scale, run.client_duplicates)
-
-
-def _build_result(
+def scorecard_report(
     experiment_id: str,
     title: str,
-    outcomes: list[LegOutcome],
-    scenario_name: str,
-    fault_plan_name: Optional[str],
+    note: str,
+    runs: dict[str, Any],
+    scale: Scale,
+    scenario: str,
+    fault_plan: Optional[str],
 ) -> ExperimentResult:
-    result = ExperimentResult(experiment_id, title, "percentile", "millisecond")
-    scores = [o.score for o in outcomes]
+    """Score finished runs against the scenario's burst windows — one SLA
+    scorecard row per leg.
+
+    The template is re-resolved with each run's *own* measurement window —
+    warmup differs per middleware, so each leg's bursts sit at different
+    absolute times but identical positions relative to its window.
+    (Edge runs count duplicates at the stamping client.)
+    """
+    result = ExperimentResult(
+        experiment_id, title.format(scenario), "percentile", "millisecond"
+    )
+    scores = []
+    for label, run in runs.items():
+        concrete = named_scenario(scenario)(run.measure_since, scale.duration)
+        scores.append(
+            score_leg(
+                label,
+                run.book,
+                measure_since=run.measure_since,
+                stop_at=run.measure_since + scale.duration,
+                burst=burst_windows(concrete),
+                duplicates=run.duplicates,
+            )
+        )
     headers, rows = scorecard(scores)
     result.table = (list(headers), [list(r) for r in rows])
-    for outcome in outcomes:
-        for pct, ms in percentile_curve(outcome.rtts):
-            result.add_point(outcome.score.label, pct, ms)
-        for line in outcome.fault_log:
-            result.note(f"fault[{outcome.score.label}]: {line}")
-    result.meta["scenario"] = scenario_name
-    result.meta["fault_plan"] = fault_plan_name
+    for label, run in runs.items():
+        for pct, ms in percentile_curve(run.rtts):
+            result.add_point(label, pct, ms)
+        for line in run.fault_log:
+            result.note(f"fault[{label}]: {line}")
+    result.note(note)
+    result.meta["scenario"] = scenario
+    result.meta["fault_plan"] = fault_plan
     result.meta["scores"] = {s.label: s.to_dict() for s in scores}
     result.meta["scorecard"] = [list(r) for r in rows]
     return result
 
 
-def threeway_outcomes(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    scenario: str = "storm_front",
-    fault_plan: Optional[str] = None,
-    jobs: int = 1,
-    connections: int = SCENARIO_CONNECTIONS,
-) -> list[LegOutcome]:
-    """The three scored legs (the runner's cacheable sweep unit)."""
-    from repro.harness.parallel import map_points
-
-    scale = scale or Scale.from_env()
-    return map_points(
-        __name__,
-        "threeway_leg",
-        [
-            dict(
-                middleware=m,
-                scenario_name=scenario,
-                scale=scale,
-                seed=seed,
-                fault_plan_name=fault_plan,
-                connections=connections,
-            )
-            for m in THREEWAY_LEGS
-        ],
-        jobs=jobs,
-    )
-
-
-def scenario_threeway(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    scenario: str = "storm_front",
-    fault_plan: Optional[str] = None,
-    jobs: int = 1,
-    connections: int = SCENARIO_CONNECTIONS,
-    outcomes: Optional[list[LegOutcome]] = None,
-) -> ExperimentResult:
-    """One scenario script, three middlewares, one SLA scorecard."""
-    if outcomes is None:
-        outcomes = threeway_outcomes(
-            scale=scale,
-            seed=seed,
-            scenario=scenario,
-            fault_plan=fault_plan,
-            jobs=jobs,
-            connections=connections,
-        )
-    result = _build_result(
+#: One scenario script, three middlewares, one SLA scorecard.
+scenario_threeway = Experiment(
+    "scenario_threeway",
+    "One grid scenario on all three middlewares, SLA scorecard",
+    partial(
+        scorecard_report,
         "scenario_threeway",
-        f"Scenario {scenario!r} on all three middlewares",
-        outcomes,
-        scenario,
-        fault_plan,
-    )
-    result.note(
+        "Scenario {!r} on all three middlewares",
         "each leg's bursts sit at identical positions relative to its own "
-        "measurement window; scores compare like with like"
-    )
-    return result
-
-
-def edge_outcomes(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    scenario: str = "alarm_storm",
-    fault_plan: Optional[str] = None,
-    jobs: int = 1,
-) -> list[LegOutcome]:
-    """The three scored edge legs (the runner's cacheable sweep unit)."""
-    from repro.harness.edge_experiments import EDGE_MIDDLEWARES
-    from repro.harness.parallel import map_points
-
-    scale = scale or Scale.from_env()
-    return map_points(
-        __name__,
-        "edge_leg",
-        [
-            dict(
-                middleware=m,
-                scenario_name=scenario,
-                scale=scale,
-                seed=seed,
-                fault_plan_name=fault_plan,
-            )
-            for m in EDGE_MIDDLEWARES
-        ],
-        jobs=jobs,
-    )
-
-
-def scenario_edge_storm(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    scenario: str = "alarm_storm",
-    fault_plan: Optional[str] = None,
-    jobs: int = 1,
-    outcomes: Optional[list[LegOutcome]] = None,
-) -> ExperimentResult:
-    """The scenario through the edge tier, per upstream middleware."""
-    if outcomes is None:
-        outcomes = edge_outcomes(
-            scale=scale,
-            seed=seed,
-            scenario=scenario,
-            fault_plan=fault_plan,
-            jobs=jobs,
-        )
-    result = _build_result(
+        "measurement window; scores compare like with like",
+    ),
+    reads=(threeway_legs,),
+    params=("scale", "scenario", "fault_plan"),
+    scenario="storm_front",
+)
+#: The scenario through the edge tier, per upstream middleware.
+scenario_edge_storm = Experiment(
+    "scenario_edge_storm",
+    "One grid scenario through the edge tier, SLA scorecard",
+    partial(
+        scorecard_report,
         "scenario_edge_storm",
-        f"Scenario {scenario!r} through the edge tier",
-        outcomes,
-        scenario,
-        fault_plan,
-    )
-    result.note(
+        "Scenario {!r} through the edge tier",
         f"{EDGE_CLIENTS} long-poll clients over {EDGE_GATEWAYS} gateways "
-        "per leg; duplicates counted at the stamping client"
-    )
-    return result
+        "per leg; duplicates counted at the stamping client",
+    ),
+    reads=(edge_legs,),
+    params=("scale", "scenario", "fault_plan"),
+    scenario="alarm_storm",
+)
 
-
-def scenario_cache_key(name: str) -> tuple:
-    """Sweep-cache key fragment: the scenario's *structure*, not its name.
-
-    Resolved with a unit window so edits to a library template (new event,
-    changed multiplier) change the key and invalidate cached results.
-    """
-    return (name, named_scenario(name)(0.0, 1.0).cache_key())
+EXPERIMENTS = (scenario_threeway, scenario_edge_storm)

@@ -1,14 +1,20 @@
-"""Experiment-level tests: pooling, determinism, cache keys, chaos."""
+"""Experiment-level tests: pooling, determinism, chaos."""
 
 import pytest
 
-from repro.edge import EdgeConfig
 from repro.harness import edge_experiments
+from repro.harness.parallel import sweep
+from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 
 
 def smoke():
     return Scale.smoke()
+
+
+def run_edge_sweep(points, seed, jobs=1):
+    ctx = RunContext(smoke(), seed)
+    return sweep(edge_experiments.edge_sweep(ctx, points), jobs)
 
 
 def test_edge_point_happy_path_pools_connections():
@@ -32,39 +38,18 @@ def test_edge_point_is_deterministic():
 
 def test_run_edge_sweep_parallel_matches_serial():
     points = ((500, 1), (500, 2))
-    serial = edge_experiments.run_edge_sweep(
-        points, "narada", scale=smoke(), seed=9, jobs=1
-    )
-    fanned = edge_experiments.run_edge_sweep(
-        points, "narada", scale=smoke(), seed=9, jobs=2
-    )
+    serial = run_edge_sweep(points, seed=9, jobs=1)
+    fanned = run_edge_sweep(points, seed=9, jobs=2)
     for point in points:
         assert serial[point].rtts.tolist() == fanned[point].rtts.tolist()
         assert serial[point].sent == fanned[point].sent
         assert serial[point].gateway_stats == fanned[point].gateway_stats
 
 
-def test_sweep_cache_key_folds_gateway_topology():
-    points = ((1000, 1), (1000, 4))
-    base = edge_experiments.sweep_cache_key(points, "narada")
-    # Different gateway count at the same client count -> different key.
-    assert base != edge_experiments.sweep_cache_key(((1000, 2), (1000, 4)), "narada")
-    # Different middleware -> different key.
-    assert base != edge_experiments.sweep_cache_key(points, "plog")
-    # Re-tuned gateway config -> different key.
-    tuned = EdgeConfig(replay_capacity=8192)
-    assert base != edge_experiments.sweep_cache_key(points, "narada", tuned)
-    # Same inputs -> identical (hashable) key.
-    assert base == edge_experiments.sweep_cache_key(points, "narada")
-    assert hash(base) == hash(edge_experiments.sweep_cache_key(points, "narada"))
-
-
 def test_edge_scaling_reports_pooling_meta():
-    sweep = edge_experiments.run_edge_sweep(
-        ((500, 1), (2000, 1)), "narada", scale=smoke(), seed=2
-    )
+    runs = run_edge_sweep(((500, 1), (2000, 1)), seed=2)
     direct = edge_experiments.direct_point("narada", scale=smoke(), seed=2)
-    result = edge_experiments.edge_scaling(sweep, direct, "narada")
+    result = edge_experiments.edge_scaling(runs, {"narada": direct})
     assert result.meta["max_clients"] == 2000
     assert result.meta["max_pooled"] <= 4
     assert result.meta["pooled_connections"]["500x1"] == result.meta[

@@ -5,15 +5,19 @@ same-seed reruns."""
 import pytest
 
 from repro.faults import PLANS, named_plan
-from repro.harness import runner
+from repro.harness import chaos_experiments, edge_experiments, runner
 from repro.harness.scale import Scale
 
 
 def test_chaos_experiments_are_registered():
-    for experiment_id in runner.CHAOS_EXPERIMENTS:
-        assert experiment_id in runner.EXPERIMENTS
-        assert experiment_id in runner.DESCRIPTIONS
-        assert experiment_id in runner.list_experiments()
+    entries = chaos_experiments.EXPERIMENTS + (edge_experiments.run_gateway_crash,)
+    for entry in entries:
+        assert runner.EXPERIMENTS[entry.id] is entry
+        assert entry.description
+        assert entry.id in runner.list_experiments()
+        # Accepting --fault-plan and naming a default plan go together.
+        assert "fault_plan" in entry.params
+        assert entry.fault_plan in PLANS
 
 
 def test_fault_plan_is_rejected_for_non_chaos_experiments():
@@ -96,3 +100,59 @@ def test_all_plans_resolve():
         template = named_plan(name)
         plan = template(100.0, 30.0)
         assert len(plan) >= 1
+
+
+def test_every_run_path_reports_injected_and_skipped_faults():
+    """The injector's log reaches the result on every run path — including
+    the notes for faults a middleware has no process to apply them to."""
+    from repro.harness.edge_experiments import edge_point
+    from repro.harness.federation_experiments import federation_run
+    from repro.harness.rgma_experiments import rgma_run
+
+    smoke = Scale.smoke()
+    # R-GMA has no broker or consumer process: two of the gauntlet's three
+    # faults are skipped against it, and the log must say so.
+    rgma = rgma_run(20, scale=smoke, fault_plan="durability_gauntlet")
+    assert len(rgma.fault_log) == 3
+    skipped = [line for line in rgma.fault_log if "skipped: no such" in line]
+    assert len(skipped) == 2
+    assert any("broker_crash" in line for line in skipped)
+    assert any("consumer_crash" in line for line in skipped)
+    assert any("partition" in line and "isolated" in line for line in rgma.fault_log)
+
+    edge = edge_point(200, 2, "narada", scale=smoke, fault_plan="gateway_outage")
+    assert any("broker_crash" in line for line in edge.fault_log)
+    tree = federation_run(3, scale=smoke, fault_plan="broker_outage")
+    assert any("broker_crash" in line for line in tree.fault_log)
+    assert federation_run(3, scale=smoke).fault_log == []
+
+
+def test_cli_refuses_a_flag_no_requested_id_accepts(monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        runner.main(["fig7", "--fault-plan", "loss_burst", "--scale", "smoke"])
+    assert "applies to none of fig7" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        runner.main(["chaos_threeway", "table1", "--scenario", "storm_front"])
+    assert "--scenario storm_front applies to none" in capsys.readouterr().err
+
+
+def test_cli_forwards_a_flag_only_where_accepted(monkeypatch, capsys):
+    from repro.core import ExperimentResult
+    from repro.harness.registry import Experiment
+
+    seen = []
+
+    def stub(fault_plan):
+        seen.append(fault_plan)
+        return ExperimentResult("chaos_threeway", "stub", "", "")
+
+    monkeypatch.setitem(
+        runner.EXPERIMENTS,
+        "chaos_threeway",
+        Experiment("chaos_threeway", "stub", stub, params=("fault_plan",)),
+    )
+    # A mixed list: table1 would reject the flag, so it must not get it.
+    argv = ["table1", "chaos_threeway", "--fault-plan", "mixed", "--scale", "smoke"]
+    assert runner.main(argv) == 0
+    assert seen == ["mixed"]
+    assert "== table1" in capsys.readouterr().out

@@ -8,8 +8,8 @@ from repro.harness.federation_experiments import (
     federation_broadcast_run,
     federation_run,
     federation_scaling,
-    sweep_cache_key,
 )
+from repro.harness.parallel import RunSpec
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry, phase_breakdown
 from repro.telemetry.context import session
@@ -18,11 +18,14 @@ SMOKE = Scale.smoke()
 
 
 def _sweep_key(routing, counts=(3, 7), fanout=FANOUT, scale=SMOKE, seed=1):
-    return (
-        "federation",
-        sweep_cache_key(counts, fanout, routing),
-        scale.cache_key(),
-        seed,
+    if routing == "broadcast":
+        return tuple(
+            (n, RunSpec.of(federation_broadcast_run, n_brokers=n, scale=scale, seed=seed))
+            for n in counts
+        )
+    return tuple(
+        (n, RunSpec.of(federation_run, n_brokers=n, fanout=fanout, scale=scale, seed=seed))
+        for n in counts
     )
 
 
@@ -41,14 +44,6 @@ def test_disk_cache_separates_topology_shape():
     assert base != cache.path_for(_sweep_key("routed", counts=(3, 7, 15)))
     assert base != cache.path_for(_sweep_key("routed", fanout=3))
     assert base != cache.path_for(_sweep_key("routed", seed=2))
-
-
-def test_sweep_cache_key_carries_depth_fanout_routing():
-    key = sweep_cache_key((3, 7), 2, "routed")
-    assert key == (
-        (3, ("federation_params", 2, 2, "routed")),
-        (7, ("federation_params", 3, 2, "routed")),
-    )
 
 
 # ------------------------------------------------------------- run smokes

@@ -1,4 +1,4 @@
-"""Fleet harness acceptance: sweep-cache folding, sweep legs and the
+"""Fleet harness acceptance: sweep-cache namespacing, sweep legs and the
 fleet_scaling result shape (incl. the agreement + zoom gates)."""
 
 import pytest
@@ -9,11 +9,12 @@ from repro.harness.fleet_experiments import (
     AGREEMENT_RTOL,
     COHORT_SIZE,
     fleet_scaling,
-    run_fleet_sweep,
-    sweep_cache_key,
+    fleet_sweep,
     sweep_points,
     zoom_check,
 )
+from repro.harness.parallel import sweep
+from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 from repro.powergrid.fleet_engine import FLEET_MIDDLEWARES, verify_agreement
 
@@ -23,12 +24,14 @@ POINTS = (200, 400)
 
 def _sweep_key(middleware="narada", mode="aggregate", points=POINTS,
                cohort_size=COHORT_SIZE, scale=SMOKE, seed=1):
-    return (
-        "fleet",
-        sweep_cache_key(points, middleware, mode, cohort_size),
-        scale.cache_key(),
-        seed,
+    specs = fleet_sweep(
+        RunContext(scale, seed), mode, points, (middleware,), cohort_size
     )
+    return tuple(specs.items())
+
+
+def run_fleet_sweep(points, middleware, mode):
+    return sweep(fleet_sweep(RunContext(SMOKE), mode, points, (middleware,)))
 
 
 # ------------------------------------------------------------ cache keying
@@ -51,20 +54,12 @@ def test_disk_cache_separates_cohort_and_model_parameters():
     assert base != cache.path_for(_sweep_key(seed=2))
 
 
-def test_sweep_cache_key_folds_mode_cohort_and_service_model():
-    key = sweep_cache_key((200,), "narada", "aggregate", 512)
-    assert len(key) == 1
-    n, mw, mode, cohort, model_key = key[0]
-    assert (n, mw, mode, cohort) == (200, "narada", "aggregate", 512)
-    assert model_key[0] == "narada"  # recalibration invalidates the sweep
-
-
 # ------------------------------------------------------------- sweep legs
 
 def test_run_fleet_sweep_returns_point_keyed_outcomes():
-    sweep = run_fleet_sweep(POINTS, "narada", "aggregate", scale=SMOKE)
-    assert set(sweep) == set(POINTS)
-    for n, outcome in sweep.items():
+    outcomes = run_fleet_sweep(POINTS, "narada", "aggregate")
+    assert list(outcomes) == [("narada", n) for n in POINTS]
+    for (_mw, n), outcome in outcomes.items():
         assert outcome.n_publishers == n
         assert outcome.published > 0
 
@@ -79,14 +74,9 @@ def test_zoom_check_verifies_and_returns_both():
 # ----------------------------------------------------------- result shape
 
 def test_fleet_scaling_result_shape_and_gates():
-    aggregate = {
-        mw: run_fleet_sweep(POINTS, mw, "aggregate", scale=SMOKE)
-        for mw in FLEET_MIDDLEWARES
-    }
-    process = {
-        mw: run_fleet_sweep(POINTS[:1], mw, "process", scale=SMOKE)
-        for mw in FLEET_MIDDLEWARES
-    }
+    ctx = RunContext(SMOKE)
+    aggregate = sweep(fleet_sweep(ctx, "aggregate", POINTS))
+    process = sweep(fleet_sweep(ctx, "process", POINTS[:1]))
     result = fleet_scaling(aggregate, process, scale=SMOKE, zoom=(16, 48))
     assert result.experiment_id == "fleet_scaling"
     headers, rows = result.table
@@ -101,21 +91,20 @@ def test_fleet_scaling_result_shape_and_gates():
 
 
 def test_fleet_scaling_raises_on_disagreement():
-    sweep = run_fleet_sweep(POINTS[:1], "narada", "aggregate", scale=SMOKE)
-    n = POINTS[0]
+    outcomes = run_fleet_sweep(POINTS[:1], "narada", "aggregate")
+    point = ("narada", POINTS[0])
     import dataclasses
-    tampered = {n: dataclasses.replace(sweep[n], lost=sweep[n].lost + 1)}
+    tampered = {
+        point: dataclasses.replace(outcomes[point], lost=outcomes[point].lost + 1)
+    }
     with pytest.raises(AssertionError, match="disagree"):
-        fleet_scaling(
-            {"narada": sweep}, {"narada": tampered}, scale=SMOKE, zoom=None
-        )
+        fleet_scaling(outcomes, tampered, scale=SMOKE, zoom=None)
 
 
 # ----------------------------------------------------------- registration
 
 def test_runner_registers_fleet_scaling():
-    assert "fleet_scaling" in runner.EXPERIMENTS
-    assert "fleet_scaling" in runner.DESCRIPTIONS
+    assert runner.EXPERIMENTS["fleet_scaling"].description
 
 
 def test_sweep_points_per_mode():

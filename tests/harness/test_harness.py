@@ -129,20 +129,20 @@ def test_runner_cache_reuses_sweeps(monkeypatch):
     calls = {"n": 0}
     from repro.harness import narada_experiments as ne
 
-    original = ne.run_comparison_tests
+    original = ne.run_point
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ne, "run_comparison_tests", counting)
+    monkeypatch.setattr(ne, "run_point", counting)
     monkeypatch.setattr(
         ne, "COMPARISON_TESTS", {"TCP": dict(transport_kind="tcp")}
     )
     monkeypatch.setattr(ne, "COMPARISON_CONNECTIONS", 40)
     runner.run("table2_fig3", scale="smoke", seed=5)
     runner.run("fig4", scale="smoke", seed=5)
-    assert calls["n"] == 1  # second figure reused the cached sweep
+    assert calls["n"] == 1  # second figure reused the cached one-run sweep
 
 
 def test_runner_main_cli(capsys, monkeypatch):
@@ -175,7 +175,8 @@ def test_runner_list_flag(capsys):
 
 
 def test_runner_every_id_has_a_description():
-    assert set(runner.DESCRIPTIONS) == set(runner.EXPERIMENT_IDS)
+    assert set(runner.EXPERIMENTS) == set(runner.EXPERIMENT_IDS)
+    assert all(entry.description for entry in runner.EXPERIMENTS.values())
 
 
 def test_runner_no_args_errors(capsys):

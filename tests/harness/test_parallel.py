@@ -6,7 +6,7 @@ The headline guarantees:
   serial sweep (record books pickle to the same bytes, figure tables
   match);
 * the in-memory tier is LRU-bounded;
-* the disk tier is namespaced by fault plan and code version, and
+* the disk tier is keyed by the run specs and the code version, and
   ``clear_cache`` / ``cache=False`` really do bypass it.
 """
 
@@ -15,9 +15,10 @@ import pickle
 import pytest
 
 from repro.harness import runner
-from repro.harness.cache import DiskCache
-from repro.harness.narada_experiments import run_scaling_sweep
-from repro.harness.parallel import map_points, resolve_jobs
+from repro.harness.cache import DiskCache, SweepCache
+from repro.harness.narada_experiments import narada_run
+from repro.harness.parallel import RunSpec, map_points, resolve_jobs, sweep
+from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry
 from repro.telemetry import context as tel_context
@@ -35,9 +36,34 @@ TINY = Scale(
 SWEEP = (20, 40)
 
 
+def run_scaling_sweep(seed, jobs):
+    specs = {
+        n: RunSpec.of(narada_run, connections=n, dbn=False, scale=TINY, seed=seed)
+        for n in SWEEP
+    }
+    return sweep(specs, jobs)
+
+
+#: Calls of :func:`_probe` in this process (the cache tests count runs).
+PROBED = []
+
+
+def _probe(tag, fault_plan=None):
+    """A run function that costs nothing (module-level: specs name it)."""
+    PROBED.append(tag)
+    return tag
+
+
+def _probe_sweep(tag, cache, **options):
+    """Sweep one probe point through ``cache`` (``None`` = no cache)."""
+    specs = {"point": RunSpec.of(_probe, tag=tag, **options)}
+    return RunContext(TINY, cache=cache).sweep(specs)["point"]
+
+
 @pytest.fixture(autouse=True)
 def clear_runner_cache():
     runner.clear_cache()
+    PROBED.clear()
     yield
     runner.clear_cache()
 
@@ -65,8 +91,8 @@ def test_resolve_jobs_rejects_nonpositive():
 # -------------------------------------------------------------- determinism
 
 def test_parallel_sweep_byte_identical_to_serial():
-    serial = run_scaling_sweep(SWEEP, dbn=False, scale=TINY, seed=9, jobs=1)
-    parallel = run_scaling_sweep(SWEEP, dbn=False, scale=TINY, seed=9, jobs=4)
+    serial = run_scaling_sweep(seed=9, jobs=1)
+    parallel = run_scaling_sweep(seed=9, jobs=4)
     assert list(serial) == list(parallel) == list(SWEEP)
     for n in SWEEP:
         assert pickle.dumps(serial[n].book) == pickle.dumps(parallel[n].book)
@@ -88,26 +114,21 @@ def test_fig7_table_identical_serial_vs_parallel(monkeypatch):
 
 
 def test_map_points_preserves_input_order():
-    points = [
-        dict(connections=n, scale=TINY, seed=9) for n in (40, 20, 30)
+    specs = [
+        RunSpec.of(narada_run, connections=n, scale=TINY, seed=9)
+        for n in (40, 20, 30)
     ]
-    results = map_points(
-        "repro.harness.narada_experiments", "narada_run", points, jobs=3
-    )
+    results = map_points(specs, jobs=3)
     assert [r.connections for r in results] == [40, 20, 30]
 
 
 def test_parallel_merges_telemetry_like_serial():
     tel_parallel = Telemetry("parallel")
     with tel_context.session(tel_parallel):
-        parallel = run_scaling_sweep(
-            SWEEP, dbn=False, scale=TINY, seed=11, jobs=2
-        )
+        parallel = run_scaling_sweep(seed=11, jobs=2)
     tel_serial = Telemetry("serial")
     with tel_context.session(tel_serial):
-        serial = run_scaling_sweep(
-            SWEEP, dbn=False, scale=TINY, seed=11, jobs=1
-        )
+        serial = run_scaling_sweep(seed=11, jobs=1)
     assert [s.to_dict() for s in tel_parallel.tracer.spans] == [
         s.to_dict() for s in tel_serial.tracer.spans
     ]
@@ -131,87 +152,74 @@ def test_parallel_merges_telemetry_like_serial():
 
 # ------------------------------------------------------------ memory tier
 
-def test_memory_tier_is_lru_bounded(monkeypatch):
-    monkeypatch.setattr(runner, "SWEEP_CACHE_MAX", 2)
-    # An active session makes _cached skip the disk tier, isolating the LRU.
+def test_memory_tier_is_lru_bounded():
+    cache = SweepCache(max_entries=2)
+    # An active session makes fetch skip the disk tier, isolating the LRU.
     with tel_context.session(Telemetry("lru")):
-        calls = []
-
-        def builder(tag):
-            def build():
-                calls.append(tag)
-                return tag
-
-            return build
-
-        runner._cached(("a",), builder("a"))
-        runner._cached(("b",), builder("b"))
-        runner._cached(("a",), builder("a2"))  # hit; refreshes a
-        runner._cached(("c",), builder("c"))  # evicts b (LRU)
-        runner._cached(("a",), builder("a3"))  # still cached
-        runner._cached(("b",), builder("b2"))  # rebuilt
-        assert calls == ["a", "b", "c", "b2"]
+        _probe_sweep("a", cache)
+        _probe_sweep("b", cache)
+        _probe_sweep("a", cache)  # hit; refreshes a
+        _probe_sweep("c", cache)  # evicts b (LRU)
+        _probe_sweep("a", cache)  # still cached
+        _probe_sweep("b", cache)  # rebuilt
+    assert PROBED == ["a", "b", "c", "b"]
 
 
-def test_cache_disabled_calls_builder_every_time(monkeypatch):
-    monkeypatch.setattr(runner, "_cache_enabled", False)
-    calls = []
+def test_cache_disabled_calls_builder_every_time():
     for _ in range(2):
-        runner._cached(("k",), lambda: calls.append(1))
-    assert len(calls) == 2
+        _probe_sweep("k", cache=None)
+    assert len(PROBED) == 2
 
 
 # -------------------------------------------------------------- disk tier
 
 def test_disk_tier_survives_memory_clear():
-    built = []
-
-    def build():
-        built.append(1)
-        return {"value": 42}
-
-    key = ("disk_roundtrip", 1)
-    assert runner._cached(key, build) == {"value": 42}
-    runner._sweep_cache.clear()  # drop the memory tier only
-    assert runner._cached(key, build) == {"value": 42}
-    assert len(built) == 1  # second lookup came from disk
+    cache = SweepCache()
+    assert _probe_sweep("roundtrip", cache) == "roundtrip"
+    cache.forget()  # drop the memory tier only
+    assert _probe_sweep("roundtrip", cache) == "roundtrip"
+    assert len(PROBED) == 1  # second lookup came from disk
+    # ... as it does for a cache that never held it in memory.
+    assert _probe_sweep("roundtrip", SweepCache()) == "roundtrip"
+    assert len(PROBED) == 1
 
 
-def test_fault_plan_namespaces_disk_entries(monkeypatch):
+def test_fault_plan_namespaces_disk_entries():
     """A fault-plan sweep must never satisfy a fault-free lookup."""
-    key = ("chaos_namespacing", 5)
-    monkeypatch.setattr(runner, "_active_fault_plan", "loss_burst")
-    assert runner._cached(key, lambda: "faulted") == "faulted"
-
-    monkeypatch.setattr(runner, "_active_fault_plan", None)
-    runner._sweep_cache.clear()  # force both lookups to the disk tier
-    assert runner._cached(key, lambda: "clean") == "clean"
+    cache = SweepCache()
+    _probe_sweep("chaos", cache, fault_plan="loss_burst")
+    cache.forget()  # force both lookups to the disk tier
+    _probe_sweep("chaos", cache)
+    assert len(PROBED) == 2  # the plain lookup ran afresh
 
     # ... while the same plan does hit its own entry.
-    monkeypatch.setattr(runner, "_active_fault_plan", "loss_burst")
-    runner._sweep_cache.clear()
-    assert runner._cached(key, lambda: "rebuilt?") == "faulted"
+    cache.forget()
+    _probe_sweep("chaos", cache, fault_plan="loss_burst")
+    assert len(PROBED) == 2
 
 
 def test_telemetry_session_bypasses_disk_tier():
     """Disk entries carry no live spans, so --trace runs must not use them."""
-    key = ("telemetry_bypass", 3)
-    assert runner._cached(key, lambda: "cold") == "cold"  # seeds the disk
-    runner._sweep_cache.clear()
+    cache = SweepCache()
+    _probe_sweep("bypass", cache)  # seeds the disk
+    cache.forget()
     with tel_context.session(Telemetry("probe")):
-        assert runner._cached(key, lambda: "live") == "live"
+        _probe_sweep("bypass", cache)
+    assert len(PROBED) == 2  # ran live under the session
     # Sessionless lookups still see the sessionless entry.
-    runner._sweep_cache.clear()
-    assert runner._cached(key, lambda: "rebuilt?") == "cold"
+    cache.forget()
+    _probe_sweep("bypass", cache)
+    assert len(PROBED) == 2
 
 
 def test_clear_cache_empties_both_tiers():
-    key = ("clear_both", 7)
-    runner._cached(key, lambda: "warm")
-    assert DiskCache().get(runner._disk_key(key)) == "warm"
+    specs = {"point": RunSpec.of(_probe, tag="warm")}
+    RunContext(TINY, cache=runner.SWEEPS).sweep(specs)
+    assert DiskCache().get(tuple(specs.items())) == {"point": "warm"}
     runner.clear_cache()
-    assert runner._sweep_cache == {}
-    assert DiskCache().get(runner._disk_key(key)) is None
+    assert DiskCache().get(tuple(specs.items())) is None
+    RunContext(TINY, cache=runner.SWEEPS).sweep(specs)
+    assert len(PROBED) == 2  # neither tier held it
 
 
 def test_corrupt_disk_entry_is_a_miss():
@@ -224,6 +232,10 @@ def test_corrupt_disk_entry_is_a_miss():
 
 
 def test_scale_cache_key_distinguishes_same_name():
+    """A hand-built Scale reusing a preset's name must not share its
+    entries: the spec carries every Scale field, not the name."""
     fast = Scale("bench", 1.0, 0.01, 0.01, (0.1, 0.2), 1.0)
-    assert fast.cache_key() != Scale.bench().cache_key()
-    assert Scale.bench().cache_key() == Scale.bench().cache_key()
+    key = lambda scale: (RunSpec.of(narada_run, connections=1, scale=scale),)
+    assert key(fast) != key(Scale.bench())
+    assert key(Scale.bench()) == key(Scale.bench())
+    assert DiskCache().path_for(key(fast)) != DiskCache().path_for(key(Scale.bench()))

@@ -9,10 +9,11 @@ from repro.scenario import SCENARIOS
 
 
 def test_scenario_experiments_are_registered():
-    for experiment_id in runner.SCENARIO_EXPERIMENTS:
-        assert experiment_id in runner.EXPERIMENTS
-        assert experiment_id in runner.DESCRIPTIONS
-        assert experiment_id in runner.list_experiments()
+    for entry in scenario_experiments.EXPERIMENTS:
+        assert runner.EXPERIMENTS[entry.id] is entry
+        assert entry.description
+        assert entry.id in runner.list_experiments()
+        assert {"scenario", "fault_plan"} <= set(entry.params)
 
 
 def test_scenario_flag_is_rejected_for_other_experiments():
@@ -37,19 +38,9 @@ def test_cli_exposes_scenario_choices():
         runner.main(["scenario_threeway", "--scenario", "heat_dome"])
 
 
-def test_scenario_cache_key_is_stable_and_structure_sensitive():
-    a = scenario_experiments.scenario_cache_key("storm_front")
-    b = scenario_experiments.scenario_cache_key("storm_front")
-    c = scenario_experiments.scenario_cache_key("alarm_storm")
-    assert a == b
-    assert a != c
-    assert a[0] == "storm_front"
-
-
 def test_default_scenarios_are_in_the_library():
-    for experiment_id, default in runner._SCENARIO_DEFAULT.items():
-        assert experiment_id in runner.SCENARIO_EXPERIMENTS
-        assert default in SCENARIOS
+    for entry in scenario_experiments.EXPERIMENTS:
+        assert entry.scenario in SCENARIOS
     for name, template in SCENARIOS.items():
         assert template(0.0, 1.0).name == name
 

@@ -12,7 +12,10 @@ import pytest
 
 from repro.core import ExperimentResult
 from repro.harness import runner
+from repro.harness.cache import SweepCache
 from repro.harness.narada_experiments import narada_run
+from repro.harness.parallel import RunSpec
+from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry
 from repro.telemetry.context import session
@@ -29,56 +32,66 @@ def clear_runner_cache():
 
 
 # ------------------------------------------------------------- cache context
-def test_cache_reuses_only_matching_context(monkeypatch):
-    builds = []
+BUILDS = []
 
-    def lookup():
-        return runner._cached(("sweep", "smoke", 1), lambda: builds.append(1))
+
+def _probe(fault_plan=None):
+    BUILDS.append(fault_plan)
+
+
+def test_cache_reuses_only_matching_context():
+    BUILDS.clear()
+    cache = SweepCache()
+
+    def lookup(fault_plan=None):
+        ctx = RunContext(SMOKE, fault_plan=fault_plan, cache=cache)
+        ctx.sweep({"sweep": RunSpec.of(_probe, fault_plan=ctx.fault_plan)})
 
     lookup()
     lookup()
-    assert len(builds) == 1  # plain lookups share one build
+    assert len(BUILDS) == 1  # plain lookups share one build
 
     # An active fault plan must force a fresh sweep (and get its own entry).
-    monkeypatch.setattr(runner, "_active_fault_plan", "loss_burst")
-    lookup()
-    lookup()
-    assert len(builds) == 2
-    monkeypatch.setattr(runner, "_active_fault_plan", None)
+    lookup("loss_burst")
+    lookup("loss_burst")
+    assert len(BUILDS) == 2
 
     # A telemetry session must force a fresh sweep too: a cached sweep was
     # built without span hooks, so reusing it would return empty traces.
     with session(Telemetry("t1")):
         lookup()
         lookup()  # ... but within one session the sweep is shared
-    assert len(builds) == 3
+    assert len(BUILDS) == 3
 
     # A *different* session cannot reuse the previous session's sweep.
     with session(Telemetry("t2")):
         lookup()
-    assert len(builds) == 4
+    assert len(BUILDS) == 4
 
     lookup()  # back to the plain cached entry
-    assert len(builds) == 4
+    assert len(BUILDS) == 4
 
 
 def test_run_sets_and_restores_active_fault_plan(monkeypatch):
-    seen = {}
+    seen = []
 
-    def stub(scale, seed, fault_plan):
-        seen["plan"] = fault_plan
-        seen["context"] = runner._cache_context()
+    def stub(fault_plan):
+        seen.append(fault_plan)
         return ExperimentResult("chaos_threeway", "stub", "", "")
 
-    monkeypatch.setitem(runner.EXPERIMENTS, "chaos_threeway", stub)
+    entry = Experiment(
+        "chaos_threeway", "stub", stub, params=("fault_plan",),
+        fault_plan="loss_burst",
+    )
+    monkeypatch.setitem(runner.EXPERIMENTS, "chaos_threeway", entry)
     runner.run("chaos_threeway", scale=SMOKE, seed=1, fault_plan="mixed")
-    assert seen["plan"] == "mixed"
-    assert seen["context"][0] == "mixed"  # folded into cache keys inside
-    assert runner._active_fault_plan is None  # restored afterwards
+    assert seen == ["mixed"]
 
-    # Default plan applies when --fault-plan is not given.
+    # Nothing of that call outlives it: the entry's default plan applies
+    # when --fault-plan is not given, and plain experiments see no plan.
     runner.run("chaos_threeway", scale=SMOKE, seed=1)
-    assert seen["plan"] == "loss_burst"
+    assert seen == ["mixed", "loss_burst"]
+    assert "fault:" not in runner.run("table1", scale=SMOKE, seed=1).render()
 
     with pytest.raises(ValueError, match="only applies to chaos"):
         runner.run("table1", scale=SMOKE, seed=1, fault_plan="mixed")
@@ -92,7 +105,11 @@ def test_cli_trace_and_metrics_out(tmp_path, monkeypatch, capsys):
         result.table = (["received"], [[run.received]])
         return result
 
-    monkeypatch.setitem(runner.EXPERIMENTS, "tiny", tiny)
+    monkeypatch.setitem(
+        runner.EXPERIMENTS,
+        "tiny",
+        Experiment("tiny", "tiny traced run", tiny, params=("scale", "seed")),
+    )
     trace = tmp_path / "trace.jsonl"
     metrics = tmp_path / "metrics.json"
     rc = runner.main([
@@ -120,7 +137,7 @@ def test_cli_without_flags_prints_no_telemetry(monkeypatch, capsys):
     monkeypatch.setitem(
         runner.EXPERIMENTS,
         "tiny",
-        lambda scale, seed: ExperimentResult("tiny", "t", "", ""),
+        Experiment("tiny", "t", lambda: ExperimentResult("tiny", "t", "", "")),
     )
     assert runner.main(["tiny", "--scale", "smoke"]) == 0
     assert "telemetry" not in capsys.readouterr().out
