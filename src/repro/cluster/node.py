@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim import Resource
+from repro.sim import Interrupt, Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -69,13 +69,28 @@ class Node:
             raise ValueError("work must be >= 0")
         if work == 0.0:
             return
-        yield self._cpu.acquire()
+        cpu = self._cpu
+        # An idle CPU is taken on the spot: queueing order is fixed at call
+        # time either way, and waking up just to learn the CPU was free is a
+        # heap round-trip that changes nothing.
+        if not cpu.try_acquire():
+            queued = cpu.acquire()
+            try:
+                yield queued
+            except (Interrupt, GeneratorExit):
+                # Killed in the run-queue: leave it — or, if release() had
+                # already handed the unit over, pass it on — and never run.
+                if queued.triggered:
+                    cpu.release()
+                else:
+                    cpu.cancel(queued)
+                raise
         try:
             duration = work / self.cpu_scale
             yield self.sim.timeout(duration)
             self.cpu_busy_time += duration
         finally:
-            self._cpu.release()
+            cpu.release()
 
     def execute_process(self, work: float):
         """``execute`` wrapped as a Process (for fire-and-forget CPU load)."""

@@ -36,6 +36,18 @@ _TYPE_SIZES = {
 }
 
 
+#: Selector identifier → header attribute (JMS 1.1 §3.8.1.1: the headers a
+#: selector may reference).  Anything else is a user property.
+_SELECTOR_HEADERS = {
+    "JMSMessageID": "message_id",
+    "JMSCorrelationID": "correlation_id",
+    "JMSTimestamp": "timestamp",
+    "JMSDeliveryMode": "delivery_mode",
+    "JMSPriority": "priority",
+    "JMSType": "jms_type",
+}
+
+
 def _value_wire_size(value: Any) -> int:
     if value is None:
         return 1
@@ -101,21 +113,17 @@ class Message:
         JMS selectors see user properties plus the ``JMSx``/``JMS`` headers.
         Unknown identifiers are NULL (SQL unknown), per spec.
         """
-        header_map = {
-            "JMSMessageID": self.message_id,
-            "JMSCorrelationID": self.correlation_id,
-            "JMSTimestamp": self.timestamp,
-            "JMSDeliveryMode": (
+        attr = _SELECTOR_HEADERS.get(identifier)
+        if attr is None:
+            return self._properties.get(identifier)
+        value = getattr(self, attr)
+        if attr == "delivery_mode":
+            return (
                 "PERSISTENT"
-                if self.delivery_mode == DeliveryMode.PERSISTENT
+                if value == DeliveryMode.PERSISTENT
                 else "NON_PERSISTENT"
-            ),
-            "JMSPriority": self.priority,
-            "JMSType": self.jms_type,
-        }
-        if identifier in header_map:
-            return header_map[identifier]
-        return self._properties.get(identifier)
+            )
+        return value
 
     # ------------------------------------------------------------ ack/size
     def acknowledge(self) -> None:
@@ -214,14 +222,18 @@ class MapMessage(Message):
     def __init__(self) -> None:
         super().__init__()
         self._body: dict[str, tuple[str, Any]] = {}
+        #: Memo of :meth:`body_wire_size`; ``None`` after any :meth:`_set`.
+        self._body_size: Optional[int] = None
 
-    # Typed setters (subset of javax.jms.MapMessage).
+    # Typed setters (subset of javax.jms.MapMessage).  Every body write goes
+    # through ``_set`` — it is what keeps the wire-size memo honest.
     def _set(self, jms_type: str, name: str, value: Any) -> None:
         if not self._writable:
             raise MessageNotWriteableException("message is in read-only mode")
         if not name:
             raise MessageFormatException("map entry name must be non-empty")
         self._body[name] = (jms_type, value)
+        self._body_size = None
 
     def set_boolean(self, name: str, value: bool) -> None:
         self._set("boolean", name, bool(value))
@@ -290,6 +302,11 @@ class MapMessage(Message):
         return name in self._body
 
     def body_wire_size(self) -> int:
+        # Asked for at every hop (client send, broker fan-out, each
+        # subscriber copy) while the body changes only in the publisher.
+        total = self._body_size
+        if total is not None:
+            return total
         total = 2  # entry count
         for name, (jms_type, value) in self._body.items():
             total += 1 + len(name.encode("utf-8")) + 1  # name + type tag
@@ -299,9 +316,10 @@ class MapMessage(Message):
                 total += 4 + len(value)
             else:
                 total += self._SIZES[jms_type]
+        self._body_size = total
         return total
 
     def copy(self) -> "MapMessage":
-        clone = super().copy()
+        clone = super().copy()  # shallow: carries the ``_body_size`` memo
         clone._body = dict(self._body)  # type: ignore[attr-defined]
         return clone  # type: ignore[return-value]

@@ -258,7 +258,7 @@ def _inflate_payload(message: MapMessage, multiplier: int) -> None:
     for k in range(1, multiplier):
         for name in names:
             jms_type, value = message._body[name]
-            message._body[f"{name}_x{k}"] = (jms_type, value)
+            message._set(jms_type, f"{name}_x{k}", value)
 
 
 class PlogFleet:

@@ -7,6 +7,17 @@ when the event is *processed* (its callbacks run).
 Lifecycle::
 
     pending  --succeed()/fail()-->  triggered  --kernel pop-->  processed
+    pending  --settle(), nobody listening----------------->  processed
+
+:meth:`Event.settle` is the primitive for occurrences that are usually
+*unobserved* — a fire-and-forget process finishing, a transport's delivery
+receipt.  It takes a heap entry only when a callback is registered at that
+moment; otherwise the event is processed in place, and a later ``yield`` on
+it continues immediately at the same timestamp (exactly as for any other
+processed event).  See :mod:`repro.sim.kernel` for the rule this follows.
+There is deliberately no ``fail_now``: an empty ``callbacks`` list does not
+make a *failure* unobservable, because the kernel's pop is what surfaces an
+unhandled exception out of ``run()``.
 
 Composite conditions (:class:`AnyOf` / :class:`AllOf`) build fan-in waits from
 child events, mirroring the small set of combinators middleware code actually
@@ -116,6 +127,25 @@ class Event:
         self._ok = True
         self._value = value
         self.sim._schedule(self, delay)
+        return self
+
+    def settle(self, value: Any = None) -> "Event":
+        """Succeed at the current instant; schedule only if someone listens.
+
+        With a callback registered this is ``succeed(value)``: one heap
+        entry, callbacks run at the kernel pop, same-instant order kept.
+        With none, popping the entry would run nothing and resume nobody, so
+        the event is marked processed here and costs no kernel event.
+        """
+        if self._value is not _PENDING:
+            raise RuntimeError(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        if self.callbacks:
+            self.sim._schedule(self)
+        else:
+            self.callbacks = None
+            self._processed = True
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":

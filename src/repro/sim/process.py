@@ -9,6 +9,7 @@ so processes can wait on each other by yielding the :class:`Process`.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.events import Event, Interrupt
@@ -39,10 +40,18 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         #: Event this process is currently waiting on (None when runnable).
         self._target: Optional[Event] = None
-        # Kick off at the current time via an immediately-scheduled event.
-        init = Event(sim)
+        # Kick off at the current time via an immediately-scheduled event,
+        # built born-triggered the way ``Simulator.timeout`` builds a Timeout
+        # (one start entry per spawned process; no ``_PENDING`` churn).
+        init = Event.__new__(Event)
+        init.sim = sim
         init.callbacks = [self._resume]
-        init.succeed()
+        init._value = None
+        init._ok = True
+        init._processed = False
+        init._defused = False
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now, seq, init))
 
     @property
     def is_alive(self) -> bool:
@@ -87,7 +96,9 @@ class Process(Event):
                         event.defuse()
                         yielded = self._throw(event._value)
                 except StopIteration as stop:
-                    self.succeed(stop.value)
+                    # Fire-and-forget processes have no waiter: no heap entry.
+                    # (A failure below always takes one, so run() surfaces it.)
+                    self.settle(stop.value)
                     return
                 except BaseException as exc:
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):

@@ -212,6 +212,16 @@ class Resource:
             return True
         return False
 
+    def cancel(self, event: Event) -> None:
+        """Withdraw a pending ``acquire`` (e.g. its waiter was interrupted).
+
+        No-op when the event was already handed a unit or was never queued.
+        """
+        try:
+            self._waiters.remove(event)
+        except ValueError:
+            pass
+
     def release(self) -> None:
         if self.in_use <= 0:
             raise RuntimeError("release() without matching acquire()")

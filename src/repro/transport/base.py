@@ -103,6 +103,9 @@ class Channel:
         later); acknowledged-datagram sends only return after the ack round
         trip (the event has already fired), and raise
         :class:`~repro.transport.base.MessageLost` when retries run out.
+        The receipt is triggered with :meth:`~repro.sim.events.Event.settle`:
+        it costs a kernel event only when someone is waiting on it at
+        delivery time; awaited later, it returns its value at once.
 
         Concrete transports override :meth:`_transfer`; this wrapper charges
         sender CPU and enforces the closed check.

@@ -88,7 +88,7 @@ class TcpChannel(Channel):
             payload, nbytes, sent_at, done = self._arrived.pop(self._deliver_seq)
             self._deliver_seq += 1
             peer._deliver(payload, nbytes, sent_at)
-            done.succeed(self.sim.now - sent_at)
+            done.settle(self.sim.now - sent_at)
 
 
 class TcpTransport:

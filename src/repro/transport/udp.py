@@ -106,7 +106,7 @@ class UdpChannel(Channel):
                 if dedupe is not None:
                     dedupe["delivered"] = True
                 peer._deliver(payload, nbytes, sent_at)
-            done.succeed(self.sim.now - sent_at)
+            done.settle(self.sim.now - sent_at)
 
         wire_ev.add_callback(on_wire)
         return done

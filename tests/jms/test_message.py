@@ -100,6 +100,56 @@ def test_map_message_body_size_counts_strings():
     assert b.body_wire_size() - a.body_wire_size() == 99
 
 
+def _recomputed_body_size(m):
+    """Body size of an entry-for-entry rebuild: never served from m's memo."""
+    fresh = MapMessage()
+    for name in m.item_names():
+        jms_type, value = m._body[name]
+        fresh._set(jms_type, name, value)
+    return fresh.body_wire_size()
+
+
+def test_map_message_body_size_memo_follows_every_write():
+    m = MapMessage()
+    assert m.body_wire_size() == 2
+    m.set_int("i", 1)
+    assert m.body_wire_size() == 2 + (1 + 1 + 1) + 4
+    m.set_string("s", "héllo")
+    m.set_bytes("b", b"\x00" * 10)
+    assert m.body_wire_size() == m.body_wire_size() == _recomputed_body_size(m)
+    m.set_string("s", "a much longer replacement value")  # overwrite
+    assert m.body_wire_size() == _recomputed_body_size(m)
+
+
+def test_map_message_copy_carries_size_and_diverges():
+    m = MapMessage()
+    m.set_double("d", 1.5)
+    size = m.body_wire_size()
+    c = m.copy()
+    assert c.body_wire_size() == size
+    c.set_string("extra", "x" * 40)
+    assert c.body_wire_size() == _recomputed_body_size(c) > size
+    assert m.body_wire_size() == size
+
+
+def test_padded_message_size_is_not_stale():
+    """Comparison test 5 pads a message whose size may already be cached."""
+    from repro.powergrid.workload import _inflate_payload
+
+    m = MapMessage()
+    m.set_int("seq", 7)
+    m.set_float("power", 3.5)
+    m.set_string("status", "CLOSED")
+    m.set_property("id", 42)
+    base_body, base_wire = m.body_wire_size(), m.wire_size()
+    _inflate_payload(m, 3)
+    assert len(m.item_names()) == 9
+    assert m.body_wire_size() == _recomputed_body_size(m)
+    # Each replica adds its entries plus the 3-byte "_xK" name suffix.
+    assert m.body_wire_size() == 2 + 3 * (base_body - 2) + 2 * 3 * 3
+    assert m.wire_size() - base_wire == m.body_wire_size() - base_body
+
+
 # -------------------------------------------------------------- other bodies
 def test_text_message_size():
     t = TextMessage("hello")
@@ -155,6 +205,25 @@ def test_selector_value_resolves_headers_and_properties():
     assert m.selector_value("JMSMessageID") == "ID:x-1"
     assert m.selector_value("id") == 99
     assert m.selector_value("unknown") is None
+
+
+def test_selector_value_every_header_and_header_wins_over_property():
+    m = Message()
+    m.message_id, m.correlation_id, m.timestamp = "ID:1", "corr", 12.5
+    m.priority, m.jms_type = 9, "reading"
+    m.set_property("JMSPriority", 0)  # a same-named property never shadows
+    assert [
+        m.selector_value(name)
+        for name in (
+            "JMSMessageID",
+            "JMSCorrelationID",
+            "JMSTimestamp",
+            "JMSDeliveryMode",
+            "JMSPriority",
+            "JMSType",
+        )
+    ] == ["ID:1", "corr", 12.5, "NON_PERSISTENT", 9, "reading"]
+    assert m.selector_value("JMSExpiration") is None  # not selectable
 
 
 def test_selector_value_delivery_mode_string():

@@ -139,3 +139,33 @@ def test_peek_returns_next_event_time():
 def test_peek_empty_is_inf():
     sim = Simulator()
     assert sim.peek() == float("inf")
+
+
+# ------------------------------------------------------------------ settle
+def test_settle_without_listener_is_processed_in_place():
+    sim = Simulator()
+    ev = sim.event()
+    before = sim.events_scheduled
+    ev.settle("v")
+    assert sim.events_scheduled == before  # no heap entry
+    assert ev.processed and ev.ok and ev.value == "v"
+    with pytest.raises(RuntimeError):
+        ev.settle("again")
+    with pytest.raises(RuntimeError):
+        ev.add_callback(lambda e: None)  # processed events take no waiters
+
+
+def test_settle_with_listener_goes_through_the_heap_in_order():
+    sim = Simulator()
+    order = []
+    first = sim.event()
+    first.add_callback(lambda e: order.append("first"))
+    first.succeed()
+    ev = sim.event()
+    ev.add_callback(lambda e: order.append(("settled", e.value)))
+    before = sim.events_scheduled
+    ev.settle(7)
+    assert sim.events_scheduled == before + 1
+    assert ev.triggered and not ev.processed and order == []
+    sim.run()
+    assert order == ["first", ("settled", 7)]

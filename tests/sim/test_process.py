@@ -214,3 +214,79 @@ def test_active_process_visible_during_resume():
     sim.run()
     assert seen == [p, p]
     assert sim.active_process is None
+
+
+# -------------------------------------------------- completion without waiter
+def test_fire_and_forget_process_costs_no_completion_event():
+    """Start entry + the process's own yields; finishing is free."""
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+        yield sim.timeout(1.0)
+        return "done"
+
+    p = sim.process(proc())
+    sim.run()
+    assert sim.events_scheduled == 3
+    assert p.processed and p.value == "done" and sim.now == 2.0
+
+
+def test_awaited_process_completion_still_takes_a_heap_entry():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1.0)
+        return "c"
+
+    def parent():
+        value = yield sim.process(child())
+        return value
+
+    assert sim.run_process(parent()) == "c"
+    # parent start, child start, child timeout, child completion (observed).
+    assert sim.events_scheduled == 4
+
+
+def test_failing_fire_and_forget_process_keeps_its_completion_event():
+    """No waiter does not make a failure unobservable: run() must raise."""
+    sim = Simulator()
+
+    def proc():
+        raise ValueError("at once")
+        yield  # pragma: no cover
+
+    sim.process(proc())
+    assert sim.events_scheduled == 1
+    with pytest.raises(ValueError, match="at once"):
+        sim.run()
+    assert sim.events_scheduled == 2
+
+
+def test_waiting_on_finished_process_continues_at_same_instant():
+    """yield / AnyOf / AllOf on an already-finished process: value, same now."""
+    sim = Simulator()
+
+    def child(value):
+        yield sim.timeout(1.0)
+        return value
+
+    a, b = sim.process(child("a")), sim.process(child("b"))
+    sim.run()
+    assert a.processed and b.processed and sim.now == 1.0
+
+    def late():
+        yield sim.timeout(1.0)
+        t0, n0 = sim.now, sim.events_scheduled
+        direct = yield a
+        any_value = yield sim.any_of([a, sim.timeout(5.0)])
+        all_value = yield sim.all_of([a, b])
+        # Only the two conditions' own triggers and the 5 s timer were
+        # scheduled: the finished processes cost nothing more.
+        return sim.now - t0, sim.events_scheduled - n0, direct, any_value, all_value
+
+    elapsed, events, direct, any_value, all_value = sim.run_process(late())
+    assert elapsed == 0.0 and events == 3
+    assert direct == "a"
+    assert any_value == {a: "a"}
+    assert all_value == {a: "a", b: "b"}

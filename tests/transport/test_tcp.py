@@ -185,3 +185,69 @@ def test_bigger_payload_higher_latency():
 
     small, big = sim.run_process(client())
     assert big > small * 5
+
+
+# ------------------------------------------------------- delivery receipts
+def connected(sim, cluster, tcp):
+    server_channels = []
+    tcp.listen(cluster.node("hydra2"), 9000, server_channels.append)
+
+    def client():
+        ch = yield from tcp.connect(cluster.node("hydra1"), "hydra2", 9000)
+        return ch
+
+    return sim.run_process(client()), server_channels[0]
+
+
+def test_unawaited_receipt_schedules_no_event():
+    """Process start + sender CPU timer + wire event: no receipt, no completion."""
+    sim, cluster, tcp = setup()
+    ch, server = connected(sim, cluster, tcp)
+
+    def sender():
+        return (yield from ch.send("x", 512))
+
+    before = sim.events_scheduled
+    proc = sim.process(sender())
+    sim.run()
+    assert sim.events_scheduled - before == 3
+    assert len(server.inbox) == 1
+    # The receipt still records the outcome for anyone who looks later.
+    receipt, d = proc.value, server.inbox.get_nowait()
+    assert receipt.processed
+    assert receipt.value == pytest.approx(d.delivered_at - d.sent_at)
+
+
+def test_receipt_awaited_before_delivery_fires_with_one_way_delay():
+    sim, cluster, tcp = setup()
+    ch, server = connected(sim, cluster, tcp)
+
+    def sender():
+        receipt = yield from ch.send("x", 100_000)
+        assert not receipt.triggered  # still on the wire
+        before = sim.events_scheduled
+        latency = yield receipt
+        return latency, sim.now, sim.events_scheduled - before
+
+    latency, woke_at, events = sim.run_process(sender())
+    d = server.inbox.get_nowait()
+    assert events == 1  # someone is listening: the receipt takes its entry
+    assert woke_at == d.delivered_at
+    assert latency == d.delivered_at - d.sent_at > 0
+
+
+def test_receipt_awaited_after_delivery_returns_immediately():
+    sim, cluster, tcp = setup()
+    ch, server = connected(sim, cluster, tcp)
+
+    def sender():
+        receipt = yield from ch.send("x", 512)
+        yield sim.timeout(1.0)  # long after delivery
+        t0, n0 = sim.now, sim.events_scheduled
+        latency = yield receipt
+        return latency, receipt.value, sim.now - t0, sim.events_scheduled - n0
+
+    latency, value, waited, events = sim.run_process(sender())
+    d = server.inbox.get_nowait()
+    assert latency == value == d.delivered_at - d.sent_at
+    assert waited == 0.0 and events == 0

@@ -195,3 +195,20 @@ def test_retry_exhaustion_is_counted_as_loss_in_rtt_stats():
     assert stats.count == n - exhausted
     assert stats.loss_rate == pytest.approx(exhausted / n)
     assert 0.0 < stats.loss_rate < 1.0
+
+
+def test_unawaited_raw_datagram_receipt_schedules_no_event():
+    """Process start + sender CPU timer + wire event; the receipt is free."""
+    sim, cluster, udp = setup(loss_probability=0.0, acked=False)
+    server_chans = []
+    ch = connect(sim, cluster, udp, server_chans)
+
+    def sender():
+        return (yield from ch.send("hello", 200))
+
+    before = sim.events_scheduled
+    proc = sim.process(sender())
+    sim.run()
+    assert sim.events_scheduled - before == 3
+    assert len(server_chans[0].inbox) == 1
+    assert proc.value.processed and proc.value.value > 0
