@@ -11,9 +11,13 @@ run and arms everything:
 * every fault that actually fires appends a :class:`FaultLogEntry`, so an
   experiment can report its injected timeline next to its measurements.
 
-Brokers only need the duck-typed surface both
-:class:`repro.plog.broker.PlogBroker` and :class:`repro.narada.Broker`
-share: ``name``, ``alive``, ``jvm``, ``node``, ``crash()``, ``restart()``.
+The broker surface is :class:`repro.cluster.server.JvmServer` — ``name``,
+``alive``, ``jvm``, ``node``, ``crash()``, ``restart()`` — which
+:class:`repro.narada.Broker`, :class:`repro.federation.FederatedBroker` and
+:class:`repro.plog.broker.PlogBroker` subclass.
+:class:`repro.edge.gateway.EdgeGateway` still duck-types it: it has no
+per-connection accept charge and restarts as a new incarnation, so the
+shared accept/EOF/restart skeleton does not describe it.
 Specs whose target does not resolve (e.g. ``broker:1`` against a
 single-broker run) are skipped and logged, not errors — one plan serves
 every deployment shape.

@@ -13,8 +13,10 @@ Layout:
 * :mod:`~repro.federation.routing` — per-broker covering routing tables;
 * :mod:`~repro.federation.broker` — the federated broker (wire protocol,
   CPU/heap charges, telemetry hop marks);
-* :mod:`~repro.federation.deployment` — cluster, tree wiring, per-link
-  traffic ledger, publisher/subscriber clients;
+* :mod:`~repro.federation.deployment` — cluster, tree wiring
+  (:class:`FederationDeployment`), the broadcast-DBN star behind the same
+  surface (:class:`BroadcastDeployment`), per-link traffic ledger, and the
+  publisher/subscriber clients that run against either;
 * :mod:`~repro.federation.controller` — membership + parent failover,
   built on the plog :class:`~repro.plog.replication.MembershipController`.
 """
@@ -23,10 +25,12 @@ from repro.federation.broker import FederatedBroker, FederationBrokerStats
 from repro.federation.controller import FederationController
 from repro.federation.deployment import (
     FEDERATION_PORT,
+    BroadcastDeployment,
     FederationCluster,
     FederationDeployment,
     FederationSitePublishers,
     FederationSubscriber,
+    SiteDeployment,
     site_topic,
 )
 from repro.federation.routing import RoutingTable
@@ -34,6 +38,7 @@ from repro.federation.topology import FederationParams, TreeTopology, broker_nam
 
 __all__ = [
     "FEDERATION_PORT",
+    "BroadcastDeployment",
     "FederatedBroker",
     "FederationBrokerStats",
     "FederationCluster",
@@ -43,6 +48,7 @@ __all__ = [
     "FederationSitePublishers",
     "FederationSubscriber",
     "RoutingTable",
+    "SiteDeployment",
     "TreeTopology",
     "broker_name",
     "site_topic",

@@ -34,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.cluster.jvm import Jvm, OutOfMemoryError
+from repro.cluster.jvm import OutOfMemoryError
+from repro.cluster.server import JvmServer
 from repro.federation.routing import RoutingTable
 from repro.narada.config import NaradaConfig
-from repro.telemetry.context import current as _telemetry
-from repro.transport.base import EOF, Channel, ChannelClosed, MessageLost
+from repro.transport.base import Channel, ChannelClosed, MessageLost
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -69,8 +69,11 @@ class _LocalSub:
     channel: Optional[Channel]
 
 
-class FederatedBroker:
-    """One broker of the federation tree."""
+class FederatedBroker(JvmServer):
+    """One broker of the federation tree: clients, child links and the
+    uplink are each served by a thread-per-connection loop."""
+
+    middleware = "federation"
 
     def __init__(
         self,
@@ -79,19 +82,9 @@ class FederatedBroker:
         name: str,
         config: Optional[NaradaConfig] = None,
     ):
-        self.sim = sim
-        self.node = node
-        self.name = name
-        self.config = config or NaradaConfig()
-        self.jvm = Jvm(
-            sim,
-            node,
-            f"{name}.jvm",
-            heap_bytes=self.config.heap_bytes,
-            thread_stack_bytes=self.config.thread_stack_bytes,
-            native_budget_bytes=self.config.native_budget_bytes,
+        super().__init__(
+            sim, node, name, config or NaradaConfig(), FederationBrokerStats()
         )
-        self.stats = FederationBrokerStats()
         self.table = RoutingTable(name)
         #: Tree plumbing.
         self.parent_name: Optional[str] = None
@@ -104,61 +97,6 @@ class FederatedBroker:
         #: Hook the deployment installs to count per-link traffic:
         #: ``(src, dst, control)``.
         self.on_link_send: Optional[Callable[[str, str, bool], None]] = None
-        self.alive = True
-        self.port: Optional[int] = None
-        self.open_connections = 0
-        self._client_channels: list[Channel] = []
-        self.crashes = 0
-        self.restarts = 0
-
-    # ------------------------------------------------------------- serving
-    def serve(self, transport: Any, port: int) -> None:
-        self.port = port
-        transport.listen(self.node, port, self._accept)
-
-    def _accept(self, channel: Channel) -> None:
-        """Transport acceptor; raising refuses the connection."""
-        if not self.alive:
-            self.stats.connections_refused += 1
-            raise ChannelClosed(f"broker {self.name} is down")
-        try:
-            self.jvm.alloc(self.config.per_connection_heap, "connection buffers")
-            self.jvm.spawn_thread(
-                self._connection_loop(channel), name=f"{self.name}.conn"
-            )
-        except OutOfMemoryError as exc:
-            self.stats.connections_refused += 1
-            raise ChannelClosed(f"broker {self.name} out of memory: {exc}") from exc
-        self.stats.connections_accepted += 1
-        self.open_connections += 1
-        self._client_channels.append(channel)
-        self.node.execute_process(self.config.accept_cpu)
-
-    def _sched_overhead(self) -> float:
-        return self.config.per_connection_cpu * self.open_connections
-
-    def _connection_loop(
-        self, channel: Channel, charged: bool = True
-    ) -> Generator[Any, Any, None]:
-        """Service loop for one channel (client, child link or uplink).
-
-        ``charged=False`` marks the connecting side of a tree link, which
-        never paid the acceptor's per-connection heap.
-        """
-        while self.alive:
-            delivery = yield channel.receive()
-            if delivery.payload is EOF:
-                if charged:
-                    self.jvm.free(self.config.per_connection_heap)
-                    self.open_connections -= 1
-                self._on_channel_closed(channel)
-                return
-            if not self.alive:
-                return  # crashed while parked in receive()
-            yield from self.node.execute(
-                channel.cost_model.recv_cost(delivery.nbytes)
-            )
-            yield from self._handle(channel, delivery.payload)
 
     # ------------------------------------------------------------ protocol
     def _handle(self, channel: Channel, frame: tuple) -> Generator[Any, Any, None]:
@@ -186,14 +124,6 @@ class FederatedBroker:
             raise ValueError(f"unknown frame kind {kind!r}")
 
     # -------------------------------------------------------------- events
-    def _mark(self, message: Any, phase: str) -> None:
-        tel = _telemetry()
-        if tel is None:
-            return
-        record = getattr(message, "_record", None)
-        if record is not None:
-            tel.mark(record, phase, self.sim.now, "federation", self.name)
-
     def _on_publish(self, message: Any, topic: str) -> Generator[Any, Any, None]:
         self.stats.messages_published += 1
         self._mark(message, "broker_in")
@@ -406,10 +336,6 @@ class FederatedBroker:
             self.parent_channel = None
             return
         # A client channel: non-durable subscriptions die with it.
-        try:
-            self._client_channels.remove(channel)
-        except ValueError:
-            pass
         for sub in list(self._subs_by_id.values()):
             if sub.channel is channel or sub.channel is channel.peer:
                 self.sim.process(
@@ -421,21 +347,16 @@ class FederatedBroker:
             yield from self._send_fsub(topic, False)
 
     # ---------------------------------------------------------------- admin
-    def crash(self) -> None:
-        """Kill the broker process: sever every channel, lose all state.
+    def _crashed(self) -> None:
+        """Sever the tree links too and lose all in-memory state.
 
         Peers see EOFs through their normal service loops: the parent drops
         this broker's covering entries (withdrawing up as needed) and the
         children orphan their uplinks until the controller re-parents them.
+        A restart comes back empty; the federation controller re-attaches
+        the broker to its topology parent, and children re-advertise when
+        they are rewired back, which rebuilds the table.
         """
-        if not self.alive:
-            return
-        self.alive = False
-        self.crashes += 1
-        for channel in list(self._client_channels):
-            if not channel.closed:
-                channel.close()
-        self._client_channels.clear()
         for channel in list(self.child_channels.values()):
             if not channel.closed:
                 channel.close()
@@ -447,14 +368,3 @@ class FederatedBroker:
         self.table.clear()
         self._subs_by_id.clear()
         self._subs_by_topic.clear()
-
-    def restart(self) -> None:
-        """Bring a crashed broker back up (the listener stays registered).
-
-        Routing state was in-memory and is gone; the federation controller
-        re-attaches the broker to its topology parent, and children re-
-        advertise when they are rewired back, which rebuilds the table."""
-        if self.alive:
-            return
-        self.alive = True
-        self.restarts += 1

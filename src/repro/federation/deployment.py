@@ -1,4 +1,4 @@
-"""Deployment: broker tree on a growing cluster, plus client helpers.
+"""Deployment: brokers on a growing cluster, plus the site clients.
 
 Unlike the fixed 8-node Hydra testbed, a federation sweep grows the broker
 count, so :class:`FederationCluster` mints one node per broker (same node
@@ -8,9 +8,13 @@ paper's same-node measurement design ("data were received by the node where
 they were sent", §III.E.2): every RTT reads one clock.
 
 The deployment owns the per-link traffic ledger: every inter-broker send is
-counted against its directed tree link (and mirrored into telemetry
-counters when a session is active), which is what the ``federation_scaling``
+counted against its directed link, which is what the ``federation_scaling``
 experiment reads to compare routed-tree traffic against the broadcast DBN.
+Both routing modes are a :class:`SiteDeployment` — the
+:class:`FederationDeployment` tree of federated brokers and the
+:class:`BroadcastDeployment` star of v1.1.3 Narada brokers — and the site
+clients ask their deployment for the two frames and the labels that differ,
+so one workload runs against either.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from repro.cluster.network import Lan
 from repro.cluster.node import Node
 from repro.federation.broker import FederatedBroker
 from repro.federation.topology import TreeTopology
+from repro.jms.destination import Topic
+from repro.narada.broker import Broker
+from repro.narada.broker_network import star_network
 from repro.narada.config import NaradaConfig
 from repro.powergrid.generator import PowerGenerator
 from repro.powergrid.payload import narada_map_message
@@ -69,14 +76,21 @@ class FederationCluster:
         return len(self.nodes)
 
 
-class FederationDeployment:
-    """The broker tree, its cluster, and the traffic ledger."""
+class SiteDeployment:
+    """One broker per site on its own node, one TCP transport, the per-link
+    event ledger, and what the site clients need to speak to the brokers."""
+
+    #: Prefix of the site clients' message ids, process names and RNG
+    #: streams, and the middleware label of their telemetry marks.
+    prefix = ""
+    middleware = ""
 
     def __init__(
         self,
         sim: "Simulator",
         topology: TreeTopology,
-        config: Optional[NaradaConfig] = None,
+        config: Optional[NaradaConfig],
+        broker_class: Any,
         base_port: int = FEDERATION_PORT,
     ):
         self.sim = sim
@@ -84,52 +98,29 @@ class FederationDeployment:
         self.config = config or NaradaConfig()
         self.cluster = FederationCluster(sim, topology.names)
         self.transport = TcpTransport(sim, self.cluster.lan)
-        #: directed tree link -> event (data) messages sent over it.
+        #: directed inter-broker link -> event (data) messages sent over it.
         self.link_traffic: dict[tuple[str, str], int] = {}
-        #: directed tree link -> control (hello/fsub) messages.
-        self.control_traffic: dict[tuple[str, str], int] = {}
-        self.brokers: list[FederatedBroker] = []
-        self._by_name: dict[str, FederatedBroker] = {}
+        self.brokers: list[Any] = []
+        self._by_name: dict[str, Any] = {}
         for name in topology.names:
-            broker = FederatedBroker(
-                sim, self.cluster.node(name), name, self.config
-            )
+            broker = broker_class(sim, self.cluster.node(name), name, self.config)
             broker.serve(self.transport, base_port)
-            broker.on_link_send = self._count_link
             self.brokers.append(broker)
             self._by_name[name] = broker
 
-    def broker(self, name: str) -> FederatedBroker:
+    def broker(self, name: str) -> Any:
         return self._by_name[name]
-
-    @property
-    def root(self) -> FederatedBroker:
-        return self.brokers[0]
 
     def node(self, name: str) -> Node:
         return self.cluster.node(name)
 
-    # -------------------------------------------------------------- wiring
-    def start(self) -> Generator[Any, Any, None]:
-        """Connect every tree link, children to parents, in index order."""
-        for parent_name, child_name in self.topology.links():
-            yield from self._by_name[child_name].connect_to_parent(
-                self.transport, self._by_name[parent_name]
-            )
+    def subscribe_frame(self, sub_id: str, topic: str) -> tuple:
+        raise NotImplementedError  # pragma: no cover
+
+    def publish_frame(self, message: Any, topic: str) -> tuple:
+        raise NotImplementedError  # pragma: no cover
 
     # ------------------------------------------------------------- traffic
-    def _count_link(self, src: str, dst: str, control: bool) -> None:
-        ledger = self.control_traffic if control else self.link_traffic
-        key = (src, dst)
-        ledger[key] = ledger.get(key, 0) + 1
-        tel = _telemetry()
-        if tel is not None:
-            tel.metrics.counter(
-                "federation",
-                f"link:{src}->{dst}",
-                "control_messages" if control else "link_messages",
-            ).inc()
-
     def link_snapshot(self) -> dict[tuple[str, str], int]:
         return dict(self.link_traffic)
 
@@ -148,6 +139,94 @@ class FederationDeployment:
                 totals[key] = self.link_traffic.get(key, 0) - base.get(key, 0)
         return totals
 
+
+class BroadcastDeployment(SiteDeployment):
+    """The modelled v1.1.3 DBN: ``n_brokers`` :class:`repro.narada.Broker`
+    instances in a star (hub = unit controller = the control-room tier;
+    a star is the tree whose root has every other broker as a child),
+    every event flooded to every link unless ``config`` says otherwise."""
+
+    prefix = "bcast"
+    middleware = "narada"
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        n_brokers: int,
+        config: Optional[NaradaConfig] = None,
+    ):
+        super().__init__(
+            sim, TreeTopology(n_brokers, max(1, n_brokers - 1)), config, Broker
+        )
+
+    def start(self) -> Generator[Any, Any, None]:
+        """Wire the star and start counting its links."""
+        network = yield from star_network(self.sim, self.transport, self.brokers)
+        network.on_link_send = self._count_link
+
+    def _count_link(self, src: str, dst: str) -> None:
+        key = (src, dst)
+        self.link_traffic[key] = self.link_traffic.get(key, 0) + 1
+
+    def subscribe_frame(self, sub_id: str, topic: str) -> tuple:
+        return ("subscribe", sub_id, Topic(topic), None, False)
+
+    def publish_frame(self, message: Any, topic: str) -> tuple:
+        message.destination = Topic(topic)
+        return ("publish", message)
+
+
+class FederationDeployment(SiteDeployment):
+    """The broker tree, its cluster, and the traffic ledger (mirrored into
+    telemetry counters when a session is active)."""
+
+    prefix = "fed"
+    middleware = "federation"
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        topology: TreeTopology,
+        config: Optional[NaradaConfig] = None,
+        base_port: int = FEDERATION_PORT,
+    ):
+        super().__init__(sim, topology, config, FederatedBroker, base_port)
+        #: directed tree link -> control (hello/fsub) messages.
+        self.control_traffic: dict[tuple[str, str], int] = {}
+        for broker in self.brokers:
+            broker.on_link_send = self._count_link
+
+    @property
+    def root(self) -> FederatedBroker:
+        return self.brokers[0]
+
+    def subscribe_frame(self, sub_id: str, topic: str) -> tuple:
+        return ("subscribe", sub_id, topic)
+
+    def publish_frame(self, message: Any, topic: str) -> tuple:
+        return ("publish", message, topic)
+
+    # -------------------------------------------------------------- wiring
+    def start(self) -> Generator[Any, Any, None]:
+        """Connect every tree link, children to parents, in index order."""
+        for parent_name, child_name in self.topology.links():
+            yield from self._by_name[child_name].connect_to_parent(
+                self.transport, self._by_name[parent_name]
+            )
+
+    # ------------------------------------------------------------- traffic
+    def _count_link(self, src: str, dst: str, control: bool = False) -> None:
+        ledger = self.control_traffic if control else self.link_traffic
+        key = (src, dst)
+        ledger[key] = ledger.get(key, 0) + 1
+        tel = _telemetry()
+        if tel is not None:
+            tel.metrics.counter(
+                "federation",
+                f"link:{src}->{dst}",
+                "control_messages" if control else "link_messages",
+            ).inc()
+
     # ------------------------------------------------------------ liveness
     def converged(self) -> bool:
         """Every live non-root broker has a live uplink — the quiescent
@@ -162,7 +241,8 @@ class FederationDeployment:
 
 
 class FederationSubscriber:
-    """A raw-protocol subscriber client attached to one broker.
+    """A raw-protocol subscriber client attached to one broker of either
+    deployment.
 
     ``stamp_records=True`` makes it the *measuring* endpoint: it stamps
     ``t_arrived``/``t_received`` on each delivered message's record and
@@ -173,7 +253,7 @@ class FederationSubscriber:
     def __init__(
         self,
         sim: "Simulator",
-        deployment: FederationDeployment,
+        deployment: SiteDeployment,
         broker_name: str,
         sub_id: str,
         topics: tuple[str, ...],
@@ -195,10 +275,12 @@ class FederationSubscriber:
         self.channel = yield from self.deployment.transport.connect(
             broker.node, broker.node.name, broker.port
         )
-        self.sim.process(self._read_loop(), name=f"fedsub.{self.sub_id}")
+        self.sim.process(
+            self._read_loop(), name=f"{self.deployment.prefix}sub.{self.sub_id}"
+        )
         for i, topic in enumerate(self.topics):
             yield from self.channel.send(
-                ("subscribe", f"{self.sub_id}.{i}", topic),
+                self.deployment.subscribe_frame(f"{self.sub_id}.{i}", topic),
                 self.deployment.config.control_bytes,
             )
 
@@ -219,27 +301,34 @@ class FederationSubscriber:
                 self.channel.cost_model.recv_cost(delivery.nbytes)
             )
             frame = delivery.payload
-            if frame[0] != "deliver":
+            if frame[0] == "deliver":
+                messages = (frame[2],)
+            elif frame[0] == "deliver_batch":  # a Narada aggregation window
+                messages = frame[2]
+            else:
                 continue  # "subscribed" confirmations
-            _, _sub_id, message = frame
-            self.delivered += 1
-            topic = getattr(message, "_fed_topic", None)
-            if topic is not None:
-                self.delivered_by_topic[topic] = (
-                    self.delivered_by_topic.get(topic, 0) + 1
+            for message in messages:
+                self._delivered(message, delivery.delivered_at)
+
+    def _delivered(self, message: Any, arrived_at: float) -> None:
+        self.delivered += 1
+        topic = getattr(message, "_fed_topic", None)
+        if topic is not None:
+            self.delivered_by_topic[topic] = (
+                self.delivered_by_topic.get(topic, 0) + 1
+            )
+        if not self.stamp_records:
+            return
+        record = getattr(message, "_record", None)
+        if record is not None and record.t_received is None:
+            record.t_arrived = arrived_at
+            record.t_received = self.sim.now
+            tel = _telemetry()
+            if tel is not None:
+                tel.mark(
+                    record, "delivered", self.sim.now,
+                    self.deployment.middleware, self.channel.node.name,
                 )
-            if not self.stamp_records:
-                continue
-            record = getattr(message, "_record", None)
-            if record is not None and record.t_received is None:
-                record.t_arrived = delivery.delivered_at
-                record.t_received = self.sim.now
-                tel = _telemetry()
-                if tel is not None:
-                    tel.mark(
-                        record, "delivered", self.sim.now, "federation",
-                        node.name,
-                    )
 
 
 class FederationSitePublishers:
@@ -249,7 +338,7 @@ class FederationSitePublishers:
     def __init__(
         self,
         sim: "Simulator",
-        deployment: FederationDeployment,
+        deployment: SiteDeployment,
         broker_name: str,
         topic: str,
         n_generators: int,
@@ -276,7 +365,7 @@ class FederationSitePublishers:
         for k in range(self.n_generators):
             self.sim.process(
                 self._generator(self.gen_id_base + k),
-                name=f"fedpub.{self.topic}.{k}",
+                name=f"{self.deployment.prefix}pub.{self.topic}.{k}",
             )
 
     def _generator(self, gen_id: int) -> Generator[Any, Any, None]:
@@ -290,28 +379,29 @@ class FederationSitePublishers:
         except (ChannelClosed, MessageLost):
             self.publish_failures += 1
             return
+        prefix = deployment.prefix  # names the RNG streams: must not change
         model = PowerGenerator(
             gen_id,
-            sim.rng.stream(f"fedgen.{gen_id}"),
+            sim.rng.stream(f"{prefix}gen.{gen_id}"),
             site=f"site-{gen_id % 97}",
         )
         lo, hi = self.warmup
         if hi > 0:
-            yield sim.timeout(sim.rng.uniform(f"fedwarm.{gen_id}", lo, hi))
+            yield sim.timeout(sim.rng.uniform(f"{prefix}warm.{gen_id}", lo, hi))
         seq = 0
         cfg = deployment.config
         while sim.now < self.stop_at:
             state = model.sample(sim.now)
             message = narada_map_message(state)
-            message.message_id = f"fed.{gen_id}.{seq}"
+            message.message_id = f"{prefix}.{gen_id}.{seq}"
             message._fed_topic = self.topic
             if self.book is not None:
                 record = self.book.new_record(gen_id, seq, sim.now)
                 message._record = record
             try:
+                frame = deployment.publish_frame(message, self.topic)
                 yield from channel.send(
-                    ("publish", message, self.topic),
-                    message.wire_size() + cfg.frame_overhead_bytes,
+                    frame, message.wire_size() + cfg.frame_overhead_bytes
                 )
             except (ChannelClosed, MessageLost):
                 self.publish_failures += 1

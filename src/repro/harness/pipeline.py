@@ -16,8 +16,9 @@ roles R-GMA's Grid Monitoring Architecture names (arXiv cs/0308024):
 ``narada_run`` / ``rgma_run`` / ``plog_run`` declare an adapter and call
 :func:`run_point`; the edge tier is an adapter layered *over* those three
 (:mod:`repro.harness.edge_experiments`); the federation runs, whose site
-fleets are not a :class:`~repro.powergrid.FleetConfig` workload, reuse the
-window / fault / summary steps below.
+fleets are not a :class:`~repro.powergrid.FleetConfig` workload, build their
+one shared body (``federation_experiments._site_run``) from the window /
+fault / summary steps below.
 """
 
 from __future__ import annotations

@@ -30,15 +30,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.cluster.jvm import Jvm, OutOfMemoryError
+from repro.cluster.jvm import OutOfMemoryError
+from repro.cluster.server import JvmServer
 from repro.jms.destination import Destination, Queue, Topic
 from repro.jms.selector import Selector, parse_selector
 from repro.narada.config import NaradaConfig
 from repro.narada.durable import DurableStore
 from repro.sim import Store
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import EOF, Channel, ChannelClosed, MessageLost
-from repro.transport.tcp import TcpTransport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -81,8 +80,10 @@ class _Subscription:
     unacked: list = field(default_factory=list)
 
 
-class Broker:
+class Broker(JvmServer):
     """One broker instance on one node."""
+
+    middleware = "narada"
 
     def __init__(
         self,
@@ -91,24 +92,12 @@ class Broker:
         name: str,
         config: Optional[NaradaConfig] = None,
     ):
-        self.sim = sim
-        self.node = node
-        self.name = name
-        self.config = config or NaradaConfig()
-        self.jvm = Jvm(
-            sim,
-            node,
-            f"{name}.jvm",
-            heap_bytes=self.config.heap_bytes,
-            thread_stack_bytes=self.config.thread_stack_bytes,
-            native_budget_bytes=self.config.native_budget_bytes,
-        )
-        self.stats = BrokerStats()
+        super().__init__(sim, node, name, config or NaradaConfig(), BrokerStats())
         #: destination name -> ordered subscriptions.
         self._subs: dict[str, list[_Subscription]] = {}
         self._subs_by_id: dict[str, _Subscription] = {}
         #: Durable subscriptions, modelled as living on the persistent
-        #: storage service — :meth:`crash` re-registers from here.
+        #: storage service — :meth:`_crashed` re-registers from here.
         self.durable_store = DurableStore()
         #: Queue round-robin cursors.
         self._rr: dict[str, int] = {}
@@ -121,64 +110,15 @@ class Broker:
         self.remote_interest: dict[str, set[str]] = {}
         # Flood dedup (bounded LRU of message ids).
         self._seen: OrderedDict[str, None] = OrderedDict()
-        self.alive = True
-        #: Currently-open client connections (drives scheduling overhead).
-        self.open_connections = 0
-        #: Open client channels, tracked so a crash can sever them.
-        self._client_channels: list[Channel] = []
-        self.crashes = 0
-        self.restarts = 0
         #: Aggregation buffers: sub_id -> pending message copies.
         self._agg_buffers: dict[str, list] = {}
 
     # ------------------------------------------------------------- serving
-    def serve(self, transport: Any, port: int) -> None:
-        """Start accepting client connections on ``transport``/``port``."""
-        transport.listen(self.node, port, self._accept)
-
-    def _accept(self, channel: Channel) -> None:
-        """Transport acceptor; raising refuses the connection."""
-        if not self.alive:
-            self.stats.connections_refused += 1
-            raise ChannelClosed(f"broker {self.name} is down")
-        try:
-            self.jvm.alloc(self.config.per_connection_heap, "connection buffers")
-            if channel.server_mode == "nio":
-                self._register_nio(channel)
-            else:
-                self.jvm.spawn_thread(
-                    self._connection_loop(channel), name=f"{self.name}.conn"
-                )
-        except OutOfMemoryError as exc:
-            self.stats.connections_refused += 1
-            raise ChannelClosed(f"broker {self.name} out of memory: {exc}") from exc
-        self.stats.connections_accepted += 1
-        self.open_connections += 1
-        self._client_channels.append(channel)
-        self.node.execute_process(self.config.accept_cpu)
-
-    def _sched_overhead(self) -> float:
-        """Per-message scheduling overhead growing with open connections."""
-        return self.config.per_connection_cpu * self.open_connections
-
-    # Thread-per-connection service (blocking TCP, UDP).
-    def _connection_loop(self, channel: Channel) -> Generator[Any, Any, None]:
-        while self.alive:
-            delivery = yield channel.receive()
-            if delivery.payload is EOF:
-                self.jvm.free(self.config.per_connection_heap)
-                self.open_connections -= 1
-                self._on_channel_closed(channel)
-                return
-            if not self.alive:
-                return  # shut down while parked in receive()
-            yield from self.node.execute(
-                channel.cost_model.recv_cost(delivery.nbytes)
-            )
-            yield from self._handle(channel, delivery.payload)
-
-    # Shared-selector service (NIO).
-    def _register_nio(self, channel: Channel) -> None:
+    def _serve_channel(self, channel: Channel) -> None:
+        """Blocking TCP / UDP get a thread each; NIO shares the selector."""
+        if channel.server_mode != "nio":
+            super()._serve_channel(channel)
+            return
         if self._nio_queue is None:
             self._nio_queue = Store(self.sim)
             self.jvm.spawn_thread(self._selector_loop(), name=f"{self.name}.selector")
@@ -190,8 +130,7 @@ class Broker:
         while self.alive:
             channel, delivery = yield self._nio_queue.get()
             if delivery.payload is EOF:
-                self.jvm.free(self.config.per_connection_heap)
-                self.open_connections -= 1
+                self._disconnected(channel)
                 continue
             yield from self.node.execute(
                 self.config.nio_dispatch_cpu
@@ -235,11 +174,7 @@ class Broker:
         self, message: Any, origin_channel: Optional[Channel]
     ) -> Generator[Any, Any, None]:
         self.stats.messages_published += 1
-        tel = _telemetry()
-        if tel is not None:
-            record = getattr(message, "_record", None)
-            if record is not None:
-                tel.mark(record, "broker_in", self.sim.now, "narada", self.name)
+        self._mark(message, "broker_in")
         cfg = self.config
         nbytes = message.wire_size()
         try:
@@ -289,10 +224,6 @@ class Broker:
     def _on_channel_closed(self, channel: Channel) -> None:
         """Client disconnected: durable subscriptions go offline (messages
         buffer until re-subscribe); non-durable ones die with the channel."""
-        try:
-            self._client_channels.remove(channel)
-        except ValueError:
-            pass  # already severed by a crash
         for sub in list(self._subs_by_id.values()):
             if sub.channel is not channel and sub.channel is not channel.peer:
                 continue
@@ -327,13 +258,7 @@ class Broker:
                 copy.wire_size() + cfg.frame_overhead_bytes,
             )
             self.stats.messages_delivered += 1
-            tel = _telemetry()
-            if tel is not None:
-                record = getattr(copy, "_record", None)
-                if record is not None:
-                    tel.mark(
-                        record, "broker_out", self.sim.now, "narada", self.name
-                    )
+            self._mark(copy, "broker_out")
         except (MessageLost, ChannelClosed):
             if not retained:
                 self.stats.deliveries_dropped += 1
@@ -400,15 +325,8 @@ class Broker:
                 ("deliver_batch", sub.sub_id, batch), nbytes
             )
             self.stats.messages_delivered += len(batch)
-            tel = _telemetry()
-            if tel is not None:
-                for m in batch:
-                    record = getattr(m, "_record", None)
-                    if record is not None:
-                        tel.mark(
-                            record, "broker_out", self.sim.now, "narada",
-                            self.name,
-                        )
+            for m in batch:
+                self._mark(m, "broker_out")
         except (MessageLost, ChannelClosed):
             self.stats.deliveries_dropped += len(batch)
 
@@ -530,31 +448,16 @@ class Broker:
         return True
 
     # ---------------------------------------------------------------- admin
-    def shutdown(self) -> None:
-        self.alive = False
-
-    def crash(self) -> None:
-        """Kill the broker process: refuse new connections, sever open ones.
-
-        Each closed channel delivers an EOF through its normal service path
-        (connection thread or NIO selector queue), so heap accounting and
-        subscription teardown follow the clean-disconnect code.  Non-durable
-        subscriptions are volatile broker memory: they die with their
-        channels, so clients must reconnect *and* resubscribe after a
-        restart.  Durable subscriptions live on the persistent storage
-        service (:attr:`durable_store`) and are re-registered from it here —
-        the stand-in for the recovery controller replaying the on-disk
+    def _crashed(self) -> None:
+        """Non-durable subscriptions are volatile broker memory: they die
+        with their channels (through the clean-disconnect path), so clients
+        must reconnect *and* resubscribe after a restart.  Durable
+        subscriptions live on the persistent storage service
+        (:attr:`durable_store`) and are re-registered from it here — the
+        stand-in for the recovery controller replaying the on-disk
         subscription registry — coming back *offline*, so deliveries racing
         the crash land in their replay buffers instead of a dead channel.
         """
-        if not self.alive:
-            return
-        self.alive = False
-        self.crashes += 1
-        for channel in list(self._client_channels):
-            if not channel.closed:
-                channel.close()
-        self._client_channels.clear()
         for sub in self.durable_store.subscriptions():
             sub.channel = None
             if self._subs_by_id.get(sub.sub_id) is not sub:
@@ -563,16 +466,9 @@ class Broker:
                 if sub not in bucket:
                     bucket.append(sub)
 
-    def restart(self) -> None:
-        """Bring a crashed broker back up (the listener stays registered).
-
-        The NIO selector thread died with the crash; respawn it so stale
-        EOFs drain and new registrations are served.
-        """
-        if self.alive:
-            return
-        self.alive = True
-        self.restarts += 1
+    def _restarted(self) -> None:
+        """The NIO selector thread died with the crash; respawn it so stale
+        EOFs drain and new registrations are served."""
         if self._nio_queue is not None:
             self.jvm.spawn_thread(
                 self._selector_loop(), name=f"{self.name}.selector"

@@ -19,7 +19,7 @@ Two forwarding policies are implemented:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.narada.broker import Broker
 from repro.narada.routing import shortest_paths
@@ -94,6 +94,9 @@ class BrokerNetwork:
         self.graph: dict[str, dict[str, float]] = {}
         self._routes: dict[str, dict[str, str]] = {}
         self._port_seq = 0
+        #: Hook a deployment installs to count per-link event traffic:
+        #: ``(src, dst)``, called for every flood / routed forward attempted.
+        self.on_link_send: Optional[Callable[[str, str], None]] = None
 
     # ------------------------------------------------------------- topology
     def add_broker(self, broker: Broker) -> Generator[Any, Any, None]:
@@ -112,9 +115,12 @@ class BrokerNetwork:
             yield
 
     def _accept_peer(self, broker: Broker, channel: Any) -> None:
-        """A peer broker connected; serve it like a (thread-per-link) client."""
+        """A peer broker connected; serve it with a thread per link.  Peer
+        links bypass the broker's acceptor, so nothing was charged for them
+        (``charged=False``) and their EOF releases nothing."""
         broker.jvm.spawn_thread(
-            broker._connection_loop(channel), name=f"{broker.name}.peer"
+            broker._connection_loop(channel, charged=False),
+            name=f"{broker.name}.peer",
         )
 
     def connect_brokers(
@@ -129,7 +135,9 @@ class BrokerNetwork:
         # The reverse direction uses the same full-duplex channel pair; the
         # b-side read loop was spawned by the accept hook, the a-side here.
         b.peer_channels[a_name] = channel.peer
-        a.jvm.spawn_thread(a._connection_loop(channel), name=f"{a.name}.peer")
+        a.jvm.spawn_thread(
+            a._connection_loop(channel, charged=False), name=f"{a.name}.peer"
+        )
         self.graph[a_name][b_name] = weight
         self.graph[b_name][a_name] = weight
         self._routes.clear()  # recompute lazily
@@ -164,10 +172,10 @@ class BrokerNetwork:
         self, broker: Broker, message: Any, exclude: Optional[str]
     ) -> Generator[Any, Any, None]:
         """v1.1.3 behaviour: copy to every neighbour (minus the inbound one)."""
-        for peer_name, channel in list(broker.peer_channels.items()):
+        for peer_name in list(broker.peer_channels):
             if peer_name == exclude:
                 continue
-            yield from self._send_forward(broker, channel, message, None)
+            yield from self._send_forward(broker, peer_name, message, None)
 
     def route(
         self, broker: Broker, message: Any, targets: tuple
@@ -178,14 +186,16 @@ class BrokerNetwork:
             hop = self.first_hop(broker.name, target)
             by_hop.setdefault(hop, []).append(target)
         for hop, hop_targets in sorted(by_hop.items()):
-            channel = broker.peer_channels[hop]
             yield from self._send_forward(
-                broker, channel, message, tuple(hop_targets)
+                broker, hop, message, tuple(hop_targets)
             )
 
     def _send_forward(
-        self, broker: Broker, channel: Any, message: Any, targets: Optional[tuple]
+        self, broker: Broker, peer_name: str, message: Any, targets: Optional[tuple]
     ) -> Generator[Any, Any, None]:
+        if self.on_link_send is not None:
+            self.on_link_send(broker.name, peer_name)
+        channel = broker.peer_channels[peer_name]
         cfg = broker.config
         yield from broker.node.execute(cfg.forward_cpu)
         try:

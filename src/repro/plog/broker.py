@@ -67,7 +67,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.cluster.jvm import Jvm, OutOfMemoryError
+from repro.cluster.jvm import OutOfMemoryError
+from repro.cluster.server import JvmServer
 from repro.plog.config import ACKS_ALL, PlogConfig
 from repro.plog.idempotence import PartitionProducerState
 from repro.plog.log import PartitionLog
@@ -126,7 +127,7 @@ class _FetchWaiter:
     replica: Optional[str] = None
 
 
-class PlogBroker:
+class PlogBroker(JvmServer):
     """One broker instance owning a subset of a topic's partitions."""
 
     def __init__(
@@ -136,19 +137,7 @@ class PlogBroker:
         name: str,
         config: Optional[PlogConfig] = None,
     ):
-        self.sim = sim
-        self.node = node
-        self.name = name
-        self.config = config or PlogConfig()
-        self.jvm = Jvm(
-            sim,
-            node,
-            f"{name}.jvm",
-            heap_bytes=self.config.heap_bytes,
-            thread_stack_bytes=self.config.thread_stack_bytes,
-            native_budget_bytes=self.config.native_budget_bytes,
-        )
-        self.stats = PlogBrokerStats()
+        super().__init__(sim, node, name, config or PlogConfig(), PlogBrokerStats())
         self.logs: dict[tuple[str, int], PartitionLog] = {}
         #: Replication state per hosted partition (leader or follower).
         self.states: dict[tuple[str, int], PartitionState] = {}
@@ -165,12 +154,6 @@ class PlogBroker:
         #: Controller callback fired on every ISR change of a led partition
         #: (the stand-in for a metadata-store write).
         self.isr_listener: Optional[Any] = None
-        self.alive = True
-        self.open_connections = 0
-        #: Open client channels, tracked so a crash can sever them.
-        self._client_channels: list[Channel] = []
-        self.crashes = 0
-        self.restarts = 0
         self.crashed_at: Optional[float] = None
 
     # ------------------------------------------------------------ partitions
@@ -205,41 +188,30 @@ class PlogBroker:
     # --------------------------------------------------------------- serving
     def serve(self, transport: Any, port: int) -> None:
         """Accept client connections on ``transport``/``port``."""
-        if not self._io_started:
-            self._io_started = True
-            for i in range(self.config.io_threads):
-                self.jvm.spawn_thread(self._io_loop(), name=f"{self.name}.io{i}")
+        self._start_io_pool()
         if not self._isr_scan_started and any(
             state.replicated for state in self.states.values()
         ):
             self._isr_scan_started = True
             self.sim.process(self._isr_scan(), name=f"{self.name}.isr-scan")
-        transport.listen(self.node, port, self._accept)
+        super().serve(transport, port)
 
-    def _accept(self, channel: Channel) -> None:
-        """Transport acceptor; raising refuses the connection."""
-        if not self.alive:
-            self.stats.connections_refused += 1
-            raise ChannelClosed(f"broker {self.name} is down")
-        try:
-            self.jvm.alloc(self.config.per_connection_heap, "connection state")
-        except OutOfMemoryError as exc:
-            self.stats.connections_refused += 1
-            raise ChannelClosed(f"broker {self.name} out of memory: {exc}") from exc
-        self.stats.connections_accepted += 1
-        self.open_connections += 1
-        self._client_channels.append(channel)
+    def _start_io_pool(self) -> None:
+        if not self._io_started:
+            self._io_started = True
+            for i in range(self.config.io_threads):
+                self.jvm.spawn_thread(self._io_loop(), name=f"{self.name}.io{i}")
+
+    def _serve_channel(self, channel: Channel) -> None:
+        """No thread per connection: deliveries feed the shared I/O pool."""
         channel.on_deliver = lambda d: self._requests.put_nowait((channel, d))
-        self.node.execute_process(self.config.accept_cpu)
 
     def _io_loop(self) -> Generator[Any, Any, None]:
         """One worker of the shared I/O pool."""
         while self.alive:
             channel, delivery = yield self._requests.get()
             if delivery.payload is EOF:
-                self.jvm.free(self.config.per_connection_heap)
-                self.open_connections -= 1
-                self._on_channel_closed(channel)
+                self._disconnected(channel)
                 continue
             yield from self.node.execute(
                 channel.cost_model.recv_cost(delivery.nbytes)
@@ -247,10 +219,6 @@ class PlogBroker:
             yield from self._handle(channel, delivery.payload)
 
     def _on_channel_closed(self, channel: Channel) -> None:
-        try:
-            self._client_channels.remove(channel)
-        except ValueError:
-            pass  # already severed by a crash
         for waiters in self._waiters.values():
             for waiter in waiters:
                 if waiter.channel is channel or waiter.channel is channel.peer:
@@ -804,28 +772,14 @@ class PlogBroker:
     def partition_count(self) -> int:
         return len(self.logs)
 
-    def shutdown(self) -> None:
-        self.alive = False
-
-    def crash(self) -> None:
-        """Kill the broker process: refuse new connections, sever open ones.
-
-        Closing each channel queues an EOF through the normal request path,
-        so per-connection heap is freed (by the dying I/O threads, or by
-        the restarted pool draining stale EOFs) exactly as on a clean
-        disconnect.  Partition logs survive — the commit log is durable
-        storage, so a restarted broker resumes serving existing offsets.
-        """
-        if not self.alive:
-            return
-        self.alive = False
+    def _crashed(self) -> None:
+        """The I/O pool and every parked request die with the process; each
+        severed connection's heap is freed by the dying I/O threads, or by
+        the restarted pool draining stale EOFs.  Partition logs survive —
+        the commit log is durable storage, so a restarted broker resumes
+        serving existing offsets."""
         self._io_started = False
-        self.crashes += 1
         self.crashed_at = self.sim.now
-        for channel in list(self._client_channels):
-            if not channel.closed:
-                channel.close()
-        self._client_channels.clear()
         self._waiters.clear()
         self._note_parked()
         for state in self.states.values():
@@ -833,15 +787,6 @@ class PlogBroker:
             # that retry re-send the batch to the new leader.
             state.pending_acks.clear()
 
-    def restart(self) -> None:
-        """Bring a crashed broker back up with a fresh I/O thread pool."""
-        if self.alive:
-            return
-        self.alive = True
-        self.restarts += 1
-        if not self._io_started:
-            self._io_started = True
-            for i in range(self.config.io_threads):
-                self.jvm.spawn_thread(
-                    self._io_loop(), name=f"{self.name}.io{i}"
-                )
+    def _restarted(self) -> None:
+        """A fresh I/O thread pool."""
+        self._start_io_pool()

@@ -4,8 +4,7 @@ NaradaBrokering "supports a number of underlying data transport protocols,
 including blocking and non-blocking TCP, UDP, multicast, SSL, HTTP, HTTPS and
 Parallel TCP streams" (paper §II.B); the comparison tests exercise UDP, NIO
 and TCP (Table II) and R-GMA runs over HTTP (§III.F).  This package models
-the four that the evaluation depends on, plus multicast for the extension
-benches:
+the four that the evaluation depends on:
 
 * :mod:`repro.transport.tcp` — blocking TCP: connection handshake, reliable
   ordered delivery.
@@ -16,7 +15,6 @@ benches:
   transport-level acknowledgement + retransmission (the "JMS over UDP"
   pathology of §III.E.1).
 * :mod:`repro.transport.http` — request/response framing on TCP for R-GMA.
-* :mod:`repro.transport.multicast` — one-to-many datagram fan-out.
 """
 
 from repro.transport.base import (
@@ -30,7 +28,6 @@ from repro.transport.tcp import TcpTransport
 from repro.transport.nio import NioTransport
 from repro.transport.udp import UdpTransport
 from repro.transport.http import HttpClient, HttpRequest, HttpResponse, HttpServer
-from repro.transport.multicast import MulticastGroup
 
 __all__ = [
     "Channel",
@@ -41,7 +38,6 @@ __all__ = [
     "HttpResponse",
     "HttpServer",
     "MessageLost",
-    "MulticastGroup",
     "NioTransport",
     "TcpTransport",
     "TransportError",

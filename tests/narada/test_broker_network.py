@@ -233,3 +233,31 @@ def test_same_broker_subscriber_not_affected_by_network():
     sim.run_process(run())
     sim.run(until=sim.now + 5.0)
     assert [m.text for m in got] == ["local"]
+
+
+def test_closing_a_peer_link_releases_nothing_it_never_charged():
+    """Inter-broker links bypass the acceptor, so their EOF must not free
+    per-connection heap or decrement ``open_connections`` (which used to go
+    to -1, making every later message's scheduling overhead negative)."""
+    sim = Simulator(seed=13)
+    cluster = HydraCluster(sim)
+    tcp = TcpTransport(sim, cluster.lan)
+    network = BrokerNetwork(sim, tcp)
+    brokers = [
+        Broker(sim, cluster.node(f"hydra{i}"), f"b{i}", NaradaConfig())
+        for i in (1, 2)
+    ]
+
+    def setup():
+        for broker in brokers:
+            yield from network.add_broker(broker)
+        yield from network.star("b1", ["b2"])
+
+    sim.run_process(setup())
+    heap_before = [b.jvm.heap_used for b in brokers]
+    brokers[0].peer_channels["b2"].close()
+    sim.run(until=sim.now + 1.0)
+    for broker, heap in zip(brokers, heap_before):
+        assert broker.open_connections == 0
+        assert broker.jvm.heap_used == heap
+        assert broker._sched_overhead() == 0

@@ -170,3 +170,33 @@ def test_publish_on_dead_broker_channel_does_not_crash_fleet(env):
     sim.run(until=30.0)
     assert fleet.stats.connections_ok == 5
     assert book.sent_count > 0
+
+
+@pytest.mark.parametrize("transport_cls", [TcpTransport, NioTransport])
+def test_client_disconnect_tears_down_its_subscription(transport_cls):
+    """A client that subscribes and disconnects is forgotten whichever way
+    its channel was served: the NIO selector loop used to free the heap but
+    keep the subscription and the channel, so every later publish paid
+    selector evaluation for a dead subscriber."""
+    sim = Simulator(seed=9)
+    cluster = HydraCluster(sim)
+    transport = transport_cls(sim, cluster.lan)
+    broker = Broker(sim, cluster.node("hydra1"), "b", NaradaConfig())
+    broker.serve(transport, 5045)
+    heap_before = broker.jvm.heap_used
+
+    def client():
+        channel = yield from transport.connect(
+            cluster.node("hydra2"), "hydra1", 5045
+        )
+        yield from channel.send(("subscribe", "s1", TOPIC, None, False), 64)
+        yield sim.timeout(1.0)
+        assert broker.subscription_count() == 1
+        channel.close()
+
+    sim.run_process(client())
+    sim.run(until=sim.now + 1.0)
+    assert broker.subscription_count() == 0
+    assert broker._client_channels == []
+    assert broker.open_connections == 0
+    assert broker.jvm.heap_used == heap_before
