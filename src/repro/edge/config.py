@@ -45,3 +45,25 @@ class EdgeConfig:
     #: per poll request handled.
     cpu_per_event: float = 20e-6
     cpu_per_poll: float = 30e-6
+
+    def __post_init__(self) -> None:
+        # Out of range, each of these runs but misbehaves silently (a
+        # capacity-0 ring is always empty, so every cursor read is
+        # "truncated"; a 0-event page still carries one event; ...).
+        # Written as "holds" tests so that NaN fails them too.
+        rules = {
+            "replay_capacity": (self.replay_capacity >= 1, ">= 1"),
+            "max_events_per_poll": (self.max_events_per_poll >= 1, ">= 1"),
+            "long_poll_timeout": (self.long_poll_timeout > 0, "> 0"),
+            "shed_heap_fraction": (0 < self.shed_heap_fraction <= 1, "in (0, 1]"),
+        }
+        for name in ("poll_request_bytes", "event_bytes", "parked_heap_bytes",
+                     "cpu_per_event", "cpu_per_poll"):
+            rules[name] = (getattr(self, name) >= 0, ">= 0")
+        problems = [
+            f"{name}={getattr(self, name)!r} (need {need})"
+            for name, (holds, need) in rules.items()
+            if not holds
+        ]
+        if problems:
+            raise ValueError("invalid EdgeConfig: " + ", ".join(problems))

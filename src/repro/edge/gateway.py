@@ -63,6 +63,8 @@ class _Waiter:
     weight: float
     parked_at: float
     respond: Any = field(repr=False, default=None)
+    #: The ``long_poll_timeout`` timer; cancelled once the poll is answered.
+    expiry: Any = field(repr=False, default=None)
     active: bool = True
 
 
@@ -262,7 +264,7 @@ class EdgeGateway:
         self._parked_weight += weight
         self._parked_polls += 1
         incarnation = self.incarnation
-        self.sim.call_at(
+        waiter.expiry = self.sim.call_at(
             self.sim.now + self.config.long_poll_timeout,
             lambda: self._expire(waiter, incarnation),
         )
@@ -320,6 +322,7 @@ class EdgeGateway:
 
     def _unpark(self, waiter: _Waiter) -> None:
         waiter.active = False
+        self.sim.cancel(waiter.expiry)  # a no-op when called from _expire
         self._parked_weight -= waiter.weight
         self._parked_polls -= 1
 
@@ -360,6 +363,7 @@ class EdgeGateway:
         for waiters in self._waiters.values():
             for waiter in waiters:
                 waiter.active = False
+                self.sim.cancel(waiter.expiry)
         self._waiters = {}
         self._rings = {}
         if not self.jvm.dead:

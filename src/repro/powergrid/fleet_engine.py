@@ -31,7 +31,8 @@ load terms with counter-keyed jitter), calibrated to the paper's measured
 scales: Narada ~1.5 ms at-most-once, R-GMA ~0.9 s with retry-on-loss,
 plog ~4 ms at-least-once (retransmissions can duplicate).  ``packet_loss``
 windows of a :class:`repro.faults.FaultPlan` drive the loss draws against
-message timestamps; other fault kinds are ignored by this closed model.
+message timestamps; this closed model has no links, brokers or gateways to
+apply any other fault kind to, so a plan containing one is rejected.
 """
 
 from __future__ import annotations
@@ -194,9 +195,19 @@ def payload_bytes(
 
 
 def loss_windows_of(plan: Any) -> tuple[tuple[float, float, float], ...]:
-    """The ``packet_loss`` windows of a fault plan as (at, until, p)."""
+    """The ``packet_loss`` windows of a fault plan as (at, until, p).
+
+    Raises ``ValueError`` for a plan with any other fault kind, which the
+    engine could only drop while reporting the run under the plan's name.
+    """
     if plan is None:
         return ()
+    unsupported = sorted({s.kind for s in plan} - {"packet_loss"})
+    if unsupported:
+        raise ValueError(
+            "the fleet engine models packet_loss windows only; "
+            f"unsupported fault kinds in plan: {', '.join(unsupported)}"
+        )
     return tuple(
         (s.at, s.until, s.param("probability", 0.0))
         for s in plan

@@ -15,6 +15,7 @@ from repro.sim.cohort import CohortProcess
 from repro.sim.events import (
     AllOf,
     AnyOf,
+    Cancelled,
     Event,
     Interrupt,
     Timeout,
@@ -27,6 +28,7 @@ from repro.sim.rng import RngStreams
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Cancelled",
     "CohortProcess",
     "Container",
     "Event",

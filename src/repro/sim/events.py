@@ -8,6 +8,9 @@ Lifecycle::
 
     pending  --succeed()/fail()-->  triggered  --kernel pop-->  processed
     pending  --settle(), nobody listening----------------->  processed
+    Timeout (triggered)  --Simulator.cancel()------------>  processed (failed
+                                                            with Cancelled,
+                                                            defused)
 
 :meth:`Event.settle` is the primitive for occurrences that are usually
 *unobserved* — a fire-and-forget process finishing, a transport's delivery
@@ -57,6 +60,14 @@ class Interrupt(Exception):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Interrupt({self.cause!r})"
+
+
+class Cancelled(Exception):
+    """The value of a timer withdrawn by :meth:`repro.sim.kernel.Simulator.cancel`.
+
+    Raised into a process that yields a cancelled timer, and into the
+    waiters of a condition built over one.
+    """
 
 
 class Event:

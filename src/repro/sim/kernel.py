@@ -44,6 +44,16 @@ the same instant, or nobody at all:
   is registered at that moment and otherwise marks the event processed in
   place.  A later ``yield`` on it continues immediately, same timestamp.
 
+* a deadline that lost its race — :meth:`Simulator.cancel` withdraws a
+  :class:`~repro.sim.events.Timeout` whose pop could only run a callback that
+  returns at once (an expired long-poll already answered, the timeout half
+  of an ``any_of`` the response already won).  It drops the callbacks, and
+  everything they keep alive, immediately; the heap entry goes lazily — it
+  is skipped when popped, and the heap is rebuilt without cancelled entries
+  once they are more than half of it and over 100 (asyncio's rule), so a
+  cancel costs O(1) amortised.  The entry was counted when it was scheduled
+  and stays counted; a cancelled entry never moves the clock.
+
 Removing an entry whose pop runs nothing cannot reorder the entries that
 remain.  Taking an idle CPU on the spot starts the same service at the same
 ``now`` for the same duration; its timer is only created earlier *within*
@@ -55,12 +65,15 @@ every output is byte-identical with 30–40 % fewer kernel events per message
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Cancelled, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
+
+#: Cancelled entries tolerated in the heap before a rebuild is considered.
+_REBUILD_MIN_CANCELLED = 100
 
 
 class EmptySchedule(Exception):
@@ -84,7 +97,7 @@ class Simulator:
     fully deterministic without relying on heap stability.
     """
 
-    __slots__ = ("rng", "_now", "_queue", "_seq", "_active_process")
+    __slots__ = ("rng", "_now", "_queue", "_seq", "_active_process", "_cancelled")
 
     def __init__(self, seed: int = 0):
         self.rng = RngStreams(seed)
@@ -92,6 +105,9 @@ class Simulator:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq: int = 0
         self._active_process: Optional[Process] = None
+        #: Cancelled timers still sitting in ``_queue``.  They are the only
+        #: heap entries whose event is already marked processed.
+        self._cancelled: int = 0
 
     # -- clock -------------------------------------------------------------
     @property
@@ -106,8 +122,9 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Heap occupancy — a read-only probe for telemetry samplers."""
-        return len(self._queue)
+        """Live heap entries (cancelled timers excluded) — a read-only probe
+        for telemetry samplers."""
+        return len(self._queue) - self._cancelled
 
     @property
     def events_scheduled(self) -> int:
@@ -177,13 +194,48 @@ class Simulator:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn()`` at absolute time ``when`` (>= now)."""
+    def call_at(self, when: float, fn: Callable[[], None]) -> Timeout:
+        """Run ``fn()`` at absolute time ``when`` (>= now); the returned
+        timer can be withdrawn with :meth:`cancel`."""
         if when < self._now:
             raise ValueError(f"call_at({when}) is in the past (now={self._now})")
         ev = self.timeout(when - self._now)
         ev.add_callback(lambda _e: fn())
         return ev
+
+    def cancel(self, timer: Timeout) -> None:
+        """Withdraw ``timer``: it will never run a callback.
+
+        Its callbacks are dropped at once; its heap entry is skipped when
+        popped (see the module docstring).  The timer then reads as a
+        processed, defused failure with :class:`Cancelled`, so a later
+        ``yield`` on it raises instead of waiting forever.  Cancelling a
+        timer that already fired is a no-op; cancelling one a process is
+        waiting on raises — interrupt the process instead.
+        """
+        if not isinstance(timer, Timeout):
+            raise TypeError(f"only a Timeout can be cancelled, not {timer!r}")
+        if timer._processed:
+            return
+        for callback in timer.callbacks or ():
+            if isinstance(getattr(callback, "__self__", None), Process):
+                raise RuntimeError(
+                    f"cannot cancel {timer!r}: process "
+                    f"{callback.__self__.name!r} is waiting on it"
+                )
+        timer.callbacks = None
+        timer._processed = True
+        timer._ok = False
+        timer._defused = True
+        timer._value = Cancelled()
+        self._cancelled = cancelled = self._cancelled + 1
+        queue = self._queue
+        if cancelled > _REBUILD_MIN_CANCELLED and 2 * cancelled > len(queue):
+            # In place: a running loop holds ``queue`` as a local.  Keys
+            # (time, seq) are unique, so the survivors pop in the same order.
+            queue[:] = [entry for entry in queue if not entry[2]._processed]
+            heapify(queue)
+            self._cancelled = 0
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -193,11 +245,16 @@ class Simulator:
         heappush(self._queue, (self._now + delay, seq, event))
 
     def peek(self) -> float:
-        """Time of the next event, or ``inf`` when the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
+        """Time of the next live event, or ``inf`` when none is left."""
+        queue = self._queue
+        while queue and queue[0][2]._processed:  # a cancelled timer
+            heappop(queue)
+            self._cancelled -= 1
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one event (cancelled timers are skipped)."""
+        self.peek()  # discards cancelled entries at the head
         try:
             self._now, _, event = heappop(self._queue)
         except IndexError:
@@ -221,22 +278,28 @@ class Simulator:
             now = self._now
             while queue:
                 # Inlined step()/Event._process(): see module docstring.
-                # ``self._now`` is synced lazily — only before user code
-                # (callbacks, exceptions) can observe it; ``now`` is
-                # authoritative inside the loop.
+                # ``now`` is authoritative inside the loop; ``self._now``
+                # follows every live pop, so a cancelled timer's pop can
+                # restore ``now`` from it (cancelled entries never move the
+                # clock).
                 now, _, event = pop(queue)
                 callbacks = event.callbacks
-                event._processed = True
                 if callbacks is not None:
+                    event._processed = True
                     self._now = now
                     event.callbacks = None
                     for callback in callbacks:
                         callback(event)
                     if not event._ok and not event._defused:
                         raise event._value
-                elif not event._ok and not event._defused:
+                elif event._processed:
+                    self._cancelled -= 1
+                    now = self._now
+                else:
+                    event._processed = True
                     self._now = now
-                    raise event._value
+                    if not event._ok and not event._defused:
+                        raise event._value
             self._now = now
             return
         if until < self._now:
@@ -245,17 +308,21 @@ class Simulator:
         while queue and queue[0][0] <= until:
             now, _, event = pop(queue)
             callbacks = event.callbacks
-            event._processed = True
             if callbacks is not None:
+                event._processed = True
                 self._now = now
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-            elif not event._ok and not event._defused:
-                self._now = now
-                raise event._value
+            elif event._processed:
+                self._cancelled -= 1
+            else:
+                event._processed = True
+                if not event._ok and not event._defused:
+                    self._now = now
+                    raise event._value
         self._now = max(now, until)
 
     def run_process(self, generator: Generator[Event, Any, Any]) -> Any:
@@ -267,7 +334,11 @@ class Simulator:
         queue = self._queue
         pop = heappop
         while queue and not proc._processed:
-            self._now, _, event = pop(queue)
+            now, _, event = pop(queue)
+            if event._processed:
+                self._cancelled -= 1
+                continue
+            self._now = now
             callbacks = event.callbacks
             event._processed = True
             if callbacks is not None:

@@ -164,7 +164,8 @@ class HttpClient:
                 continue
             if timeout is not None:
                 receive_ev = channel.receive()
-                yield self.sim.any_of([receive_ev, self.sim.timeout(timeout)])
+                deadline = self.sim.timeout(timeout)
+                yield self.sim.any_of([receive_ev, deadline])
                 if not receive_ev.triggered:
                     channel.close()
                     self._channel = None
@@ -172,6 +173,8 @@ class HttpClient:
                         f"no response from {self.server_host}:{self.port} "
                         f"within {timeout}s"
                     )
+                # The response won: the deadline's pop would run nothing.
+                self.sim.cancel(deadline)
                 delivery = receive_ev.value
             else:
                 delivery = yield channel.receive()
