@@ -1,13 +1,19 @@
 """Vectorized generator-cohort dynamics and rate integration.
 
 A homogeneous cohort — contiguous ``gen_id`` range, one capacity, one site
-— evolves as arrays: the mean-reverting power process, breaker trips,
-voltage sag and frequency noise of :class:`repro.powergrid.generator.
-PowerGenerator` computed for the whole cohort in a handful of numpy ops.
-Randomness comes from :mod:`repro.powergrid.noise` (counter-based, keyed by
-``(seed, gen_id, seq, field)``), so the *same* functions evaluated over a
-length-1 array reproduce one generator's trajectory bit-for-bit — the
-zoom escape hatch of :mod:`repro.powergrid.fleet_engine`.
+— evolves as arrays.  Randomness comes from :mod:`repro.powergrid.noise`
+(counter-based: a message's :func:`~repro.powergrid.noise.key` of
+``(seed, gen_id, seq)`` plus a field tag), so the *same* functions
+evaluated over a length-1 array reproduce one generator's trajectory
+bit-for-bit — the zoom escape hatch of :mod:`repro.powergrid.fleet_engine`.
+
+:meth:`CohortDynamics.breaker` is the trip/reclose rule, the only piece of
+generator state a fleet outcome reads (it sets the payload size); the fleet
+engine calls it alone.  :meth:`CohortDynamics.step` is the full
+:class:`repro.powergrid.generator.PowerGenerator` reading — the
+mean-reverting power process, voltage sag and frequency noise, built on
+the same key and the same breaker rule — kept as the vectorized twin of
+``PowerGenerator.sample``.
 
 :func:`advance_interval` is the cohort-wide twin of
 :func:`repro.powergrid.rates.rate_sleep`: it integrates a
@@ -78,8 +84,14 @@ class CohortDynamics:
     def initial_power(self, gen_ids: Any) -> np.ndarray:
         """Start between 20 % and 80 % of capacity (the generator's init)."""
         return self.spec.capacity_kw * noise.uniform(
-            self.seed, gen_ids, 0, noise.FIELD_INIT, 0.2, 0.8
+            noise.key(self.seed, gen_ids, 0), noise.FIELD_INIT, 0.2, 0.8
         )
+
+    def breaker(self, k: np.ndarray, closed: np.ndarray) -> np.ndarray:
+        """The breaker state after one message keyed ``k``: a closed breaker
+        trips with ``trip_probability``, an open one recloses with 0.2."""
+        u = noise.u01(k, noise.FIELD_TRIP)
+        return np.where(closed, u >= self.spec.trip_probability, u < 0.2)
 
     def step(
         self,
@@ -94,24 +106,22 @@ class CohortDynamics:
         noise, clip to capacity, one trip/reclose draw, load-coupled voltage
         sag, frequency jitter, and the same per-field rounding.
         """
+        k = noise.key(self.seed, gen_ids, seqs)
         cap = self.spec.capacity_kw
         target = 0.55 * cap
         power = power + 0.15 * (target - power) + 0.06 * cap * noise.normal(
-            self.seed, gen_ids, seqs, noise.FIELD_POWER
+            k, noise.FIELD_POWER
         )
         power = np.clip(power, 0.0, cap)
-        u = noise.u01(self.seed, gen_ids, seqs, noise.FIELD_TRIP)
-        closed = np.where(
-            breaker_closed, u >= self.spec.trip_probability, u < 0.2
-        )
+        closed = self.breaker(k, breaker_closed)
         out = np.where(closed, power, 0.0)
         voltage = self.NOMINAL_VOLTAGE * (
             1.0
             - 0.01 * out / cap
-            + 0.002 * noise.normal(self.seed, gen_ids, seqs, noise.FIELD_VOLT)
+            + 0.002 * noise.normal(k, noise.FIELD_VOLT)
         )
         frequency = self.NOMINAL_FREQUENCY + 0.01 * noise.normal(
-            self.seed, gen_ids, seqs, noise.FIELD_FREQ
+            k, noise.FIELD_FREQ
         )
         reading = {
             "power_kw": np.round(out, 3),
@@ -127,7 +137,7 @@ def warmup_times(
 ) -> np.ndarray:
     """Per-generator warm-up sleeps in ``[lo, hi)`` (paper: 10-20 s)."""
     return noise.uniform(
-        seed, gen_ids, 0, noise.FIELD_WARMUP, warmup_lo, warmup_hi
+        noise.key(seed, gen_ids, 0), noise.FIELD_WARMUP, warmup_lo, warmup_hi
     )
 
 

@@ -8,23 +8,32 @@ batched arrival processes — while keeping an **exactness escape hatch**:
 
 * **aggregate mode** — generators partition into :class:`CohortSpec`
   cohorts; each cohort is one :class:`repro.sim.CohortProcess` whose tick
-  (a single heap entry) emits the whole cohort's readings for the next
-  publish interval as array ops: OU power dynamics, breaker trips, voltage
-  sag, payload stamping, service latency, fault-window loss/duplicate
-  draws, all vectorized over the cohort;
+  (a single heap entry) emits the whole cohort's messages for the next
+  publish interval as array ops: breaker trips, payload size, service
+  latency, fault-window loss/duplicate draws, all vectorized over the
+  cohort;
 * **process mode / zoom** — the same generators as real sim processes,
-  one :func:`rate_sleep` timeout per message, stepping the same
-  :class:`~repro.powergrid.cohort.CohortDynamics` on length-1 arrays.
+  one :func:`rate_sleep` timeout per message, applying the same
+  :meth:`~repro.powergrid.cohort.CohortDynamics.breaker` on length-1
+  arrays.
 
 Both modes draw every random quantity from :mod:`repro.powergrid.noise`
-(counter-based, keyed ``(seed, gen_id, seq, field)``) and share every float
-expression — publish timestamps via
+(counter-based: one :func:`~repro.powergrid.noise.key` of
+``(seed, gen_id, seq)`` per emitted batch, shared by the breaker and the
+delivery draws) and share every float expression — publish timestamps via
 :func:`~repro.powergrid.cohort.advance_interval` mirroring
-:func:`~repro.powergrid.rates.rate_sleep`, dynamics via
+:func:`~repro.powergrid.rates.rate_sleep`, the breaker via
 :class:`CohortDynamics`, delivery via one service model — so an aggregate
 cohort and its zoomed per-process twin produce **identical** message sets:
 same timestamps, same payload bytes, same latencies, same loss/duplicate
 decisions.  :func:`verify_agreement` asserts exactly that.
+
+A draw is made iff the outcome reads it.  A :class:`FleetOutcome` depends
+on each message's breaker state (payload size), service jitter and, inside
+loss windows, the loss and duplicate draws — not on the power, voltage or
+frequency a generator would report, so the engine never computes those
+(:meth:`CohortDynamics.step` still does, for callers that want readings).
+Counter-based keys make skipping a draw safe: no other draw's value moves.
 
 Delivery is an analytic per-middleware service model (base + payload +
 load terms with counter-keyed jitter), calibrated to the paper's measured
@@ -221,17 +230,23 @@ class _DeliverySink:
     def __init__(
         self,
         middleware: str,
-        seed: int,
         n_publishers: int,
         loss_windows: tuple[tuple[float, float, float], ...],
         payload_multiplier: int = 1,
     ):
         self.model = SERVICE_MODELS[middleware]
         self.middleware = middleware
-        self.seed = seed
-        self.n_publishers = n_publishers
         self.loss_windows = loss_windows
-        self.payload_multiplier = payload_multiplier
+        model = self.model
+        # The deterministic latency term of a closed / a tripped breaker's
+        # message — payload_bytes takes two values, so it is two floats.
+        self._base_closed, self._base_tripped = (
+            model.base_s
+            + model.per_byte_s * payload_bytes(
+                middleware, np.array([True, False]), payload_multiplier
+            )
+            + model.per_publisher_s * n_publishers
+        )
         self.published = 0
         self.lost = 0
         self.duplicates = 0
@@ -245,52 +260,37 @@ class _DeliverySink:
 
     def emit(
         self,
-        gen_ids: np.ndarray,
-        seqs: np.ndarray,
         times: np.ndarray,
-        reading: dict[str, np.ndarray],
+        closed: np.ndarray,
+        k: np.ndarray,
         batched: bool,
     ) -> None:
+        """Deliver one batch: messages stamped ``times`` whose breakers read
+        ``closed``, drawing from the batch's noise key ``k``."""
         model = self.model
-        nbytes = payload_bytes(
-            self.middleware, reading["breaker_closed"], self.payload_multiplier
-        )
-        lat = (
-            model.base_s
-            + model.per_byte_s * nbytes
-            + model.per_publisher_s * self.n_publishers
-            + noise.exponential(
-                self.seed, gen_ids, seqs, noise.FIELD_SERVICE,
-                model.jitter_mean_s,
-            )
-        )
-        lost = np.zeros(times.shape, dtype=bool)
-        dup = np.zeros(times.shape, dtype=bool)
+        lat = np.where(closed, self._base_closed, self._base_tripped)
+        lat += noise.exponential(k, noise.FIELD_SERVICE, model.jitter_mean_s)
         if self.loss_windows:
-            u = noise.u01(self.seed, gen_ids, seqs, noise.FIELD_LOSS)
+            u = noise.u01(k, noise.FIELD_LOSS)
             hit = np.zeros(times.shape, dtype=bool)
             for at, until, p in self.loss_windows:
                 hit |= (times >= at) & (times < until) & (u < p)
             if model.delivery == "at_most_once":
-                lost = hit
-            elif model.delivery == "retry":
+                self.lost += int(hit.sum())
+                lat = lat[~hit]
+            else:  # retry / at_least_once: redelivered late
                 lat = np.where(hit, lat + model.retry_penalty_s, lat)
-            else:  # at_least_once
-                lat = np.where(hit, lat + model.retry_penalty_s, lat)
-                dup = hit & (
-                    noise.u01(self.seed, gen_ids, seqs, noise.FIELD_DUP) < 0.5
-                )
+                if model.delivery == "at_least_once":
+                    dup = hit & (noise.u01(k, noise.FIELD_DUP) < 0.5)
+                    self.duplicates += int(dup.sum())
         self.published += int(times.size)
-        self.lost += int(lost.sum())
-        self.duplicates += int(dup.sum())
-        delivered = lat[~lost]
-        if delivered.size:
-            self._latencies.append(delivered)
-        if self._hist is not None and delivered.size:
+        if lat.size:
+            self._latencies.append(lat)
+        if self._hist is not None and lat.size:
             if batched:
-                self._hist.add_many(delivered * 1e3)
+                self._hist.add_many(lat * 1e3)
             else:
-                for x in delivered:
+                for x in lat:
                     self._hist.observe(float(x) * 1e3)
 
     def summarise(
@@ -308,7 +308,7 @@ class _DeliverySink:
             lat = np.zeros(0)
         if lat.size:
             p50, p95, p99 = (
-                float(np.quantile(lat, q) * 1e3) for q in (0.50, 0.95, 0.99)
+                float(x) for x in np.quantile(lat, (0.50, 0.95, 0.99)) * 1e3
             )
             mean = float(lat.sum() / lat.size * 1e3)
             peak = float(lat[-1] * 1e3)
@@ -359,7 +359,6 @@ class _CohortEngine:
         self.stop = start + params.duration
         self.next_pub = start.copy()
         self.seq = np.zeros(self.ids.shape, dtype=np.int64)
-        self.power = self.dynamics.initial_power(self.ids)
         self.closed = np.ones(self.ids.shape, dtype=bool)
         self.process = CohortProcess(
             sim, self.on_tick, at=float(start.min())
@@ -376,29 +375,25 @@ class _CohortEngine:
         """
         horizon = now + self.params.publish_interval
         while True:
-            due = self.next_pub < horizon
-            if not due.any():
+            due = np.flatnonzero(self.next_pub < horizon)
+            if not due.size:
                 break
             t = self.next_pub[due]
             ids = self.ids[due]
             seqs = self.seq[due] + 1
             self.seq[due] = seqs
-            power, closed, reading = self.dynamics.step(
-                ids, seqs, self.power[due], self.closed[due]
-            )
-            self.power[due] = power
+            k = noise.key(self.dynamics.seed, ids, seqs)
+            closed = self.dynamics.breaker(k, self.closed[due])
             self.closed[due] = closed
-            self.sink.emit(ids, seqs, t, reading, batched=True)
+            self.sink.emit(t, closed, k, batched=True)
             stop = self.stop[due]
             nxt = advance_interval(
                 self.schedule, ids, t, self.params.publish_interval, stop
             )
             alive = (nxt < stop) & (nxt > t)
             self.next_pub[due] = np.where(alive, nxt, np.inf)
-        pending = self.next_pub[np.isfinite(self.next_pub)]
-        if pending.size == 0:
-            return None
-        return float(pending.min())
+        earliest = float(self.next_pub.min())  # inf: every generator retired
+        return None if earliest == np.inf else earliest
 
 
 def _gen_process(
@@ -413,21 +408,20 @@ def _gen_process(
 ) -> Generator[Any, Any, None]:
     """One zoomed generator: a real sim process, one timeout per message.
 
-    Steps the same :class:`CohortDynamics` on length-1 arrays and sleeps
-    through the real :func:`rate_sleep`, so its trajectory is bit-identical
-    to the aggregate path's row for this ``gen_id``.
+    Applies the same :meth:`CohortDynamics.breaker` on length-1 arrays and
+    sleeps through the real :func:`rate_sleep`, so its trajectory is
+    bit-identical to the aggregate path's row for this ``gen_id``.
     """
     dynamics = CohortDynamics(seed, spec)
     ids = np.array([gen_id], dtype=np.int64)
-    power = dynamics.initial_power(ids)
     closed = np.ones(1, dtype=bool)
     seq = 0
     while True:
         t = sim.now
         seq += 1
-        seqs = np.array([seq], dtype=np.int64)
-        power, closed, reading = dynamics.step(ids, seqs, power, closed)
-        sink.emit(ids, seqs, np.array([t]), reading, batched=False)
+        k = noise.key(seed, ids, seq)
+        closed = dynamics.breaker(k, closed)
+        sink.emit(np.array([t]), closed, k, batched=False)
         yield from rate_sleep(
             sim, schedule, gen_id, params.publish_interval, stop
         )
@@ -492,6 +486,13 @@ def run_fleet_point(
         raise ValueError(f"unknown fleet mode {mode!r}")
     if zoom is not None and mode != "aggregate":
         raise ValueError("zoom only applies to aggregate mode")
+    for name, value in (
+        ("n_publishers", n_publishers),
+        ("cohort_size", cohort_size),
+        ("payload_multiplier", payload_multiplier),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     params = FleetRunParams.from_scale(scale, n_publishers)
     plan = None
     if fault_plan is not None:
@@ -499,8 +500,7 @@ def run_fleet_point(
     t0 = time.perf_counter()
     sim = Simulator(seed=seed)
     sink = _DeliverySink(
-        middleware, seed, n_publishers, loss_windows_of(plan),
-        payload_multiplier,
+        middleware, n_publishers, loss_windows_of(plan), payload_multiplier
     )
     if mode == "process":
         aggregate_ranges: list[tuple[int, int]] = []

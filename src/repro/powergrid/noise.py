@@ -10,9 +10,20 @@ path) or a whole cohort (the aggregate path) through identical numpy ops —
 which is what makes aggregate and zoomed runs agree bit-for-bit, the
 exactness contract ``tests/powergrid/test_fleet_engine.py`` asserts.
 
+A draw is split in two.  :func:`key` mixes ``(seed, gen_id, seq)`` — two of
+the three splitmix rounds — once per message batch; the field functions
+(:func:`u01`, :func:`normal`, :func:`exponential`, :func:`uniform`) take
+that key and run the last round with their ``field`` on a scratch buffer
+they own, in place.  They never write into the key or into any array the
+caller passed, so one key serves every field of a batch, in any order.
+Because no draw depends on another, a draw nobody reads is simply not
+made — no other draw moves.
+
 Normals come from Box-Muller over two derived uniforms (``log1p(-u)`` keeps
-``u = 0`` finite); exponentials from inversion.  All helpers accept scalars
-or arrays and return ``float64`` numpy arrays of the broadcast shape.
+``u = 0`` finite); exponentials from inversion.  :func:`key` accepts
+scalars or arrays (``seqs`` may be a float array of whole numbers) and
+returns a ``uint64`` array of the broadcast shape; the field functions
+return ``float64`` arrays of the key's shape.
 """
 
 from __future__ import annotations
@@ -42,44 +53,73 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / float(1 << 53)
 
 
-def _splitmix(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+def _splitmix(x: np.ndarray, tmp: np.ndarray) -> None:
+    """The splitmix64 finalizer, in place on ``x`` (``tmp``: same-shape
+    scratch).  uint64 array arithmetic wraps silently."""
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= _MIX1
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= _MIX2
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
 
 
-def _hash(seed: int, gen_ids: Any, seqs: Any, field: Any) -> np.ndarray:
+def key(seed: int, gen_ids: Any, seqs: Any) -> np.ndarray:
+    """The ``(seed, gen_id, seq)`` prefix every field of a message shares."""
     g = np.asarray(gen_ids, dtype=np.uint64)
     s = np.asarray(seqs, dtype=np.uint64)
-    f = np.asarray(field, dtype=np.uint64)
+    shape = np.broadcast_shapes(g.shape, s.shape)
+    x = np.empty(shape, dtype=np.uint64)
+    tmp = np.empty(shape, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        x = _splitmix(g ^ (np.uint64(seed) * _GOLDEN))
-        x = _splitmix(x ^ (s * _GOLDEN))
-        return _splitmix(x ^ f)
+        np.bitwise_xor(g, np.uint64(seed) * _GOLDEN, out=x)
+    _splitmix(x, tmp)
+    np.multiply(s, _GOLDEN, out=tmp)
+    x ^= tmp
+    _splitmix(x, tmp)
+    return x
 
 
-def u01(seed: int, gen_ids: Any, seqs: Any, field: Any) -> np.ndarray:
+def u01(k: np.ndarray, field: Any) -> np.ndarray:
     """Uniform in ``[0, 1)``, a pure function of ``(seed, gen, seq, field)``."""
-    return (_hash(seed, gen_ids, seqs, field) >> np.uint64(11)) * _INV_2_53
+    x = np.empty(k.shape, dtype=np.uint64)
+    out = np.empty(k.shape, dtype=np.uint64)
+    np.bitwise_xor(k, np.uint64(field), out=x)
+    _splitmix(x, out)
+    x >>= np.uint64(11)
+    # The scratch word buffer becomes the result: every value < 2**53
+    # converts to float64 exactly.
+    return np.multiply(x, _INV_2_53, out=out.view(np.float64))
 
 
-def normal(seed: int, gen_ids: Any, seqs: Any, field: int) -> np.ndarray:
+def normal(k: np.ndarray, field: int) -> np.ndarray:
     """Standard normal via Box-Muller over two derived uniforms."""
-    u1 = u01(seed, gen_ids, seqs, np.uint64(field))
-    u2 = u01(seed, gen_ids, seqs, np.uint64(field) + _SECOND)
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    r = u01(k, field)
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = u01(k, np.uint64(field) + _SECOND)
+    theta *= 2.0 * np.pi
+    np.cos(theta, out=theta)
+    r *= theta
+    return r
 
 
-def exponential(
-    seed: int, gen_ids: Any, seqs: Any, field: int, mean: float
-) -> np.ndarray:
+def exponential(k: np.ndarray, field: int, mean: float) -> np.ndarray:
     """Exponential of the given mean, by inversion."""
-    return -mean * np.log1p(-u01(seed, gen_ids, seqs, field))
+    x = u01(k, field)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x *= -mean
+    return x
 
 
-def uniform(
-    seed: int, gen_ids: Any, seqs: Any, field: int, lo: float, hi: float
-) -> np.ndarray:
+def uniform(k: np.ndarray, field: int, lo: float, hi: float) -> np.ndarray:
     """Uniform in ``[lo, hi)``."""
-    return lo + (hi - lo) * u01(seed, gen_ids, seqs, field)
+    x = u01(k, field)
+    x *= hi - lo
+    x += lo
+    return x
