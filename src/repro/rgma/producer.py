@@ -21,7 +21,13 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.rgma.errors import RGMAException
 from repro.rgma.registry import Registry, RGMAConfig
-from repro.rgma.sql import Insert, RowView, parse_sql, render_insert
+from repro.rgma.sql import (
+    Insert,
+    RowView,
+    insert_template,
+    parse_sql,
+    render_insert,
+)
 from repro.rgma.storage import Tuple, TupleStore
 from repro.telemetry.context import current as _telemetry
 from repro.transport.base import ChannelClosed, MessageLost
@@ -30,6 +36,7 @@ from repro.transport.http import HttpClient
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.rgma.consumer import ConsumerResource
+    from repro.rgma.schema import Schema
     from repro.rgma.servlet import ServletContainer
     from repro.sim.kernel import Simulator
 
@@ -199,6 +206,50 @@ def registry_schema(registry: Registry):
     return schema
 
 
+def insert_body_row(schema: "Schema", body: dict[str, Any]) -> dict[str, Any]:
+    """The row an insert servlet stores for one request body.
+
+    The body carries a statement — a ``?`` template from the producer
+    clients, or a literal INSERT, whose empty params make the bind the
+    identity — and its ``params``.  The statement parse is memoised, so a
+    producer's template is lexed once, not once per tuple.  Raises
+    :class:`RGMAException` (the servlet's 500) for anything malformed.
+    """
+    sql = body.get("sql")
+    if not isinstance(sql, str):
+        raise RGMAException("insert request carries no SQL text")
+    stmt = parse_sql(sql)
+    if not isinstance(stmt, Insert):
+        raise RGMAException("expected INSERT")
+    table = schema.table(stmt.table)
+    columns = stmt.columns or table.column_names()
+    params = body.get("params", ())
+    if not isinstance(params, (tuple, list)):
+        raise RGMAException("insert params must be a sequence")
+    values = stmt.bind(params).values
+    if len(columns) != len(values):
+        raise RGMAException("column/value count mismatch")
+    return dict(zip(columns, values))
+
+
+def insert_request(
+    resource_id: str, table_name: str, row: dict[str, Any], meta: dict
+) -> tuple[dict[str, Any], int]:
+    """The body and wire size of one prepared-INSERT request.
+
+    The body sends the table's ``?`` template and the row's values; the
+    wire size stays that of the literal statement the paper's generators
+    sent (§III.F), plus resource id / framing.
+    """
+    body = {
+        "resource_id": resource_id,
+        "sql": insert_template(table_name, tuple(row)),
+        "params": tuple(row.values()),
+        "meta": meta,
+    }
+    return body, len(render_insert(table_name, row)) + 64
+
+
 # --------------------------------------------------------------- client API
 
 class PrimaryProducerClient:
@@ -241,16 +292,13 @@ class PrimaryProducerClient:
         """Publish one row; returns the Publishing Response Time (PRT)."""
         if self.resource_id is None:
             raise RGMAException("insert before create()")
-        sql = render_insert(self.table_name, row)
         meta = dict(meta or {})
         meta["t_before_send"] = self.sim.now
         started = self.sim.now
-        body_bytes = len(sql) + 64  # SQL text + resource id / framing
-        response = yield from self.http.request(
-            "/pp/insert",
-            {"resource_id": self.resource_id, "sql": sql, "meta": meta},
-            body_bytes,
+        body, body_bytes = insert_request(
+            self.resource_id, self.table_name, row, meta
         )
+        response = yield from self.http.request("/pp/insert", body, body_bytes)
         if response.status == 200:
             self.inserts_ok += 1
         else:

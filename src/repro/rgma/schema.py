@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 from repro.rgma.errors import RGMAException
@@ -22,6 +23,12 @@ class ColumnDef:
     name: str
     sql_type: str  # INTEGER | REAL | DOUBLE | VARCHAR(n) | CHAR(n) | TIMESTAMP
 
+    @cached_property
+    def _width(self) -> Optional[int]:
+        # The CHAR width is parsed once, not on every validate.
+        m = _CHAR_RE.match(self.sql_type)
+        return int(m.group(2)) if m else None
+
     def validate(self, value: Any) -> None:
         if value is None:
             return
@@ -33,14 +40,14 @@ class ColumnDef:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise RGMAException(f"column {self.name}: expected {t}")
         else:
-            m = _CHAR_RE.match(t)
-            if m is None:
+            width = self._width
+            if width is None:
                 raise RGMAException(f"column {self.name}: unknown type {t}")
             if not isinstance(value, str):
                 raise RGMAException(f"column {self.name}: expected string")
-            if len(value) > int(m.group(2)):
+            if len(value) > width:
                 raise RGMAException(
-                    f"column {self.name}: string longer than {m.group(2)}"
+                    f"column {self.name}: string longer than {width}"
                 )
 
     def storage_bytes(self) -> int:
@@ -50,9 +57,8 @@ class ColumnDef:
             return 4
         if t in ("REAL", "DOUBLE", "TIMESTAMP"):
             return 8
-        m = _CHAR_RE.match(t)
-        assert m is not None
-        return int(m.group(2))
+        assert self._width is not None
+        return self._width
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,27 @@ class TableDef:
     columns: tuple[ColumnDef, ...]
     primary_key: tuple[str, ...]
 
+    # The table's shape is read once: every stored row consults it.
+    @cached_property
+    def _by_name(self) -> dict[str, ColumnDef]:
+        return {c.name: c for c in self.columns}
+
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self.columns)
+
+    @cached_property
+    def _row_bytes(self) -> int:
+        return sum(c.storage_bytes() for c in self.columns) + 8  # + timestamp
+
     def column(self, name: str) -> ColumnDef:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise RGMAException(f"table {self.name}: no column {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise RGMAException(f"table {self.name}: no column {name!r}") from None
 
     def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+        return self._names
 
     def validate_row(self, row: dict[str, Any]) -> None:
         for key in row:
@@ -79,7 +98,7 @@ class TableDef:
 
     def row_bytes(self) -> int:
         """Nominal row footprint (used for wire/heap modelling)."""
-        return sum(c.storage_bytes() for c in self.columns) + 8  # + timestamp
+        return self._row_bytes
 
     def key_of(self, row: dict[str, Any]) -> tuple:
         return tuple(row.get(pk) for pk in self.primary_key)

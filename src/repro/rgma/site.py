@@ -24,11 +24,12 @@ from repro.rgma.producer import (
     PrimaryProducerClient,
     PrimaryProducerResource,
     SecondaryProducerResource,
+    insert_body_row,
 )
 from repro.rgma.registry import Registry, RGMAConfig
 from repro.rgma.schema import Schema, grid_monitoring_table
 from repro.rgma.servlet import ServletContainer
-from repro.rgma.sql import Insert, RowView, Select, parse_sql
+from repro.rgma.sql import RowView, Select, parse_sql
 from repro.telemetry.context import current as _telemetry
 from repro.transport.http import HttpRequest
 from repro.transport.tcp import TcpTransport
@@ -80,18 +81,11 @@ class RGMASite:
         return 200, {"resource_id": resource_id}, 100
 
     def _pp_insert(self, request: HttpRequest) -> Generator[Any, Any, tuple]:
-        resource = self.producers.get(request.body["resource_id"])
+        resource = self.producers.get(request.body.get("resource_id"))
         if resource is None:
             return 500, {"error": "no such producer resource"}, 120
         yield from self.container.node.execute(self.config.insert_cpu)
-        stmt = parse_sql(request.body["sql"])
-        if not isinstance(stmt, Insert):
-            return 500, {"error": "expected INSERT"}, 120
-        table = self.registry.schema.table(stmt.table)
-        columns = stmt.columns or table.column_names()
-        if len(columns) != len(stmt.values):
-            return 500, {"error": "column/value count mismatch"}, 120
-        row = dict(zip(columns, stmt.values))
+        row = insert_body_row(self.registry.schema, request.body)
         meta = request.body.get("meta") or {}
         resource.insert_row(row, meta)
         return 200, {}, 40

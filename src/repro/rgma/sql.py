@@ -4,13 +4,25 @@
 statement" (paper §II.A).  WHERE predicates reuse the SQL-92 conditional
 engine from :mod:`repro.jms.selector` (the grammar is the same subset),
 evaluated against a row view — this is R-GMA's content-based filtering.
+
+An INSERT may carry ``?`` placeholders in its VALUES list, bound per row by
+:meth:`Insert.bind` — the producer model of arXiv cs/0308024, where a
+producer declares its table once and then inserts rows into it.  A producer
+client therefore sends one statement *shape* per table plus each row's
+values, and :func:`parse_sql` is memoised on the statement text, so the
+server lexes a shape once rather than once per tuple.  Every statement is
+a frozen dataclass (and a compiled :class:`Selector` holds no state), so a
+cached statement is safe to share; a malformed text is not cached and
+raises on every call.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any, Optional, Sequence
 
 from repro.jms.selector import Selector
 from repro.rgma.errors import RGMAException
@@ -24,7 +36,7 @@ _SQL_TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<string>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<punct><>|<=|>=|[(),*=\-<>+/])
+  | (?P<punct><>|<=|>=|[(),*=\-<>+/?])
     """,
     re.VERBOSE,
 )
@@ -73,11 +85,39 @@ class CreateTable:
     primary_key: tuple[str, ...]
 
 
+class _Placeholder:
+    """The ``?`` literal: a value bound per row by :meth:`Insert.bind`."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "?"
+
+
+PARAM = _Placeholder()
+
+
 @dataclass(frozen=True)
 class Insert:
     table: str
     columns: tuple[str, ...]
-    values: tuple[Any, ...]
+    values: tuple[Any, ...]  # a ``?`` placeholder is PARAM
+
+    def bind(self, params: Sequence[Any] = ()) -> "Insert":
+        """Substitute ``params`` for the ``?`` placeholders, in order.
+
+        Each bound value is stored as the literal INSERT would store it
+        (:func:`_bound_value`), so binding stores nothing a literal could
+        not.  With no placeholders and no params, binding is the identity.
+        """
+        slots = sum(v is PARAM for v in self.values)
+        if len(params) != slots:
+            raise RGMAException(f"{slots} placeholders but {len(params)} params")
+        if not params:
+            return self
+        bound = iter([_bound_value(i, p) for i, p in enumerate(params)])
+        values = tuple(next(bound) if v is PARAM else v for v in self.values)
+        return Insert(self.table, self.columns, values)
 
 
 @dataclass(frozen=True)
@@ -222,6 +262,8 @@ class _SqlParser:
         tok = self.next()
         if tok.kind in ("num", "str"):
             return tok.value
+        if tok.kind == "?":
+            return PARAM
         if tok.kind == "ident" and tok.value.upper() == "NULL":
             return None
         if tok.kind == "-":
@@ -261,20 +303,55 @@ class _SqlParser:
         return Select(table, tuple(columns), None, None)
 
 
+@lru_cache(maxsize=256)
 def parse_sql(text: str) -> CreateTable | Insert | Select:
-    """Parse one SQL statement of the supported subset."""
+    """Parse one SQL statement of the supported subset (memoised on text)."""
     return _SqlParser(text).parse()
 
 
-def render_insert(table: str, row: dict[str, Any]) -> str:
-    """Build the INSERT statement for a row (what generator clients send).
+def insert_template(table: str, columns: Sequence[str]) -> str:
+    """The prepared INSERT for ``columns``: one ``?`` per value."""
+    marks = ", ".join("?" * len(columns))
+    return f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({marks})"
 
-    The paper's monitoring data "were wrapped in an SQL statement" (§III.F);
-    rendering and parsing the real text keeps the byte counts honest.
+
+def render_insert(table: str, row: dict[str, Any]) -> str:
+    """Build the literal INSERT statement for a row.
+
+    The paper's monitoring data "were wrapped in an SQL statement" (§III.F):
+    this is the text its generators sent.  The rendered length is the wire
+    size; the server parses the template once (:func:`insert_template`)
+    and binds each row's values to it.
     """
     cols = ", ".join(row)
     vals = ", ".join(_render_literal(v) for v in row.values())
     return f"INSERT INTO {table} ({cols}) VALUES ({vals})"
+
+
+def _bound_value(index: int, value: Any) -> Any:
+    """What the literal INSERT stores for ``value``, the ``index``-th param.
+
+    An exact ``int`` or ``str``, ``None`` or a finite ``float`` is its own
+    literal.  Anything else stores what its rendered text parses to — a
+    NumPy integer or an ``int``/``str`` subclass becomes the plain value —
+    and is refused, naming the parameter, when that text is no literal
+    (``True``, ``nan``, ``inf``, ``np.float64(1.5)``).
+    """
+    kind = type(value)
+    if kind is int or kind is str or value is None or (
+        kind is float and math.isfinite(value)
+    ):
+        return value
+    try:
+        parser = _SqlParser(f"({_render_literal(value)})")
+        parser.expect_punct("(")
+        literal = parser.parse_literal()
+        parser.expect_punct(")")
+        if literal is PARAM or parser.peek().kind != "eof":
+            raise RGMAException("not a single literal")
+    except RGMAException as exc:
+        raise RGMAException(f"parameter {index}: cannot bind {value!r}: {exc}") from None
+    return literal
 
 
 def _render_literal(value: Any) -> str:

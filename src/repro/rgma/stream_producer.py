@@ -20,6 +20,7 @@ from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.rgma.errors import RGMAException
+from repro.rgma.producer import insert_body_row, insert_request
 from repro.rgma.registry import Registry
 from repro.rgma.sql import RowView, Select, parse_sql
 from repro.rgma.storage import Tuple, TupleStore
@@ -185,14 +186,11 @@ class LegacyDeployment:
 
     def _make_insert(self, container: "ServletContainer"):
         def insert(request) -> Generator[Any, Any, tuple]:
-            resource = self.stream_producers.get(request.body["resource_id"])
+            resource = self.stream_producers.get(request.body.get("resource_id"))
             if resource is None or resource.container is not container:
                 return 500, {"error": "no such stream producer"}, 120
             yield from container.node.execute(container.config.insert_cpu)
-            stmt = parse_sql(request.body["sql"])
-            table = self.deployment.registry.schema.table(stmt.table)
-            columns = stmt.columns or table.column_names()
-            row = dict(zip(columns, stmt.values))
+            row = insert_body_row(self.deployment.registry.schema, request.body)
             yield from resource.insert_row(row, request.body.get("meta"))
             return 200, {}, 40
 
@@ -271,17 +269,15 @@ class StreamProducerClient:
     def insert(
         self, row: dict[str, Any], meta: Optional[dict] = None
     ) -> Generator[Any, Any, None]:
-        from repro.rgma.sql import render_insert
-
         if self.resource_id is None:
             raise RGMAException("insert before create()")
-        sql = render_insert(self.table_name, row)
         meta = dict(meta or {})
         meta["t_before_send"] = self.sim.now
+        body, body_bytes = insert_request(
+            self.resource_id, self.table_name, row, meta
+        )
         response = yield from self.http.request(
-            "/sp_legacy/insert",
-            {"resource_id": self.resource_id, "sql": sql, "meta": meta},
-            len(sql) + 64,
+            "/sp_legacy/insert", body, body_bytes
         )
         if response.status != 200:
             raise RGMAException(f"legacy insert failed: {response.body}")

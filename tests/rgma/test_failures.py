@@ -158,3 +158,63 @@ def test_consumer_close_stops_streaming():
     sim.run_process(run())
     site = deployment.sites[0]
     assert all(r.closed for r in site.consumers.values()) or not site.consumers
+
+
+def legacy_single(seed=51):
+    from repro.rgma.stream_producer import LegacyDeployment
+
+    sim, cluster, deployment = single(seed=seed)
+    LegacyDeployment(deployment)
+    return sim, cluster, deployment
+
+
+def test_legacy_insert_of_a_select_500_not_crash():
+    sim, cluster, deployment = legacy_single()
+    client = http(sim, cluster, deployment)
+    rid = request(sim, client, "/sp_legacy/create", {"table": "gridmon"}).body[
+        "resource_id"
+    ]
+    response = request(
+        sim, client, "/sp_legacy/insert",
+        {"resource_id": rid, "sql": "SELECT * FROM gridmon"},
+    )
+    assert response.status == 500
+    assert "expected INSERT" in response.body["error"]
+
+
+@pytest.mark.parametrize(
+    "create, insert", [("/pp/create", "/pp/insert"),
+                       ("/sp_legacy/create", "/sp_legacy/insert")]
+)
+def test_short_insert_without_columns_500(create, insert):
+    """Too few values for the table's columns: refused, never truncated."""
+    sim, cluster, deployment = legacy_single()
+    client = http(sim, cluster, deployment)
+    rid = request(sim, client, create, {"table": "gridmon"}).body["resource_id"]
+    response = request(
+        sim, client, insert,
+        {"resource_id": rid, "sql": "INSERT INTO gridmon VALUES (1)"},
+    )
+    assert response.status == 500
+    assert "count mismatch" in response.body["error"]
+
+
+@pytest.mark.parametrize(
+    "create, insert", [("/pp/create", "/pp/insert"),
+                       ("/sp_legacy/create", "/sp_legacy/insert")]
+)
+@pytest.mark.parametrize("missing", ["sql", "resource_id"])
+def test_insert_body_missing_a_field_500(create, insert, missing):
+    sim, cluster, deployment = legacy_single()
+    client = http(sim, cluster, deployment)
+    rid = request(sim, client, create, {"table": "gridmon"}).body["resource_id"]
+    body = {"resource_id": rid, "sql": "INSERT INTO gridmon (genid) VALUES (1)"}
+    del body[missing]
+    response = request(sim, client, insert, body)
+    assert response.status == 500
+    # The container keeps serving.
+    ok = request(
+        sim, client, insert,
+        {"resource_id": rid, "sql": "INSERT INTO gridmon (genid) VALUES (2)"},
+    )
+    assert ok.status == 200
