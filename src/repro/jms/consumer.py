@@ -15,7 +15,7 @@ from repro.jms.destination import Destination, Topic
 from repro.jms.errors import IllegalStateException, InvalidDestinationException
 from repro.jms.message import Message
 from repro.jms.selector import parse_selector
-from repro.sim import Store
+from repro.sim import Store, TimedOut
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.jms.session import Session
@@ -67,7 +67,6 @@ class MessageConsumer:
             raise IllegalStateException("consumer is closed")
         if self.listener is not None:
             raise IllegalStateException("receive() on a consumer with a listener")
-        sim = self.session.sim
         if timeout == 0:
             if len(self._inbox):
                 message = self._inbox.get_nowait()
@@ -78,12 +77,11 @@ class MessageConsumer:
         if timeout is None:
             message = yield get_ev
         else:
-            deadline = sim.timeout(timeout)
-            outcome = yield sim.any_of([get_ev, deadline])
-            if get_ev not in outcome:
+            try:
+                message = yield from self.session.sim.wait_for(get_ev, timeout)
+            except TimedOut:
                 self._inbox.cancel_get(get_ev)
                 return None
-            message = get_ev.value
         yield from self._consumed(message)
         return message
 

@@ -64,7 +64,7 @@ threads are a collapsed broker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.cluster.jvm import OutOfMemoryError
@@ -125,6 +125,9 @@ class _FetchWaiter:
     #: Follower name when this is a parked replica fetch (woken by appends,
     #: not by high-watermark advances).
     replica: Optional[str] = None
+    #: The ``max_wait`` timer; cancelled once the fetch is answered or its
+    #: connection closes.
+    expiry: Any = field(repr=False, default=None)
 
 
 class PlogBroker(JvmServer):
@@ -222,7 +225,7 @@ class PlogBroker(JvmServer):
         for waiters in self._waiters.values():
             for waiter in waiters:
                 if waiter.channel is channel or waiter.channel is channel.peer:
-                    waiter.active = False
+                    self._unpark(waiter)
         if self.coordinator is not None:
             self.coordinator.on_disconnect(channel)
 
@@ -396,11 +399,15 @@ class PlogBroker(JvmServer):
             )
             return
         # Long poll: park without holding an I/O thread.
-        waiter = _FetchWaiter(channel, corr, topic, partition, offset, max_records)
-        self._waiters.setdefault(key, []).append(waiter)
+        self._park(_FetchWaiter(channel, corr, topic, partition, offset, max_records), max_wait)
+
+    def _park(self, waiter: _FetchWaiter, max_wait: float) -> None:
+        waiter.expiry = self.sim.call_at(
+            self.sim.now + max_wait, lambda: self._expire_waiter(waiter)
+        )
+        self._waiters.setdefault((waiter.topic, waiter.partition), []).append(waiter)
         self.stats.long_polls_parked += 1
         self._note_parked()
-        self.sim.call_at(self.sim.now + max_wait, lambda: self._expire_waiter(waiter))
 
     def _note_parked(self) -> None:
         """Mirror parked-fetch pressure into telemetry (current + total)."""
@@ -433,7 +440,7 @@ class PlogBroker(JvmServer):
             if (waiter.replica is not None) != replica:
                 remaining.append(waiter)
                 continue
-            waiter.active = False
+            self._unpark(waiter)
             self.sim.process(
                 self._respond_waiter(waiter), name=f"{self.name}.fetch-wake"
             )
@@ -443,10 +450,14 @@ class PlogBroker(JvmServer):
             self._waiters.pop(key, None)
         self._note_parked()
 
+    def _unpark(self, waiter: _FetchWaiter) -> None:
+        waiter.active = False
+        self.sim.cancel(waiter.expiry)  # a no-op when called from _expire_waiter
+
     def _expire_waiter(self, waiter: _FetchWaiter) -> None:
         if not waiter.active:
             return
-        waiter.active = False
+        self._unpark(waiter)
         self.sim.process(
             self._respond_waiter(waiter), name=f"{self.name}.fetch-expire"
         )
@@ -532,14 +543,10 @@ class PlogBroker(JvmServer):
                 channel, corr, key, offset, max_records
             )
             return
-        waiter = _FetchWaiter(
-            channel, corr, topic, partition, offset, max_records,
-            replica=follower,
+        self._park(
+            _FetchWaiter(channel, corr, topic, partition, offset, max_records, replica=follower),
+            max_wait,
         )
-        self._waiters.setdefault(key, []).append(waiter)
-        self.stats.long_polls_parked += 1
-        self._note_parked()
-        self.sim.call_at(self.sim.now + max_wait, lambda: self._expire_waiter(waiter))
 
     def _respond_replica_fetch(
         self,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.plog.config import PlogConfig
+from repro.sim.events import TimedOut
 from repro.transport.base import (
     Channel,
     ChannelClosed,
@@ -216,17 +217,16 @@ class PlogConsumer:
                 continue
             self.fetches_issued += 1
             if recover:
-                deadline = self.sim.timeout(
-                    cfg.fetch_max_wait + cfg.fetch_response_grace
-                )
-                yield self.sim.any_of([response, deadline])
-                if not response.triggered:
+                try:
+                    result = yield from self.sim.wait_for(
+                        response, cfg.fetch_max_wait + cfg.fetch_response_grace
+                    )
+                except TimedOut:
                     # Response lost or broker stalled: re-issue from the
                     # same offset (a late response is dropped harmlessly).
                     session.pending.pop(corr, None)
                     self.fetch_timeouts += 1
                     continue
-                result = response.value
             else:
                 result = yield response
             if result is None:

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 from repro.faults.recovery import RttEstimator
 from repro.plog.config import PlogConfig
 from repro.plog.partitioner import partition_for
+from repro.sim.events import TimedOut
 from repro.telemetry.context import current as _telemetry
 from repro.transport.base import (
     Channel,
@@ -324,9 +325,13 @@ class PlogProducer:
                 # transit, so the deadline covers what is *left* of the
                 # round-trip budget, not a fresh window after delivery.
                 elapsed = self.sim.now - attempt_started
-                deadline = self.sim.timeout(max(ack_timeout - elapsed, 1e-3))
-                yield self.sim.any_of([ack_event, deadline])
-                if ack_event.triggered and ack_event.value:
+                try:
+                    acked = yield from self.sim.wait_for(
+                        ack_event, max(ack_timeout - elapsed, 1e-3)
+                    )
+                except TimedOut:
+                    acked = None
+                if acked:
                     if self._rtt is not None and attempt == 1:
                         # Karn's rule: only unambiguous (first-attempt)
                         # round trips feed the estimator.
@@ -340,7 +345,7 @@ class PlogProducer:
                 # unless ``config.idempotent`` pinned a sequence on the
                 # batch, in which case the broker absorbs the retry and
                 # re-acks (exactly-once appends).
-                if self._rtt is not None and not ack_event.triggered:
+                if self._rtt is not None and acked is None:
                     # Genuine timeout (not a channel death): back the RTO
                     # off — Karn's rule gives the estimator no sample while
                     # first attempts keep timing out, so this is the only

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 from repro.cluster.jvm import OutOfMemoryError
 from repro.plog.config import OFFSETS_TOPIC
 from repro.plog.idempotence import PartitionProducerState
+from repro.sim.events import TimedOut
 from repro.telemetry.context import current as _telemetry
 from repro.telemetry.metrics import ELECTION_LATENCY_BUCKETS
 from repro.transport.base import (
@@ -216,19 +217,18 @@ class ReplicaFetcher:
         except (MessageLost, ChannelClosed):
             return False
         self.fetches += 1
-        deadline = self.sim.timeout(
-            cfg.replica_fetch_wait + cfg.fetch_response_grace
-        )
+        # One deadline for the round trip, however many stale frames arrive.
+        give_up_at = self.sim.now + cfg.replica_fetch_wait + cfg.fetch_response_grace
         while True:
             recv = channel.receive()
-            yield self.sim.any_of([recv, deadline])
-            if not recv.triggered:
+            try:
+                delivery = yield from self.sim.wait_for(recv, give_up_at - self.sim.now)
+            except TimedOut:
                 # Response lost or the leader stalled: withdraw the pending
                 # receive so a late delivery is not silently swallowed by
                 # an abandoned event, then rebuild the connection.
                 channel.inbox.cancel_get(recv)
                 return False
-            delivery = recv.value
             frame = delivery.payload
             if frame is EOF:
                 return False

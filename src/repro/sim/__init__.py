@@ -13,11 +13,11 @@ bit-reproducible from a seed.
 
 from repro.sim.cohort import CohortProcess
 from repro.sim.events import (
-    AllOf,
     AnyOf,
     Cancelled,
     Event,
     Interrupt,
+    TimedOut,
     Timeout,
 )
 from repro.sim.kernel import Simulator
@@ -26,7 +26,6 @@ from repro.sim.resources import Container, PriorityStore, Resource, Store
 from repro.sim.rng import RngStreams
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Cancelled",
     "CohortProcess",
@@ -39,5 +38,6 @@ __all__ = [
     "RngStreams",
     "Simulator",
     "Store",
+    "TimedOut",
     "Timeout",
 ]

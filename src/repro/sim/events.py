@@ -22,9 +22,8 @@ There is deliberately no ``fail_now``: an empty ``callbacks`` list does not
 make a *failure* unobservable, because the kernel's pop is what surfaces an
 unhandled exception out of ``run()``.
 
-Composite conditions (:class:`AnyOf` / :class:`AllOf`) build fan-in waits from
-child events, mirroring the small set of combinators middleware code actually
-needs (wait for ack *or* timeout; wait for all fragments).
+:class:`AnyOf` is the one fan-in wait.  Middleware code reaches it through
+:meth:`repro.sim.kernel.Simulator.wait_for` (a reply *or* a deadline).
 
 Hot-path note: ``callbacks`` is ``None`` both *before* any waiter registers
 (lazy — a :class:`Timeout` nobody waits on never allocates the list) and
@@ -68,6 +67,14 @@ class Cancelled(Exception):
     Raised into a process that yields a cancelled timer, and into the
     waiters of a condition built over one.
     """
+
+
+class TimedOut(Exception):
+    """The deadline of a ``Simulator.wait_for`` came first; ``timeout`` is the wait."""
+
+    def __init__(self, timeout: float):
+        super().__init__(f"no outcome within {timeout}s")
+        self.timeout = timeout
 
 
 class Event:
@@ -224,75 +231,40 @@ class Timeout(Event):
         heappush(sim._queue, (sim._now + delay, seq, self))
 
 
-class Condition(Event):
-    """Wait for a boolean combination of child events.
+class AnyOf(Event):
+    """Triggered as soon as any child event is processed.
 
-    The condition's value is a dict mapping each *processed* child event to
-    its value, so waiters can see which of the children fired.
-
-    ``needed`` is the count of processed children that triggers the
-    condition — the fan-in test is a single integer compare on the hot path
-    rather than a predicate call.
+    The value maps each processed, successful child to its value.  A child
+    that fails first fails the condition (and is defused); one that fails
+    after the trigger but before the waiters resume is defused too, since
+    :meth:`~repro.sim.kernel.Simulator.wait_for` raises it at the resume.
     """
 
-    __slots__ = ("_events", "_count", "_needed")
+    __slots__ = ("_events",)
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        needed: int,
-        events: Iterable[Event],
-    ):
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self._events = tuple(events)
-        self._count = 0
-        self._needed = needed
         for event in self._events:
             if event.sim is not sim:
                 raise ValueError("cannot mix events from different simulators")
-        if self._needed <= 0:
-            # Degenerate condition (e.g. AllOf over zero events).
-            self.succeed(self._collect())
+        if not self._events:
+            self.succeed({})
             return
         on_child = self._on_child
         for event in self._events:
             if event._processed:
                 on_child(event)
-                if self._value is not _PENDING:
-                    return  # already triggered; don't register on the rest
-            else:
-                event.add_callback(on_child)
-
-    def _collect(self) -> dict[Event, Any]:
-        return {e: e._value for e in self._events if e._processed and e._ok}
+                return  # already triggered; don't register on the rest
+            event.add_callback(on_child)
 
     def _on_child(self, event: Event) -> None:
         if self._value is not _PENDING:
+            if not event._ok and not self._processed:
+                event.defuse()
             return
         if not event._ok:
             event.defuse()
             self.fail(event._value)
             return
-        self._count += 1
-        if self._count >= self._needed:
-            self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Triggered as soon as any child event is processed."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        events = tuple(events)
-        super().__init__(sim, 1 if events else 0, events)
-
-
-class AllOf(Condition):
-    """Triggered once every child event is processed."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        events = tuple(events)
-        super().__init__(sim, len(events), events)
+        self.succeed({e: e._value for e in self._events if e._processed and e._ok})

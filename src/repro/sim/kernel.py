@@ -46,8 +46,8 @@ the same instant, or nobody at all:
 
 * a deadline that lost its race — :meth:`Simulator.cancel` withdraws a
   :class:`~repro.sim.events.Timeout` whose pop could only run a callback that
-  returns at once (an expired long-poll already answered, the timeout half
-  of an ``any_of`` the response already won).  It drops the callbacks, and
+  returns at once (an expired long-poll already answered, the deadline of a
+  :meth:`Simulator.wait_for` the event won).  It drops the callbacks, and
   everything they keep alive, immediately; the heap entry goes lazily — it
   is skipped when popped, and the heap is rebuilt without cancelled entries
   once they are more than half of it and over 100 (asyncio's rule), so a
@@ -68,7 +68,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.events import AllOf, AnyOf, Cancelled, Event, Timeout
+from repro.sim.events import AnyOf, Cancelled, Event, TimedOut, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
 
@@ -190,9 +190,29 @@ class Simulator:
         """Event that fires when any of ``events`` fires."""
         return AnyOf(self, events)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
+    def wait_for(self, event: Event, timeout: float) -> Generator[Event, Any, Any]:
+        """``value = yield from sim.wait_for(event, timeout)``: asyncio's
+        ``wait_for`` — the event's value, its exception, or :class:`TimedOut`.
+
+        One tie rule, decided when the waiter resumes: the event wins if it
+        has *triggered* by then, processed or not (DESIGN.md §7).  The losing
+        deadline is cancelled; the one :class:`AnyOf` hop keeps same-instant
+        order.  A :class:`Timeout` is triggered from birth: never the event.
+        """
+        if isinstance(event, Timeout):
+            raise TypeError(f"wait_for cannot race a Timeout: {event!r}")
+        deadline = self.timeout(timeout)
+        try:
+            yield AnyOf(self, (event, deadline))
+        finally:
+            if event.triggered:
+                self.cancel(deadline)  # it lost: its pop would run nothing
+        if not event.triggered:
+            raise TimedOut(timeout)
+        if not event._ok:
+            event.defuse()
+            raise event._value
+        return event._value
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Timeout:
         """Run ``fn()`` at absolute time ``when`` (>= now); the returned

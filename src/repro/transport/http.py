@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.transport.base import Channel, ChannelClosed, CostModel, TransportError
+from repro.sim.events import TimedOut
+from repro.transport.base import EOF, Channel, ChannelClosed, CostModel, TransportError
 from repro.transport.tcp import TcpTransport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,8 +85,6 @@ class HttpServer:
         self.sim.process(self._read_loop(server_end), name=f"http:{self.node.name}")
 
     def _read_loop(self, channel: Channel) -> Generator[Any, Any, None]:
-        from repro.transport.base import EOF
-
         while True:
             delivery = yield channel.receive()
             if delivery.payload is EOF:
@@ -163,23 +162,17 @@ class HttpClient:
                     raise
                 continue
             if timeout is not None:
-                receive_ev = channel.receive()
-                deadline = self.sim.timeout(timeout)
-                yield self.sim.any_of([receive_ev, deadline])
-                if not receive_ev.triggered:
+                try:
+                    delivery = yield from self.sim.wait_for(channel.receive(), timeout)
+                except TimedOut:
                     channel.close()
                     self._channel = None
                     raise HttpTimeout(
                         f"no response from {self.server_host}:{self.port} "
                         f"within {timeout}s"
-                    )
-                # The response won: the deadline's pop would run nothing.
-                self.sim.cancel(deadline)
-                delivery = receive_ev.value
+                    ) from None
             else:
                 delivery = yield channel.receive()
-            from repro.transport.base import EOF
-
             if delivery.payload is EOF:
                 self._channel = None
                 if attempt:

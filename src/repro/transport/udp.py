@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.cluster.network import FRAME_OVERHEAD_UDP
-from repro.sim.events import Event
+from repro.sim.events import Event, TimedOut
 from repro.transport.base import (
     Channel,
     CostModel,
@@ -117,23 +117,21 @@ class UdpChannel(Channel):
         dedupe: dict = {"delivered": False}
         while True:
             delivery = self._send_raw(payload, nbytes, dedupe)
-            ack = self.sim.event() if delivery is None else None
-            if delivery is not None:
-                # The receiver side acks after the datagram arrives: model the
-                # ack as a return datagram scheduled at delivery time, costing
-                # CPU on the receiving node.
-                ack = self._schedule_ack(delivery)
-            deadline = self.sim.timeout(self.rto)
-            outcome = yield self.sim.any_of([ack, deadline])
-            if ack in outcome:
+            # A dropped datagram is never acked.  Otherwise the receiver side
+            # acks after it arrives: a return datagram scheduled at delivery
+            # time, costing CPU on the receiving node.
+            ack = self.sim.event() if delivery is None else self._schedule_ack(delivery)
+            try:
+                yield from self.sim.wait_for(ack, self.rto)
                 return delivery  # type: ignore[return-value]
-            attempts += 1
-            self.retransmissions += 1
-            if attempts > self.max_retries:
-                self.datagrams_lost += 1
-                raise MessageLost(
-                    f"{self.label}: no ack after {attempts} attempts"
-                )
+            except TimedOut:
+                attempts += 1
+                self.retransmissions += 1
+                if attempts > self.max_retries:
+                    self.datagrams_lost += 1
+                    raise MessageLost(
+                        f"{self.label}: no ack after {attempts} attempts"
+                    ) from None
 
     def _schedule_ack(self, delivery: Event) -> Event:
         """Ack datagram flowing back; may itself be lost."""

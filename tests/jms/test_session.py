@@ -4,12 +4,14 @@ import pytest
 
 from repro.jms import (
     AckMode,
+    Connection,
     DeliveryMode,
     IllegalStateException,
     MapMessage,
     TextMessage,
     Topic,
 )
+from tests.jms.conftest import LoopbackProvider
 
 
 TOPIC = Topic("power.monitoring")
@@ -117,6 +119,36 @@ def test_timeout_race_does_not_eat_message(sim, connection):
         return missed, found.text
 
     assert sim.run_process(run()) == (None, "later")
+
+
+def test_message_delivered_at_the_receive_deadline_is_returned(sim):
+    """A delivery at the deadline's own instant, after the deadline popped
+    but before receive() resumed, is returned rather than lost."""
+    from repro.jms import Connection
+
+    provider = LoopbackProvider(sim, delay=0.25)
+    connection = Connection(provider)
+    connection.start()
+    session = connection.create_session()
+    consumer = None
+
+    def receiver():
+        nonlocal consumer
+        consumer = yield from session.create_consumer(TOPIC)  # now = 0.25
+        return (yield from consumer.receive(timeout=0.5))  # deadline 0.75
+
+    def publisher():
+        yield sim.timeout(0.25)
+        # Lands at 0.25 + 0.25 (publish) + 0.25 (delivery) = 0.75.
+        yield from session.create_publisher(TOPIC).publish(TextMessage("edge"))
+
+    received = sim.process(receiver())
+    sim.process(publisher())
+    sim.run()
+    assert len(provider.published) == 1
+    assert received.value is not None and received.value.text == "edge"
+    assert consumer.messages_consumed == 1
+    assert len(consumer._inbox) == 0
 
 
 # ----------------------------------------------------------------- ack modes

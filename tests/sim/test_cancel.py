@@ -100,14 +100,12 @@ def test_yielding_a_cancelled_timer_raises_into_the_process():
     assert sim.run_process(waiter()) == "cancelled"
 
 
-def test_any_of_whose_deadline_lost_can_cancel_it():
+def test_wait_for_cancels_the_deadline_that_lost():
     sim = Simulator()
     reply = sim.event()
-    deadline = sim.timeout(60.0)
 
     def request():
-        yield sim.any_of([reply, deadline])
-        sim.cancel(deadline)
+        yield from sim.wait_for(reply, 60.0)
         return sim.now
 
     sim.call_at(1.0, lambda: reply.succeed("ok"))

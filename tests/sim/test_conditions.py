@@ -1,8 +1,8 @@
-"""Tests for AnyOf / AllOf condition events."""
+"""Tests for the AnyOf condition event and the wait_for race built on it."""
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, TimedOut
 
 
 def test_any_of_fires_on_first():
@@ -17,30 +17,6 @@ def test_any_of_fires_on_first():
     when, result = sim.run_process(proc())
     assert when == 1.0
     assert list(result.values()) == ["fast"]
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-
-    def proc():
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(5.0, value="b")
-        result = yield sim.all_of([a, b])
-        return (sim.now, sorted(result.values()))
-
-    when, values = sim.run_process(proc())
-    assert when == 5.0
-    assert values == ["a", "b"]
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-
-    def proc():
-        result = yield sim.all_of([])
-        return result
-
-    assert sim.run_process(proc()) == {}
 
 
 def test_any_of_empty_fires_immediately():
@@ -76,7 +52,7 @@ def test_condition_failure_propagates():
 
     def proc():
         with pytest.raises(RuntimeError, match="kaboom"):
-            yield sim.all_of([sim.process(failer()), sim.timeout(10.0)])
+            yield sim.any_of([sim.process(failer()), sim.timeout(10.0)])
         return sim.now
 
     assert sim.run_process(proc()) == 1.0
@@ -94,10 +70,11 @@ def test_timeout_race_is_usable_as_wait_with_deadline():
 
     def proc():
         ack = sim.event()
-        deadline = sim.timeout(5.0)
         sim.call_at(2.0, lambda: ack.succeed("acked"))
-        result = yield sim.any_of([ack, deadline])
-        assert ack in result and deadline not in result
-        return sim.now
+        value = yield from sim.wait_for(ack, 5.0)
+        when = sim.now
+        with pytest.raises(TimedOut):
+            yield from sim.wait_for(sim.event(), 5.0)
+        return value, when, sim.now
 
-    assert sim.run_process(proc()) == 2.0
+    assert sim.run_process(proc()) == ("acked", 2.0, 7.0)

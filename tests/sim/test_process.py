@@ -264,29 +264,27 @@ def test_failing_fire_and_forget_process_keeps_its_completion_event():
 
 
 def test_waiting_on_finished_process_continues_at_same_instant():
-    """yield / AnyOf / AllOf on an already-finished process: value, same now."""
+    """yield / AnyOf on an already-finished process: value, same now."""
     sim = Simulator()
 
     def child(value):
         yield sim.timeout(1.0)
         return value
 
-    a, b = sim.process(child("a")), sim.process(child("b"))
+    a = sim.process(child("a"))
     sim.run()
-    assert a.processed and b.processed and sim.now == 1.0
+    assert a.processed and sim.now == 1.0
 
     def late():
         yield sim.timeout(1.0)
         t0, n0 = sim.now, sim.events_scheduled
         direct = yield a
         any_value = yield sim.any_of([a, sim.timeout(5.0)])
-        all_value = yield sim.all_of([a, b])
-        # Only the two conditions' own triggers and the 5 s timer were
-        # scheduled: the finished processes cost nothing more.
-        return sim.now - t0, sim.events_scheduled - n0, direct, any_value, all_value
+        # Only the condition's own trigger and the 5 s timer were
+        # scheduled: the finished process costs nothing more.
+        return sim.now - t0, sim.events_scheduled - n0, direct, any_value
 
-    elapsed, events, direct, any_value, all_value = sim.run_process(late())
-    assert elapsed == 0.0 and events == 3
+    elapsed, events, direct, any_value = sim.run_process(late())
+    assert elapsed == 0.0 and events == 2
     assert direct == "a"
     assert any_value == {a: "a"}
-    assert all_value == {a: "a", b: "b"}
