@@ -787,6 +787,9 @@ class PlogBroker(JvmServer):
         serving existing offsets."""
         self._io_started = False
         self.crashed_at = self.sim.now
+        for waiters in self._waiters.values():
+            for waiter in waiters:
+                self._unpark(waiter)
         self._waiters.clear()
         self._note_parked()
         for state in self.states.values():
