@@ -30,7 +30,7 @@ def test_fig15_traced_writes_valid_artifacts(benchmark, scale):
         with session(tel):
             return runner.run("fig15", scale=scale)
 
-    result = benchmark.pedantic(traced, rounds=1, iterations=1)
+    benchmark.pedantic(traced, rounds=1, iterations=1)
     tel = sessions[-1]
 
     trace_path = RESULTS_DIR / "trace_sample.jsonl"
@@ -42,10 +42,6 @@ def test_fig15_traced_writes_valid_artifacts(benchmark, scale):
     assert summary["spans"] == n_spans > 0
     assert summary["middlewares"] == ["narada", "rgma"]
     assert summary["complete"] > 0
-
-    # The traced run reproduces the paper shape (PT dominates R-GMA).
-    rows = {row[0]: row[1:] for row in result.table[1]}
-    assert rows["RGMA"][1] > 2 * rows["RGMA"][0]
 
     # Every broker-side hook fired: interior phases flow through to disk.
     assert tel.metrics.counter("narada", "broker1", "span.broker_in").value > 0

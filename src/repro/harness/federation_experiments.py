@@ -331,6 +331,7 @@ def federation_scaling(
     result.meta["broadcast"] = {
         n: b.per_link_mean for n, b in sorted(broadcast.items())
     }
+    result.meta["routed_loss"] = {n: r.loss_rate for n, r in sorted(routed.items())}
     return result
 
 

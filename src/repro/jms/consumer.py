@@ -61,39 +61,39 @@ class MessageConsumer:
     ) -> Generator[Any, Any, Optional[Message]]:
         """Block for the next message; ``timeout`` seconds → None on expiry.
 
-        ``timeout=0`` is the JMS ``receiveNoWait``.
+        ``timeout=0`` is the JMS ``receiveNoWait``.  An expired message is
+        acked away unseen and the wait goes on until the original deadline.
         """
         if self.closed:
             raise IllegalStateException("consumer is closed")
         if self.listener is not None:
             raise IllegalStateException("receive() on a consumer with a listener")
-        if timeout == 0:
-            if len(self._inbox):
+        sim = self.session.sim
+        deadline = None if timeout is None else sim.now + timeout
+        remaining = timeout
+        while True:
+            if timeout == 0:
+                if not len(self._inbox):
+                    return None
                 message = self._inbox.get_nowait()
-                yield from self._consumed(message)
-                return message
-            return None
-        get_ev = self._inbox.get()
-        if timeout is None:
-            message = yield get_ev
-        else:
-            try:
-                message = yield from self.session.sim.wait_for(get_ev, timeout)
-            except TimedOut:
-                self._inbox.cancel_get(get_ev)
-                return None
-        yield from self._consumed(message)
-        return message
-
-    def _consumed(self, message: Message) -> Generator[Any, Any, None]:
+            else:
+                get_ev = self._inbox.get()
+                if remaining is None:
+                    message = yield get_ev
+                else:
+                    try:
+                        message = yield from sim.wait_for(get_ev, remaining)
+                    except TimedOut:
+                        self._inbox.cancel_get(get_ev)
+                        return None
+            if not (yield from self.session._expired(message)):
+                break
+            if deadline is not None:
+                remaining = max(0.0, deadline - sim.now)
         message._set_read_only()
         self.messages_consumed += 1
-        if message.expiration and self.session.sim.now > message.expiration:
-            # Expired while parked: not delivered to the application,
-            # but still acked away.
-            yield from self.session._after_consume(message)
-            return
         yield from self.session._after_consume(message)
+        return message
 
     # ------------------------------------------------------------- listener
     def set_listener(self, listener: Callable[[Message], Any]) -> None:

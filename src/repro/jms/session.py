@@ -185,14 +185,23 @@ class Session:
             consumer, message = yield self._dispatch_queue.get()
             if self.closed:
                 return
-            if message.expiration and self.sim.now > message.expiration:
-                continue  # expired in transit; silently dropped per JMS
+            if (yield from self._expired(message)):
+                continue
             message._set_read_only()
             result = consumer.listener(message)
             if hasattr(result, "send") and hasattr(result, "throw"):
                 yield from result  # listener did simulated work
             consumer.messages_consumed += 1
             yield from self._after_consume(message)
+
+    def _expired(self, message: Message) -> Generator[Any, Any, bool]:
+        """The one expiry rule of both delivery paths: a message whose
+        time-to-live ran out before the application saw it is dropped per
+        JMS, but still acked away so the provider does not redeliver it."""
+        if not (message.expiration and self.sim.now > message.expiration):
+            return False
+        yield from self._after_consume(message)
+        return True
 
     def _after_consume(self, message: Message) -> Generator[Any, Any, None]:
         # Acks are posted without gating the session dispatcher: the ack is

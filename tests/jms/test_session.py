@@ -316,6 +316,65 @@ def test_expired_message_not_delivered(sim, connection):
     assert got == []
 
 
+def test_receive_skips_expired_message_and_waits_to_deadline(sim, connection, provider):
+    """receive() acks an expired message away unseen, as the listener path
+    drops it, and keeps waiting for a live one until its own deadline."""
+    session = connection.create_session()
+
+    def run():
+        consumer = yield from session.create_consumer(TOPIC)
+        pub = session.create_publisher(TOPIC)
+        yield from pub.publish(TextMessage("stale"), time_to_live=1e-6)
+        yield sim.timeout(1.0)  # "stale" expired in the inbox
+        start = sim.now
+
+        def late():
+            yield sim.timeout(0.5)
+            yield from pub.publish(TextMessage("fresh"))
+
+        sim.process(late())
+        fresh = yield from consumer.receive(timeout=2.0)
+        stale_gone = sim.now
+        nothing = yield from consumer.receive(timeout=1.0)
+        return fresh.text, stale_gone - start, nothing, sim.now - stale_gone
+
+    fresh, waited, nothing, timed_out_after = sim.run_process(run())
+    assert fresh == "fresh"
+    assert waited > 0.5
+    assert nothing is None
+    assert timed_out_after == pytest.approx(1.0)
+    assert [m.text for m in provider.acked] == ["stale", "fresh"]
+
+
+def test_receive_nowait_skips_expired_message(sim, connection, provider):
+    session = connection.create_session()
+
+    def run():
+        consumer = yield from session.create_consumer(TOPIC)
+        pub = session.create_publisher(TOPIC)
+        yield from pub.publish(TextMessage("stale"), time_to_live=1e-6)
+        yield sim.timeout(1.0)
+        return (yield from consumer.receive(timeout=0)), consumer.messages_consumed
+
+    assert sim.run_process(run()) == (None, 0)
+    sim.run()
+    assert [m.text for m in provider.acked] == ["stale"]
+
+
+def test_listener_acks_expired_message_away(sim, connection, provider):
+    session = connection.create_session()
+    got = []
+
+    def setup():
+        yield from session.create_subscriber(TOPIC, listener=got.append)
+
+    sim.run_process(setup())
+    publish_one(sim, session, "stale", time_to_live=1e-6)
+    sim.run()
+    assert got == []
+    assert [m.text for m in provider.acked] == ["stale"]
+
+
 # --------------------------------------------------------- connection state
 def test_connection_stopped_buffers_deliveries(sim, provider):
     from repro.jms import Connection
