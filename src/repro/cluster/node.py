@@ -13,9 +13,10 @@ report CPU idle exactly the way the paper's ``vmstat`` runs did.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Any, Generator
 
-from repro.sim import Interrupt, Resource
+from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -51,7 +52,10 @@ class Node:
         self.name = name
         self.cpu_scale = cpu_scale
         self.memory_bytes = memory_bytes
-        self._cpu = Resource(sim, capacity=1)
+        #: True while a job is in service.
+        self._busy = False
+        #: Queued jobs, FIFO: (completion event, work).
+        self._run_queue: deque[tuple[Event, float]] = deque()
         #: Total CPU-busy seconds since simulation start (for vmstat).
         self.cpu_busy_time = 0.0
         #: JVMs running on this node (for memory accounting).
@@ -69,28 +73,46 @@ class Node:
             raise ValueError("work must be >= 0")
         if work == 0.0:
             return
-        cpu = self._cpu
-        # An idle CPU is taken on the spot: queueing order is fixed at call
-        # time either way, and waking up just to learn the CPU was free is a
-        # heap round-trip that changes nothing.
-        if not cpu.try_acquire():
-            queued = cpu.acquire()
-            try:
-                yield queued
-            except (Interrupt, GeneratorExit):
-                # Killed in the run-queue: leave it — or, if release() had
-                # already handed the unit over, pass it on — and never run.
-                if queued.triggered:
-                    cpu.release()
-                else:
-                    cpu.cancel(queued)
-                raise
-        try:
+        if not self._busy:
+            # An idle CPU is taken on the spot: queueing order is fixed at
+            # call time either way.
+            self._busy = True
             duration = work / self.cpu_scale
-            yield self.sim.timeout(duration)
-            self.cpu_busy_time += duration
-        finally:
-            cpu.release()
+            try:
+                yield self.sim.timeout(duration)
+            except BaseException:
+                self._serve_next()
+                raise
+        else:
+            # The CPU starts this job itself when the one ahead of it ends
+            # (``_serve_next``): the completion event fires at the end of
+            # service with the service time as its value.
+            job = Event(self.sim)
+            entry = (job, work)
+            self._run_queue.append(entry)
+            try:
+                duration = yield job
+            except BaseException:
+                # Killed in the run-queue: withdraw and never run.  Killed
+                # in service: pass the CPU on at this instant.
+                if job.triggered:
+                    self._serve_next()
+                else:
+                    self._run_queue.remove(entry)
+                raise
+        self.cpu_busy_time += duration
+        self._serve_next()
+
+    def _serve_next(self) -> None:
+        """The job in service ended or was killed: start the next queued
+        one now.  Its service time is read at this instant, and its
+        completion is its only heap entry."""
+        if self._run_queue:
+            job, work = self._run_queue.popleft()
+            duration = work / self.cpu_scale
+            job.succeed(duration, delay=duration)
+        else:
+            self._busy = False
 
     def execute_process(self, work: float):
         """``execute`` wrapped as a Process (for fire-and-forget CPU load)."""
@@ -99,11 +121,11 @@ class Node:
     @property
     def run_queue_length(self) -> int:
         """Jobs waiting for the CPU right now (excluding the running one)."""
-        return len(self._cpu._waiters)
+        return len(self._run_queue)
 
     @property
     def cpu_in_use(self) -> bool:
-        return self._cpu.in_use > 0
+        return self._busy
 
     # --------------------------------------------------------------- memory
     @property

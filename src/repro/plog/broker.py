@@ -150,6 +150,8 @@ class PlogBroker(JvmServer):
         #: ``crash()``/``restart()``.
         self.producer_states: dict[tuple[str, int], PartitionProducerState] = {}
         self._waiters: dict[tuple[str, int], list[_FetchWaiter]] = {}
+        #: Active waiters across ``_waiters`` (the telemetry gauge's value).
+        self._parked = 0
         self._requests: Store = Store(sim)
         self._io_started = False
         self._isr_scan_started = False
@@ -222,10 +224,13 @@ class PlogBroker(JvmServer):
             yield from self._handle(channel, delivery.payload)
 
     def _on_channel_closed(self, channel: Channel) -> None:
+        parked = self._parked
         for waiters in self._waiters.values():
             for waiter in waiters:
                 if waiter.channel is channel or waiter.channel is channel.peer:
                     self._unpark(waiter)
+        if self._parked != parked:
+            self._note_parked()
         if self.coordinator is not None:
             self.coordinator.on_disconnect(channel)
 
@@ -406,6 +411,7 @@ class PlogBroker(JvmServer):
             self.sim.now + max_wait, lambda: self._expire_waiter(waiter)
         )
         self._waiters.setdefault((waiter.topic, waiter.partition), []).append(waiter)
+        self._parked += 1
         self.stats.long_polls_parked += 1
         self._note_parked()
 
@@ -414,9 +420,7 @@ class PlogBroker(JvmServer):
         tel = _telemetry()
         if tel is None:
             return
-        tel.metrics.gauge("plog", self.name, "long_polls_parked").set(
-            sum(1 for ws in self._waiters.values() for w in ws if w.active)
-        )
+        tel.metrics.gauge("plog", self.name, "long_polls_parked").set(self._parked)
 
     def _readable_end(self, key: tuple[str, int]) -> int:
         """First offset consumers may *not* read: the high watermark on a
@@ -451,7 +455,9 @@ class PlogBroker(JvmServer):
         self._note_parked()
 
     def _unpark(self, waiter: _FetchWaiter) -> None:
-        waiter.active = False
+        if waiter.active:
+            waiter.active = False
+            self._parked -= 1
         self.sim.cancel(waiter.expiry)  # a no-op when called from _expire_waiter
 
     def _expire_waiter(self, waiter: _FetchWaiter) -> None:

@@ -29,6 +29,7 @@ from repro.rgma.sql import (
     render_insert,
 )
 from repro.rgma.storage import Tuple, TupleStore
+from repro.sim import Event
 from repro.telemetry.context import current as _telemetry
 from repro.transport.base import ChannelClosed, MessageLost
 from repro.transport.http import HttpClient
@@ -77,6 +78,9 @@ class ProducerResourceBase:
         self._attachments: dict[str, _Attachment] = {}
         self.closed = False
         self.producer_id: Optional[str] = None  # set after registration
+        #: The parked stream loop's wake-up, and its chain's next tick.
+        self._wake: Optional[Event] = None
+        self._tick = 0.0
         self.sim.process(self._stream_loop(), name=f"{resource_id}.stream")
 
     # ------------------------------------------------------------ mediation
@@ -89,6 +93,7 @@ class ProducerResourceBase:
         for t in self.store.history():
             if t.insert_time < cutoff:
                 cursor = max(cursor, t.seq)
+        self._poke()
         self._attachments[consumer.resource_id] = _Attachment(
             consumer=consumer, attach_time=self.sim.now, cursor_seq=cursor
         )
@@ -103,32 +108,75 @@ class ProducerResourceBase:
 
     # ------------------------------------------------------------ streaming
     def _stream_loop(self) -> Generator[Any, Any, None]:
+        """Stream fresh tuples every ``stream_period``; park while idle.
+
+        A tick with nothing newer than any cursor only purges the store, and
+        purging is monotone, so such ticks are not run at all: the loop parks
+        until :meth:`_poke` (an insert, a republish or an attach) wakes it at
+        the first tick the always-ticking loop would have reached.
+        """
         cfg = self.config
+        sim = self.sim
         while not self.closed:
-            yield self.sim.timeout(cfg.stream_period)
-            self.store.purge()
-            for attachment in list(self._attachments.values()):
-                fresh = self.store.since_seq(attachment.cursor_seq)
-                if not fresh:
+            newest = self.store.newest_seq
+            if all(a.cursor_seq >= newest for a in self._attachments.values()):
+                self._tick = sim.now + cfg.stream_period
+                self._wake = wake = Event(sim)
+                yield wake
+            else:
+                yield sim.timeout(cfg.stream_period)
+            yield from self._stream_tick()
+
+    def _stream_tick(self) -> Generator[Any, Any, None]:
+        """One tick: purge, then send each attachment its fresh tuples."""
+        cfg = self.config
+        sim = self.sim
+        self.store.purge()
+        for attachment in list(self._attachments.values()):
+            fresh = self.store.since_seq(attachment.cursor_seq)
+            if not fresh:
+                continue
+            attachment.cursor_seq = fresh[-1].seq
+            predicate = attachment.consumer.predicate
+            batch = []
+            for t in fresh:
+                if predicate is not None and not predicate.matches(
+                    RowView(t.row)
+                ):
                     continue
-                attachment.cursor_seq = fresh[-1].seq
-                predicate = attachment.consumer.predicate
-                batch = []
-                for t in fresh:
-                    if predicate is not None and not predicate.matches(
-                        RowView(t.row)
-                    ):
-                        continue
-                    copy = dataclasses.replace(t, meta=dict(t.meta))
-                    copy.meta["t_streamed"] = self.sim.now
-                    batch.append(copy)
-                if not batch:
-                    continue
-                attachment.tuples_streamed += len(batch)
-                yield from self.container.node.execute(
-                    cfg.stream_tuple_cpu * len(batch)
-                )
-                yield from self._send_batch(attachment.consumer, batch)
+                copy = dataclasses.replace(t, meta=dict(t.meta))
+                copy.meta["t_streamed"] = sim.now
+                batch.append(copy)
+            if not batch:
+                continue
+            attachment.tuples_streamed += len(batch)
+            yield from self.container.node.execute(
+                cfg.stream_tuple_cpu * len(batch)
+            )
+            yield from self._send_batch(attachment.consumer, batch)
+
+    def _poke(self) -> None:
+        """Wake a parked stream loop: something may now be newer than a cursor.
+
+        Call before the store changes.  The loop resumes at the first tick
+        of its chain at or after now — each skipped tick ``tick +=
+        stream_period``, the same float sums the ticking loop made — and the
+        store is purged as of the last skipped tick, as that tick would have
+        left it, so an insert re-adding a purged key lands where it did.
+        A poke at a tick's own instant is served by that tick.
+        """
+        wake = self._wake
+        if wake is None:
+            return
+        self._wake = None
+        now = self.sim.now
+        period = self.config.stream_period
+        tick = self._tick
+        if tick < now:
+            while tick < now:
+                skipped, tick = tick, tick + period
+            self.store.purge(as_of=skipped)
+        wake.succeed_at(tick)
 
     def _send_batch(
         self, consumer: "ConsumerResource", batch: list[Tuple]
@@ -173,6 +221,7 @@ class PrimaryProducerResource(ProducerResourceBase):
                     record, "broker_in", self.sim.now, "rgma",
                     f"pp.{self.container.node.name}",
                 )
+        self._poke()
         return self.store.insert(row, meta)
 
 
@@ -193,6 +242,7 @@ class SecondaryProducerResource(ProducerResourceBase):
                 return
             meta = dict(t.meta)
             meta["t_sp_republished"] = self.sim.now
+            self._poke()
             self.store.insert(t.row, meta)
 
         self.sim.process(republish(), name=f"{self.resource_id}.republish")

@@ -85,6 +85,11 @@ class TupleStore:
         """Tuples with sequence number greater than ``seq`` (stream cursor)."""
         return [t for t in self._history if t.seq > seq]
 
+    @property
+    def newest_seq(self) -> int:
+        """Sequence number of the newest stored tuple (0 when empty)."""
+        return self._history[-1].seq if self._history else 0
+
     def __len__(self) -> int:
         return len(self._history)
 
@@ -94,14 +99,16 @@ class TupleStore:
         return len(self._history) * (self.table.row_bytes() + 64)
 
     # ---------------------------------------------------------------- purge
-    def purge(self) -> None:
+    def purge(self, as_of: Optional[float] = None) -> None:
         """Drop history older than the history retention and stale latest
-        entries older than the latest retention."""
-        history_horizon = self.sim.now - self.history_retention
+        entries older than the latest retention, as of ``as_of`` (default:
+        now)."""
+        now = self.sim.now if as_of is None else as_of
+        history_horizon = now - self.history_retention
         while self._history and self._history[0].insert_time < history_horizon:
             self._history.popleft()
             self.purged_count += 1
-        latest_horizon = self.sim.now - self.latest_retention
+        latest_horizon = now - self.latest_retention
         stale = [k for k, t in self._latest.items() if t.insert_time < latest_horizon]
         for key in stale:
             del self._latest[key]

@@ -147,6 +147,24 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """``succeed(value)`` at absolute time ``when`` (>= now), exactly.
+
+        ``succeed(delay=when - now)`` lands on ``now + (when - now)``, which
+        can be an ulp off ``when`` when ``now`` is small against it; this
+        entry's time is ``when`` itself.
+        """
+        if self._value is not _PENDING:
+            raise RuntimeError(f"{self!r} already triggered")
+        sim = self.sim
+        if when < sim._now:
+            raise ValueError(f"succeed_at({when}) is in the past (now={sim._now})")
+        self._ok = True
+        self._value = value
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (when, seq, self))
+        return self
+
     def settle(self, value: Any = None) -> "Event":
         """Succeed at the current instant; schedule only if someone listens.
 

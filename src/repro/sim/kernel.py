@@ -24,8 +24,9 @@ number), so a zero-delay entry is not free bookkeeping — it is a statement
 about same-instant order, and it is kept exactly where that order matters:
 
 * ``Store`` getter wake-ups and the contended hand-off in
-  ``Resource.release`` — the woken process must run *after* whatever was
-  already scheduled at this instant, or FIFO service order changes;
+  ``Resource.release`` (the servlet worker pools) — the woken process must
+  run *after* whatever was already scheduled at this instant, or FIFO
+  service order changes;
 * process start — ``sim.process(...)`` returns before the new process runs
   its first step, and siblings start in spawn order;
 * any failure (``Event.fail``, a process that raises) — the kernel's pop is
@@ -35,9 +36,15 @@ about same-instant order, and it is kept exactly where that order matters:
 and dropped where popping the entry could only re-enter the same process at
 the same instant, or nobody at all:
 
-* an uncontended CPU acquire (``cluster.Node.execute`` takes an idle unit
-  with ``Resource.try_acquire``; queueing order is fixed at call time either
-  way);
+* a CPU hand-off — ``cluster.Node`` is a FIFO single server that starts its
+  next job itself: an idle CPU is taken on the spot, and when a job ends or
+  is killed the next queued job's completion is scheduled directly, so a
+  job costs one entry (its completion) however it reached the CPU;
+* an idle tick — an R-GMA producer's stream loop parks while no consumer
+  has a tuple newer than its cursor and is woken, by an insert, a
+  republish or an attach, straight at the tick its always-ticking chain
+  would have reached (:meth:`repro.sim.events.Event.succeed_at`, exact to
+  the float);
 * a success nobody listens to — a fire-and-forget process finishing, a
   transport delivery receipt nobody awaits — via
   :meth:`repro.sim.events.Event.settle`, which schedules only when a callback
@@ -55,12 +62,15 @@ the same instant, or nobody at all:
   and stays counted; a cancelled entry never moves the clock.
 
 Removing an entry whose pop runs nothing cannot reorder the entries that
-remain.  Taking an idle CPU on the spot starts the same service at the same
-``now`` for the same duration; its timer is only created earlier *within*
-that instant, so it could trade places only with an unrelated timer expiring
-at exactly the same float time.  No registered experiment has such a tie:
-every output is byte-identical with 30–40 % fewer kernel events per message
-(DESIGN.md §7 has the table).
+remain.  Starting a CPU job on the spot, or at the instant the job ahead of
+it ends, starts the same service at the same ``now`` for the same duration;
+its timer is only created earlier *within* that instant, so it could trade
+places only with an unrelated timer expiring at exactly the same float time.
+A parked stream loop's tick lands on the same float as before, but its entry
+is created at the wake-up, so it could trade places with another entry due
+at exactly that float (DESIGN.md §7 names the two such ties).  No registered
+experiment has such a tie: every output is byte-identical (DESIGN.md §7 has
+the event counts).
 """
 
 from __future__ import annotations

@@ -205,13 +205,6 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; returns whether a unit was taken."""
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            return True
-        return False
-
     def cancel(self, event: Event) -> None:
         """Withdraw a pending ``acquire`` (e.g. its waiter was interrupted).
 

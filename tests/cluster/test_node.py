@@ -136,8 +136,9 @@ def test_uncontended_execute_costs_one_kernel_event():
     assert costs == [(1, 1.0)]
 
 
-def test_queued_execute_costs_two_kernel_events():
-    """Hand-off from release() + service timer; order-bearing, so it stays."""
+def test_queued_execute_costs_one_kernel_event():
+    """The CPU starts a queued job when the one ahead ends: its completion is
+    its only heap entry (no hand-off entry to resume it first)."""
     sim = Simulator()
     node = Node(sim, "n1")
     costs = {}
@@ -151,7 +152,7 @@ def test_queued_execute_costs_two_kernel_events():
     sim.run(until=0.5)  # a holds the CPU; nothing else is in flight
     sim.process(job("b"))
     sim.run()
-    assert costs["b"] == (2, 2.0)
+    assert costs["b"] == (1, 2.0)
 
 
 # ---------------------------------------- killed while queued for the CPU
@@ -198,6 +199,27 @@ def test_interrupt_after_handoff_passes_the_cpu_on():
     assert finished == [("a", 1.0), ("c", 2.0)]
     assert not node.cpu_in_use
     assert node.cpu_busy_time == 2.0
+
+
+def test_interrupt_while_running_passes_the_cpu_to_the_waiter():
+    """a is killed mid-service with b queued: b starts at the interrupt
+    instant, and a's partial service is not counted as busy time."""
+    sim = Simulator()
+    node = Node(sim, "n1")
+    finished = []
+
+    def job(tag, work):
+        yield from node.execute(work)
+        finished.append((tag, sim.now))
+
+    a = sim.process(job("a", 1.0))
+    sim.process(job("b", 2.0))
+    sim.call_at(0.25, a.interrupt)
+    a.defuse()
+    sim.run()
+    assert finished == [("b", 2.25)]
+    assert node.cpu_busy_time == 2.0
+    assert not node.cpu_in_use and node.run_queue_length == 0
 
 
 def test_closing_a_queued_execute_withdraws_it():

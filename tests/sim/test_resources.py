@@ -193,15 +193,6 @@ def test_resource_limits_concurrency():
     assert sim.now == 3.0  # 6 workers / 2 slots * 1s
 
 
-def test_resource_try_acquire():
-    sim = Simulator()
-    pool = Resource(sim, capacity=1)
-    assert pool.try_acquire()
-    assert not pool.try_acquire()
-    pool.release()
-    assert pool.try_acquire()
-
-
 def test_resource_release_without_acquire():
     sim = Simulator()
     pool = Resource(sim, capacity=1)
@@ -212,7 +203,7 @@ def test_resource_release_without_acquire():
 def test_resource_available():
     sim = Simulator()
     pool = Resource(sim, capacity=3)
-    pool.try_acquire()
+    pool.acquire()
     assert pool.available == 2
 
 
