@@ -3,22 +3,75 @@
 Every builder here isolates one decision the paper made or diagnosed — the
 DBN broadcast flaw, JMS acking over UDP, the R-GMA mediator's cost, message
 aggregation, HTTPS, Web Services, the old Stream Producer API, same-node
-timestamping — and measures what it buys.  Most run their own small
-deployments directly rather than reading a registered sweep.
+timestamping — and measures what it buys.  Their ``narada_run`` /
+``rgma_run`` legs are sweeps they read; the probes that are no such run
+(TLS setup, the SOAP proxy, the legacy Stream Producer path) run their own
+small deployments directly.
 """
 
 from __future__ import annotations
 
 from repro.core import ExperimentResult
-from repro.harness import narada_experiments, rgma_experiments
-from repro.harness.registry import Experiment
+from repro.harness.narada_experiments import COMPARISON_CONNECTIONS, comparison_tests, narada_run
+from repro.harness.parallel import RunSpec
+from repro.harness.registry import Experiment, RunContext
+from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
+from repro.narada import NaradaConfig
+from repro.rgma import RGMAConfig
+
+#: ``ablation_rgma_https``'s legs, keyed by ``use_https``.
+HTTPS_PROTOCOLS = (("HTTP (paper's choice)", False), ("HTTPS", True))
+
+#: Producers in both legs of ``ablation_rgma_legacy_api``.
+LEGACY_PRODUCERS = 100
 
 
-def ablation_dbn_routing(scale: Scale, seed: int) -> ExperimentResult:
+def dbn_routing_legs(ctx: RunContext) -> dict[str, RunSpec]:
+    return {
+        label: ctx.spec(
+            narada_run, connections=3000, dbn=True,
+            config=NaradaConfig(broadcast_flaw=flaw),
+        )
+        for label, flaw in (("broadcast (v1.1.3)", True), ("routed (fixed)", False))
+    }
+
+
+def raw_udp_leg(ctx: RunContext) -> dict[str, RunSpec]:
+    return {
+        "raw": ctx.spec(
+            narada_run, connections=COMPARISON_CONNECTIONS, transport_kind="udp_raw"
+        )
+    }
+
+
+def mediator_legs(ctx: RunContext) -> dict[str, RunSpec]:
+    return {
+        label: ctx.spec(rgma_run, connections=200, config=config)
+        for label, config in (
+            ("gLite 3.0 (modelled)", RGMAConfig()),
+            ("zero-cost mediator", RGMAConfig(consumer_tuple_cpu=0.0, stream_period=0.1)),
+        )
+    }
+
+
+def https_legs(ctx: RunContext) -> dict[str, RunSpec]:
+    return {
+        label: ctx.spec(rgma_run, connections=200, use_https=https)
+        for label, https in HTTPS_PROTOCOLS
+    }
+
+
+def legacy_api_new_leg(ctx: RunContext) -> dict[str, RunSpec]:
+    return {"new API": ctx.spec(rgma_run, connections=LEGACY_PRODUCERS)}
+
+
+def clock_skew_leg(ctx: RunContext) -> dict[str, RunSpec]:
+    return {"same node": ctx.spec(narada_run, connections=400)}
+
+
+def ablation_dbn_routing(runs) -> ExperimentResult:
     """Broadcast flaw vs subscription-aware routing at a fixed load."""
-    from repro.narada import NaradaConfig
-
     result = ExperimentResult(
         "ablation_dbn_routing",
         "DBN forwarding: v1.1.3 broadcast flaw vs subscription-aware routing",
@@ -26,14 +79,7 @@ def ablation_dbn_routing(scale: Scale, seed: int) -> ExperimentResult:
         "millisecond",
     )
     rows = []
-    for label, flaw in (("broadcast (v1.1.3)", True), ("routed (fixed)", False)):
-        run = narada_experiments.narada_run(
-            3000,
-            dbn=True,
-            scale=scale,
-            seed=seed,
-            config=NaradaConfig(broadcast_flaw=flaw),
-        )
+    for label, run in runs.items():
         forwards = sum(
             s["forwarded"] for s in run.broker_stats.values()
         )
@@ -50,10 +96,8 @@ def ablation_dbn_routing(scale: Scale, seed: int) -> ExperimentResult:
     return result
 
 
-def ablation_udp_ack(runs, scale: Scale, seed: int) -> ExperimentResult:
+def ablation_udp_ack(runs, raw_leg) -> ExperimentResult:
     """Per-message transport acking is what ruins JMS-over-UDP."""
-    from repro.transport import UdpTransport
-
     result = ExperimentResult(
         "ablation_udp_ack",
         "UDP with and without the JMS acknowledgement protocol",
@@ -63,28 +107,8 @@ def ablation_udp_ack(runs, scale: Scale, seed: int) -> ExperimentResult:
     rows = []
     acked = runs["UDP"]
     rows.append(["acked (JMS requires it)", acked.mean_rtt_ms, f"{acked.loss_rate:.3%}"])
-    # Raw datagrams: same loss probability, no ack/retransmit.
-    from repro.harness import pipeline
-
-    original = pipeline.make_transport
-
-    def raw_udp(kind, sim, lan, udp_loss):
-        if kind == "udp":
-            return UdpTransport(
-                sim, lan, loss_probability=0.03, acked=False, rto=0.15, max_retries=0
-            )
-        return original(kind, sim, lan, udp_loss)
-
-    pipeline.make_transport = raw_udp
-    try:
-        raw = narada_experiments.narada_run(
-            narada_experiments.COMPARISON_CONNECTIONS,
-            transport_kind="udp",
-            scale=scale,
-            seed=seed,
-        )
-    finally:
-        pipeline.make_transport = original
+    # Raw datagrams (``udp_raw``): no ack/retransmit.
+    raw = raw_leg["raw"]
     rows.append(["raw (no ack)", raw.mean_rtt_ms, f"{raw.loss_rate:.3%}"])
     result.table = (["mode", "RTT (ms)", "loss rate"], rows)
     result.note(
@@ -96,10 +120,9 @@ def ablation_udp_ack(runs, scale: Scale, seed: int) -> ExperimentResult:
     return result
 
 
-def ablation_rgma_mediator(scale: Scale, seed: int) -> ExperimentResult:
+def ablation_rgma_mediator(runs) -> ExperimentResult:
     """Remove the consumer-side processing cost: PT collapses."""
     from repro.core import decompose
-    from repro.rgma import RGMAConfig
 
     result = ExperimentResult(
         "ablation_rgma_mediator",
@@ -108,11 +131,7 @@ def ablation_rgma_mediator(scale: Scale, seed: int) -> ExperimentResult:
         "PT (ms)",
     )
     rows = []
-    for label, cfg in (
-        ("gLite 3.0 (modelled)", RGMAConfig()),
-        ("zero-cost mediator", RGMAConfig(consumer_tuple_cpu=0.0, stream_period=0.1)),
-    ):
-        run = rgma_experiments.rgma_run(200, scale=scale, seed=seed, config=cfg)
+    for label, run in runs.items():
         phases = decompose(run.book, since=run.measure_since)
         rows.append([label, phases.prt_ms, phases.pt_ms, phases.srt_ms])
         result.add_point(label, 0, phases.pt_ms)
@@ -150,7 +169,7 @@ def ablation_aggregation(runs) -> ExperimentResult:
     return result
 
 
-def ablation_rgma_https(scale: Scale, seed: int) -> ExperimentResult:
+def ablation_rgma_https(runs, seed: int) -> ExperimentResult:
     """The encryption overhead the paper avoided (§III.F: 'We did not use
     HTTPS because of the encryption overhead').
 
@@ -173,7 +192,7 @@ def ablation_rgma_https(scale: Scale, seed: int) -> ExperimentResult:
         "protocol",
         "millisecond",
     )
-    for label, https in (("HTTP (paper's choice)", False), ("HTTPS", True)):
+    for label, https in HTTPS_PROTOCOLS:
         # Producer setup probe: 50 timed create() calls on a fresh server.
         sim = Simulator(seed=seed)
         cluster = HydraCluster(sim)
@@ -195,10 +214,7 @@ def ablation_rgma_https(scale: Scale, seed: int) -> ExperimentResult:
         server_busy = cluster.node("hydra1").cpu_busy_time
 
         # Steady-state context: the fleet experiment.
-        run = rgma_experiments.rgma_run(
-            200, use_https=https, scale=scale, seed=seed
-        )
-        rows.append([label, setup_ms, server_busy, run.mean_rtt_ms])
+        rows.append([label, setup_ms, server_busy, runs[label].mean_rtt_ms])
         result.add_point(label, 0, setup_ms)
     result.table = (
         ["protocol", "producer setup (ms)", "server CPU for 50 setups (s)",
@@ -334,7 +350,7 @@ def ablation_web_services(scale: Scale, seed: int) -> ExperimentResult:
     return result
 
 
-def ablation_rgma_legacy_api(scale: Scale, seed: int) -> ExperimentResult:
+def ablation_rgma_legacy_api(new_leg, scale: Scale, seed: int) -> ExperimentResult:
     """The §III.F.3 discrepancy: the old Stream Producer / Archiver API
     measured in [11] versus the new Primary Producer / Consumer pipeline."""
     import numpy as np
@@ -346,7 +362,7 @@ def ablation_rgma_legacy_api(scale: Scale, seed: int) -> ExperimentResult:
     from repro.rgma.stream_producer import LegacyDeployment, StreamProducerClient
     from repro.sim import Simulator
 
-    n_producers = 100
+    n_producers = LEGACY_PRODUCERS
     # -- legacy path --------------------------------------------------------
     sim = Simulator(seed=seed)
     cluster = HydraCluster(sim)
@@ -388,7 +404,7 @@ def ablation_rgma_legacy_api(scale: Scale, seed: int) -> ExperimentResult:
     sim.run(until=scale.warmup[1] + min(scale.duration, 60.0) + 20.0)
 
     # -- new API at the same load -------------------------------------------
-    new_run = rgma_experiments.rgma_run(n_producers, scale=scale, seed=seed)
+    new_run = new_leg["new API"]
 
     result = ExperimentResult(
         "ablation_rgma_legacy_api",
@@ -416,7 +432,7 @@ def ablation_rgma_legacy_api(scale: Scale, seed: int) -> ExperimentResult:
     return result
 
 
-def ablation_clock_skew(scale: Scale, seed: int) -> ExperimentResult:
+def ablation_clock_skew(leg, seed: int) -> ExperimentResult:
     """Why the paper measured same-node round trips.
 
     "Data were received by the node where they were sent and there was no
@@ -427,7 +443,7 @@ def ablation_clock_skew(scale: Scale, seed: int) -> ExperimentResult:
     """
     import numpy as np
 
-    run = narada_experiments.narada_run(400, scale=scale, seed=seed)
+    run = leg["same node"]
     true_rtts = run.rtts  # seconds; same-clock ground truth
     rng = np.random.default_rng(seed)
 
@@ -476,30 +492,30 @@ EXPERIMENTS = (
         "ablation_dbn_routing",
         "DBN broadcast flaw vs subscription-aware routing",
         ablation_dbn_routing,
-        params=_DIRECT,
+        reads=(dbn_routing_legs,),
     ),
     Experiment(
         "ablation_udp_ack",
         "UDP with and without the JMS ack protocol",
         ablation_udp_ack,
-        reads=(narada_experiments.comparison_tests,),
-        params=_DIRECT,
+        reads=(comparison_tests, raw_udp_leg),
     ),
     Experiment(
         "ablation_rgma_mediator",
         "R-GMA process time vs consumer per-tuple cost",
         ablation_rgma_mediator,
-        params=_DIRECT,
+        reads=(mediator_legs,),
     ),
     Experiment(
         "ablation_aggregation",
         "Message count vs byte volume at equal payload rate",
         ablation_aggregation,
-        reads=(narada_experiments.comparison_tests,),
+        reads=(comparison_tests,),
     ),
     Experiment(
         "ablation_rgma_https", "R-GMA over HTTP vs HTTPS", ablation_rgma_https,
-        params=_DIRECT,
+        reads=(https_legs,),
+        params=("seed",),
     ),
     Experiment(
         "ablation_web_services",
@@ -511,12 +527,14 @@ EXPERIMENTS = (
         "ablation_rgma_legacy_api",
         "Old Stream Producer API vs new PP pipeline",
         ablation_rgma_legacy_api,
+        reads=(legacy_api_new_leg,),
         params=_DIRECT,
     ),
     Experiment(
         "ablation_clock_skew",
         "Cross-node timestamp error vs clock discipline",
         ablation_clock_skew,
-        params=_DIRECT,
+        reads=(clock_skew_leg,),
+        params=("seed",),
     ),
 )

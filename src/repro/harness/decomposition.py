@@ -1,4 +1,4 @@
-"""Fig 15: RTT decomposition — RTT = PRT + PT + SRT — built on telemetry spans.
+"""Fig 15: RTT decomposition — RTT = PRT + PT + SRT.
 
 "PRT is Publishing Response Time... PT is Process Time, which is how long it
 takes to process data in the middleware.  SRT is Subscribing Response Time...
@@ -9,13 +9,14 @@ phases of NaradaBrokering are very short" (§III.F.2).
 The figure plots cumulative time at the four phase boundaries
 (before_sending, after_sending, before_receiving, after_receiving).
 
-Both figure builders run the middlewares inside a telemetry session — the
-caller's active session when one is installed (e.g. the runner's ``--trace``
-flag), a private one otherwise — and read the decomposition off the span
-pipeline.  Span endpoint phases are copied from the record book, so the
-numbers are identical to the legacy :func:`repro.core.metrics.decompose`
-path; the spans additionally carry broker-interior marks and fault-window
-annotations for the trace exporters.
+``fig15`` and ``fig15_threeway`` read their runs as sweeps, like every other
+figure, and decompose each run's record book
+(:func:`repro.core.metrics.decompose`) — the four timestamps are the
+record's own.  ``fig15_federation`` and ``fig15_edge`` also report broker
+hops and gateway dwell, which only a span records, so they run inside a
+telemetry session — the caller's when one is installed (e.g. the runner's
+``--trace`` flag), a private one otherwise — and read the decomposition off
+the span pipeline.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from __future__ import annotations
 import contextlib
 from typing import Optional
 
-from repro.core import ExperimentResult
+from repro.core import ExperimentResult, decompose
+from repro.core.metrics import PhaseBreakdown
 from repro.harness.narada_experiments import narada_run
+from repro.harness.parallel import RunSpec
 from repro.harness.plog_experiments import plog_run
-from repro.harness.registry import Experiment
+from repro.harness.registry import Experiment, RunContext
 from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry
@@ -34,6 +37,9 @@ from repro.telemetry import context as tel_context
 from repro.telemetry.spans import phase_breakdown
 
 PHASES = ("before_sending", "after_sending", "before_receiving", "after_receiving")
+
+#: The common moderate load every middleware is decomposed at.
+FIG15_CONNECTIONS = 400
 
 
 def _session(label: str):
@@ -50,14 +56,12 @@ def _session(label: str):
     return tel, tel_context.session(tel)
 
 
-def _decomposition_rows(result, tel, runs):
-    """Add cumulative series + table rows for ``(label, run, middleware)``."""
+def _decomposition_rows(
+    result: ExperimentResult, breakdowns: dict[str, PhaseBreakdown]
+) -> None:
+    """Add cumulative series + table rows, one per ``label: phases``."""
     rows = []
-    breakdowns = {}
-    for label, run, middleware in runs:
-        spans = tel.spans_for_book(run.book)
-        phases = phase_breakdown(spans, since=run.measure_since)
-        breakdowns[label] = phases
+    for label, phases in breakdowns.items():
         cumulative = [
             0.0,
             phases.prt_ms,
@@ -74,30 +78,51 @@ def _decomposition_rows(result, tel, runs):
         rows,
     )
     result.meta["phases"] = PHASES
+
+
+def _book_rows(
+    result: ExperimentResult, runs: dict, labels: tuple[str, ...]
+) -> dict[str, PhaseBreakdown]:
+    """Decompose each labelled run's record book over its measurement
+    window, rows in ``labels`` order."""
+    breakdowns = {
+        label: decompose(runs[label].book, since=runs[label].measure_since)
+        for label in labels
+    }
+    _decomposition_rows(result, breakdowns)
     return breakdowns
 
 
-def fig15(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    connections: int = 400,
-) -> ExperimentResult:
-    """Instrumented runs of both paper systems at a common moderate load."""
+def paper_pair(
+    ctx: RunContext, connections: int = FIG15_CONNECTIONS
+) -> dict[str, RunSpec]:
+    """The paper's two systems.  Narada runs first: a ``--trace`` file
+    records the runs in sweep order."""
+    return {
+        "Narada": ctx.spec(narada_run, connections=connections),
+        "RGMA": ctx.spec(rgma_run, connections=connections),
+    }
+
+
+def threeway_runs(
+    ctx: RunContext, connections: int = FIG15_CONNECTIONS
+) -> dict[str, RunSpec]:
+    return {
+        "RGMA": ctx.spec(rgma_run, connections=connections),
+        "Narada": ctx.spec(narada_run, connections=connections),
+        "Plog": ctx.spec(plog_run, connections=connections),
+    }
+
+
+def fig15(pair: dict) -> ExperimentResult:
+    """Both paper systems at a common moderate load."""
     result = ExperimentResult(
         "fig15",
         "RTT decomposition (cumulative ms at each phase boundary)",
         "phase",
         "millisecond",
     )
-    tel, ctx = _session("fig15")
-    with ctx:
-        narada = narada_run(connections, scale=scale, seed=seed)
-        rgma = rgma_run(connections, scale=scale, seed=seed)
-    breakdowns = _decomposition_rows(
-        result,
-        tel,
-        (("RGMA", rgma, "rgma"), ("Narada", narada, "narada")),
-    )
+    breakdowns = _book_rows(result, pair, ("RGMA", "Narada"))
     rgma_phases = breakdowns["RGMA"]
     narada_phases = breakdowns["Narada"]
     if rgma_phases.pt_ms > 3 * max(rgma_phases.prt_ms, rgma_phases.srt_ms):
@@ -135,11 +160,9 @@ def fig15_federation(
     tel, ctx = _session("fig15_federation")
     with ctx:
         run = federation_run(n_brokers, scale=scale, seed=seed)
-    breakdowns = _decomposition_rows(
-        result, tel, (("Federation", run, "federation"),)
-    )
-    phases = breakdowns["Federation"]
     spans = tel.spans_for_book(run.book)
+    phases = phase_breakdown(spans, since=run.measure_since)
+    _decomposition_rows(result, {"Federation": phases})
     max_hops = max((s.hops for s in spans), default=0)
     result.note(
         f"{run.n_brokers} brokers: PT {phases.pt_ms:.1f} ms covers up to "
@@ -177,11 +200,9 @@ def fig15_edge(
         run = edge_point(
             n_clients, n_gateways, middleware, scale=scale, seed=seed
         )
-    breakdowns = _decomposition_rows(
-        result, tel, (("Edge", run, middleware),)
-    )
-    phases = breakdowns["Edge"]
     spans = tel.spans_for_book(run.book)
+    phases = phase_breakdown(spans, since=run.measure_since)
+    _decomposition_rows(result, {"Edge": phases})
     dwells = [
         (s.phases["edge_out"] - s.phases["edge_in"]) * 1e3
         for s in spans
@@ -201,33 +222,15 @@ def fig15_edge(
     return result
 
 
-def fig15_threeway(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    connections: int = 400,
-) -> ExperimentResult:
-    """Fig 15 extended: RTT = PRT + PT + SRT for all three middlewares,
-    every decomposition read off the same span pipeline."""
+def fig15_threeway(runs: dict) -> ExperimentResult:
+    """Fig 15 extended: RTT = PRT + PT + SRT for all three middlewares."""
     result = ExperimentResult(
         "fig15_threeway",
         "RTT decomposition, three middlewares (cumulative ms per phase)",
         "phase",
         "millisecond",
     )
-    tel, ctx = _session("fig15_threeway")
-    with ctx:
-        rgma = rgma_run(connections, scale=scale, seed=seed)
-        narada = narada_run(connections, scale=scale, seed=seed)
-        plog = plog_run(connections, scale=scale, seed=seed)
-    _decomposition_rows(
-        result,
-        tel,
-        (
-            ("RGMA", rgma, "rgma"),
-            ("Narada", narada, "narada"),
-            ("Plog", plog, "plog"),
-        ),
-    )
+    _book_rows(result, runs, ("RGMA", "Narada", "Plog"))
     result.note(
         "plog PRT is the produce acknowledgement round trip, which includes "
         "the producer's linger; the ack races the consumer's woken fetch, so "
@@ -238,20 +241,21 @@ def fig15_threeway(
     return result
 
 
-#: These builders run under a telemetry session, which bypasses the sweep
-#: cache anyway — they take scale and seed and run directly.
+#: These two run under a telemetry session — their notes read broker hops
+#: and gateway dwell, which only a span records — and a session bypasses
+#: the sweep's disk cache anyway: they take scale and seed and run directly.
 _DIRECT = ("scale", "seed")
 
 EXPERIMENTS = (
     Experiment(
         "fig15", "Fig 15: RTT decomposition (PRT/PT/SRT), R-GMA vs Narada", fig15,
-        params=_DIRECT,
+        reads=(paper_pair,),
     ),
     Experiment(
         "fig15_threeway",
         "RTT decomposition for R-GMA, Narada and the plog",
         fig15_threeway,
-        params=_DIRECT,
+        reads=(threeway_runs,),
     ),
     Experiment(
         "fig15_federation",

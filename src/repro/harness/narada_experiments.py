@@ -14,10 +14,9 @@ from typing import Any, Optional
 from repro.core import ExperimentResult, percentile_curve
 from repro.core.metrics import within_threshold
 from repro.edge.upstream import NaradaUpstream
-from repro.harness import pipeline
 from repro.harness.figures import cpu_memory_figure, percentile_figure
 from repro.harness.parallel import RunSpec
-from repro.harness.pipeline import Adapter, RunResult, run_point
+from repro.harness.pipeline import Adapter, RunResult, make_transport, run_point
 from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.jms import AckMode
@@ -47,16 +46,29 @@ class NaradaRunResult(RunResult):
 @dataclass
 class NaradaAdapter(Adapter):
     """One broker or the 4-broker DBN, per-node selector subscribers and
-    the JMS generator fleet (the options are :func:`narada_run`'s)."""
+    the JMS generator fleet.  The fields are :func:`narada_run`'s options."""
 
+    #: The paper's 4-broker distributed broker network (hub + three
+    #: publishing leaves, Fig 5) instead of one broker.
     dbn: bool = False
+    #: ``tcp``, ``nio``, ``udp`` or ``udp_raw`` (:func:`~repro.harness.
+    #: pipeline.make_transport`).
     transport_kind: str = "tcp"
+    #: The subscribers' JMS acknowledgement mode.
     ack_mode: int = AckMode.AUTO_ACKNOWLEDGE
+    #: Payload multiplier (Table II "Triple": x3 payload at 1/3 the rate).
     payload_multiplier: int = 1
+    #: Seconds between one generator's publishes.
     publish_interval: float = 10.0
     config: Optional[NaradaConfig] = None
+    #: Publisher retry-with-backoff (a :class:`~repro.faults.RetryPolicy`);
+    #: ``None`` keeps the paper's one-shot publishes.
     fleet_retry: Any = None
-    fleet_failover: bool = False
+    #: Every subscriber is a *supervised durable* subscription: the broker
+    #: retains delivered-but-unacked and offline messages for replay, the
+    #: receiver reconnects and re-subscribes after connection loss (broker
+    #: crash or its own), and a ``(gen_id, seq)`` index turns the replayed
+    #: at-least-once stream into exactly-once processing.
     durable_receivers: bool = False
 
     name = "narada"
@@ -66,14 +78,12 @@ class NaradaAdapter(Adapter):
             publish_interval=self.publish_interval,
             payload_multiplier=self.payload_multiplier,
             retry=self.fleet_retry,
-            failover=self.fleet_failover,
         )
 
     def build(self, sim, cluster) -> dict[str, str]:
         self.sim, self.cluster = sim, cluster
         # JMS over UDP loses 1.7 % of datagrams at baseline (§III.E.1).
-        # (Looked up on the module: ablation_udp_ack swaps the factory.)
-        self.transport = pipeline.make_transport(
+        self.transport = make_transport(
             self.transport_kind, sim, cluster.lan, udp_loss=0.017
         )
         self.config = self.config or NaradaConfig()
@@ -178,47 +188,23 @@ class NaradaAdapter(Adapter):
 def narada_run(
     connections: int,
     *,
-    dbn: bool = False,
-    transport_kind: str = "tcp",
-    ack_mode: int = AckMode.AUTO_ACKNOWLEDGE,
-    payload_multiplier: int = 1,
-    publish_interval: float = 10.0,
     scale: Optional[Scale] = None,
     seed: int = 1,
-    config: Optional[NaradaConfig] = None,
     fault_plan: Any = None,
     scenario: Any = None,
-    fleet_retry: Any = None,
-    fleet_failover: bool = False,
-    durable_receivers: bool = False,
+    **options: Any,
 ) -> NaradaRunResult:
     """One §III.E test: ``connections`` generators against one broker or the
     4-broker DBN, measured in steady state.
 
-    ``fault_plan`` and ``scenario`` arm fault injection and workload
-    perturbation as :func:`~repro.harness.pipeline.run_point` describes;
-    ``fleet_retry``/``fleet_failover`` give the publishers retry-with-backoff
-    and broker-failover recovery; ``durable_receivers`` makes every
-    subscriber a *supervised durable* subscription — the broker retains
-    delivered-but-unacked and offline messages for replay, the receiver
-    reconnects and re-subscribes after connection loss (broker crash or its
-    own), and a ``(gen_id, seq)`` index turns the replayed at-least-once
-    stream into exactly-once processing.
+    ``options`` are :class:`NaradaAdapter`'s fields; ``fault_plan`` and
+    ``scenario`` arm fault injection and workload perturbation as
+    :func:`~repro.harness.pipeline.run_point` describes.
     """
-    adapter = NaradaAdapter(
-        dbn=dbn,
-        transport_kind=transport_kind,
-        ack_mode=ack_mode,
-        payload_multiplier=payload_multiplier,
-        publish_interval=publish_interval,
-        config=config,
-        fleet_retry=fleet_retry,
-        fleet_failover=fleet_failover,
-        durable_receivers=durable_receivers,
-    )
     return run_point(
-        adapter, connections, NaradaRunResult, scale=scale, seed=seed,
-        fault_plan=fault_plan, scenario=scenario, connections=connections,
+        NaradaAdapter(**options), connections, NaradaRunResult, scale=scale,
+        seed=seed, fault_plan=fault_plan, scenario=scenario,
+        connections=connections,
     )
 
 

@@ -13,12 +13,16 @@ roles R-GMA's Grid Monitoring Architecture names (arXiv cs/0308024):
 ``counters``            whatever this middleware reports beyond the shared
                         :class:`RunResult` fields.
 
-``narada_run`` / ``rgma_run`` / ``plog_run`` declare an adapter and call
-:func:`run_point`; the edge tier is an adapter layered *over* those three
-(:mod:`repro.harness.edge_experiments`); the federation runs, whose site
-fleets are not a :class:`~repro.powergrid.FleetConfig` workload, build their
-one shared body (``federation_experiments._site_run``) from the window /
-fault / summary steps below.
+``narada_run`` / ``rgma_run`` / ``plog_run`` build their adapter from
+their keyword options — the adapter dataclass's fields are the run
+options, spelled and documented once — and call :func:`run_point`; a
+harness builder reaches them only through a
+:class:`~repro.harness.parallel.RunSpec`.  The edge tier is an adapter
+layered *over* those three (:mod:`repro.harness.edge_experiments`); the
+federation runs, whose site fleets are not a
+:class:`~repro.powergrid.FleetConfig` workload, build their one shared body
+(``federation_experiments._site_run``) from the window / fault / summary
+steps below.
 """
 
 from __future__ import annotations
@@ -78,10 +82,17 @@ def steady_state_summary(vm: VmStat, since: float) -> VmStatSummary:
     )
 
 
+#: Datagram loss of ``udp_raw``.  Not anchored to the paper: §III.E.1 gives
+#: only the acked baseline's 1.7 %.
+RAW_UDP_LOSS = 0.03
+
+
 def make_transport(kind: str, sim: Simulator, lan: Any, udp_loss: float) -> Any:
     """The transport a run's clients and servers share.  ``udp`` is JMS
     over UDP: transport-level ack with one retransmission (§III.E.1), at
-    ``udp_loss`` baseline datagram loss."""
+    ``udp_loss`` baseline datagram loss.  ``udp_raw`` is bare datagrams
+    (no ack, no retransmission) at :data:`RAW_UDP_LOSS`, whatever
+    ``udp_loss`` says — ``ablation_udp_ack``'s other leg."""
     if kind == "tcp":
         return TcpTransport(sim, lan)
     if kind == "nio":
@@ -89,6 +100,11 @@ def make_transport(kind: str, sim: Simulator, lan: Any, udp_loss: float) -> Any:
     if kind == "udp":
         return UdpTransport(
             sim, lan, loss_probability=udp_loss, acked=True, rto=0.15, max_retries=1
+        )
+    if kind == "udp_raw":
+        return UdpTransport(
+            sim, lan, loss_probability=RAW_UDP_LOSS, acked=False, rto=0.15,
+            max_retries=0,
         )
     raise ValueError(f"unknown transport {kind!r}")
 

@@ -24,10 +24,9 @@ from repro.core import ExperimentResult
 from repro.core.dedup import DedupIndex
 from repro.core.metrics import soft_realtime_compliance
 from repro.edge.upstream import PlogUpstream
-from repro.harness import pipeline
 from repro.harness.figures import percentile_figure
 from repro.harness.parallel import RunSpec
-from repro.harness.pipeline import CLIENT_NODES, Adapter, RunResult, run_point
+from repro.harness.pipeline import CLIENT_NODES, Adapter, RunResult, make_transport, run_point
 from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.plog import PlogConfig, PlogDeployment
@@ -86,13 +85,19 @@ class PlogRunResult(RunResult):
 @dataclass
 class PlogAdapter(Adapter):
     """A partitioned-log deployment, one consumer-group member per client
-    node and the batching producer fleet (the options are
-    :func:`plog_run`'s)."""
+    node and the batching producer fleet.  The fields are :func:`plog_run`'s
+    options."""
 
+    #: Brokers the topic's partitions are spread over round-robin.
     n_brokers: int = 1
     config: Optional[PlogConfig] = None
-    deadline_s: float = 5.0
+    #: ``tcp``, ``nio`` or ``udp`` (:func:`~repro.harness.pipeline.
+    #: make_transport`).
     transport_kind: str = "tcp"
+    #: All group members share one ``(gen_id, seq)`` index — the
+    #: idempotent-sink half of exactly-once: post-rebalance replay of
+    #: records a dead member already processed is absorbed as a
+    #: redelivery, not a duplicate.
     dedup_receivers: bool = False
 
     name = "plog"
@@ -107,7 +112,7 @@ class PlogAdapter(Adapter):
         # Acked datagrams with zero baseline loss: the chaos experiments
         # inject loss through the LAN fault windows instead, so the no-fault
         # phases of a run stay clean.
-        self.transport = pipeline.make_transport(
+        self.transport = make_transport(
             self.transport_kind, sim, cluster.lan, udp_loss=0.0
         )
         self.nodes = (
@@ -158,9 +163,7 @@ class PlogAdapter(Adapter):
 
     def counters(self, run) -> dict[str, Any]:
         book, measure_since = run["book"], run["measure_since"]
-        compliant, frac_late, _loss = soft_realtime_compliance(
-            book, deadline_s=self.deadline_s, since=measure_since
-        )
+        compliant, frac_late, _loss = soft_realtime_compliance(book, since=measure_since)
         window = [r for r in book.records if r.t_before_send >= measure_since]
         acked = [r for r in window if r.t_after_send is not None]
         brokers, receivers = self.deployment.brokers, self.receivers
@@ -215,37 +218,24 @@ class PlogAdapter(Adapter):
 def plog_run(
     connections: int,
     *,
-    n_brokers: int = 1,
     scale: Optional[Scale] = None,
     seed: int = 1,
-    config: Optional[PlogConfig] = None,
-    deadline_s: float = 5.0,
-    transport_kind: str = "tcp",
     fault_plan: Any = None,
     scenario: Any = None,
-    dedup_receivers: bool = False,
+    **options: Any,
 ) -> PlogRunResult:
     """One grid-monitoring test: ``connections`` generators against a
-    partitioned-log deployment of ``n_brokers`` brokers, measured in steady
-    state.
+    partitioned-log deployment, measured in steady state.
 
-    ``fault_plan`` and ``scenario`` are as :func:`~repro.harness.pipeline.
-    run_point` describes; faults are armed against this run's LAN, brokers
-    and consumers.  ``dedup_receivers`` gives all group members one shared ``(gen_id, seq)``
-    index — the idempotent-sink half of exactly-once: post-rebalance replay
-    of records a dead member already processed is absorbed as a
-    redelivery, not a duplicate.
+    ``options`` are :class:`PlogAdapter`'s fields; ``fault_plan`` and
+    ``scenario`` are as :func:`~repro.harness.pipeline.run_point`
+    describes; faults are armed against this run's LAN, brokers and
+    consumers.
     """
-    adapter = PlogAdapter(
-        n_brokers=n_brokers,
-        config=config,
-        deadline_s=deadline_s,
-        transport_kind=transport_kind,
-        dedup_receivers=dedup_receivers,
-    )
     return run_point(
-        adapter, connections, PlogRunResult, scale=scale, seed=seed,
-        fault_plan=fault_plan, scenario=scenario, connections=connections,
+        PlogAdapter(**options), connections, PlogRunResult, scale=scale,
+        seed=seed, fault_plan=fault_plan, scenario=scenario,
+        connections=connections,
     )
 
 

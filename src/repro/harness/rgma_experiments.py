@@ -36,11 +36,15 @@ class RgmaRunResult(RunResult):
 class RgmaAdapter(Adapter):
     """Producer/consumer servlets on one server or four, polling
     subscribers with genid-range WHERE clauses and the Primary Producer
-    fleet (the options are :func:`rgma_run`'s)."""
+    fleet.  The fields are :func:`rgma_run`'s options."""
 
+    #: Four servers (Fig 11's distributed network) instead of one.
     distributed: bool = False
+    #: Subscribers read through one Secondary Producer (Fig 10).
     secondary_producer: bool = False
+    #: Publish without the 10-20 s warm-up wait (the §III.F loss test).
     skip_warmup: bool = False
+    #: HTTPS instead of HTTP between clients and the single server.
     use_https: bool = False
     config: Optional[RGMAConfig] = None
 
@@ -136,33 +140,24 @@ class RgmaAdapter(Adapter):
 def rgma_run(
     connections: int,
     *,
-    distributed: bool = False,
-    secondary_producer: bool = False,
-    skip_warmup: bool = False,
-    use_https: bool = False,
     scale: Optional[Scale] = None,
     seed: int = 1,
-    config: Optional[RGMAConfig] = None,
     fault_plan: Any = None,
     scenario: Any = None,
+    **options: Any,
 ) -> RgmaRunResult:
     """One §III.F test: ``connections`` Primary Producers, two subscribers.
 
-    ``fault_plan`` and ``scenario`` are as :func:`~repro.harness.pipeline.
-    run_point` describes: link- and node-level faults apply (servlet stalls
-    target the server nodes); broker and consumer faults are logged as
-    skipped — this pipeline has no such process to kill.
+    ``options`` are :class:`RgmaAdapter`'s fields; ``fault_plan`` and
+    ``scenario`` are as :func:`~repro.harness.pipeline.run_point`
+    describes: link- and node-level faults apply (servlet stalls target the
+    server nodes); broker and consumer faults are logged as skipped — this
+    pipeline has no such process to kill.
     """
-    adapter = RgmaAdapter(
-        distributed=distributed,
-        secondary_producer=secondary_producer,
-        skip_warmup=skip_warmup,
-        use_https=use_https,
-        config=config,
-    )
     return run_point(
-        adapter, connections, RgmaRunResult, scale=scale, seed=seed,
-        fault_plan=fault_plan, scenario=scenario, connections=connections,
+        RgmaAdapter(**options), connections, RgmaRunResult, scale=scale,
+        seed=seed, fault_plan=fault_plan, scenario=scenario,
+        connections=connections,
     )
 
 

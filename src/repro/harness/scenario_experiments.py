@@ -22,7 +22,7 @@ from functools import partial
 from typing import Any, Optional
 
 from repro.core import ExperimentResult, percentile_curve
-from repro.faults import RetryPolicy
+from repro.harness.chaos_experiments import CHAOS_RETRY
 from repro.harness.edge_experiments import EDGE_MIDDLEWARES, edge_point
 from repro.harness.narada_experiments import narada_run
 from repro.harness.parallel import RunSpec
@@ -36,9 +36,6 @@ from repro.scenario import burst_windows, named_scenario, score_leg, scorecard
 #: Shared load for the threeway legs: big enough that a regional burst
 #: covers hundreds of in-flight messages, small enough for smoke.
 SCENARIO_CONNECTIONS = 200
-
-#: Publisher recovery for the Narada leg (same budget as the chaos legs).
-SCENARIO_RETRY = RetryPolicy(retries=6, backoff=0.1)
 
 #: The threeway legs, in scorecard order.
 THREEWAY_LEGS = ("Narada (UDP, retry)", "R-GMA (TCP)", "Plog (TCP, acks=all)")
@@ -56,7 +53,7 @@ def threeway_legs(
     return {
         narada: ctx.spec(
             narada_run, connections=connections, transport_kind="udp",
-            fleet_retry=SCENARIO_RETRY,
+            fleet_retry=CHAOS_RETRY,  # the chaos legs' publisher recovery
         ),
         rgma: ctx.spec(rgma_run, connections=connections),
         # TCP + acks=all + one-shot producer: nothing is retried blind, so

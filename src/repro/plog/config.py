@@ -177,10 +177,6 @@ class PlogConfig:
     #: Controller liveness-scan period: bounds failure-detection latency for
     #: leader election and coordinator failover.
     failure_detect_interval: float = 0.25
-    #: Run the cluster controller (and host the group coordinator's offsets
-    #: on the replicated ``__offsets`` log) even at ``replication_factor=1``,
-    #: so coordinator re-election can be exercised without data replication.
-    coordinator_failover: bool = False
 
     def with_(self, **changes) -> "PlogConfig":
         """Convenience wrapper around :func:`dataclasses.replace`."""

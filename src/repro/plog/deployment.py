@@ -100,9 +100,7 @@ class PlogDeployment:
                 self.replica_fetchers.append(
                     ReplicaFetcher(self, self._by_name[name], self.topic, partition)
                 )
-        self._controller_enabled = (
-            replication > 1 or self.config.coordinator_failover
-        ) and n > 1
+        self._controller_enabled = replication > 1 and n > 1
         self._coordinator_broker = self.brokers[0]
         if self._controller_enabled:
             # The internal __offsets partition is replicated to *every*

@@ -68,9 +68,6 @@ class FleetConfig:
     #: backoff (``None`` keeps the paper's one-shot behaviour, where a lost
     #: publish is simply a lost message).
     retry: Optional[RetryPolicy] = None
-    #: On a dead connection, fail over to the next broker address instead
-    #: of reconnecting to the same one (needs >1 broker to matter).
-    failover: bool = False
     #: Mid-run per-generator rate overrides (``repro.scenario`` compiles
     #: scenario events into one).  ``None`` keeps the paper's fixed rates.
     rates: Optional[RateSchedule] = None
@@ -229,12 +226,7 @@ class NaradaFleet:
                         retry.delay(attempt, sim, f"narada.retry.{gen_id}")
                     )
                     if isinstance(exc, (ChannelClosed, IllegalStateException)):
-                        # Dead connection: rebuild it — against the next
-                        # broker when failing over, the same one otherwise.
-                        if fleet.failover:
-                            broker_index = (
-                                broker_index + 1
-                            ) % len(self.broker_addresses)
+                        # Dead connection: rebuild it against the same broker.
                         try:
                             connection.close()
                         except (ChannelClosed, TransportError):

@@ -8,8 +8,8 @@ the simulator ever activates a session; only the harness (``--trace`` /
 ``--metrics-out``) or a test does, via :func:`session`.
 
 Sessions nest as a stack so an experiment that builds its own private
-session (e.g. ``fig15`` when run outside the CLI) composes with a
-CLI-level session wrapping the whole run.
+session (``fig15_federation`` and ``fig15_edge`` when run outside the CLI)
+composes with a CLI-level session wrapping the whole run.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Merge semantics:
 * **spans** — appended verbatim, and re-bound to the *unpickled* record
   books via :meth:`~repro.telemetry.spans.Tracer.adopt` (record identity
   changes across the pickle round-trip), so ``spans_for_book`` keeps
-  working for figure builders such as ``fig15_threeway``;
+  working for the trace exporters and for span readers such as
+  ``fig15_federation``;
 * **counters / gauges / histogram buckets** — merged exactly;
 * **P² quantiles** — merged exactly while either side holds raw samples,
   approximately (observation-weighted markers) once both have collapsed to

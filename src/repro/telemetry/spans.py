@@ -146,9 +146,11 @@ class Tracer:
                 span.phases["arrived"] = record.t_arrived
             if record.t_received is not None:
                 span.phases["delivered"] = record.t_received
-            marks = self._marks.get(id(record))
+            # Binding consumes the marks: once this book is freed, a later
+            # record may reuse its id() and must not inherit them.
+            marks = self._marks.pop(id(record), None)
             if marks:
-                span.hops = self._hops.get(id(record), 0)
+                span.hops = self._hops.pop(id(record), 0)
                 for phase, (t, component) in marks.items():
                     span.phases.setdefault(phase, t)
                     span.components.setdefault(phase, component)

@@ -67,4 +67,3 @@ def test_recovery_is_opt_in_everywhere():
     assert plog.consumer_recovery is False
     fleet = FleetConfig(n_generators=1, publish_interval=10.0)
     assert fleet.retry is None
-    assert fleet.failover is False

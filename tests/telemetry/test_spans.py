@@ -53,6 +53,20 @@ def test_tracer_first_mark_wins_and_counts_hops():
     assert tracer._hops[id(record)] == 3
 
 
+def test_binding_consumes_marks_so_a_reused_id_starts_clean():
+    """A record created after an earlier run's book was freed can get that
+    run's ``id()``; it must not inherit the old record's marks."""
+    from repro.core import RecordBook
+
+    tracer = Tracer()
+    book = RecordBook()
+    record = book.new_record(1, 1, 0.0)
+    tracer.mark(record, "broker_in", 0.5, "broker1")
+    (span,) = tracer.bind_book(book, "narada")
+    assert span.components["broker_in"] == "broker1"
+    assert id(record) not in tracer._marks and id(record) not in tracer._hops
+
+
 def test_span_properties():
     span = Span(middleware="m", gen_id=1, seq=2)
     assert not span.complete
