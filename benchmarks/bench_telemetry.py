@@ -51,7 +51,7 @@ def test_fig15_traced_writes_valid_artifacts(benchmark, scale):
 
 
 def test_histogram_observe_throughput(benchmark):
-    """Streaming cost of one histogram observation (both estimators)."""
+    """Streaming cost of one histogram observation."""
     xs = np.random.default_rng(7).lognormal(3.0, 1.2, 20_000)
 
     def fill():

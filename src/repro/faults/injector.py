@@ -1,13 +1,13 @@
 """Turning a :class:`~repro.faults.plan.FaultPlan` into scheduled havoc.
 
-``FaultScheduler(sim, plan).attach(lan=..., cluster=..., brokers=...,
-consumers=...)`` resolves the plan's symbolic targets against one concrete
-run and arms everything:
+``FaultScheduler(sim, plan).attach(lan=..., brokers=..., consumers=...)``
+resolves the plan's symbolic targets against one concrete run and arms
+everything:
 
 * link faults become time-predicated windows on the LAN's
   :class:`~repro.faults.link.LinkFaults`;
-* node and application faults become ``sim.call_at`` callbacks (crash,
-  restart, CPU rescale, ballast allocation, consumer close);
+* broker and consumer faults become ``sim.call_at`` callbacks (crash,
+  restart, consumer close);
 * every fault that actually fires appends a :class:`FaultLogEntry`, so an
   experiment can report its injected timeline next to its measurements.
 
@@ -28,13 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.cluster.jvm import OutOfMemoryError
 from repro.faults.link import LinkFaults
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.telemetry.context import current as _telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.hydra import HydraCluster
     from repro.cluster.network import Lan
     from repro.sim.kernel import Simulator
 
@@ -60,8 +58,6 @@ class FaultScheduler:
         self.plan = plan
         self.log: list[FaultLogEntry] = []
         self.link_faults: Optional[LinkFaults] = None
-        self._lan: Optional["Lan"] = None
-        self._cluster: Optional["HydraCluster"] = None
         self._brokers: list[Any] = []
         self._consumers: list[Any] = []
         self._attached = False
@@ -70,15 +66,12 @@ class FaultScheduler:
     def attach(
         self,
         lan: Optional["Lan"] = None,
-        cluster: Optional["HydraCluster"] = None,
         brokers: Sequence[Any] = (),
         consumers: Sequence[Any] = (),
     ) -> "FaultScheduler":
         if self._attached:
             raise RuntimeError("fault scheduler already attached")
         self._attached = True
-        self._lan = lan
-        self._cluster = cluster
         self._brokers = list(brokers)
         self._consumers = list(consumers)
         if lan is not None:
@@ -110,15 +103,6 @@ class FaultScheduler:
                 return broker
         return None
 
-    def _node_for(self, target: str) -> Optional[Any]:
-        name = target.split(":", 1)[1] if target.startswith("node:") else target
-        if self._cluster is None:
-            return None
-        try:
-            return self._cluster.node(name)
-        except KeyError:
-            return None
-
     def _consumer_for(self, target: str) -> Optional[Any]:
         index = int(target.split(":", 1)[1])
         if 0 <= index < len(self._consumers):
@@ -132,14 +116,6 @@ class FaultScheduler:
             self._arm_link(spec)
         elif kind == "broker_crash":
             self._arm_broker_crash(spec)
-        elif kind == "cpu_slowdown":
-            self._arm_cpu_slowdown(spec)
-        elif kind == "memory_pressure":
-            self._arm_memory_pressure(spec)
-        elif kind == "stall":
-            self._arm_stall(spec)
-        elif kind == "slow_consumer":
-            self._arm_slow_consumer(spec)
         elif kind == "consumer_crash":
             self._arm_consumer_crash(spec)
 
@@ -195,102 +171,6 @@ class FaultScheduler:
         self.sim.call_at(spec.at, crash)
         if restart_after is not None:
             self.sim.call_at(spec.at + restart_after, restart)
-
-    def _arm_cpu_slowdown(self, spec: FaultSpec) -> None:
-        node = self._node_for(spec.target)
-        if node is None:
-            self._skip(spec, "no such node in this run")
-            return
-        factor = spec.param("factor")
-        state: dict[str, float] = {}
-
-        def apply() -> None:
-            state["original"] = node.cpu_scale
-            node.cpu_scale = node.cpu_scale / factor
-            self._note(
-                self.sim.now, "cpu_slowdown", node.name,
-                f"{factor:.1f}x slower for {spec.duration:.1f}s",
-            )
-
-        def revert() -> None:
-            node.cpu_scale = state.get("original", node.cpu_scale * factor)
-            self._note(self.sim.now, "cpu_restore", node.name, "full speed")
-
-        self.sim.call_at(spec.at, apply)
-        self.sim.call_at(spec.until, revert)
-
-    def _arm_memory_pressure(self, spec: FaultSpec) -> None:
-        broker = self._broker_for(spec.target)
-        if broker is None:
-            self._skip(spec, "no such broker in this run")
-            return
-        nbytes = spec.param("nbytes")
-
-        def apply() -> None:
-            try:
-                broker.jvm.alloc(nbytes, "fault ballast")
-            except OutOfMemoryError:
-                # The ballast itself does not fit: the JVM is dead, which
-                # kills the broker for good (no restart possible).
-                broker.crash()
-                self._note(
-                    self.sim.now, "memory_pressure", broker.name,
-                    f"{nbytes / 2**20:.0f} MiB ballast -> OOM kill",
-                )
-                return
-            self._note(
-                self.sim.now, "memory_pressure", broker.name,
-                f"{nbytes / 2**20:.0f} MiB ballast allocated",
-            )
-            if spec.param("release"):
-                def release() -> None:
-                    if not broker.jvm.dead:
-                        broker.jvm.free(nbytes)
-                        self._note(
-                            self.sim.now, "memory_release", broker.name,
-                            "ballast collected",
-                        )
-                self.sim.call_at(spec.until, release)
-
-        self.sim.call_at(spec.at, apply)
-
-    def _arm_stall(self, spec: FaultSpec) -> None:
-        node = self._node_for(spec.target)
-        if node is None:
-            self._skip(spec, "no such node in this run")
-            return
-
-        def apply() -> None:
-            # One non-preemptible job that pins the CPU for the window's
-            # wall-clock duration at the node's current speed.
-            node.execute_process(spec.duration * node.cpu_scale)
-            self._note(
-                self.sim.now, "stall", node.name,
-                f"CPU seized for {spec.duration:.1f}s",
-            )
-
-        self.sim.call_at(spec.at, apply)
-
-    def _arm_slow_consumer(self, spec: FaultSpec) -> None:
-        consumer = self._consumer_for(spec.target)
-        if consumer is None:
-            self._skip(spec, "no such consumer in this run")
-            return
-        factor = spec.param("factor")
-
-        def apply() -> None:
-            consumer.record_cpu_multiplier = factor
-            self._note(
-                self.sim.now, "slow_consumer", consumer.name,
-                f"{factor:.1f}x per-record CPU for {spec.duration:.1f}s",
-            )
-
-        def revert() -> None:
-            consumer.record_cpu_multiplier = 1.0
-            self._note(self.sim.now, "consumer_restore", consumer.name, "normal")
-
-        self.sim.call_at(spec.at, apply)
-        self.sim.call_at(spec.until, revert)
 
     def _arm_consumer_crash(self, spec: FaultSpec) -> None:
         consumer = self._consumer_for(spec.target)

@@ -15,7 +15,6 @@ Targets are symbolic so one plan works against any middleware:
 ``"*"``                every host pair (link faults)
 ``"host:hydra5"``      link faults touching one host
 ``"broker:1"``         the second broker of whatever deployment is attached
-``"node:hydra1"``      a cluster node (CPU faults)
 ``"consumer:0"``       the first attached consumer (application faults)
 =====================  =====================================================
 
@@ -36,10 +35,6 @@ FAULT_KINDS = (
     "latency",
     "partition",
     "broker_crash",
-    "cpu_slowdown",
-    "memory_pressure",
-    "stall",
-    "slow_consumer",
     "consumer_crash",
 )
 
@@ -141,7 +136,7 @@ class FaultPlan:
             )
         )
 
-    # ------------------------------------------------------------ node faults
+    # ---------------------------------------------------------- broker faults
     def broker_crash(
         self, at: float, broker: str = "broker:0", restart_after: float | None = None
     ) -> "FaultPlan":
@@ -155,57 +150,7 @@ class FaultPlan:
             )
         )
 
-    def cpu_slowdown(
-        self, at: float, duration: float, node: str, factor: float
-    ) -> "FaultPlan":
-        """Divide a node's CPU speed by ``factor`` for a window (thermal
-        throttling, a co-scheduled job)."""
-        if factor <= 0:
-            raise ValueError("slowdown factor must be positive")
-        return self._add(
-            FaultSpec(
-                "cpu_slowdown", at, duration, f"node:{node}", {"factor": factor}
-            )
-        )
-
-    def memory_pressure(
-        self, at: float, broker: str, nbytes: float, duration: float | None = None
-    ) -> "FaultPlan":
-        """Allocate ``nbytes`` of ballast on a broker's JVM heap.
-
-        Mirrors Fig 7's exhaustion: the broker refuses connections it can no
-        longer hold state for, and if the ballast itself does not fit the
-        JVM dies and the broker is killed.  With ``duration`` the ballast is
-        freed again (a leak that gets collected).
-        """
-        if nbytes <= 0:
-            raise ValueError("ballast must be positive")
-        return self._add(
-            FaultSpec(
-                "memory_pressure", at, duration or 0.0, broker,
-                {"nbytes": nbytes, "release": duration is not None},
-            )
-        )
-
-    def stall(self, at: float, duration: float, node: str) -> "FaultPlan":
-        """Seize a node's CPU with one non-preemptible job for ``duration``
-        seconds — a stop-the-world GC pause or a wedged servlet."""
-        return self._add(FaultSpec("stall", at, duration, f"node:{node}"))
-
     # ----------------------------------------------------- application faults
-    def slow_consumer(
-        self, at: float, duration: float, consumer: int, factor: float
-    ) -> "FaultPlan":
-        """Multiply one consumer's per-record processing CPU by ``factor``."""
-        if factor < 1.0:
-            raise ValueError("slow-consumer factor must be >= 1")
-        return self._add(
-            FaultSpec(
-                "slow_consumer", at, duration, f"consumer:{consumer}",
-                {"factor": factor},
-            )
-        )
-
     def consumer_crash(self, at: float, consumer: int) -> "FaultPlan":
         """Close one consumer (its group should rebalance around it)."""
         return self._add(FaultSpec("consumer_crash", at, 0.0, f"consumer:{consumer}"))

@@ -302,13 +302,8 @@ class FederationSubscriber:
             )
             frame = delivery.payload
             if frame[0] == "deliver":
-                messages = (frame[2],)
-            elif frame[0] == "deliver_batch":  # a Narada aggregation window
-                messages = frame[2]
-            else:
-                continue  # "subscribed" confirmations
-            for message in messages:
-                self._delivered(message, delivery.delivered_at)
+                self._delivered(frame[2], delivery.delivered_at)
+            # else: a "subscribed" confirmation
 
     def _delivered(self, message: Any, arrived_at: float) -> None:
         self.delivered += 1

@@ -195,7 +195,7 @@ def arm_faults(
     if plan is None or not len(plan):
         return None
     return FaultScheduler(sim, plan).attach(
-        lan=cluster.lan, cluster=cluster, brokers=brokers, consumers=consumers
+        lan=cluster.lan, brokers=brokers, consumers=consumers
     )
 
 

@@ -29,7 +29,7 @@ from repro.jms.message import (
     ObjectMessage,
     TextMessage,
 )
-from repro.jms.destination import Destination, Queue, TemporaryQueue, TemporaryTopic, Topic
+from repro.jms.destination import Destination, Queue, Topic
 from repro.jms.selector import Selector
 from repro.jms.session import AckMode, Session
 from repro.jms.connection import Connection, ConnectionFactory
@@ -56,8 +56,6 @@ __all__ = [
     "Queue",
     "Selector",
     "Session",
-    "TemporaryQueue",
-    "TemporaryTopic",
     "TextMessage",
     "Topic",
     "TopicPublisher",

@@ -8,10 +8,7 @@ receiver (point-to-point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
-
-_temp_ids = count(1)
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,21 +30,3 @@ class Topic(Destination):
 @dataclass(frozen=True)
 class Queue(Destination):
     """Point-to-point destination: exactly one receiver per message."""
-
-
-@dataclass(frozen=True)
-class TemporaryTopic(Topic):
-    """Connection-scoped topic (e.g. for reply-to patterns)."""
-
-    @staticmethod
-    def create() -> "TemporaryTopic":
-        return TemporaryTopic(name=f"$TMP.TOPIC.{next(_temp_ids)}")
-
-
-@dataclass(frozen=True)
-class TemporaryQueue(Queue):
-    """Connection-scoped queue."""
-
-    @staticmethod
-    def create() -> "TemporaryQueue":
-        return TemporaryQueue(name=f"$TMP.QUEUE.{next(_temp_ids)}")

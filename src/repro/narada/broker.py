@@ -110,8 +110,6 @@ class Broker(JvmServer):
         self.remote_interest: dict[str, set[str]] = {}
         # Flood dedup (bounded LRU of message ids).
         self._seen: OrderedDict[str, None] = OrderedDict()
-        #: Aggregation buffers: sub_id -> pending message copies.
-        self._agg_buffers: dict[str, list] = {}
 
     # ------------------------------------------------------------- serving
     def _serve_channel(self, channel: Channel) -> None:
@@ -243,10 +241,6 @@ class Broker(JvmServer):
             else:
                 self.stats.deliveries_dropped += 1
             return
-        if cfg.aggregation_window > 0:
-            yield from self.node.execute(cfg.aggregate_member_cpu)
-            self._aggregate(sub, copy)
-            return
         yield from self.node.execute(cfg.deliver_cpu)
         # Durable contract: the copy stays retained until the subscriber's
         # JMS ack comes back — a send the broker counts as delivered can
@@ -295,40 +289,6 @@ class Broker(JvmServer):
         if settled:
             del sub.unacked[:settled]
             self.jvm.free(self.config.per_message_heap * settled)
-
-    # ---------------------------------------------------------- aggregation
-    def _aggregate(self, sub: _Subscription, message: Any) -> None:
-        """RMM-style aggregation: buffer per subscription, flush on a timer.
-
-        One combined wire message per window pays the delivery cost once —
-        "the quantity of the messages is the dominant overhead" (paper §IV).
-        """
-        buffer = self._agg_buffers.get(sub.sub_id)
-        if buffer is not None:
-            buffer.append(message)
-            return
-        self._agg_buffers[sub.sub_id] = [message]
-        self.sim.call_at(
-            self.sim.now + self.config.aggregation_window,
-            lambda: self.sim.process(self._flush_aggregate(sub), name="agg.flush"),
-        )
-
-    def _flush_aggregate(self, sub: _Subscription) -> Generator[Any, Any, None]:
-        batch = self._agg_buffers.pop(sub.sub_id, None)
-        if not batch:
-            return
-        cfg = self.config
-        yield from self.node.execute(cfg.deliver_cpu)
-        nbytes = sum(m.wire_size() for m in batch) + cfg.frame_overhead_bytes
-        try:
-            yield from sub.channel.send(
-                ("deliver_batch", sub.sub_id, batch), nbytes
-            )
-            self.stats.messages_delivered += len(batch)
-            for m in batch:
-                self._mark(m, "broker_out")
-        except (MessageLost, ChannelClosed):
-            self.stats.deliveries_dropped += len(batch)
 
     # ------------------------------------------------------------ subscribe
     def _on_subscribe(

@@ -139,15 +139,6 @@ class NaradaProvider:
                 message._t_arrived_client = delivery.delivered_at
                 message._sub_id = sub_id
                 handler(message)
-            elif kind == "deliver_batch":
-                _, sub_id, batch = payload
-                handler = self._subscriptions.get(sub_id)
-                if handler is None:
-                    continue
-                for message in batch:
-                    message._t_arrived_client = delivery.delivered_at
-                    message._sub_id = sub_id
-                    handler(message)
             elif kind == "subscribed":
                 confirm = self._pending_subscribes.pop(payload[1], None)
                 if confirm is not None:

@@ -69,16 +69,6 @@ class NaradaConfig:
     #: Extra CPU for PERSISTENT delivery (synchronous store write).
     persist_cpu: float = 0.004
 
-    # -- message aggregation (the §IV RMM technique; off by default) --------
-    #: When > 0, deliveries to a subscriber are buffered for this many
-    #: seconds and shipped as one combined message: "Message aggregation is
-    #: to reduce the number of total messages by combining several messages
-    #: addressed to the same destination into one big message" (paper §IV).
-    aggregation_window: float = 0.0
-    #: Residual CPU per message inside an aggregated batch (the per-message
-    #: cost aggregation cannot remove: copying the payload).
-    aggregate_member_cpu: float = 60e-6
-
     # -- durable subscriptions -----------------------------------------------
     #: Max messages retained per disconnected durable subscription.
     durable_buffer_max: int = 10_000

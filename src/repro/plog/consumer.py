@@ -92,9 +92,6 @@ class PlogConsumer:
         #: Times this member rejoined after losing its coordinator channel
         #: (coordinator broker crash → re-election → rejoin + rebalance).
         self.coordinator_rejoins = 0
-        #: Scales per-record processing CPU; the slow-consumer fault raises
-        #: it for a window, modelling a starved subscriber.
-        self.record_cpu_multiplier = 1.0
         self.closed = False
 
     # --------------------------------------------------------------- startup
@@ -244,9 +241,7 @@ class PlogConsumer:
             if self.closed or self.generation != generation:
                 return  # stale: do not advance offsets past a rebalance
             for _offset, value in records:
-                yield from self.node.execute(
-                    cfg.consumer_record_cpu * self.record_cpu_multiplier
-                )
+                yield from self.node.execute(cfg.consumer_record_cpu)
                 self.records_consumed += 1
                 if self.on_record is not None:
                     self.on_record(value, t_arrived)

@@ -8,12 +8,9 @@ evaluated over a length-1 array reproduce one generator's trajectory
 bit-for-bit — the zoom escape hatch of :mod:`repro.powergrid.fleet_engine`.
 
 :meth:`CohortDynamics.breaker` is the trip/reclose rule, the only piece of
-generator state a fleet outcome reads (it sets the payload size); the fleet
-engine calls it alone.  :meth:`CohortDynamics.step` is the full
-:class:`repro.powergrid.generator.PowerGenerator` reading — the
-mean-reverting power process, voltage sag and frequency noise, built on
-the same key and the same breaker rule — kept as the vectorized twin of
-``PowerGenerator.sample``.
+generator state a fleet outcome reads (it sets the payload size).  Power,
+voltage and frequency readings reach no fleet outcome, so no cohort
+computes them.
 
 :func:`advance_interval` is the cohort-wide twin of
 :func:`repro.powergrid.rates.rate_sleep`: it integrates a
@@ -67,69 +64,22 @@ class CohortSpec:
 
 
 class CohortDynamics:
-    """The :class:`PowerGenerator` state model over generator-id arrays.
+    """The :class:`PowerGenerator` breaker over generator-id arrays.
 
-    Every method accepts arrays of any shape (length-1 for the zoomed
-    per-process path) and is a pure function of ``(seed, gen_id, seq)`` plus
-    the carried state — no sequential RNG, no call-order dependence.
+    :meth:`breaker` accepts arrays of any shape (length-1 for the zoomed
+    per-process path) and is a pure function of the message key plus the
+    carried state — no sequential RNG, no call-order dependence.
     """
-
-    NOMINAL_VOLTAGE = 415.0
-    NOMINAL_FREQUENCY = 50.0
 
     def __init__(self, seed: int, spec: CohortSpec):
         self.seed = seed
         self.spec = spec
-
-    def initial_power(self, gen_ids: Any) -> np.ndarray:
-        """Start between 20 % and 80 % of capacity (the generator's init)."""
-        return self.spec.capacity_kw * noise.uniform(
-            noise.key(self.seed, gen_ids, 0), noise.FIELD_INIT, 0.2, 0.8
-        )
 
     def breaker(self, k: np.ndarray, closed: np.ndarray) -> np.ndarray:
         """The breaker state after one message keyed ``k``: a closed breaker
         trips with ``trip_probability``, an open one recloses with 0.2."""
         u = noise.u01(k, noise.FIELD_TRIP)
         return np.where(closed, u >= self.spec.trip_probability, u < 0.2)
-
-    def step(
-        self,
-        gen_ids: Any,
-        seqs: Any,
-        power: np.ndarray,
-        breaker_closed: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """Advance one publish interval; returns (power', closed', reading).
-
-        Mirrors :meth:`PowerGenerator.sample`: OU power with multiplicative
-        noise, clip to capacity, one trip/reclose draw, load-coupled voltage
-        sag, frequency jitter, and the same per-field rounding.
-        """
-        k = noise.key(self.seed, gen_ids, seqs)
-        cap = self.spec.capacity_kw
-        target = 0.55 * cap
-        power = power + 0.15 * (target - power) + 0.06 * cap * noise.normal(
-            k, noise.FIELD_POWER
-        )
-        power = np.clip(power, 0.0, cap)
-        closed = self.breaker(k, breaker_closed)
-        out = np.where(closed, power, 0.0)
-        voltage = self.NOMINAL_VOLTAGE * (
-            1.0
-            - 0.01 * out / cap
-            + 0.002 * noise.normal(k, noise.FIELD_VOLT)
-        )
-        frequency = self.NOMINAL_FREQUENCY + 0.01 * noise.normal(
-            k, noise.FIELD_FREQ
-        )
-        reading = {
-            "power_kw": np.round(out, 3),
-            "voltage_v": np.round(voltage, 2),
-            "frequency_hz": np.round(frequency, 3),
-            "breaker_closed": closed,
-        }
-        return power, closed, reading
 
 
 def warmup_times(

@@ -31,8 +31,7 @@ decisions.  :func:`verify_agreement` asserts exactly that.
 A draw is made iff the outcome reads it.  A :class:`FleetOutcome` depends
 on each message's breaker state (payload size), service jitter and, inside
 loss windows, the loss and duplicate draws — not on the power, voltage or
-frequency a generator would report, so the engine never computes those
-(:meth:`CohortDynamics.step` still does, for callers that want readings).
+frequency a generator would report, so the engine never computes those.
 Counter-based keys make skipping a draw safe: no other draw's value moves.
 
 Delivery is an analytic per-middleware service model (base + payload +

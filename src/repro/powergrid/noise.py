@@ -12,18 +12,16 @@ exactness contract ``tests/powergrid/test_fleet_engine.py`` asserts.
 
 A draw is split in two.  :func:`key` mixes ``(seed, gen_id, seq)`` — two of
 the three splitmix rounds — once per message batch; the field functions
-(:func:`u01`, :func:`normal`, :func:`exponential`, :func:`uniform`) take
-that key and run the last round with their ``field`` on a scratch buffer
-they own, in place.  They never write into the key or into any array the
+(:func:`u01`, :func:`exponential`, :func:`uniform`) take that key and run
+the last round with their ``field`` on a scratch buffer they own, in place.  They never write into the key or into any array the
 caller passed, so one key serves every field of a batch, in any order.
 Because no draw depends on another, a draw nobody reads is simply not
 made — no other draw moves.
 
-Normals come from Box-Muller over two derived uniforms (``log1p(-u)`` keeps
-``u = 0`` finite); exponentials from inversion.  :func:`key` accepts
-scalars or arrays (``seqs`` may be a float array of whole numbers) and
-returns a ``uint64`` array of the broadcast shape; the field functions
-return ``float64`` arrays of the key's shape.
+Exponentials come from inversion (``log1p(-u)`` keeps ``u = 0`` finite).
+:func:`key` accepts scalars or arrays (``seqs`` may be a float array of
+whole numbers) and returns a ``uint64`` array of the broadcast shape; the
+field functions return ``float64`` arrays of the key's shape.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ from typing import Any
 
 import numpy as np
 
-#: Field tags namespacing the independent draws one message needs.  A
-#: logical field owns two raw slots (``field`` and ``field + _SECOND``) so
-#: Box-Muller pairs never collide with a neighbouring field.
+#: Field tags namespacing the independent draws one message needs.  No
+#: path draws the reading fields (init, power, voltage, frequency); their
+#: tags stay reserved so a new field cannot reuse one.
 FIELD_INIT = 1      # initial power level (one per generator)
 FIELD_WARMUP = 2    # warm-up sleep (one per generator)
 FIELD_POWER = 3     # OU power innovation (per message)
@@ -45,7 +43,6 @@ FIELD_SERVICE = 7   # service-latency jitter (per message)
 FIELD_LOSS = 8      # fault-window loss draw (per message)
 FIELD_DUP = 9       # duplicate-on-retransmit draw (per message)
 
-_SECOND = np.uint64(1) << np.uint64(32)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -92,20 +89,6 @@ def u01(k: np.ndarray, field: Any) -> np.ndarray:
     # The scratch word buffer becomes the result: every value < 2**53
     # converts to float64 exactly.
     return np.multiply(x, _INV_2_53, out=out.view(np.float64))
-
-
-def normal(k: np.ndarray, field: int) -> np.ndarray:
-    """Standard normal via Box-Muller over two derived uniforms."""
-    r = u01(k, field)
-    np.negative(r, out=r)
-    np.log1p(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = u01(k, np.uint64(field) + _SECOND)
-    theta *= 2.0 * np.pi
-    np.cos(theta, out=theta)
-    r *= theta
-    return r
 
 
 def exponential(k: np.ndarray, field: int, mean: float) -> np.ndarray:

@@ -72,9 +72,8 @@ class NaradaReceiver:
         self.durable_name = durable_name
         self.recover = recover
         self.reconnect_backoff = reconnect_backoff
-        #: Fault-injector surface (consumer_crash / slow_consumer targets).
+        #: Fault-injector surface (consumer_crash target).
         self.name = name or f"narada-recv.{node_name}"
-        self.record_cpu_multiplier = 1.0
         self.received = 0
         self.duplicates = 0
         #: Redeliveries the (gen_id, seq) index suppressed (durable mode).

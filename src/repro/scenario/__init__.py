@@ -9,11 +9,11 @@ The pipeline:
 
 1. **Author** (:mod:`~repro.scenario.events`,
    :mod:`~repro.scenario.library`): a :class:`Scenario` is a named, pure
-   timeline of regional events — ``alarm_storm`` (rate burst with ramp),
-   ``substation_outage`` (partition + publisher die-off),
-   ``link_degrade`` (loss window).  :data:`SCENARIOS` holds the library
-   (storm front, cascading trip, alarm storm, dispatch surge) as templates
-   of the measurement window, like :data:`repro.faults.PLANS`.
+   timeline of regional events — ``alarm_storm`` (rate burst with ramp)
+   and ``substation_outage`` (partition + publisher die-off).
+   :data:`SCENARIOS` holds the library (storm front, cascading trip, alarm
+   storm, dispatch surge) as templates of the measurement window, like
+   :data:`repro.faults.PLANS`.
 2. **Compile** (:mod:`~repro.scenario.compiler`): lower the scenario onto a
    concrete fleet — a :class:`~repro.powergrid.rates.RateSchedule` for the
    workload side and a :class:`~repro.faults.FaultPlan` fragment for the

@@ -9,8 +9,7 @@ into the two artefacts a run can arm:
   steps), every ``substation_outage`` a multiplier-0 die-off window;
 * a :class:`~repro.faults.FaultPlan` — every ``substation_outage`` becomes
   a LAN partition of the client node(s) physically hosting the region's
-  generators, every ``link_degrade`` a packet-loss window on traffic
-  leaving those nodes.
+  generators.
 
 The same compiled scenario therefore drives *both* sides of a grid event
 deterministically, against any middleware: the run functions
@@ -117,11 +116,6 @@ def compile_scenario(
             hosts = region_hosts(scenario, event, fleet)
             faults.partition(event.at, event.duration, hosts)
             rates.window(event.at, event.until, lo, hi, 0.0)
-        elif event.kind == "link_degrade":
-            for host in region_hosts(scenario, event, fleet):
-                faults.packet_loss(
-                    event.at, event.duration, event.loss, src=host
-                )
     return CompiledScenario(
         scenario=scenario,
         rates=rates,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 #: Event kinds the compiler understands.
-EVENT_KINDS = ("rate_burst", "substation_outage", "link_degrade")
+EVENT_KINDS = ("rate_burst", "substation_outage")
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class ScenarioEvent:
 
     ``region`` selects a generator cohort (``None`` = the whole fleet);
     workload parameters (``multiplier``, ``ramp``) apply to ``rate_burst``
-    events, fault parameters (``loss``) to ``link_degrade``.
+    events.
     """
 
     kind: str
@@ -45,8 +45,6 @@ class ScenarioEvent:
     multiplier: float = 1.0
     #: Seconds spent climbing linearly from 1x to ``multiplier``.
     ramp: float = 0.0
-    #: Per-fragment datagram loss probability (``link_degrade``).
-    loss: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
@@ -59,8 +57,6 @@ class ScenarioEvent:
             raise ValueError("rate multiplier must be >= 0")
         if not 0.0 <= self.ramp <= self.duration:
             raise ValueError("ramp must be within [0, duration]")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError("loss probability must be in [0, 1]")
 
     @property
     def until(self) -> float:
@@ -69,7 +65,7 @@ class ScenarioEvent:
     def key(self) -> tuple:
         return (
             self.kind, self.at, self.duration, self.region,
-            self.multiplier, self.ramp, self.loss,
+            self.multiplier, self.ramp,
         )
 
 
@@ -113,21 +109,6 @@ class Scenario:
         (die-off) until the window lifts."""
         return self._add(
             ScenarioEvent("substation_outage", at, duration, region=region)
-        )
-
-    def link_degrade(
-        self,
-        at: float,
-        duration: float,
-        region: Optional[int] = None,
-        loss: float = 0.25,
-    ) -> "Scenario":
-        """Degrade the region's uplinks (storm damage short of an outage):
-        per-fragment datagram loss on traffic leaving its host node(s)."""
-        return self._add(
-            ScenarioEvent(
-                "link_degrade", at, duration, region=region, loss=loss
-            )
         )
 
     # ------------------------------------------------------------- plumbing

@@ -22,17 +22,15 @@ from repro.sim.events import (
 )
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-from repro.sim.resources import Container, PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngStreams
 
 __all__ = [
     "AnyOf",
     "Cancelled",
     "CohortProcess",
-    "Container",
     "Event",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "RngStreams",

@@ -208,45 +208,19 @@ class Event:
         )
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
 
-    # -- kernel hook -------------------------------------------------------
-    def _process(self) -> None:
-        """Run callbacks.  Called exactly once by the kernel.
-
-        The kernel's ``run`` loop inlines this body; keep the two in sync.
-        """
-        self._processed = True
-        callbacks = self.callbacks
-        self.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
 
 class Timeout(Event):
     """An event that fires ``delay`` units after creation.
 
     The workhorse of every timed behaviour in the models: link serialisation
     time, CPU service time, publish intervals, poll intervals.  It is born
-    triggered, so the constructor writes its slots directly (no ``_PENDING``
-    churn) and leaves ``callbacks`` unallocated until a waiter registers.
+    triggered, so its one constructor — :meth:`Simulator.timeout` (and
+    :meth:`Simulator.batch`, which pre-installs a callback) — writes its
+    slots directly (no ``_PENDING`` churn) and leaves ``callbacks``
+    unallocated until a waiter registers.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative Timeout delay {delay!r}")
-        self.sim = sim
-        self.callbacks = None
-        self._value = value
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        self.delay = delay
-        # Inlined sim._schedule (hot: one Timeout per timed behaviour);
-        # delay was validated above.
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now + delay, seq, self))
 
 
 class AnyOf(Event):

@@ -3,13 +3,15 @@
 One :class:`Simulator` instance owns all simulated state for an experiment.
 Time is a float in **seconds** of simulated time throughout :mod:`repro`.
 
-The ``run``/``run_process`` loops inline the pop-and-process step (the body
-of :meth:`Simulator.step` and :meth:`repro.sim.events.Event._process`) with
-the heap, the pop function and the queue bound to locals: every paper-scale
-experiment is bounded by this loop, and the per-event attribute lookups and
-method-call frames were its largest cost.  Semantics — tie-break order,
-failure surfacing, interrupt behaviour — are identical to the readable
-:meth:`step` form, which remains the single-step API.
+An event is processed in three places, each written out in full with the
+heap and the pop function bound to locals: :meth:`Simulator.run` without
+``until``, :meth:`Simulator.run` with ``until``, and
+:meth:`Simulator.run_process`.  Every paper-scale experiment is bounded by
+these loops, and per-event attribute lookups and method-call frames were
+their largest cost.  The three copies share one semantics — pop in
+``(time, seq)`` order, skip a cancelled timer without moving the clock,
+mark the event processed, run its callbacks, and raise a failure nobody
+defused — and a change to one is a change to all three.
 
 What gets a heap entry
 ----------------------
@@ -86,10 +88,6 @@ from repro.sim.rng import RngStreams
 _REBUILD_MIN_CANCELLED = 100
 
 
-class EmptySchedule(Exception):
-    """Raised by :meth:`Simulator.step` when no events remain."""
-
-
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -149,8 +147,9 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` seconds from now.
 
-        Inlines ``Timeout.__init__`` (kept in sync) to save a call frame —
-        this factory is the single most-called constructor in a run.
+        Builds the :class:`Timeout` through ``__new__`` and writes its slots
+        here, saving a call frame: this is the single most-called
+        constructor in a run.  :meth:`batch` is the one other copy.
         """
         if delay < 0:
             raise ValueError(f"negative Timeout delay {delay!r}")
@@ -274,27 +273,6 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._queue, (self._now + delay, seq, event))
 
-    def peek(self) -> float:
-        """Time of the next live event, or ``inf`` when none is left."""
-        queue = self._queue
-        while queue and queue[0][2]._processed:  # a cancelled timer
-            heappop(queue)
-            self._cancelled -= 1
-        return queue[0][0] if queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event (cancelled timers are skipped)."""
-        self.peek()  # discards cancelled entries at the head
-        try:
-            self._now, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        event._process()
-        if not event._ok and not event._defused:
-            # A failure nobody handled: surface it rather than losing it.
-            exc = event._value
-            raise exc
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``.
 
@@ -307,11 +285,11 @@ class Simulator:
         if until is None:
             now = self._now
             while queue:
-                # Inlined step()/Event._process(): see module docstring.
-                # ``now`` is authoritative inside the loop; ``self._now``
-                # follows every live pop, so a cancelled timer's pop can
-                # restore ``now`` from it (cancelled entries never move the
-                # clock).
+                # One of the three copies of the event step (module
+                # docstring).  ``now`` is authoritative inside the loop;
+                # ``self._now`` follows every live pop, so a cancelled
+                # timer's pop can restore ``now`` from it (cancelled entries
+                # never move the clock).
                 now, _, event = pop(queue)
                 callbacks = event.callbacks
                 if callbacks is not None:

@@ -1,4 +1,4 @@
-"""Shared resources: stores, semaphores and level containers.
+"""Shared resources: stores and semaphores.
 
 These model the queueing structures middleware is made of: socket buffers,
 broker dispatch queues, servlet thread pools.  All waiting is FIFO, which
@@ -7,7 +7,6 @@ keeps latency behaviour deterministic and easy to reason about.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -44,14 +43,6 @@ class Store:
     @property
     def is_full(self) -> bool:
         return len(self.items) >= self.capacity
-
-    def snapshot(self) -> dict[str, float]:
-        """Read-only occupancy probe (telemetry samplers; never mutates)."""
-        return {
-            "depth": float(len(self.items)),
-            "getters_waiting": float(len(self._getters)),
-            "putters_waiting": float(len(self._putters)),
-        }
 
     def put(self, item: Any) -> Event:
         """Event that fires once ``item`` has been accepted."""
@@ -110,60 +101,6 @@ class Store:
         self._wake_getters()
 
 
-class PriorityStore(Store):
-    """Store delivering the smallest item first (heap order).
-
-    Items must be orderable; use ``(priority, seq, payload)`` tuples.  JMS
-    message priority maps onto this.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")):
-        super().__init__(sim, capacity)
-        self.items: list[Any] = []  # type: ignore[assignment]
-
-    def put(self, item: Any) -> Event:
-        ev = Event(self.sim)
-        if len(self.items) < self.capacity:
-            heapq.heappush(self.items, item)
-            self._wake_getters()
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def put_nowait(self, item: Any) -> None:
-        if len(self.items) >= self.capacity:
-            raise StoreFull(f"store at capacity {self.capacity}")
-        heapq.heappush(self.items, item)
-        self._wake_getters()
-
-    def get(self) -> Event:
-        ev = Event(self.sim)
-        if self.items:
-            ev.succeed(heapq.heappop(self.items))
-            self._admit_putters()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def get_nowait(self) -> Any:
-        item = heapq.heappop(self.items)
-        self._admit_putters()
-        return item
-
-    def _wake_getters(self) -> None:
-        while self._getters and self.items:
-            getter = self._getters.popleft()
-            getter.succeed(heapq.heappop(self.items))
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            putter, item = self._putters.popleft()
-            heapq.heappush(self.items, item)
-            putter.succeed()
-        self._wake_getters()
-
-
 class Resource:
     """Counting semaphore with FIFO waiters (e.g. a thread pool).
 
@@ -187,14 +124,6 @@ class Resource:
     @property
     def available(self) -> int:
         return self.capacity - self.in_use
-
-    def snapshot(self) -> dict[str, float]:
-        """Read-only utilisation probe (telemetry samplers; never mutates)."""
-        return {
-            "in_use": float(self.in_use),
-            "capacity": float(self.capacity),
-            "waiters": float(len(self._waiters)),
-        }
 
     def acquire(self) -> Event:
         ev = Event(self.sim)
@@ -223,58 +152,3 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self.in_use -= 1
-
-
-class Container:
-    """A homogeneous quantity (bytes of heap, joules, …) with blocking get.
-
-    ``put`` never blocks (capacity checks raise instead: running past a hard
-    limit is a *fault* in the systems we model, not a wait).
-    """
-
-    def __init__(
-        self, sim: "Simulator", capacity: float = float("inf"), init: float = 0.0
-    ):
-        if init < 0 or init > capacity:
-            raise ValueError("init must satisfy 0 <= init <= capacity")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = init
-        self._getters: deque[tuple[Event, float]] = deque()
-
-    def snapshot(self) -> dict[str, float]:
-        """Read-only level probe (telemetry samplers; never mutates)."""
-        return {"level": self.level, "getters_waiting": float(len(self._getters))}
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        if self.level + amount > self.capacity:
-            raise OverflowError(
-                f"container overflow: {self.level} + {amount} > {self.capacity}"
-            )
-        self.level += amount
-        self._wake()
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        ev = Event(self.sim)
-        if not self._getters and self.level >= amount:
-            self.level -= amount
-            ev.succeed()
-        else:
-            self._getters.append((ev, amount))
-        return ev
-
-    def try_get(self, amount: float) -> bool:
-        if not self._getters and self.level >= amount:
-            self.level -= amount
-            return True
-        return False
-
-    def _wake(self) -> None:
-        while self._getters and self.level >= self._getters[0][1]:
-            ev, amount = self._getters.popleft()
-            self.level -= amount
-            ev.succeed()

@@ -25,7 +25,7 @@ so measured numbers are unchanged even when tracing is on (asserted by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.telemetry.context import activate, current, deactivate, session
 from repro.telemetry.metrics import (
@@ -34,7 +34,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricKey,
     MetricsRegistry,
-    P2Quantile,
     geometric_buckets,
 )
 from repro.telemetry.merge import (
@@ -63,7 +62,6 @@ __all__ = [
     "ImportedSampler",
     "MetricKey",
     "MetricsRegistry",
-    "P2Quantile",
     "PHASES",
     "ResourceSample",
     "ResourceSampler",
@@ -157,7 +155,6 @@ class Telemetry:
         node: "Node",
         middleware: str,
         interval: float = 1.0,
-        resources: Optional[Mapping[str, Any]] = None,
     ) -> ResourceSampler:
         """Attach a Figs 6/13-style CPU/memory probe to ``node``."""
         sampler = ResourceSampler(
@@ -166,7 +163,6 @@ class Telemetry:
             registry=self.metrics,
             middleware=middleware,
             interval=interval,
-            resources=resources,
         )
         self.samplers.append(sampler)
         return sampler

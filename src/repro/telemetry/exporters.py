@@ -1,4 +1,4 @@
-"""Exporters: JSONL trace dump, paper-style text tables, result bridge.
+"""Exporters: JSONL trace dump and paper-style text tables.
 
 The JSONL trace format is line-delimited JSON with a self-describing
 header (the "local text file for later analysis" of §III.B, grown up):
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.experiment import ExperimentResult
 from repro.core.report import render_table
 from repro.telemetry.spans import ORDERED_PHASES, PHASES, phase_breakdown
 
@@ -222,8 +221,8 @@ def metrics_tables(telemetry: "Telemetry") -> str:
         else:
             histogram_rows.append([
                 str(key), instrument.n, instrument.mean,
-                instrument.quantile_p2(0.50), instrument.quantile_p2(0.95),
-                instrument.quantile_p2(0.99), instrument.quantile(0.99),
+                instrument.quantile(0.50), instrument.quantile(0.95),
+                instrument.quantile(0.99),
             ])
     if counter_rows:
         parts.append(render_table(["counter", "value"], counter_rows))
@@ -233,8 +232,7 @@ def metrics_tables(telemetry: "Telemetry") -> str:
         ))
     if histogram_rows:
         parts.append(render_table(
-            ["histogram", "n", "mean", "p50 (P2)", "p95 (P2)", "p99 (P2)",
-             "p99 (bucket)"],
+            ["histogram", "n", "mean", "p50", "p95", "p99"],
             histogram_rows,
         ))
 
@@ -253,61 +251,3 @@ def metrics_tables(telemetry: "Telemetry") -> str:
             ],
         ))
     return "\n".join(parts)
-
-
-# ------------------------------------------------------------- result bridge
-
-def to_experiment_result(
-    telemetry: "Telemetry", experiment_id: str = "telemetry_session"
-) -> ExperimentResult:
-    """Bridge a session into the harness's :class:`ExperimentResult`.
-
-    The series are per-middleware cumulative phase boundaries (the Fig 15
-    shape); the table is the decomposition plus delivery counts.
-    """
-    result = ExperimentResult(
-        experiment_id,
-        f"telemetry session: {telemetry.label}",
-        "phase",
-        "millisecond",
-    )
-    by_middleware: dict[str, list] = {}
-    for span in telemetry.tracer.spans:
-        by_middleware.setdefault(span.middleware, []).append(span)
-    rows = []
-    for middleware in sorted(by_middleware):
-        spans = by_middleware[middleware]
-        breakdown = phase_breakdown(spans)
-        cumulative = [
-            0.0,
-            breakdown.prt_ms,
-            breakdown.prt_ms + breakdown.pt_ms,
-            breakdown.rtt_ms,
-        ]
-        for x, value in enumerate(cumulative):
-            result.add_point(middleware, x, value)
-        delivered = sum(1 for s in spans if "delivered" in s.phases)
-        rows.append([
-            middleware, len(spans), delivered, breakdown.prt_ms,
-            breakdown.pt_ms, breakdown.srt_ms, breakdown.rtt_ms,
-        ])
-    result.table = (
-        ["middleware", "spans", "delivered", "PRT (ms)", "PT (ms)",
-         "SRT (ms)", "RTT (ms)"],
-        rows,
-    )
-    for run in telemetry.runs:
-        result.note(
-            f"run {run['label']}: {run['delivered']}/{run['spans']} spans "
-            f"delivered"
-            + (
-                f", {len(run['fault_windows'])} fault windows"
-                if run["fault_windows"]
-                else ""
-            )
-        )
-    if telemetry.fault_windows:
-        result.meta["fault_windows"] = [
-            w.to_dict() for w in telemetry.fault_windows
-        ]
-    return result

@@ -15,10 +15,8 @@ Merge semantics:
   changes across the pickle round-trip), so ``spans_for_book`` keeps
   working for the trace exporters and for span readers such as
   ``fig15_federation``;
-* **counters / gauges / histogram buckets** — merged exactly;
-* **P² quantiles** — merged exactly while either side holds raw samples,
-  approximately (observation-weighted markers) once both have collapsed to
-  markers; the exact bucketed quantiles are unaffected;
+* **counters / gauges / histogram buckets** — merged exactly, so every
+  quantile equals a serial run's;
 * **resource samplers** — imported as read-only :class:`ImportedSampler`
   shims exposing the ``node.name`` / ``samples`` / ``summary()`` surface
   the exporters consume.

@@ -1,18 +1,14 @@
 """Counters, gauges and streaming histograms keyed by middleware/component.
 
-Two streaming quantile estimators back every histogram, because the paper's
-figures need tails (percentile-of-RTT, Figs 4/8-10/12/14) and a serving
-stack cannot afford to keep every sample:
-
-* **fixed-bucket**: geometric bucket bounds of ratio ``factor``; a quantile
-  is linearly interpolated inside its bucket, so the estimate and the exact
-  value share a bucket and the relative error is bounded by ``factor - 1``
-  (the documented bound the accuracy tests assert);
-* **P²** (Jain & Chlamtac, CACM 1985): five markers per tracked quantile,
-  parabolic interpolation, O(1) memory, no distribution assumptions.
-
-Both are validated against ``numpy.percentile`` on adversarial (bimodal,
-heavy-tailed) distributions in ``tests/telemetry/test_metrics.py``.
+A histogram keeps fixed geometric buckets of ratio ``factor``, because the
+paper's figures need tails (percentile-of-RTT, Figs 4/8-10/12/14) and a
+serving stack cannot afford to keep every sample.  A quantile is linearly
+interpolated inside its bucket, so the estimate and the exact value share a
+bucket and the relative error is bounded by ``factor - 1`` (the documented
+bound ``tests/telemetry/test_metrics.py`` asserts against
+``numpy.percentile`` on bimodal and heavy-tailed inputs).  Bucket counts
+add, so a histogram merged from ``--jobs N`` workers reports exactly the
+quantiles of one filled serially.
 """
 
 from __future__ import annotations
@@ -21,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-#: Default quantiles every histogram tracks with a P² estimator.
-DEFAULT_QUANTILES = (0.50, 0.90, 0.95, 0.99)
+#: Quantiles every histogram reports in :meth:`Histogram.to_dict`.
+QUANTILES = (0.50, 0.90, 0.95, 0.99)
 
 #: Default geometric bucket ratio; bounds the bucketed-quantile relative
 #: error at ``DEFAULT_BUCKET_FACTOR - 1`` (~19 %).
@@ -127,163 +123,12 @@ class Gauge:
         }
 
 
-class P2Quantile:
-    """One P²-estimated quantile (five markers, O(1) per observation)."""
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = q
-        self.n = 0
-        self._init: list[float] = []
-        # Marker heights, positions (1-based) and desired positions.
-        self._heights: list[float] = []
-        self._pos: list[float] = []
-        self._want: list[float] = []
-        self._dwant = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-
-    def observe(self, x: float) -> None:
-        self.n += 1
-        if self._init is not None:
-            self._init.append(x)
-            if len(self._init) == 5:
-                self._init.sort()
-                self._heights = list(self._init)
-                self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._want = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                              3.0 + 2.0 * q, 5.0]
-                self._init = None  # type: ignore[assignment]
-            return
-        h, pos = self._heights, self._pos
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._want[i] += self._dwant[i]
-        for i in (1, 2, 3):
-            d = self._want[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                sign = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, sign)
-                pos[i] += sign
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
-
-    def merge(self, other: "P2Quantile") -> None:
-        """Fold another estimator of the same quantile into this one.
-
-        Exact when either side still holds raw samples (< 5 observations):
-        the samples are simply replayed.  When both sides have collapsed to
-        markers the merge is approximate — extreme markers take min/max,
-        interior marker heights combine by observation-weighted average and
-        positions/desired positions are rebuilt for the combined count.  The
-        companion fixed-bucket histogram merges exactly, so bucketed
-        quantiles stay within their documented error bound regardless.
-        """
-        if other.q != self.q:
-            raise ValueError(f"cannot merge p{other.q} into p{self.q}")
-        if other.n == 0:
-            return
-        if other._init is not None:
-            for x in other._init:
-                self.observe(x)
-            return
-        if self._init is not None:
-            mine = list(self._init)
-            self.n = other.n
-            self._init = None  # type: ignore[assignment]
-            self._heights = list(other._heights)
-            self._pos = list(other._pos)
-            self._want = list(other._want)
-            for x in mine:
-                self.observe(x)
-            return
-        n1, n2 = self.n, other.n
-        total = n1 + n2
-        h1, h2 = self._heights, other._heights
-        heights = [
-            min(h1[0], h2[0]),
-            (h1[1] * n1 + h2[1] * n2) / total,
-            (h1[2] * n1 + h2[2] * n2) / total,
-            (h1[3] * n1 + h2[3] * n2) / total,
-            max(h1[4], h2[4]),
-        ]
-        for i in range(1, 5):
-            if heights[i] < heights[i - 1]:
-                heights[i] = heights[i - 1]
-        # Marker positions: each side's interior position approximates the
-        # count of its observations at or below that marker, so the sums
-        # (shifted for the shared 1-based origin) carry over; endpoints are
-        # pinned at 1 and the combined count, the P² invariant.
-        pos = [1.0, 0.0, 0.0, 0.0, float(total)]
-        for i in (1, 2, 3):
-            pos[i] = self._pos[i] + other._pos[i] - 1.0
-        for i in (1, 2, 3):  # re-impose strict ordering with unit gaps
-            if pos[i] <= pos[i - 1]:
-                pos[i] = pos[i - 1] + 1.0
-        for i in (3, 2, 1):
-            if pos[i] >= pos[i + 1]:
-                pos[i] = pos[i + 1] - 1.0
-        q = self.q
-        base = (1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0)
-        self.n = total
-        self._heights = heights
-        self._pos = pos
-        self._want = [
-            base[i] + (total - 5) * self._dwant[i] for i in range(5)
-        ]
-
-    @property
-    def value(self) -> float:
-        """The current estimate (exact while fewer than 5 observations)."""
-        if self.n == 0:
-            return float("nan")
-        if self._init is not None:
-            ordered = sorted(self._init)
-            # Exact quantile, linear interpolation (numpy's default).
-            rank = self.q * (len(ordered) - 1)
-            lo = int(rank)
-            hi = min(lo + 1, len(ordered) - 1)
-            return ordered[lo] + (rank - lo) * (ordered[hi] - ordered[lo])
-        return self._heights[2]
-
-
 class Histogram:
-    """Fixed-bucket streaming histogram with embedded P² quantiles."""
+    """Fixed-bucket streaming histogram."""
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        buckets: Optional[Sequence[float]] = None,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    ):
+    def __init__(self, buckets: Optional[Sequence[float]] = None):
         self.bounds = tuple(buckets) if buckets is not None else geometric_buckets()
         if list(self.bounds) != sorted(self.bounds):
             raise ValueError("bucket bounds must be ascending")
@@ -292,7 +137,6 @@ class Histogram:
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._p2 = {q: P2Quantile(q) for q in quantiles}
 
     def observe(self, value: float) -> None:
         self.n += 1
@@ -302,24 +146,14 @@ class Histogram:
         if value > self.max:
             self.max = value
         self.counts[self._bucket_index(value)] += 1
-        for estimator in self._p2.values():
-            estimator.observe(value)
-
-    #: Largest deterministic subsample a batched feed hands the P²
-    #: estimators (P² is inherently sequential; see :meth:`add_many`).
-    P2_SUBSAMPLE = 256
 
     def add_many(self, values) -> None:
         """Vectorized :meth:`observe` for a whole batch of values.
 
         ``n``, ``total``, ``min``/``max`` and the bucket counts update
         exactly as a loop of ``observe`` calls would (``searchsorted`` over
-        the same bounds ``_bucket_index`` binary-searches), so bucketed
-        quantiles and :meth:`merge` behave identically.  The embedded P²
-        estimators are sequential by construction, so they see a bounded,
-        deterministic (evenly strided) subsample of the batch — the P²
-        estimate of a batch-fed histogram is approximate, while the
-        bucketed quantile keeps its documented error bound.
+        the same bounds ``_bucket_index`` binary-searches), so quantiles and
+        :meth:`merge` behave identically.
         """
         import numpy as np
 
@@ -337,10 +171,6 @@ class Histogram:
         idx = np.searchsorted(np.asarray(self.bounds), arr, side="left")
         counts = np.bincount(idx, minlength=len(self.counts))
         self.counts = [a + int(b) for a, b in zip(self.counts, counts)]
-        stride = max(1, arr.size // self.P2_SUBSAMPLE)
-        for x in arr[::stride][: self.P2_SUBSAMPLE]:
-            for estimator in self._p2.values():
-                estimator.observe(float(x))
 
     def _bucket_index(self, value: float) -> int:
         # Binary search over the upper bounds: bucket i covers
@@ -384,18 +214,9 @@ class Histogram:
             cum += count
         return self.max  # pragma: no cover - q<1 always lands in-loop
 
-    def quantile_p2(self, q: float) -> float:
-        """The P² estimate for a tracked quantile."""
-        return self._p2[q].value
-
     def merge(self, other: "Histogram") -> None:
-        """Fold a worker's histogram in.
-
-        Bucket counts, n, total and min/max merge exactly (bounds must
-        match); the embedded P² estimators merge via
-        :meth:`P2Quantile.merge` (approximate once both sides have 5+
-        observations).
-        """
+        """Fold a worker's histogram in: bucket counts, n, total and
+        min/max merge exactly (bounds must match)."""
         if other.bounds != self.bounds:
             raise ValueError("cannot merge histograms with different buckets")
         if other.n == 0:
@@ -407,14 +228,6 @@ class Histogram:
         if other.max > self.max:
             self.max = other.max
         self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        for q, estimator in self._p2.items():
-            theirs = other._p2.get(q)
-            if theirs is not None:
-                estimator.merge(theirs)
-
-    @property
-    def tracked_quantiles(self) -> tuple[float, ...]:
-        return tuple(self._p2)
 
     def to_dict(self) -> dict:
         return {
@@ -422,12 +235,7 @@ class Histogram:
             "mean": self.mean if self.n else 0.0,
             "min": self.min if self.n else 0.0,
             "max": self.max if self.n else 0.0,
-            "quantiles": {
-                f"p{q * 100:g}": self._p2[q].value for q in self._p2
-            },
-            "bucketed_quantiles": {
-                f"p{q * 100:g}": self.quantile(q) for q in self._p2
-            },
+            "quantiles": {f"p{q * 100:g}": self.quantile(q) for q in QUANTILES},
         }
 
 
@@ -474,11 +282,10 @@ class MetricsRegistry:
         component: str,
         name: str,
         buckets: Optional[Sequence[float]] = None,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> Histogram:
         instrument = self._get(
             MetricKey(middleware, component, name),
-            lambda: Histogram(buckets=buckets, quantiles=quantiles),
+            lambda: Histogram(buckets=buckets),
         )
         if not isinstance(instrument, Histogram):
             raise TypeError(f"{middleware}/{component}/{name} is not a histogram")

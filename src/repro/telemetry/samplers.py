@@ -4,9 +4,7 @@
 tests" and "memory consumption ... as the difference between peak and
 bottom values" (§III.C).  :class:`ResourceSampler` reproduces both, like
 :class:`repro.cluster.vmstat.VmStat`, but feeds the telemetry registry so
-one session sees every deployment's resources side by side; it can also
-watch queueing structures (:class:`repro.sim.Store` / ``Resource`` /
-``Container``) via their read-only ``snapshot()`` surface.
+one session sees every deployment's resources side by side.
 
 Samplers are strictly passive: they read node and resource state, never
 draw from an RNG stream and never mutate anything the workload touches —
@@ -18,7 +16,7 @@ the kernel breaks time ties by scheduling sequence).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.cluster.vmstat import VmStatSummary
 
@@ -38,7 +36,7 @@ class ResourceSample:
 
 
 class ResourceSampler:
-    """Samples one node (and optional queues) at a fixed interval."""
+    """Samples one node at a fixed interval."""
 
     def __init__(
         self,
@@ -47,7 +45,6 @@ class ResourceSampler:
         registry: Optional["MetricsRegistry"] = None,
         middleware: str = "",
         interval: float = 1.0,
-        resources: Optional[Mapping[str, Any]] = None,
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -56,8 +53,6 @@ class ResourceSampler:
         self.registry = registry
         self.middleware = middleware or "cluster"
         self.interval = interval
-        #: name -> object with a ``snapshot() -> dict[str, float]`` method.
-        self.resources = dict(resources or {})
         self.samples: list[ResourceSample] = []
         self._last_busy = node.cpu_busy_time
         self._running = True
@@ -89,11 +84,6 @@ class ResourceSampler:
                 self.registry.gauge(
                     self.middleware, component, "memory_used_bytes"
                 ).set(memory)
-                for name, resource in self.resources.items():
-                    for field_name, value in resource.snapshot().items():
-                        self.registry.gauge(
-                            self.middleware, component, f"{name}.{field_name}"
-                        ).set(value)
 
     def summary(self, warmup: float = 0.0) -> VmStatSummary:
         """The paper's two per-node numbers, over samples past ``warmup``."""

@@ -16,12 +16,9 @@ slicing and keeps the raw samples per label, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.records import RecordBook
 
 
 @dataclass(frozen=True)
@@ -86,12 +83,6 @@ class WindowedQuantiles:
         for w in self.windows:
             if w.contains(t):
                 self._samples[w.label].append(value)
-
-    def observe_book(self, book: "RecordBook", since: float = 0.0) -> None:
-        """Slice a record book's delivered RTTs by send time."""
-        for record in book.records:
-            if record.delivered and record.t_before_send >= since:
-                self.observe(record.t_before_send, record.rtt)
 
     def merge(self, other: "WindowedQuantiles") -> None:
         """Append another slicer's samples (same labels required) in order."""

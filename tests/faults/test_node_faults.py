@@ -1,8 +1,9 @@
-"""FaultScheduler node/application faults against live components."""
+"""FaultScheduler broker and consumer faults against live components."""
 
 import pytest
 
 from repro.cluster import HydraCluster
+from repro.cluster.jvm import OutOfMemoryError
 from repro.faults import FaultPlan, FaultScheduler
 from repro.plog import PlogConfig, PlogDeployment
 from repro.sim import Simulator
@@ -23,7 +24,7 @@ def make_world(n_brokers=1, config=None):
 
 def attach(sim, cluster, deployment, plan, **kw):
     return FaultScheduler(sim, plan).attach(
-        lan=cluster.lan, cluster=cluster, brokers=deployment.brokers, **kw
+        lan=cluster.lan, brokers=deployment.brokers, **kw
     )
 
 
@@ -49,109 +50,35 @@ def test_unresolvable_targets_are_skipped_not_raised():
     plan = (
         FaultPlan()
         .broker_crash(at=1.0, broker="broker:7")
-        .cpu_slowdown(at=1.0, duration=1.0, node="hydra99", factor=2.0)
         .consumer_crash(at=1.0, consumer=0)
     )
     scheduler = attach(sim, cluster, deployment, plan)
     sim.run(until=3.0)
     log = scheduler.render_log()
-    assert len(log) == 3
+    assert len(log) == 2
     assert all("skipped" in line for line in log)
     assert deployment.brokers[0].alive
-
-
-def test_cpu_slowdown_applies_and_reverts():
-    sim, cluster, deployment = make_world()
-    node = cluster.node("hydra1")
-    plan = FaultPlan().cpu_slowdown(at=1.0, duration=2.0, node="hydra1", factor=4.0)
-    attach(sim, cluster, deployment, plan)
-
-    sim.run(until=2.0)
-    assert node.cpu_scale == pytest.approx(0.25)
-    sim.run(until=4.0)
-    assert node.cpu_scale == pytest.approx(1.0)
-
-
-def test_memory_pressure_ballast_released_after_window():
-    sim, cluster, deployment = make_world()
-    broker = deployment.brokers[0]
-    nbytes = broker.jvm.heap_bytes * 0.25
-    plan = FaultPlan().memory_pressure(at=1.0, broker="broker:0", nbytes=nbytes, duration=2.0)
-    scheduler = attach(sim, cluster, deployment, plan)
-
-    baseline = broker.jvm.heap_used
-    sim.run(until=2.0)
-    assert broker.jvm.heap_used == pytest.approx(baseline + nbytes)
-    sim.run(until=4.0)
-    assert broker.jvm.heap_used == pytest.approx(baseline)
-    assert "ballast" in "\n".join(scheduler.render_log())
-
-
-def test_memory_pressure_that_does_not_fit_is_an_oom_kill():
-    sim, cluster, deployment = make_world()
-    broker = deployment.brokers[0]
-    plan = FaultPlan().memory_pressure(
-        at=1.0, broker="broker:0", nbytes=broker.jvm.heap_bytes * 2
-    )
-    scheduler = attach(sim, cluster, deployment, plan)
-
-    sim.run(until=2.0)
-    assert not broker.alive
-    assert broker.jvm.dead
-    assert "OOM kill" in "\n".join(scheduler.render_log())
 
 
 def test_restart_after_oom_is_refused():
     sim, cluster, deployment = make_world()
     broker = deployment.brokers[0]
-    plan = (
-        FaultPlan()
-        .memory_pressure(at=1.0, broker="broker:0", nbytes=broker.jvm.heap_bytes * 2)
-        .broker_crash(at=2.0, broker="broker:0", restart_after=1.0)
-    )
+    plan = FaultPlan().broker_crash(at=2.0, broker="broker:0", restart_after=1.0)
     scheduler = attach(sim, cluster, deployment, plan)
+    with pytest.raises(OutOfMemoryError):
+        broker.jvm.alloc(broker.jvm.heap_bytes * 2)
     sim.run(until=5.0)
     assert not broker.alive  # a dead JVM cannot come back
     assert "skipped: JVM dead" in "\n".join(scheduler.render_log())
 
 
-def test_stall_seizes_the_cpu_for_the_window():
-    sim, cluster, deployment = make_world()
-    node = cluster.node("hydra2")
-    plan = FaultPlan().stall(at=1.0, duration=2.0, node="hydra2")
-    attach(sim, cluster, deployment, plan)
-
-    def probe():
-        yield sim.timeout(1.1)
-        yield from node.execute(0.001)
-        return sim.now
-
-    finished = sim.run_process(probe())
-    # The probe queues behind the stall job and only runs after t=3.
-    assert finished >= 3.0
-
-
 class DummyConsumer:
     def __init__(self):
         self.name = "dummy-consumer"
-        self.record_cpu_multiplier = 1.0
         self.closed = False
 
     def close(self):
         self.closed = True
-
-
-def test_slow_consumer_multiplier_applies_and_reverts():
-    sim, cluster, deployment = make_world()
-    victim, bystander = DummyConsumer(), DummyConsumer()
-    plan = FaultPlan().slow_consumer(at=1.0, duration=2.0, consumer=0, factor=8.0)
-    attach(sim, cluster, deployment, plan, consumers=[victim, bystander])
-
-    sim.run(until=2.0)
-    assert victim.record_cpu_multiplier == 8.0
-    assert bystander.record_cpu_multiplier == 1.0
-    sim.run(until=4.0)
-    assert victim.record_cpu_multiplier == 1.0
 
 
 def test_consumer_crash_closes_the_consumer():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, PLANS, named_plan
+from repro.scenario import ScenarioEvent
 
 
 def test_spec_validates_kind_and_times():
@@ -12,6 +13,18 @@ def test_spec_validates_kind_and_times():
         FaultSpec("packet_loss", -1.0)
     with pytest.raises(ValueError):
         FaultSpec("packet_loss", 1.0, duration=-2.0)
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda kind=kind: FaultSpec(kind, 1.0, 1.0)
+      for kind in ("cpu_slowdown", "memory_pressure", "stall", "slow_consumer")),
+    lambda: ScenarioEvent("link_degrade", 1.0, 1.0),
+], ids=["cpu_slowdown", "memory_pressure", "stall", "slow_consumer", "link_degrade"])
+def test_removed_kinds_are_refused(build):
+    """Kinds no named plan or library scenario used are gone; asking for
+    one fails at construction rather than arming nothing."""
+    with pytest.raises(ValueError, match="unknown"):
+        build()
 
 
 def test_spec_until_and_params():
@@ -40,12 +53,6 @@ def test_builder_validates_parameters():
         FaultPlan().latency(at=0.0, duration=1.0, extra=-0.1)
     with pytest.raises(ValueError):
         FaultPlan().partition(at=0.0, duration=1.0, hosts=())
-    with pytest.raises(ValueError):
-        FaultPlan().cpu_slowdown(at=0.0, duration=1.0, node="hydra1", factor=0.0)
-    with pytest.raises(ValueError):
-        FaultPlan().slow_consumer(at=0.0, duration=1.0, consumer=0, factor=0.5)
-    with pytest.raises(ValueError):
-        FaultPlan().memory_pressure(at=0.0, broker="broker:0", nbytes=0)
 
 
 def test_broker_crash_with_restart_carries_duration():

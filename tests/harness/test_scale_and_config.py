@@ -32,10 +32,10 @@ def test_full_scale_matches_paper_parameters():
 
 def test_narada_config_with_derivation():
     base = NaradaConfig()
-    variant = base.with_(broadcast_flaw=False, aggregation_window=0.1)
+    variant = base.with_(broadcast_flaw=False, durable_buffer_max=10)
     assert base.broadcast_flaw is True
     assert variant.broadcast_flaw is False
-    assert variant.aggregation_window == 0.1
+    assert variant.durable_buffer_max == 10
     assert variant.routing_cpu == base.routing_cpu  # untouched fields copy
 
 

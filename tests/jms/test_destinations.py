@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.jms import Queue, TemporaryQueue, TemporaryTopic, Topic
+from repro.jms import Queue, Topic
 
 
 def test_equality_by_name_and_kind():
@@ -20,16 +20,6 @@ def test_hashable_for_registry_keys():
 def test_empty_name_rejected():
     with pytest.raises(ValueError):
         Topic("")
-
-
-def test_temporary_destinations_unique():
-    t1, t2 = TemporaryTopic.create(), TemporaryTopic.create()
-    q1 = TemporaryQueue.create()
-    assert t1.name != t2.name
-    assert t1.name.startswith("$TMP.TOPIC.")
-    assert q1.name.startswith("$TMP.QUEUE.")
-    assert isinstance(t1, Topic)
-    assert isinstance(q1, Queue)
 
 
 def test_frozen():

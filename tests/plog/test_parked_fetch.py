@@ -54,7 +54,7 @@ def test_woken_fetch_cancels_its_expiry():
     broker._wake_fetchers("t", 0)
     sim.run(until=0.5 + MAX_WAIT / 2)
     assert broker.stats.fetches == 1 and broker.stats.records_fetched == 1
-    assert sim.peek() == float("inf")  # no expiry left to pop at t = 1.5
+    assert sim.pending_events == 0  # no expiry left to pop at t = 1.5
 
 
 def test_parked_gauge_tracks_active_waiters():

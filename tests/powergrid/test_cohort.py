@@ -2,9 +2,8 @@
 
 The fleet engine's correctness rests on two claims tested here:
 ``advance_interval`` wakes at *bit-identical* float timestamps to
-``rate_sleep`` under any schedule, and ``CohortDynamics`` evaluated over a
-length-1 array reproduces the full-array trajectory bit-for-bit (the zoom
-escape hatch).
+``rate_sleep`` under any schedule, and ``CohortDynamics.breaker`` follows
+its trip/reclose rule.
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ from repro.powergrid import (
     CohortSpec,
     RateSchedule,
     advance_interval,
+    noise,
     warmup_times,
 )
 from repro.powergrid.rates import rate_sleep
@@ -90,47 +90,16 @@ def test_advance_interval_entry_at_stop_makes_no_progress():
     assert nxt[1] == 45.0   # the live one still advances
 
 
-def test_dynamics_length_1_arrays_reproduce_the_cohort_trajectory():
-    """The zoom guarantee: evaluating one gen_id alone gives bit-identical
-    state and readings to evaluating it inside the full cohort."""
-    spec = CohortSpec(0, 32, trip_probability=0.05)
-    dyn = CohortDynamics(seed=9, spec=spec)
-    ids = spec.gen_ids()
-
-    power = dyn.initial_power(ids)
-    closed = np.ones(ids.shape, dtype=bool)
-    batch = []
-    for seq in range(1, 6):
-        power, closed, reading = dyn.step(ids, np.full(ids.shape, seq), power, closed)
-        batch.append((power.copy(), closed.copy(), reading))
-
-    for i, gid in enumerate(ids):
-        one = np.array([gid])
-        p = dyn.initial_power(one)
-        c = np.array([True])
-        for seq in range(1, 6):
-            p, c, r = dyn.step(one, np.array([seq]), p, c)
-            bp, bc, br = batch[seq - 1]
-            assert p[0] == bp[i]
-            assert c[0] == bc[i]
-            for field in ("power_kw", "voltage_v", "frequency_hz", "breaker_closed"):
-                assert r[field][0] == br[field][i]
-
-
-def test_dynamics_bounds_and_trip_semantics():
+def test_breaker_trip_and_reclose_semantics():
     spec = CohortSpec(0, 256, capacity_kw=50.0, trip_probability=1.0)
     dyn = CohortDynamics(seed=3, spec=spec)
     ids = spec.gen_ids()
-    power = dyn.initial_power(ids)
-    assert ((power >= 0.2 * 50.0) & (power < 0.8 * 50.0)).all()
     closed = np.ones(ids.shape, dtype=bool)
-    power, closed, reading = dyn.step(ids, np.ones(ids.shape), power, closed)
+    closed = dyn.breaker(noise.key(3, ids, 1), closed)
     # trip_probability=1.0: every closed breaker opens this step.
     assert not closed.any()
-    assert (reading["power_kw"] == 0.0).all()
-    assert ((power >= 0.0) & (power <= 50.0)).all()
     # Open breakers reclose iff u < 0.2 — about a fifth of them.
-    power, closed, _ = dyn.step(ids, np.full(ids.shape, 2), power, closed)
+    closed = dyn.breaker(noise.key(3, ids, 2), closed)
     frac = closed.mean()
     assert 0.1 < frac < 0.3
 

@@ -8,11 +8,10 @@ goldens below pin each outcome itself (every field but ``wall_s``).
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.harness.scale import Scale
-from repro.powergrid import CohortDynamics, CohortSpec, RateSchedule, noise
+from repro.powergrid import RateSchedule
 from repro.powergrid.fleet_engine import FLEET_MIDDLEWARES, run_fleet_point
 from tests.powergrid.test_fleet_engine import COHORT, N, TINY
 
@@ -95,41 +94,6 @@ def test_golden_outcome(variant, middleware):
         **VARIANTS[variant],
     )
     assert repr(_fields(out)) == repr(GOLDEN[variant, middleware])
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"mode": "aggregate"}, {"mode": "process"}, {"zoom": (10, 30)}],
-    ids=["aggregate", "process", "zoom"],
-)
-def test_engine_never_computes_readings(monkeypatch, kwargs):
-    """Power, voltage and frequency reach no FleetOutcome field, so no
-    engine path may pay for them."""
-
-    def forbidden(*args, **kw):
-        raise AssertionError("the fleet engine computed a reading")
-
-    monkeypatch.setattr(CohortDynamics, "step", forbidden)
-    monkeypatch.setattr(CohortDynamics, "initial_power", forbidden)
-    out = run_fleet_point(
-        "plog", 60, TINY, cohort_size=16, fault_plan="loss_burst", **kwargs
-    )
-    assert out.published > 0
-
-
-def test_breaker_equals_the_breaker_step_reports():
-    spec = CohortSpec(0, 512, trip_probability=0.3)
-    dyn = CohortDynamics(seed=4, spec=spec)
-    ids = spec.gen_ids()
-    power = dyn.initial_power(ids)
-    closed = np.ones(ids.shape, dtype=bool)
-    for seq in range(1, 8):
-        seqs = np.full(ids.shape, seq)
-        expected = dyn.breaker(noise.key(4, ids, seqs), closed)
-        power, closed, reading = dyn.step(ids, seqs, power, closed)
-        np.testing.assert_array_equal(expected, closed)
-        np.testing.assert_array_equal(expected, reading["breaker_closed"])
-    assert 0 < closed.sum() < closed.size  # both branches exercised
 
 
 @pytest.mark.parametrize(

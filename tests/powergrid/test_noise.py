@@ -32,7 +32,6 @@ DRAWS = {
     "u01_second": lambda k: noise.u01(
         k, np.uint64(noise.FIELD_VOLT) + _SECOND
     ),
-    "normal_power": lambda k: noise.normal(k, noise.FIELD_POWER),
     "exponential_service": lambda k: noise.exponential(
         k, noise.FIELD_SERVICE, 5e-4
     ),
@@ -50,15 +49,6 @@ GOLDEN = {
          "0x1.14894fa434a8fp-12", "0x1.83a193818fc35p-14"],
         ["0x1.0e55408cb8833p-10", "0x1.b9bcbe0501a5ap-11"],
         ["0x1.42ec168d50b8fp-12"],
-    ],
-    "normal_power": [
-        ["-0x1.d1b33eac71777p-2"],
-        ["-0x1.468ee6b9e8d71p-1"],
-        ["-0x1.6e2e64d58418bp+0"],
-        ["-0x1.095f95cdb07e2p+0", "-0x1.e4b8f6dc16c26p-2",
-         "0x1.34e81d7a9f8a9p-3", "-0x1.573d07ee26ecdp-2"],
-        ["-0x1.a7d940e5a4164p-2", "-0x1.fa4c30c658692p-1"],
-        ["-0x1.8fc677d1a61d5p-1"],
     ],
     "u01_second": [
         ["0x1.b78662a0ebdd4p-3"],
@@ -125,8 +115,6 @@ def _ref_draws(seed, gen_ids, seqs, field):
 
     return {
         "u01": u(field),
-        "normal": np.sqrt(-2.0 * np.log1p(-u(field)))
-        * np.cos(2.0 * np.pi * u(np.uint64(field) + _SECOND)),
         "exponential": -0.25 * np.log1p(-u(field)),
         "uniform": -3.0 + (5.5 - -3.0) * u(field),
     }
@@ -135,7 +123,6 @@ def _ref_draws(seed, gen_ids, seqs, field):
 def _draws(k, field):
     return {
         "u01": noise.u01(k, field),
-        "normal": noise.normal(k, field),
         "exponential": noise.exponential(k, field, 0.25),
         "uniform": noise.uniform(k, field, -3.0, 5.5),
     }

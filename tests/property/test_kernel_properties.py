@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.metrics import percentile_curve, within_threshold
 from repro.sim import Simulator, Store
-from repro.sim.resources import PriorityStore
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50))
@@ -44,23 +43,6 @@ def test_store_preserves_order_and_content(items):
     sim.process(consumer())
     sim.run()
     assert out == items
-
-
-@given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=40))
-def test_priority_store_outputs_sorted(items):
-    sim = Simulator()
-    store = PriorityStore(sim)
-    for i, item in enumerate(items):
-        store.put_nowait((item, i))
-    out = []
-
-    def consumer():
-        for _ in items:
-            value = yield store.get()
-            out.append(value[0])
-
-    sim.run_process(consumer())
-    assert out == sorted(items)
 
 
 @given(

@@ -60,15 +60,6 @@ def test_substation_outage_partitions_hosts_and_silences_generators():
     assert compiled.burst_windows == ()
 
 
-def test_link_degrade_compiles_loss_per_host():
-    scenario = Scenario("s", n_regions=2).link_degrade(100.0, 10.0, region=0, loss=0.3)
-    fleet = _fleet(nodes=("hydra5", "hydra6"))
-    compiled = compile_scenario(scenario, fleet)
-    (spec,) = compiled.faults
-    assert spec.kind == "packet_loss"
-    assert spec.params == {"probability": 0.3, "src": "hydra5", "dst": "*"}
-
-
 def test_region_hosts_follows_fleet_assignment():
     scenario = Scenario("s", n_regions=4)
     event = scenario.alarm_storm(0.0, 1.0, region=None).events[0]

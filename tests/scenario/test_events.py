@@ -16,13 +16,11 @@ def test_event_validation():
         ScenarioEvent("rate_burst", 0.0, 10.0, multiplier=-1.0)
     with pytest.raises(ValueError, match="ramp"):
         ScenarioEvent("rate_burst", 0.0, 10.0, ramp=11.0)
-    with pytest.raises(ValueError, match="loss"):
-        ScenarioEvent("link_degrade", 0.0, 10.0, loss=1.5)
 
 
 def test_builders_validate_region_and_sort_events():
     scenario = Scenario("s", n_regions=2)
-    scenario.link_degrade(50.0, 10.0, region=1)
+    scenario.alarm_storm(50.0, 10.0, region=1)
     scenario.alarm_storm(10.0, 10.0, region=0, multiplier=4.0)
     scenario.substation_outage(30.0, 10.0, region=1)
     assert [e.at for e in scenario] == [10.0, 30.0, 50.0]

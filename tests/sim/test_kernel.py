@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.kernel import EmptySchedule
 
 
 def test_clock_starts_at_zero():
@@ -41,12 +40,6 @@ def test_run_until_in_past_raises():
     sim.run(until=3.0)
     with pytest.raises(ValueError):
         sim.run(until=2.0)
-
-
-def test_step_on_empty_queue_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
 
 
 def test_same_time_events_fifo_order():
@@ -127,18 +120,6 @@ def test_fail_requires_exception_instance():
     ev = sim.event()
     with pytest.raises(TypeError):
         ev.fail("not an exception")  # type: ignore[arg-type]
-
-
-def test_peek_returns_next_event_time():
-    sim = Simulator()
-    sim.timeout(3.0)
-    sim.timeout(1.0)
-    assert sim.peek() == 1.0
-
-
-def test_peek_empty_is_inf():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
 
 
 # ------------------------------------------------------------------ settle

@@ -1,8 +1,8 @@
-"""Tests for Store, PriorityStore, Resource, Container."""
+"""Tests for Store and Resource."""
 
 import pytest
 
-from repro.sim import Container, PriorityStore, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 from repro.sim.resources import StoreFull
 
 
@@ -123,54 +123,6 @@ def test_store_waiting_getters_fifo():
     assert results == [("first", "a"), ("second", "b")]
 
 
-# ---------------------------------------------------------- PriorityStore
-def test_priority_store_orders_by_priority():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    for priority, tag in [(5, "low"), (1, "high"), (3, "mid")]:
-        store.put_nowait((priority, tag))
-
-    def consumer():
-        got = []
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item[1])
-        return got
-
-    assert sim.run_process(consumer()) == ["high", "mid", "low"]
-
-
-def test_priority_store_capacity_and_nowait():
-    sim = Simulator()
-    store = PriorityStore(sim, capacity=1)
-    store.put_nowait((1, "x"))
-    with pytest.raises(StoreFull):
-        store.put_nowait((2, "y"))
-    assert store.get_nowait() == (1, "x")
-
-
-def test_priority_store_blocked_put_admitted_in_order():
-    sim = Simulator()
-    store = PriorityStore(sim, capacity=1)
-
-    def producer():
-        yield store.put((2, "second"))
-        yield store.put((1, "first-priority"))
-
-    def consumer():
-        got = []
-        for _ in range(2):
-            yield sim.timeout(1.0)
-            item = yield store.get()
-            got.append(item)
-        return got
-
-    sim.process(producer())
-    cons = sim.process(consumer())
-    sim.run()
-    assert cons.value == [(2, "second"), (1, "first-priority")]
-
-
 # -------------------------------------------------------------- Resource
 def test_resource_limits_concurrency():
     sim = Simulator()
@@ -211,78 +163,3 @@ def test_resource_invalid_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-# ------------------------------------------------------------- Container
-def test_container_put_get():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, init=10.0)
-    tank.put(40.0)
-    assert tank.level == 50.0
-    assert tank.try_get(30.0)
-    assert tank.level == 20.0
-
-
-def test_container_overflow_raises():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0)
-    with pytest.raises(OverflowError):
-        tank.put(11.0)
-
-
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0)
-
-    def consumer():
-        yield tank.get(50.0)
-        return sim.now
-
-    def producer():
-        yield sim.timeout(1.0)
-        tank.put(20.0)
-        yield sim.timeout(1.0)
-        tank.put(30.0)
-
-    cons = sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert cons.value == 2.0
-
-
-def test_container_getters_fifo_no_overtaking():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0)
-    order = []
-
-    def consumer(tag, amount):
-        yield tank.get(amount)
-        order.append(tag)
-
-    sim.process(consumer("big", 50.0))
-    sim.process(consumer("small", 5.0))
-
-    def producer():
-        yield sim.timeout(1.0)
-        tank.put(10.0)  # enough for "small" but it must wait behind "big"
-        yield sim.timeout(1.0)
-        tank.put(60.0)
-
-    sim.process(producer())
-    sim.run()
-    assert order == ["big", "small"]
-
-
-def test_container_invalid_init():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=5.0, init=6.0)
-
-
-def test_container_negative_amounts_rejected():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=5.0)
-    with pytest.raises(ValueError):
-        tank.put(-1.0)
-    with pytest.raises(ValueError):
-        tank.get(-1.0)

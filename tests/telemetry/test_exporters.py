@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from repro.core.experiment import ExperimentResult
 from repro.core.records import RecordBook
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import (
@@ -13,7 +12,6 @@ from repro.telemetry.exporters import (
     TRACE_VERSION,
     TraceSchemaError,
     metrics_tables,
-    to_experiment_result,
     validate_trace_file,
     validate_trace_span,
     write_metrics_json,
@@ -202,24 +200,6 @@ def test_metrics_tables_content():
     assert "narada" in text
     assert "narada/broker1/span.broker_in" in text
     assert "narada/harness/rtt_ms" in text
-    assert "PRT (ms)" in text and "p99 (bucket)" in text
-
-
-def test_to_experiment_result_bridge():
-    tel, book = _session()
-    result = to_experiment_result(tel, "unit_exp")
-    assert isinstance(result, ExperimentResult)
-    assert result.experiment_id == "unit_exp"
-    headers, rows = result.table
-    assert headers[0] == "middleware"
-    assert rows[0][0] == "narada"
-    assert rows[0][1] == 5 and rows[0][2] == 4  # spans, delivered
-
-    # Series are the Fig 15 cumulative phase boundaries: 0 .. RTT.
-    spans = [s for s in tel.spans_for_book(book) if s.complete]
-    rtt_ms = sum(s.rtt for s in spans) / len(spans) * 1e3
-    points = result.series["narada"]
-    assert points[0].y == 0.0
-    assert points[-1].y == pytest.approx(rtt_ms)
-    assert any("fault windows" in note for note in result.notes)
-    assert result.meta["fault_windows"][0]["kind"] == "packet_loss"
+    assert "PRT (ms)" in text
+    header = next(line for line in text.splitlines() if "histogram" in line)
+    assert header.split() == ["histogram", "n", "mean", "p50", "p95", "p99"]

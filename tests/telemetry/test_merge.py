@@ -11,7 +11,7 @@ from repro.telemetry import (
     Counter,
     Gauge,
     Histogram,
-    P2Quantile,
+    MetricsRegistry,
     Telemetry,
     export_telemetry,
     merge_telemetry,
@@ -80,13 +80,33 @@ def test_histogram_merge_buckets_exact():
         assert merged.quantile(q) == whole.quantile(q)
 
 
-def test_histogram_merge_p2_quantiles_close_to_truth():
-    rng = np.random.default_rng(21)
-    values = list(rng.exponential(10.0, size=2000))
-    _, merged = _split_merge(values, 900)
-    for q in (0.5, 0.9, 0.95):
-        truth = float(np.percentile(values, q * 100))
-        assert merged.quantile_p2(q) == pytest.approx(truth, rel=0.25)
+def test_registry_merge_equals_serial_fill_on_every_quantile():
+    """--jobs N merges half-registries; every reported quantile must be the
+    one a single registry filled serially reports."""
+    rng = np.random.default_rng(13)
+    samples = {
+        ("narada", "rtt_ms"): rng.lognormal(1.0, 0.8, 1200),
+        ("rgma", "rtt_ms"): np.concatenate(
+            [rng.normal(300.0, 20.0, 700), rng.normal(1500.0, 90.0, 500)]
+        ).clip(0.1),
+    }
+    serial, left, right = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+    for (middleware, name), values in samples.items():
+        half = len(values) // 2
+        for registry, chunk in ((serial, values), (left, values[:half]),
+                                (right, values[half:])):
+            hist = registry.histogram(middleware, "harness", name)
+            for v in chunk:
+                hist.observe(float(v))
+    left.merge_from(right)
+    merged, whole = left.to_dict(), serial.to_dict()
+    assert merged.keys() == whole.keys()
+    for key, hist in serial:
+        mine = left.histogram(key.middleware, key.component, key.name)
+        assert mine.counts == hist.counts
+        assert merged[str(key)]["quantiles"] == whole[str(key)]["quantiles"]
+        for q in (0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0):
+            assert mine.quantile(q) == hist.quantile(q)
 
 
 def test_histogram_merge_rejects_mismatched_buckets():
@@ -94,60 +114,6 @@ def test_histogram_merge_rejects_mismatched_buckets():
     b = Histogram(buckets=(1.0, 3.0))
     with pytest.raises(ValueError):
         a.merge(b)
-
-
-def test_p2_merge_exact_when_either_side_tiny():
-    # Merging a raw-sample side replays its observations, so the result is
-    # bit-identical to one estimator that saw the same stream in order.
-    a, b = P2Quantile(0.5), P2Quantile(0.5)
-    for v in (1.0, 2.0, 3.0):
-        a.observe(v)
-    for v in (4.0, 5.0, 6.0, 7.0):
-        b.observe(v)
-    a.merge(b)
-    reference = P2Quantile(0.5)
-    for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0):
-        reference.observe(v)
-    assert a.n == reference.n == 7
-    assert a.value == reference.value
-    assert a._heights == reference._heights
-    assert a._pos == reference._pos
-
-    # Tiny self, marker-collapsed other: adopt-and-replay, still defined.
-    c = P2Quantile(0.5)
-    c.observe(100.0)
-    c.merge(reference)
-    assert c.n == 8
-    assert not math.isnan(c.value)
-
-
-def test_p2_merge_empty_and_mismatched():
-    a, b = P2Quantile(0.9), P2Quantile(0.9)
-    a.observe(1.0)
-    a.merge(b)  # empty other: no-op
-    assert a.n == 1
-    with pytest.raises(ValueError):
-        a.merge(P2Quantile(0.5))
-
-
-def test_p2_merge_marker_invariants_hold():
-    rng = np.random.default_rng(3)
-    a, b = P2Quantile(0.95), P2Quantile(0.95)
-    for v in rng.normal(50.0, 5.0, size=200):
-        a.observe(float(v))
-    for v in rng.normal(70.0, 5.0, size=300):
-        b.observe(float(v))
-    a.merge(b)
-    assert a.n == 500
-    assert a._heights == sorted(a._heights)
-    assert a._pos[0] == 1.0
-    assert a._pos[-1] == 500.0
-    assert all(a._pos[i] < a._pos[i + 1] for i in range(4))
-    # Future observations keep working on the merged state.
-    for v in rng.normal(60.0, 5.0, size=200):
-        a.observe(float(v))
-    assert a.n == 700
-    assert not math.isnan(a.value)
 
 
 # ---------------------------------------------------------- export / merge

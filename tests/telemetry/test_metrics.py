@@ -1,17 +1,9 @@
-"""Counters, gauges and the two streaming quantile estimators.
+"""Counters, gauges and the bucketed streaming histogram.
 
-The accuracy tests pit both estimators against ``numpy.percentile`` on
-adversarial distributions:
-
-* **bucketed**: relative error is bounded by ``factor - 1`` (~19 % at the
-  default ratio) whenever the value lies inside the bucket range — the
-  documented bound, asserted on every distribution including the one that
-  breaks P²;
-* **P²**: no hard bound, but empirically within a few percent on smooth and
-  heavy-tailed inputs; its *documented failure mode* is the median of an
-  extremely separated bimodal (parabolic interpolation strands the middle
-  marker in the inter-mode gap), which is exactly why every histogram keeps
-  the bucketed estimator alongside it.
+The accuracy tests pit the histogram against ``numpy.percentile`` on
+adversarial distributions: the relative error is bounded by ``factor - 1``
+(~19 % at the default ratio) whenever the value lies inside the bucket
+range — the documented bound, asserted on every distribution.
 """
 
 import math
@@ -26,11 +18,9 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricKey,
     MetricsRegistry,
-    P2Quantile,
+    QUANTILES,
     geometric_buckets,
 )
-
-QUANTILES = (0.50, 0.90, 0.95, 0.99)
 
 
 def _bimodal(rng: np.random.Generator) -> np.ndarray:
@@ -57,7 +47,7 @@ DISTRIBUTIONS = {
 
 
 def _fill(xs: np.ndarray) -> Histogram:
-    h = Histogram(quantiles=QUANTILES)
+    h = Histogram()
     for x in xs:
         h.observe(float(x))
     return h
@@ -72,38 +62,6 @@ def test_bucketed_quantile_within_documented_bound(name, q):
     estimate = h.quantile(q)
     bound = DEFAULT_BUCKET_FACTOR - 1.0  # ~19 % relative
     assert abs(estimate - exact) / exact <= bound
-
-
-@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
-@pytest.mark.parametrize("q", QUANTILES)
-def test_p2_quantile_accuracy(name, q):
-    xs = DISTRIBUTIONS[name](np.random.default_rng(42))
-    h = _fill(xs)
-    exact = float(np.percentile(xs, q * 100.0))
-    estimate = h.quantile_p2(q)
-    if name == "bimodal" and q == 0.50:
-        # Documented P² failure: the median marker strands in the gap
-        # between modes.  The estimate is wildly off — but the bucketed
-        # estimator (asserted above) covers this case, which is why both
-        # estimators ship in every histogram.
-        assert abs(estimate - exact) / exact > 1.0
-        return
-    assert abs(estimate - exact) / exact <= 0.10
-
-
-def test_p2_exact_below_five_samples():
-    xs = [7.0, 1.0, 3.0]
-    est = P2Quantile(0.5)
-    for x in xs:
-        est.observe(x)
-    assert est.value == pytest.approx(np.percentile(xs, 50))
-    assert math.isnan(P2Quantile(0.5).value)
-
-
-def test_p2_rejects_degenerate_quantiles():
-    for q in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            P2Quantile(q)
 
 
 def test_geometric_buckets_cover_range_and_validate():
@@ -135,7 +93,7 @@ def test_histogram_edge_cases():
         Histogram(buckets=(2.0, 1.0))
     d = h.to_dict()
     assert d["n"] == 4
-    assert set(d["quantiles"]) == set(d["bucketed_quantiles"])
+    assert set(d["quantiles"]) == {"p50", "p90", "p95", "p99"}
 
 
 def test_counter_and_gauge():
@@ -220,13 +178,3 @@ def test_add_many_empty_and_incremental():
     assert h.n == 3
     assert h.total == pytest.approx(6.0)
     assert (h.min, h.max) == (1.0, 3.0)
-
-
-def test_add_many_p2_estimate_stays_reasonable():
-    """P² sees a strided subsample under add_many: approximate, not junk."""
-    rng = np.random.default_rng(11)
-    values = rng.exponential(10.0, 50_000)
-    h = Histogram()
-    h.add_many(values)
-    true_p50 = float(np.quantile(values, 0.5))
-    assert h.quantile_p2(0.5) == pytest.approx(true_p50, rel=0.15)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import HydraCluster, VmStat
 from repro.sim import Simulator
-from repro.sim.resources import Container, Resource, Store
 from repro.telemetry import Telemetry
 from repro.telemetry.samplers import ResourceSampler
 
@@ -66,22 +65,13 @@ def test_sampler_is_passive_under_workload():
     assert run(False) == run(True)
 
 
-def test_sampler_feeds_registry_and_resource_snapshots():
+def test_sampler_feeds_registry():
     sim = Simulator(seed=7)
     cluster = HydraCluster(sim)
     node = cluster.node("hydra1")
-    store = Store(sim, capacity=10)
-    resource = Resource(sim, capacity=2)
-    level = Container(sim, capacity=100.0, init=40.0)
 
     tel = Telemetry("test")
-    tel.sample_node(
-        sim,
-        node,
-        middleware="plog",
-        interval=1.0,
-        resources={"queue": store, "cpu": resource, "heap": level},
-    )
+    tel.sample_node(sim, node, middleware="plog", interval=1.0)
     _busy_workload(sim, node, until=5.0)
     sim.run(until=5.0)
 
@@ -89,22 +79,6 @@ def test_sampler_feeds_registry_and_resource_snapshots():
     assert idle.n == 5
     assert 0.0 <= idle.mean <= 100.0
     assert tel.metrics.gauge("plog", "hydra1", "memory_used_bytes").n == 5
-    assert tel.metrics.gauge("plog", "hydra1", "queue.depth").value == 0
-    assert tel.metrics.gauge("plog", "hydra1", "cpu.in_use").value == 0
-    assert tel.metrics.gauge("plog", "hydra1", "heap.level").value == 40.0
-
-
-def test_snapshot_surfaces():
-    sim = Simulator(seed=1)
-    store = Store(sim, capacity=4)
-    assert store.snapshot() == {
-        "depth": 0, "getters_waiting": 0, "putters_waiting": 0
-    }
-    resource = Resource(sim, capacity=3)
-    assert resource.snapshot() == {"in_use": 0, "capacity": 3, "waiters": 0}
-    container = Container(sim, capacity=10.0, init=2.5)
-    snap = container.snapshot()
-    assert snap["level"] == 2.5
 
 
 def test_sampler_rejects_bad_interval_and_empty_summary():
