@@ -146,7 +146,7 @@ class Jvm:
 
     def _pause(self, duration: float) -> None:
         """Stop-the-world: seize the node CPU for ``duration`` seconds."""
-        self.node.execute_process(duration * self.node.cpu_scale)
+        self.node.execute_process(duration)
 
     # -------------------------------------------------------------- threads
     def spawn_thread(

@@ -19,7 +19,7 @@ the transport layer's job (see :mod:`repro.transport.tcp`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.events import Event
@@ -33,6 +33,8 @@ MTU = 1500
 FRAME_OVERHEAD_TCP = 78
 #: Per-frame overhead for UDP datagram fragments.
 FRAME_OVERHEAD_UDP = 66
+#: LAN jitter draws a host pair takes from its stream at a time (``_Route``).
+JITTER_BLOCK = 64
 
 
 @dataclass
@@ -72,18 +74,25 @@ class Link:
         backlog_seconds = max(0.0, self._next_free - self.sim.now)
         return backlog_seconds * self.bandwidth_bps / 8.0
 
-    def serialize(self, nbytes: float, droppable: bool = False) -> Optional[float]:
-        """Queue ``nbytes`` onto the link.
+    def serialize(
+        self, nbytes: float, droppable: bool = False, earliest: Optional[float] = None
+    ) -> Optional[float]:
+        """Queue ``nbytes`` onto the link, enqueued at ``earliest`` (default:
+        now; a receive side is enqueued when the frame reaches its port).
 
         Returns the absolute time the last bit leaves the link, or ``None``
         when ``droppable`` and the queue would overflow the buffer.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        if droppable and self.queued_bytes + nbytes > self.buffer_bytes:
-            self.stats.drops_overflow += 1
-            return None
-        start = max(self.sim.now, self._next_free)
+        if earliest is None:
+            earliest = self.sim.now
+        if droppable:
+            backlog = max(0.0, self._next_free - earliest)
+            if backlog * self.bandwidth_bps / 8.0 + nbytes > self.buffer_bytes:
+                self.stats.drops_overflow += 1
+                return None
+        start = max(earliest, self._next_free)
         self._next_free = start + nbytes * 8.0 / self.bandwidth_bps
         self.stats.frames += 1
         self.stats.bytes += int(nbytes)
@@ -117,6 +126,8 @@ class Lan:
         loopback_delay: float = 30e-6,
         buffer_bytes: float = 256 * 1024,
     ):
+        if jitter_mean < 0:
+            raise ValueError("jitter_mean must be >= 0")
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
         self.switch_latency = switch_latency
@@ -125,6 +136,7 @@ class Lan:
         self.buffer_bytes = buffer_bytes
         self._tx: dict[str, Link] = {}
         self._rx: dict[str, Link] = {}
+        self._routes: dict[tuple[str, str], _Route] = {}
         #: Optional injected link faults (see :mod:`repro.faults.link`);
         #: installed by a fault scheduler, consulted per transfer.
         self.faults = None
@@ -173,19 +185,41 @@ class Lan:
         transfer was dropped (only possible with ``droppable=True``).
         The event's value is the one-way delay in seconds.
         """
-        if src not in self._tx or dst not in self._tx:
-            raise KeyError(f"unknown host in transfer {src!r} -> {dst!r}")
+        delay = self.transfer_delay(
+            src, dst, nbytes, droppable, loss_probability, overhead
+        )
+        if delay is None:
+            return None
+        ev = self.sim.event()
+        ev.succeed(delay, delay=delay)
+        return ev
 
-        now = self.sim.now
-        if src == dst:
-            delay = self.loopback_delay
-            ev = self.sim.event()
-            ev.succeed(delay, delay=delay)
-            return ev
+    def transfer_delay(
+        self,
+        src: str,
+        dst: str,
+        nbytes: float,
+        droppable: bool = False,
+        loss_probability: float = 0.0,
+        overhead: int = FRAME_OVERHEAD_TCP,
+    ) -> Optional[float]:
+        """:meth:`transmit` without the event: the one-way delay in seconds
+        from now, or ``None`` when the transfer was dropped.
 
-        tx = self._tx[src]
-        rx = self._rx[dst]
+        The caller schedules the arrival itself, at ``now + delay``, exactly
+        where :meth:`transmit` would (a stream channel carries its segment
+        as that entry's value).
+        """
+        route = self._routes.get((src, dst))
+        if route is None:
+            if src not in self._tx or dst not in self._tx:
+                raise KeyError(f"unknown host in transfer {src!r} -> {dst!r}")
+            if src == dst:
+                return self.loopback_delay
+            route = self._routes[(src, dst)] = _Route(self, src, dst)
 
+        now = self.sim._now
+        tx = route.tx
         fault_delay = 0.0
         p_frag = loss_probability
         if self.faults is not None:
@@ -202,42 +236,58 @@ class Lan:
             # Per-fragment random loss; one lost fragment loses the datagram.
             frags = self.frame_count(nbytes)
             p_msg = 1.0 - (1.0 - p_frag) ** frags
-            if self.sim.rng.random(f"lan.loss.{src}->{dst}") < p_msg:
+            if self.sim.rng.random(route.loss_stream) < p_msg:
                 tx.stats.drops_random += 1
                 return None
 
         wire = self.wire_bytes(nbytes, overhead)
-        tx_done = tx.serialize(wire, droppable=droppable)
+        tx_done = tx.serialize(wire, droppable)
         if tx_done is None:
             return None
         # The frame reaches the destination port after the switch latency;
         # receive-side serialisation starts no earlier than that.
         arrival_at_rx = tx_done + self.switch_latency
-        rx_start_lag = max(0.0, arrival_at_rx - self.sim.now)
+        rx_start_lag = max(0.0, arrival_at_rx - now)
         # Model the rx queue in its own virtual time, offset by the lag.
-        rx_done = self._serialize_at(rx, wire, rx_start_lag, droppable)
+        rx_done = route.rx.serialize(wire, droppable, now + rx_start_lag)
         if rx_done is None:
             tx.stats.drops_overflow += 1  # counted where it is observed
             return None
-        jitter = self.sim.rng.exponential(f"lan.jitter.{src}->{dst}", self.jitter_mean)
-        delivery = rx_done + jitter + fault_delay
-        delay = delivery - now
-        ev = self.sim.event()
-        ev.succeed(delay, delay=delay)
-        return ev
+        delivery = rx_done + route.jitter(self.jitter_mean) + fault_delay
+        return delivery - now
 
-    def _serialize_at(
-        self, link: Link, nbytes: float, start_lag: float, droppable: bool
-    ) -> Optional[float]:
-        """Serialise onto ``link`` as if enqueued ``start_lag`` in the future."""
-        earliest = self.sim.now + start_lag
-        if droppable:
-            backlog = max(0.0, link._next_free - earliest)
-            if backlog * link.bandwidth_bps / 8.0 + nbytes > link.buffer_bytes:
-                link.stats.drops_overflow += 1
-                return None
-        start = max(earliest, link._next_free)
-        link._next_free = start + nbytes * 8.0 / link.bandwidth_bps
-        link.stats.frames += 1
-        link.stats.bytes += int(nbytes)
-        return link._next_free
+
+class _Route:
+    """One (src, dst) host pair of a :class:`Lan`, built on its first transfer.
+
+    It holds the two NIC links and the pair's named random streams.  LAN
+    jitter is drawn ``JITTER_BLOCK`` at a time: ``standard_exponential``
+    fills a block with the same draws that scalar ``exponential`` calls take
+    one by one, and ``draw * mean`` is the product ``exponential(mean)``
+    returns, so every delay is bit-identical to a scalar draw per transfer.
+    Drawing ahead is safe only because nothing else draws from a
+    ``lan.jitter.`` stream (``tests/cluster/test_lan_jitter_block.py``
+    guards that).
+    """
+
+    __slots__ = ("tx", "rx", "loss_stream", "_jitter_stream", "_block", "_next")
+
+    def __init__(self, lan: Lan, src: str, dst: str):
+        self.tx = lan._tx[src]
+        self.rx = lan._rx[dst]
+        self.loss_stream = f"lan.loss.{src}->{dst}"
+        self._jitter_stream = lan.sim.rng.stream(f"lan.jitter.{src}->{dst}")
+        self._block: list[float] = []
+        self._next = 0
+
+    def jitter(self, mean: float) -> float:
+        """The pair's next exponential jitter draw with the given mean."""
+        i = self._next
+        block = self._block
+        if i == len(block):
+            block = self._block = self._jitter_stream.standard_exponential(
+                JITTER_BLOCK
+            ).tolist()
+            i = 0
+        self._next = i + 1
+        return block[i] * mean

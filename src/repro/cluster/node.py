@@ -32,9 +32,6 @@ class Node:
         Owning simulator.
     name:
         Node name (e.g. ``"hydra1"``).
-    cpu_scale:
-        Relative CPU speed; ``1.0`` is the paper's PIII 866 MHz reference.
-        A job of ``work`` seconds takes ``work / cpu_scale`` to execute.
     memory_bytes:
         Physical memory (paper: 2 GB).
     """
@@ -43,14 +40,10 @@ class Node:
         self,
         sim: "Simulator",
         name: str,
-        cpu_scale: float = 1.0,
         memory_bytes: int = 2 * 1024**3,
     ):
-        if cpu_scale <= 0:
-            raise ValueError("cpu_scale must be positive")
         self.sim = sim
         self.name = name
-        self.cpu_scale = cpu_scale
         self.memory_bytes = memory_bytes
         #: True while a job is in service.
         self._busy = False
@@ -63,7 +56,8 @@ class Node:
 
     # ------------------------------------------------------------------ CPU
     def execute(self, work: float) -> Generator[Any, Any, None]:
-        """Process-style: occupy the CPU for ``work`` reference-seconds.
+        """Process-style: occupy the CPU for ``work`` seconds (of the paper's
+        PIII 866 MHz reference node).
 
         Usage inside a process::
 
@@ -77,21 +71,20 @@ class Node:
             # An idle CPU is taken on the spot: queueing order is fixed at
             # call time either way.
             self._busy = True
-            duration = work / self.cpu_scale
             try:
-                yield self.sim.timeout(duration)
+                yield self.sim.timeout(work)
             except BaseException:
                 self._serve_next()
                 raise
         else:
             # The CPU starts this job itself when the one ahead of it ends
             # (``_serve_next``): the completion event fires at the end of
-            # service with the service time as its value.
+            # service.
             job = Event(self.sim)
             entry = (job, work)
             self._run_queue.append(entry)
             try:
-                duration = yield job
+                yield job
             except BaseException:
                 # Killed in the run-queue: withdraw and never run.  Killed
                 # in service: pass the CPU on at this instant.
@@ -100,17 +93,15 @@ class Node:
                 else:
                     self._run_queue.remove(entry)
                 raise
-        self.cpu_busy_time += duration
+        self.cpu_busy_time += work
         self._serve_next()
 
     def _serve_next(self) -> None:
         """The job in service ended or was killed: start the next queued
-        one now.  Its service time is read at this instant, and its
-        completion is its only heap entry."""
+        one now.  Its completion is its only heap entry."""
         if self._run_queue:
             job, work = self._run_queue.popleft()
-            duration = work / self.cpu_scale
-            job.succeed(duration, delay=duration)
+            job.succeed(delay=work)
         else:
             self._busy = False
 

@@ -18,6 +18,15 @@ out-of-memory walls are the phenomena under study.
 """
 
 from repro.harness.scale import Scale
-from repro.harness.runner import run, EXPERIMENT_IDS
 
 __all__ = ["EXPERIMENT_IDS", "Scale", "run"]
+
+
+def __getattr__(name: str):
+    # PEP 562: ``runner`` is imported on first use, not with the package, so
+    # ``python -m repro.harness.runner`` does not find it already imported.
+    if name in ("run", "EXPERIMENT_IDS"):
+        from repro.harness import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -139,12 +139,20 @@ class Event:
 
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully with ``value`` after ``delay``."""
+        """Trigger the event successfully with ``value`` after ``delay``.
+
+        ``Simulator._schedule`` inlined: this is the hot trigger (CPU job
+        completions, store hand-offs, every ``transmit``).
+        """
         if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
+        if delay < 0:
+            raise ValueError(f"cannot schedule event in the past (delay={delay})")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now + delay, seq, self))
         return self
 
     def succeed_at(self, when: float, value: Any = None) -> "Event":

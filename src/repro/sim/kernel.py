@@ -165,7 +165,9 @@ class Simulator:
         heappush(self._queue, (self._now + delay, seq, t))
         return t
 
-    def batch(self, delay: float, fn: Callable[[Event], Any]) -> Timeout:
+    def batch(
+        self, delay: float, fn: Callable[[Event], Any], value: Any = None
+    ) -> Timeout:
         """Schedule ``fn(event)`` ``delay`` seconds from now as ONE heap entry.
 
         The batch-event fast path: where a per-message design pays one heap
@@ -174,13 +176,15 @@ class Simulator:
         N deliveries internally as array ops.  ``fn`` is installed directly
         as the event's only callback, so the run loop's inlined dispatch
         reaches it without ``add_callback`` or :class:`Process` machinery.
+        The event's value is ``value`` (a TCP segment's wire arrival carries
+        the segment in it).
         """
         if delay < 0:
             raise ValueError(f"negative batch delay {delay!r}")
         t = Timeout.__new__(Timeout)
         t.sim = self
         t.callbacks = [fn]
-        t._value = None
+        t._value = value
         t._ok = True
         t._processed = False
         t._defused = False

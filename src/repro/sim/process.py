@@ -12,7 +12,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import _PENDING, Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -29,14 +29,23 @@ class Process(Event):
         generator: Generator[Event, Any, Any],
         name: Optional[str] = None,
     ):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(f"Process requires a generator, got {generator!r}")
-        super().__init__(sim)
+        try:
+            # Bound methods cached once: the resume loop calls one of them per
+            # context switch, and the attribute chain is measurable at scale.
+            self._send = generator.send
+            self._throw = generator.throw
+        except AttributeError:
+            raise TypeError(
+                f"Process requires a generator, got {generator!r}"
+            ) from None
+        # ``Event.__init__``'s slots, written here (one Process per spawn).
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._processed = False
+        self._defused = False
         self._generator = generator
-        # Bound methods cached once: the resume loop calls one of them per
-        # context switch, and the attribute chain is measurable at scale.
-        self._send = generator.send
-        self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
         #: Event this process is currently waiting on (None when runnable).
         self._target: Optional[Event] = None

@@ -56,7 +56,14 @@ class Store:
         return ev
 
     def put_nowait(self, item: Any) -> None:
-        """Enqueue immediately or raise :class:`StoreFull`."""
+        """Enqueue immediately or raise :class:`StoreFull`.
+
+        A getter waits only while the store is empty, so a waiting getter
+        takes ``item`` straight away — what ``_wake_getters`` would do.
+        """
+        if self._getters and not self.items:
+            self._getters.popleft().succeed(item)
+            return
         if len(self.items) >= self.capacity:
             raise StoreFull(f"store at capacity {self.capacity}")
         self.items.append(item)

@@ -4,7 +4,7 @@ A :class:`Channel` is one end of a bidirectional conversation between two
 hosts.  ``send`` is a *generator* (used with ``yield from`` inside a process)
 that charges the sender's CPU, pushes bytes through the LAN model and
 delivers the payload into the peer's inbox; it returns the one-way latency.
-Receivers pull from their end's :meth:`Channel.receive`.
+Receivers pull from their end's ``Channel.receive()``.
 
 The per-operation CPU charges live in :class:`CostModel` so experiments can
 calibrate or ablate them in one place.
@@ -57,9 +57,9 @@ class CostModel:
         return self.syscall + self.per_byte * nbytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
-    """What lands in a channel inbox."""
+    """What lands in a channel inbox (one per message: slotted)."""
 
     payload: Any
     nbytes: float
@@ -79,6 +79,10 @@ class Channel:
         self.node = node
         self.label = label
         self.inbox: Store = Store(sim)
+        #: ``receive()``: an event yielding the next :class:`Delivery` (an
+        #: ``EOF`` one once the channel closes).  It is the inbox's own
+        #: ``get``, bound once, so a receive costs no wrapper frame.
+        self.receive = self.inbox.get
         self.peer: Optional["Channel"] = None
         self.closed = False
         #: Optional push-mode hook: invoked (payload, nbytes) on delivery.
@@ -107,8 +111,11 @@ class Channel:
         it costs a kernel event only when someone is waiting on it at
         delivery time; awaited later, it returns its value at once.
 
-        Concrete transports override :meth:`_transfer`; this wrapper charges
-        sender CPU and enforces the closed check.
+        This wrapper enforces the closed check, charges sender CPU and runs
+        :meth:`_transfer`, the generator a datagram transport overrides (an
+        acked send waits in it for the ack).  A stream channel overrides
+        ``send`` itself and schedules its segment with plain calls
+        (:class:`~repro.transport.tcp.TcpChannel`).
         """
         if self.closed or self.peer is None:
             raise ChannelClosed(f"send on closed channel {self.label}")
@@ -123,19 +130,9 @@ class Channel:
         raise NotImplementedError  # pragma: no cover
 
     # ----------------------------------------------------------- receiving
-    def receive(self):
-        """Event yielding the next :class:`Delivery` (or raising on close)."""
-        ev = self.inbox.get()
-        return ev
-
     def _deliver(self, payload: Any, nbytes: float, sent_at: float) -> None:
         """Called by the peer's transfer machinery at delivery time."""
-        d = Delivery(
-            payload=payload,
-            nbytes=nbytes,
-            sent_at=sent_at,
-            delivered_at=self.sim.now,
-        )
+        d = Delivery(payload, nbytes, sent_at, self.sim._now)
         if self.on_deliver is not None:
             self.on_deliver(d)
         else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.cluster.network import FRAME_OVERHEAD_TCP
 from repro.sim.events import Event
 from repro.transport.base import (
     Channel,
@@ -32,7 +31,13 @@ HANDSHAKE_FRAME_BYTES = 64
 
 
 class TcpChannel(Channel):
-    """One end of an established TCP connection."""
+    """One end of an established TCP connection.
+
+    A send is one heap entry: the segment's wire arrival, scheduled where
+    :meth:`~repro.cluster.network.Lan.transmit` would schedule it
+    (``now + delay``), carrying the segment as its value, with
+    :meth:`_arrive` as its only callback (``Simulator.batch``).
+    """
 
     #: Threading hint servers use: "blocking" = thread per connection.
     server_mode = "blocking"
@@ -55,40 +60,44 @@ class TcpChannel(Channel):
         self._deliver_seq = 0
         self._arrived: dict[int, tuple[Any, float, float, Event]] = {}
 
-    def _transfer(self, payload: Any, nbytes: float) -> Generator[Any, Any, Event]:
-        """Hand bytes to the kernel; returns the delivery event immediately.
+    def send(self, payload: Any, nbytes: float) -> Generator[Any, Any, Event]:
+        """Charge the sender's CPU, then hand the bytes to the kernel.
 
         Blocking TCP ``send()`` returns once the data is in the socket buffer
         (these messages are far below the buffer size), so the sender does
-        not wait for delivery.
+        not wait for delivery: the returned receipt settles later.
         """
-        sent_at = self.sim.now
+        if self.closed or self.peer is None:
+            raise ChannelClosed(f"send on closed channel {self.label}")
+        yield from self.node.execute(self.cost_model.send_cost(nbytes))
+        sim = self.sim
+        delay = self.lan.transfer_delay(self.node.name, self.peer.node.name, nbytes)
+        assert delay is not None  # stream traffic is never dropped
         seq = self._send_seq
-        self._send_seq += 1
-        wire_ev = self.lan.transmit(
-            self.host, self.peer_host, nbytes, overhead=FRAME_OVERHEAD_TCP
-        )
-        assert wire_ev is not None  # stream traffic is never dropped
-        done = self.sim.event()
-
-        def on_wire(_ev: Event) -> None:
-            self._arrived[seq] = (payload, nbytes, sent_at, done)
-            self._flush_in_order()
-
-        wire_ev.add_callback(on_wire)
-        if False:  # pragma: no cover - keeps this a generator function
-            yield
+        self._send_seq = seq + 1
+        done = Event(sim)
+        sim.batch(delay, self._arrive, (seq, payload, nbytes, sim._now, done))
         return done
 
-    def _flush_in_order(self) -> None:
-        """Deliver every consecutive segment that has arrived."""
+    def _arrive(self, wire: Event) -> None:
+        """A segment is off the wire.  Deliver it if it is next in line,
+        then every later segment that came off the wire before it and was
+        held back; otherwise hold it back."""
+        seq, payload, nbytes, sent_at, done = wire._value
+        arrived = self._arrived
+        if seq == self._deliver_seq and not arrived:
+            # Next in line with nothing held back: the common case.
+            self._deliver_seq = seq + 1
+            self.peer._deliver(payload, nbytes, sent_at)
+            done.settle(self.sim._now - sent_at)
+            return
+        arrived[seq] = (payload, nbytes, sent_at, done)
         peer = self.peer
-        assert peer is not None
-        while self._deliver_seq in self._arrived:
-            payload, nbytes, sent_at, done = self._arrived.pop(self._deliver_seq)
+        while self._deliver_seq in arrived:
+            payload, nbytes, sent_at, done = arrived.pop(self._deliver_seq)
             self._deliver_seq += 1
             peer._deliver(payload, nbytes, sent_at)
-            done.settle(self.sim.now - sent_at)
+            done.settle(self.sim._now - sent_at)
 
 
 class TcpTransport:

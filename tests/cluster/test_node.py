@@ -18,17 +18,6 @@ def test_execute_takes_work_seconds():
     assert node.cpu_busy_time == 0.5
 
 
-def test_cpu_scale_speeds_up_work():
-    sim = Simulator()
-    fast = Node(sim, "fast", cpu_scale=2.0)
-
-    def job():
-        yield from fast.execute(1.0)
-        return sim.now
-
-    assert sim.run_process(job()) == 0.5
-
-
 def test_jobs_queue_fifo_on_single_cpu():
     sim = Simulator()
     node = Node(sim, "n1")
@@ -83,12 +72,6 @@ def test_negative_work_rejected():
 
     with pytest.raises(ValueError):
         sim.run_process(job())
-
-
-def test_invalid_cpu_scale():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Node(sim, "n1", cpu_scale=0.0)
 
 
 def test_run_queue_length_observable():

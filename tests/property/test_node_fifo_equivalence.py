@@ -3,8 +3,7 @@
 The CPU takes an idle unit synchronously, queues otherwise, and starts the
 next queued job itself when the one in service ends or is killed; whichever
 path a job goes through, its service must start, last and end exactly where
-a textbook non-preemptive FIFO server puts it — including when ``cpu_scale``
-is rewritten mid-run, as the ``cpu_slow`` fault does, and when jobs are
+a textbook non-preemptive FIFO server puts it — including when jobs are
 interrupted before, while queued for, or during their service.
 """
 
@@ -26,7 +25,7 @@ _jobs = st.lists(
 )
 
 
-def _reference(jobs, scale_before, scale_after, change_at):
+def _reference(jobs):
     """(index, finish) per completed job in completion order, and busy time."""
     expected, busy, free_at = [], 0.0, 0.0
     for index, (arrival, work, kill) in sorted(
@@ -40,32 +39,23 @@ def _reference(jobs, scale_before, scale_after, change_at):
         start = max(arrival, free_at)
         if kill is not None and kill <= start:
             continue  # killed in the run-queue: the CPU never sees it
-        duration = work / (scale_after if start >= change_at else scale_before)
-        end = start + duration
+        end = start + work
         assume(kill != end)
         if kill is not None and kill < end:
             free_at = kill  # killed in service: the next job starts now
             continue
         free_at = end
-        busy += duration
+        busy += work
         expected.append((index, end))
     return expected, busy
 
 
 @settings(deadline=None)
-@given(
-    jobs=_jobs,
-    scale_before=st.floats(min_value=0.25, max_value=4.0),
-    scale_after=st.floats(min_value=0.25, max_value=4.0),
-    change_at=st.floats(min_value=0.0, max_value=8.0),
-)
-def test_node_matches_reference_fifo_server(jobs, scale_before, scale_after, change_at):
-    expected, busy = _reference(jobs, scale_before, scale_after, change_at)
+@given(jobs=_jobs)
+def test_node_matches_reference_fifo_server(jobs):
+    expected, busy = _reference(jobs)
     sim = Simulator()
-    node = Node(sim, "n1", cpu_scale=scale_before)
-    # Scheduled before any job exists, so at ``change_at`` itself the new
-    # speed is in force before any service that starts at that instant.
-    sim.call_at(change_at, lambda: setattr(node, "cpu_scale", scale_after))
+    node = Node(sim, "n1")
     finished = []
 
     def job(index, arrival, work):
