@@ -35,6 +35,26 @@ class MessageRecord:
     def delivered(self) -> bool:
         return self.t_received is not None
 
+    def deliver(
+        self, t_arrived: float, now: float, middleware: str, where: str
+    ) -> bool:
+        """Stamp this message's first delivery; ``False`` for a later copy.
+
+        The one first-delivery rule every receiving path applies: the first
+        copy to reach a recording receiver sets ``t_arrived``/``t_received``
+        and emits the telemetry ``delivered`` mark (``middleware``,
+        ``where`` name the instrument); a later copy changes nothing, and
+        the caller counts it as a duplicate if it keeps that count.
+        """
+        if self.t_received is not None:
+            return False
+        self.t_arrived = t_arrived
+        self.t_received = now
+        tel = _telemetry()
+        if tel is not None:
+            tel.mark(self, "delivered", now, middleware, where)
+        return True
+
     @property
     def rtt(self) -> float:
         """Round-trip time: sending to receiving (paper §III.C)."""
@@ -103,3 +123,8 @@ class RecordBook:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+# Imported last: repro.telemetry's span module imports repro.core.metrics,
+# which imports this module's classes, so they must exist by then.
+from repro.telemetry.context import current as _telemetry  # noqa: E402

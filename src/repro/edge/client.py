@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 from repro.core.dedup import DedupIndex
 from repro.edge.config import EdgeConfig
 from repro.edge.upstream import record_of
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import ChannelClosed, TransportError
 from repro.transport.http import HttpClient, HttpTimeout
 
@@ -170,19 +169,7 @@ class EdgeClient:
         self.stats.received += 1
         if record.t_before_send > self._last_created:
             self._last_created = record.t_before_send
-        if not self.stamping:
-            return
-        if record.t_received is not None:
+        if self.stamping and not record.deliver(
+            self.sim.now, self.sim.now, self.middleware_label, self.node.name
+        ):
             self.stats.duplicates += 1
-            return
-        record.t_arrived = self.sim.now
-        record.t_received = self.sim.now
-        tel = _telemetry()
-        if tel is not None:
-            tel.mark(
-                record,
-                "delivered",
-                self.sim.now,
-                self.middleware_label,
-                self.node.name,
-            )

@@ -166,7 +166,10 @@ class FaultPlan:
         specs of the same kind with overlapping windows on the same target
         (e.g. two loss windows on one link) are a contradiction — which
         parameters apply mid-overlap? — and raise :class:`ValueError`
-        instead of silently stacking.
+        instead of silently stacking.  Partitions are the exception: a cut
+        has no parameters to disagree on, so overlapping ones on a host stay
+        two specs, as a scenario arms them, and the link checks every
+        active window.
         """
         merged = FaultPlan()
         seen: set[tuple] = set()
@@ -183,6 +186,8 @@ class FaultPlan:
         for spec in merged._specs:
             by_key.setdefault((spec.kind, spec.target), []).append(spec)
         for (kind, target), specs in by_key.items():
+            if kind == "partition":
+                continue
             for a, b in zip(specs, specs[1:]):  # sorted by `at` already
                 if b.at < a.until or a.at == b.at:
                     raise ValueError(

@@ -315,15 +315,11 @@ class FederationSubscriber:
         if not self.stamp_records:
             return
         record = getattr(message, "_record", None)
-        if record is not None and record.t_received is None:
-            record.t_arrived = arrived_at
-            record.t_received = self.sim.now
-            tel = _telemetry()
-            if tel is not None:
-                tel.mark(
-                    record, "delivered", self.sim.now,
-                    self.deployment.middleware, self.channel.node.name,
-                )
+        if record is not None:
+            record.deliver(
+                arrived_at, self.sim.now,
+                self.deployment.middleware, self.channel.node.name,
+            )
 
 
 class FederationSitePublishers:

@@ -193,8 +193,8 @@ class PlogAdapter(Adapter):
                 for b in brokers
                 if b.coordinator is not None
             ),
-            producer_retries=sum(p.retries for p in self.fleet._producers),
-            producer_reconnects=sum(p.reconnects for p in self.fleet._producers),
+            producer_retries=sum(p.retries for p in self.fleet.producers),
+            producer_reconnects=sum(p.reconnects for p in self.fleet.producers),
             consumer_recoveries=sum(
                 r.consumer.fetch_retries
                 + r.consumer.fetch_timeouts

@@ -3,8 +3,9 @@
 "Another Java program received data from the middleware.  Information of
 the monitoring data (such as sending and receiving time, etc) was dumped
 into a local text file for later analysis" (§III.B).  The receivers stamp
-``t_arrived`` / ``t_received`` on each message's record; the "text file" is
-the shared :class:`~repro.core.records.RecordBook`.
+``t_arrived`` / ``t_received`` on each message's record through
+:meth:`~repro.core.records.MessageRecord.deliver`; the "text file" is the
+shared :class:`~repro.core.records.RecordBook`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from repro.core.dedup import DedupIndex
 from repro.jms import AckMode
 from repro.jms.destination import Topic
 from repro.narada.client import narada_connection_factory
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import ChannelClosed, MessageLost, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -166,22 +166,13 @@ class NaradaReceiver:
                 self.redeliveries += 1
                 return
         self.received += 1
-        if record is not None:
-            # First delivery wins: a retried publish reaching a second
-            # subscriber path counts once (the duplicate-% scorecard column).
-            if record.t_received is not None:
-                self.duplicates += 1
-            else:
-                record.t_arrived = getattr(
-                    message, "_t_arrived_client", self.sim.now
-                )
-                record.t_received = self.sim.now
-                tel = _telemetry()
-                if tel is not None:
-                    tel.mark(
-                        record, "delivered", self.sim.now, "narada",
-                        self.node_name,
-                    )
+        # First delivery wins: a retried publish reaching a second
+        # subscriber path counts once (the duplicate-% scorecard column).
+        if record is not None and not record.deliver(
+            getattr(message, "_t_arrived_client", self.sim.now),
+            self.sim.now, "narada", self.node_name,
+        ):
+            self.duplicates += 1
         if (
             self.ack_mode == AckMode.CLIENT_ACKNOWLEDGE
             and self.received % self.client_ack_batch == 0
@@ -245,18 +236,10 @@ class PlogReceiver:
                 self.redeliveries += 1
                 return
         self.received += 1
-        if record is None:
-            return
-        if record.t_received is not None:
+        if record is not None and not record.deliver(
+            t_arrived, self.sim.now, "plog", self.consumer.name
+        ):
             self.duplicates += 1
-            return
-        record.t_arrived = t_arrived
-        record.t_received = self.sim.now
-        tel = _telemetry()
-        if tel is not None:
-            tel.mark(
-                record, "delivered", self.sim.now, "plog", self.consumer.name
-            )
 
 
 class RgmaReceiver:
@@ -298,16 +281,12 @@ class RgmaReceiver:
     def _on_tuple(self, t: Any) -> None:
         self.received += 1
         record = t.meta.get("record")
-        if record is not None:
-            # A republished tuple (e.g. via a Secondary Producer) counts once.
-            if record.t_received is not None:
-                self.duplicates += 1
-                return
-            record.t_arrived = t.meta.get("t_poll_start", self.sim.now)
-            record.t_received = self.sim.now
-            tel = _telemetry()
-            if tel is not None:
-                tel.mark(record, "delivered", self.sim.now, "rgma", "subscriber")
+        # A republished tuple (e.g. via a Secondary Producer) counts once.
+        if record is not None and not record.deliver(
+            t.meta.get("t_poll_start", self.sim.now),
+            self.sim.now, "rgma", "subscriber",
+        ):
+            self.duplicates += 1
 
     def stop(self) -> None:
         self.client.stop()

@@ -12,12 +12,13 @@ laptop scale; the paper-scale values are the defaults of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.core.records import RecordBook
+from repro.core.records import MessageRecord, RecordBook
 from repro.faults.recovery import RetryPolicy
-from repro.jms import AckMode, Topic
+from repro.jms import Topic
 from repro.jms.errors import IllegalStateException
 from repro.jms.message import MapMessage
 from repro.narada.client import narada_connection_factory
@@ -89,17 +90,6 @@ class FleetConfig:
         hi = ((node_index + 1) * n + k - 1) // k
         return lo, hi
 
-    def scaled(self, scale: float) -> "FleetConfig":
-        """A laptop-scale variant: fewer generators, compressed phases."""
-        import dataclasses
-
-        return dataclasses.replace(
-            self,
-            n_generators=max(1, int(self.n_generators * scale)),
-            duration=max(30.0, self.duration * scale),
-            creation_interval=self.creation_interval * scale,
-        )
-
 
 @dataclass
 class FleetStats:
@@ -112,8 +102,137 @@ class FleetStats:
     reconnects: int = 0
 
 
-class NaradaFleet:
-    """Generators publishing JMS MapMessages to Narada brokers."""
+def _inflate_payload(message: MapMessage, multiplier: int) -> None:
+    """Comparison test 5: replicate the field set to triple the payload."""
+    names = list(message.item_names())
+    for k in range(1, multiplier):
+        for name in names:
+            jms_type, value = message._body[name]
+            message._set(jms_type, f"{name}_x{k}", value)
+
+
+class Fleet:
+    """The generator program, written once for every middleware (§III.B).
+
+    The spawner starts one generator every ``creation_interval``; each
+    generator connects, warms up for a random 10–20 s, then samples,
+    records and publishes every ``publish_interval`` until it stops, and
+    closes.  Subclasses supply only what differs per middleware, the way
+    :class:`~repro.cluster.server.JvmServer` subclasses supply ``_handle``:
+    :meth:`_connect` opens a generator's link (raising one of
+    :attr:`refused` when the middleware turns it away), :meth:`_payload`
+    shapes a sample, :meth:`_publish` sends it (``False`` counts a publish
+    failure) and :meth:`_close` ends the link.
+    """
+
+    #: Name of the spawner process; generator ``i`` runs as
+    #: ``f"{process_prefix}{i}"``.
+    name = "fleet"
+    process_prefix = "gen"
+    #: Whether the hooks honour ``FleetConfig.payload_multiplier`` /
+    #: ``FleetConfig.retry``; a run that sets one the hooks would ignore
+    #: raises at construction instead.
+    inflates_payload = True
+    retries_publishes = False
+    #: Connect failures that count as a refused connection.
+    refused: tuple[type[BaseException], ...] = (ChannelClosed, TransportError)
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        cluster: "HydraCluster",
+        fleet: FleetConfig,
+        book: RecordBook,
+    ):
+        kind = type(self).__name__
+        if fleet.payload_multiplier != 1 and not self.inflates_payload:
+            raise ValueError(
+                f"{kind} cannot honour payload_multiplier="
+                f"{fleet.payload_multiplier}"
+            )
+        if fleet.retry is not None and not self.retries_publishes:
+            raise ValueError(f"{kind} cannot honour a publisher retry policy")
+        self.sim = sim
+        self.cluster = cluster
+        self.fleet = fleet
+        self.book = book
+        self.stats = FleetStats()
+        self._started = False
+
+    def start(self) -> None:
+        if self._started:
+            raise RuntimeError("fleet already started")
+        self._started = True
+        self.sim.process(self._spawner(), name=self.name)
+
+    def _spawner(self) -> Generator[Any, Any, None]:
+        fleet = self.fleet
+        for i in range(fleet.n_generators):
+            self.sim.process(
+                self._generator(i, fleet.node_index(i)),
+                name=f"{self.process_prefix}{i}",
+            )
+            yield self.sim.timeout(fleet.creation_interval)
+
+    def _generator(self, gen_id: int, node_index: int) -> Generator[Any, Any, None]:
+        sim = self.sim
+        fleet = self.fleet
+        try:
+            link = yield from self._connect(gen_id, node_index)
+        except self.refused:
+            self.stats.connections_refused += 1
+            return
+        self.stats.connections_ok += 1
+        model = PowerGenerator(
+            gen_id, sim.rng.stream(f"powergen.{gen_id}"),
+            site=f"site-{gen_id % 97}",
+        )
+        if not fleet.skip_warmup:
+            yield sim.timeout(
+                sim.rng.uniform("fleet.warmup", fleet.warmup_min, fleet.warmup_max)
+            )
+        interval = fleet.publish_interval * fleet.payload_multiplier
+        stop_at = fleet.stop_at if fleet.stop_at is not None else sim.now + fleet.duration
+        seq = 0
+        while sim.now < stop_at:
+            seq += 1
+            payload = self._payload(model.sample(sim.now))
+            record = self.book.new_record(gen_id, seq, sim.now)
+            self.stats.publishes_attempted += 1
+            published = yield from self._publish(link, gen_id, payload, record)
+            if not published:
+                self.stats.publish_failures += 1
+            yield from rate_sleep(sim, fleet.rates, gen_id, interval, stop_at)
+        yield from self._close(link)
+
+    # ------------------------------------------------------------- hooks
+    def _connect(self, gen_id: int, node_index: int) -> Generator[Any, Any, Any]:
+        raise NotImplementedError  # pragma: no cover
+
+    def _payload(self, state: Any) -> Any:
+        """A JMS MapMessage (Narada and plog), inflated by
+        ``payload_multiplier``."""
+        message = narada_map_message(state)
+        if self.fleet.payload_multiplier > 1:
+            _inflate_payload(message, self.fleet.payload_multiplier)
+        return message
+
+    def _publish(
+        self, link: Any, gen_id: int, payload: Any, record: MessageRecord
+    ) -> Generator[Any, Any, bool]:
+        raise NotImplementedError  # pragma: no cover
+
+    def _close(self, link: Any) -> Generator[Any, Any, None]:
+        raise NotImplementedError  # pragma: no cover
+
+
+class NaradaFleet(Fleet):
+    """Generators publishing JMS MapMessages to Narada brokers; with
+    ``FleetConfig.retry`` a failed publish backs off, reconnects a dead
+    connection and tries again."""
+
+    name = "narada.fleet"
+    retries_publishes = True
 
     def __init__(
         self,
@@ -126,134 +245,80 @@ class NaradaFleet:
         config: Optional["NaradaConfig"] = None,
         topic: Topic = MONITORING_TOPIC,
     ):
-        self.sim = sim
-        self.cluster = cluster
+        super().__init__(sim, cluster, fleet, book)
         self.transport = transport
         self.broker_addresses = broker_addresses
-        self.fleet = fleet
-        self.book = book
         self.config = config
         self.topic = topic
-        self.stats = FleetStats()
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("fleet already started")
-        self._started = True
-        self.sim.process(self._spawner(), name="narada.fleet")
-
-    def _spawner(self) -> Generator[Any, Any, None]:
-        for i in range(self.fleet.n_generators):
-            node_index = self.fleet.node_index(i)
-            node_name = self.fleet.client_nodes[node_index]
-            broker_index = node_index % len(self.broker_addresses)
-            self.sim.process(
-                self._generator(i, node_name, broker_index), name=f"gen{i}"
-            )
-            yield self.sim.timeout(self.fleet.creation_interval)
 
     def _connect(
-        self, node_name: str, broker_index: int
-    ) -> Generator[Any, Any, tuple]:
-        """Build connection/session/publisher against one broker address."""
-        broker = self.broker_addresses[broker_index % len(self.broker_addresses)]
+        self, gen_id: int, node_index: int
+    ) -> Generator[Any, Any, SimpleNamespace]:
+        link = SimpleNamespace(node_index=node_index)
+        yield from self._open(link)
+        return link
+
+    def _open(self, link: SimpleNamespace) -> Generator[Any, Any, None]:
+        """Build the link's connection, session and publisher against its
+        node's broker; a reconnect replaces both."""
+        host, port = self.broker_addresses[
+            link.node_index % len(self.broker_addresses)
+        ]
         factory = narada_connection_factory(
             self.sim,
             self.transport,
-            self.cluster.node(node_name),
-            broker[0],
-            broker[1],
+            self.cluster.node(self.fleet.client_nodes[link.node_index]),
+            host,
+            port,
             self.config,
         )
         connection = yield from factory.create_connection()
         connection.start()
-        session = connection.create_session()
-        publisher = session.create_publisher(self.topic)
-        return connection, publisher
+        publisher = connection.create_session().create_publisher(self.topic)
+        link.connection, link.publisher = connection, publisher
 
-    def _generator(
-        self, gen_id: int, node_name: str, broker_index: int
-    ) -> Generator[Any, Any, None]:
+    def _publish(
+        self, link: SimpleNamespace, gen_id: int, message: MapMessage,
+        record: MessageRecord,
+    ) -> Generator[Any, Any, bool]:
         sim = self.sim
-        fleet = self.fleet
-        try:
-            connection, publisher = yield from self._connect(
-                node_name, broker_index
-            )
-        except (ChannelClosed, TransportError):
-            self.stats.connections_refused += 1
-            return
-        self.stats.connections_ok += 1
-        model = PowerGenerator(
-            gen_id, sim.rng.stream(f"powergen.{gen_id}"),
-            site=f"site-{gen_id % 97}",
-        )
-        if not fleet.skip_warmup:
-            yield sim.timeout(
-                sim.rng.uniform("fleet.warmup", fleet.warmup_min, fleet.warmup_max)
-            )
-        interval = fleet.publish_interval * fleet.payload_multiplier
-        stop_at = fleet.stop_at if fleet.stop_at is not None else sim.now + fleet.duration
-        retry = fleet.retry
-        seq = 0
-        while sim.now < stop_at:
-            seq += 1
-            state = model.sample(sim.now)
-            message = narada_map_message(state)
-            if fleet.payload_multiplier > 1:
-                _inflate_payload(message, fleet.payload_multiplier)
-            record = self.book.new_record(gen_id, seq, sim.now)
-            message._record = record
-            self.stats.publishes_attempted += 1
-            published = False
-            attempt = 0
-            while True:
-                try:
-                    yield from publisher.publish(message)
-                    record.t_after_send = sim.now
-                    published = True
-                    break
-                except (MessageLost, ChannelClosed, IllegalStateException) as exc:
-                    # IllegalStateException: the session died under us (a
-                    # failed reconnect leaves the old closed one in place) —
-                    # same recovery as a dead connection.
-                    if retry is None or not retry.enabled or attempt >= retry.retries:
-                        break
-                    attempt += 1
-                    self.stats.publish_retries += 1
-                    yield sim.timeout(
-                        retry.delay(attempt, sim, f"narada.retry.{gen_id}")
-                    )
-                    if isinstance(exc, (ChannelClosed, IllegalStateException)):
-                        # Dead connection: rebuild it against the same broker.
-                        try:
-                            connection.close()
-                        except (ChannelClosed, TransportError):
-                            pass
-                        try:
-                            connection, publisher = yield from self._connect(
-                                node_name, broker_index
-                            )
-                            self.stats.reconnects += 1
-                        except (ChannelClosed, TransportError):
-                            continue  # broker still down; back off again
-            if not published:
-                self.stats.publish_failures += 1
-            yield from rate_sleep(sim, fleet.rates, gen_id, interval, stop_at)
-        connection.close()
+        message._record = record
+        retry = self.fleet.retry
+        attempt = 0
+        while True:
+            try:
+                yield from link.publisher.publish(message)
+                record.t_after_send = sim.now
+                return True
+            except (MessageLost, ChannelClosed, IllegalStateException) as exc:
+                # IllegalStateException: the session died under us (a
+                # failed reconnect leaves the old closed one in place) —
+                # same recovery as a dead connection.
+                if retry is None or not retry.enabled or attempt >= retry.retries:
+                    return False
+                attempt += 1
+                self.stats.publish_retries += 1
+                yield sim.timeout(
+                    retry.delay(attempt, sim, f"narada.retry.{gen_id}")
+                )
+                if isinstance(exc, (ChannelClosed, IllegalStateException)):
+                    # Dead connection: rebuild it against the same broker.
+                    try:
+                        link.connection.close()
+                    except (ChannelClosed, TransportError):
+                        pass
+                    try:
+                        yield from self._open(link)
+                        self.stats.reconnects += 1
+                    except (ChannelClosed, TransportError):
+                        continue  # broker still down; back off again
+
+    def _close(self, link: SimpleNamespace) -> Generator[Any, Any, None]:
+        link.connection.close()
+        yield from ()
 
 
-def _inflate_payload(message: MapMessage, multiplier: int) -> None:
-    """Comparison test 5: replicate the field set to triple the payload."""
-    names = list(message.item_names())
-    for k in range(1, multiplier):
-        for name in names:
-            jms_type, value = message._body[name]
-            message._set(jms_type, f"{name}_x{k}", value)
-
-
-class PlogFleet:
+class PlogFleet(Fleet):
     """Generators producing keyed records to a partitioned-log deployment.
 
     Each generator is its own producer with its own connection to the
@@ -261,8 +326,12 @@ class PlogFleet:
     same as Narada's — but the broker side holds no thread per connection,
     which is what lets this fleet scale past the Narada OOM wall.
     ``t_after_send`` is stamped by the producer's ack machinery (acks=1),
-    not by the fleet loop.
+    not by the fleet loop; publisher retries are the producer's own
+    (``PlogConfig.producer_retry``).
     """
+
+    name = "plog.fleet"
+    process_prefix = "pgen"
 
     def __init__(
         self,
@@ -272,77 +341,37 @@ class PlogFleet:
         fleet: FleetConfig,
         book: RecordBook,
     ):
-        self.sim = sim
-        self.cluster = cluster
+        super().__init__(sim, cluster, fleet, book)
         self.deployment = deployment
-        self.fleet = fleet
-        self.book = book
-        self.stats = FleetStats()
-        self._producers: list = []
-        self._started = False
+        #: Every connected generator's producer (their retry and reconnect
+        #: counters feed the run's counters).
+        self.producers: list = []
 
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("fleet already started")
-        self._started = True
-        self.sim.process(self._spawner(), name="plog.fleet")
-
-    def _spawner(self) -> Generator[Any, Any, None]:
-        for i in range(self.fleet.n_generators):
-            node_index = self.fleet.node_index(i)
-            node_name = self.fleet.client_nodes[node_index]
-            self.sim.process(self._generator(i, node_name), name=f"pgen{i}")
-            yield self.sim.timeout(self.fleet.creation_interval)
-
-    @property
-    def publish_failures(self) -> int:
-        return self.stats.publish_failures + sum(
-            p.send_failures for p in self._producers
-        )
-
-    def _generator(
-        self, gen_id: int, node_name: str
-    ) -> Generator[Any, Any, None]:
-        sim = self.sim
-        fleet = self.fleet
-        topic = self.deployment.topic
+    def _connect(self, gen_id: int, node_index: int) -> Generator[Any, Any, Any]:
         producer = self.deployment.producer(
-            self.cluster.node(node_name), f"producer.{gen_id}"
+            self.cluster.node(self.fleet.client_nodes[node_index]),
+            f"producer.{gen_id}",
         )
+        yield from producer.connect_for(self.deployment.topic, gen_id)
+        self.producers.append(producer)
+        return producer
+
+    def _publish(
+        self, producer: Any, gen_id: int, message: MapMessage,
+        record: MessageRecord,
+    ) -> Generator[Any, Any, bool]:
+        message._record = record
+        yield from ()  # send() only batches; the producer's sender waits
         try:
-            yield from producer.connect_for(topic, gen_id)
-        except (ChannelClosed, TransportError):
-            self.stats.connections_refused += 1
-            return
-        self.stats.connections_ok += 1
-        self._producers.append(producer)
-        model = PowerGenerator(
-            gen_id, sim.rng.stream(f"powergen.{gen_id}"),
-            site=f"site-{gen_id % 97}",
-        )
-        if not fleet.skip_warmup:
-            yield sim.timeout(
-                sim.rng.uniform("fleet.warmup", fleet.warmup_min, fleet.warmup_max)
+            producer.send(
+                self.deployment.topic, gen_id, message, message.wire_size(),
+                record=record,
             )
-        interval = fleet.publish_interval * fleet.payload_multiplier
-        stop_at = fleet.stop_at if fleet.stop_at is not None else sim.now + fleet.duration
-        seq = 0
-        while sim.now < stop_at:
-            seq += 1
-            state = model.sample(sim.now)
-            message = narada_map_message(state)
-            if fleet.payload_multiplier > 1:
-                _inflate_payload(message, fleet.payload_multiplier)
-            record = self.book.new_record(gen_id, seq, sim.now)
-            message._record = record
-            self.stats.publishes_attempted += 1
-            try:
-                producer.send(
-                    topic, gen_id, message, message.wire_size(), record=record
-                )
-            except ChannelClosed:
-                self.stats.publish_failures += 1
-            yield from rate_sleep(sim, fleet.rates, gen_id, interval, stop_at)
+        except ChannelClosed:
+            return False
+        return True
+
+    def _close(self, producer: Any) -> Generator[Any, Any, None]:
         # Graceful shutdown: a record sent within ``linger`` of the loop's
         # last iteration is still batched client-side — drain it before
         # tearing the channels down, like Kafka's flushing close().
@@ -350,8 +379,12 @@ class PlogFleet:
         producer.close()
 
 
-class RgmaFleet:
+class RgmaFleet(Fleet):
     """Generators inserting rows through R-GMA Primary Producers."""
+
+    name = "rgma.fleet"
+    process_prefix = "rgen"
+    inflates_payload = False
 
     def __init__(
         self,
@@ -362,68 +395,32 @@ class RgmaFleet:
         book: RecordBook,
         table: str = "gridmon",
     ):
-        self.sim = sim
-        self.cluster = cluster
-        self.deployment = deployment
-        self.fleet = fleet
-        self.book = book
-        self.table = table
-        self.stats = FleetStats()
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("fleet already started")
-        self._started = True
-        self.sim.process(self._spawner(), name="rgma.fleet")
-
-    def _spawner(self) -> Generator[Any, Any, None]:
-        for i in range(self.fleet.n_generators):
-            node_index = self.fleet.node_index(i)
-            node_name = self.fleet.client_nodes[node_index]
-            self.sim.process(
-                self._generator(i, node_name, node_index), name=f"rgen{i}"
-            )
-            yield self.sim.timeout(self.fleet.creation_interval)
-
-    def _generator(
-        self, gen_id: int, node_name: str, node_index: int
-    ) -> Generator[Any, Any, None]:
         from repro.rgma.errors import RGMAException
 
-        sim = self.sim
-        fleet = self.fleet
+        super().__init__(sim, cluster, fleet, book)
+        self.deployment = deployment
+        self.table = table
+        self.refused = (RGMAException, ChannelClosed, TransportError)
+
+    def _connect(self, gen_id: int, node_index: int) -> Generator[Any, Any, Any]:
         client = self.deployment.producer_client(
-            self.cluster.node(node_name), node_index
+            self.cluster.node(self.fleet.client_nodes[node_index]), node_index
         )
+        yield from client.create(self.table)
+        return client
+
+    def _payload(self, state: Any) -> Any:
+        return rgma_row(state)
+
+    def _publish(
+        self, client: Any, gen_id: int, row: Any, record: MessageRecord
+    ) -> Generator[Any, Any, bool]:
         try:
-            yield from client.create(self.table)
-        except (RGMAException, ChannelClosed, TransportError):
-            self.stats.connections_refused += 1
-            return
-        self.stats.connections_ok += 1
-        model = PowerGenerator(
-            gen_id, sim.rng.stream(f"powergen.{gen_id}"),
-            site=f"site-{gen_id % 97}"[:20],
-        )
-        if not fleet.skip_warmup:
-            yield sim.timeout(
-                sim.rng.uniform("fleet.warmup", fleet.warmup_min, fleet.warmup_max)
-            )
-        stop_at = fleet.stop_at if fleet.stop_at is not None else sim.now + fleet.duration
-        seq = 0
-        while sim.now < stop_at:
-            seq += 1
-            state = model.sample(sim.now)
-            row = rgma_row(state)
-            record = self.book.new_record(gen_id, seq, sim.now)
-            self.stats.publishes_attempted += 1
-            try:
-                yield from client.insert(row, meta={"record": record})
-                record.t_after_send = sim.now
-            except (RGMAException, ChannelClosed, TransportError):
-                self.stats.publish_failures += 1
-            yield from rate_sleep(
-                sim, fleet.rates, gen_id, fleet.publish_interval, stop_at
-            )
+            yield from client.insert(row, meta={"record": record})
+        except self.refused:  # what refuses a producer also fails an insert
+            return False
+        record.t_after_send = self.sim.now
+        return True
+
+    def _close(self, client: Any) -> Generator[Any, Any, None]:
         yield from client.close()

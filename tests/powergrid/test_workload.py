@@ -7,7 +7,10 @@ from repro.core import RecordBook, rtt_stats
 from repro.core.metrics import soft_realtime_compliance
 from repro.jms import AckMode
 from repro.narada import Broker, narada_connection_factory
-from repro.powergrid import FleetConfig, NaradaFleet, NaradaReceiver, RgmaFleet, RgmaReceiver
+from repro.faults.recovery import RetryPolicy
+from repro.powergrid import (
+    FleetConfig, NaradaFleet, NaradaReceiver, PlogFleet, RgmaFleet, RgmaReceiver,
+)
 from repro.powergrid.workload import MONITORING_TOPIC
 from repro.rgma import RGMADeployment
 from repro.sim import Simulator
@@ -144,9 +147,18 @@ def test_rgma_fleet_end_to_end():
     assert stats.loss_rate < 0.05
 
 
-def test_fleet_scaled_helper():
-    cfg = FleetConfig()
-    small = cfg.scaled(0.1)
-    assert small.n_generators == 80
-    assert small.duration == pytest.approx(180.0)
-    assert small.publish_interval == cfg.publish_interval  # never scaled
+@pytest.mark.parametrize(
+    "fleet_type, change",
+    [
+        (RgmaFleet, dict(payload_multiplier=3)),
+        (RgmaFleet, dict(retry=RetryPolicy(retries=2))),
+        (PlogFleet, dict(retry=RetryPolicy(retries=2))),
+    ],
+    ids=["rgma-payload", "rgma-retry", "plog-retry"],
+)
+def test_fleet_rejects_config_it_cannot_honour(fleet_type, change):
+    import dataclasses
+
+    cfg = dataclasses.replace(SMALL, **change)
+    with pytest.raises(ValueError, match="cannot honour"):
+        fleet_type(Simulator(seed=1), None, None, cfg, RecordBook())

@@ -8,6 +8,7 @@ from repro.scenario import (
     RAMP_STEPS,
     Scenario,
     arm_scenario,
+    cascading_trip,
     compile_scenario,
     merge_fault_plan,
     region_hosts,
@@ -102,9 +103,21 @@ def test_merge_fault_plan_composes_with_user_plan():
     assert merge_fault_plan(quiet, user) is user
 
 
-def test_conflicting_scenario_and_user_plan_raise():
-    scenario = Scenario("s", n_regions=4).substation_outage(100.0, 20.0, region=0)
-    compiled = compile_scenario(scenario, _fleet())
-    clashing = FaultPlan().partition(105.0, 10.0, hosts=("hydra5",))
-    with pytest.raises(ValueError, match="conflicting partition windows"):
+def test_overlapping_partitions_merge_but_loss_conflicts_raise():
+    """cascading_trip on five generators puts both outages on hydra5, and
+    they overlap; merged with ``mixed`` they stay two windows, which the
+    link checks one by one.  A loss window has parameters two overlapping
+    specs can disagree on, so that clash still raises."""
+    compiled = compile_scenario(cascading_trip(10.0, 30.0), _fleet(n=5))
+    user = named_plan("mixed")(10.0, 30.0)
+    merged = merge_fault_plan(compiled, user)
+    cuts = [(s.at, s.until) for s in merged if s.kind == "partition"]
+    assert [s.target for s in merged if s.kind == "partition"] == ["hydra5"] * 2
+    assert cuts == [pytest.approx((14.5, 20.5)), pytest.approx((19.3, 25.3))]
+    assert {s.kind for s in merged} == {"partition", "packet_loss", "latency"}
+    (loss,) = (s for s in user if s.kind == "packet_loss")
+    clashing = named_plan("mixed")(10.0, 30.0).packet_loss(
+        loss.at + 0.5 * loss.duration, loss.duration, probability=0.9
+    )
+    with pytest.raises(ValueError, match="conflicting packet_loss windows"):
         merge_fault_plan(compiled, clashing)
