@@ -3,8 +3,9 @@
 The traced bench doubles as the artefact generator: it leaves a validated
 sample JSONL trace and the metrics JSON in ``benchmarks/results/`` (CI
 uploads that directory), proving the whole span pipeline — middleware
-hooks, record-book binding, JSONL export, schema validation — end to end
-at bench scale.
+hooks, record-book binding, JSONL export, schema validation — end to end.
+It traces fig15 at smoke scale whatever ``REPRO_SCALE`` says, the scale of
+the committed artefacts, so a run leaves them byte-identical.
 """
 
 import numpy as np
@@ -19,9 +20,13 @@ from repro.telemetry.exporters import (
     write_trace_jsonl,
 )
 
+#: The scale of the committed ``trace_sample.jsonl`` / ``telemetry_metrics.json``.
+ARTEFACT_SCALE = "smoke"
 
-def test_fig15_traced_writes_valid_artifacts(benchmark, scale):
+
+def test_fig15_traced_writes_valid_artifacts(benchmark):
     RESULTS_DIR.mkdir(exist_ok=True)
+    scale = ARTEFACT_SCALE
     sessions = []
 
     def traced():

@@ -8,7 +8,7 @@ an isolated LAN with a measured application transfer rate of 7–8 Mbyte/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.cluster.network import Lan
 from repro.cluster.node import Node
@@ -36,15 +36,23 @@ HYDRA_SPEC = HydraSpec()
 
 
 class HydraCluster:
-    """Eight `hydra1..hydra8` nodes on one isolated switch."""
+    """Table I nodes on one isolated switch: ``hydra1..hydra8``, or the
+    ``node_names`` a run lays out (a federation's brokers, an edge run's
+    gateways and clients), created and attached in the order given."""
 
-    def __init__(self, sim: "Simulator", spec: HydraSpec = HYDRA_SPEC):
+    def __init__(
+        self,
+        sim: "Simulator",
+        node_names: Optional[Sequence[str]] = None,
+        spec: HydraSpec = HYDRA_SPEC,
+    ):
         self.sim = sim
         self.spec = spec
         self.lan = Lan(sim, bandwidth_bps=spec.lan_bandwidth_bps)
         self.nodes: dict[str, Node] = {}
-        for i in range(1, spec.node_count + 1):
-            name = f"hydra{i}"
+        if node_names is None:
+            node_names = [f"hydra{i}" for i in range(1, spec.node_count + 1)]
+        for name in node_names:
             self.nodes[name] = Node(sim, name, memory_bytes=spec.memory_bytes)
             self.lan.attach(name)
 
@@ -52,7 +60,7 @@ class HydraCluster:
         return self.nodes[name]
 
     def node_names(self) -> list[str]:
-        return sorted(self.nodes, key=lambda n: int(n.removeprefix("hydra")))
+        return list(self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -9,11 +9,11 @@ climb to the root and descend only links with downstream subscribers.
 
 Layout:
 
-* :mod:`~repro.federation.topology` — tree shape + sweep parameters;
+* :mod:`~repro.federation.topology` — tree shape;
 * :mod:`~repro.federation.routing` — per-broker covering routing tables;
 * :mod:`~repro.federation.broker` — the federated broker (wire protocol,
   CPU/heap charges, telemetry hop marks);
-* :mod:`~repro.federation.deployment` — cluster, tree wiring
+* :mod:`~repro.federation.deployment` — tree wiring
   (:class:`FederationDeployment`), the broadcast-DBN star behind the same
   surface (:class:`BroadcastDeployment`), per-link traffic ledger, and the
   publisher/subscriber clients that run against either;
@@ -26,7 +26,6 @@ from repro.federation.controller import FederationController
 from repro.federation.deployment import (
     FEDERATION_PORT,
     BroadcastDeployment,
-    FederationCluster,
     FederationDeployment,
     FederationSitePublishers,
     FederationSubscriber,
@@ -34,17 +33,15 @@ from repro.federation.deployment import (
     site_topic,
 )
 from repro.federation.routing import RoutingTable
-from repro.federation.topology import FederationParams, TreeTopology, broker_name
+from repro.federation.topology import TreeTopology, broker_name
 
 __all__ = [
     "FEDERATION_PORT",
     "BroadcastDeployment",
     "FederatedBroker",
     "FederationBrokerStats",
-    "FederationCluster",
     "FederationController",
     "FederationDeployment",
-    "FederationParams",
     "FederationSitePublishers",
     "FederationSubscriber",
     "RoutingTable",

@@ -1,11 +1,12 @@
 """Deployment: brokers on a growing cluster, plus the site clients.
 
 Unlike the fixed 8-node Hydra testbed, a federation sweep grows the broker
-count, so :class:`FederationCluster` mints one node per broker (same node
-spec and switch parameters as Hydra).  Clients — site publishers and local
-subscribers — run *on their broker's node* (kernel loopback), which is the
-paper's same-node measurement design ("data were received by the node where
-they were sent", §III.E.2): every RTT reads one clock.
+count, so its :class:`~repro.cluster.hydra.HydraCluster` has one node per
+broker, named after it (same node spec and switch parameters).  Clients —
+site publishers and local subscribers — run *on their broker's node*
+(kernel loopback), which is the paper's same-node measurement design ("data
+were received by the node where they were sent", §III.E.2): every RTT reads
+one clock.
 
 The deployment owns the per-link traffic ledger: every inter-broker send is
 counted against its directed link, which is what the ``federation_scaling``
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.cluster.hydra import HYDRA_SPEC
-from repro.cluster.network import Lan
+from repro.cluster.hydra import HydraCluster
 from repro.cluster.node import Node
 from repro.federation.broker import FederatedBroker
 from repro.federation.topology import TreeTopology
@@ -48,34 +48,6 @@ def site_topic(broker_index: int) -> str:
     return f"grid.site.{broker_index}"
 
 
-class FederationCluster:
-    """One node per broker on a single switched LAN.
-
-    Exposes the same ``.node(name)`` / ``.lan`` surface as
-    :class:`repro.cluster.hydra.HydraCluster`, so the fault scheduler's
-    target resolution works unchanged against federation runs.
-    """
-
-    def __init__(self, sim: "Simulator", node_names: tuple[str, ...]):
-        self.sim = sim
-        self.lan = Lan(sim, bandwidth_bps=HYDRA_SPEC.lan_bandwidth_bps)
-        self.nodes: dict[str, Node] = {}
-        for name in node_names:
-            self.nodes[name] = Node(
-                sim, name, memory_bytes=HYDRA_SPEC.memory_bytes
-            )
-            self.lan.attach(name)
-
-    def node(self, name: str) -> Node:
-        return self.nodes[name]
-
-    def node_names(self) -> list[str]:
-        return list(self.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
 class SiteDeployment:
     """One broker per site on its own node, one TCP transport, the per-link
     event ledger, and what the site clients need to speak to the brokers."""
@@ -91,12 +63,14 @@ class SiteDeployment:
         topology: TreeTopology,
         config: Optional[NaradaConfig],
         broker_class: Any,
-        base_port: int = FEDERATION_PORT,
+        cluster: Optional[HydraCluster] = None,
     ):
         self.sim = sim
         self.topology = topology
         self.config = config or NaradaConfig()
-        self.cluster = FederationCluster(sim, topology.names)
+        self.cluster = (
+            HydraCluster(sim, topology.names) if cluster is None else cluster
+        )
         self.transport = TcpTransport(sim, self.cluster.lan)
         #: directed inter-broker link -> event (data) messages sent over it.
         self.link_traffic: dict[tuple[str, str], int] = {}
@@ -104,7 +78,7 @@ class SiteDeployment:
         self._by_name: dict[str, Any] = {}
         for name in topology.names:
             broker = broker_class(sim, self.cluster.node(name), name, self.config)
-            broker.serve(self.transport, base_port)
+            broker.serve(self.transport, FEDERATION_PORT)
             self.brokers.append(broker)
             self._by_name[name] = broker
 
@@ -154,9 +128,11 @@ class BroadcastDeployment(SiteDeployment):
         sim: "Simulator",
         n_brokers: int,
         config: Optional[NaradaConfig] = None,
+        cluster: Optional[HydraCluster] = None,
     ):
         super().__init__(
-            sim, TreeTopology(n_brokers, max(1, n_brokers - 1)), config, Broker
+            sim, TreeTopology(n_brokers, max(1, n_brokers - 1)), config, Broker,
+            cluster,
         )
 
     def start(self) -> Generator[Any, Any, None]:
@@ -188,9 +164,9 @@ class FederationDeployment(SiteDeployment):
         sim: "Simulator",
         topology: TreeTopology,
         config: Optional[NaradaConfig] = None,
-        base_port: int = FEDERATION_PORT,
+        cluster: Optional[HydraCluster] = None,
     ):
-        super().__init__(sim, topology, config, FederatedBroker, base_port)
+        super().__init__(sim, topology, config, FederatedBroker, cluster)
         #: directed tree link -> control (hello/fsub) messages.
         self.control_traffic: dict[tuple[str, str], int] = {}
         for broker in self.brokers:

@@ -15,45 +15,11 @@ of the index alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
 def broker_name(index: int) -> str:
     return f"fed{index}"
-
-
-@dataclass(frozen=True)
-class FederationParams:
-    """The knobs that define a federation run's topology and routing mode.
-
-    ``cache_key()`` is folded into every sweep-cache key (both tiers) so a
-    cached broadcast-mode sweep can never satisfy a routed-mode lookup, and
-    trees of different shape never alias (see ``repro.harness.cache``).
-    """
-
-    fanout: int = 2
-    depth: int = 3
-    #: ``"routed"`` (topic-aware tree) or ``"broadcast"`` (modelled DBN).
-    routing: str = "routed"
-
-    def __post_init__(self) -> None:
-        if self.fanout < 1:
-            raise ValueError("fanout must be >= 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.routing not in ("routed", "broadcast"):
-            raise ValueError(f"unknown routing mode {self.routing!r}")
-
-    def cache_key(self) -> tuple:
-        return ("federation_params", self.depth, self.fanout, self.routing)
-
-    @property
-    def broker_count(self) -> int:
-        """Brokers in a complete tree of this depth/fan-out."""
-        if self.fanout == 1:
-            return self.depth
-        return (self.fanout**self.depth - 1) // (self.fanout - 1)
 
 
 class TreeTopology:
@@ -74,10 +40,6 @@ class TreeTopology:
             broker_name(i) for i in range(broker_count)
         )
         self._index = {name: i for i, name in enumerate(self.names)}
-
-    @classmethod
-    def from_params(cls, params: FederationParams) -> "TreeTopology":
-        return cls(params.broker_count, params.fanout)
 
     # ------------------------------------------------------------ structure
     @property

@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.cluster import HydraCluster
 from repro.core import ExperimentResult
 from repro.core.metrics import percentiles_ms
 from repro.edge.client import EdgeClient
 from repro.edge.config import EdgeConfig
 from repro.edge.deployment import EdgeTier, gateway_node_names
-from repro.federation.deployment import FederationCluster
 from repro.harness.narada_experiments import NaradaAdapter
 from repro.harness.parallel import RunSpec
 from repro.harness.pipeline import Adapter, RunResult, run_point
@@ -125,9 +125,9 @@ class DirectAdapter(Adapter):
     def name(self) -> str:
         return self.inner.name
 
-    def cluster(self, sim) -> FederationCluster:
+    def cluster(self, sim) -> HydraCluster:
         names = tuple(f"hydra{i}" for i in range(1, 9))
-        return FederationCluster(
+        return HydraCluster(
             sim, names + gateway_node_names(self.n_gateways) + CLIENT_NODES
         )
 

@@ -1,6 +1,7 @@
 """Federation experiments: topic-aware tree routing vs the broadcast DBN.
 
-One building block per routing mode:
+One :class:`FederationAdapter` per routing mode, both run by
+:func:`~repro.harness.pipeline.run_point`:
 
 * :func:`federation_run` — the hierarchical broker tree of
   :mod:`repro.federation`: site publishers and a site-local subscriber at
@@ -14,11 +15,11 @@ One building block per routing mode:
   :func:`repro.narada.star_network` baseline), where every event floods
   every inter-broker link.
 
-Both run one :func:`_site_run` body — the same site clients against either
-deployment — and measure the same two things over the steady-state window:
-delivery RTT percentiles at the control-room tier (the single clock:
-clients run on their broker's node, the paper's same-node design) and
-**event messages per inter-broker link**.  The headline is their growth with broker count —
+Both run the same site clients against either deployment and measure the
+same two things over the steady-state window: delivery RTT percentiles at
+the control-room tier (the single clock: clients run on their broker's
+node, the paper's same-node design) and **event messages per inter-broker
+link**.  The headline is their growth with broker count —
 per-link traffic stays ~flat (``O(log n)``) under topic-aware routing and
 grows linearly under broadcast, at equal delivery guarantees.
 """
@@ -26,9 +27,11 @@ grows linearly under broadcast, at equal delivery guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Optional
 
-from repro.core import ExperimentResult, RecordBook
+from repro.cluster import HydraCluster
+from repro.core import ExperimentResult
 from repro.core.metrics import percentiles_ms
 from repro.federation import (
     BroadcastDeployment,
@@ -36,22 +39,15 @@ from repro.federation import (
     FederationDeployment,
     FederationSitePublishers,
     FederationSubscriber,
-    SiteDeployment,
     TreeTopology,
     site_topic,
 )
 from repro.harness.parallel import RunSpec
-from repro.harness.pipeline import (
-    RunResult,
-    arm_faults,
-    measurement_window,
-    summarize,
-)
+from repro.harness.pipeline import Adapter, RunResult, run_point
 from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.narada import NaradaConfig
-from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
+from repro.powergrid.workload import FleetConfig, FleetStats
 
 #: Broker counts swept at fanout 2 (complete trees of depth 2, 3, 4, 5).
 FEDERATION_SWEEP = (3, 7, 15)
@@ -84,141 +80,179 @@ class FederationRunResult(RunResult):
     broker_stats: dict[str, Any] = field(default_factory=dict)
 
 
-def _site_run(
-    sim: Simulator,
-    deployment: SiteDeployment,
-    label: str,
-    routing: str,
-    publishers_per_broker: int,
-    publish_interval: float,
-    scale: Scale,
-    fault_plan: Any = None,
-) -> FederationRunResult:
-    """The site workload both routing modes are measured under, on a started
-    ``deployment``: a publisher fleet and a site-local subscriber at every
-    broker plus the control-room subscriber at the first one, faults armed,
-    run over the steady-state window; returns the shared summary, delivery
-    P50/P99 and the per-link event traffic of the measured window."""
-    names = deployment.topology.names
-    tel = _telemetry()
-    if tel is not None:
-        tel.sample_node(
-            sim, deployment.node(names[0]), middleware=deployment.middleware
+@dataclass
+class FederationAdapter(Adapter):
+    """``n_brokers`` site brokers — the routed tree or the broadcast star —
+    each with a site publisher fleet and a site-local subscriber, plus the
+    control-room subscriber at the root.  The fields are the options of
+    :func:`federation_run` and :func:`federation_broadcast_run`."""
+
+    n_brokers: int
+    #: The modelled broadcast DBN instead of the routed tree.
+    broadcast: bool = False
+    #: Children per tree broker (a star has ``n_brokers - 1``).
+    fanout: int = FANOUT
+    config: Optional[NaradaConfig] = None
+    #: Seconds between the tree controller's liveness checks.
+    detect_interval: float = 1.0
+
+    @property
+    def name(self) -> str:
+        return "narada" if self.broadcast else "federation"
+
+    def cluster(self, sim) -> HydraCluster:
+        return HydraCluster(sim, TreeTopology(self.n_brokers).names)
+
+    def creation_interval(self, scale: Scale, n_generators: int) -> float:
+        return 0.0  # every site's publishers start at once
+
+    def fleet_options(self) -> dict[str, Any]:
+        return dict(publish_interval=PUBLISH_INTERVAL)
+
+    def build(self, sim, cluster) -> dict[str, str]:
+        """Wire the deployment and connect the control-room and site
+        subscribers, so the window opens after they are in place."""
+        self.sim = sim
+        if self.broadcast:
+            self.deployment = BroadcastDeployment(
+                sim, self.n_brokers, self.config, cluster=cluster
+            )
+        else:
+            self.deployment = FederationDeployment(
+                sim, TreeTopology(self.n_brokers, self.fanout), self.config,
+                cluster=cluster,
+            )
+        sim.run_process(self.deployment.start())
+        if not self.broadcast:
+            self.controller = FederationController(
+                sim, self.deployment, detect_interval=self.detect_interval
+            )
+            self.controller.start()
+        self.brokers = self.deployment.brokers
+        names = self.deployment.topology.names
+        all_topics = tuple(site_topic(i) for i in range(len(names)))
+        subscribers = [(names[0], "control", all_topics, True)] + [
+            (name, f"site{i}", (site_topic(i),), False)
+            for i, name in enumerate(names)
+        ]
+        for name, sub_id, topics, stamp in subscribers:
+            subscriber = FederationSubscriber(
+                sim, self.deployment, name, sub_id, topics, stamp_records=stamp
+            )
+            sim.run_process(subscriber.start())
+        return {names[0]: self.name}
+
+    def attach_subscribers(self, fleet: FleetConfig) -> None:
+        """The subscribers connected in :meth:`build`."""
+
+    def attach_publishers(self, fleet: FleetConfig, book) -> Any:
+        """Every site's publishers, and the link-traffic snapshot the
+        window's per-link counts start from."""
+        if fleet.rates is not None:
+            raise ValueError(
+                "federation site publishers cannot honour a scenario: they "
+                "publish at a fixed interval"
+            )
+        for i, name in enumerate(self.deployment.topology.names):
+            FederationSitePublishers(
+                self.sim,
+                self.deployment,
+                name,
+                site_topic(i),
+                fleet.n_generators // self.n_brokers,
+                fleet.publish_interval,
+                book,
+                stop_at=fleet.stop_at,
+                warmup=(fleet.warmup_min, fleet.warmup_max),
+                gen_id_base=i * 1000,
+            ).start()
+        self.snapshot: dict[tuple[str, str], int] = {}
+        self.sim.call_at(
+            self.measure_since,
+            lambda: self.snapshot.update(self.deployment.link_snapshot()),
         )
+        # A site publisher that cannot connect counts a publish failure,
+        # not a refusal.
+        return SimpleNamespace(stats=FleetStats())
 
-    book = RecordBook()
-    all_topics = tuple(site_topic(i) for i in range(len(names)))
-    control_room = FederationSubscriber(
-        sim, deployment, names[0], "control", all_topics, stamp_records=True
-    )
-    sim.run_process(control_room.start())
-    for i, name in enumerate(names):
-        sub = FederationSubscriber(
-            sim, deployment, name, f"site{i}", (site_topic(i),),
-            stamp_records=False,
+    def label(self, n_generators: int) -> str:
+        mode = "federation_broadcast" if self.broadcast else "federation"
+        return f"{mode}[{self.n_brokers}]"
+
+    def counters(self, run) -> dict[str, Any]:
+        p50, p99 = percentiles_ms(run["rtts"], (50, 99))
+        totals = self.deployment.link_totals(since_snapshot=self.snapshot)
+        counts = list(totals.values())
+        result = dict(
+            n_brokers=self.n_brokers,
+            routing="broadcast" if self.broadcast else "routed",
+            rtt_p50_ms=p50,
+            rtt_p99_ms=p99,
+            link_messages=totals,
+            per_link_mean=sum(counts) / len(counts) if counts else 0.0,
+            per_link_max=float(max(counts)) if counts else 0.0,
         )
-        sim.run_process(sub.start())
-
-    measure_since, stop_at = measurement_window(sim, 0.0, scale, settle=2.0)
-    for i, name in enumerate(names):
-        FederationSitePublishers(
-            sim,
-            deployment,
-            name,
-            site_topic(i),
-            publishers_per_broker,
-            publish_interval,
-            book,
-            stop_at=stop_at,
-            warmup=scale.warmup,
-            gen_id_base=i * 1000,
-        ).start()
-
-    scheduler = arm_faults(
-        sim, deployment.cluster, fault_plan, measure_since, scale.duration,
-        brokers=deployment.brokers,
-    )
-
-    snapshot: dict[tuple[str, str], int] = {}
-    sim.call_at(measure_since, lambda: snapshot.update(deployment.link_snapshot()))
-    sim.run(until=stop_at + scale.drain)
-
-    run = summarize(book, measure_since, scheduler, deployment.middleware, label)
-    p50, p99 = percentiles_ms(run["rtts"], (50, 99))
-    totals = deployment.link_totals(since_snapshot=snapshot)
-    counts = list(totals.values())
-    return FederationRunResult(
-        **run,
-        n_brokers=len(names),
-        routing=routing,
-        rtt_p50_ms=p50,
-        rtt_p99_ms=p99,
-        link_messages=totals,
-        per_link_mean=sum(counts) / len(counts) if counts else 0.0,
-        per_link_max=float(max(counts)) if counts else 0.0,
-    )
+        brokers = self.brokers
+        if self.broadcast:
+            result["broker_stats"] = {
+                b.name: {
+                    "published": b.stats.messages_published,
+                    "delivered": b.stats.messages_delivered,
+                    "forwarded": b.stats.messages_forwarded,
+                }
+                for b in brokers
+            }
+            return result
+        result.update(
+            control_messages=sum(b.stats.control_messages for b in brokers),
+            orphaned_up=sum(b.stats.orphaned_up for b in brokers),
+            reparents=self.controller.reparents,
+            converged=self.deployment.converged(),
+            broker_stats={
+                b.name: {
+                    "published": b.stats.messages_published,
+                    "delivered": b.stats.messages_delivered,
+                    "forwards_up": b.stats.forwards_up,
+                    "forwards_down": b.stats.forwards_down,
+                    "routing_entries": b.table.entry_count(),
+                }
+                for b in brokers
+            },
+        )
+        return result
 
 
 def federation_run(
     n_brokers: int,
     *,
     fanout: int = FANOUT,
-    publishers_per_broker: int = PUBLISHERS_PER_BROKER,
-    publish_interval: float = PUBLISH_INTERVAL,
     scale: Optional[Scale] = None,
     seed: int = 1,
     config: Optional[NaradaConfig] = None,
     fault_plan: Any = None,
     detect_interval: float = 1.0,
 ) -> FederationRunResult:
-    """One routed-tree test: ``n_brokers`` federated brokers, each with a
-    site publisher fleet and a site-local subscriber, plus the control-room
-    subscriber at the root — measured in steady state.
+    """One routed-tree test: ``n_brokers`` federated brokers measured in
+    steady state.
 
     ``fault_plan`` (a library name, a :class:`repro.faults.FaultPlan` or a
     template callable ``(measure_since, duration) -> FaultPlan``) arms link
-    partitions /
-    broker crashes against the tree; the :class:`FederationController`
-    re-parents and re-converges routing during the run.
+    partitions / broker crashes against the tree; the
+    :class:`FederationController` re-parents and re-converges routing
+    during the run.
     """
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    deployment = FederationDeployment(
-        sim, TreeTopology(n_brokers, fanout), config=config
+    adapter = FederationAdapter(
+        n_brokers, fanout=fanout, config=config, detect_interval=detect_interval
     )
-    sim.run_process(deployment.start())
-    controller = FederationController(
-        sim, deployment, detect_interval=detect_interval
+    return run_point(
+        adapter, n_brokers * PUBLISHERS_PER_BROKER, FederationRunResult,
+        scale=scale, seed=seed, fault_plan=fault_plan,
     )
-    controller.start()
-
-    result = _site_run(
-        sim, deployment, f"federation[{n_brokers}]", "routed",
-        publishers_per_broker, publish_interval, scale, fault_plan,
-    )
-    brokers = deployment.brokers
-    result.control_messages = sum(b.stats.control_messages for b in brokers)
-    result.orphaned_up = sum(b.stats.orphaned_up for b in brokers)
-    result.reparents = controller.reparents
-    result.converged = deployment.converged()
-    result.broker_stats = {
-        b.name: {
-            "published": b.stats.messages_published,
-            "delivered": b.stats.messages_delivered,
-            "forwards_up": b.stats.forwards_up,
-            "forwards_down": b.stats.forwards_down,
-            "routing_entries": b.table.entry_count(),
-        }
-        for b in brokers
-    }
-    return result
 
 
 def federation_broadcast_run(
     n_brokers: int,
     *,
-    publishers_per_broker: int = PUBLISHERS_PER_BROKER,
-    publish_interval: float = PUBLISH_INTERVAL,
     scale: Optional[Scale] = None,
     seed: int = 1,
     config: Optional[NaradaConfig] = None,
@@ -226,24 +260,11 @@ def federation_broadcast_run(
     """The A/B leg: the same site workload against the modelled broadcast
     DBN — ``n_brokers`` narada brokers in a star (hub = unit controller =
     the control-room tier), every event flooded to every link."""
-    scale = scale or Scale.from_env()
-    sim = Simulator(seed=seed)
-    deployment = BroadcastDeployment(sim, n_brokers, config)
-    sim.run_process(deployment.start())
-
-    result = _site_run(
-        sim, deployment, f"federation_broadcast[{n_brokers}]", "broadcast",
-        publishers_per_broker, publish_interval, scale,
+    adapter = FederationAdapter(n_brokers, broadcast=True, config=config)
+    return run_point(
+        adapter, n_brokers * PUBLISHERS_PER_BROKER, FederationRunResult,
+        scale=scale, seed=seed,
     )
-    result.broker_stats = {
-        b.name: {
-            "published": b.stats.messages_published,
-            "delivered": b.stats.messages_delivered,
-            "forwarded": b.stats.messages_forwarded,
-        }
-        for b in deployment.brokers
-    }
-    return result
 
 
 # ----------------------------------------------------------------- the sweep

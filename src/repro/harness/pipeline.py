@@ -13,16 +13,13 @@ roles R-GMA's Grid Monitoring Architecture names (arXiv cs/0308024):
 ``counters``            whatever this middleware reports beyond the shared
                         :class:`RunResult` fields.
 
-``narada_run`` / ``rgma_run`` / ``plog_run`` build their adapter from
-their keyword options — the adapter dataclass's fields are the run
-options, spelled and documented once — and call :func:`run_point`; a
-harness builder reaches them only through a
-:class:`~repro.harness.parallel.RunSpec`.  The edge tier is an adapter
-layered *over* those three (:mod:`repro.harness.edge_experiments`); the
-federation runs, whose site fleets are not a
-:class:`~repro.powergrid.FleetConfig` workload, build their one shared body
-(``federation_experiments._site_run``) from the window / fault / summary
-steps below.
+``narada_run`` / ``rgma_run`` / ``plog_run`` / ``federation_run`` /
+``federation_broadcast_run`` build their adapter from their keyword
+options — the adapter dataclass's fields are the run options, spelled and
+documented once — and call :func:`run_point`; a harness builder reaches
+them only through a :class:`~repro.harness.parallel.RunSpec`.  The edge
+tier is an adapter layered *over* the first three
+(:mod:`repro.harness.edge_experiments`).
 """
 
 from __future__ import annotations
@@ -128,6 +125,9 @@ class Adapter:
     ``counters(run) -> dict``
         result fields beyond :class:`RunResult`'s, given the shared ones
         (optional).
+
+    :func:`run_point` sets ``measure_since``, the window start, before it
+    attaches the clients.
     """
 
     #: Telemetry label of the middleware.
@@ -144,6 +144,7 @@ class Adapter:
     brokers: Sequence[Any] = ()
     receivers: Sequence[Any] = ()
     consumers: Sequence[Any] = ()
+    measure_since = 0.0
 
     def cluster(self, sim: Simulator) -> Any:
         return HydraCluster(sim)
@@ -162,71 +163,6 @@ class Adapter:
         return {}
 
 
-def measurement_window(
-    sim: Simulator, creation_span: float, scale: Scale, settle: float
-) -> tuple[float, float]:
-    """``(measure_since, stop_at)``: the steady-state window opens once the
-    last generator is created, warmed up and ``settle`` seconds have passed,
-    and lasts ``scale.duration``."""
-    measure_since = sim.now + creation_span + scale.warmup[1] + settle
-    return measure_since, measure_since + scale.duration
-
-
-def arm_faults(
-    sim: Simulator,
-    cluster: Any,
-    fault_plan: Any,
-    measure_since: float,
-    duration: float,
-    compiled: Any = None,
-    brokers: Sequence[Any] = (),
-    consumers: Sequence[Any] = (),
-) -> Optional[FaultScheduler]:
-    """Resolve ``fault_plan`` (a library name, a template callable
-    ``(measure_since, duration) -> FaultPlan``, a plan, or ``None``) against
-    this run's window, merge a compiled scenario's fault fragment in, and
-    arm the result.  Returns the attached scheduler (whose log
-    :func:`summarize` renders after the run), or ``None`` with no faults."""
-    if isinstance(fault_plan, str):
-        fault_plan = named_plan(fault_plan)
-    if callable(fault_plan):
-        fault_plan = fault_plan(measure_since, duration)
-    plan = merge_fault_plan(compiled, fault_plan)
-    if plan is None or not len(plan):
-        return None
-    return FaultScheduler(sim, plan).attach(
-        lan=cluster.lan, brokers=brokers, consumers=consumers
-    )
-
-
-def summarize(
-    book: RecordBook,
-    measure_since: float,
-    scheduler: Optional[FaultScheduler],
-    middleware: str,
-    label: str,
-) -> dict[str, Any]:
-    """The shared :class:`RunResult` fields every run reads off its book
-    (which an active telemetry session observes as run ``label``)."""
-    stats = rtt_stats(book, since=measure_since)
-    tel = _telemetry()
-    if tel is not None:
-        tel.observe_run(
-            book, middleware=middleware, measure_since=measure_since, label=label
-        )
-    return dict(
-        book=book,
-        measure_since=measure_since,
-        sent=stats.sent,
-        received=stats.count,
-        mean_rtt_ms=stats.mean_ms,
-        stddev_rtt_ms=stats.stddev_ms,
-        loss_rate=stats.loss_rate,
-        rtts=book.rtts(since=measure_since),
-        fault_log=scheduler.render_log() if scheduler is not None else [],
-    )
-
-
 def run_point(
     adapter: Adapter,
     n_generators: int,
@@ -241,6 +177,8 @@ def run_point(
     """One test run: ``n_generators`` publishers against ``adapter``'s
     deployment, measured in steady state.
 
+    The window opens once the last generator is created, warmed up and
+    ``adapter.settle`` seconds have passed, and lasts ``scale.duration``.
     ``fault_plan`` and ``scenario`` are library names, template callables
     ``(measure_since, duration) -> FaultPlan | Scenario``, concrete objects,
     or ``None``; a scenario perturbs the fleet's publication rates and
@@ -250,6 +188,8 @@ def run_point(
     scale = scale or Scale.from_env()
     if isinstance(scenario, str):
         scenario = named_scenario(scenario)
+    if isinstance(fault_plan, str):
+        fault_plan = named_plan(fault_plan)
     sim = Simulator(seed=seed)
     cluster = adapter.cluster(sim)
     sampled = adapter.build(sim, cluster)
@@ -260,9 +200,11 @@ def run_point(
             tel.sample_node(sim, cluster.node(name), middleware=middleware)
 
     creation_interval = adapter.creation_interval(scale, n_generators)
-    measure_since, stop_at = measurement_window(
-        sim, n_generators * creation_interval, scale, adapter.settle
+    measure_since = (
+        sim.now + n_generators * creation_interval + scale.warmup[1]
+        + adapter.settle
     )
+    stop_at = measure_since + scale.duration
     fleet_config = FleetConfig(
         **{
             "n_generators": n_generators,
@@ -279,23 +221,40 @@ def run_point(
         scenario, measure_since, scale.duration, fleet_config
     )
     book = RecordBook()
+    adapter.measure_since = measure_since
     adapter.attach_subscribers(fleet_config)
     fleet = adapter.attach_publishers(fleet_config, book)
-    scheduler = arm_faults(
-        sim, cluster, fault_plan, measure_since, scale.duration, compiled,
-        brokers=adapter.brokers, consumers=adapter.consumers,
-    )
+    if callable(fault_plan):
+        fault_plan = fault_plan(measure_since, scale.duration)
+    plan = merge_fault_plan(compiled, fault_plan)
+    scheduler = None
+    if plan is not None and len(plan):
+        scheduler = FaultScheduler(sim, plan).attach(
+            lan=cluster.lan, brokers=adapter.brokers, consumers=adapter.consumers
+        )
 
     sim.run(until=stop_at + scale.drain + adapter.extra_drain)
     for vm in vmstats.values():
         vm.stop()
     adapter.stop()
 
-    run = summarize(
-        book, measure_since, scheduler, adapter.name, adapter.label(n_generators)
-    )
+    stats = rtt_stats(book, since=measure_since)
+    if tel is not None:
+        tel.observe_run(
+            book, middleware=adapter.name, measure_since=measure_since,
+            label=adapter.label(n_generators),
+        )
     refused = fleet.stats.connections_refused
-    run.update(
+    run = dict(
+        book=book,
+        measure_since=measure_since,
+        sent=stats.sent,
+        received=stats.count,
+        mean_rtt_ms=stats.mean_ms,
+        stddev_rtt_ms=stats.stddev_ms,
+        loss_rate=stats.loss_rate,
+        rtts=book.rtts(since=measure_since),
+        fault_log=scheduler.render_log() if scheduler is not None else [],
         vmstat={
             name: steady_state_summary(vm, measure_since)
             for name, vm in vmstats.items()

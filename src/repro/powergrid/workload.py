@@ -60,11 +60,6 @@ class FleetConfig:
     client_nodes: tuple[str, ...] = ("hydra5", "hydra6", "hydra7", "hydra8")
     #: Skip the random warm-up (the R-GMA loss experiment).
     skip_warmup: bool = False
-    #: "block": node k hosts the contiguous id range [k*n/K, (k+1)*n/K) —
-    #: the paper's layout, letting each node's co-located receiver subscribe
-    #: to its own generators with an id-range selector.  "roundrobin"
-    #: interleaves instead.
-    assignment: str = "block"
     #: Publisher-side recovery: retry failed publishes with exponential
     #: backoff (``None`` keeps the paper's one-shot behaviour, where a lost
     #: publish is simply a lost message).
@@ -74,16 +69,17 @@ class FleetConfig:
     rates: Optional[RateSchedule] = None
 
     def node_index(self, gen_id: int) -> int:
-        """Which client node hosts generator ``gen_id``."""
+        """Which client node hosts generator ``gen_id``: node k hosts the
+        contiguous id range [k*n/K, (k+1)*n/K) — the paper's layout, letting
+        each node's co-located receiver subscribe to its own generators with
+        an id-range selector."""
         k = len(self.client_nodes)
-        if self.assignment == "block":
-            return min(k - 1, gen_id * k // max(1, self.n_generators))
-        return gen_id % k
+        return min(k - 1, gen_id * k // max(1, self.n_generators))
 
     def id_range(self, node_index: int) -> tuple[int, int]:
-        """[lo, hi) of generator ids hosted on ``client_nodes[node_index]``
-        under block assignment: ``gen_id*k//n == j  <=>  lo <= gen_id < hi``
-        with ``lo = ceil(j*n/k)``."""
+        """[lo, hi) of generator ids hosted on ``client_nodes[node_index]``:
+        ``gen_id*k//n == j  <=>  lo <= gen_id < hi`` with
+        ``lo = ceil(j*n/k)``."""
         k = len(self.client_nodes)
         n = self.n_generators
         lo = (node_index * n + k - 1) // k
@@ -95,11 +91,6 @@ class FleetConfig:
 class FleetStats:
     connections_ok: int = 0
     connections_refused: int = 0
-    publishes_attempted: int = 0
-    publish_failures: int = 0
-    #: Recovery counters (only move when ``FleetConfig.retry`` is set).
-    publish_retries: int = 0
-    reconnects: int = 0
 
 
 def _inflate_payload(message: MapMessage, multiplier: int) -> None:
@@ -121,8 +112,8 @@ class Fleet:
     :class:`~repro.cluster.server.JvmServer` subclasses supply ``_handle``:
     :meth:`_connect` opens a generator's link (raising one of
     :attr:`refused` when the middleware turns it away), :meth:`_payload`
-    shapes a sample, :meth:`_publish` sends it (``False`` counts a publish
-    failure) and :meth:`_close` ends the link.
+    shapes a sample, :meth:`_publish` sends it (a publish that fails is a
+    lost message) and :meth:`_close` ends the link.
     """
 
     #: Name of the spawner process; generator ``i`` runs as
@@ -198,10 +189,7 @@ class Fleet:
             seq += 1
             payload = self._payload(model.sample(sim.now))
             record = self.book.new_record(gen_id, seq, sim.now)
-            self.stats.publishes_attempted += 1
-            published = yield from self._publish(link, gen_id, payload, record)
-            if not published:
-                self.stats.publish_failures += 1
+            yield from self._publish(link, gen_id, payload, record)
             yield from rate_sleep(sim, fleet.rates, gen_id, interval, stop_at)
         yield from self._close(link)
 
@@ -219,7 +207,7 @@ class Fleet:
 
     def _publish(
         self, link: Any, gen_id: int, payload: Any, record: MessageRecord
-    ) -> Generator[Any, Any, bool]:
+    ) -> Generator[Any, Any, None]:
         raise NotImplementedError  # pragma: no cover
 
     def _close(self, link: Any) -> Generator[Any, Any, None]:
@@ -280,7 +268,7 @@ class NaradaFleet(Fleet):
     def _publish(
         self, link: SimpleNamespace, gen_id: int, message: MapMessage,
         record: MessageRecord,
-    ) -> Generator[Any, Any, bool]:
+    ) -> Generator[Any, Any, None]:
         sim = self.sim
         message._record = record
         retry = self.fleet.retry
@@ -289,15 +277,14 @@ class NaradaFleet(Fleet):
             try:
                 yield from link.publisher.publish(message)
                 record.t_after_send = sim.now
-                return True
+                return
             except (MessageLost, ChannelClosed, IllegalStateException) as exc:
                 # IllegalStateException: the session died under us (a
                 # failed reconnect leaves the old closed one in place) —
                 # same recovery as a dead connection.
                 if retry is None or not retry.enabled or attempt >= retry.retries:
-                    return False
+                    return
                 attempt += 1
-                self.stats.publish_retries += 1
                 yield sim.timeout(
                     retry.delay(attempt, sim, f"narada.retry.{gen_id}")
                 )
@@ -309,7 +296,6 @@ class NaradaFleet(Fleet):
                         pass
                     try:
                         yield from self._open(link)
-                        self.stats.reconnects += 1
                     except (ChannelClosed, TransportError):
                         continue  # broker still down; back off again
 
@@ -359,7 +345,7 @@ class PlogFleet(Fleet):
     def _publish(
         self, producer: Any, gen_id: int, message: MapMessage,
         record: MessageRecord,
-    ) -> Generator[Any, Any, bool]:
+    ) -> Generator[Any, Any, None]:
         message._record = record
         yield from ()  # send() only batches; the producer's sender waits
         try:
@@ -368,8 +354,7 @@ class PlogFleet(Fleet):
                 record=record,
             )
         except ChannelClosed:
-            return False
-        return True
+            pass  # the record stays unsent: a lost message
 
     def _close(self, producer: Any) -> Generator[Any, Any, None]:
         # Graceful shutdown: a record sent within ``linger`` of the loop's
@@ -414,13 +399,12 @@ class RgmaFleet(Fleet):
 
     def _publish(
         self, client: Any, gen_id: int, row: Any, record: MessageRecord
-    ) -> Generator[Any, Any, bool]:
+    ) -> Generator[Any, Any, None]:
         try:
             yield from client.insert(row, meta={"record": record})
         except self.refused:  # what refuses a producer also fails an insert
-            return False
+            return
         record.t_after_send = self.sim.now
-        return True
 
     def _close(self, client: Any) -> Generator[Any, Any, None]:
         yield from client.close()

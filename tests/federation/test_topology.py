@@ -1,35 +1,6 @@
 """Tree shape arithmetic: pure-data invariants the overlay relies on."""
 
-import pytest
-
-from repro.federation import FederationParams, TreeTopology, broker_name
-
-
-def test_broker_count_complete_trees():
-    assert FederationParams(fanout=2, depth=1).broker_count == 1
-    assert FederationParams(fanout=2, depth=2).broker_count == 3
-    assert FederationParams(fanout=2, depth=3).broker_count == 7
-    assert FederationParams(fanout=2, depth=4).broker_count == 15
-    assert FederationParams(fanout=3, depth=3).broker_count == 13
-    assert FederationParams(fanout=1, depth=4).broker_count == 4
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        FederationParams(fanout=0)
-    with pytest.raises(ValueError):
-        FederationParams(depth=0)
-    with pytest.raises(ValueError):
-        FederationParams(routing="flood")
-
-
-def test_cache_key_distinguishes_shape_and_mode():
-    base = FederationParams(fanout=2, depth=3, routing="routed")
-    assert base.cache_key() != FederationParams(
-        fanout=2, depth=3, routing="broadcast"
-    ).cache_key()
-    assert base.cache_key() != FederationParams(fanout=3, depth=3).cache_key()
-    assert base.cache_key() != FederationParams(fanout=2, depth=4).cache_key()
+from repro.federation import TreeTopology
 
 
 def test_parent_child_inverse():
@@ -71,10 +42,3 @@ def test_path_to_root_and_links():
     children = [child for _, child in links]
     assert sorted(children) == sorted(topology.names[1:])
 
-
-def test_from_params_round_trip():
-    params = FederationParams(fanout=3, depth=3)
-    topology = TreeTopology.from_params(params)
-    assert topology.broker_count == params.broker_count
-    assert topology.depth == params.depth
-    assert topology.names[4] == broker_name(4)

@@ -146,7 +146,8 @@ def test_duplicate_durable_subscription_rejected(env):
 
 
 def test_publish_on_dead_broker_channel_does_not_crash_fleet(env):
-    """Generators keep going when sends fail (publish_failures counted)."""
+    """Generators keep going when sends fail: every connection was made
+    and the fleet published before the broker died."""
     from repro.core import RecordBook
     from repro.powergrid import FleetConfig, NaradaFleet
 
