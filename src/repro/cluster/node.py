@@ -94,7 +94,10 @@ class Node:
                     self._run_queue.remove(entry)
                 raise
         self.cpu_busy_time += work
-        self._serve_next()
+        if self._run_queue:
+            self._serve_next()
+        else:
+            self._busy = False
 
     def _serve_next(self) -> None:
         """The job in service ended or was killed: start the next queued

@@ -3,13 +3,16 @@
 The paper records "CPU idle time ... calculated as the average of CPU idle
 time during the tests" and "memory consumption ... as the difference between
 peak and bottom values" (§III.C).  This sampler reproduces both definitions
-against the modelled node.
+against the modelled node.  It is the only node sampler: a telemetry
+session reads a finished run's samples
+(:meth:`repro.telemetry.Telemetry.observe_vmstat`) instead of sampling the
+node a second time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Generator, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -70,13 +73,21 @@ class VmStat:
 
     def summary(self, warmup: float = 0.0) -> VmStatSummary:
         """Aggregate samples taken after ``warmup`` seconds of sim time."""
-        used = [s for s in self.samples if s.time >= warmup]
-        if not used:
-            return VmStatSummary(100.0, 0.0, 0)
-        mean_idle = 100.0 * sum(s.cpu_idle_fraction for s in used) / len(used)
-        mems = [s.memory_used_bytes for s in used]
-        return VmStatSummary(
-            mean_cpu_idle_percent=mean_idle,
-            memory_consumption_bytes=max(mems) - min(mems),
-            samples=len(used),
-        )
+        return summarize(self.samples, warmup)
+
+
+def summarize(
+    samples: Iterable[VmStatSample], warmup: float = 0.0
+) -> VmStatSummary:
+    """The paper's two per-node numbers over ``samples`` taken at or after
+    ``warmup``: mean CPU idle and memory peak minus bottom."""
+    used = [s for s in samples if s.time >= warmup]
+    if not used:
+        return VmStatSummary(100.0, 0.0, 0)
+    mean_idle = 100.0 * sum(s.cpu_idle_fraction for s in used) / len(used)
+    mems = [s.memory_used_bytes for s in used]
+    return VmStatSummary(
+        mean_cpu_idle_percent=mean_idle,
+        memory_consumption_bytes=max(mems) - min(mems),
+        samples=len(used),
+    )

@@ -32,6 +32,7 @@ from repro.narada.broker_network import star_network
 from repro.narada.config import NaradaConfig
 from repro.powergrid.generator import PowerGenerator
 from repro.powergrid.payload import narada_map_message
+from repro.powergrid.workload import FleetStats
 from repro.telemetry.context import current as _telemetry
 from repro.transport.base import EOF, Channel, ChannelClosed, MessageLost
 from repro.transport.tcp import TcpTransport
@@ -314,6 +315,7 @@ class FederationSitePublishers:
         stop_at: float,
         warmup: tuple[float, float] = (0.0, 0.0),
         gen_id_base: int = 0,
+        stats: Optional[FleetStats] = None,
     ):
         self.sim = sim
         self.deployment = deployment
@@ -326,7 +328,8 @@ class FederationSitePublishers:
         self.warmup = warmup
         self.gen_id_base = gen_id_base
         self.published = 0
-        self.publish_failures = 0
+        #: Connections accepted and refused (several sites may share one).
+        self.stats = stats if stats is not None else FleetStats()
 
     def start(self) -> None:
         for k in range(self.n_generators):
@@ -344,8 +347,9 @@ class FederationSitePublishers:
                 broker.node, broker.node.name, broker.port
             )
         except (ChannelClosed, MessageLost):
-            self.publish_failures += 1
+            self.stats.connections_refused += 1
             return
+        self.stats.connections_ok += 1
         prefix = deployment.prefix  # names the RNG streams: must not change
         model = PowerGenerator(
             gen_id,
@@ -371,8 +375,7 @@ class FederationSitePublishers:
                     frame, message.wire_size() + cfg.frame_overhead_bytes
                 )
             except (ChannelClosed, MessageLost):
-                self.publish_failures += 1
-                return
+                return  # a failed publish is a lost message
             if self.book is not None:
                 record.t_after_send = sim.now
             self.published += 1

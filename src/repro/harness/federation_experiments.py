@@ -153,6 +153,7 @@ class FederationAdapter(Adapter):
                 "federation site publishers cannot honour a scenario: they "
                 "publish at a fixed interval"
             )
+        stats = FleetStats()
         for i, name in enumerate(self.deployment.topology.names):
             FederationSitePublishers(
                 self.sim,
@@ -165,15 +166,14 @@ class FederationAdapter(Adapter):
                 stop_at=fleet.stop_at,
                 warmup=(fleet.warmup_min, fleet.warmup_max),
                 gen_id_base=i * 1000,
+                stats=stats,
             ).start()
         self.snapshot: dict[tuple[str, str], int] = {}
         self.sim.call_at(
             self.measure_since,
             lambda: self.snapshot.update(self.deployment.link_snapshot()),
         )
-        # A site publisher that cannot connect counts a publish failure,
-        # not a refusal.
-        return SimpleNamespace(stats=FleetStats())
+        return SimpleNamespace(stats=stats)
 
     def label(self, n_generators: int) -> str:
         mode = "federation_broadcast" if self.broadcast else "federation"

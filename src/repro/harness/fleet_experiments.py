@@ -26,7 +26,6 @@ from repro.powergrid.fleet_engine import (
     DEFAULT_COHORT_SIZE,
     FLEET_MIDDLEWARES,
     FleetOutcome,
-    FleetRunParams,
     run_fleet_point,
     verify_agreement,
 )
@@ -160,10 +159,6 @@ def fleet_scaling(
     result.meta["speedup_per_publisher"] = speedups
     result.meta["agreement"] = agreement
     result.meta["zoom_ok"] = zoom_ok
-    result.meta["params"] = {
-        n: FleetRunParams.from_scale(scale, n).cache_key()
-        for n in FLEET_SWEEP
-    }
     for mw, speedup in sorted(speedups.items()):
         n = max(set(aggregate.get(mw, {})) & set(process.get(mw, {})))
         result.note(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSummary
+from repro.cluster.vmstat import VmStatSample, VmStatSummary, summarize
 from repro.core import RecordBook, rtt_stats
 from repro.faults import FaultScheduler, named_plan
 from repro.harness.scale import Scale
@@ -66,12 +66,14 @@ class RunResult:
     fault_log: list[str] = field(default_factory=list)
 
 
-def steady_state_summary(vm: VmStat, since: float) -> VmStatSummary:
+def steady_state_summary(
+    samples: Sequence[VmStatSample], since: float
+) -> VmStatSummary:
     """CPU idle over the steady-state window; memory consumption (peak −
     bottom, the paper's definition) over the whole run — connection setup is
     where most memory is committed."""
-    cpu = vm.summary(warmup=since)
-    mem = vm.summary(warmup=0.0)
+    cpu = summarize(samples, warmup=since)
+    mem = summarize(samples)
     return VmStatSummary(
         mean_cpu_idle_percent=cpu.mean_cpu_idle_percent,
         memory_consumption_bytes=mem.memory_consumption_bytes,
@@ -194,10 +196,6 @@ def run_point(
     cluster = adapter.cluster(sim)
     sampled = adapter.build(sim, cluster)
     vmstats = {name: VmStat(sim, cluster.node(name)) for name in sampled}
-    tel = _telemetry()
-    if tel is not None:
-        for name, middleware in sampled.items():
-            tel.sample_node(sim, cluster.node(name), middleware=middleware)
 
     creation_interval = adapter.creation_interval(scale, n_generators)
     measure_since = (
@@ -239,7 +237,10 @@ def run_point(
     adapter.stop()
 
     stats = rtt_stats(book, since=measure_since)
+    tel = _telemetry()
     if tel is not None:
+        for name, vm in vmstats.items():
+            tel.observe_vmstat(vm, middleware=sampled[name])
         tel.observe_run(
             book, middleware=adapter.name, measure_since=measure_since,
             label=adapter.label(n_generators),
@@ -256,7 +257,7 @@ def run_point(
         rtts=book.rtts(since=measure_since),
         fault_log=scheduler.render_log() if scheduler is not None else [],
         vmstat={
-            name: steady_state_summary(vm, measure_since)
+            name: steady_state_summary(vm.samples, measure_since)
             for name, vm in vmstats.items()
         },
         oom=refused > 0 or adapter.subscribers_failed > 0,

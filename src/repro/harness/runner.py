@@ -206,7 +206,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--metrics-out",
         metavar="PATH",
         default=None,
-        help="write the telemetry metrics / resource-sampler JSON summary",
+        help="write the telemetry metrics / node-sample JSON summary",
     )
     args = parser.parse_args(argv)
     if args.list:

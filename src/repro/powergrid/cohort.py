@@ -53,15 +53,6 @@ class CohortSpec:
     def gen_ids(self) -> np.ndarray:
         return np.arange(self.gen_lo, self.gen_hi, dtype=np.int64)
 
-    def cache_key(self) -> tuple:
-        return (
-            self.gen_lo,
-            self.gen_hi,
-            self.capacity_kw,
-            self.site,
-            self.trip_probability,
-        )
-
 
 class CohortDynamics:
     """The :class:`PowerGenerator` breaker over generator-id arrays.

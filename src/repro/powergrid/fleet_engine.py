@@ -90,17 +90,6 @@ class ServiceModel:
     delivery: str
     retry_penalty_s: float = 0.0
 
-    def cache_key(self) -> tuple:
-        return (
-            self.name,
-            self.base_s,
-            self.per_byte_s,
-            self.per_publisher_s,
-            self.jitter_mean_s,
-            self.delivery,
-            self.retry_penalty_s,
-        )
-
 
 SERVICE_MODELS: dict[str, ServiceModel] = {
     "narada": ServiceModel(
@@ -150,16 +139,6 @@ class FleetRunParams:
             warmup_lo=scale.warmup[0],
             warmup_hi=scale.warmup[1],
             duration=duration,
-        )
-
-    def cache_key(self) -> tuple:
-        return (
-            self.n_publishers,
-            self.publish_interval,
-            self.creation_interval,
-            self.warmup_lo,
-            self.warmup_hi,
-            self.duration,
         )
 
 

@@ -124,13 +124,6 @@ class RateSchedule:
                     best = edge
         return best
 
-    def cache_key(self) -> tuple:
-        """Stable tuple for sweep-cache keys."""
-        return tuple(
-            (w.start, w.end, w.gen_lo, w.gen_hi, w.multiplier)
-            for w in self._windows
-        )
-
 
 def rate_sleep(
     sim: "Simulator",

@@ -62,12 +62,6 @@ class ScenarioEvent:
     def until(self) -> float:
         return self.at + self.duration
 
-    def key(self) -> tuple:
-        return (
-            self.kind, self.at, self.duration, self.region,
-            self.multiplier, self.ramp,
-        )
-
 
 @dataclass
 class Scenario:
@@ -142,11 +136,3 @@ class Scenario:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Scenario {self.name!r}: {len(self.events)} events>"
-
-    def cache_key(self) -> tuple:
-        """Stable tuple for sweep-cache keys."""
-        return (
-            self.name,
-            self.n_regions,
-            tuple(e.key() for e in self.events),
-        )

@@ -130,8 +130,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Live heap entries (cancelled timers excluded) — a read-only probe
-        for telemetry samplers."""
+        """Live heap entries (cancelled timers excluded) — a read-only
+        probe."""
         return len(self._queue) - self._cancelled
 
     @property

@@ -9,8 +9,8 @@ loop, the same clock.  This package is that method as a subsystem.  One
   boundaries (created/published/broker-in/broker-out/arrived/delivered),
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` of counters, gauges
   and streaming histograms keyed by middleware/component,
-* :class:`~repro.telemetry.samplers.ResourceSampler` probes replicating the
-  Figs 6/13 CPU-idle/memory methodology,
+* each run's :class:`~repro.cluster.vmstat.VmStat` node samples (the
+  Figs 6/13 CPU-idle/memory methodology), read once the run has ended,
 * the fault windows a :class:`repro.faults.FaultScheduler` armed, so
   exported spans carry fault annotations.
 
@@ -18,15 +18,19 @@ loop, the same clock.  This package is that method as a subsystem.  One
 sites guard on :func:`repro.telemetry.context.current` returning ``None``;
 no session means no extra events, no extra allocations, bit-identical
 experiment outputs.  Activating a session adds passive observation only —
-marks and samplers read sim state but never mutate it or draw randomness —
-so measured numbers are unchanged even when tracing is on (asserted by
-``tests/telemetry/test_spans.py``).
+marks read sim state but never mutate it or draw randomness, and the node
+samples are the run's own, so a traced run schedules exactly the events an
+untraced one does and measures the same numbers (asserted by
+``tests/telemetry/test_spans.py`` and
+``tests/harness/test_telemetry_integration.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
+from repro.cluster.vmstat import VmStatSample
 from repro.telemetry.context import activate, current, deactivate, session
 from repro.telemetry.metrics import (
     Counter,
@@ -36,12 +40,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     geometric_buckets,
 )
-from repro.telemetry.merge import (
-    ImportedSampler,
-    export_telemetry,
-    merge_telemetry,
-)
-from repro.telemetry.samplers import ResourceSample, ResourceSampler
+from repro.telemetry.merge import export_telemetry, merge_telemetry
 from repro.telemetry.spans import PHASES, Span, Tracer, phase_breakdown
 from repro.telemetry.windows import (
     TimeWindow,
@@ -50,21 +49,18 @@ from repro.telemetry.windows import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.node import Node
+    from repro.cluster.vmstat import VmStat
     from repro.core.records import RecordBook
-    from repro.sim.kernel import Simulator
 
 __all__ = [
     "Counter",
     "FaultWindow",
     "Gauge",
     "Histogram",
-    "ImportedSampler",
     "MetricKey",
     "MetricsRegistry",
+    "NodeSamples",
     "PHASES",
-    "ResourceSample",
-    "ResourceSampler",
     "Span",
     "Telemetry",
     "TimeWindow",
@@ -109,6 +105,16 @@ class FaultWindow:
         }
 
 
+@dataclass
+class NodeSamples:
+    """One run's vmstat samples of one node, as plain picklable data."""
+
+    node: str
+    middleware: str
+    interval: float
+    samples: list[VmStatSample]
+
+
 class Telemetry:
     """One observation session, usually wrapping one or more harness runs."""
 
@@ -116,7 +122,8 @@ class Telemetry:
         self.label = label
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.samplers: list[ResourceSampler] = []
+        #: The sampled nodes of every observed run, in observation order.
+        self.node_samples: list[NodeSamples] = []
         #: Every fault window any run inside this session armed.
         self.fault_windows: list[FaultWindow] = []
         #: Windows armed since the last ``observe_run`` — runs are separate
@@ -148,24 +155,23 @@ class Telemetry:
         self.fault_windows.append(window)
         self._pending_windows.append(window)
 
-    # -------------------------------------------------------------- samplers
-    def sample_node(
-        self,
-        sim: "Simulator",
-        node: "Node",
-        middleware: str,
-        interval: float = 1.0,
-    ) -> ResourceSampler:
-        """Attach a Figs 6/13-style CPU/memory probe to ``node``."""
-        sampler = ResourceSampler(
-            sim,
-            node,
-            registry=self.metrics,
-            middleware=middleware,
-            interval=interval,
+    # ----------------------------------------------------------- node samples
+    def observe_vmstat(self, vm: "VmStat", middleware: str) -> None:
+        """Keep a finished run's samples of one node and replay them, in
+        sample order, into its ``cpu_idle_percent`` and
+        ``memory_used_bytes`` gauges."""
+        node = vm.node.name
+        samples = list(vm.samples)
+        self.node_samples.append(
+            NodeSamples(node, middleware, vm.interval, samples)
         )
-        self.samplers.append(sampler)
-        return sampler
+        if not samples:
+            return
+        idle = self.metrics.gauge(middleware, node, "cpu_idle_percent")
+        memory = self.metrics.gauge(middleware, node, "memory_used_bytes")
+        for sample in samples:
+            idle.set(sample.cpu_idle_fraction * 100.0)
+            memory.set(sample.memory_used_bytes)
 
     # ------------------------------------------------------------------ runs
     def observe_run(

@@ -16,8 +16,9 @@ trace-smoke step runs it against a fresh ``--trace`` export.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING
 
+from repro.cluster.vmstat import summarize
 from repro.core.report import render_table
 from repro.telemetry.spans import ORDERED_PHASES, PHASES, phase_breakdown
 
@@ -62,32 +63,27 @@ def write_trace_jsonl(telemetry: "Telemetry", path: str) -> int:
 
 
 def write_metrics_json(telemetry: "Telemetry", path: str) -> None:
-    """Dump the metrics registry (plus sampler summaries) as one JSON doc."""
+    """Dump the metrics registry (plus node sample summaries) as one JSON
+    doc."""
+    samplers = []
+    for s in telemetry.node_samples:
+        summary = summarize(s.samples)
+        samplers.append({
+            "node": s.node,
+            "middleware": s.middleware,
+            "samples": len(s.samples),
+            "mean_cpu_idle_percent": summary.mean_cpu_idle_percent,
+            "memory_consumption_mb": summary.memory_consumption_mb,
+        })
     doc = {
         "label": telemetry.label,
         "metrics": telemetry.metrics.to_dict(),
-        "samplers": [
-            {
-                "node": s.node.name,
-                "middleware": s.middleware,
-                "samples": len(s.samples),
-                **_sampler_summary(s),
-            }
-            for s in telemetry.samplers
-        ],
+        "samplers": samplers,
         "runs": telemetry.runs,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _sampler_summary(sampler) -> dict:
-    summary = sampler.summary()
-    return {
-        "mean_cpu_idle_percent": summary.mean_cpu_idle_percent,
-        "memory_consumption_mb": summary.memory_consumption_mb,
-    }
 
 
 # ---------------------------------------------------------------- validation
@@ -236,18 +232,16 @@ def metrics_tables(telemetry: "Telemetry") -> str:
             histogram_rows,
         ))
 
-    if telemetry.samplers:
+    if telemetry.node_samples:
+        rows = []
+        for s in telemetry.node_samples:
+            summary = summarize(s.samples)
+            rows.append([
+                s.node, s.middleware, summary.mean_cpu_idle_percent,
+                summary.memory_consumption_mb, len(s.samples),
+            ])
         parts.append(render_table(
             ["node", "middleware", "CPU idle %", "memory (MB)", "samples"],
-            [
-                [
-                    s.node.name,
-                    s.middleware,
-                    s.summary().mean_cpu_idle_percent,
-                    s.summary().memory_consumption_mb,
-                    len(s.samples),
-                ]
-                for s in telemetry.samplers
-            ],
+            rows,
         ))
     return "\n".join(parts)

@@ -17,61 +17,20 @@ Merge semantics:
   ``fig15_federation``;
 * **counters / gauges / histogram buckets** — merged exactly, so every
   quantile equals a serial run's;
-* **resource samplers** — imported as read-only :class:`ImportedSampler`
-  shims exposing the ``node.name`` / ``samples`` / ``summary()`` surface
-  the exporters consume.
+* **node samples** — the plain :class:`~repro.telemetry.NodeSamples`
+  data, appended in point order (summaries are computed from it by the
+  one summary function, :func:`repro.cluster.vmstat.summarize`).
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-from repro.cluster.vmstat import VmStatSummary
-from repro.telemetry.samplers import ResourceSample
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.records import RecordBook
     from repro.telemetry import Telemetry
 
-EXPORT_VERSION = 1
-
-
-class ImportedSampler:
-    """Read-only stand-in for a fan-out worker's ResourceSampler.
-
-    Quacks like :class:`~repro.telemetry.samplers.ResourceSampler` for every
-    consumer in :mod:`repro.telemetry.exporters` (``node.name``,
-    ``middleware``, ``samples``, ``summary``); it owns no simulator and
-    cannot sample further.
-    """
-
-    def __init__(
-        self,
-        node: str,
-        middleware: str,
-        interval: float,
-        samples: Sequence[ResourceSample],
-    ):
-        self.node = SimpleNamespace(name=node)
-        self.middleware = middleware
-        self.interval = interval
-        self.samples = list(samples)
-
-    def stop(self) -> None:  # parity with ResourceSampler
-        pass
-
-    def summary(self, warmup: float = 0.0) -> VmStatSummary:
-        used = [s for s in self.samples if s.time >= warmup]
-        if not used:
-            return VmStatSummary(100.0, 0.0, 0)
-        mean_idle = 100.0 * sum(s.cpu_idle_fraction for s in used) / len(used)
-        mems = [s.memory_used_bytes for s in used]
-        return VmStatSummary(
-            mean_cpu_idle_percent=mean_idle,
-            memory_consumption_bytes=max(mems) - min(mems),
-            samples=len(used),
-        )
+EXPORT_VERSION = 2
 
 
 def export_telemetry(
@@ -104,15 +63,7 @@ def export_telemetry(
         "metrics": telemetry.metrics,
         "runs": telemetry.runs,
         "fault_windows": telemetry.fault_windows,
-        "samplers": [
-            {
-                "node": sampler.node.name,
-                "middleware": sampler.middleware,
-                "interval": sampler.interval,
-                "samples": sampler.samples,
-            }
-            for sampler in telemetry.samplers
-        ],
+        "node_samples": telemetry.node_samples,
     }
 
 
@@ -141,6 +92,4 @@ def merge_telemetry(
     parent.metrics.merge_from(export["metrics"])
     parent.runs.extend(export["runs"])
     parent.fault_windows.extend(export["fault_windows"])
-    parent.samplers.extend(
-        ImportedSampler(**sampler) for sampler in export["samplers"]
-    )
+    parent.node_samples.extend(export["node_samples"])

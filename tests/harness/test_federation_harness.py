@@ -5,11 +5,15 @@ from repro.faults import FaultPlan
 from repro.harness.cache import DiskCache
 from repro.harness.federation_experiments import (
     FANOUT,
+    PUBLISHERS_PER_BROKER,
+    FederationAdapter,
+    FederationRunResult,
     federation_broadcast_run,
     federation_run,
     federation_scaling,
 )
 from repro.harness.parallel import RunSpec
+from repro.harness.pipeline import run_point
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry, phase_breakdown
 from repro.telemetry.context import session
@@ -155,3 +159,26 @@ def test_link_counters_reach_metrics_registry():
         if key.middleware == "federation" and key.component.startswith("link:")
     ]
     assert link_counters, "per-link telemetry counters missing"
+
+
+# ------------------------------------------------------------- refusals
+
+class _DeadSiteAdapter(FederationAdapter):
+    """The routed tree with one leaf broker shut down before its site's
+    publishers connect."""
+
+    def build(self, sim, cluster):
+        sampled = super().build(sim, cluster)
+        self.deployment.broker("fed2").shutdown()
+        return sampled
+
+
+def test_shut_down_site_broker_refuses_its_publishers():
+    run = run_point(
+        _DeadSiteAdapter(3), 3 * PUBLISHERS_PER_BROKER, FederationRunResult,
+        scale=SMOKE, seed=1,
+    )
+    assert run.refused == PUBLISHERS_PER_BROKER
+    assert run.oom
+    assert run.received > 0  # the two live sites still deliver
+    assert federation_run(3, scale=SMOKE).refused == 0

@@ -144,10 +144,13 @@ def test_parallel_merges_telemetry_like_serial():
         if instrument.kind == "counter"
     }
     assert counters(tel_parallel) == counters(tel_serial)
-    assert len(tel_parallel.samplers) == len(tel_serial.samplers)
-    assert [s.summary() for s in tel_parallel.samplers] == [
-        s.summary() for s in tel_serial.samplers
-    ]
+    assert tel_parallel.node_samples == tel_serial.node_samples
+    gauges = lambda tel: {
+        str(key): (g.n, g.value, g.min, g.max)
+        for key, g in tel.metrics
+        if g.kind == "gauge"
+    }
+    assert gauges(tel_parallel) == gauges(tel_serial)
 
 
 # ------------------------------------------------------------ memory tier

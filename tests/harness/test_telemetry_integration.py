@@ -11,15 +11,20 @@ import json
 import pytest
 
 from repro.core import ExperimentResult
-from repro.harness import runner
+from repro.harness import pipeline, runner
 from repro.harness.cache import SweepCache
+from repro.harness.edge_experiments import edge_point
+from repro.harness.federation_experiments import federation_run
 from repro.harness.narada_experiments import narada_run
 from repro.harness.parallel import RunSpec
+from repro.harness.plog_experiments import plog_run
 from repro.harness.registry import Experiment, RunContext
+from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
+from repro.sim import Simulator
 from repro.telemetry import Telemetry
 from repro.telemetry.context import session
-from repro.telemetry.exporters import validate_trace_file
+from repro.telemetry.exporters import validate_trace_file, write_metrics_json
 
 SMOKE = Scale.smoke()
 
@@ -141,3 +146,54 @@ def test_cli_without_flags_prints_no_telemetry(monkeypatch, capsys):
     )
     assert runner.main(["tiny", "--scale", "smoke"]) == 0
     assert "telemetry" not in capsys.readouterr().out
+
+
+# ------------------------------------------------------ passive observation
+#: One run per adapter family: (run function, positional arguments).
+RUNS = {
+    "narada": (narada_run, (100,)),
+    "rgma": (rgma_run, (60,)),
+    "plog": (plog_run, (100,)),
+    "edge": (edge_point, (500, 2)),
+    "federation": (federation_run, (7,)),
+}
+
+
+def _recorded_run(monkeypatch, name):
+    """Run ``RUNS[name]`` at smoke scale; return (result, its Simulator)."""
+    sims = []
+
+    class Recorded(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(pipeline, "Simulator", Recorded)
+    fn, args = RUNS[name]
+    result = fn(*args, scale=SMOKE, seed=1)
+    (sim,) = sims
+    return result, sim
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_traced_run_schedules_the_untraced_events(monkeypatch, tmp_path, name):
+    """A session observes a run without adding one kernel event, and its
+    --metrics-out node summaries are the run's own vmstat columns."""
+    plain, plain_sim = _recorded_run(monkeypatch, name)
+    telemetry = Telemetry(name)
+    with session(telemetry):
+        traced, traced_sim = _recorded_run(monkeypatch, name)
+    assert traced_sim.events_scheduled == plain_sim.events_scheduled
+    assert traced.vmstat == plain.vmstat
+
+    path = tmp_path / "metrics.json"
+    write_metrics_json(telemetry, str(path))
+    rows = json.loads(path.read_text())["samplers"]
+    assert [row["node"] for row in rows] == list(traced.vmstat)
+    for row, kept in zip(rows, telemetry.node_samples):
+        column = traced.vmstat[row["node"]]
+        assert row["memory_consumption_mb"] == column.memory_consumption_mb
+        assert (
+            pipeline.steady_state_summary(kept.samples, traced.measure_since)
+            == column
+        )

@@ -46,12 +46,6 @@ def test_next_boundary_sees_only_covering_gen_ids():
     assert schedule.next_boundary(7, 0.0) == 30.0
 
 
-def test_cache_key_is_order_independent():
-    a = RateSchedule().window(0, 10, 0, 5, 2.0).window(20, 30, 0, 5, 3.0)
-    b = RateSchedule().window(20, 30, 0, 5, 3.0).window(0, 10, 0, 5, 2.0)
-    assert a.cache_key() == b.cache_key()
-
-
 def _publish_times(schedule, *, until=140.0, start=0.0, gen_id=0, interval=10.0):
     sim = Simulator(seed=1)
     times = []

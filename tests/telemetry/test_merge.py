@@ -1,23 +1,22 @@
 """Instrument merging and the export/merge fan-out round trip."""
 
-import math
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.cluster.vmstat import VmStatSample, summarize
 from repro.core.records import RecordBook
 from repro.telemetry import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    NodeSamples,
     Telemetry,
     export_telemetry,
     merge_telemetry,
 )
-from repro.telemetry.merge import ImportedSampler
-from repro.telemetry.samplers import ResourceSample
 
 
 # ---------------------------------------------------------------- counters
@@ -131,12 +130,12 @@ def _worker_session():
     telemetry.fault_window("packet_loss", 0.5, 1.5, "lan")
     telemetry.observe_run(book, middleware="plog", label="tiny run")
     telemetry.metrics.gauge("plog", "b1", "depth").set(4.0)
-    telemetry.samplers.append(
-        ImportedSampler(
+    telemetry.node_samples.append(
+        NodeSamples(
             node="hydra1",
             middleware="plog",
             interval=1.0,
-            samples=[ResourceSample(1.0, 0.75, 1e6), ResourceSample(2.0, 0.5, 3e6)],
+            samples=[VmStatSample(1.0, 0.75, 1e6), VmStatSample(2.0, 0.5, 3e6)],
         )
     )
     return telemetry, book
@@ -162,9 +161,9 @@ def test_export_merge_round_trip_rebinds_spans():
     assert [r["label"] for r in parent.runs] == ["tiny run"]
     assert len(parent.fault_windows) == 1
     assert parent.fault_windows[0].kind == "packet_loss"
-    sampler = parent.samplers[0]
-    assert sampler.node.name == "hydra1"
-    summary = sampler.summary()
+    (node,) = parent.node_samples
+    assert (node.node, node.middleware, node.interval) == ("hydra1", "plog", 1.0)
+    summary = summarize(node.samples)
     assert summary.mean_cpu_idle_percent == pytest.approx(62.5)
     assert summary.memory_consumption_bytes == pytest.approx(2e6)
 
@@ -185,6 +184,7 @@ def test_merge_accumulates_across_workers():
     assert rtt.n == 6
     for book in books:
         assert len(parent.spans_for_book(book)) == 3
+    assert [n.node for n in parent.node_samples] == ["hydra1", "hydra1"]
 
 
 def test_merge_rejects_unknown_version_and_book_mismatch():

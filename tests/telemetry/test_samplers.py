@@ -1,11 +1,12 @@
-"""Resource samplers vs the paper's VmStat methodology."""
+"""The one node sampler (VmStat) and the session that reads its samples."""
+
+import pickle
 
 import pytest
 
 from repro.cluster import HydraCluster, VmStat
 from repro.sim import Simulator
-from repro.telemetry import Telemetry
-from repro.telemetry.samplers import ResourceSampler
+from repro.telemetry import NodeSamples, Telemetry
 
 
 def _busy_workload(sim, node, until=20.0):
@@ -17,30 +18,6 @@ def _busy_workload(sim, node, until=20.0):
     sim.process(work(), name="workload")
 
 
-def test_sampler_matches_vmstat_summary():
-    sim = Simulator(seed=7)
-    cluster = HydraCluster(sim)
-    node = cluster.node("hydra1")
-    vm = VmStat(sim, node, interval=1.0)
-    sampler = ResourceSampler(sim, node, interval=1.0)
-    _busy_workload(sim, node)
-    sim.run(until=20.0)
-    vm.stop()
-    sampler.stop()
-
-    ours = sampler.summary(warmup=2.0)
-    theirs = vm.summary(warmup=2.0)
-    assert ours.samples == theirs.samples
-    assert ours.mean_cpu_idle_percent == pytest.approx(
-        theirs.mean_cpu_idle_percent
-    )
-    assert ours.memory_consumption_bytes == pytest.approx(
-        theirs.memory_consumption_bytes
-    )
-    # ~30 % CPU is burnt, so idle sits near 70 %.
-    assert 50.0 < ours.mean_cpu_idle_percent < 90.0
-
-
 def test_sampler_is_passive_under_workload():
     """Event timings of the workload are unchanged by an attached sampler."""
 
@@ -49,7 +26,7 @@ def test_sampler_is_passive_under_workload():
         cluster = HydraCluster(sim)
         node = cluster.node("hydra1")
         if with_sampler:
-            ResourceSampler(sim, node, interval=0.25)
+            VmStat(sim, node, interval=0.25)
         finish_times = []
 
         def work():
@@ -66,19 +43,31 @@ def test_sampler_is_passive_under_workload():
 
 
 def test_sampler_feeds_registry():
+    """A session replays a run's samples, in order, into the node's two
+    gauges and keeps them as picklable data."""
     sim = Simulator(seed=7)
     cluster = HydraCluster(sim)
     node = cluster.node("hydra1")
-
-    tel = Telemetry("test")
-    tel.sample_node(sim, node, middleware="plog", interval=1.0)
+    vm = VmStat(sim, node, interval=1.0)
     _busy_workload(sim, node, until=5.0)
     sim.run(until=5.0)
+    vm.stop()
+
+    tel = Telemetry("test")
+    events = sim.events_scheduled
+    tel.observe_vmstat(vm, middleware="plog")
+    assert sim.events_scheduled == events
 
     idle = tel.metrics.gauge("plog", "hydra1", "cpu_idle_percent")
-    assert idle.n == 5
-    assert 0.0 <= idle.mean <= 100.0
-    assert tel.metrics.gauge("plog", "hydra1", "memory_used_bytes").n == 5
+    memory = tel.metrics.gauge("plog", "hydra1", "memory_used_bytes")
+    assert idle.n == memory.n == len(vm.samples) == 5
+    idles = [s.cpu_idle_fraction * 100.0 for s in vm.samples]
+    assert (idle.value, idle.min, idle.max) == (idles[-1], min(idles), max(idles))
+    assert idle.mean == pytest.approx(sum(idles) / 5)
+    assert memory.value == vm.samples[-1].memory_used_bytes
+    (kept,) = tel.node_samples
+    assert kept == NodeSamples("hydra1", "plog", 1.0, vm.samples)
+    assert pickle.loads(pickle.dumps(kept)) == kept
 
 
 def test_sampler_rejects_bad_interval_and_empty_summary():
@@ -86,8 +75,12 @@ def test_sampler_rejects_bad_interval_and_empty_summary():
     cluster = HydraCluster(sim)
     node = cluster.node("hydra1")
     with pytest.raises(ValueError):
-        ResourceSampler(sim, node, interval=0.0)
-    sampler = ResourceSampler(sim, node, interval=1.0)
-    summary = sampler.summary()  # no samples yet
+        VmStat(sim, node, interval=0.0)
+    vm = VmStat(sim, node, interval=1.0)
+    summary = vm.summary()  # no samples yet
     assert summary.samples == 0
     assert summary.mean_cpu_idle_percent == 100.0
+    tel = Telemetry("test")
+    tel.observe_vmstat(vm, middleware="plog")
+    assert len(tel.metrics) == 0  # no samples, no gauges
+    assert tel.node_samples == [NodeSamples("hydra1", "plog", 1.0, [])]
