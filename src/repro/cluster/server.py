@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.cluster.jvm import Jvm, OutOfMemoryError
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import EOF, Channel, ChannelClosed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,13 +137,10 @@ class JvmServer:
         """Subclass hook: ``channel`` saw EOF."""
 
     def _mark(self, message: Any, phase: str) -> None:
-        """Stamp a broker hop on ``message``'s telemetry record, if any."""
-        tel = _telemetry()
-        if tel is None:
-            return
+        """Stamp a broker hop on ``message``'s record, if it carries one."""
         record = getattr(message, "_record", None)
         if record is not None:
-            tel.mark(record, phase, self.sim.now, self.middleware, self.name)
+            record.mark(phase, self.sim.now, self.middleware, self.name)
 
     # ---------------------------------------------------------------- admin
     def shutdown(self) -> None:

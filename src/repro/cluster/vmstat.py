@@ -12,7 +12,7 @@ node a second time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -90,4 +90,20 @@ def summarize(
         mean_cpu_idle_percent=mean_idle,
         memory_consumption_bytes=max(mems) - min(mems),
         samples=len(used),
+    )
+
+
+def steady_state_summary(
+    samples: Sequence[VmStatSample], since: float
+) -> VmStatSummary:
+    """A run's node summary as Figs 6/13 report it: CPU idle over the
+    steady-state window opening at ``since``; memory consumption (peak −
+    bottom, the paper's definition) over the whole run — connection setup
+    is where most memory is committed."""
+    cpu = summarize(samples, warmup=since)
+    mem = summarize(samples)
+    return VmStatSummary(
+        mean_cpu_idle_percent=cpu.mean_cpu_idle_percent,
+        memory_consumption_bytes=mem.memory_consumption_bytes,
+        samples=cpu.samples,
     )

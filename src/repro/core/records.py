@@ -10,17 +10,22 @@ phase boundaries:
 * ``t_arrived``     — the receiving runtime got the message off the wire /
   started the receiving operation (start of SRT);
 * ``t_received``    — the application's listener/poll saw the message.
+
+Every interior phase a message crosses on the way — a broker's
+``broker_in``/``broker_out``, the edge gateway's ``edge_in``/``parked``/
+``edge_out`` — is stamped on the same record by :meth:`MessageRecord.mark`,
+on the same clock, so a record alone is the whole trace of its message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageRecord:
     """One monitored message's life."""
 
@@ -30,6 +35,13 @@ class MessageRecord:
     t_after_send: Optional[float] = None
     t_arrived: Optional[float] = None
     t_received: Optional[float] = None
+    #: phase -> ``(sim time, component)`` of its first mark, in mark order
+    #: (``None`` until the first mark): a DBN message's ``broker_in`` is
+    #: the ingress broker.
+    marks: Optional[dict[str, tuple[float, str]]] = None
+    #: Every mark made, first or not (> ``len(marks)`` once a message
+    #: crossed several brokers or reached several subscribers).
+    hops: int = 0
 
     @property
     def delivered(self) -> bool:
@@ -42,18 +54,31 @@ class MessageRecord:
 
         The one first-delivery rule every receiving path applies: the first
         copy to reach a recording receiver sets ``t_arrived``/``t_received``
-        and emits the telemetry ``delivered`` mark (``middleware``,
-        ``where`` name the instrument); a later copy changes nothing, and
-        the caller counts it as a duplicate if it keeps that count.
+        and marks ``delivered`` (``middleware``, ``where`` name the
+        instrument); a later copy changes nothing, and the caller counts it
+        as a duplicate if it keeps that count.
         """
         if self.t_received is not None:
             return False
         self.t_arrived = t_arrived
         self.t_received = now
+        self.mark("delivered", now, middleware, where)
+        return True
+
+    def mark(self, phase: str, t: float, middleware: str, component: str) -> None:
+        """Stamp ``phase`` at sim time ``t`` by ``component``: the first
+        mark of a phase wins, every mark counts a hop.  Under an active
+        telemetry session it also bumps ``component``'s ``span.<phase>``
+        counter."""
+        marks = self.marks
+        if marks is None:
+            self.marks = {phase: (t, component)}
+        elif phase not in marks:
+            marks[phase] = (t, component)
+        self.hops += 1
         tel = _telemetry()
         if tel is not None:
-            tel.mark(self, "delivered", now, middleware, where)
-        return True
+            tel.metrics.counter(middleware, component, f"span.{phase}").inc()
 
     @property
     def rtt(self) -> float:

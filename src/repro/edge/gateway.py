@@ -170,9 +170,8 @@ class EdgeGateway:
         now = self.sim.now
         record = record_of(payload)
         created = record.t_before_send if record is not None else now
-        tel = _telemetry()
-        if tel is not None and record is not None:
-            tel.mark(record, "edge_in", now, "edge", self.name)
+        if record is not None:
+            record.mark("edge_in", now, "edge", self.name)
         ring.append(payload, nbytes, now, created)
         waiters = self._waiters.get(topic)
         if not waiters:
@@ -285,13 +284,11 @@ class EdgeGateway:
         if not self.alive:
             return
         now = self.sim.now
-        tel = _telemetry()
-        if tel is not None:
-            for event in events:
-                record = record_of(event.payload)
-                if record is not None:
-                    tel.mark(record, "parked", parked_at, "edge", self.name)
-                    tel.mark(record, "edge_out", now, "edge", self.name)
+        for event in events:
+            record = record_of(event.payload)
+            if record is not None:
+                record.mark("parked", parked_at, "edge", self.name)
+                record.mark("edge_out", now, "edge", self.name)
         self.stats.events_out += len(events)
         respond(
             200,

@@ -485,8 +485,6 @@ def ablation_clock_skew(leg, seed: int) -> ExperimentResult:
     return result
 
 
-_DIRECT = ("scale", "seed")
-
 EXPERIMENTS = (
     Experiment(
         "ablation_dbn_routing",
@@ -521,14 +519,14 @@ EXPERIMENTS = (
         "ablation_web_services",
         "SOAP proxy publish vs native JMS (§III.D)",
         ablation_web_services,
-        params=_DIRECT,
+        params=("scale", "seed"),
     ),
     Experiment(
         "ablation_rgma_legacy_api",
         "Old Stream Producer API vs new PP pipeline",
         ablation_rgma_legacy_api,
         reads=(legacy_api_new_leg,),
-        params=_DIRECT,
+        params=("scale", "seed"),
     ),
     Experiment(
         "ablation_clock_skew",

@@ -9,51 +9,32 @@ phases of NaradaBrokering are very short" (§III.F.2).
 The figure plots cumulative time at the four phase boundaries
 (before_sending, after_sending, before_receiving, after_receiving).
 
-``fig15`` and ``fig15_threeway`` read their runs as sweeps, like every other
-figure, and decompose each run's record book
-(:func:`repro.core.metrics.decompose`) — the four timestamps are the
-record's own.  ``fig15_federation`` and ``fig15_edge`` also report broker
-hops and gateway dwell, which only a span records, so they run inside a
-telemetry session — the caller's when one is installed (e.g. the runner's
-``--trace`` flag), a private one otherwise — and read the decomposition off
-the span pipeline.
+Every figure here reads its runs as sweeps, like every other figure, and
+decomposes each run's record book — the four timestamps are the record's
+own.  ``fig15_federation`` and ``fig15_edge`` also report broker hops and
+gateway dwell, which the same records carry as phase marks
+(:meth:`repro.core.records.MessageRecord.mark`); they decompose through
+the span pipeline (:func:`repro.telemetry.spans.bind_book`), which binds
+those marks from the book alone.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Optional
-
 from repro.core import ExperimentResult, decompose
 from repro.core.metrics import PhaseBreakdown
+from repro.harness.edge_experiments import edge_point
+from repro.harness.federation_experiments import federation_run
 from repro.harness.narada_experiments import narada_run
 from repro.harness.parallel import RunSpec
 from repro.harness.plog_experiments import plog_run
 from repro.harness.registry import Experiment, RunContext
 from repro.harness.rgma_experiments import rgma_run
-from repro.harness.scale import Scale
-from repro.telemetry import Telemetry
-from repro.telemetry import context as tel_context
-from repro.telemetry.spans import phase_breakdown
+from repro.telemetry.spans import bind_book, phase_breakdown
 
 PHASES = ("before_sending", "after_sending", "before_receiving", "after_receiving")
 
 #: The common moderate load every middleware is decomposed at.
 FIG15_CONNECTIONS = 400
-
-
-def _session(label: str):
-    """The active telemetry session, or a private one for this figure.
-
-    Returns ``(telemetry, context_manager)``; the context manager installs
-    the private session only when no outer one is active, so the runner's
-    ``--trace`` session sees these runs' spans too.
-    """
-    active = tel_context.current()
-    if active is not None:
-        return active, contextlib.nullcontext()
-    tel = Telemetry(label)
-    return tel, tel_context.session(tel)
 
 
 def _decomposition_rows(
@@ -137,77 +118,77 @@ def fig15(pair: dict) -> ExperimentResult:
     return result
 
 
-def fig15_federation(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    n_brokers: int = 7,
-) -> ExperimentResult:
+def federation_tree(ctx: RunContext, n_brokers: int = 7) -> dict[str, RunSpec]:
+    return {"Federation": ctx.spec(federation_run, n_brokers=n_brokers)}
+
+
+def edge_hop(
+    ctx: RunContext,
+    n_clients: int = 2000,
+    n_gateways: int = 2,
+    middleware: str = "narada",
+) -> dict[str, RunSpec]:
+    """One edge run, keyed by the middleware behind the gateways."""
+    return {
+        middleware: ctx.spec(
+            edge_point, n_clients=n_clients, n_gateways=n_gateways,
+            middleware=middleware,
+        )
+    }
+
+
+def fig15_federation(runs: dict) -> ExperimentResult:
     """Fig 15 on the federated path: RTT = PRT + PT + SRT for an event that
     climbs a broker tree, decomposed from the same span pipeline.
 
-    PT here is multi-hop — the spans carry one ``broker_in``/``broker_out``
-    mark per federation broker traversed, so the trace exporters can break
-    the middleware residency down per hop.
+    PT here is multi-hop — each record carries one ``broker_in``/
+    ``broker_out`` mark per federation broker traversed, so the trace
+    exporters can break the middleware residency down per hop.
     """
-    from repro.harness.federation_experiments import federation_run
-
     result = ExperimentResult(
         "fig15_federation",
         "RTT decomposition on the federated tree (cumulative ms per phase)",
         "phase",
         "millisecond",
     )
-    tel, ctx = _session("fig15_federation")
-    with ctx:
-        run = federation_run(n_brokers, scale=scale, seed=seed)
-    spans = tel.spans_for_book(run.book)
-    phases = phase_breakdown(spans, since=run.measure_since)
+    run = runs["Federation"]
+    phases = phase_breakdown(
+        bind_book(run.book, "federation"), since=run.measure_since
+    )
     _decomposition_rows(result, {"Federation": phases})
-    max_hops = max((s.hops for s in spans), default=0)
+    hops = max((r.hops for r in run.book.records), default=0)
     result.note(
         f"{run.n_brokers} brokers: PT {phases.pt_ms:.1f} ms covers up to "
-        f"{max_hops} broker-side marks on one span (root-bound tree path); "
+        f"{hops} broker-side marks on one span (root-bound tree path); "
         f"loss {run.loss_rate:.2%}"
     )
     return result
 
 
-def fig15_edge(
-    scale: Optional[Scale] = None,
-    seed: int = 1,
-    n_clients: int = 2000,
-    n_gateways: int = 2,
-    middleware: str = "narada",
-) -> ExperimentResult:
+def fig15_edge(runs: dict) -> ExperimentResult:
     """Fig 15 with the long-poll gateway hop in the path.
 
-    PT here includes the edge tier: spans carry ``edge_in`` (event reaches
-    the gateway off its pooled upstream connection), ``parked`` (how long
-    the winning long-poll request had been parked) and ``edge_out`` (the
-    HTTP response leaves), so the gateway dwell — ``edge_out - edge_in`` —
-    is separable from the native middleware transit.
+    PT here includes the edge tier: records carry ``edge_in`` (event
+    reaches the gateway off its pooled upstream connection), ``parked``
+    (how long the winning long-poll request had been parked) and
+    ``edge_out`` (the HTTP response leaves), so the gateway dwell —
+    ``edge_out - edge_in`` — is separable from the native middleware
+    transit.
     """
-    from repro.harness.edge_experiments import edge_point
-
     result = ExperimentResult(
         "fig15_edge",
         "RTT decomposition through the edge gateway hop (cumulative ms)",
         "phase",
         "millisecond",
     )
-    tel, ctx = _session("fig15_edge")
-    with ctx:
-        run = edge_point(
-            n_clients, n_gateways, middleware, scale=scale, seed=seed
-        )
-    spans = tel.spans_for_book(run.book)
-    phases = phase_breakdown(spans, since=run.measure_since)
+    ((middleware, run),) = runs.items()
+    phases = phase_breakdown(bind_book(run.book, "edge"), since=run.measure_since)
     _decomposition_rows(result, {"Edge": phases})
     dwells = [
-        (s.phases["edge_out"] - s.phases["edge_in"]) * 1e3
-        for s in spans
-        if "edge_in" in s.phases and "edge_out" in s.phases
-        and s.phases["created"] >= run.measure_since
+        (r.marks["edge_out"][0] - r.marks["edge_in"][0]) * 1e3
+        for r in run.book.records
+        if r.marks and "edge_in" in r.marks and "edge_out" in r.marks
+        and r.t_before_send >= run.measure_since
     ]
     mean_dwell = sum(dwells) / len(dwells) if dwells else 0.0
     result.note(
@@ -241,11 +222,6 @@ def fig15_threeway(runs: dict) -> ExperimentResult:
     return result
 
 
-#: These two run under a telemetry session — their notes read broker hops
-#: and gateway dwell, which only a span records — and a session bypasses
-#: the sweep's disk cache anyway: they take scale and seed and run directly.
-_DIRECT = ("scale", "seed")
-
 EXPERIMENTS = (
     Experiment(
         "fig15", "Fig 15: RTT decomposition (PRT/PT/SRT), R-GMA vs Narada", fig15,
@@ -261,10 +237,10 @@ EXPERIMENTS = (
         "fig15_federation",
         "RTT decomposition on the federated broker tree",
         fig15_federation,
-        params=_DIRECT,
+        reads=(federation_tree,),
     ),
     Experiment(
         "fig15_edge", "RTT decomposition through the long-poll gateway hop", fig15_edge,
-        params=_DIRECT,
+        reads=(edge_hop,),
     ),
 )

@@ -20,6 +20,7 @@ snapshot; the parent merges the snapshots **in point order**, keeping
 
 from __future__ import annotations
 
+import gc
 import importlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -54,6 +55,12 @@ class RunSpec:
     def run(self) -> Any:
         module_name, _, fn_name = self.fn.partition(":")
         fn = getattr(importlib.import_module(module_name), fn_name)
+        # A finished run leaves its simulator behind as reference cycles
+        # (kernel <-> processes <-> generators); free them before this
+        # point allocates its own, so a sweep peaks at one point's memory,
+        # not at however many finished points the cyclic collector has yet
+        # to reach.
+        gc.collect()
         return fn(**dict(self.args))
 
 
@@ -79,19 +86,13 @@ def resolve_jobs(jobs: Optional[int] = None, default: Optional[int] = None) -> i
     return n
 
 
-def _books_of(result: Any) -> list:
-    """The record books a run result carries (for span re-binding)."""
-    book = getattr(result, "book", None)
-    return [book] if book is not None else []
-
-
 def _run_point(task: tuple[RunSpec, bool]) -> tuple[Any, Optional[dict]]:
     """Worker entry: run one spec.
 
     With ``fork`` start the child inherits the parent's telemetry stack;
-    that session's marks could never travel back through it, so the stack
-    is cleared and — when the parent had a session — replaced by a fresh
-    one whose snapshot ships home in the return value.
+    that session's spans and metrics could never travel back through it,
+    so the stack is cleared and — when the parent had a session — replaced
+    by a fresh one whose snapshot ships home in the return value.
     """
     spec, with_telemetry = task
     tel_context._stack.clear()
@@ -103,7 +104,7 @@ def _run_point(task: tuple[RunSpec, bool]) -> tuple[Any, Optional[dict]]:
     telemetry = Telemetry(label=f"worker:{spec.fn}")
     with tel_context.session(telemetry):
         result = spec.run()
-    return result, export_telemetry(telemetry, books=_books_of(result))
+    return result, export_telemetry(telemetry)
 
 
 def map_points(specs: Sequence[RunSpec], jobs: Optional[int] = None) -> list[Any]:
@@ -130,7 +131,7 @@ def map_points(specs: Sequence[RunSpec], jobs: Optional[int] = None) -> list[Any
 
         for result, export in outcomes:
             if export is not None:
-                merge_telemetry(telemetry, export, books=_books_of(result))
+                merge_telemetry(telemetry, export)
             results.append(result)
     else:
         results = [result for result, _ in outcomes]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSample, VmStatSummary, summarize
+from repro.cluster.vmstat import VmStatSummary, steady_state_summary
 from repro.core import RecordBook, rtt_stats
 from repro.faults import FaultScheduler, named_plan
 from repro.harness.scale import Scale
@@ -64,21 +64,6 @@ class RunResult:
     #: Human-readable fault injection log ("t=... kind target note"),
     #: skipped faults ("no such broker in this run") included.
     fault_log: list[str] = field(default_factory=list)
-
-
-def steady_state_summary(
-    samples: Sequence[VmStatSample], since: float
-) -> VmStatSummary:
-    """CPU idle over the steady-state window; memory consumption (peak −
-    bottom, the paper's definition) over the whole run — connection setup is
-    where most memory is committed."""
-    cpu = summarize(samples, warmup=since)
-    mem = summarize(samples)
-    return VmStatSummary(
-        mean_cpu_idle_percent=cpu.mean_cpu_idle_percent,
-        memory_consumption_bytes=mem.memory_consumption_bytes,
-        samples=cpu.samples,
-    )
 
 
 #: Datagram loss of ``udp_raw``.  Not anchored to the paper: §III.E.1 gives
@@ -240,7 +225,9 @@ def run_point(
     tel = _telemetry()
     if tel is not None:
         for name, vm in vmstats.items():
-            tel.observe_vmstat(vm, middleware=sampled[name])
+            tel.observe_vmstat(
+                vm, middleware=sampled[name], measure_since=measure_since
+            )
         tel.observe_run(
             book, middleware=adapter.name, measure_since=measure_since,
             label=adapter.label(n_generators),

@@ -357,12 +357,10 @@ class PlogBroker(JvmServer):
             pstate.record(pid, seq_base, len(batch), result.base_offset)
         self.stats.produce_batches += 1
         self.stats.records_appended += len(batch)
-        tel = _telemetry()
-        if tel is not None:
-            for _, value, _ in batch:
-                record = getattr(value, "_record", None)
-                if record is not None:
-                    tel.mark(record, "broker_in", self.sim.now, "plog", self.name)
+        for _, value, _ in batch:
+            record = getattr(value, "_record", None)
+            if record is not None:
+                record.mark("broker_in", self.sim.now, "plog", self.name)
         if state is not None and state.replicated:
             # New data for parked replica fetches (they wake on the end
             # offset, consumers only on the high watermark).
@@ -773,11 +771,8 @@ class PlogBroker(JvmServer):
                 yield from channel.send(frame, nbytes)
             except (MessageLost, ChannelClosed):
                 return
-            if marks:
-                tel = _telemetry()
-                if tel is not None:
-                    for record in marks:
-                        tel.mark(record, "broker_out", self.sim.now, "plog", self.name)
+            for record in marks or ():
+                record.mark("broker_out", self.sim.now, "plog", self.name)
 
         self.sim.process(_send(), name=f"{self.name}.respond")
 

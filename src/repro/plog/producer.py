@@ -35,7 +35,6 @@ from repro.faults.recovery import RttEstimator
 from repro.plog.config import PlogConfig
 from repro.plog.partitioner import partition_for
 from repro.sim.events import TimedOut
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import (
     Channel,
     ChannelClosed,
@@ -302,15 +301,12 @@ class PlogProducer:
                     # Fire-and-forget: the round trip ends at the socket.
                     self.batches_sent += 1
                     self.records_sent += len(batch.records)
-                    tel = _telemetry()
                     for pending in batch.records:
                         if pending.record is not None:
                             pending.record.t_after_send = self.sim.now
-                            if tel is not None:
-                                tel.mark(
-                                    pending.record, "published", self.sim.now,
-                                    "plog", self.name,
-                                )
+                            pending.record.mark(
+                                "published", self.sim.now, "plog", self.name
+                            )
                     return
                 if not policy.enabled:
                     # Legacy one-shot: the ack reader stamps records later.
@@ -398,15 +394,12 @@ class PlogProducer:
             pending = self._pending_acks.pop(frame[1], None)
             if pending is None:
                 continue
-            tel = _telemetry()
             for record in pending.records:
                 if record.record is not None:
                     record.record.t_after_send = self.sim.now
-                    if tel is not None:
-                        tel.mark(
-                            record.record, "published", self.sim.now,
-                            "plog", self.name,
-                        )
+                    record.record.mark(
+                        "published", self.sim.now, "plog", self.name
+                    )
             if pending.event is not None and not pending.event.triggered:
                 pending.event.succeed(True)
 

@@ -30,7 +30,6 @@ from repro.rgma.sql import (
 )
 from repro.rgma.storage import Tuple, TupleStore
 from repro.sim import Event
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import ChannelClosed, MessageLost
 from repro.transport.http import HttpClient
 
@@ -213,14 +212,11 @@ class PrimaryProducerResource(ProducerResourceBase):
             raise RGMAException(f"producer {self.resource_id} is closed")
         meta = dict(meta or {})
         meta["t_stored"] = self.sim.now
-        tel = _telemetry()
-        if tel is not None:
-            record = meta.get("record")
-            if record is not None:
-                tel.mark(
-                    record, "broker_in", self.sim.now, "rgma",
-                    f"pp.{self.container.node.name}",
-                )
+        record = meta.get("record")
+        if record is not None:
+            record.mark(
+                "broker_in", self.sim.now, "rgma", f"pp.{self.container.node.name}"
+            )
         self._poke()
         return self.store.insert(row, meta)
 

@@ -30,7 +30,6 @@ from repro.rgma.registry import Registry, RGMAConfig
 from repro.rgma.schema import Schema, grid_monitoring_table
 from repro.rgma.servlet import ServletContainer
 from repro.rgma.sql import RowView, Select, parse_sql
-from repro.telemetry.context import current as _telemetry
 from repro.transport.http import HttpRequest
 from repro.transport.tcp import TcpTransport
 
@@ -153,13 +152,12 @@ class RGMASite:
         if resource is None:
             return 500, {"error": "no such consumer resource"}, 120
         tuples = resource.drain()
-        tel = _telemetry()
-        if tel is not None and tuples:
+        if tuples:
             component = f"cs.{self.container.node.name}"
             for t in tuples:
                 record = t.meta.get("record")
                 if record is not None:
-                    tel.mark(record, "broker_out", self.sim.now, "rgma", component)
+                    record.mark("broker_out", self.sim.now, "rgma", component)
         yield from self.container.node.execute(
             self.config.poll_cpu + self.config.poll_tuple_cpu * len(tuples)
         )

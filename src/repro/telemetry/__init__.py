@@ -5,8 +5,9 @@ instrumentation on every middleware": the same record book, the same vmstat
 loop, the same clock.  This package is that method as a subsystem.  One
 :class:`Telemetry` session owns
 
-* a :class:`~repro.telemetry.spans.Tracer` of per-message spans with phase
-  boundaries (created/published/broker-in/broker-out/arrived/delivered),
+* the per-message :class:`~repro.telemetry.spans.Span` of every observed
+  run, bound from its record book (created/published/broker-in/broker-out/
+  arrived/delivered — every phase is stamped on the message's own record),
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` of counters, gauges
   and streaming histograms keyed by middleware/component,
 * each run's :class:`~repro.cluster.vmstat.VmStat` node samples (the
@@ -14,11 +15,15 @@ loop, the same clock.  This package is that method as a subsystem.  One
 * the fault windows a :class:`repro.faults.FaultScheduler` armed, so
   exported spans carry fault annotations.
 
-**Telemetry is off by default and has zero behavioural impact.**  Hook
-sites guard on :func:`repro.telemetry.context.current` returning ``None``;
-no session means no extra events, no extra allocations, bit-identical
-experiment outputs.  Activating a session adds passive observation only —
-marks read sim state but never mutate it or draw randomness, and the node
+**Telemetry is off by default and has zero behavioural impact.**  Phase
+marks are stamped on the message's record whether or not a session is
+active (:meth:`repro.core.records.MessageRecord.mark`): they read sim
+state but never mutate it or draw randomness, and they schedule no event.
+Their cost is one small dict per marked record, ~370 B: on a
+400-connection Narada run at bench scale, +2.7 % peak RSS and a few
+percent of host CPU.  Metric hook sites guard on
+:func:`repro.telemetry.context.current` returning ``None``; a session adds
+only its counters, gauges and the spans it binds after a run, and the node
 samples are the run's own, so a traced run schedules exactly the events an
 untraced one does and measures the same numbers (asserted by
 ``tests/telemetry/test_spans.py`` and
@@ -28,7 +33,7 @@ untraced one does and measures the same numbers (asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.cluster.vmstat import VmStatSample
 from repro.telemetry.context import activate, current, deactivate, session
@@ -41,7 +46,7 @@ from repro.telemetry.metrics import (
     geometric_buckets,
 )
 from repro.telemetry.merge import export_telemetry, merge_telemetry
-from repro.telemetry.spans import PHASES, Span, Tracer, phase_breakdown
+from repro.telemetry.spans import PHASES, Span, bind_book, phase_breakdown
 from repro.telemetry.windows import (
     TimeWindow,
     WindowedQuantiles,
@@ -64,9 +69,9 @@ __all__ = [
     "Span",
     "Telemetry",
     "TimeWindow",
-    "Tracer",
     "WindowedQuantiles",
     "activate",
+    "bind_book",
     "complement_windows",
     "current",
     "deactivate",
@@ -113,6 +118,9 @@ class NodeSamples:
     middleware: str
     interval: float
     samples: list[VmStatSample]
+    #: Start of the run's steady-state window: the sampler summaries read
+    #: CPU idle from here on, as ``RunResult.vmstat`` and Figs 6/13 do.
+    measure_since: float = 0.0
 
 
 class Telemetry:
@@ -120,7 +128,8 @@ class Telemetry:
 
     def __init__(self, label: str = "telemetry"):
         self.label = label
-        self.tracer = Tracer()
+        #: The spans of every observed run, in observation order.
+        self.spans: list[Span] = []
         self.metrics = MetricsRegistry()
         #: The sampled nodes of every observed run, in observation order.
         self.node_samples: list[NodeSamples] = []
@@ -133,19 +142,6 @@ class Telemetry:
         #: One summary dict per observed run, in observation order.
         self.runs: list[dict] = []
 
-    # ----------------------------------------------------------------- marks
-    def mark(
-        self,
-        record: Any,
-        phase: str,
-        t: float,
-        middleware: str,
-        component: str,
-    ) -> None:
-        """Live phase mark from a middleware hook (plus a phase counter)."""
-        self.tracer.mark(record, phase, t, component)
-        self.metrics.counter(middleware, component, f"span.{phase}").inc()
-
     # ---------------------------------------------------------------- faults
     def fault_window(
         self, kind: str, start: float, end: float, target: str
@@ -156,14 +152,16 @@ class Telemetry:
         self._pending_windows.append(window)
 
     # ----------------------------------------------------------- node samples
-    def observe_vmstat(self, vm: "VmStat", middleware: str) -> None:
-        """Keep a finished run's samples of one node and replay them, in
-        sample order, into its ``cpu_idle_percent`` and
-        ``memory_used_bytes`` gauges."""
+    def observe_vmstat(
+        self, vm: "VmStat", middleware: str, measure_since: float = 0.0
+    ) -> None:
+        """Keep a finished run's samples of one node (with the start of its
+        steady-state window) and replay them all, in sample order, into its
+        ``cpu_idle_percent`` and ``memory_used_bytes`` gauges."""
         node = vm.node.name
         samples = list(vm.samples)
         self.node_samples.append(
-            NodeSamples(node, middleware, vm.interval, samples)
+            NodeSamples(node, middleware, vm.interval, samples, measure_since)
         )
         if not samples:
             return
@@ -184,11 +182,12 @@ class Telemetry:
         """Bind a finished run's record book into spans and roll up metrics.
 
         Called by the harness run functions (``narada_run`` / ``rgma_run``
-        / ``plog_run``) when a session is active.  Endpoint phases derive
+        / ``plog_run``) when a session is active.  Every phase derives
         from the record book — the same data every paper metric uses — so
         span-based analyses agree exactly with the record-based ones.
         """
-        spans = self.tracer.bind_book(book, middleware)
+        spans = bind_book(book, middleware)
+        self.spans.extend(spans)
         for window in self._pending_windows:
             for span in spans:
                 start = span.phases["created"]
@@ -223,6 +222,3 @@ class Telemetry:
             }
         )
         return spans
-
-    def spans_for_book(self, book: "RecordBook") -> list[Span]:
-        return self.tracer.spans_for_book(book)

@@ -1,15 +1,18 @@
 """The active-telemetry slot.
 
-Middleware hook sites import :func:`current` from *this* module only — it
-is deliberately free of numpy and of the rest of the telemetry package, so
-the guard ``tel = current()`` adds one module attribute read and a ``None``
-check to hot paths when telemetry is off.  Off is the default: nothing in
-the simulator ever activates a session; only the harness (``--trace`` /
-``--metrics-out``) or a test does, via :func:`session`.
+Metric hook sites — and :meth:`repro.core.records.MessageRecord.mark`,
+which stamps phases on the record whether a session is active or not and
+bumps a phase counter only when one is — import :func:`current` from
+*this* module only.  It is deliberately free of numpy and of the rest of
+the telemetry package, so the guard ``tel = current()`` adds one module
+attribute read and a ``None`` check to hot paths when telemetry is off.
+Off is the default: nothing in the simulator ever activates a session;
+only the harness (``--trace`` / ``--metrics-out``) or a test does, via
+:func:`session`.
 
-Sessions nest as a stack so an experiment that builds its own private
-session (``fig15_federation`` and ``fig15_edge`` when run outside the CLI)
-composes with a CLI-level session wrapping the whole run.
+Sessions nest as a stack: a session a test or library caller opens
+composes with one the CLI wraps around the whole run, and the innermost
+one observes.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from repro.cluster.vmstat import summarize
+from repro.cluster.vmstat import steady_state_summary
 from repro.core.report import render_table
 from repro.telemetry.spans import ORDERED_PHASES, PHASES, phase_breakdown
 
@@ -40,7 +40,7 @@ def write_trace_jsonl(telemetry: "Telemetry", path: str) -> int:
 
     Returns the number of span lines written.
     """
-    spans = telemetry.tracer.spans
+    spans = telemetry.spans
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "kind": "header",
@@ -63,11 +63,11 @@ def write_trace_jsonl(telemetry: "Telemetry", path: str) -> int:
 
 
 def write_metrics_json(telemetry: "Telemetry", path: str) -> None:
-    """Dump the metrics registry (plus node sample summaries) as one JSON
-    doc."""
+    """Dump the metrics registry (plus node sample summaries, read as
+    ``RunResult.vmstat`` reads them) as one JSON doc."""
     samplers = []
     for s in telemetry.node_samples:
-        summary = summarize(s.samples)
+        summary = steady_state_summary(s.samples, s.measure_since)
         samplers.append({
             "node": s.node,
             "middleware": s.middleware,
@@ -185,7 +185,7 @@ def metrics_tables(telemetry: "Telemetry") -> str:
     parts: list[str] = [f"== telemetry: {telemetry.label} =="]
 
     by_middleware: dict[str, list] = {}
-    for span in telemetry.tracer.spans:
+    for span in telemetry.spans:
         by_middleware.setdefault(span.middleware, []).append(span)
     if by_middleware:
         rows = []
@@ -235,7 +235,7 @@ def metrics_tables(telemetry: "Telemetry") -> str:
     if telemetry.node_samples:
         rows = []
         for s in telemetry.node_samples:
-            summary = summarize(s.samples)
+            summary = steady_state_summary(s.samples, s.measure_since)
             rows.append([
                 s.node, s.middleware, summary.mean_cpu_idle_percent,
                 summary.memory_consumption_mb, len(s.samples),

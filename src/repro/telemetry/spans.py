@@ -3,23 +3,23 @@
 A :class:`Span` is the trace-shaped view of one monitored message: the
 paper's four :class:`~repro.core.records.MessageRecord` timestamps become
 the *endpoint* phases (``created`` / ``published`` / ``arrived`` /
-``delivered``), and live broker-side marks add the *interior* phases
-(``broker_in`` / ``broker_out``) that the record book never sees.  All
+``delivered``), and the record's live marks add the *interior* phases
+(``broker_in`` / ``broker_out`` and the edge gateway's hop).  All
 times come from the one simulated clock, so traces are deterministic and
 cross-middleware phase durations are directly comparable — the property
 the paper manufactures by sending and receiving on the same node
 (§III.E.2).
 
-The :class:`Tracer` accumulates marks keyed by ``id(record)`` (records are
-plain unhashable dataclasses, and the record book keeps every record alive
-for the run, so ids are stable and unique) and materialises spans when a
-harness run binds its book with :meth:`Tracer.bind_book`.
+Every phase is stamped on the record itself
+(:meth:`~repro.core.records.MessageRecord.mark`), so :func:`bind_book`
+materialises a run's spans from its record book alone, whether the book
+was just filled or came back from a worker process or the sweep cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.metrics import PhaseBreakdown
 
@@ -60,8 +60,9 @@ class Span:
     phases: dict[str, float] = field(default_factory=dict)
     #: phase name -> component that first stamped it (broker/servlet name).
     components: dict[str, str] = field(default_factory=dict)
-    #: total live marks observed (> len(phases) when a message crossed
-    #: several brokers, e.g. the Narada DBN).
+    #: the record's :attr:`~repro.core.records.MessageRecord.hops`: every
+    #: live mark (> len(phases) when a message crossed several brokers,
+    #: e.g. the Narada DBN).
     hops: int = 0
     #: fault windows (``kind@target``) overlapping this span's lifetime.
     annotations: list[str] = field(default_factory=list)
@@ -108,77 +109,36 @@ class Span:
         return out
 
 
-class Tracer:
-    """Collects live phase marks and materialises spans per run."""
+def bind_book(book: "RecordBook", middleware: str) -> list[Span]:
+    """One span per record of ``book``, in record order.
 
-    def __init__(self) -> None:
-        #: id(record) -> {phase: (time, component)} — first mark wins, so a
-        #: DBN message's ``broker_in`` is the ingress broker.
-        self._marks: dict[int, dict[str, tuple[float, str]]] = {}
-        self._hops: dict[int, int] = {}
-        self.spans: list[Span] = []
-        self._span_by_record: dict[int, Span] = {}
-
-    # ----------------------------------------------------------------- marks
-    def mark(self, record: object, phase: str, t: float, component: str) -> None:
-        """Record that ``record`` crossed ``phase`` at sim time ``t``."""
-        marks = self._marks.setdefault(id(record), {})
-        self._hops[id(record)] = self._hops.get(id(record), 0) + 1
-        if phase not in marks:
-            marks[phase] = (t, component)
-
-    # ----------------------------------------------------------------- spans
-    def bind_book(self, book: "RecordBook", middleware: str) -> list[Span]:
-        """Materialise one span per record of ``book``.
-
-        Endpoint phases come from the record's timestamps (identical data
-        to the paper's record-book analysis, so span-based decompositions
-        agree bit-for-bit with :func:`repro.core.metrics.decompose`);
-        interior phases merge in from live marks.
-        """
-        spans: list[Span] = []
-        for record in book.records:
-            span = Span(middleware=middleware, gen_id=record.gen_id, seq=record.seq)
-            span.phases["created"] = record.t_before_send
-            if record.t_after_send is not None:
-                span.phases["published"] = record.t_after_send
-            if record.t_arrived is not None:
-                span.phases["arrived"] = record.t_arrived
-            if record.t_received is not None:
-                span.phases["delivered"] = record.t_received
-            # Binding consumes the marks: once this book is freed, a later
-            # record may reuse its id() and must not inherit them.
-            marks = self._marks.pop(id(record), None)
-            if marks:
-                span.hops = self._hops.pop(id(record), 0)
-                for phase, (t, component) in marks.items():
-                    span.phases.setdefault(phase, t)
-                    span.components.setdefault(phase, component)
-            spans.append(span)
-            self._span_by_record[id(record)] = span
-        self.spans.extend(spans)
-        return spans
-
-    def spans_for_book(self, book: "RecordBook") -> list[Span]:
-        """The spans a previous :meth:`bind_book` built for ``book``."""
-        return [
-            self._span_by_record[id(r)]
-            for r in book.records
-            if id(r) in self._span_by_record
-        ]
-
-    def adopt(self, book: "RecordBook", pairs: Iterable[tuple[int, Span]]) -> None:
-        """Register externally materialised spans for ``book``'s records.
-
-        ``pairs`` are ``(record_index, span)`` built by a fan-out worker's
-        own :meth:`bind_book`; the record identities changed when the book
-        crossed the process boundary, so :meth:`spans_for_book` needs the
-        mapping rebuilt against the unpickled records.  The spans themselves
-        must be appended to :attr:`spans` by the caller (which controls
-        cross-book ordering)."""
-        records = book.records
-        for record_index, span in pairs:
-            self._span_by_record[id(records[record_index])] = span
+    Endpoint phases come from the record's timestamps (identical data to
+    the paper's record-book analysis, so span-based decompositions agree
+    bit-for-bit with :func:`repro.core.metrics.decompose`); interior
+    phases, their components and the hop count come from the record's own
+    :attr:`~repro.core.records.MessageRecord.marks`.  A pure function of
+    the book: a book unpickled from the sweep cache or a ``--jobs`` worker
+    binds to the same spans as the one the run filled.
+    """
+    spans: list[Span] = []
+    for record in book.records:
+        span = Span(middleware=middleware, gen_id=record.gen_id, seq=record.seq)
+        phases = span.phases
+        phases["created"] = record.t_before_send
+        if record.t_after_send is not None:
+            phases["published"] = record.t_after_send
+        if record.t_arrived is not None:
+            phases["arrived"] = record.t_arrived
+        if record.t_received is not None:
+            phases["delivered"] = record.t_received
+        marks = record.marks
+        if marks:
+            span.hops = record.hops
+            for phase, (t, component) in marks.items():
+                phases.setdefault(phase, t)
+                span.components[phase] = component
+        spans.append(span)
+    return spans
 
 
 def phase_breakdown(

@@ -3,14 +3,8 @@
 Scenario scorecards need "P99 while the alarm storm was blowing" next to
 "P99 in calm air" — the same RTT population sliced by *send time* into
 labeled :class:`TimeWindow` slices.  :class:`WindowedQuantiles` does the
-slicing and keeps the raw samples per label, so
-
-* quantiles are exact (``np.percentile`` over the full slice), not
-  streaming approximations, and
-* slicing per parallel worker and merging in point order is byte-identical
-  to slicing the serially-merged record book: ``merge`` extends the sample
-  lists in call order, exactly like ``RecordBook.merge`` extends records
-  (asserted by ``tests/telemetry/test_windows.py``).
+slicing and keeps the raw samples per label, so quantiles are exact
+(``np.percentile`` over the full slice), not streaming approximations.
 """
 
 from __future__ import annotations
@@ -83,16 +77,6 @@ class WindowedQuantiles:
         for w in self.windows:
             if w.contains(t):
                 self._samples[w.label].append(value)
-
-    def merge(self, other: "WindowedQuantiles") -> None:
-        """Append another slicer's samples (same labels required) in order."""
-        if set(other._samples) - set(self._samples):
-            raise ValueError(
-                f"cannot merge windows with labels {sorted(other._samples)} "
-                f"into {sorted(self._samples)}"
-            )
-        for label, values in other._samples.items():
-            self._samples[label].extend(values)
 
     def count(self, label: str) -> int:
         return len(self._samples[label])

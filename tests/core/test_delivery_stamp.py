@@ -1,9 +1,10 @@
 """The shared first-delivery stamp, driven through all five receiving paths.
 
 Every recording receiver stamps through ``MessageRecord.deliver``: the first
-copy of a message sets ``t_arrived``/``t_received`` and emits one telemetry
-``delivered`` mark; a later copy changes neither and, on the paths that keep
-the count, is counted as one duplicate.
+copy of a message sets ``t_arrived``/``t_received`` and stamps one
+``delivered`` mark on the record (bumping one ``span.delivered`` counter
+under a telemetry session); a later copy changes neither and, on the paths
+that keep the count, is counted as one duplicate.
 """
 
 from types import SimpleNamespace
@@ -16,20 +17,11 @@ from repro.federation.deployment import FederationSubscriber
 from repro.powergrid import NaradaReceiver, PlogReceiver, RgmaReceiver
 from repro.powergrid.workload import MONITORING_TOPIC
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 from repro.telemetry.context import session
 
 NODE = SimpleNamespace(name="hydra8")
 CLUSTER = SimpleNamespace(node=lambda name: NODE)
-
-
-class _Marks:
-    """A telemetry stand-in that keeps every mark."""
-
-    def __init__(self):
-        self.marks = []
-
-    def mark(self, record, phase, t, middleware, component):
-        self.marks.append((phase, t, middleware, component))
 
 
 def _narada(sim):
@@ -103,8 +95,8 @@ def test_second_delivery_keeps_the_first_stamp(path):
     sim = Simulator(seed=1)
     deliver, duplicates = path(sim)
     record = MessageRecord(gen_id=3, seq=7, t_before_send=0.0)
-    marks = _Marks()
-    with session(marks):
+    tel = Telemetry("delivery")
+    with session(tel):
         sim.run(until=1.0)
         deliver(record, 0.5)
         first = (record.t_arrived, record.t_received)
@@ -112,6 +104,11 @@ def test_second_delivery_keeps_the_first_stamp(path):
         deliver(record, 1.5)
     assert first[1] == 1.0
     assert (record.t_arrived, record.t_received) == first
-    assert [m[:2] for m in marks.marks] == [("delivered", 1.0)]
+    assert [(p, t) for p, (t, _) in record.marks.items()] == [("delivered", 1.0)]
+    assert record.hops == 1
+    delivered = [
+        c.value for key, c in tel.metrics if key.name == "span.delivered"
+    ]
+    assert delivered == [1]
     if duplicates is not None:
         assert duplicates() == 1

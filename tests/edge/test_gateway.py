@@ -1,11 +1,9 @@
 """Tests for the long-poll edge gateway against a fake upstream."""
 
-from dataclasses import dataclass
-from typing import Optional
-
 import pytest
 
 from repro.cluster import HydraCluster
+from repro.core import MessageRecord
 from repro.edge import EdgeConfig, EdgeGateway
 from repro.sim import Simulator
 from repro.transport import TcpTransport
@@ -13,18 +11,9 @@ from repro.transport.base import ChannelClosed, TransportError
 from repro.transport.http import HttpClient
 
 
-@dataclass
-class FakeRecord:
-    gen_id: int
-    seq: int
-    t_before_send: float
-    t_arrived: Optional[float] = None
-    t_received: Optional[float] = None
-
-
 class Payload:
     def __init__(self, gen_id, seq, created):
-        self._record = FakeRecord(gen_id, seq, created)
+        self._record = MessageRecord(gen_id, seq, created)
 
 
 class FakeSession:

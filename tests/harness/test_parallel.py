@@ -20,7 +20,7 @@ from repro.harness.narada_experiments import narada_run
 from repro.harness.parallel import RunSpec, map_points, resolve_jobs, sweep
 from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, bind_book
 from repro.telemetry import context as tel_context
 
 #: Tiny scale: parallel tests run whole sweeps several times over.
@@ -129,15 +129,15 @@ def test_parallel_merges_telemetry_like_serial():
     tel_serial = Telemetry("serial")
     with tel_context.session(tel_serial):
         serial = run_scaling_sweep(seed=11, jobs=1)
-    assert [s.to_dict() for s in tel_parallel.tracer.spans] == [
-        s.to_dict() for s in tel_serial.tracer.spans
+    assert [s.to_dict() for s in tel_parallel.spans] == [
+        s.to_dict() for s in tel_serial.spans
     ]
-    # Spans re-bind to the *unpickled* books, so span-based decompositions
-    # (fig15-style) keep working after fan-out.
-    for n in SWEEP:
-        spans = tel_parallel.spans_for_book(parallel[n].book)
-        assert len(spans) == len(parallel[n].book.records)
-        assert len(spans) == len(tel_serial.spans_for_book(serial[n].book))
+    # The *unpickled* books carry their marks, so they bind to the very
+    # spans the workers shipped: span-based decompositions (fig15-style)
+    # keep working after fan-out.
+    assert [
+        s.to_dict() for n in SWEEP for s in bind_book(parallel[n].book, "narada")
+    ] == [s.to_dict() for s in tel_parallel.spans]
     counters = lambda tel: {
         str(key): instrument.value
         for key, instrument in tel.metrics

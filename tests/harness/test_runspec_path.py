@@ -23,9 +23,7 @@ from repro.harness.pipeline import RAW_UDP_LOSS, make_transport
 from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 from repro.sim import Simulator
-from repro.telemetry import Telemetry
-from repro.telemetry.context import session
-from repro.telemetry.spans import phase_breakdown
+from repro.telemetry.spans import bind_book, phase_breakdown
 
 SMOKE = Scale.smoke()
 RUN_MODULES = (narada_experiments, rgma_experiments, plog_experiments)
@@ -33,15 +31,13 @@ RUN_MODULES = (narada_experiments, rgma_experiments, plog_experiments)
 
 def test_book_decomposition_equals_the_span_pipeline():
     """fig15_threeway's rows are phase_breakdown of the same runs' spans."""
-    tel = Telemetry("equivalence")
     ctx = RunContext(SMOKE, seed=2)
-    with session(tel):
-        runs = ctx.sweep(decomposition.threeway_runs(ctx, connections=100))
+    runs = ctx.sweep(decomposition.threeway_runs(ctx, connections=100))
     result = decomposition.fig15_threeway(runs)
     assert [row[0] for row in result.table[1]] == ["RGMA", "Narada", "Plog"]
     for label, *row in result.table[1]:
         run = runs[label]
-        spans = phase_breakdown(tel.spans_for_book(run.book), since=run.measure_since)
+        spans = phase_breakdown(bind_book(run.book, label), since=run.measure_since)
         expected = [spans.prt_ms, spans.pt_ms, spans.srt_ms, spans.rtt_ms]
         assert row == pytest.approx(expected, rel=1e-9), label
 

@@ -22,7 +22,7 @@ from repro.harness.registry import Experiment, RunContext
 from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
 from repro.sim import Simulator
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, bind_book
 from repro.telemetry.context import session
 from repro.telemetry.exporters import validate_trace_file, write_metrics_json
 
@@ -197,3 +197,57 @@ def test_traced_run_schedules_the_untraced_events(monkeypatch, tmp_path, name):
             pipeline.steady_state_summary(kept.samples, traced.measure_since)
             == column
         )
+
+
+def test_metrics_json_sampler_rows_read_the_steady_state_window(tmp_path):
+    """--metrics-out summarizes a node as RunResult.vmstat (Figs 6/13) does:
+    CPU idle over the measurement window, not over the whole run."""
+    telemetry = Telemetry("window")
+    with session(telemetry):
+        run = narada_run(100, scale=SMOKE, seed=1)
+    path = tmp_path / "metrics.json"
+    write_metrics_json(telemetry, str(path))
+    (row,) = [
+        r for r in json.loads(path.read_text())["samplers"]
+        if r["node"] == "hydra1"
+    ]
+    column = run.vmstat["hydra1"]
+    assert row["mean_cpu_idle_percent"] == column.mean_cpu_idle_percent
+    assert round(row["mean_cpu_idle_percent"], 2) == 98.33
+    assert row["memory_consumption_mb"] == column.memory_consumption_mb
+
+
+@pytest.mark.parametrize("name", ["narada", "federation", "edge"])
+def test_session_spans_equal_spans_bound_from_an_untraced_book(name):
+    """Every phase is stamped on the record, traced or not: a session's
+    spans are exactly what the same seed's untraced book binds to."""
+    fn, args = RUNS[name]
+    plain = fn(*args, scale=SMOKE, seed=1)
+    telemetry = Telemetry(name)
+    with session(telemetry):
+        fn(*args, scale=SMOKE, seed=1)
+    middleware = telemetry.spans[0].middleware
+    assert [s.to_dict() for s in bind_book(plain.book, middleware)] == [
+        s.to_dict() for s in telemetry.spans
+    ]
+    assert any(s.hops > 1 for s in telemetry.spans)
+
+
+def test_fig15_span_readers_are_served_from_the_sweep_cache(
+    tmp_path, monkeypatch, capsys
+):
+    """fig15_federation and fig15_edge read plain sweeps: a second CLI call
+    on the same cache directory simulates nothing and prints the same."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["fig15_federation", "fig15_edge", "--scale", "smoke", "--jobs", "1"]
+    assert runner.main(argv) == 0
+    first = capsys.readouterr().out
+    runner.SWEEPS.forget()  # what a fresh process starts with
+
+    def simulate(spec):
+        raise AssertionError(f"{spec.fn} ran instead of being served")
+
+    monkeypatch.setattr(RunSpec, "run", simulate)
+    assert runner.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "broker-side marks" in first and "gateway dwell" in first

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.records import RecordBook
 from repro.telemetry import Telemetry
+from repro.telemetry.context import session
 from repro.telemetry.exporters import (
     TRACE_SCHEMA,
     TRACE_VERSION,
@@ -23,13 +24,14 @@ def _session() -> tuple[Telemetry, RecordBook]:
     """A hand-built session: 4 delivered messages + 1 lost, 1 fault window."""
     tel = Telemetry("unit")
     book = RecordBook()
-    for i in range(4):
-        r = book.new_record(gen_id=1, seq=i, t_before_send=float(i))
-        r.t_after_send = i + 0.01
-        r.t_arrived = i + 0.20
-        r.t_received = i + 0.25
-        tel.mark(r, "broker_in", i + 0.05, "narada", "broker1")
-        tel.mark(r, "broker_out", i + 0.15, "narada", "broker1")
+    with session(tel):  # the marks bump the session's span.* counters
+        for i in range(4):
+            r = book.new_record(gen_id=1, seq=i, t_before_send=float(i))
+            r.t_after_send = i + 0.01
+            r.t_arrived = i + 0.20
+            r.t_received = i + 0.25
+            r.mark("broker_in", i + 0.05, "narada", "broker1")
+            r.mark("broker_out", i + 0.15, "narada", "broker1")
     book.new_record(gen_id=1, seq=99, t_before_send=1.5)  # never delivered
     tel.fault_window("packet_loss", 1.0, 2.0, "lan")
     tel.observe_run(book, middleware="narada", label="unit-run")

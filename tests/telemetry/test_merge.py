@@ -14,6 +14,7 @@ from repro.telemetry import (
     MetricsRegistry,
     NodeSamples,
     Telemetry,
+    bind_book,
     export_telemetry,
     merge_telemetry,
 )
@@ -126,7 +127,7 @@ def _worker_session():
         record.t_after_send = float(i) + 0.001
         record.t_arrived = float(i) + 0.002
         record.t_received = float(i) + 0.003
-        telemetry.mark(record, "broker_in", float(i) + 0.0015, "plog", "b1")
+        record.mark("broker_in", float(i) + 0.0015, "plog", "b1")
     telemetry.fault_window("packet_loss", 0.5, 1.5, "lan")
     telemetry.observe_run(book, middleware="plog", label="tiny run")
     telemetry.metrics.gauge("plog", "b1", "depth").set(4.0)
@@ -143,19 +144,22 @@ def _worker_session():
 
 def test_export_merge_round_trip_rebinds_spans():
     telemetry, book = _worker_session()
-    payload = pickle.dumps(
-        (book, export_telemetry(telemetry, books=[book]))
-    )
+    payload = pickle.dumps((book, export_telemetry(telemetry)))
     new_book, export = pickle.loads(payload)  # fresh record identities
 
     parent = Telemetry("parent")
-    merge_telemetry(parent, export, books=[new_book])
+    merge_telemetry(parent, export)
 
-    assert len(parent.tracer.spans) == 3
-    spans = parent.spans_for_book(new_book)
+    spans = parent.spans
     assert len(spans) == 3
     assert spans[0].phases["broker_in"] == pytest.approx(0.0015)
     assert [s.seq for s in spans] == [0, 1, 2]
+    # The unpickled book carries its marks, so it binds to the shipped
+    # spans (less the session's fault annotations).
+    for bound, shipped in zip(bind_book(new_book, "plog"), spans, strict=True):
+        assert (bound.phases, bound.components, bound.hops) == (
+            shipped.phases, shipped.components, shipped.hops
+        )
     assert parent.metrics.counter("plog", "harness", "messages_delivered").value == 3
     assert parent.metrics.gauge("plog", "b1", "depth").value == 4.0
     assert [r["label"] for r in parent.runs] == ["tiny run"]
@@ -170,27 +174,19 @@ def test_export_merge_round_trip_rebinds_spans():
 
 def test_merge_accumulates_across_workers():
     parent = Telemetry("parent")
-    books = []
     for _ in range(2):
-        telemetry, book = _worker_session()
-        book2, export = pickle.loads(
-            pickle.dumps((book, export_telemetry(telemetry, books=[book])))
-        )
-        merge_telemetry(parent, export, books=[book2])
-        books.append(book2)
-    assert len(parent.tracer.spans) == 6
+        telemetry, _ = _worker_session()
+        export = pickle.loads(pickle.dumps(export_telemetry(telemetry)))
+        merge_telemetry(parent, export)
+    assert len(parent.spans) == 6
     assert parent.metrics.counter("plog", "harness", "messages_sent").value == 6
     rtt = parent.metrics.histogram("plog", "harness", "rtt_ms")
     assert rtt.n == 6
-    for book in books:
-        assert len(parent.spans_for_book(book)) == 3
     assert [n.node for n in parent.node_samples] == ["hydra1", "hydra1"]
 
 
-def test_merge_rejects_unknown_version_and_book_mismatch():
-    telemetry, book = _worker_session()
-    export = export_telemetry(telemetry, books=[book])
+def test_merge_rejects_unknown_version():
+    telemetry, _ = _worker_session()
+    export = export_telemetry(telemetry)
     with pytest.raises(ValueError):
-        merge_telemetry(Telemetry("p"), {**export, "version": 99}, books=[book])
-    with pytest.raises(ValueError):
-        merge_telemetry(Telemetry("p"), export, books=[])
+        merge_telemetry(Telemetry("p"), {**export, "version": 2})

@@ -9,17 +9,19 @@ The two load-bearing properties of the tentpole:
   yields bit-identical measured RTTs (marks and samplers are passive).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core import decompose
+from repro.core import MessageRecord, RecordBook, decompose
 from repro.harness.narada_experiments import narada_run
 from repro.harness.plog_experiments import plog_run
 from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry, phase_breakdown
 from repro.telemetry.context import activate, current, deactivate, session
-from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.spans import Span, bind_book
 
 SMOKE = Scale.smoke()
 
@@ -43,28 +45,45 @@ def test_context_stack():
 
 
 def test_tracer_first_mark_wins_and_counts_hops():
-    tracer = Tracer()
-    record = object()
-    tracer.mark(record, "broker_in", 1.0, "ingress")
-    tracer.mark(record, "broker_in", 2.0, "hub")  # forwarded: ignored
-    tracer.mark(record, "broker_out", 3.0, "hub")
-    marks = tracer._marks[id(record)]
-    assert marks["broker_in"] == (1.0, "ingress")
-    assert tracer._hops[id(record)] == 3
+    record = MessageRecord(gen_id=1, seq=1, t_before_send=0.0)
+    assert record.marks is None and record.hops == 0
+    record.mark("broker_in", 1.0, "narada", "ingress")
+    record.mark("broker_in", 2.0, "narada", "hub")  # forwarded: ignored
+    record.mark("broker_out", 3.0, "narada", "hub")
+    assert record.marks == {
+        "broker_in": (1.0, "ingress"), "broker_out": (3.0, "hub")
+    }
+    assert record.hops == 3
 
 
-def test_binding_consumes_marks_so_a_reused_id_starts_clean():
-    """A record created after an earlier run's book was freed can get that
-    run's ``id()``; it must not inherit the old record's marks."""
-    from repro.core import RecordBook
+def test_mark_counts_phases_only_under_a_session():
+    record = MessageRecord(gen_id=1, seq=1, t_before_send=0.0)
+    record.mark("broker_in", 1.0, "narada", "broker1")
+    tel = Telemetry("test")
+    with session(tel):
+        record.mark("broker_in", 2.0, "narada", "broker1")
+    assert tel.metrics.counter("narada", "broker1", "span.broker_in").value == 1
+    assert record.marks == {"broker_in": (1.0, "broker1")}
+    assert record.hops == 2
 
-    tracer = Tracer()
+
+def test_pickled_record_keeps_marks_and_hops():
+    """The sweep cache and ``--jobs`` workers ship records by pickle."""
     book = RecordBook()
-    record = book.new_record(1, 1, 0.0)
-    tracer.mark(record, "broker_in", 0.5, "broker1")
-    (span,) = tracer.bind_book(book, "narada")
-    assert span.components["broker_in"] == "broker1"
-    assert id(record) not in tracer._marks and id(record) not in tracer._hops
+    record = book.new_record(2, 5, 0.25)
+    record.mark("broker_in", 0.5, "narada", "broker1")
+    record.mark("broker_in", 0.6, "narada", "broker2")
+    record.deliver(0.7, 0.8, "narada", "subscriber")
+    (copy,) = pickle.loads(pickle.dumps(book)).records
+    assert copy == record
+    assert copy.marks == {
+        "broker_in": (0.5, "broker1"), "delivered": (0.8, "subscriber")
+    }
+    assert list(copy.marks) == ["broker_in", "delivered"]
+    assert copy.hops == 3
+    assert [s.to_dict() for s in bind_book(book, "narada")] == [
+        s.to_dict() for s in bind_book(pickle.loads(pickle.dumps(book)), "narada")
+    ]
 
 
 def test_span_properties():
@@ -94,7 +113,7 @@ def test_narada_spans_match_decompose_and_rtts_bit_identical():
     assert np.array_equal(baseline.rtts, traced.rtts)
     assert baseline.mean_rtt_ms == traced.mean_rtt_ms
 
-    spans = tel.spans_for_book(traced.book)
+    spans = tel.spans
     assert len(spans) == len(traced.book.records)
     legacy = decompose(traced.book, since=traced.measure_since)
     via_spans = phase_breakdown(spans, since=traced.measure_since)
@@ -121,7 +140,7 @@ def test_narada_dbn_broker_in_is_ingress_broker():
     tel = Telemetry("test")
     with session(tel):
         run = narada_run(60, dbn=True, scale=SMOKE, seed=3)
-    spans = [s for s in tel.spans_for_book(run.book) if s.complete]
+    spans = [s for s in tel.spans if s.complete]
     assert spans
     # Publishers connect to leaf brokers; the hub (broker1) subscribes.
     assert all(s.components["broker_in"] != "broker1" for s in spans)
@@ -134,7 +153,7 @@ def test_rgma_spans_carry_servlet_phases():
     tel = Telemetry("test")
     with session(tel):
         run = rgma_run(20, scale=SMOKE, seed=3)
-    spans = [s for s in tel.spans_for_book(run.book) if s.complete]
+    spans = [s for s in tel.spans if s.complete]
     assert spans
     assert all(s.components["broker_in"].startswith("pp.") for s in spans)
     assert all(s.components["broker_out"].startswith("cs.") for s in spans)
@@ -147,7 +166,7 @@ def test_plog_spans_and_bit_identical_rtts():
     with session(tel):
         traced = plog_run(40, scale=SMOKE, seed=3)
     assert np.array_equal(baseline.rtts, traced.rtts)
-    spans = [s for s in tel.spans_for_book(traced.book) if s.complete]
+    spans = [s for s in tel.spans if s.complete]
     assert spans
     # The append lands before the produce ack returns: broker_in precedes
     # the 'published' stamp (the documented interior-phase ordering).
@@ -178,8 +197,8 @@ def test_fault_windows_annotate_only_their_own_run():
         clean = plog_run(40, scale=SMOKE, seed=4)
 
     assert len(tel.fault_windows) == 1
-    faulted_spans = tel.spans_for_book(faulted.book)
-    clean_spans = tel.spans_for_book(clean.book)
+    faulted_spans = tel.spans[: len(faulted.book)]
+    clean_spans = tel.spans[len(faulted.book):]
     assert any(s.annotations for s in faulted_spans)
     # Windows are consumed per observe_run: the second (fault-free) run's
     # spans carry no annotations even though its clock overlaps the window.

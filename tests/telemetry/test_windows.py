@@ -1,4 +1,4 @@
-"""Windowed quantiles: slicing, complement, parallel-merge determinism."""
+"""Windowed quantiles: slicing and complement."""
 
 import numpy as np
 import pytest
@@ -49,39 +49,3 @@ def test_observe_pools_same_label_and_slices_by_time():
     assert wq.count("steady") == 1
     assert wq.quantile("burst", 50) == pytest.approx(2.0)
     assert np.isnan(WindowedQuantiles([TimeWindow("b", 0, 1)]).quantile("b", 99))
-
-
-def test_parallel_merge_is_byte_identical_to_serial():
-    """Slice per worker, merge in point order == slice the serial stream."""
-    windows = [TimeWindow("burst", 10.0, 20.0), TimeWindow("steady", 0.0, 10.0)]
-    rng = np.random.default_rng(7)
-    points = [
-        [(float(t), float(v)) for t, v in zip(rng.uniform(0, 20, 50), rng.normal(5, 1, 50))]
-        for _ in range(4)
-    ]
-
-    serial = WindowedQuantiles(windows)
-    for chunk in points:
-        for t, v in chunk:
-            serial.observe(t, v)
-
-    workers = []
-    for chunk in points:
-        w = WindowedQuantiles(windows)
-        for t, v in chunk:
-            w.observe(t, v)
-        workers.append(w)
-    merged = WindowedQuantiles(windows)
-    for w in workers:
-        merged.merge(w)
-
-    for label in ("burst", "steady"):
-        assert merged.samples(label).tobytes() == serial.samples(label).tobytes()
-        assert merged.quantile(label, 99) == serial.quantile(label, 99)
-
-
-def test_merge_rejects_unknown_labels():
-    a = WindowedQuantiles([TimeWindow("burst", 0.0, 1.0)])
-    b = WindowedQuantiles([TimeWindow("other", 0.0, 1.0)])
-    with pytest.raises(ValueError, match="labels"):
-        a.merge(b)
