@@ -3,7 +3,8 @@
 The traced bench doubles as the artefact generator: it leaves a validated
 sample JSONL trace and the metrics JSON in ``benchmarks/results/`` (CI
 uploads that directory), proving the whole span pipeline — middleware
-hooks, record-book binding, JSONL export, schema validation — end to end.
+hooks, span lines rendered from the record books, JSONL export, schema
+validation — end to end.
 It traces fig15 at smoke scale whatever ``REPRO_SCALE`` says, the scale of
 the committed artefacts, so a run leaves them byte-identical.
 """

@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.telemetry.context import current as _telemetry
+
 
 @dataclass(slots=True)
 class MessageRecord:
@@ -149,7 +151,3 @@ class RecordBook:
     def __len__(self) -> int:
         return len(self.records)
 
-
-# Imported last: repro.telemetry's span module imports repro.core.metrics,
-# which imports this module's classes, so they must exist by then.
-from repro.telemetry.context import current as _telemetry  # noqa: E402

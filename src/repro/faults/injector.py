@@ -21,6 +21,10 @@ shared accept/EOF/restart skeleton does not describe it.
 Specs whose target does not resolve (e.g. ``broker:1`` against a
 single-broker run) are skipped and logged, not errors — one plan serves
 every deployment shape.
+
+The scheduler reports to no telemetry session: a session reads a run's
+fault windows from the plan the run armed, once the run has finished
+(``Telemetry.observe``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.faults.link import LinkFaults
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.telemetry.context import current as _telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.network import Lan
@@ -78,10 +81,7 @@ class FaultScheduler:
             if lan.faults is None:
                 lan.faults = LinkFaults(self.sim)
             self.link_faults = lan.faults
-        tel = _telemetry()
         for spec in self.plan:
-            if tel is not None:
-                tel.fault_window(spec.kind, spec.at, spec.until, spec.target)
             self._arm(spec)
         return self
 

@@ -15,9 +15,10 @@ the working directory) as pickle files named by the SHA-256 of their key.
 Writes go through a temp file + ``os.replace`` so concurrent processes
 (e.g. ``--jobs N`` workers warming the same sweep) never observe a torn
 entry; unreadable or truncated entries are treated as misses and removed.
-The disk tier is bypassed while a telemetry session is active — a sweep
-loaded from disk carries no live spans, and ``--trace`` must see real
-ones.
+The disk tier is bypassed while a telemetry session is active.  A
+cached result holds its record books, from which a session renders every
+span, but not the live metric instruments (the hook sites' counters and
+gauges) its runs fed, and ``--metrics-out`` must see those.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class DiskCache:
 #: Never-reused tokens for the telemetry sessions a cache has seen.  ``id()``
 #: is not safe here: a freed session's address can be handed to the next
 #: one, which would then satisfy lookups against the dead session's sweeps
-#: (whose spans it does not hold).
+#: (whose runs it did not observe).
 _session_tokens = itertools.count(1)
 
 
@@ -139,9 +140,9 @@ class SweepCache:
 
     def fetch(self, key: tuple, build: Callable[[], Any]) -> Any:
         """The sweep cached under ``key``, building (and storing) it on a
-        miss.  A sweep built outside a telemetry session carries no spans,
-        so the identity of the active session is part of the in-process
-        key, and the disk tier only serves — and is only written by —
+        miss.  A sweep's runs are observed by the session active while it
+        is built, and by no other, so the identity of the active session is
+        part of the in-process key, and the disk tier only serves — and is only written by —
         sessionless lookups."""
         telemetry = tel_context.current()
         token = None

@@ -10,12 +10,11 @@ The figure plots cumulative time at the four phase boundaries
 (before_sending, after_sending, before_receiving, after_receiving).
 
 Every figure here reads its runs as sweeps, like every other figure, and
-decomposes each run's record book — the four timestamps are the record's
-own.  ``fig15_federation`` and ``fig15_edge`` also report broker hops and
-gateway dwell, which the same records carry as phase marks
-(:meth:`repro.core.records.MessageRecord.mark`); they decompose through
-the span pipeline (:func:`repro.telemetry.spans.bind_book`), which binds
-those marks from the book alone.
+decomposes each run's record book over its measurement window with
+:func:`repro.core.metrics.decompose` — the four timestamps are the
+record's own.  ``fig15_federation`` and ``fig15_edge`` also report broker
+hops and gateway dwell, which the same records carry as phase marks
+(:meth:`repro.core.records.MessageRecord.mark`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.harness.parallel import RunSpec
 from repro.harness.plog_experiments import plog_run
 from repro.harness.registry import Experiment, RunContext
 from repro.harness.rgma_experiments import rgma_run
-from repro.telemetry.spans import bind_book, phase_breakdown
 
 PHASES = ("before_sending", "after_sending", "before_receiving", "after_receiving")
 
@@ -139,7 +137,7 @@ def edge_hop(
 
 def fig15_federation(runs: dict) -> ExperimentResult:
     """Fig 15 on the federated path: RTT = PRT + PT + SRT for an event that
-    climbs a broker tree, decomposed from the same span pipeline.
+    climbs a broker tree, decomposed from its record book like Fig 15.
 
     PT here is multi-hop — each record carries one ``broker_in``/
     ``broker_out`` mark per federation broker traversed, so the trace
@@ -152,10 +150,7 @@ def fig15_federation(runs: dict) -> ExperimentResult:
         "millisecond",
     )
     run = runs["Federation"]
-    phases = phase_breakdown(
-        bind_book(run.book, "federation"), since=run.measure_since
-    )
-    _decomposition_rows(result, {"Federation": phases})
+    phases = _book_rows(result, runs, ("Federation",))["Federation"]
     hops = max((r.hops for r in run.book.records), default=0)
     result.note(
         f"{run.n_brokers} brokers: PT {phases.pt_ms:.1f} ms covers up to "
@@ -182,8 +177,7 @@ def fig15_edge(runs: dict) -> ExperimentResult:
         "millisecond",
     )
     ((middleware, run),) = runs.items()
-    phases = phase_breakdown(bind_book(run.book, "edge"), since=run.measure_since)
-    _decomposition_rows(result, {"Edge": phases})
+    phases = _book_rows(result, {"Edge": run}, ("Edge",))["Edge"]
     dwells = [
         (r.marks["edge_out"][0] - r.marks["edge_in"][0]) * 1e3
         for r in run.book.records

@@ -12,10 +12,12 @@ A point is a frozen :class:`RunSpec` — the run function's import path plus
 its keyword arguments, all plain data — so the pool only ever pickles
 data, and ``repr(spec)`` names the run completely: it *is* the sweep-cache
 key (:class:`repro.harness.cache.SweepCache`).  When the parent has
-an active telemetry session, each worker observes its point under a fresh
-session and ships back an :func:`~repro.telemetry.merge.export_telemetry`
-snapshot; the parent merges the snapshots **in point order**, keeping
-``--trace`` / ``--metrics-out`` complete and reproducible under fan-out.
+an active telemetry session, every point — in process or in a worker —
+runs under a fresh session, and the parent merges the points' sessions
+**in point order** (:meth:`repro.telemetry.Telemetry.merge`).  Serial and
+fanned-out sweeps observe the same way, so they sum every float total in
+the same order and ``--trace`` / ``--metrics-out`` are byte-identical
+under any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
+from repro.telemetry import Telemetry
 from repro.telemetry import context as tel_context
 
 #: Environment variable consulted when a jobs count is not given explicitly.
@@ -86,55 +89,48 @@ def resolve_jobs(jobs: Optional[int] = None, default: Optional[int] = None) -> i
     return n
 
 
-def _run_point(task: tuple[RunSpec, bool]) -> tuple[Any, Optional[dict]]:
-    """Worker entry: run one spec.
+def _run_point(task: tuple[RunSpec, bool]) -> tuple[Any, Optional[Telemetry]]:
+    """Run one spec; with ``observe``, under a fresh telemetry session that
+    is returned beside the result.
 
-    With ``fork`` start the child inherits the parent's telemetry stack;
-    that session's spans and metrics could never travel back through it,
-    so the stack is cleared and — when the parent had a session — replaced
-    by a fresh one whose snapshot ships home in the return value.
+    The same code runs in process and in a worker.  The fresh session is
+    the innermost one while the spec runs, so it alone observes the point,
+    whatever stack the process holds (a forked worker inherits the
+    parent's).  A worker's session travels home in the same pickle as its
+    result, so a record book both of them hold crosses once.
     """
-    spec, with_telemetry = task
-    tel_context._stack.clear()
-    if not with_telemetry:
+    spec, observe = task
+    if not observe:
         return spec.run(), None
-    from repro.telemetry import Telemetry
-    from repro.telemetry.merge import export_telemetry
-
-    telemetry = Telemetry(label=f"worker:{spec.fn}")
+    telemetry = Telemetry(label=f"point:{spec.fn}")
     with tel_context.session(telemetry):
         result = spec.run()
-    return result, export_telemetry(telemetry)
+    return result, telemetry
 
 
 def map_points(specs: Sequence[RunSpec], jobs: Optional[int] = None) -> list[Any]:
     """Run every spec; results in input order.
 
     ``jobs <= 1`` (after :func:`resolve_jobs`) or a single point runs the
-    exact serial path — direct in-process calls, no executor, the parent's
-    telemetry session observing live.  Otherwise points fan out over a
-    :class:`ProcessPoolExecutor` and telemetry exports merge back in point
-    order.
+    points in process, one after another; otherwise they fan out over a
+    :class:`ProcessPoolExecutor`.  Either way each point runs through
+    :func:`_run_point`, and with an active telemetry session the points'
+    sessions merge into it in point order — so ``--trace`` and
+    ``--metrics-out`` are the same bytes under any ``--jobs``.
     """
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(specs) <= 1:
-        return [spec.run() for spec in specs]
-
     telemetry = tel_context.current()
     tasks = [(spec, telemetry is not None) for spec in specs]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        outcomes = list(pool.map(_run_point, tasks))
-
-    results: list[Any] = []
-    if telemetry is not None:
-        from repro.telemetry.merge import merge_telemetry
-
-        for result, export in outcomes:
-            if export is not None:
-                merge_telemetry(telemetry, export)
-            results.append(result)
+    if jobs <= 1 or len(tasks) <= 1:
+        outcomes = map(_run_point, tasks)
     else:
-        results = [result for result, _ in outcomes]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            outcomes = list(pool.map(_run_point, tasks))
+    results: list[Any] = []
+    for result, point_telemetry in outcomes:
+        if point_telemetry is not None:
+            telemetry.merge(point_telemetry)
+        results.append(result)
     return results
 
 

@@ -224,13 +224,10 @@ def run_point(
     stats = rtt_stats(book, since=measure_since)
     tel = _telemetry()
     if tel is not None:
-        for name, vm in vmstats.items():
-            tel.observe_vmstat(
-                vm, middleware=sampled[name], measure_since=measure_since
-            )
-        tel.observe_run(
-            book, middleware=adapter.name, measure_since=measure_since,
-            label=adapter.label(n_generators),
+        tel.observe(
+            adapter.label(n_generators), adapter.name, book, measure_since,
+            plan=plan,
+            vmstats=[(vm, sampled[name]) for name, vm in vmstats.items()],
         )
     refused = fleet.stats.connections_refused
     run = dict(

@@ -2,18 +2,26 @@
 
 The paper's contribution is its measurements, and its method is "identical
 instrumentation on every middleware": the same record book, the same vmstat
-loop, the same clock.  This package is that method as a subsystem.  One
-:class:`Telemetry` session owns
+loop, the same clock.  This package is that method as a subsystem.  A
+:class:`Telemetry` session observes **finished runs**.  It owns
 
-* the per-message :class:`~repro.telemetry.spans.Span` of every observed
-  run, bound from its record book (created/published/broker-in/broker-out/
-  arrived/delivered — every phase is stamped on the message's own record),
+* one :class:`ObservedRun` per run: its label, middleware,
+  :class:`~repro.core.records.RecordBook`, measurement-window start, the
+  fault windows of the plan it armed, and its
+  :class:`~repro.cluster.vmstat.VmStat` node samples (the Figs 6/13
+  CPU-idle/memory methodology).  The trace — span lines, fault-window
+  lines, run summaries, sampler rows — is rendered from these when it is
+  written (:mod:`repro.telemetry.exporters`): every phase of a message is
+  stamped on its own record, so a span line is the record rendered;
 * a :class:`~repro.telemetry.metrics.MetricsRegistry` of counters, gauges
-  and streaming histograms keyed by middleware/component,
-* each run's :class:`~repro.cluster.vmstat.VmStat` node samples (the
-  Figs 6/13 CPU-idle/memory methodology), read once the run has ended,
-* the fault windows a :class:`repro.faults.FaultScheduler` armed, so
-  exported spans carry fault annotations.
+  and streaming histograms keyed by middleware/component.  Its hook-site
+  instruments are the only thing a session collects live, because they
+  have no record to be read from.
+
+A harness point is observed one way whatever ``--jobs`` says:
+:func:`repro.harness.parallel.map_points` runs it under a fresh session, in
+process or in a worker, and the parent folds the sessions in point order
+with :meth:`Telemetry.merge`.
 
 **Telemetry is off by default and has zero behavioural impact.**  Phase
 marks are stamped on the message's record whether or not a session is
@@ -23,17 +31,17 @@ Their cost is one small dict per marked record, ~370 B: on a
 400-connection Narada run at bench scale, +2.7 % peak RSS and a few
 percent of host CPU.  Metric hook sites guard on
 :func:`repro.telemetry.context.current` returning ``None``; a session adds
-only its counters, gauges and the spans it binds after a run, and the node
-samples are the run's own, so a traced run schedules exactly the events an
-untraced one does and measures the same numbers (asserted by
+only its counters and gauges, and reads the book and node samples once the
+run has ended, so a traced run schedules exactly the events an untraced
+one does and measures the same numbers (asserted by
 ``tests/telemetry/test_spans.py`` and
 ``tests/harness/test_telemetry_integration.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cluster.vmstat import VmStatSample
 from repro.telemetry.context import activate, current, deactivate, session
@@ -45,8 +53,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     geometric_buckets,
 )
-from repro.telemetry.merge import export_telemetry, merge_telemetry
-from repro.telemetry.spans import PHASES, Span, bind_book, phase_breakdown
 from repro.telemetry.windows import (
     TimeWindow,
     WindowedQuantiles,
@@ -56,6 +62,7 @@ from repro.telemetry.windows import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.vmstat import VmStat
     from repro.core.records import RecordBook
+    from repro.faults.plan import FaultSpec
 
 __all__ = [
     "Counter",
@@ -65,34 +72,27 @@ __all__ = [
     "MetricKey",
     "MetricsRegistry",
     "NodeSamples",
-    "PHASES",
-    "Span",
+    "ObservedRun",
     "Telemetry",
     "TimeWindow",
     "WindowedQuantiles",
     "activate",
-    "bind_book",
     "complement_windows",
     "current",
     "deactivate",
-    "export_telemetry",
     "geometric_buckets",
-    "merge_telemetry",
-    "phase_breakdown",
     "session",
 ]
 
 
+@dataclass(frozen=True)
 class FaultWindow:
     """One armed fault's (kind, time window, target) for span annotation."""
 
-    __slots__ = ("kind", "start", "end", "target")
-
-    def __init__(self, kind: str, start: float, end: float, target: str):
-        self.kind = kind
-        self.start = start
-        self.end = end
-        self.target = target
+    kind: str
+    start: float
+    end: float
+    target: str
 
     @property
     def label(self) -> str:
@@ -102,12 +102,7 @@ class FaultWindow:
         return self.start < end and start < self.end
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "target": self.target,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -123,102 +118,107 @@ class NodeSamples:
     measure_since: float = 0.0
 
 
+@dataclass
+class ObservedRun:
+    """One finished run, as a session keeps it."""
+
+    label: str
+    middleware: str
+    book: "RecordBook"
+    measure_since: float
+    #: The windows of the fault plan the run armed, in plan order.  Runs
+    #: are separate simulations whose clocks all start at zero, so a
+    #: window annotates only the run that armed it.
+    fault_windows: list[FaultWindow]
+    node_samples: list[NodeSamples]
+
+    def summary(self) -> dict:
+        """The run's line in the trace header and the metrics JSON."""
+        return {
+            "label": self.label,
+            "middleware": self.middleware,
+            "spans": len(self.book),
+            "delivered": sum(
+                1 for r in self.book.after(self.measure_since).records
+                if r.delivered
+            ),
+            "measure_since": self.measure_since,
+            "fault_windows": [w.to_dict() for w in self.fault_windows],
+        }
+
+
 class Telemetry:
     """One observation session, usually wrapping one or more harness runs."""
 
     def __init__(self, label: str = "telemetry"):
         self.label = label
-        #: The spans of every observed run, in observation order.
-        self.spans: list[Span] = []
         self.metrics = MetricsRegistry()
-        #: The sampled nodes of every observed run, in observation order.
-        self.node_samples: list[NodeSamples] = []
-        #: Every fault window any run inside this session armed.
-        self.fault_windows: list[FaultWindow] = []
-        #: Windows armed since the last ``observe_run`` — runs are separate
-        #: simulations whose clocks all start at zero, so windows only
-        #: annotate the run they were armed in.
-        self._pending_windows: list[FaultWindow] = []
-        #: One summary dict per observed run, in observation order.
-        self.runs: list[dict] = []
+        #: Every observed run, in observation (for a sweep: point) order.
+        self.runs: list[ObservedRun] = []
 
-    # ---------------------------------------------------------------- faults
-    def fault_window(
-        self, kind: str, start: float, end: float, target: str
-    ) -> None:
-        """Register an armed fault's window (called by the scheduler)."""
-        window = FaultWindow(kind, start, end, target)
-        self.fault_windows.append(window)
-        self._pending_windows.append(window)
+    @property
+    def node_samples(self) -> list[NodeSamples]:
+        """The sampled nodes of every observed run, in observation order."""
+        return [s for run in self.runs for s in run.node_samples]
 
-    # ----------------------------------------------------------- node samples
-    def observe_vmstat(
-        self, vm: "VmStat", middleware: str, measure_since: float = 0.0
-    ) -> None:
-        """Keep a finished run's samples of one node (with the start of its
-        steady-state window) and replay them all, in sample order, into its
-        ``cpu_idle_percent`` and ``memory_used_bytes`` gauges."""
-        node = vm.node.name
-        samples = list(vm.samples)
-        self.node_samples.append(
-            NodeSamples(node, middleware, vm.interval, samples, measure_since)
-        )
-        if not samples:
-            return
-        idle = self.metrics.gauge(middleware, node, "cpu_idle_percent")
-        memory = self.metrics.gauge(middleware, node, "memory_used_bytes")
-        for sample in samples:
-            idle.set(sample.cpu_idle_fraction * 100.0)
-            memory.set(sample.memory_used_bytes)
-
-    # ------------------------------------------------------------------ runs
-    def observe_run(
+    def observe(
         self,
-        book: "RecordBook",
+        label: str,
         middleware: str,
+        book: "RecordBook",
         measure_since: float = 0.0,
-        label: str = "",
-    ) -> list[Span]:
-        """Bind a finished run's record book into spans and roll up metrics.
+        plan: Optional[Iterable["FaultSpec"]] = None,
+        vmstats: Iterable[tuple["VmStat", str]] = (),
+    ) -> None:
+        """Keep a finished run and roll it up into the harness metrics.
 
-        Called by the harness run functions (``narada_run`` / ``rgma_run``
-        / ``plog_run``) when a session is active.  Every phase derives
-        from the record book — the same data every paper metric uses — so
-        span-based analyses agree exactly with the record-based ones.
+        ``plan`` is the fault plan the run armed (``None`` for none);
+        ``vmstats`` pairs each sampled node's :class:`VmStat` with the
+        middleware label it reports under.  Each node's samples replay, in
+        sample order, into its ``cpu_idle_percent`` and
+        ``memory_used_bytes`` gauges; the measurement window's records
+        feed the ``harness`` counters and the ``rtt_ms`` histogram.
         """
-        spans = bind_book(book, middleware)
-        self.spans.extend(spans)
-        for window in self._pending_windows:
-            for span in spans:
-                start = span.phases["created"]
-                end = span.phases.get("delivered", float("inf"))
-                if window.overlaps(start, end):
-                    span.annotations.append(window.label)
-        windows, self._pending_windows = self._pending_windows, []
-
-        harness = self.metrics
-        harness.counter(middleware, "harness", "messages_sent").inc(
-            sum(1 for s in spans if s.phases["created"] >= measure_since)
+        run = ObservedRun(
+            label,
+            middleware,
+            book,
+            measure_since,
+            [FaultWindow(s.kind, s.at, s.until, s.target) for s in plan or ()],
+            [
+                NodeSamples(
+                    vm.node.name, node_middleware, vm.interval,
+                    list(vm.samples), measure_since,
+                )
+                for vm, node_middleware in vmstats
+            ],
         )
-        delivered = [
-            s
-            for s in spans
-            if "delivered" in s.phases and s.phases["created"] >= measure_since
-        ]
-        harness.counter(middleware, "harness", "messages_delivered").inc(
+        self.runs.append(run)
+        metrics = self.metrics
+        for node in run.node_samples:
+            if not node.samples:
+                continue
+            idle = metrics.gauge(node.middleware, node.node, "cpu_idle_percent")
+            memory = metrics.gauge(
+                node.middleware, node.node, "memory_used_bytes"
+            )
+            for sample in node.samples:
+                idle.set(sample.cpu_idle_fraction * 100.0)
+                memory.set(sample.memory_used_bytes)
+        window = book.after(measure_since).records
+        delivered = [r for r in window if r.delivered]
+        metrics.counter(middleware, "harness", "messages_sent").inc(len(window))
+        metrics.counter(middleware, "harness", "messages_delivered").inc(
             len(delivered)
         )
-        rtt = harness.histogram(middleware, "harness", "rtt_ms")
-        for span in delivered:
-            rtt.observe(span.rtt * 1e3)
-        self.runs.append(
-            {
-                "label": label or f"{middleware} run {len(self.runs)}",
-                "middleware": middleware,
-                "spans": len(spans),
-                "delivered": len(delivered),
-                "measure_since": measure_since,
-                "fault_windows": [w.to_dict() for w in windows],
-            }
-        )
-        return spans
+        rtt = metrics.histogram(middleware, "harness", "rtt_ms")
+        for record in delivered:
+            rtt.observe(record.rtt * 1e3)
+
+    def merge(self, other: "Telemetry") -> None:
+        """Fold ``other`` — one sweep point's session — into this one: its
+        runs follow ours, and its instruments merge into ours
+        (:meth:`MetricsRegistry.merge_from`).  ``other`` is not used
+        again."""
+        self.runs.extend(other.runs)
+        self.metrics.merge_from(other.metrics)

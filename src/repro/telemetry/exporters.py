@@ -9,6 +9,11 @@ header (the "local text file for later analysis" of §III.B, grown up):
 * then one ``{"kind": "span", ...}`` line per traced message, with phase
   times in simulated seconds.
 
+Every line is rendered from the session's finished runs when the file is
+written: a span line is one :class:`~repro.core.records.MessageRecord`
+(:func:`span_line`), and the fault-window lines and the header's run
+summaries come from each :class:`~repro.telemetry.ObservedRun`.
+
 :func:`validate_trace_file` re-reads a dump and checks the schema — the CI
 trace-smoke step runs it against a fresh ``--trace`` export.
 """
@@ -16,14 +21,17 @@ trace-smoke step runs it against a fresh ``--trace`` export.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
+import math
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.cluster.vmstat import steady_state_summary
+from repro.core.metrics import decompose
+from repro.core.records import RecordBook
 from repro.core.report import render_table
-from repro.telemetry.spans import ORDERED_PHASES, PHASES, phase_breakdown
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry import Telemetry
+    from repro.core.records import MessageRecord
+    from repro.telemetry import FaultWindow, Telemetry
 
 TRACE_SCHEMA = "repro.telemetry.trace"
 TRACE_VERSION = 1
@@ -33,38 +41,127 @@ class TraceSchemaError(ValueError):
     """A trace file violated the JSONL schema."""
 
 
+# ------------------------------------------------------------------- spans
+
+#: Phase names in life-cycle order.  ``created``..``delivered`` are the
+#: record-book boundaries; ``broker_in``/``broker_out`` are broker marks,
+#: and ``edge_in``/``parked``/``edge_out`` are the gateway-tier hop
+#: (upstream delivery into the gateway, the long-poll park that consumed
+#: the event, and the write into the long-poll response).
+PHASES = (
+    "created",
+    "published",
+    "broker_in",
+    "broker_out",
+    "edge_in",
+    "parked",
+    "edge_out",
+    "arrived",
+    "delivered",
+)
+
+#: The subset of phases whose ordering is a schema invariant (interior
+#: broker phases may legitimately precede ``published`` — e.g. a plog
+#: append lands before the produce acknowledgement returns).
+ORDERED_PHASES = ("created", "published", "arrived", "delivered")
+
+
+def span_line(
+    record: "MessageRecord",
+    middleware: str,
+    fault_windows: Iterable["FaultWindow"] = (),
+) -> dict:
+    """One record as a trace span line.
+
+    The endpoint phases are the record's four timestamps; the interior
+    phases, the components that first stamped each phase and the hop
+    count are its :attr:`~repro.core.records.MessageRecord.marks` and
+    :attr:`~repro.core.records.MessageRecord.hops`.  ``annotations`` names
+    every fault window (``kind@target``) that overlaps the message's life.
+    A pure function of the record: a book unpickled from the sweep cache
+    or a ``--jobs`` worker renders the same lines as the one the run
+    filled.
+    """
+    stamps = {
+        "created": record.t_before_send,
+        "published": record.t_after_send,
+        "arrived": record.t_arrived,
+        "delivered": record.t_received,
+    }
+    marks = record.marks or {}
+    phases = {}
+    for phase in PHASES:
+        t = stamps.get(phase)
+        if t is None and phase in marks:
+            t = marks[phase][0]
+        if t is not None:
+            phases[phase] = t
+    line: dict = {
+        "kind": "span",
+        "middleware": middleware,
+        "gen_id": record.gen_id,
+        "seq": record.seq,
+        "phases": phases,
+    }
+    if marks:
+        line["components"] = {
+            phase: component for phase, (_, component) in marks.items()
+        }
+        line["hops"] = record.hops
+    end = phases.get("delivered", math.inf)
+    annotations = [
+        w.label for w in fault_windows if w.overlaps(phases["created"], end)
+    ]
+    if annotations:
+        line["annotations"] = annotations
+    return line
+
+
+def span_lines(telemetry: "Telemetry") -> Iterator[dict]:
+    """Every observed record's :func:`span_line`, run by run."""
+    for run in telemetry.runs:
+        for record in run.book.records:
+            yield span_line(record, run.middleware, run.fault_windows)
+
+
 # ------------------------------------------------------------------- writing
 
 def write_trace_jsonl(telemetry: "Telemetry", path: str) -> int:
-    """Dump the session's spans (and fault windows) to ``path``.
+    """Dump the session's runs as spans (and fault windows) to ``path``.
 
     Returns the number of span lines written.
     """
-    spans = telemetry.spans
+    runs = telemetry.runs
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "kind": "header",
             "schema": TRACE_SCHEMA,
             "version": TRACE_VERSION,
             "label": telemetry.label,
-            "runs": telemetry.runs,
-            "span_count": len(spans),
+            "runs": [run.summary() for run in runs],
+            "span_count": sum(len(run.book) for run in runs),
         }
         fh.write(json.dumps(header) + "\n")
-        for window in telemetry.fault_windows:
-            # The window's own "kind" (packet_loss, ...) must not collide
-            # with the line-kind discriminator, so it ships as fault_kind.
-            doc = window.to_dict()
-            doc["fault_kind"] = doc.pop("kind")
-            fh.write(json.dumps({"kind": "fault_window", **doc}) + "\n")
-        for span in spans:
-            fh.write(json.dumps({"kind": "span", **span.to_dict()}) + "\n")
-    return len(spans)
+        for run in runs:
+            for window in run.fault_windows:
+                # The window's own "kind" (packet_loss, ...) must not
+                # collide with the line-kind discriminator, so it ships as
+                # fault_kind.
+                doc = window.to_dict()
+                doc["fault_kind"] = doc.pop("kind")
+                fh.write(json.dumps({"kind": "fault_window", **doc}) + "\n")
+        n_spans = 0
+        for line in span_lines(telemetry):
+            fh.write(json.dumps(line) + "\n")
+            n_spans += 1
+    return n_spans
 
 
 def write_metrics_json(telemetry: "Telemetry", path: str) -> None:
     """Dump the metrics registry (plus node sample summaries, read as
-    ``RunResult.vmstat`` reads them) as one JSON doc."""
+    ``RunResult.vmstat`` reads them) as one JSON doc.  A sampler row's
+    ``samples`` counts the whole run; its CPU-idle mean covers the
+    measurement window from ``measure_since`` on."""
     samplers = []
     for s in telemetry.node_samples:
         summary = steady_state_summary(s.samples, s.measure_since)
@@ -72,6 +169,7 @@ def write_metrics_json(telemetry: "Telemetry", path: str) -> None:
             "node": s.node,
             "middleware": s.middleware,
             "samples": len(s.samples),
+            "measure_since": s.measure_since,
             "mean_cpu_idle_percent": summary.mean_cpu_idle_percent,
             "memory_consumption_mb": summary.memory_consumption_mb,
         })
@@ -79,7 +177,7 @@ def write_metrics_json(telemetry: "Telemetry", path: str) -> None:
         "label": telemetry.label,
         "metrics": telemetry.metrics.to_dict(),
         "samplers": samplers,
-        "runs": telemetry.runs,
+        "runs": [run.summary() for run in telemetry.runs],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -180,25 +278,38 @@ def validate_trace_file(path: str) -> dict:
 
 # -------------------------------------------------------------- text tables
 
+def phase_rows(telemetry: "Telemetry") -> list[list]:
+    """One row per middleware: its span, complete and in-fault counts over
+    every observed record, then PRT / PT / SRT / RTT (ms) decomposed over
+    the pooled measurement windows of its runs, as the figures read them."""
+    by_middleware: dict[str, list] = {}
+    for run in telemetry.runs:
+        by_middleware.setdefault(run.middleware, []).append(run)
+    rows = []
+    for middleware in sorted(by_middleware):
+        window = RecordBook()
+        spans = complete = in_fault = 0
+        for run in by_middleware[middleware]:
+            window.merge(run.book.after(run.measure_since))
+            for record in run.book.records:
+                line = span_line(record, middleware, run.fault_windows)
+                spans += 1
+                complete += all(p in line["phases"] for p in ORDERED_PHASES)
+                in_fault += "annotations" in line
+        breakdown = decompose(window)
+        rows.append([
+            middleware, spans, complete, in_fault, breakdown.prt_ms,
+            breakdown.pt_ms, breakdown.srt_ms, breakdown.rtt_ms,
+        ])
+    return rows
+
+
 def metrics_tables(telemetry: "Telemetry") -> str:
     """Paper-style text tables for a whole session."""
     parts: list[str] = [f"== telemetry: {telemetry.label} =="]
 
-    by_middleware: dict[str, list] = {}
-    for span in telemetry.spans:
-        by_middleware.setdefault(span.middleware, []).append(span)
-    if by_middleware:
-        rows = []
-        for middleware in sorted(by_middleware):
-            spans = by_middleware[middleware]
-            breakdown = phase_breakdown(spans)
-            complete = sum(1 for s in spans if s.complete)
-            annotated = sum(1 for s in spans if s.annotations)
-            rows.append([
-                middleware, len(spans), complete, annotated,
-                breakdown.prt_ms, breakdown.pt_ms, breakdown.srt_ms,
-                breakdown.rtt_ms,
-            ])
+    rows = phase_rows(telemetry)
+    if rows:
         parts.append(render_table(
             ["middleware", "spans", "complete", "in-fault", "PRT (ms)",
              "PT (ms)", "SRT (ms)", "RTT (ms)"],

@@ -7,8 +7,12 @@ interpolated inside its bucket, so the estimate and the exact value share a
 bucket and the relative error is bounded by ``factor - 1`` (the documented
 bound ``tests/telemetry/test_metrics.py`` asserts against
 ``numpy.percentile`` on bimodal and heavy-tailed inputs).  Bucket counts
-add, so a histogram merged from ``--jobs N`` workers reports exactly the
-quantiles of one filled serially.
+add, so a histogram merged from parts reports exactly the quantiles of one
+filled in a single pass.  Float totals (a gauge's or histogram's mean) do
+not merge exactly: a sum of per-part totals can differ from the running
+total in the last digit.  ``--jobs N`` reports the same means as a serial
+run because both merge one session per sweep point, in point order
+(:func:`repro.harness.parallel.map_points`).
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class Counter:
         self.value += n
 
     def merge(self, other: "Counter") -> None:
-        """Fold a fan-out worker's counter into this one (exact)."""
+        """Fold a later part's counter into this one (exact)."""
         self.value += other.value
 
     def to_dict(self) -> dict:
@@ -101,8 +105,9 @@ class Gauge:
         return self._total / self.n if self.n else 0.0
 
     def merge(self, other: "Gauge") -> None:
-        """Fold a worker's gauge in: n/total/min/max are exact; ``value``
-        (last set) takes the merged-in side's, treating it as later."""
+        """Fold a later part's gauge in: n/min/max merge exactly, the float
+        total is added (so the mean depends on merge order in its last
+        digit); ``value`` (last set) takes the merged-in side's."""
         if other.n == 0:
             return
         self.n += other.n
@@ -215,8 +220,10 @@ class Histogram:
         return self.max  # pragma: no cover - q<1 always lands in-loop
 
     def merge(self, other: "Histogram") -> None:
-        """Fold a worker's histogram in: bucket counts, n, total and
-        min/max merge exactly (bounds must match)."""
+        """Fold a later part's histogram in (bounds must match): bucket
+        counts, n and min/max merge exactly, so every quantile does; the
+        float total is added, so the mean depends on merge order in its
+        last digit."""
         if other.bounds != self.bounds:
             raise ValueError("cannot merge histograms with different buckets")
         if other.n == 0:
@@ -295,7 +302,7 @@ class MetricsRegistry:
         """Fold every instrument of ``other`` into this registry.
 
         Instruments absent here are adopted by reference (``other`` is a
-        discarded worker export, never used again); same-key instruments
+        finished point's session, never used again); same-key instruments
         must agree on kind and merge via their ``merge`` methods.
         """
         for key, instrument in other:

@@ -1,6 +1,7 @@
 """Federation harness acceptance: sweep-cache namespacing, routed-vs-
 broadcast behaviour, fault recovery and span decomposition."""
 
+from repro.core import decompose
 from repro.faults import FaultPlan
 from repro.harness.cache import DiskCache
 from repro.harness.federation_experiments import (
@@ -15,8 +16,9 @@ from repro.harness.federation_experiments import (
 from repro.harness.parallel import RunSpec
 from repro.harness.pipeline import run_point
 from repro.harness.scale import Scale
-from repro.telemetry import Telemetry, phase_breakdown
+from repro.telemetry import Telemetry
 from repro.telemetry.context import session
+from repro.telemetry.exporters import span_lines
 
 SMOKE = Scale.smoke()
 
@@ -133,19 +135,20 @@ def test_federated_spans_decompose_and_count_hops():
     tel = Telemetry("federation test")
     with session(tel):
         run = federation_run(7, scale=SMOKE)
-    spans = tel.spans
+    spans = list(span_lines(tel))
     assert len(spans) == len(run.book)
-    assert all(s.middleware == "federation" for s in spans)
-    phases = phase_breakdown(spans, since=run.measure_since)
+    assert all(s["middleware"] == "federation" for s in spans)
+    phases = decompose(run.book, since=run.measure_since)
     assert phases.prt_ms >= 0
     assert phases.pt_ms > 0
     assert phases.srt_ms >= 0
     # a leaf publish crosses 3 brokers to reach the control room: more
     # broker-side marks than a single-broker path would ever produce
-    assert max(s.hops for s in spans) >= 4
+    assert max(s.get("hops", 0) for s in spans) >= 4
     # the first broker to see the event recorded itself on the span
     assert any(
-        s.components.get("broker_in", "").startswith("fed") for s in spans
+        s.get("components", {}).get("broker_in", "").startswith("fed")
+        for s in spans
     )
 
 

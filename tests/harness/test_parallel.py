@@ -14,14 +14,15 @@ import pickle
 
 import pytest
 
-from repro.harness import runner
+from repro.harness import chaos_experiments, runner
 from repro.harness.cache import DiskCache, SweepCache
 from repro.harness.narada_experiments import narada_run
 from repro.harness.parallel import RunSpec, map_points, resolve_jobs, sweep
 from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
-from repro.telemetry import Telemetry, bind_book
+from repro.telemetry import Telemetry
 from repro.telemetry import context as tel_context
+from repro.telemetry.exporters import write_trace_jsonl
 
 #: Tiny scale: parallel tests run whole sweeps several times over.
 TINY = Scale(
@@ -122,35 +123,40 @@ def test_map_points_preserves_input_order():
     assert [r.connections for r in results] == [40, 20, 30]
 
 
-def test_parallel_merges_telemetry_like_serial():
-    tel_parallel = Telemetry("parallel")
-    with tel_context.session(tel_parallel):
-        parallel = run_scaling_sweep(seed=11, jobs=2)
-    tel_serial = Telemetry("serial")
-    with tel_context.session(tel_serial):
-        serial = run_scaling_sweep(seed=11, jobs=1)
-    assert [s.to_dict() for s in tel_parallel.spans] == [
-        s.to_dict() for s in tel_serial.spans
-    ]
-    # The *unpickled* books carry their marks, so they bind to the very
-    # spans the workers shipped: span-based decompositions (fig15-style)
-    # keep working after fan-out.
-    assert [
-        s.to_dict() for n in SWEEP for s in bind_book(parallel[n].book, "narada")
-    ] == [s.to_dict() for s in tel_parallel.spans]
-    counters = lambda tel: {
-        str(key): instrument.value
-        for key, instrument in tel.metrics
-        if instrument.kind == "counter"
-    }
-    assert counters(tel_parallel) == counters(tel_serial)
+def _plog_chaos_legs():
+    """chaos_threeway's two plog legs under the ``mixed`` fault plan: the
+    smallest sweep where two points feed one float total."""
+    ctx = RunContext(Scale.smoke(), seed=1, fault_plan="mixed")
+    legs = chaos_experiments.threeway_legs(ctx, connections=10)
+    return {k: spec for k, spec in legs.items() if k.startswith("Plog")}
+
+
+def test_parallel_merges_telemetry_like_serial(tmp_path):
+    """Serial and --jobs 2 observe every point the same way (a fresh
+    session per point, merged in point order), so the metrics — float
+    means included — and the written trace are the same bytes."""
+    specs = _plog_chaos_legs()
+
+    def traced(jobs):
+        telemetry = Telemetry("sweep")
+        with tel_context.session(telemetry):
+            results = sweep(specs, jobs)
+        path = tmp_path / f"trace.{jobs}.jsonl"
+        write_trace_jsonl(telemetry, str(path))
+        return telemetry, results, path.read_bytes()
+
+    tel_serial, serial, serial_trace = traced(1)
+    tel_parallel, parallel, parallel_trace = traced(2)
+    assert tel_parallel.metrics.to_dict() == tel_serial.metrics.to_dict()
+    assert parallel_trace == serial_trace
+    assert b'"kind": "fault_window"' in serial_trace
     assert tel_parallel.node_samples == tel_serial.node_samples
-    gauges = lambda tel: {
-        str(key): (g.n, g.value, g.min, g.max)
-        for key, g in tel.metrics
-        if g.kind == "gauge"
-    }
-    assert gauges(tel_parallel) == gauges(tel_serial)
+    # A worker's book crosses once, in the same pickle as its result.
+    for telemetry, results in ((tel_serial, serial), (tel_parallel, parallel)):
+        assert all(
+            run.book is results[k].book
+            for run, k in zip(telemetry.runs, specs, strict=True)
+        )
 
 
 # ------------------------------------------------------------ memory tier

@@ -1,14 +1,15 @@
 """Harness builders reach the run functions only through RunSpecs.
 
-Fig 15 decomposes each run's record book; these tests pin that path to the
-span pipeline it replaced, check that a converted experiment's runs come
-from the sweep cache, that the raw-UDP leg is a transport kind rather than
+Fig 15 decomposes each run's record book; these tests pin that path to
+:func:`repro.core.metrics.decompose` over each run's window, check that a
+converted experiment's runs come from the sweep cache, that the raw-UDP leg is a transport kind rather than
 a patched factory, and that a run option nobody declares is an error.
 """
 
 import pytest
 
 from repro.cluster import HydraCluster
+from repro.core import decompose
 from repro.harness import (
     decomposition,
     narada_experiments,
@@ -23,23 +24,22 @@ from repro.harness.pipeline import RAW_UDP_LOSS, make_transport
 from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 from repro.sim import Simulator
-from repro.telemetry.spans import bind_book, phase_breakdown
 
 SMOKE = Scale.smoke()
 RUN_MODULES = (narada_experiments, rgma_experiments, plog_experiments)
 
 
-def test_book_decomposition_equals_the_span_pipeline():
-    """fig15_threeway's rows are phase_breakdown of the same runs' spans."""
+def test_book_decomposition_reads_each_runs_window():
+    """fig15_threeway's rows decompose each run's window records."""
     ctx = RunContext(SMOKE, seed=2)
     runs = ctx.sweep(decomposition.threeway_runs(ctx, connections=100))
     result = decomposition.fig15_threeway(runs)
     assert [row[0] for row in result.table[1]] == ["RGMA", "Narada", "Plog"]
     for label, *row in result.table[1]:
         run = runs[label]
-        spans = phase_breakdown(bind_book(run.book, label), since=run.measure_since)
-        expected = [spans.prt_ms, spans.pt_ms, spans.srt_ms, spans.rtt_ms]
-        assert row == pytest.approx(expected, rel=1e-9), label
+        phases = decompose(run.book.after(run.measure_since))
+        expected = [phases.prt_ms, phases.pt_ms, phases.srt_ms, phases.rtt_ms]
+        assert row == expected, label
 
 
 def test_converted_experiment_runs_once_per_cache(monkeypatch):

@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.core import ExperimentResult
-from repro.harness import pipeline, runner
+from repro.core.report import render_table
+from repro.harness import decomposition, pipeline, runner
 from repro.harness.cache import SweepCache
 from repro.harness.edge_experiments import edge_point
 from repro.harness.federation_experiments import federation_run
@@ -22,9 +23,16 @@ from repro.harness.registry import Experiment, RunContext
 from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
 from repro.sim import Simulator
-from repro.telemetry import Telemetry, bind_book
+from repro.telemetry import Telemetry
 from repro.telemetry.context import session
-from repro.telemetry.exporters import validate_trace_file, write_metrics_json
+from repro.telemetry.exporters import (
+    metrics_tables,
+    phase_rows,
+    span_line,
+    span_lines,
+    validate_trace_file,
+    write_metrics_json,
+)
 
 SMOKE = Scale.smoke()
 
@@ -192,6 +200,7 @@ def test_traced_run_schedules_the_untraced_events(monkeypatch, tmp_path, name):
     assert [row["node"] for row in rows] == list(traced.vmstat)
     for row, kept in zip(rows, telemetry.node_samples):
         column = traced.vmstat[row["node"]]
+        assert row["measure_since"] == traced.measure_since
         assert row["memory_consumption_mb"] == column.memory_consumption_mb
         assert (
             pipeline.steady_state_summary(kept.samples, traced.measure_since)
@@ -220,17 +229,40 @@ def test_metrics_json_sampler_rows_read_the_steady_state_window(tmp_path):
 @pytest.mark.parametrize("name", ["narada", "federation", "edge"])
 def test_session_spans_equal_spans_bound_from_an_untraced_book(name):
     """Every phase is stamped on the record, traced or not: a session's
-    spans are exactly what the same seed's untraced book binds to."""
+    span lines are exactly the same seed's untraced book rendered."""
     fn, args = RUNS[name]
     plain = fn(*args, scale=SMOKE, seed=1)
     telemetry = Telemetry(name)
     with session(telemetry):
         fn(*args, scale=SMOKE, seed=1)
-    middleware = telemetry.spans[0].middleware
-    assert [s.to_dict() for s in bind_book(plain.book, middleware)] == [
-        s.to_dict() for s in telemetry.spans
-    ]
-    assert any(s.hops > 1 for s in telemetry.spans)
+    (run,) = telemetry.runs
+    lines = list(span_lines(telemetry))
+    assert [span_line(r, run.middleware) for r in plain.book.records] == lines
+    assert any(line.get("hops", 0) > 1 for line in lines)
+
+
+def test_telemetry_table_reads_the_figures_window():
+    """The telemetry table's PRT/PT/SRT/RTT columns are fig15's rows for the
+    same runs: each middleware's measurement window, not its warm-up."""
+    telemetry = Telemetry("fig15")
+    with session(telemetry):
+        ctx = RunContext(SMOKE, seed=1)
+        runs = ctx.sweep(decomposition.paper_pair(ctx, connections=100))
+    figure = decomposition.fig15(runs).table[1]
+    table = phase_rows(telemetry)
+    assert [row[0] for row in table] == ["narada", "rgma"]
+    by_label = {label.lower(): cells for label, *cells in figure}
+    for middleware, spans, *_counts, prt, pt, srt, rtt in table:
+        assert [prt, pt, srt, rtt] == by_label[middleware], middleware
+        # The count columns stay whole-run: every record is a span line.
+        run = runs["Narada" if middleware == "narada" else "RGMA"]
+        assert spans == len(run.book) > len(run.book.after(run.measure_since))
+    # ... and render as the figure's cells do.
+    text = metrics_tables(telemetry).splitlines()
+    for middleware, cells in by_label.items():
+        (line,) = [t for t in text if t.split()[:1] == [middleware]]
+        rendered = render_table(["ms"] * 4, [cells]).splitlines()[-1]
+        assert line.split()[-4:] == rendered.split(), middleware
 
 
 def test_fig15_span_readers_are_served_from_the_sweep_cache(

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.core.records import RecordBook
+from repro.faults.plan import FaultSpec
 from repro.telemetry import Telemetry
 from repro.telemetry.context import session
 from repro.telemetry.exporters import (
@@ -33,8 +34,10 @@ def _session() -> tuple[Telemetry, RecordBook]:
             r.mark("broker_in", i + 0.05, "narada", "broker1")
             r.mark("broker_out", i + 0.15, "narada", "broker1")
     book.new_record(gen_id=1, seq=99, t_before_send=1.5)  # never delivered
-    tel.fault_window("packet_loss", 1.0, 2.0, "lan")
-    tel.observe_run(book, middleware="narada", label="unit-run")
+    tel.observe(
+        "unit-run", "narada", book,
+        plan=[FaultSpec("packet_loss", 1.0, 1.0, "lan")],
+    )
     return tel, book
 
 

@@ -1,4 +1,4 @@
-"""Instrument merging and the export/merge fan-out round trip."""
+"""Instrument merging and the session merge a sweep's points go through."""
 
 import pickle
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.vmstat import VmStatSample, summarize
 from repro.core.records import RecordBook
+from repro.faults.plan import FaultSpec
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -14,10 +15,8 @@ from repro.telemetry import (
     MetricsRegistry,
     NodeSamples,
     Telemetry,
-    bind_book,
-    export_telemetry,
-    merge_telemetry,
 )
+from repro.telemetry.exporters import span_lines
 
 
 # ---------------------------------------------------------------- counters
@@ -116,22 +115,23 @@ def test_histogram_merge_rejects_mismatched_buckets():
         a.merge(b)
 
 
-# ---------------------------------------------------------- export / merge
+# ---------------------------------------------------------- session merge
 
-def _worker_session():
-    """A tiny 'worker-side' session: one observed book + assorted metrics."""
-    telemetry = Telemetry("worker")
+def _point_session():
+    """A tiny sweep-point session: one observed book + assorted metrics."""
+    telemetry = Telemetry("point")
     book = RecordBook()
     for i in range(3):
         record = book.new_record(1, i, float(i))
         record.t_after_send = float(i) + 0.001
-        record.t_arrived = float(i) + 0.002
-        record.t_received = float(i) + 0.003
         record.mark("broker_in", float(i) + 0.0015, "plog", "b1")
-    telemetry.fault_window("packet_loss", 0.5, 1.5, "lan")
-    telemetry.observe_run(book, middleware="plog", label="tiny run")
+        record.deliver(float(i) + 0.002, float(i) + 0.003, "plog", "c1")
+    telemetry.observe(
+        "tiny run", "plog", book,
+        plan=[FaultSpec("packet_loss", 0.5, 1.0, "lan")],
+    )
     telemetry.metrics.gauge("plog", "b1", "depth").set(4.0)
-    telemetry.node_samples.append(
+    telemetry.runs[0].node_samples.append(
         NodeSamples(
             node="hydra1",
             middleware="plog",
@@ -142,29 +142,29 @@ def _worker_session():
     return telemetry, book
 
 
-def test_export_merge_round_trip_rebinds_spans():
-    telemetry, book = _worker_session()
-    payload = pickle.dumps((book, export_telemetry(telemetry)))
-    new_book, export = pickle.loads(payload)  # fresh record identities
+def test_session_pickles_with_its_books_and_merges():
+    """A worker returns its session beside its result: the book both hold
+    crosses once, and the merged parent renders the worker's span lines."""
+    telemetry, book = _point_session()
+    lines = list(span_lines(telemetry))
+    new_book, point = pickle.loads(pickle.dumps((book, telemetry)))
+    assert point.runs[0].book is new_book
 
     parent = Telemetry("parent")
-    merge_telemetry(parent, export)
+    parent.merge(point)
 
-    spans = parent.spans
-    assert len(spans) == 3
-    assert spans[0].phases["broker_in"] == pytest.approx(0.0015)
-    assert [s.seq for s in spans] == [0, 1, 2]
-    # The unpickled book carries its marks, so it binds to the shipped
-    # spans (less the session's fault annotations).
-    for bound, shipped in zip(bind_book(new_book, "plog"), spans, strict=True):
-        assert (bound.phases, bound.components, bound.hops) == (
-            shipped.phases, shipped.components, shipped.hops
-        )
+    assert list(span_lines(parent)) == lines
+    assert [line["seq"] for line in lines] == [0, 1, 2]
+    assert lines[0]["phases"]["broker_in"] == pytest.approx(0.0015)
+    assert [line.get("annotations") for line in lines] == [
+        None, ["packet_loss@lan"], None
+    ]
     assert parent.metrics.counter("plog", "harness", "messages_delivered").value == 3
     assert parent.metrics.gauge("plog", "b1", "depth").value == 4.0
-    assert [r["label"] for r in parent.runs] == ["tiny run"]
-    assert len(parent.fault_windows) == 1
-    assert parent.fault_windows[0].kind == "packet_loss"
+    (run,) = parent.runs
+    assert run.summary()["label"] == "tiny run"
+    (window,) = run.fault_windows
+    assert window.kind == "packet_loss"
     (node,) = parent.node_samples
     assert (node.node, node.middleware, node.interval) == ("hydra1", "plog", 1.0)
     summary = summarize(node.samples)
@@ -175,18 +175,10 @@ def test_export_merge_round_trip_rebinds_spans():
 def test_merge_accumulates_across_workers():
     parent = Telemetry("parent")
     for _ in range(2):
-        telemetry, _ = _worker_session()
-        export = pickle.loads(pickle.dumps(export_telemetry(telemetry)))
-        merge_telemetry(parent, export)
-    assert len(parent.spans) == 6
+        telemetry, _ = _point_session()
+        parent.merge(pickle.loads(pickle.dumps(telemetry)))
+    assert len(list(span_lines(parent))) == 6
     assert parent.metrics.counter("plog", "harness", "messages_sent").value == 6
     rtt = parent.metrics.histogram("plog", "harness", "rtt_ms")
     assert rtt.n == 6
     assert [n.node for n in parent.node_samples] == ["hydra1", "hydra1"]
-
-
-def test_merge_rejects_unknown_version():
-    telemetry, _ = _worker_session()
-    export = export_telemetry(telemetry)
-    with pytest.raises(ValueError):
-        merge_telemetry(Telemetry("p"), {**export, "version": 2})

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.cluster import HydraCluster, VmStat
+from repro.core import RecordBook
 from repro.sim import Simulator
 from repro.telemetry import NodeSamples, Telemetry
 
@@ -55,7 +56,7 @@ def test_sampler_feeds_registry():
 
     tel = Telemetry("test")
     events = sim.events_scheduled
-    tel.observe_vmstat(vm, middleware="plog")
+    tel.observe("run", "plog", RecordBook(), vmstats=[(vm, "plog")])
     assert sim.events_scheduled == events
 
     idle = tel.metrics.gauge("plog", "hydra1", "cpu_idle_percent")
@@ -81,6 +82,7 @@ def test_sampler_rejects_bad_interval_and_empty_summary():
     assert summary.samples == 0
     assert summary.mean_cpu_idle_percent == 100.0
     tel = Telemetry("test")
-    tel.observe_vmstat(vm, middleware="plog")
-    assert len(tel.metrics) == 0  # no samples, no gauges
+    tel.observe("run", "plog", RecordBook(), vmstats=[(vm, "plog")])
+    # no samples, no gauges
+    assert [str(k) for k, i in tel.metrics if i.kind == "gauge"] == []
     assert tel.node_samples == [NodeSamples("hydra1", "plog", 1.0, [])]

@@ -1,10 +1,10 @@
-"""Spans: middleware hooks, record-book parity, zero behavioural impact.
+"""Spans: middleware hooks, rendered span lines, zero behavioural impact.
 
-The two load-bearing properties of the tentpole:
+The two load-bearing properties:
 
-* **parity** — span-based phase breakdowns agree with the legacy
-  :func:`repro.core.metrics.decompose` over the same record book, because
-  endpoint phases *are* the record's timestamps;
+* **one reading** — a span line is its record rendered, and the telemetry
+  table decomposes the same records with
+  :func:`repro.core.metrics.decompose`, the figures' one PRT/PT/SRT mean;
 * **zero impact** — running the same experiment with telemetry active
   yields bit-identical measured RTTs (marks and samplers are passive).
 """
@@ -19,11 +19,21 @@ from repro.harness.narada_experiments import narada_run
 from repro.harness.plog_experiments import plog_run
 from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
-from repro.telemetry import Telemetry, phase_breakdown
+from repro.telemetry import FaultWindow, Telemetry
 from repro.telemetry.context import activate, current, deactivate, session
-from repro.telemetry.spans import Span, bind_book
+from repro.telemetry.exporters import (
+    ORDERED_PHASES,
+    phase_rows,
+    span_line,
+    span_lines,
+)
 
 SMOKE = Scale.smoke()
+
+
+def _complete(lines):
+    """The span lines with all four endpoint phases stamped."""
+    return [line for line in lines if set(ORDERED_PHASES) <= set(line["phases"])]
 
 
 # ---------------------------------------------------------------- unit level
@@ -81,24 +91,40 @@ def test_pickled_record_keeps_marks_and_hops():
     }
     assert list(copy.marks) == ["broker_in", "delivered"]
     assert copy.hops == 3
-    assert [s.to_dict() for s in bind_book(book, "narada")] == [
-        s.to_dict() for s in bind_book(pickle.loads(pickle.dumps(book)), "narada")
-    ]
+    assert span_line(copy, "narada") == span_line(record, "narada")
 
 
 def test_span_properties():
-    span = Span(middleware="m", gen_id=1, seq=2)
-    assert not span.complete
-    span.phases.update(
-        {"created": 1.0, "published": 1.1, "arrived": 1.4, "delivered": 1.5}
-    )
-    assert span.complete
-    assert span.prt == pytest.approx(0.1)
-    assert span.pt == pytest.approx(0.3)
-    assert span.srt == pytest.approx(0.1)
-    assert span.rtt == pytest.approx(0.5)
-    d = span.to_dict()
-    assert list(d["phases"]) == ["created", "published", "arrived", "delivered"]
+    """A span line is the record rendered: endpoint phases in life-cycle
+    order, the first component of each mark, hops and fault annotations."""
+    record = MessageRecord(gen_id=1, seq=2, t_before_send=1.0)
+    assert span_line(record, "m") == {
+        "kind": "span", "middleware": "m", "gen_id": 1, "seq": 2,
+        "phases": {"created": 1.0},
+    }
+    record.t_after_send = 1.1
+    record.mark("broker_in", 1.2, "m", "b1")
+    record.mark("broker_in", 1.25, "m", "b2")
+    record.deliver(1.4, 1.5, "m", "subscriber")
+    line = span_line(record, "m", [FaultWindow("latency", 1.3, 2.3, "lan")])
+    assert list(line) == [
+        "kind", "middleware", "gen_id", "seq", "phases", "components",
+        "hops", "annotations",
+    ]
+    assert line["phases"] == {
+        "created": 1.0, "published": 1.1, "broker_in": 1.2, "arrived": 1.4,
+        "delivered": 1.5,
+    }
+    assert line["components"] == {"broker_in": "b1", "delivered": "subscriber"}
+    assert line["hops"] == 3
+    assert line["annotations"] == ["latency@lan"]
+    book = RecordBook()
+    book.records.append(record)
+    phases = decompose(book)
+    assert phases.prt_ms == pytest.approx(100.0)
+    assert phases.pt_ms == pytest.approx(300.0)
+    assert phases.srt_ms == pytest.approx(100.0)
+    assert phases.rtt_ms == pytest.approx(500.0)
 
 
 # ------------------------------------------------------------ harness parity
@@ -113,25 +139,26 @@ def test_narada_spans_match_decompose_and_rtts_bit_identical():
     assert np.array_equal(baseline.rtts, traced.rtts)
     assert baseline.mean_rtt_ms == traced.mean_rtt_ms
 
-    spans = tel.spans
-    assert len(spans) == len(traced.book.records)
-    legacy = decompose(traced.book, since=traced.measure_since)
-    via_spans = phase_breakdown(spans, since=traced.measure_since)
-    assert via_spans.prt_ms == pytest.approx(legacy.prt_ms, rel=1e-12)
-    assert via_spans.pt_ms == pytest.approx(legacy.pt_ms, rel=1e-12)
-    assert via_spans.srt_ms == pytest.approx(legacy.srt_ms, rel=1e-12)
+    lines = list(span_lines(tel))
+    assert len(lines) == len(traced.book.records)
+    # The telemetry table reads the run's window as the figures do.
+    figure = decompose(traced.book, since=traced.measure_since)
+    ((*_, prt, pt, srt, rtt),) = phase_rows(tel)
+    assert [prt, pt, srt, rtt] == [
+        figure.prt_ms, figure.pt_ms, figure.srt_ms, figure.rtt_ms
+    ]
 
-    # Interior phases came from the live broker hooks.
-    delivered = [s for s in spans if s.complete]
+    # Interior phases came from the broker hooks.
+    delivered = _complete(lines)
     assert delivered
-    assert all("broker_in" in s.phases for s in delivered)
-    assert all("broker_out" in s.phases for s in delivered)
-    assert all(s.components["broker_in"] == "broker1" for s in delivered)
+    assert all("broker_in" in s["phases"] for s in delivered)
+    assert all("broker_out" in s["phases"] for s in delivered)
+    assert all(s["components"]["broker_in"] == "broker1" for s in delivered)
     assert all(
-        s.phases["created"]
-        <= s.phases["broker_in"]
-        <= s.phases["broker_out"]
-        <= s.phases["delivered"]
+        s["phases"]["created"]
+        <= s["phases"]["broker_in"]
+        <= s["phases"]["broker_out"]
+        <= s["phases"]["delivered"]
         for s in delivered
     )
 
@@ -140,24 +167,24 @@ def test_narada_dbn_broker_in_is_ingress_broker():
     tel = Telemetry("test")
     with session(tel):
         run = narada_run(60, dbn=True, scale=SMOKE, seed=3)
-    spans = [s for s in tel.spans if s.complete]
+    spans = _complete(span_lines(tel))
     assert spans
     # Publishers connect to leaf brokers; the hub (broker1) subscribes.
-    assert all(s.components["broker_in"] != "broker1" for s in spans)
-    assert all(s.components["broker_out"] == "broker1" for s in spans)
+    assert all(s["components"]["broker_in"] != "broker1" for s in spans)
+    assert all(s["components"]["broker_out"] == "broker1" for s in spans)
     # Forwarding across the BNM means more marks than distinct phases.
-    assert any(s.hops > 2 for s in spans)
+    assert any(s["hops"] > 2 for s in spans)
 
 
 def test_rgma_spans_carry_servlet_phases():
     tel = Telemetry("test")
     with session(tel):
         run = rgma_run(20, scale=SMOKE, seed=3)
-    spans = [s for s in tel.spans if s.complete]
+    spans = _complete(span_lines(tel))
     assert spans
-    assert all(s.components["broker_in"].startswith("pp.") for s in spans)
-    assert all(s.components["broker_out"].startswith("cs.") for s in spans)
-    assert all(s.components["delivered"] == "subscriber" for s in spans)
+    assert all(s["components"]["broker_in"].startswith("pp.") for s in spans)
+    assert all(s["components"]["broker_out"].startswith("cs.") for s in spans)
+    assert all(s["components"]["delivered"] == "subscriber" for s in spans)
 
 
 def test_plog_spans_and_bit_identical_rtts():
@@ -166,12 +193,14 @@ def test_plog_spans_and_bit_identical_rtts():
     with session(tel):
         traced = plog_run(40, scale=SMOKE, seed=3)
     assert np.array_equal(baseline.rtts, traced.rtts)
-    spans = [s for s in tel.spans if s.complete]
+    spans = _complete(span_lines(tel))
     assert spans
     # The append lands before the produce ack returns: broker_in precedes
     # the 'published' stamp (the documented interior-phase ordering).
-    assert all(s.phases["broker_in"] <= s.phases["published"] for s in spans)
-    assert all("broker_out" in s.phases for s in spans)
+    assert all(
+        s["phases"]["broker_in"] <= s["phases"]["published"] for s in spans
+    )
+    assert all("broker_out" in s["phases"] for s in spans)
 
 
 def test_rgma_run_bit_identical_with_telemetry():
@@ -196,16 +225,18 @@ def test_fault_windows_annotate_only_their_own_run():
         faulted = plog_run(40, scale=SMOKE, seed=3, fault_plan=plan)
         clean = plog_run(40, scale=SMOKE, seed=4)
 
-    assert len(tel.fault_windows) == 1
-    faulted_spans = tel.spans[: len(faulted.book)]
-    clean_spans = tel.spans[len(faulted.book):]
-    assert any(s.annotations for s in faulted_spans)
-    # Windows are consumed per observe_run: the second (fault-free) run's
-    # spans carry no annotations even though its clock overlaps the window.
-    assert not any(s.annotations for s in clean_spans)
-    label = tel.fault_windows[0].label
-    assert all(a == label for s in faulted_spans for a in s.annotations)
-    assert tel.runs[0]["fault_windows"] and not tel.runs[1]["fault_windows"]
+    (window,) = tel.runs[0].fault_windows
+    assert tel.runs[1].fault_windows == []
+    lines = list(span_lines(tel))
+    faulted_spans = lines[: len(faulted.book)]
+    clean_spans = lines[len(faulted.book):]
+    assert any("annotations" in s for s in faulted_spans)
+    # A window belongs to the run that armed it: the second (fault-free)
+    # run's spans carry no annotations even though its clock overlaps it.
+    assert not any("annotations" in s for s in clean_spans)
+    assert all(
+        a == window.label for s in faulted_spans for a in s.get("annotations", ())
+    )
 
 
 def test_observe_run_metrics_rollup():
