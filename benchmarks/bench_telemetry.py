@@ -3,7 +3,7 @@
 The traced bench doubles as the artefact generator: it leaves a validated
 sample JSONL trace and the metrics JSON in ``benchmarks/results/`` (CI
 uploads that directory), proving the whole span pipeline — middleware
-hooks, span lines rendered from the record books, JSONL export, schema
+marks, span lines rendered from the record books, JSONL export, schema
 validation — end to end.
 It traces fig15 at smoke scale whatever ``REPRO_SCALE`` says, the scale of
 the committed artefacts, so a run leaves them byte-identical.
@@ -14,7 +14,6 @@ import numpy as np
 from benchmarks.conftest import RESULTS_DIR
 from repro.harness import runner
 from repro.telemetry import Histogram, Telemetry
-from repro.telemetry.context import session
 from repro.telemetry.exporters import (
     validate_trace_file,
     write_metrics_json,
@@ -33,8 +32,7 @@ def test_fig15_traced_writes_valid_artifacts(benchmark):
     def traced():
         tel = Telemetry(f"bench fig15 [{scale}]")
         sessions.append(tel)
-        with session(tel):
-            return runner.run("fig15", scale=scale)
+        return runner.run("fig15", scale=scale, telemetry=tel)
 
     benchmark.pedantic(traced, rounds=1, iterations=1)
     tel = sessions[-1]
@@ -49,7 +47,7 @@ def test_fig15_traced_writes_valid_artifacts(benchmark):
     assert summary["middlewares"] == ["narada", "rgma"]
     assert summary["complete"] > 0
 
-    # Every broker-side hook fired: interior phases flow through to disk.
+    # Every broker-side mark was made: interior phases flow through to disk.
     assert tel.metrics.counter("narada", "broker1", "span.broker_in").value > 0
     assert (
         tel.metrics.counter("rgma", "harness", "messages_delivered").value > 0

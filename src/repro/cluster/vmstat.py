@@ -3,10 +3,10 @@
 The paper records "CPU idle time ... calculated as the average of CPU idle
 time during the tests" and "memory consumption ... as the difference between
 peak and bottom values" (§III.C).  This sampler reproduces both definitions
-against the modelled node.  It is the only node sampler: a telemetry
-session reads a finished run's samples
-(:meth:`repro.telemetry.Telemetry.observe_vmstat`) instead of sampling the
-node a second time.
+against the modelled node.  It is the only node sampler: a run keeps each
+sampled node's raw samples as :class:`NodeSamples` on its result, and a
+telemetry session reads them there instead of sampling the node a second
+time.
 """
 
 from __future__ import annotations
@@ -24,6 +24,16 @@ class VmStatSample:
     time: float
     cpu_idle_fraction: float
     memory_used_bytes: float
+
+
+@dataclass
+class NodeSamples:
+    """One run's vmstat samples of one node, as plain picklable data."""
+
+    node: str
+    #: The middleware label the node reports under.
+    middleware: str
+    samples: list[VmStatSample]
 
 
 @dataclass

@@ -15,16 +15,20 @@ Every interior phase a message crosses on the way — a broker's
 ``broker_in``/``broker_out``, the edge gateway's ``edge_in``/``parked``/
 ``edge_out`` — is stamped on the same record by :meth:`MessageRecord.mark`,
 on the same clock, so a record alone is the whole trace of its message.
+Every mark is also tallied on the book that holds the record, keyed by
+``(middleware, component, phase)``: a finished book is all a telemetry
+session reads, its ``span.<phase>`` counters included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from repro.telemetry.context import current as _telemetry
+#: ``(middleware, component, phase)`` -> marks made.
+MarkTally = dict[tuple[str, str, str], int]
 
 
 @dataclass(slots=True)
@@ -44,6 +48,9 @@ class MessageRecord:
     #: Every mark made, first or not (> ``len(marks)`` once a message
     #: crossed several brokers or reached several subscribers).
     hops: int = 0
+    #: The holding book's :attr:`RecordBook.tally` (``None`` for a record
+    #: no book made).
+    tally: Optional[MarkTally] = field(default=None, repr=False, compare=False)
 
     @property
     def delivered(self) -> bool:
@@ -69,18 +76,18 @@ class MessageRecord:
 
     def mark(self, phase: str, t: float, middleware: str, component: str) -> None:
         """Stamp ``phase`` at sim time ``t`` by ``component``: the first
-        mark of a phase wins, every mark counts a hop.  Under an active
-        telemetry session it also bumps ``component``'s ``span.<phase>``
-        counter."""
+        mark of a phase wins, every mark counts a hop and is tallied on
+        the record's book."""
         marks = self.marks
         if marks is None:
             self.marks = {phase: (t, component)}
         elif phase not in marks:
             marks[phase] = (t, component)
         self.hops += 1
-        tel = _telemetry()
-        if tel is not None:
-            tel.metrics.counter(middleware, component, f"span.{phase}").inc()
+        tally = self.tally
+        if tally is not None:
+            key = (middleware, component, phase)
+            tally[key] = tally.get(key, 0) + 1
 
     @property
     def rtt(self) -> float:
@@ -114,9 +121,13 @@ class RecordBook:
 
     def __init__(self) -> None:
         self.records: list[MessageRecord] = []
+        #: Every mark made on a record this book made, first or not.
+        self.tally: MarkTally = {}
 
     def new_record(self, gen_id: int, seq: int, t_before_send: float) -> MessageRecord:
-        record = MessageRecord(gen_id=gen_id, seq=seq, t_before_send=t_before_send)
+        record = MessageRecord(
+            gen_id=gen_id, seq=seq, t_before_send=t_before_send, tally=self.tally
+        )
         self.records.append(record)
         return record
 

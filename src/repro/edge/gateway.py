@@ -31,7 +31,6 @@ from repro.cluster.jvm import Jvm, OutOfMemoryError
 from repro.edge.config import EdgeConfig
 from repro.edge.replay import ReplayEvent, ReplayRing
 from repro.edge.upstream import record_of
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import Channel, TransportError
 from repro.transport.http import HttpRequest, HttpServer
 
@@ -135,7 +134,6 @@ class EdgeGateway:
         for topic in self.topics:
             yield from self._session.subscribe(topic, self._on_upstream)
         self.sim.process(self._reaper(self.incarnation), name=f"{self.name}.reaper")
-        self._update_gauges()
 
     def _reaper(self, incarnation: int) -> Generator[Any, Any, None]:
         """Release connection heap for sockets the peer has closed."""
@@ -182,7 +180,6 @@ class EdgeGateway:
             self.sim.process(
                 self._wake(waiter, ring), name=f"{self.name}.wake"
             )
-        self._update_gauges()
 
     def _wake(self, waiter: _Waiter, ring: ReplayRing) -> Generator[Any, Any, None]:
         events, next_cursor, truncated = ring.read(
@@ -267,10 +264,6 @@ class EdgeGateway:
             self.sim.now + self.config.long_poll_timeout,
             lambda: self._expire(waiter, incarnation),
         )
-        tel = _telemetry()
-        if tel is not None:
-            tel.metrics.counter("edge", self.name, "long_polls_parked").inc()
-        self._update_gauges()
 
     def _emit(
         self,
@@ -315,7 +308,6 @@ class EdgeGateway:
         self.stats.polls_timed_out += 1
         cursor = (ring.epoch, ring.end_seq) if ring is not None else None
         waiter.respond(204, {"cursor": cursor}, 16.0)
-        self._update_gauges()
 
     def _unpark(self, waiter: _Waiter) -> None:
         waiter.active = False
@@ -323,23 +315,10 @@ class EdgeGateway:
         self._parked_weight -= waiter.weight
         self._parked_polls -= 1
 
-    # -------------------------------------------------------------- telemetry
     @property
     def parked_weight(self) -> float:
         """Clients (cohort-weighted) currently parked on this gateway."""
         return self._parked_weight
-
-    def _update_gauges(self) -> None:
-        tel = _telemetry()
-        if tel is None:
-            return
-        tel.metrics.gauge("edge", self.name, "parked_connections").set(
-            self._parked_weight
-        )
-        tel.metrics.gauge("edge", self.name, "parked_polls").set(self._parked_polls)
-        tel.metrics.gauge("edge", self.name, "upstream_connections").set(
-            self.upstream_connections
-        )
 
     # ------------------------------------------------------------ fault hooks
     def crash(self) -> None:
@@ -368,7 +347,6 @@ class EdgeGateway:
         self._conn_heap = {}
         self._parked_weight = 0.0
         self._parked_polls = 0
-        self._update_gauges()
 
     def restart(self) -> None:
         """Bring up a fresh incarnation (new ring epoch, new upstream)."""

@@ -22,9 +22,9 @@ Specs whose target does not resolve (e.g. ``broker:1`` against a
 single-broker run) are skipped and logged, not errors — one plan serves
 every deployment shape.
 
-The scheduler reports to no telemetry session: a session reads a run's
-fault windows from the plan the run armed, once the run has finished
-(``Telemetry.observe``).
+The scheduler reports to no telemetry session: a run's result carries
+the fault specs it armed, and a session reads their windows from there
+once the run has finished (``Telemetry.observe``).
 """
 
 from __future__ import annotations

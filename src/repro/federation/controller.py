@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.plog.replication import MembershipController
-from repro.telemetry.context import current as _telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.federation.broker import FederatedBroker
@@ -127,6 +126,3 @@ class FederationController(MembershipController):
             yield from child.connect_to_parent(self.deployment.transport, parent)
             self.reparents += 1
             self.reparent_log.append((self.sim.now, child_name, parent_name))
-            tel = _telemetry()
-            if tel is not None:
-                tel.metrics.counter("federation", "controller", "reparents").inc()

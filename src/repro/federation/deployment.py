@@ -33,7 +33,6 @@ from repro.narada.config import NaradaConfig
 from repro.powergrid.generator import PowerGenerator
 from repro.powergrid.payload import narada_map_message
 from repro.powergrid.workload import FleetStats
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import EOF, Channel, ChannelClosed, MessageLost
 from repro.transport.tcp import TcpTransport
 
@@ -154,8 +153,7 @@ class BroadcastDeployment(SiteDeployment):
 
 
 class FederationDeployment(SiteDeployment):
-    """The broker tree, its cluster, and the traffic ledger (mirrored into
-    telemetry counters when a session is active)."""
+    """The broker tree, its cluster, and the traffic ledger."""
 
     prefix = "fed"
     middleware = "federation"
@@ -196,13 +194,6 @@ class FederationDeployment(SiteDeployment):
         ledger = self.control_traffic if control else self.link_traffic
         key = (src, dst)
         ledger[key] = ledger.get(key, 0) + 1
-        tel = _telemetry()
-        if tel is not None:
-            tel.metrics.counter(
-                "federation",
-                f"link:{src}->{dst}",
-                "control_messages" if control else "link_messages",
-            ).inc()
 
     # ------------------------------------------------------------ liveness
     def converged(self) -> bool:

@@ -15,16 +15,14 @@ the working directory) as pickle files named by the SHA-256 of their key.
 Writes go through a temp file + ``os.replace`` so concurrent processes
 (e.g. ``--jobs N`` workers warming the same sweep) never observe a torn
 entry; unreadable or truncated entries are treated as misses and removed.
-The disk tier is bypassed while a telemetry session is active.  A
-cached result holds its record books, from which a session renders every
-span, but not the live metric instruments (the hook sites' counters and
-gauges) its runs fed, and ``--metrics-out`` must see those.
+A cached run result is the whole observation of its run (record book, mark
+tally, armed faults, node samples), so ``--trace`` and ``--metrics-out``
+read a sweep served by either tier as they read a freshly simulated one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import pickle
 import tempfile
@@ -32,8 +30,6 @@ from collections import OrderedDict
 from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable, Optional
-
-from repro.telemetry import context as tel_context
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -117,13 +113,6 @@ class DiskCache:
         return removed
 
 
-#: Never-reused tokens for the telemetry sessions a cache has seen.  ``id()``
-#: is not safe here: a freed session's address can be handed to the next
-#: one, which would then satisfy lookups against the dead session's sweeps
-#: (whose runs it did not observe).
-_session_tokens = itertools.count(1)
-
-
 class SweepCache:
     """Both tiers behind one lookup.
 
@@ -140,26 +129,16 @@ class SweepCache:
 
     def fetch(self, key: tuple, build: Callable[[], Any]) -> Any:
         """The sweep cached under ``key``, building (and storing) it on a
-        miss.  A sweep's runs are observed by the session active while it
-        is built, and by no other, so the identity of the active session is
-        part of the in-process key, and the disk tier only serves — and is only written by —
-        sessionless lookups."""
-        telemetry = tel_context.current()
-        token = None
-        if telemetry is not None:
-            token = getattr(telemetry, "_sweep_cache_token", None)
-            if token is None:
-                token = telemetry._sweep_cache_token = next(_session_tokens)
-        mem_key = (repr(key), token)
+        miss."""
+        mem_key = repr(key)
         if mem_key in self._memory:
             self._memory.move_to_end(mem_key)
             return self._memory[mem_key]
-        disk = DiskCache() if telemetry is None else None
-        value = disk.get(key) if disk is not None else None
+        disk = DiskCache()
+        value = disk.get(key)
         if value is None:
             value = build()
-            if disk is not None:
-                disk.put(key, value)
+            disk.put(key, value)
         self._memory[mem_key] = value
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)

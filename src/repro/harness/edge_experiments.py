@@ -65,7 +65,6 @@ CLIENT_NODES = ("ec0", "ec1", "ec2", "ec3")
 class DirectRunResult(RunResult):
     """The no-edge baseline: native middleware delivery."""
 
-    middleware: str
     rtt_p50_ms: float
     rtt_p99_ms: float
 
@@ -157,7 +156,7 @@ class DirectAdapter(Adapter):
 
     def counters(self, run) -> dict[str, Any]:
         p50, p99 = percentiles_ms(run["rtts"], (50, 99))
-        return dict(middleware=self.name, rtt_p50_ms=p50, rtt_p99_ms=p99)
+        return dict(rtt_p50_ms=p50, rtt_p99_ms=p99)
 
 
 @dataclass

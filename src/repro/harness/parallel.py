@@ -11,13 +11,11 @@ byte-identical results (asserted by ``tests/harness/test_parallel.py``).
 A point is a frozen :class:`RunSpec` — the run function's import path plus
 its keyword arguments, all plain data — so the pool only ever pickles
 data, and ``repr(spec)`` names the run completely: it *is* the sweep-cache
-key (:class:`repro.harness.cache.SweepCache`).  When the parent has
-an active telemetry session, every point — in process or in a worker —
-runs under a fresh session, and the parent merges the points' sessions
-**in point order** (:meth:`repro.telemetry.Telemetry.merge`).  Serial and
-fanned-out sweeps observe the same way, so they sum every float total in
-the same order and ``--trace`` / ``--metrics-out`` are byte-identical
-under any ``--jobs``.
+key (:class:`repro.harness.cache.SweepCache`).  A point runs the same
+way in process and in a worker and returns only its result, which is the
+whole observation of the run: telemetry reads the results afterwards, in
+point order (:meth:`repro.harness.registry.RunContext.sweep`), so
+``--trace`` / ``--metrics-out`` are byte-identical under any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
-
-from repro.telemetry import Telemetry
-from repro.telemetry import context as tel_context
 
 #: Environment variable consulted when a jobs count is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
@@ -89,49 +84,18 @@ def resolve_jobs(jobs: Optional[int] = None, default: Optional[int] = None) -> i
     return n
 
 
-def _run_point(task: tuple[RunSpec, bool]) -> tuple[Any, Optional[Telemetry]]:
-    """Run one spec; with ``observe``, under a fresh telemetry session that
-    is returned beside the result.
-
-    The same code runs in process and in a worker.  The fresh session is
-    the innermost one while the spec runs, so it alone observes the point,
-    whatever stack the process holds (a forked worker inherits the
-    parent's).  A worker's session travels home in the same pickle as its
-    result, so a record book both of them hold crosses once.
-    """
-    spec, observe = task
-    if not observe:
-        return spec.run(), None
-    telemetry = Telemetry(label=f"point:{spec.fn}")
-    with tel_context.session(telemetry):
-        result = spec.run()
-    return result, telemetry
-
-
 def map_points(specs: Sequence[RunSpec], jobs: Optional[int] = None) -> list[Any]:
     """Run every spec; results in input order.
 
     ``jobs <= 1`` (after :func:`resolve_jobs`) or a single point runs the
     points in process, one after another; otherwise they fan out over a
-    :class:`ProcessPoolExecutor`.  Either way each point runs through
-    :func:`_run_point`, and with an active telemetry session the points'
-    sessions merge into it in point order — so ``--trace`` and
-    ``--metrics-out`` are the same bytes under any ``--jobs``.
+    :class:`ProcessPoolExecutor`.
     """
     jobs = resolve_jobs(jobs)
-    telemetry = tel_context.current()
-    tasks = [(spec, telemetry is not None) for spec in specs]
-    if jobs <= 1 or len(tasks) <= 1:
-        outcomes = map(_run_point, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_point, tasks))
-    results: list[Any] = []
-    for result, point_telemetry in outcomes:
-        if point_telemetry is not None:
-            telemetry.merge(point_telemetry)
-        results.append(result)
-    return results
+    if jobs <= 1 or len(specs) <= 1:
+        return [spec.run() for spec in specs]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+        return list(pool.map(RunSpec.run, specs))
 
 
 def sweep(specs: Mapping[Any, RunSpec], jobs: Optional[int] = None) -> dict[Any, Any]:

@@ -20,6 +20,12 @@ documented once — and call :func:`run_point`; a harness builder reaches
 them only through a :class:`~repro.harness.parallel.RunSpec`.  The edge
 tier is an adapter layered *over* the first three
 (:mod:`repro.harness.edge_experiments`).
+
+A :class:`RunResult` is the whole observation of its run: besides the
+measured numbers it carries the run's label, its middleware, the fault
+specs it armed and every sampled node's raw vmstat samples, so a telemetry
+session reads a finished result and nothing else; this module names no
+telemetry symbol.
 """
 
 from __future__ import annotations
@@ -28,15 +34,14 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.cluster import HydraCluster, VmStat
-from repro.cluster.vmstat import VmStatSummary, steady_state_summary
+from repro.cluster.vmstat import NodeSamples, VmStatSummary, steady_state_summary
 from repro.core import RecordBook, rtt_stats
-from repro.faults import FaultScheduler, named_plan
+from repro.faults import FaultScheduler, FaultSpec, named_plan
 from repro.harness.scale import Scale
 from repro.powergrid import FleetConfig
 from repro.scenario import named_scenario
 from repro.scenario.compiler import arm_scenario, merge_fault_plan
 from repro.sim import Simulator
-from repro.telemetry.context import current as _telemetry
 from repro.transport import NioTransport, TcpTransport, UdpTransport
 
 CLIENT_NODES = ("hydra5", "hydra6", "hydra7", "hydra8")
@@ -46,6 +51,10 @@ CLIENT_NODES = ("hydra5", "hydra6", "hydra7", "hydra8")
 class RunResult:
     """What every test run reports, whatever the middleware."""
 
+    #: The run's name in telemetry (``adapter.label(n)``).
+    label: str
+    #: The middleware's telemetry label (``adapter.name``).
+    middleware: str
     book: RecordBook
     measure_since: float
     sent: int
@@ -64,6 +73,12 @@ class RunResult:
     #: Human-readable fault injection log ("t=... kind target note"),
     #: skipped faults ("no such broker in this run") included.
     fault_log: list[str] = field(default_factory=list)
+    #: The fault specs the run armed, in plan order.  Runs are separate
+    #: simulations whose clocks all start at zero, so a spec annotates
+    #: only the spans of the run that armed it.
+    faults: list[FaultSpec] = field(default_factory=list)
+    #: Every sampled node's raw vmstat samples, in ``build`` order.
+    node_samples: list[NodeSamples] = field(default_factory=list)
 
 
 #: Datagram loss of ``udp_raw``.  Not anchored to the paper: §III.E.1 gives
@@ -222,15 +237,10 @@ def run_point(
     adapter.stop()
 
     stats = rtt_stats(book, since=measure_since)
-    tel = _telemetry()
-    if tel is not None:
-        tel.observe(
-            adapter.label(n_generators), adapter.name, book, measure_since,
-            plan=plan,
-            vmstats=[(vm, sampled[name]) for name, vm in vmstats.items()],
-        )
     refused = fleet.stats.connections_refused
     run = dict(
+        label=adapter.label(n_generators),
+        middleware=adapter.name,
         book=book,
         measure_since=measure_since,
         sent=stats.sent,
@@ -240,6 +250,11 @@ def run_point(
         loss_rate=stats.loss_rate,
         rtts=book.rtts(since=measure_since),
         fault_log=scheduler.render_log() if scheduler is not None else [],
+        faults=list(plan or ()),
+        node_samples=[
+            NodeSamples(name, sampled[name], vm.samples)
+            for name, vm in vmstats.items()
+        ],
         vmstat={
             name: steady_state_summary(vm.samples, measure_since)
             for name, vm in vmstats.items()

@@ -7,17 +7,25 @@ values (scale, seed, fault plan, scenario) the builder takes.
 ``repro.harness.runner`` collects every module's ``EXPERIMENTS`` into the
 registry behind the CLI; calling an entry directly runs it serially and
 uncached, which is what tests and benchmarks that time real runs want.
+
+The context is also the one place runs are observed: with a
+:class:`~repro.telemetry.Telemetry` session, :meth:`RunContext.sweep`
+hands it every run of every sweep it returns, in point order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.core import ExperimentResult
 from repro.harness.cache import SweepCache
 from repro.harness.parallel import RunSpec, sweep
+from repro.harness.pipeline import RunResult
 from repro.harness.scale import Scale
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry import Telemetry
 
 #: ``(ctx, **options) -> {point_key: RunSpec}`` — one sweep an entry reads.
 SpecBuilder = Callable[..., Mapping[Any, RunSpec]]
@@ -36,6 +44,9 @@ class RunContext:
     jobs: int = 1
     #: ``None`` runs every sweep afresh (``--no-cache``, direct calls).
     cache: Optional[SweepCache] = None
+    #: The session observing this context's runs (``--trace``,
+    #: ``--metrics-out``); ``None`` observes nothing.
+    telemetry: Optional["Telemetry"] = None
 
     def spec(self, fn: Callable[..., Any], **options: Any) -> RunSpec:
         """One run of ``fn`` under this context: its scale and seed, plus
@@ -47,12 +58,21 @@ class RunContext:
 
     def sweep(self, specs: Mapping[Any, RunSpec]) -> dict[Any, Any]:
         """``{point_key: result}`` for ``specs`` — from the cache when this
-        context has one; the specs themselves are the key."""
+        context has one; the specs themselves are the key.  Every
+        :class:`RunResult` of the sweep goes to the context's telemetry
+        session, in mapping order; one the session already holds (an
+        in-process cache hit) is not observed twice."""
         if self.cache is None:
-            return sweep(specs, self.jobs)
-        return self.cache.fetch(
-            tuple(specs.items()), lambda: sweep(specs, self.jobs)
-        )
+            results = sweep(specs, self.jobs)
+        else:
+            results = self.cache.fetch(
+                tuple(specs.items()), lambda: sweep(specs, self.jobs)
+            )
+        if self.telemetry is not None:
+            for result in results.values():
+                if isinstance(result, RunResult):
+                    self.telemetry.observe(result)
+        return results
 
 
 @dataclass(frozen=True)
@@ -81,11 +101,13 @@ class Experiment:
         scenario: Optional[str] = None,
         jobs: int = 1,
         cache: Optional[SweepCache] = None,
+        telemetry: Optional["Telemetry"] = None,
         **options: Any,
     ) -> ExperimentResult:
         """Sweep what the entry reads and build the result.  The entry's
-        default plan / scenario apply when none is given; ``options`` (e.g.
-        ``connections=``) go to the spec builders."""
+        default plan / scenario apply when none is given; ``telemetry``
+        observes every run swept; ``options`` (e.g. ``connections=``) go to
+        the spec builders."""
         ctx = RunContext(
             scale or Scale.from_env(),
             seed,
@@ -93,6 +115,7 @@ class Experiment:
             scenario or self.scenario,
             jobs,
             cache,
+            telemetry,
         )
         sweeps = [ctx.sweep(read(ctx, **options)) for read in self.reads]
         return self.build(*sweeps, **{p: getattr(ctx, p) for p in self.params})

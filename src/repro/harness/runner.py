@@ -20,10 +20,9 @@ results are identical to a serial run by construction.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core import ExperimentResult
 from repro.faults import PLANS, named_plan
@@ -45,7 +44,7 @@ from repro.harness.parallel import resolve_jobs
 from repro.harness.registry import Experiment
 from repro.harness.scale import Scale
 from repro.scenario import SCENARIOS, named_scenario
-from repro.telemetry import context as tel_context
+from repro.telemetry import Telemetry
 
 #: The process-wide sweep cache ``run`` uses.
 SWEEPS = SweepCache()
@@ -115,6 +114,7 @@ def run(
     scenario: Optional[str] = None,
     jobs: Optional[int] = None,
     cache: bool = True,
+    telemetry: Optional[Telemetry] = None,
 ) -> ExperimentResult:
     """Run one experiment by id; returns its :class:`ExperimentResult`.
 
@@ -124,7 +124,8 @@ def run(
     only.  ``jobs`` fans the sweep points out over that many worker
     processes (default: ``$REPRO_JOBS``, else serial — results are
     identical either way); ``cache=False`` bypasses both sweep-cache tiers
-    for this call.
+    for this call.  ``telemetry`` observes every run the experiment reads,
+    whichever tier served it.
     """
     if isinstance(scale, str):
         scale = Scale.named(scale)
@@ -152,6 +153,7 @@ def run(
     return entry.run(
         scale, seed, fault_plan, scenario,
         jobs=resolve_jobs(jobs), cache=SWEEPS if cache else None,
+        telemetry=telemetry,
     )
 
 
@@ -229,26 +231,22 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
 
     telemetry = None
-    ctx: Any = contextlib.nullcontext()
     if args.trace or args.metrics_out:
-        from repro.telemetry import Telemetry
-
         telemetry = Telemetry(label=" ".join(ids))
-        ctx = tel_context.session(telemetry)
     jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
-    with ctx:
-        for experiment_id in ids:
-            params = _params(experiment_id)
-            result = run(
-                experiment_id,
-                scale=args.scale,
-                seed=args.seed,
-                jobs=jobs,
-                cache=not args.no_cache,
-                **{f: v for f, v in flags.items() if f in params},
-            )
-            print(result.render())
-            print()
+    for experiment_id in ids:
+        params = _params(experiment_id)
+        result = run(
+            experiment_id,
+            scale=args.scale,
+            seed=args.seed,
+            jobs=jobs,
+            cache=not args.no_cache,
+            telemetry=telemetry,
+            **{f: v for f, v in flags.items() if f in params},
+        )
+        print(result.render())
+        print()
     if telemetry is not None:
         from repro.telemetry.exporters import (
             metrics_tables,

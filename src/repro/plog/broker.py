@@ -74,7 +74,6 @@ from repro.plog.idempotence import PartitionProducerState
 from repro.plog.log import PartitionLog
 from repro.plog.replication import PartitionState, ReplicaProgress
 from repro.sim import Store
-from repro.telemetry.context import current as _telemetry
 from repro.transport.base import EOF, Channel, ChannelClosed, MessageLost
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -150,7 +149,7 @@ class PlogBroker(JvmServer):
         #: ``crash()``/``restart()``.
         self.producer_states: dict[tuple[str, int], PartitionProducerState] = {}
         self._waiters: dict[tuple[str, int], list[_FetchWaiter]] = {}
-        #: Active waiters across ``_waiters`` (the telemetry gauge's value).
+        #: Active waiters across ``_waiters``.
         self._parked = 0
         self._requests: Store = Store(sim)
         self._io_started = False
@@ -159,7 +158,6 @@ class PlogBroker(JvmServer):
         #: Controller callback fired on every ISR change of a led partition
         #: (the stand-in for a metadata-store write).
         self.isr_listener: Optional[Any] = None
-        self.crashed_at: Optional[float] = None
 
     # ------------------------------------------------------------ partitions
     def create_partition(
@@ -224,13 +222,10 @@ class PlogBroker(JvmServer):
             yield from self._handle(channel, delivery.payload)
 
     def _on_channel_closed(self, channel: Channel) -> None:
-        parked = self._parked
         for waiters in self._waiters.values():
             for waiter in waiters:
                 if waiter.channel is channel or waiter.channel is channel.peer:
                     self._unpark(waiter)
-        if self._parked != parked:
-            self._note_parked()
         if self.coordinator is not None:
             self.coordinator.on_disconnect(channel)
 
@@ -318,11 +313,6 @@ class PlogBroker(JvmServer):
                 self.stats.duplicate_batches += 1
                 self.stats.duplicate_records += len(batch)
                 yield from self.node.execute(self.config.request_cpu)
-                tel = _telemetry()
-                if tel is not None:
-                    tel.metrics.counter(
-                        "plog", self.name, "duplicate_batches"
-                    ).inc()
                 if not acks:
                     return
                 required, dup_offset = dup
@@ -411,14 +401,6 @@ class PlogBroker(JvmServer):
         self._waiters.setdefault((waiter.topic, waiter.partition), []).append(waiter)
         self._parked += 1
         self.stats.long_polls_parked += 1
-        self._note_parked()
-
-    def _note_parked(self) -> None:
-        """Mirror parked-fetch pressure into telemetry (current + total)."""
-        tel = _telemetry()
-        if tel is None:
-            return
-        tel.metrics.gauge("plog", self.name, "long_polls_parked").set(self._parked)
 
     def _readable_end(self, key: tuple[str, int]) -> int:
         """First offset consumers may *not* read: the high watermark on a
@@ -450,7 +432,6 @@ class PlogBroker(JvmServer):
             self._waiters[key] = remaining
         else:
             self._waiters.pop(key, None)
-        self._note_parked()
 
     def _unpark(self, waiter: _FetchWaiter) -> None:
         if waiter.active:
@@ -465,7 +446,6 @@ class PlogBroker(JvmServer):
         self.sim.process(
             self._respond_waiter(waiter), name=f"{self.name}.fetch-expire"
         )
-        self._note_parked()
 
     def _respond_waiter(self, waiter: _FetchWaiter) -> Generator[Any, Any, None]:
         if waiter.replica is not None:
@@ -747,9 +727,6 @@ class PlogBroker(JvmServer):
     def _notify_isr(self, state: PartitionState) -> None:
         if self.isr_listener is not None:
             self.isr_listener(state.topic, state.partition, state.isr_names())
-        tel = _telemetry()
-        if tel is not None:
-            tel.metrics.gauge("plog", "replication", "isr_size").set(state.isr_size)
 
     def _send_async(
         self,
@@ -787,12 +764,10 @@ class PlogBroker(JvmServer):
         the commit log is durable storage, so a restarted broker resumes
         serving existing offsets."""
         self._io_started = False
-        self.crashed_at = self.sim.now
         for waiters in self._waiters.values():
             for waiter in waiters:
                 self._unpark(waiter)
         self._waiters.clear()
-        self._note_parked()
         for state in self.states.values():
             # Parked acks=all responses die with their channels; producers
             # that retry re-send the batch to the new leader.

@@ -44,8 +44,6 @@ from repro.cluster.jvm import OutOfMemoryError
 from repro.plog.config import OFFSETS_TOPIC
 from repro.plog.idempotence import PartitionProducerState
 from repro.sim.events import TimedOut
-from repro.telemetry.context import current as _telemetry
-from repro.telemetry.metrics import ELECTION_LATENCY_BUCKETS
 from repro.transport.base import (
     EOF,
     Channel,
@@ -424,14 +422,6 @@ class ClusterController(MembershipController):
         self, topic: str, partition: int, isr: frozenset[str]
     ) -> None:
         self.isr_view[(topic, partition)] = isr
-        tel = _telemetry()
-        if tel is not None:
-            under = sum(
-                1
-                for key, members in self.isr_view.items()
-                if len(members) < len(self._replicas_of(key))
-            )
-            tel.metrics.gauge("plog", "replication", "under_replicated").set(under)
 
     def _replicas_of(self, key: tuple[str, int]) -> tuple[str, ...]:
         for broker in self.deployment.brokers:
@@ -441,13 +431,10 @@ class ClusterController(MembershipController):
         return ()  # pragma: no cover - every key has replicas
 
     def _on_broker_failure(self, broker: "PlogBroker") -> None:
-        crashed_at = getattr(broker, "crashed_at", None)
-        if crashed_at is None:
-            crashed_at = self.sim.now
         # Re-elect every partition the dead broker led.
         for key, state in broker.states.items():
             if state.leader == broker.name:
-                self._elect(key, crashed_at)
+                self._elect(key)
         # Proactively drop the dead broker from surviving leaders' ISRs so
         # acks=all stalls for at most the detection interval, not the full
         # replica lag window.
@@ -467,7 +454,7 @@ class ClusterController(MembershipController):
         for key, state in broker.states.items():
             current = self.deployment.leader_name(key[0], key[1])
             if current is None:
-                self._elect(key, self.sim.now)
+                self._elect(key)
             elif current != broker.name and state.leader != current:
                 broker.become_follower(
                     key[0], key[1], current, self._epochs.get(key, state.epoch)
@@ -481,7 +468,7 @@ class ClusterController(MembershipController):
             if broker.coordinator is not None and broker is not self.deployment.coordinator_broker():
                 broker.coordinator = None
 
-    def _elect(self, key: tuple[str, int], crashed_at: float) -> None:
+    def _elect(self, key: tuple[str, int]) -> None:
         topic, partition = key
         isr = self.isr_view.get(key)
         if isr is None:
@@ -514,15 +501,6 @@ class ClusterController(MembershipController):
         self.isr_view[key] = survivors
         self.elections += 1
         self.election_log.append((self.sim.now, topic, partition, new_leader.name))
-        tel = _telemetry()
-        if tel is not None:
-            tel.metrics.counter("plog", "controller", "elections").inc()
-            tel.metrics.histogram(
-                "plog",
-                "controller",
-                "election_latency_s",
-                buckets=ELECTION_LATENCY_BUCKETS,
-            ).observe(max(0.0, self.sim.now - crashed_at))
 
     # ---------------------------------------------------------- coordinator
     def _elect_coordinator(self) -> None:
@@ -577,6 +555,3 @@ class ClusterController(MembershipController):
         self.deployment.install_coordinator(new_broker, coordinator)
         self.coordinator_elections += 1
         self.coordinator_log.append((self.sim.now, new_broker.name))
-        tel = _telemetry()
-        if tel is not None:
-            tel.metrics.counter("plog", "controller", "coordinator_elections").inc()

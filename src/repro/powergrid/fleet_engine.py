@@ -61,7 +61,6 @@ from repro.powergrid.cohort import (
 )
 from repro.powergrid.rates import RateSchedule, rate_sleep
 from repro.sim import CohortProcess, Simulator
-from repro.telemetry import context as tel_context
 
 #: Middlewares the engine models.
 FLEET_MIDDLEWARES = ("narada", "rgma", "plog")
@@ -229,19 +228,12 @@ class _DeliverySink:
         self.lost = 0
         self.duplicates = 0
         self._latencies: list[np.ndarray] = []
-        tel = tel_context.current()
-        self._hist = (
-            tel.metrics.histogram(middleware, "fleet", "delivery_ms")
-            if tel is not None
-            else None
-        )
 
     def emit(
         self,
         times: np.ndarray,
         closed: np.ndarray,
         k: np.ndarray,
-        batched: bool,
     ) -> None:
         """Deliver one batch: messages stamped ``times`` whose breakers read
         ``closed``, drawing from the batch's noise key ``k``."""
@@ -264,12 +256,6 @@ class _DeliverySink:
         self.published += int(times.size)
         if lat.size:
             self._latencies.append(lat)
-        if self._hist is not None and lat.size:
-            if batched:
-                self._hist.add_many(lat * 1e3)
-            else:
-                for x in lat:
-                    self._hist.observe(float(x) * 1e3)
 
     def summarise(
         self,
@@ -363,7 +349,7 @@ class _CohortEngine:
             k = noise.key(self.dynamics.seed, ids, seqs)
             closed = self.dynamics.breaker(k, self.closed[due])
             self.closed[due] = closed
-            self.sink.emit(t, closed, k, batched=True)
+            self.sink.emit(t, closed, k)
             stop = self.stop[due]
             nxt = advance_interval(
                 self.schedule, ids, t, self.params.publish_interval, stop
@@ -399,7 +385,7 @@ def _gen_process(
         seq += 1
         k = noise.key(seed, ids, seq)
         closed = dynamics.breaker(k, closed)
-        sink.emit(np.array([t]), closed, k, batched=False)
+        sink.emit(np.array([t]), closed, k)
         yield from rate_sleep(
             sim, schedule, gen_id, params.publish_interval, stop
         )

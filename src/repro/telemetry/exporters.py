@@ -12,7 +12,8 @@ header (the "local text file for later analysis" of §III.B, grown up):
 Every line is rendered from the session's finished runs when the file is
 written: a span line is one :class:`~repro.core.records.MessageRecord`
 (:func:`span_line`), and the fault-window lines and the header's run
-summaries come from each :class:`~repro.telemetry.ObservedRun`.
+summaries come from each kept :class:`~repro.harness.pipeline.RunResult`
+(:func:`run_summary`).
 
 :func:`validate_trace_file` re-reads a dump and checks the schema — the CI
 trace-smoke step runs it against a fresh ``--trace`` export.
@@ -31,7 +32,9 @@ from repro.core.report import render_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.records import MessageRecord
-    from repro.telemetry import FaultWindow, Telemetry
+    from repro.faults.plan import FaultSpec
+    from repro.harness.pipeline import RunResult
+    from repro.telemetry import Telemetry
 
 TRACE_SCHEMA = "repro.telemetry.trace"
 TRACE_VERSION = 1
@@ -66,10 +69,19 @@ PHASES = (
 ORDERED_PHASES = ("created", "published", "arrived", "delivered")
 
 
+def fault_window(spec: "FaultSpec") -> dict:
+    """An armed fault's (kind, time window, target), as the trace and the
+    metrics JSON write it."""
+    return {
+        "kind": spec.kind, "start": spec.at, "end": spec.until,
+        "target": spec.target,
+    }
+
+
 def span_line(
     record: "MessageRecord",
     middleware: str,
-    fault_windows: Iterable["FaultWindow"] = (),
+    faults: Iterable["FaultSpec"] = (),
 ) -> dict:
     """One record as a trace span line.
 
@@ -77,7 +89,8 @@ def span_line(
     phases, the components that first stamped each phase and the hop
     count are its :attr:`~repro.core.records.MessageRecord.marks` and
     :attr:`~repro.core.records.MessageRecord.hops`.  ``annotations`` names
-    every fault window (``kind@target``) that overlaps the message's life.
+    every armed fault (``kind@target``) whose window overlaps the
+    message's life.
     A pure function of the record: a book unpickled from the sweep cache
     or a ``--jobs`` worker renders the same lines as the one the run
     filled.
@@ -109,8 +122,9 @@ def span_line(
         }
         line["hops"] = record.hops
     end = phases.get("delivered", math.inf)
+    start = phases["created"]
     annotations = [
-        w.label for w in fault_windows if w.overlaps(phases["created"], end)
+        f"{f.kind}@{f.target}" for f in faults if f.at < end and start < f.until
     ]
     if annotations:
         line["annotations"] = annotations
@@ -121,7 +135,21 @@ def span_lines(telemetry: "Telemetry") -> Iterator[dict]:
     """Every observed record's :func:`span_line`, run by run."""
     for run in telemetry.runs:
         for record in run.book.records:
-            yield span_line(record, run.middleware, run.fault_windows)
+            yield span_line(record, run.middleware, run.faults)
+
+
+def run_summary(run: "RunResult") -> dict:
+    """A run's line in the trace header and the metrics JSON."""
+    return {
+        "label": run.label,
+        "middleware": run.middleware,
+        "spans": len(run.book),
+        "delivered": sum(
+            1 for r in run.book.after(run.measure_since).records if r.delivered
+        ),
+        "measure_since": run.measure_since,
+        "fault_windows": [fault_window(f) for f in run.faults],
+    }
 
 
 # ------------------------------------------------------------------- writing
@@ -138,16 +166,16 @@ def write_trace_jsonl(telemetry: "Telemetry", path: str) -> int:
             "schema": TRACE_SCHEMA,
             "version": TRACE_VERSION,
             "label": telemetry.label,
-            "runs": [run.summary() for run in runs],
+            "runs": [run_summary(run) for run in runs],
             "span_count": sum(len(run.book) for run in runs),
         }
         fh.write(json.dumps(header) + "\n")
         for run in runs:
-            for window in run.fault_windows:
-                # The window's own "kind" (packet_loss, ...) must not
+            for fault in run.faults:
+                # The fault's own "kind" (packet_loss, ...) must not
                 # collide with the line-kind discriminator, so it ships as
                 # fault_kind.
-                doc = window.to_dict()
+                doc = fault_window(fault)
                 doc["fault_kind"] = doc.pop("kind")
                 fh.write(json.dumps({"kind": "fault_window", **doc}) + "\n")
         n_spans = 0
@@ -161,26 +189,28 @@ def write_metrics_json(telemetry: "Telemetry", path: str) -> None:
     """Dump the metrics registry (plus node sample summaries, read as
     ``RunResult.vmstat`` reads them) as one JSON doc.  A sampler row's
     ``samples`` counts the whole run; its CPU-idle mean covers the
-    measurement window from ``measure_since`` on."""
+    measurement window from ``measure_since`` on.  The doc is strict JSON:
+    a non-finite number is an error, not a ``NaN`` token."""
     samplers = []
-    for s in telemetry.node_samples:
-        summary = steady_state_summary(s.samples, s.measure_since)
-        samplers.append({
-            "node": s.node,
-            "middleware": s.middleware,
-            "samples": len(s.samples),
-            "measure_since": s.measure_since,
-            "mean_cpu_idle_percent": summary.mean_cpu_idle_percent,
-            "memory_consumption_mb": summary.memory_consumption_mb,
-        })
+    for run in telemetry.runs:
+        for s in run.node_samples:
+            summary = steady_state_summary(s.samples, run.measure_since)
+            samplers.append({
+                "node": s.node,
+                "middleware": s.middleware,
+                "samples": len(s.samples),
+                "measure_since": run.measure_since,
+                "mean_cpu_idle_percent": summary.mean_cpu_idle_percent,
+                "memory_consumption_mb": summary.memory_consumption_mb,
+            })
     doc = {
         "label": telemetry.label,
         "metrics": telemetry.metrics.to_dict(),
         "samplers": samplers,
-        "runs": [run.summary() for run in telemetry.runs],
+        "runs": [run_summary(run) for run in telemetry.runs],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -292,7 +322,7 @@ def phase_rows(telemetry: "Telemetry") -> list[list]:
         for run in by_middleware[middleware]:
             window.merge(run.book.after(run.measure_since))
             for record in run.book.records:
-                line = span_line(record, middleware, run.fault_windows)
+                line = span_line(record, middleware, run.faults)
                 spans += 1
                 complete += all(p in line["phases"] for p in ORDERED_PHASES)
                 in_fault += "annotations" in line
@@ -343,14 +373,15 @@ def metrics_tables(telemetry: "Telemetry") -> str:
             histogram_rows,
         ))
 
-    if telemetry.node_samples:
-        rows = []
-        for s in telemetry.node_samples:
-            summary = steady_state_summary(s.samples, s.measure_since)
+    rows = []
+    for run in telemetry.runs:
+        for s in run.node_samples:
+            summary = steady_state_summary(s.samples, run.measure_since)
             rows.append([
                 s.node, s.middleware, summary.mean_cpu_idle_percent,
                 summary.memory_consumption_mb, len(s.samples),
             ])
+    if rows:
         parts.append(render_table(
             ["node", "middleware", "CPU idle %", "memory (MB)", "samples"],
             rows,

@@ -6,20 +6,16 @@ serving stack cannot afford to keep every sample.  A quantile is linearly
 interpolated inside its bucket, so the estimate and the exact value share a
 bucket and the relative error is bounded by ``factor - 1`` (the documented
 bound ``tests/telemetry/test_metrics.py`` asserts against
-``numpy.percentile`` on bimodal and heavy-tailed inputs).  Bucket counts
-add, so a histogram merged from parts reports exactly the quantiles of one
-filled in a single pass.  Float totals (a gauge's or histogram's mean) do
-not merge exactly: a sum of per-part totals can differ from the running
-total in the last digit.  ``--jobs N`` reports the same means as a serial
-run because both merge one session per sweep point, in point order
-(:func:`repro.harness.parallel.map_points`).
+``numpy.percentile`` on bimodal and heavy-tailed inputs).  A session fills
+its instruments from finished runs in point order, so a float mean is the
+same running total under any ``--jobs`` and from any cache tier.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 #: Quantiles every histogram reports in :meth:`Histogram.to_dict`.
 QUANTILES = (0.50, 0.90, 0.95, 0.99)
@@ -50,14 +46,6 @@ def geometric_buckets(
     return tuple(bounds)
 
 
-#: Buckets for leader-election latency (seconds): elections resolve within
-#: one failure-detection scan (~0.25 s), so the default milliseconds-first
-#: latency buckets would lump every observation into a handful of bins.
-#: 1 ms .. ~60 s at the default factor keeps the histogram informative for
-#: both the detection delay and pathological multi-failure stalls.
-ELECTION_LATENCY_BUCKETS = geometric_buckets(1e-3, 60.0)
-
-
 class Counter:
     """A monotone event count."""
 
@@ -70,10 +58,6 @@ class Counter:
         if n < 0:
             raise ValueError("counters only go up")
         self.value += n
-
-    def merge(self, other: "Counter") -> None:
-        """Fold a later part's counter into this one (exact)."""
-        self.value += other.value
 
     def to_dict(self) -> dict:
         return {"value": self.value}
@@ -103,20 +87,6 @@ class Gauge:
     @property
     def mean(self) -> float:
         return self._total / self.n if self.n else 0.0
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold a later part's gauge in: n/min/max merge exactly, the float
-        total is added (so the mean depends on merge order in its last
-        digit); ``value`` (last set) takes the merged-in side's."""
-        if other.n == 0:
-            return
-        self.n += other.n
-        self._total += other._total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.value = other.value
 
     def to_dict(self) -> dict:
         return {
@@ -151,31 +121,6 @@ class Histogram:
         if value > self.max:
             self.max = value
         self.counts[self._bucket_index(value)] += 1
-
-    def add_many(self, values) -> None:
-        """Vectorized :meth:`observe` for a whole batch of values.
-
-        ``n``, ``total``, ``min``/``max`` and the bucket counts update
-        exactly as a loop of ``observe`` calls would (``searchsorted`` over
-        the same bounds ``_bucket_index`` binary-searches), so quantiles and
-        :meth:`merge` behave identically.
-        """
-        import numpy as np
-
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size == 0:
-            return
-        self.n += int(arr.size)
-        self.total += float(arr.sum())
-        lo = float(arr.min())
-        hi = float(arr.max())
-        if lo < self.min:
-            self.min = lo
-        if hi > self.max:
-            self.max = hi
-        idx = np.searchsorted(np.asarray(self.bounds), arr, side="left")
-        counts = np.bincount(idx, minlength=len(self.counts))
-        self.counts = [a + int(b) for a, b in zip(self.counts, counts)]
 
     def _bucket_index(self, value: float) -> int:
         # Binary search over the upper bounds: bucket i covers
@@ -219,30 +164,16 @@ class Histogram:
             cum += count
         return self.max  # pragma: no cover - q<1 always lands in-loop
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold a later part's histogram in (bounds must match): bucket
-        counts, n and min/max merge exactly, so every quantile does; the
-        float total is added, so the mean depends on merge order in its
-        last digit."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        if other.n == 0:
-            return
-        self.n += other.n
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "mean": self.mean if self.n else 0.0,
             "min": self.min if self.n else 0.0,
             "max": self.max if self.n else 0.0,
-            "quantiles": {f"p{q * 100:g}": self.quantile(q) for q in QUANTILES},
+            "quantiles": {
+                f"p{q * 100:g}": self.quantile(q) if self.n else 0.0
+                for q in QUANTILES
+            },
         }
 
 
@@ -297,24 +228,6 @@ class MetricsRegistry:
         if not isinstance(instrument, Histogram):
             raise TypeError(f"{middleware}/{component}/{name} is not a histogram")
         return instrument
-
-    def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold every instrument of ``other`` into this registry.
-
-        Instruments absent here are adopted by reference (``other`` is a
-        finished point's session, never used again); same-key instruments
-        must agree on kind and merge via their ``merge`` methods.
-        """
-        for key, instrument in other:
-            mine = self._metrics.get(key)
-            if mine is None:
-                self._metrics[key] = instrument
-                continue
-            if mine.kind != instrument.kind:  # type: ignore[attr-defined]
-                raise TypeError(
-                    f"cannot merge {instrument.kind} into {mine.kind} at {key}"  # type: ignore[attr-defined]
-                )
-            mine.merge(instrument)  # type: ignore[attr-defined]
 
     def __iter__(self) -> Iterator[tuple[MetricKey, object]]:
         return iter(sorted(self._metrics.items(), key=lambda kv: str(kv[0])))

@@ -2,23 +2,21 @@
 
 Every recording receiver stamps through ``MessageRecord.deliver``: the first
 copy of a message sets ``t_arrived``/``t_received`` and stamps one
-``delivered`` mark on the record (bumping one ``span.delivered`` counter
-under a telemetry session); a later copy changes neither and, on the paths
-that keep the count, is counted as one duplicate.
+``delivered`` mark on the record (one ``span.delivered`` in its book's
+tally); a later copy changes neither and, on the paths that keep the
+count, is counted as one duplicate.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.core.records import MessageRecord
+from repro.core.records import RecordBook
 from repro.edge.client import EdgeClient
 from repro.federation.deployment import FederationSubscriber
 from repro.powergrid import NaradaReceiver, PlogReceiver, RgmaReceiver
 from repro.powergrid.workload import MONITORING_TOPIC
 from repro.sim import Simulator
-from repro.telemetry import Telemetry
-from repro.telemetry.context import session
 
 NODE = SimpleNamespace(name="hydra8")
 CLUSTER = SimpleNamespace(node=lambda name: NODE)
@@ -94,21 +92,18 @@ def _edge(sim):
 def test_second_delivery_keeps_the_first_stamp(path):
     sim = Simulator(seed=1)
     deliver, duplicates = path(sim)
-    record = MessageRecord(gen_id=3, seq=7, t_before_send=0.0)
-    tel = Telemetry("delivery")
-    with session(tel):
-        sim.run(until=1.0)
-        deliver(record, 0.5)
-        first = (record.t_arrived, record.t_received)
-        sim.run(until=2.0)
-        deliver(record, 1.5)
+    book = RecordBook()
+    record = book.new_record(gen_id=3, seq=7, t_before_send=0.0)
+    sim.run(until=1.0)
+    deliver(record, 0.5)
+    first = (record.t_arrived, record.t_received)
+    sim.run(until=2.0)
+    deliver(record, 1.5)
     assert first[1] == 1.0
     assert (record.t_arrived, record.t_received) == first
     assert [(p, t) for p, (t, _) in record.marks.items()] == [("delivered", 1.0)]
     assert record.hops == 1
-    delivered = [
-        c.value for key, c in tel.metrics if key.name == "span.delivered"
-    ]
+    delivered = [n for (_, _, phase), n in book.tally.items() if phase == "delivered"]
     assert delivered == [1]
     if duplicates is not None:
         assert duplicates() == 1

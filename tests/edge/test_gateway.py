@@ -227,26 +227,21 @@ def test_restart_is_a_fresh_incarnation():
 
 
 def test_parked_gauges_track_weight():
-    from repro.telemetry import Telemetry
-    from repro.telemetry import context as tel_context
+    sim, gateway, session, client, _ = build(EdgeConfig(long_poll_timeout=2.0))
 
-    tel = Telemetry("edge-gauges")
-    with tel_context.session(tel):
-        sim, gateway, session, client, _ = build(EdgeConfig(long_poll_timeout=2.0))
+    def run():
+        return (yield from poll(client, weight=250.0))
 
-        def run():
-            return (yield from poll(client, weight=250.0))
+    def probe():
+        yield sim.timeout(1.0)
+        return (
+            gateway.parked_weight,
+            gateway._parked_polls,
+            gateway.upstream_connections,
+        )
 
-        def probe():
-            yield sim.timeout(1.0)
-            return (
-                tel.metrics.gauge("edge", "gw0", "parked_connections").value,
-                tel.metrics.gauge("edge", "gw0", "parked_polls").value,
-                tel.metrics.gauge("edge", "gw0", "upstream_connections").value,
-            )
-
-        sim.process(run(), name="poller")
-        parked_weight, parked_polls, upstream_conns = sim.run_process(probe())
+    sim.process(run(), name="poller")
+    parked_weight, parked_polls, upstream_conns = sim.run_process(probe())
     assert parked_weight == 250.0
     assert parked_polls == 1
     assert upstream_conns == 1

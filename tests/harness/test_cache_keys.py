@@ -25,8 +25,6 @@ from repro.harness.cache import DiskCache, SweepCache
 from repro.harness.parallel import RunSpec
 from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
-from repro.telemetry import Telemetry
-from repro.telemetry.context import session
 
 SMOKE = Scale.smoke()
 CTX = RunContext(SMOKE, seed=1)
@@ -109,7 +107,10 @@ DIFFERING = {
 
 
 @pytest.mark.parametrize("changed", sorted(DIFFERING))
-def test_specs_differing_in_one_input_never_share_a_cache_entry(changed):
+def test_specs_differing_in_one_input_never_share_a_cache_entry(
+    changed, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     make, make_other = DIFFERING[changed]
     sweep, rebuilt, other = (
         tuple(specs.items()) for specs in (make(), make(), make_other())
@@ -121,12 +122,9 @@ def test_specs_differing_in_one_input_never_share_a_cache_entry(changed):
     cache = SweepCache()
     built = []
     build = lambda tag: lambda: built.append(tag) or tag
-    # Under a session only the in-process tier is consulted.
-    with session(Telemetry("keys")):
-        assert cache.fetch(sweep, build("sweep")) == "sweep"
-        assert cache.fetch(other, build("other")) == "other"
-        assert cache.fetch(rebuilt, build("again")) == "sweep"  # equal specs: hit
+    assert cache.fetch(sweep, build("sweep")) == "sweep"
+    assert cache.fetch(other, build("other")) == "other"
+    assert cache.fetch(rebuilt, build("again")) == "sweep"  # equal specs: hit
     assert built == ["sweep", "other"]
-    # ... and nothing a live session built reached the disk tier.
-    assert not disk.path_for(sweep).exists()
-    assert not disk.path_for(other).exists()
+    # Each built sweep reached its own disk entry.
+    assert disk.path_for(sweep).exists() and disk.path_for(other).exists()

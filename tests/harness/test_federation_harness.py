@@ -17,7 +17,6 @@ from repro.harness.parallel import RunSpec
 from repro.harness.pipeline import run_point
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry
-from repro.telemetry.context import session
 from repro.telemetry.exporters import span_lines
 
 SMOKE = Scale.smoke()
@@ -133,8 +132,8 @@ def test_tree_link_partition_is_held_not_lost():
 
 def test_federated_spans_decompose_and_count_hops():
     tel = Telemetry("federation test")
-    with session(tel):
-        run = federation_run(7, scale=SMOKE)
+    run = federation_run(7, scale=SMOKE)
+    tel.observe(run)
     spans = list(span_lines(tel))
     assert len(spans) == len(run.book)
     assert all(s["middleware"] == "federation" for s in spans)
@@ -152,16 +151,25 @@ def test_federated_spans_decompose_and_count_hops():
     )
 
 
-def test_link_counters_reach_metrics_registry():
+def test_federated_span_counters_count_every_broker_mark():
+    """The book's tally reaches the session as per-broker span counters,
+    one mark per broker a copy crossed."""
+    run = federation_run(3, scale=SMOKE)
     tel = Telemetry("federation counters")
-    with session(tel):
-        federation_run(3, scale=SMOKE)
-    link_counters = [
-        key
-        for key, _instrument in tel.metrics
-        if key.middleware == "federation" and key.component.startswith("link:")
-    ]
-    assert link_counters, "per-link telemetry counters missing"
+    tel.observe(run)
+    broker_in = {
+        key.component: counter.value
+        for key, counter in tel.metrics
+        if key.middleware == "federation" and key.name == "span.broker_in"
+    }
+    assert set(broker_in) == {"fed0", "fed1", "fed2"}
+    # The root marks every leaf's forwarded copy too, not only the events
+    # its own site published (the first marks a trace line shows).
+    first = sum(
+        line.get("components", {}).get("broker_in") == "fed0"
+        for line in span_lines(tel)
+    )
+    assert broker_in["fed0"] > first
 
 
 # ------------------------------------------------------------- refusals

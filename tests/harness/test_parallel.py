@@ -7,21 +7,22 @@ The headline guarantees:
   match);
 * the in-memory tier is LRU-bounded;
 * the disk tier is keyed by the run specs and the code version, and
-  ``clear_cache`` / ``cache=False`` really do bypass it.
+  ``clear_cache`` / ``cache=False`` really do bypass it;
+* a traced CLI call reads the disk tier like any other, and writes the
+  same trace and metrics whether its sweeps were simulated or served.
 """
 
 import pickle
 
 import pytest
 
-from repro.harness import chaos_experiments, runner
+from repro.harness import chaos_experiments, parallel, runner
 from repro.harness.cache import DiskCache, SweepCache
 from repro.harness.narada_experiments import narada_run
 from repro.harness.parallel import RunSpec, map_points, resolve_jobs, sweep
 from repro.harness.registry import RunContext
 from repro.harness.scale import Scale
 from repro.telemetry import Telemetry
-from repro.telemetry import context as tel_context
 from repro.telemetry.exporters import write_trace_jsonl
 
 #: Tiny scale: parallel tests run whole sweeps several times over.
@@ -132,15 +133,15 @@ def _plog_chaos_legs():
 
 
 def test_parallel_merges_telemetry_like_serial(tmp_path):
-    """Serial and --jobs 2 observe every point the same way (a fresh
-    session per point, merged in point order), so the metrics — float
-    means included — and the written trace are the same bytes."""
+    """Serial and --jobs 2 sweeps hand the session the same results in the
+    same point order, so the metrics — float means included — and the
+    written trace are the same bytes."""
     specs = _plog_chaos_legs()
 
     def traced(jobs):
         telemetry = Telemetry("sweep")
-        with tel_context.session(telemetry):
-            results = sweep(specs, jobs)
+        ctx = RunContext(Scale.smoke(), jobs=jobs, telemetry=telemetry)
+        results = ctx.sweep(specs)
         path = tmp_path / f"trace.{jobs}.jsonl"
         write_trace_jsonl(telemetry, str(path))
         return telemetry, results, path.read_bytes()
@@ -150,27 +151,25 @@ def test_parallel_merges_telemetry_like_serial(tmp_path):
     assert tel_parallel.metrics.to_dict() == tel_serial.metrics.to_dict()
     assert parallel_trace == serial_trace
     assert b'"kind": "fault_window"' in serial_trace
-    assert tel_parallel.node_samples == tel_serial.node_samples
-    # A worker's book crosses once, in the same pickle as its result.
+    # The session keeps the results themselves, in point order.
     for telemetry, results in ((tel_serial, serial), (tel_parallel, parallel)):
         assert all(
-            run.book is results[k].book
-            for run, k in zip(telemetry.runs, specs, strict=True)
+            run is results[k] for run, k in zip(telemetry.runs, specs, strict=True)
         )
 
 
 # ------------------------------------------------------------ memory tier
 
-def test_memory_tier_is_lru_bounded():
+def test_memory_tier_is_lru_bounded(monkeypatch):
     cache = SweepCache(max_entries=2)
-    # An active session makes fetch skip the disk tier, isolating the LRU.
-    with tel_context.session(Telemetry("lru")):
-        _probe_sweep("a", cache)
-        _probe_sweep("b", cache)
-        _probe_sweep("a", cache)  # hit; refreshes a
-        _probe_sweep("c", cache)  # evicts b (LRU)
-        _probe_sweep("a", cache)  # still cached
-        _probe_sweep("b", cache)  # rebuilt
+    # A disk tier that never hits isolates the LRU.
+    monkeypatch.setattr(DiskCache, "get", lambda self, key: None)
+    _probe_sweep("a", cache)
+    _probe_sweep("b", cache)
+    _probe_sweep("a", cache)  # hit; refreshes a
+    _probe_sweep("c", cache)  # evicts b (LRU)
+    _probe_sweep("a", cache)  # still cached
+    _probe_sweep("b", cache)  # rebuilt
     assert PROBED == ["a", "b", "c", "b"]
 
 
@@ -207,18 +206,31 @@ def test_fault_plan_namespaces_disk_entries():
     assert len(PROBED) == 2
 
 
-def test_telemetry_session_bypasses_disk_tier():
-    """Disk entries carry no live spans, so --trace runs must not use them."""
-    cache = SweepCache()
-    _probe_sweep("bypass", cache)  # seeds the disk
-    cache.forget()
-    with tel_context.session(Telemetry("probe")):
-        _probe_sweep("bypass", cache)
-    assert len(PROBED) == 2  # ran live under the session
-    # Sessionless lookups still see the sessionless entry.
-    cache.forget()
-    _probe_sweep("bypass", cache)
-    assert len(PROBED) == 2
+def test_traced_invocation_reads_the_disk_cache(tmp_path, monkeypatch, capsys):
+    """A run's result is the whole observation, so a warm --trace call is
+    served by the disk tier and writes the bytes a simulating call does."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    def traced(leg, *flags):
+        trace, metrics = tmp_path / f"{leg}.jsonl", tmp_path / f"{leg}.json"
+        argv = ["fig15", "--scale", "smoke", "--jobs", "1", *flags,
+                "--trace", str(trace), "--metrics-out", str(metrics)]
+        assert runner.main(argv) == 0
+        runner.SWEEPS.forget()  # what a fresh process starts with
+        capsys.readouterr()
+        return trace.read_bytes(), metrics.read_bytes()
+
+    cold = traced("cold")
+
+    def simulate(specs, jobs=None):
+        raise AssertionError("a warm traced call built a sweep")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(parallel, "map_points", simulate)
+        warm = traced("warm")
+    fresh = traced("fresh", "--no-cache")
+    assert cold == warm == fresh
+    assert b'"kind": "span"' in cold[0]
 
 
 def test_clear_cache_empties_both_tiers():

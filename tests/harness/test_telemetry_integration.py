@@ -1,9 +1,9 @@
 """Runner/telemetry integration: cache context, CLI trace flags.
 
-The sweep cache must never hand a fault-free (or span-free) sweep to a
-lookup made under a fault plan (or an active telemetry session) — the
-regression this file pins down — and the ``--trace`` / ``--metrics-out``
-CLI flags must produce a schema-valid JSONL trace end to end.
+The sweep cache must never hand a fault-free sweep to a lookup made under
+a fault plan — the regression this file pins down — and the ``--trace`` /
+``--metrics-out`` CLI flags must produce a schema-valid JSONL trace end to
+end, read off the finished results the experiment's sweeps return.
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
-from repro.telemetry.context import session
 from repro.telemetry.exporters import (
     metrics_tables,
     phase_rows,
@@ -69,20 +68,8 @@ def test_cache_reuses_only_matching_context():
     lookup("loss_burst")
     assert len(BUILDS) == 2
 
-    # A telemetry session must force a fresh sweep too: a cached sweep was
-    # built without span hooks, so reusing it would return empty traces.
-    with session(Telemetry("t1")):
-        lookup()
-        lookup()  # ... but within one session the sweep is shared
-    assert len(BUILDS) == 3
-
-    # A *different* session cannot reuse the previous session's sweep.
-    with session(Telemetry("t2")):
-        lookup()
-    assert len(BUILDS) == 4
-
     lookup()  # back to the plain cached entry
-    assert len(BUILDS) == 4
+    assert len(BUILDS) == 2
 
 
 def test_run_sets_and_restores_active_fault_plan(monkeypatch):
@@ -112,16 +99,18 @@ def test_run_sets_and_restores_active_fault_plan(monkeypatch):
 
 # ------------------------------------------------------------------ CLI path
 def test_cli_trace_and_metrics_out(tmp_path, monkeypatch, capsys):
-    def tiny(scale, seed):
-        run = narada_run(20, scale=scale, seed=seed)
+    def tiny(runs):
         result = ExperimentResult("tiny", "tiny traced run", "", "ms")
-        result.table = (["received"], [[run.received]])
+        result.table = (["received"], [[runs[20].received]])
         return result
+
+    def reads(ctx):
+        return {20: ctx.spec(narada_run, connections=20)}
 
     monkeypatch.setitem(
         runner.EXPERIMENTS,
         "tiny",
-        Experiment("tiny", "tiny traced run", tiny, params=("scale", "seed")),
+        Experiment("tiny", "tiny traced run", tiny, reads=(reads,)),
     )
     trace = tmp_path / "trace.jsonl"
     metrics = tmp_path / "metrics.json"
@@ -185,20 +174,20 @@ def _recorded_run(monkeypatch, name):
 
 @pytest.mark.parametrize("name", RUNS)
 def test_traced_run_schedules_the_untraced_events(monkeypatch, tmp_path, name):
-    """A session observes a run without adding one kernel event, and its
-    --metrics-out node summaries are the run's own vmstat columns."""
-    plain, plain_sim = _recorded_run(monkeypatch, name)
+    """A session observes a finished run without scheduling one kernel
+    event, and its --metrics-out node summaries are the run's own vmstat
+    columns."""
+    traced, traced_sim = _recorded_run(monkeypatch, name)
+    events = traced_sim.events_scheduled
     telemetry = Telemetry(name)
-    with session(telemetry):
-        traced, traced_sim = _recorded_run(monkeypatch, name)
-    assert traced_sim.events_scheduled == plain_sim.events_scheduled
-    assert traced.vmstat == plain.vmstat
+    telemetry.observe(traced)
+    assert traced_sim.events_scheduled == events
 
     path = tmp_path / "metrics.json"
     write_metrics_json(telemetry, str(path))
     rows = json.loads(path.read_text())["samplers"]
     assert [row["node"] for row in rows] == list(traced.vmstat)
-    for row, kept in zip(rows, telemetry.node_samples):
+    for row, kept in zip(rows, traced.node_samples, strict=True):
         column = traced.vmstat[row["node"]]
         assert row["measure_since"] == traced.measure_since
         assert row["memory_consumption_mb"] == column.memory_consumption_mb
@@ -212,8 +201,8 @@ def test_metrics_json_sampler_rows_read_the_steady_state_window(tmp_path):
     """--metrics-out summarizes a node as RunResult.vmstat (Figs 6/13) does:
     CPU idle over the measurement window, not over the whole run."""
     telemetry = Telemetry("window")
-    with session(telemetry):
-        run = narada_run(100, scale=SMOKE, seed=1)
+    run = narada_run(100, scale=SMOKE, seed=1)
+    telemetry.observe(run)
     path = tmp_path / "metrics.json"
     write_metrics_json(telemetry, str(path))
     (row,) = [
@@ -228,13 +217,12 @@ def test_metrics_json_sampler_rows_read_the_steady_state_window(tmp_path):
 
 @pytest.mark.parametrize("name", ["narada", "federation", "edge"])
 def test_session_spans_equal_spans_bound_from_an_untraced_book(name):
-    """Every phase is stamped on the record, traced or not: a session's
-    span lines are exactly the same seed's untraced book rendered."""
+    """Every phase is stamped on the record, observed or not: a session's
+    span lines are exactly the same seed's other run's book rendered."""
     fn, args = RUNS[name]
     plain = fn(*args, scale=SMOKE, seed=1)
     telemetry = Telemetry(name)
-    with session(telemetry):
-        fn(*args, scale=SMOKE, seed=1)
+    telemetry.observe(fn(*args, scale=SMOKE, seed=1))
     (run,) = telemetry.runs
     lines = list(span_lines(telemetry))
     assert [span_line(r, run.middleware) for r in plain.book.records] == lines
@@ -245,9 +233,8 @@ def test_telemetry_table_reads_the_figures_window():
     """The telemetry table's PRT/PT/SRT/RTT columns are fig15's rows for the
     same runs: each middleware's measurement window, not its warm-up."""
     telemetry = Telemetry("fig15")
-    with session(telemetry):
-        ctx = RunContext(SMOKE, seed=1)
-        runs = ctx.sweep(decomposition.paper_pair(ctx, connections=100))
+    ctx = RunContext(SMOKE, seed=1, telemetry=telemetry)
+    runs = ctx.sweep(decomposition.paper_pair(ctx, connections=100))
     figure = decomposition.fig15(runs).table[1]
     table = phase_rows(telemetry)
     assert [row[0] for row in table] == ["narada", "rgma"]

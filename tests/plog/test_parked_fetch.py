@@ -58,10 +58,8 @@ def test_woken_fetch_cancels_its_expiry():
 
 
 def test_parked_gauge_tracks_active_waiters():
-    """The telemetry gauge is a live count, right after every kind of change."""
-    from repro.telemetry import Telemetry
-    from repro.telemetry.context import session
-
+    """The broker's parked count is a live count of its active waiters,
+    right after every kind of change."""
     sim = Simulator(seed=1)
     cluster = HydraCluster(sim)
     transport = TcpTransport(sim, cluster.lan)
@@ -79,23 +77,21 @@ def test_parked_gauge_tracks_active_waiters():
 
     def check(expected):
         active = sum(w.active for ws in broker._waiters.values() for w in ws)
-        gauge = tel.metrics.gauge("plog", "b", "long_polls_parked").value
-        assert (active, gauge) == (expected, expected)
+        assert (active, broker._parked) == (expected, expected)
 
-    with session(Telemetry()) as tel:
-        sim.process(fetch("expires", 0, MAX_WAIT))
-        sim.process(fetch("woken", 0, 10.0))
-        sim.process(fetch("closed", 1, 10.0))
-        sim.process(fetch("crashed", 1, 10.0))
-        sim.run(until=0.5)
-        check(4)  # parked
-        sim.run(until=0.5 + MAX_WAIT)
-        check(3)  # expired
-        channels["closed"].close()
-        sim.run(until=sim.now + 0.1)
-        check(2)  # its connection closed
-        broker.logs[("t", 0)].append([(None, "v", 100.0)])
-        broker._wake_fetchers("t", 0)
-        check(1)  # woken
-        broker.crash()
-        check(0)  # died with the broker
+    sim.process(fetch("expires", 0, MAX_WAIT))
+    sim.process(fetch("woken", 0, 10.0))
+    sim.process(fetch("closed", 1, 10.0))
+    sim.process(fetch("crashed", 1, 10.0))
+    sim.run(until=0.5)
+    check(4)  # parked
+    sim.run(until=0.5 + MAX_WAIT)
+    check(3)  # expired
+    channels["closed"].close()
+    sim.run(until=sim.now + 0.1)
+    check(2)  # its connection closed
+    broker.logs[("t", 0)].append([(None, "v", 100.0)])
+    broker._wake_fetchers("t", 0)
+    check(1)  # woken
+    broker.crash()
+    check(0)  # died with the broker

@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.records import RecordBook
 from repro.faults.plan import FaultSpec
+from repro.harness.pipeline import RunResult
 from repro.telemetry import Telemetry
-from repro.telemetry.context import session
 from repro.telemetry.exporters import (
     TRACE_SCHEMA,
     TRACE_VERSION,
@@ -21,23 +21,30 @@ from repro.telemetry.exporters import (
 )
 
 
+def _run(book: RecordBook, measure_since: float = 0.0, **fields) -> RunResult:
+    """A hand-built result around ``book`` (only what a session reads is
+    meaningful)."""
+    return RunResult(
+        label="unit-run", middleware="narada", book=book,
+        measure_since=measure_since, sent=len(book), received=0,
+        mean_rtt_ms=0.0, stddev_rtt_ms=0.0, loss_rate=0.0, rtts=None,
+        **fields,
+    )
+
+
 def _session() -> tuple[Telemetry, RecordBook]:
     """A hand-built session: 4 delivered messages + 1 lost, 1 fault window."""
     tel = Telemetry("unit")
     book = RecordBook()
-    with session(tel):  # the marks bump the session's span.* counters
-        for i in range(4):
-            r = book.new_record(gen_id=1, seq=i, t_before_send=float(i))
-            r.t_after_send = i + 0.01
-            r.t_arrived = i + 0.20
-            r.t_received = i + 0.25
-            r.mark("broker_in", i + 0.05, "narada", "broker1")
-            r.mark("broker_out", i + 0.15, "narada", "broker1")
+    for i in range(4):  # the marks are tallied into span.* counters
+        r = book.new_record(gen_id=1, seq=i, t_before_send=float(i))
+        r.t_after_send = i + 0.01
+        r.t_arrived = i + 0.20
+        r.t_received = i + 0.25
+        r.mark("broker_in", i + 0.05, "narada", "broker1")
+        r.mark("broker_out", i + 0.15, "narada", "broker1")
     book.new_record(gen_id=1, seq=99, t_before_send=1.5)  # never delivered
-    tel.observe(
-        "unit-run", "narada", book,
-        plan=[FaultSpec("packet_loss", 1.0, 1.0, "lan")],
-    )
+    tel.observe(_run(book, faults=[FaultSpec("packet_loss", 1.0, 1.0, "lan")]))
     return tel, book
 
 
@@ -196,6 +203,25 @@ def test_metrics_json(tmp_path):
     assert doc["metrics"]["narada/harness/rtt_ms"]["kind"] == "histogram"
     assert doc["runs"][0]["label"] == "unit-run"
     assert doc["samplers"] == []
+
+
+def test_metrics_json_is_strict_when_nothing_is_delivered(tmp_path):
+    """A middleware that delivers nothing in its window has an empty
+    rtt_ms histogram: its quantiles are written as 0.0, never as NaN."""
+    book = RecordBook()
+    book.new_record(gen_id=1, seq=0, t_before_send=0.5)  # lost, pre-window
+    tel = Telemetry("empty window")
+    tel.observe(_run(book, measure_since=1.0))
+    path = tmp_path / "metrics.json"
+    write_metrics_json(tel, str(path))
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    rtt = doc["metrics"]["narada/harness/rtt_ms"]
+    assert rtt["n"] == 0
+    assert set(rtt["quantiles"].values()) == {0.0}
 
 
 def test_metrics_tables_content():

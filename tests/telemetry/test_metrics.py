@@ -81,6 +81,9 @@ def test_geometric_buckets_cover_range_and_validate():
 def test_histogram_edge_cases():
     h = Histogram(buckets=(1.0, 2.0, 4.0))
     assert math.isnan(h.quantile(0.5))
+    # ... but the exported dict is strict JSON: an empty histogram's
+    # quantiles are written as zeros, like its mean/min/max.
+    assert set(h.to_dict()["quantiles"].values()) == {0.0}
     for x in (0.5, 1.5, 3.0, 100.0):  # 100.0 lands in the overflow bucket
         h.observe(x)
     assert h.n == 4
@@ -129,52 +132,3 @@ def test_registry_get_or_create_and_kind_mismatch():
     assert d["plog/broker1/produces"]["kind"] == "counter"
     assert d["narada/broker1/heap"]["kind"] == "gauge"
     assert d["rgma/harness/rtt_ms"]["kind"] == "histogram"
-
-
-# --------------------------------------------------------------- add_many
-
-def test_add_many_matches_observe_loop_exactly():
-    """Batch feeding must leave n/total/min/max and every bucket count
-    exactly as the equivalent observe() loop would — bucketed quantiles
-    and merge() then agree by construction."""
-    rng = np.random.default_rng(5)
-    values = np.concatenate([
-        rng.lognormal(1.0, 1.5, 4000),
-        [0.0, 1e-9, 1e12],  # underflow edge, tiny, overflow bucket
-        np.array([1.0, 1.0, 1.0]),  # exact bound duplicates
-    ])
-    batched = Histogram()
-    batched.add_many(values)
-    looped = Histogram()
-    for v in values:
-        looped.observe(float(v))
-    assert batched.n == looped.n
-    assert batched.total == pytest.approx(looped.total, rel=1e-12)
-    assert batched.min == looped.min
-    assert batched.max == looped.max
-    assert batched.counts == looped.counts
-    for q in (0.5, 0.95, 0.99):
-        assert batched.quantile(q) == looped.quantile(q)
-
-
-def test_add_many_exact_bucket_boundary_values():
-    """searchsorted(side='left') must agree with _bucket_index's binary
-    search on values sitting exactly on a bucket bound."""
-    h_batch = Histogram(buckets=(1.0, 2.0, 4.0))
-    h_loop = Histogram(buckets=(1.0, 2.0, 4.0))
-    vals = [1.0, 2.0, 4.0, 0.5, 3.0, 5.0]
-    h_batch.add_many(vals)
-    for v in vals:
-        h_loop.observe(v)
-    assert h_batch.counts == h_loop.counts == [2, 1, 2, 1]
-
-
-def test_add_many_empty_and_incremental():
-    h = Histogram()
-    h.add_many([])
-    assert h.n == 0
-    h.add_many([1.0, 2.0])
-    h.add_many(np.array([3.0]))
-    assert h.n == 3
-    assert h.total == pytest.approx(6.0)
-    assert (h.min, h.max) == (1.0, 3.0)

@@ -5,9 +5,11 @@ import pickle
 import pytest
 
 from repro.cluster import HydraCluster, VmStat
+from repro.cluster.vmstat import NodeSamples
 from repro.core import RecordBook
+from repro.harness.pipeline import RunResult
 from repro.sim import Simulator
-from repro.telemetry import NodeSamples, Telemetry
+from repro.telemetry import Telemetry
 
 
 def _busy_workload(sim, node, until=20.0):
@@ -17,6 +19,16 @@ def _busy_workload(sim, node, until=20.0):
             yield sim.timeout(0.7)  # then idle
 
     sim.process(work(), name="workload")
+
+
+def _run(vm: VmStat) -> RunResult:
+    """A bare result whose one sampled node is ``vm``'s, labelled plog."""
+    return RunResult(
+        label="run", middleware="plog", book=RecordBook(), measure_since=0.0,
+        sent=0, received=0, mean_rtt_ms=0.0, stddev_rtt_ms=0.0,
+        loss_rate=0.0, rtts=None,
+        node_samples=[NodeSamples(vm.node.name, "plog", vm.samples)],
+    )
 
 
 def test_sampler_is_passive_under_workload():
@@ -56,7 +68,7 @@ def test_sampler_feeds_registry():
 
     tel = Telemetry("test")
     events = sim.events_scheduled
-    tel.observe("run", "plog", RecordBook(), vmstats=[(vm, "plog")])
+    tel.observe(_run(vm))
     assert sim.events_scheduled == events
 
     idle = tel.metrics.gauge("plog", "hydra1", "cpu_idle_percent")
@@ -66,8 +78,8 @@ def test_sampler_feeds_registry():
     assert (idle.value, idle.min, idle.max) == (idles[-1], min(idles), max(idles))
     assert idle.mean == pytest.approx(sum(idles) / 5)
     assert memory.value == vm.samples[-1].memory_used_bytes
-    (kept,) = tel.node_samples
-    assert kept == NodeSamples("hydra1", "plog", 1.0, vm.samples)
+    (kept,) = tel.runs[0].node_samples
+    assert kept == NodeSamples("hydra1", "plog", vm.samples)
     assert pickle.loads(pickle.dumps(kept)) == kept
 
 
@@ -82,7 +94,7 @@ def test_sampler_rejects_bad_interval_and_empty_summary():
     assert summary.samples == 0
     assert summary.mean_cpu_idle_percent == 100.0
     tel = Telemetry("test")
-    tel.observe("run", "plog", RecordBook(), vmstats=[(vm, "plog")])
+    tel.observe(_run(vm))
     # no samples, no gauges
     assert [str(k) for k, i in tel.metrics if i.kind == "gauge"] == []
-    assert tel.node_samples == [NodeSamples("hydra1", "plog", 1.0, [])]
+    assert tel.runs[0].node_samples == [NodeSamples("hydra1", "plog", [])]

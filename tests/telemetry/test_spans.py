@@ -1,12 +1,12 @@
-"""Spans: middleware hooks, rendered span lines, zero behavioural impact.
+"""Spans: middleware marks, rendered span lines, observation after the run.
 
 The two load-bearing properties:
 
 * **one reading** — a span line is its record rendered, and the telemetry
   table decomposes the same records with
   :func:`repro.core.metrics.decompose`, the figures' one PRT/PT/SRT mean;
-* **zero impact** — running the same experiment with telemetry active
-  yields bit-identical measured RTTs (marks and samplers are passive).
+* **zero impact** — a session reads a finished result and changes none of
+  it: observing a run leaves its measured RTTs bit-identical.
 """
 
 import pickle
@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from repro.core import MessageRecord, RecordBook, decompose
+from repro.faults import FaultSpec
+from repro.harness import runner
 from repro.harness.narada_experiments import narada_run
 from repro.harness.plog_experiments import plog_run
 from repro.harness.rgma_experiments import rgma_run
 from repro.harness.scale import Scale
-from repro.telemetry import FaultWindow, Telemetry
-from repro.telemetry.context import activate, current, deactivate, session
+from repro.telemetry import Telemetry
 from repro.telemetry.exporters import (
     ORDERED_PHASES,
     phase_rows,
@@ -36,24 +37,15 @@ def _complete(lines):
     return [line for line in lines if set(ORDERED_PHASES) <= set(line["phases"])]
 
 
+def _observed(*runs):
+    """A session that has observed ``runs``, in order."""
+    tel = Telemetry("test")
+    for run in runs:
+        tel.observe(run)
+    return tel
+
+
 # ---------------------------------------------------------------- unit level
-def test_context_stack():
-    assert current() is None
-    a, b = Telemetry("a"), Telemetry("b")
-    activate(a)
-    activate(b)
-    assert current() is b
-    with pytest.raises(RuntimeError):
-        deactivate(a)  # not innermost
-    deactivate(b)
-    assert current() is a
-    deactivate(a)
-    assert current() is None
-    with session(a):
-        assert current() is a
-    assert current() is None
-
-
 def test_tracer_first_mark_wins_and_counts_hops():
     record = MessageRecord(gen_id=1, seq=1, t_before_send=0.0)
     assert record.marks is None and record.hops == 0
@@ -66,15 +58,47 @@ def test_tracer_first_mark_wins_and_counts_hops():
     assert record.hops == 3
 
 
-def test_mark_counts_phases_only_under_a_session():
-    record = MessageRecord(gen_id=1, seq=1, t_before_send=0.0)
+def test_mark_is_tallied_on_its_book():
+    """Every mark, first or not, bumps its book's tally under the mark's
+    own middleware; a record no book made has no tally to bump."""
+    book = RecordBook()
+    record = book.new_record(1, 1, 0.0)
     record.mark("broker_in", 1.0, "narada", "broker1")
-    tel = Telemetry("test")
-    with session(tel):
-        record.mark("broker_in", 2.0, "narada", "broker1")
-    assert tel.metrics.counter("narada", "broker1", "span.broker_in").value == 1
-    assert record.marks == {"broker_in": (1.0, "broker1")}
-    assert record.hops == 2
+    record.mark("broker_in", 2.0, "narada", "broker1")
+    record.mark("edge_in", 3.0, "edge", "gw0")
+    assert book.tally == {
+        ("narada", "broker1", "broker_in"): 2, ("edge", "gw0", "edge_in"): 1,
+    }
+    assert record.marks == {
+        "broker_in": (1.0, "broker1"), "edge_in": (3.0, "gw0"),
+    }
+    assert record.hops == 3
+    loose = MessageRecord(gen_id=1, seq=2, t_before_send=0.0)
+    loose.mark("broker_in", 1.0, "narada", "broker1")
+    assert loose.tally is None and loose.hops == 1
+
+
+def test_multi_hop_span_counters_count_every_mark():
+    """fig15_federation's span counters count every mark of every hop, keyed
+    by the marking broker: each broker on a message's path to the control
+    room marks it, so the root counts all 462 messages and each interior
+    broker its subtree's 198, where a trace line names only the first
+    (ingress) broker."""
+    tel = Telemetry("fig15_federation")
+    runner.run("fig15_federation", scale=SMOKE, seed=1, cache=False,
+               telemetry=tel)
+    broker_in = {
+        f"fed{i}": tel.metrics.counter(
+            "federation", f"fed{i}", "span.broker_in"
+        ).value
+        for i in range(3)
+    }
+    assert broker_in == {"fed0": 462, "fed1": 198, "fed2": 198}
+    first_marks = sum(
+        line.get("components", {}).get("broker_in") == "fed0"
+        for line in span_lines(tel)
+    )
+    assert first_marks < broker_in["fed0"]
 
 
 def test_pickled_record_keeps_marks_and_hops():
@@ -84,8 +108,10 @@ def test_pickled_record_keeps_marks_and_hops():
     record.mark("broker_in", 0.5, "narada", "broker1")
     record.mark("broker_in", 0.6, "narada", "broker2")
     record.deliver(0.7, 0.8, "narada", "subscriber")
-    (copy,) = pickle.loads(pickle.dumps(book)).records
+    restored = pickle.loads(pickle.dumps(book))
+    (copy,) = restored.records
     assert copy == record
+    assert restored.tally == book.tally and copy.tally is restored.tally
     assert copy.marks == {
         "broker_in": (0.5, "broker1"), "delivered": (0.8, "subscriber")
     }
@@ -106,7 +132,7 @@ def test_span_properties():
     record.mark("broker_in", 1.2, "m", "b1")
     record.mark("broker_in", 1.25, "m", "b2")
     record.deliver(1.4, 1.5, "m", "subscriber")
-    line = span_line(record, "m", [FaultWindow("latency", 1.3, 2.3, "lan")])
+    line = span_line(record, "m", [FaultSpec("latency", 1.3, 1.0, "lan")])
     assert list(line) == [
         "kind", "middleware", "gen_id", "seq", "phases", "components",
         "hops", "annotations",
@@ -129,15 +155,13 @@ def test_span_properties():
 
 # ------------------------------------------------------------ harness parity
 def test_narada_spans_match_decompose_and_rtts_bit_identical():
-    baseline = narada_run(60, scale=SMOKE, seed=3)
+    traced = narada_run(60, scale=SMOKE, seed=3)
+    rtts, mean = traced.rtts.copy(), traced.mean_rtt_ms
+    tel = _observed(traced)
 
-    tel = Telemetry("test")
-    with session(tel):
-        traced = narada_run(60, scale=SMOKE, seed=3)
-
-    # Zero behavioural impact: same seed, bit-identical measured RTTs.
-    assert np.array_equal(baseline.rtts, traced.rtts)
-    assert baseline.mean_rtt_ms == traced.mean_rtt_ms
+    # Zero behavioural impact: observing leaves the measured RTTs as they were.
+    assert np.array_equal(rtts, traced.rtts)
+    assert mean == traced.mean_rtt_ms
 
     lines = list(span_lines(tel))
     assert len(lines) == len(traced.book.records)
@@ -164,9 +188,7 @@ def test_narada_spans_match_decompose_and_rtts_bit_identical():
 
 
 def test_narada_dbn_broker_in_is_ingress_broker():
-    tel = Telemetry("test")
-    with session(tel):
-        run = narada_run(60, dbn=True, scale=SMOKE, seed=3)
+    tel = _observed(narada_run(60, dbn=True, scale=SMOKE, seed=3))
     spans = _complete(span_lines(tel))
     assert spans
     # Publishers connect to leaf brokers; the hub (broker1) subscribes.
@@ -177,9 +199,7 @@ def test_narada_dbn_broker_in_is_ingress_broker():
 
 
 def test_rgma_spans_carry_servlet_phases():
-    tel = Telemetry("test")
-    with session(tel):
-        run = rgma_run(20, scale=SMOKE, seed=3)
+    tel = _observed(rgma_run(20, scale=SMOKE, seed=3))
     spans = _complete(span_lines(tel))
     assert spans
     assert all(s["components"]["broker_in"].startswith("pp.") for s in spans)
@@ -189,9 +209,8 @@ def test_rgma_spans_carry_servlet_phases():
 
 def test_plog_spans_and_bit_identical_rtts():
     baseline = plog_run(40, scale=SMOKE, seed=3)
-    tel = Telemetry("test")
-    with session(tel):
-        traced = plog_run(40, scale=SMOKE, seed=3)
+    traced = plog_run(40, scale=SMOKE, seed=3)
+    tel = _observed(traced)
     assert np.array_equal(baseline.rtts, traced.rtts)
     spans = _complete(span_lines(tel))
     assert spans
@@ -205,9 +224,10 @@ def test_plog_spans_and_bit_identical_rtts():
 
 def test_rgma_run_bit_identical_with_telemetry():
     baseline = rgma_run(20, scale=SMOKE, seed=3)
-    tel = Telemetry("test")
-    with session(tel):
-        traced = rgma_run(20, scale=SMOKE, seed=3)
+    traced = rgma_run(20, scale=SMOKE, seed=3)
+    tel = _observed(traced)
+    tel.observe(traced)  # the same object again: skipped
+    assert tel.runs == [traced]
     assert np.array_equal(baseline.rtts, traced.rtts)
 
 
@@ -220,13 +240,12 @@ def test_fault_windows_annotate_only_their_own_run():
         p.packet_loss(measure_since, duration / 2, 0.3)
         return p
 
-    tel = Telemetry("test")
-    with session(tel):
-        faulted = plog_run(40, scale=SMOKE, seed=3, fault_plan=plan)
-        clean = plog_run(40, scale=SMOKE, seed=4)
+    faulted = plog_run(40, scale=SMOKE, seed=3, fault_plan=plan)
+    clean = plog_run(40, scale=SMOKE, seed=4)
+    tel = _observed(faulted, clean)
 
-    (window,) = tel.runs[0].fault_windows
-    assert tel.runs[1].fault_windows == []
+    (fault,) = tel.runs[0].faults
+    assert tel.runs[1].faults == []
     lines = list(span_lines(tel))
     faulted_spans = lines[: len(faulted.book)]
     clean_spans = lines[len(faulted.book):]
@@ -235,14 +254,14 @@ def test_fault_windows_annotate_only_their_own_run():
     # run's spans carry no annotations even though its clock overlaps it.
     assert not any("annotations" in s for s in clean_spans)
     assert all(
-        a == window.label for s in faulted_spans for a in s.get("annotations", ())
+        a == f"{fault.kind}@{fault.target}"
+        for s in faulted_spans for a in s.get("annotations", ())
     )
 
 
 def test_observe_run_metrics_rollup():
-    tel = Telemetry("test")
-    with session(tel):
-        run = narada_run(60, scale=SMOKE, seed=3)
+    run = narada_run(60, scale=SMOKE, seed=3)
+    tel = _observed(run)
     sent = tel.metrics.counter("narada", "harness", "messages_sent").value
     delivered = tel.metrics.counter(
         "narada", "harness", "messages_delivered"
