@@ -71,40 +71,19 @@ class Node:
             # An idle CPU is taken on the spot: queueing order is fixed at
             # call time either way.
             self._busy = True
-            try:
-                yield self.sim.timeout(work)
-            except BaseException:
-                self._serve_next()
-                raise
+            yield self.sim.timeout(work)
         else:
             # The CPU starts this job itself when the one ahead of it ends
-            # (``_serve_next``): the completion event fires at the end of
-            # service.
+            # (below): the completion event fires at the end of service.
             job = Event(self.sim)
-            entry = (job, work)
-            self._run_queue.append(entry)
-            try:
-                yield job
-            except BaseException:
-                # Killed in the run-queue: withdraw and never run.  Killed
-                # in service: pass the CPU on at this instant.
-                if job.triggered:
-                    self._serve_next()
-                else:
-                    self._run_queue.remove(entry)
-                raise
+            self._run_queue.append((job, work))
+            yield job
         self.cpu_busy_time += work
         if self._run_queue:
-            self._serve_next()
-        else:
-            self._busy = False
-
-    def _serve_next(self) -> None:
-        """The job in service ended or was killed: start the next queued
-        one now.  Its completion is its only heap entry."""
-        if self._run_queue:
-            job, work = self._run_queue.popleft()
-            job.succeed(delay=work)
+            # Start the next queued job now: its completion is its only heap
+            # entry.
+            job, next_work = self._run_queue.popleft()
+            job.succeed(delay=next_work)
         else:
             self._busy = False
 

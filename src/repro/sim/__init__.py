@@ -12,14 +12,7 @@ bit-reproducible from a seed.
 """
 
 from repro.sim.cohort import CohortProcess
-from repro.sim.events import (
-    AnyOf,
-    Cancelled,
-    Event,
-    Interrupt,
-    TimedOut,
-    Timeout,
-)
+from repro.sim.events import AnyOf, Cancelled, Event, TimedOut, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
@@ -30,7 +23,6 @@ __all__ = [
     "Cancelled",
     "CohortProcess",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "RngStreams",

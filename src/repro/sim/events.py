@@ -46,21 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 _PENDING = object()
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`repro.sim.process.Process.interrupt`.
-
-    ``cause`` carries an arbitrary payload describing why the process was
-    interrupted (e.g. a JVM OutOfMemory fault object).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Interrupt({self.cause!r})"
-
-
 class Cancelled(Exception):
     """The value of a timer withdrawn by :meth:`repro.sim.kernel.Simulator.cancel`.
 

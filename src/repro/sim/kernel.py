@@ -3,15 +3,16 @@
 One :class:`Simulator` instance owns all simulated state for an experiment.
 Time is a float in **seconds** of simulated time throughout :mod:`repro`.
 
-An event is processed in three places, each written out in full with the
-heap and the pop function bound to locals: :meth:`Simulator.run` without
-``until``, :meth:`Simulator.run` with ``until``, and
-:meth:`Simulator.run_process`.  Every paper-scale experiment is bounded by
-these loops, and per-event attribute lookups and method-call frames were
-their largest cost.  The three copies share one semantics — pop in
-``(time, seq)`` order, skip a cancelled timer without moving the clock,
-mark the event processed, run its callbacks, and raise a failure nobody
-defused — and a change to one is a change to all three.
+An event is processed in one place, the loop of :meth:`Simulator.run`,
+written out in full with the heap and the pop function bound to locals;
+``run()`` without ``until`` is that loop with an infinite limit, and
+:meth:`Simulator.run_process` drives it one instant at a time.  Every
+paper-scale experiment is bounded by this loop, and per-event attribute
+lookups and method-call frames were its largest cost.  The step: pop in
+``(time, seq)`` order, push an entry past the limit back unchanged (its key
+is unique, so the pop order and the sequence counter do not move), skip a
+cancelled timer without moving the clock, mark the event processed, run its
+callbacks, and raise a failure nobody defused.
 
 What gets a heap entry
 ----------------------
@@ -39,9 +40,9 @@ and dropped where popping the entry could only re-enter the same process at
 the same instant, or nobody at all:
 
 * a CPU hand-off — ``cluster.Node`` is a FIFO single server that starts its
-  next job itself: an idle CPU is taken on the spot, and when a job ends or
-  is killed the next queued job's completion is scheduled directly, so a
-  job costs one entry (its completion) however it reached the CPU;
+  next job itself: an idle CPU is taken on the spot, and when a job ends the
+  next queued job's completion is scheduled directly, so a job costs one
+  entry (its completion) however it reached the CPU;
 * an idle tick — an R-GMA producer's stream loop parks while no consumer
   has a tuple newer than its cursor and is woken, by an insert, a
   republish or an attach, straight at the tick its always-ticking chain
@@ -78,6 +79,7 @@ the event counts).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.events import AnyOf, Cancelled, Event, TimedOut, Timeout
@@ -105,14 +107,13 @@ class Simulator:
     fully deterministic without relying on heap stability.
     """
 
-    __slots__ = ("rng", "_now", "_queue", "_seq", "_active_process", "_cancelled")
+    __slots__ = ("rng", "_now", "_queue", "_seq", "_cancelled")
 
     def __init__(self, seed: int = 0):
         self.rng = RngStreams(seed)
         self._now: float = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._seq: int = 0
-        self._active_process: Optional[Process] = None
         #: Cancelled timers still sitting in ``_queue``.  They are the only
         #: heap entries whose event is already marked processed.
         self._cancelled: int = 0
@@ -122,11 +123,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def pending_events(self) -> int:
@@ -244,7 +240,7 @@ class Simulator:
         processed, defused failure with :class:`Cancelled`, so a later
         ``yield`` on it raises instead of waiting forever.  Cancelling a
         timer that already fired is a no-op; cancelling one a process is
-        waiting on raises — interrupt the process instead.
+        waiting on raises, since that process would never resume.
         """
         if not isinstance(timer, Timeout):
             raise TypeError(f"only a Timeout can be cancelled, not {timer!r}")
@@ -282,43 +278,20 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so back-to-back ``run`` calls
-        compose predictably.
+        compose predictably.  Without it the clock stops at the last event
+        popped (a cancelled timer's entry never moves it).
         """
+        limit = inf if until is None else until
+        if limit < self._now:
+            raise ValueError(f"run(until={until}) is in the past (now={self._now})")
         queue = self._queue
         pop = heappop
-        if until is None:
-            now = self._now
-            while queue:
-                # One of the three copies of the event step (module
-                # docstring).  ``now`` is authoritative inside the loop;
-                # ``self._now`` follows every live pop, so a cancelled
-                # timer's pop can restore ``now`` from it (cancelled entries
-                # never move the clock).
-                now, _, event = pop(queue)
-                callbacks = event.callbacks
-                if callbacks is not None:
-                    event._processed = True
-                    self._now = now
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                elif event._processed:
-                    self._cancelled -= 1
-                    now = self._now
-                else:
-                    event._processed = True
-                    self._now = now
-                    if not event._ok and not event._defused:
-                        raise event._value
-            self._now = now
-            return
-        if until < self._now:
-            raise ValueError(f"run(until={until}) is in the past (now={self._now})")
-        now = self._now
-        while queue and queue[0][0] <= until:
-            now, _, event = pop(queue)
+        while queue:
+            # The event step (module docstring).
+            now, _, event = entry = pop(queue)
+            if now > limit:
+                heappush(queue, entry)
+                break
             callbacks = event.callbacks
             if callbacks is not None:
                 event._processed = True
@@ -332,33 +305,24 @@ class Simulator:
                 self._cancelled -= 1
             else:
                 event._processed = True
+                self._now = now
                 if not event._ok and not event._defused:
-                    self._now = now
                     raise event._value
-        self._now = max(now, until)
+        if until is not None:
+            self._now = until
 
     def run_process(self, generator: Generator[Event, Any, Any]) -> Any:
         """Convenience: run ``generator`` as a process to completion.
 
-        Returns the process's return value.  Used heavily in tests.
+        Runs one instant at a time until the process has finished, and
+        returns its return value once its last instant has run: entries due
+        at its finishing time run before this returns, later ones do not.
+        Used heavily in tests.
         """
         proc = self.process(generator)
         queue = self._queue
-        pop = heappop
         while queue and not proc._processed:
-            now, _, event = pop(queue)
-            if event._processed:
-                self._cancelled -= 1
-                continue
-            self._now = now
-            callbacks = event.callbacks
-            event._processed = True
-            if callbacks is not None:
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
+            self.run(until=queue[0][0])
         if not proc._processed:
             raise RuntimeError("process did not finish (deadlock or starvation)")
         if not proc.ok:

@@ -142,7 +142,7 @@ class Resource:
         return ev
 
     def cancel(self, event: Event) -> None:
-        """Withdraw a pending ``acquire`` (e.g. its waiter was interrupted).
+        """Withdraw a pending ``acquire`` whose waiter no longer wants the unit.
 
         No-op when the event was already handed a unit or was never queued.
         """

@@ -136,84 +136,3 @@ def test_queued_execute_costs_one_kernel_event():
     sim.process(job("b"))
     sim.run()
     assert costs["b"] == (1, 2.0)
-
-
-# ---------------------------------------- killed while queued for the CPU
-def test_interrupt_while_queued_does_not_leak_the_cpu():
-    """Regression: the orphaned acquire used to be handed the CPU forever."""
-    sim = Simulator()
-    node = Node(sim, "n1")
-    finished = []
-
-    def job(tag, work, start=0.0):
-        yield sim.timeout(start)
-        yield from node.execute(work)
-        finished.append((tag, sim.now))
-
-    sim.process(job("a", 1.0))
-    b = sim.process(job("b", 1.0))
-    sim.process(job("c", 1.0, start=2.5))
-    sim.call_at(0.5, b.interrupt)
-    b.defuse()  # b dies of the Interrupt; that is the scenario, not an error
-    sim.run(until=20.0)
-    assert finished == [("a", 1.0), ("c", 3.5)]
-    assert not node.cpu_in_use
-    assert node.run_queue_length == 0
-    assert node.cpu_busy_time == 2.0
-
-
-def test_interrupt_after_handoff_passes_the_cpu_on():
-    """b is interrupted after a's release() handed it the unit, before it woke."""
-    sim = Simulator()
-    node = Node(sim, "n1")
-    finished = []
-
-    def job(tag):
-        yield from node.execute(1.0)
-        finished.append((tag, sim.now))
-        if tag == "a":
-            b.interrupt()
-
-    sim.process(job("a"))
-    b = sim.process(job("b"))
-    sim.process(job("c"))
-    b.defuse()
-    sim.run()
-    assert finished == [("a", 1.0), ("c", 2.0)]
-    assert not node.cpu_in_use
-    assert node.cpu_busy_time == 2.0
-
-
-def test_interrupt_while_running_passes_the_cpu_to_the_waiter():
-    """a is killed mid-service with b queued: b starts at the interrupt
-    instant, and a's partial service is not counted as busy time."""
-    sim = Simulator()
-    node = Node(sim, "n1")
-    finished = []
-
-    def job(tag, work):
-        yield from node.execute(work)
-        finished.append((tag, sim.now))
-
-    a = sim.process(job("a", 1.0))
-    sim.process(job("b", 2.0))
-    sim.call_at(0.25, a.interrupt)
-    a.defuse()
-    sim.run()
-    assert finished == [("b", 2.25)]
-    assert node.cpu_busy_time == 2.0
-    assert not node.cpu_in_use and node.run_queue_length == 0
-
-
-def test_closing_a_queued_execute_withdraws_it():
-    sim = Simulator()
-    node = Node(sim, "n1")
-    node.execute_process(1.0)
-    sim.run(until=0.5)
-    queued = node.execute(1.0)
-    next(queued)  # now waiting in the run-queue
-    assert node.run_queue_length == 1
-    queued.close()
-    assert node.run_queue_length == 0
-    sim.run()
-    assert not node.cpu_in_use

@@ -1,14 +1,13 @@
 """``Node.execute`` against a single-server FIFO computed with plain arithmetic.
 
 The CPU takes an idle unit synchronously, queues otherwise, and starts the
-next queued job itself when the one in service ends or is killed; whichever
-path a job goes through, its service must start, last and end exactly where
-a textbook non-preemptive FIFO server puts it — including when jobs are
-interrupted before, while queued for, or during their service.
+next queued job itself when the one in service ends; whichever path a job
+goes through, its service must start, last and end exactly where a textbook
+non-preemptive FIFO server puts it.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Node
@@ -18,7 +17,6 @@ _jobs = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=5.0),  # arrival time
         st.floats(min_value=1e-4, max_value=1.0),  # work, reference-seconds
-        st.one_of(st.none(), st.floats(min_value=0.0, max_value=8.0)),  # kill
     ),
     min_size=1,
     max_size=25,
@@ -26,27 +24,14 @@ _jobs = st.lists(
 
 
 def _reference(jobs):
-    """(index, finish) per completed job in completion order, and busy time."""
+    """(index, finish) per job in completion order, and busy time."""
     expected, busy, free_at = [], 0.0, 0.0
-    for index, (arrival, work, kill) in sorted(
+    for index, (arrival, work) in sorted(
         enumerate(jobs), key=lambda item: (item[1][0], item[0])
     ):
-        # A kill at the job's own arrival or completion instant races that
-        # occurrence in scheduling order; arithmetic cannot say who wins.
-        assume(kill != arrival)
-        if kill is not None and kill < arrival:
-            continue  # died before asking for the CPU
-        start = max(arrival, free_at)
-        if kill is not None and kill <= start:
-            continue  # killed in the run-queue: the CPU never sees it
-        end = start + work
-        assume(kill != end)
-        if kill is not None and kill < end:
-            free_at = kill  # killed in service: the next job starts now
-            continue
-        free_at = end
+        free_at = max(arrival, free_at) + work
         busy += work
-        expected.append((index, end))
+        expected.append((index, free_at))
     return expected, busy
 
 
@@ -63,11 +48,8 @@ def test_node_matches_reference_fifo_server(jobs):
         yield from node.execute(work)
         finished.append((index, sim.now))
 
-    for index, (arrival, work, kill) in enumerate(jobs):
-        proc = sim.process(job(index, arrival, work))
-        if kill is not None:
-            proc.defuse()  # it dies of the Interrupt: the scenario, not an error
-            sim.call_at(kill, lambda p=proc: p.is_alive and p.interrupt())
+    for index, (arrival, work) in enumerate(jobs):
+        sim.process(job(index, arrival, work))
     sim.run()
 
     assert finished == expected

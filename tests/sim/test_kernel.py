@@ -42,6 +42,28 @@ def test_run_until_in_past_raises():
         sim.run(until=2.0)
 
 
+def test_run_process_returns_when_its_finishing_instant_has_run():
+    """Entries due at the instant the process finishes run before
+    ``run_process`` returns — queued behind it or scheduled at that instant;
+    a later one does not."""
+    sim = Simulator()
+    log = []
+
+    def proc():
+        wake = sim.timeout(1.0)
+        sim.call_at(1.0, lambda: log.append(("queued behind", sim.now)))
+        yield wake
+        sim.call_at(sim.now, lambda: log.append(("scheduled at", sim.now)))
+        return "done"
+
+    sim.call_at(2.0, lambda: log.append(("later", sim.now)))
+    assert sim.run_process(proc()) == "done"
+    assert log == [("queued behind", 1.0), ("scheduled at", 1.0)]
+    assert sim.now == 1.0 and sim.pending_events == 1
+    sim.run()
+    assert log[-1] == ("later", 2.0)
+
+
 def test_same_time_events_fifo_order():
     sim = Simulator()
     order = []

@@ -1,8 +1,8 @@
-"""Unit tests for processes: suspension, return values, interrupts, waiting."""
+"""Unit tests for processes: suspension, return values, failures, waiting."""
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_process_runs_and_returns_value():
@@ -82,87 +82,6 @@ def test_unhandled_process_exception_raises_at_kernel():
         sim.run()
 
 
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as i:
-            log.append((sim.now, i.cause))
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(3.0)
-        proc.interrupt("wake up")
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [(3.0, "wake up")]
-
-
-def test_interrupted_process_can_keep_running():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        return sim.now
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(3.0)
-        proc.interrupt()
-
-    sim.process(interrupter())
-    sim.run()
-    assert proc.ok and proc.value == 4.0
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
-
-
-def test_interrupted_timeout_does_not_resume_twice():
-    sim = Simulator()
-    resumes = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(5.0)
-            resumes.append("timeout")
-        except Interrupt:
-            resumes.append("interrupt")
-        yield sim.timeout(10.0)
-        resumes.append("second sleep done")
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        proc.interrupt()
-
-    sim.process(interrupter())
-    sim.run()
-    # The original t=5 timeout must NOT resume the process mid-second-sleep.
-    assert resumes == ["interrupt", "second sleep done"]
-    assert sim.now == 12.0
-
-
 def test_yield_non_event_fails_process():
     sim = Simulator()
 
@@ -199,21 +118,6 @@ def test_run_process_detects_deadlock():
 
     with pytest.raises(RuntimeError, match="did not finish"):
         sim.run_process(stuck())
-
-
-def test_active_process_visible_during_resume():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        seen.append(sim.active_process)
-        yield sim.timeout(1.0)
-        seen.append(sim.active_process)
-
-    p = sim.process(proc())
-    sim.run()
-    assert seen == [p, p]
-    assert sim.active_process is None
 
 
 # -------------------------------------------------- completion without waiter
