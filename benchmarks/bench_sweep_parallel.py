@@ -10,9 +10,13 @@ reviewable number, not a claim.
 Regression gate: absolute timings are machine-dependent, so the kernel
 guard is a *ratio* measured within one run — the 10k-event kernel loop
 against a raw ``heapq`` push/pop loop over the same tuples (the
-irreducible cost of the kernel's own data structure).  The optimised loop
-measures ~2.05× the floor; the limit of 2.5 is ~20 % above that, so a
->20 % event-throughput regression fails CI on any host.
+irreducible cost of the kernel's own data structure).  Each loop takes its
+best of 25 rounds, and the rounds of the two loops alternate: a host
+slowdown lasting a few rounds then reaches both minima alike instead of
+inflating one of them.  On a 2-core host (Python 3.11) the ratio reads
+~1.8–2.0 and a 20 % slower event step reads ~2.2–2.3, so the limit of 2.5
+(set ~20 % above the ~2.05 of earlier, noisier best-of-7 readings)
+catches a kernel slowdown of ~35 % or more there.
 """
 
 from __future__ import annotations
@@ -58,13 +62,15 @@ def bench_report():
     OUT_PATH.write_text(json.dumps(_report, indent=2) + "\n", encoding="utf-8")
 
 
-def _best_of(fn, rounds: int = 7) -> float:
-    """Minimum wall-clock over ``rounds`` runs (the stablest estimator)."""
-    best = float("inf")
+def _best_of(*fns, rounds: int = 25) -> list[float]:
+    """Minimum wall-clock of each of ``fns`` (the stablest estimator) over
+    ``rounds`` rounds that run every function once, in turn."""
+    best = [float("inf")] * len(fns)
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -106,9 +112,9 @@ def _switch_loop():
 
 
 def test_kernel_event_throughput_vs_floor(bench_report):
-    events_s = _best_of(_event_loop)
-    floor_s = _best_of(_raw_heap_floor)
-    switch_s = _best_of(_switch_loop)
+    events_s, floor_s, switch_s = _best_of(
+        _event_loop, _raw_heap_floor, _switch_loop
+    )
     ratio = events_s / floor_s
     bench_report["kernel"] = {
         "events": N_EVENTS,
@@ -123,7 +129,7 @@ def test_kernel_event_throughput_vs_floor(bench_report):
     }
     assert ratio <= EVENT_OVERHEAD_LIMIT, (
         f"kernel event loop is {ratio:.2f}x the raw-heap floor "
-        f"(limit {EVENT_OVERHEAD_LIMIT}): event throughput regressed >20%"
+        f"(limit {EVENT_OVERHEAD_LIMIT}): event throughput regressed"
     )
 
 

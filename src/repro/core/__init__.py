@@ -8,7 +8,7 @@ Table III.
 """
 
 from repro.core.dedup import DedupIndex
-from repro.core.records import MessageRecord, RecordBook
+from repro.core.records import MessageRecord, RecordBook, Recorder, record_of
 from repro.core.metrics import (
     PhaseBreakdown,
     RttStats,
@@ -28,12 +28,14 @@ __all__ = [
     "PhaseBreakdown",
     "Rating",
     "RecordBook",
+    "Recorder",
     "RttStats",
     "SeriesPoint",
     "decompose",
     "loss_rate",
     "percentile_curve",
     "rate_middleware",
+    "record_of",
     "render_series",
     "render_table",
     "rtt_stats",

@@ -18,14 +18,21 @@ on the same clock, so a record alone is the whole trace of its message.
 Every mark is also tallied on the book that holds the record, keyed by
 ``(middleware, component, phase)``: a finished book is all a telemetry
 session reads, its ``span.<phase>`` counters included.
+
+A :class:`Recorder` is the receiving program's one sink: every recording
+receiver, the edge clients and the federation subscribers count and stamp
+each delivery through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.dedup import DedupIndex
 
 #: ``(middleware, component, phase)`` -> marks made.
 MarkTally = dict[tuple[str, str, str], int]
@@ -64,8 +71,8 @@ class MessageRecord:
         The one first-delivery rule every receiving path applies: the first
         copy to reach a recording receiver sets ``t_arrived``/``t_received``
         and marks ``delivered`` (``middleware``, ``where`` name the
-        instrument); a later copy changes nothing, and the caller counts it
-        as a duplicate if it keeps that count.
+        instrument); a later copy changes nothing, and the
+        :class:`Recorder` that called counts it as a duplicate.
         """
         if self.t_received is not None:
             return False
@@ -114,6 +121,72 @@ class MessageRecord:
     def pt(self) -> float:
         """Process Time: RTT = PRT + PT + SRT."""
         return self.rtt - self.prt - self.srt
+
+
+def record_of(payload: Any) -> Optional[MessageRecord]:
+    """The :class:`MessageRecord` riding on a middleware payload, if any.
+
+    Narada messages and plog values carry it as ``_record``; R-GMA tuples
+    carry it in ``meta["record"]``.
+    """
+    record = getattr(payload, "_record", None)
+    if record is not None:
+        return record
+    meta = getattr(payload, "meta", None)
+    if isinstance(meta, dict):
+        return meta.get("record")
+    return None
+
+
+class Recorder:
+    """The delivery-accounting rule, written once: a receiver's
+    per-delivery callback ``(payload, t_arrived)``.
+
+    With a ``dedup`` index, a ``(gen_id, seq)`` already seen is a
+    *redelivery* (replay, rebalance or failover overlap) and is not
+    counted as received.  Every other delivery is ``received``; a
+    ``stamping`` recorder then stamps the first delivery of the message on
+    its record (:meth:`MessageRecord.deliver`, at the clock's ``now``) and
+    counts a later copy, which reached it by another path, as one of the
+    ``duplicates``.  ``middleware`` and ``component`` name the instrument
+    on the ``delivered`` mark.
+    """
+
+    __slots__ = (
+        "sim", "middleware", "component", "dedup", "stamping",
+        "received", "duplicates", "redeliveries",
+    )
+
+    def __init__(
+        self,
+        sim: Any,
+        middleware: str,
+        component: str,
+        dedup: Optional["DedupIndex"] = None,
+        stamping: bool = True,
+    ):
+        self.sim = sim
+        self.middleware = middleware
+        self.component = component
+        self.dedup = dedup
+        self.stamping = stamping
+        self.received = 0
+        self.duplicates = 0
+        self.redeliveries = 0
+
+    def __call__(self, payload: Any, t_arrived: float) -> bool:
+        """Count one delivery; ``False`` for a suppressed redelivery."""
+        record = record_of(payload)
+        if self.dedup is not None and record is not None:
+            if not self.dedup.mark(record.gen_id, record.seq):
+                self.redeliveries += 1
+                return False
+        self.received += 1
+        if self.stamping and record is not None and not record.deliver(
+            t_arrived, self.sim.now, self.middleware, self.component
+        ):
+            self.duplicates += 1
+        return True
 
 
 class RecordBook:

@@ -7,29 +7,22 @@ client populations over :mod:`repro.transport.http`, park 60 s long-poll
 requests per subscription, and multiplex them onto a *small* pool of
 upstream broker connections — one pooled subscription per distinct topic
 per gateway, à la pgbouncer, reusing the covering-subscription idea from
-:mod:`repro.federation.routing`.  Missed windows replay from a per-topic
-:class:`ReplayRing`, so a client whose poll timed out or whose gateway
-crashed re-polls with a cursor and catches up exactly once.
+:mod:`repro.federation.routing`.  The pooled subscription is the
+middleware's own receiver (:mod:`repro.powergrid.receiver`) with the
+gateway's ingest in place of its recorder.  Missed windows replay from a
+per-topic :class:`ReplayRing`, so a client whose poll timed out or whose
+gateway crashed re-polls with a cursor and catches up exactly once.
 """
 
 from repro.edge.client import EdgeClient, EdgeClientStats
 from repro.edge.config import EdgeConfig
 from repro.edge.gateway import EdgeGateway
 from repro.edge.replay import ReplayRing
-from repro.edge.upstream import (
-    NaradaUpstream,
-    PlogUpstream,
-    RgmaUpstream,
-    record_of,
-)
 
 __all__ = [
     "EdgeClient",
     "EdgeClientStats",
     "EdgeConfig",
     "EdgeGateway",
-    "NaradaUpstream",
-    "PlogUpstream",
-    "RgmaUpstream",
-    "record_of",
+    "ReplayRing",
 ]

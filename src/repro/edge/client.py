@@ -3,7 +3,9 @@
 One :class:`EdgeClient` process stands for a *cohort* of ``weight`` real
 clients (the gateway accounts parked memory per cohort weight), which is
 what makes million-client populations simulable with bounded process
-counts.  Exactly one client per run is usually *stamping* — it writes
+counts.  Every client counts its deliveries through a
+:class:`~repro.core.records.Recorder` with its own ``(gen_id, seq)``
+index; exactly one client per run is usually *stamping* — it writes
 ``t_arrived``/``t_received`` onto message records, so RTT percentiles come
 from a real client clock while the rest of the population only exerts
 load.
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.dedup import DedupIndex
+from repro.core.records import Recorder, record_of
 from repro.edge.config import EdgeConfig
-from repro.edge.upstream import record_of
 from repro.transport.base import ChannelClosed, TransportError
 from repro.transport.http import HttpClient, HttpTimeout
 
@@ -39,13 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
 @dataclass
 class EdgeClientStats:
     polls: int = 0
-    #: Unique events delivered to the application layer.
-    received: int = 0
-    #: Redeliveries suppressed by the cursor-overlap dedup (expected > 0
-    #: across a failover; *not* an application-level duplicate).
-    redeliveries: int = 0
-    #: Application-level duplicates that escaped dedup (must stay 0).
-    duplicates: int = 0
     empty_polls: int = 0
     timeouts: int = 0
     sheds: int = 0
@@ -80,8 +75,6 @@ class EdgeClient:
         self.config = config or EdgeConfig()
         self.name = name
         self.weight = weight
-        self.stamping = stamping
-        self.middleware_label = middleware_label
         self.stop_at = stop_at
         self.request_grace = request_grace
         self.failover_backoff = failover_backoff
@@ -90,7 +83,14 @@ class EdgeClient:
         self._http: Optional[HttpClient] = None
         self._cursor: Optional[tuple[str, int]] = None
         self._last_created: float = 0.0
-        self._seen = DedupIndex()
+        #: ``received``: unique events delivered to the application layer;
+        #: ``redeliveries``: the cursor-overlap dedup's suppressions
+        #: (expected > 0 across a failover; *not* an application-level
+        #: duplicate); ``duplicates``: copies that escaped it (must stay 0).
+        self.recorder = Recorder(
+            sim, middleware_label, node.name, dedup=DedupIndex(),
+            stamping=stamping,
+        )
 
     def start(self) -> None:
         self.sim.process(self.run(), name=self.name)
@@ -160,16 +160,8 @@ class EdgeClient:
 
     # ------------------------------------------------------------------ sink
     def _on_event(self, payload: Any) -> None:
+        if not self.recorder(payload, self.sim.now):
+            return
         record = record_of(payload)
-        if record is None:
-            return
-        if not self._seen.mark(record.gen_id, record.seq):
-            self.stats.redeliveries += 1
-            return
-        self.stats.received += 1
-        if record.t_before_send > self._last_created:
+        if record is not None and record.t_before_send > self._last_created:
             self._last_created = record.t_before_send
-        if self.stamping and not record.deliver(
-            self.sim.now, self.sim.now, self.middleware_label, self.node.name
-        ):
-            self.stats.duplicates += 1

@@ -32,7 +32,7 @@ class EdgeTier:
         sim: "Simulator",
         cluster: Any,
         transport: Any,
-        upstream: Any,
+        subscribe: Any,
         n_gateways: int,
         topics: tuple[str, ...],
         config: Optional[EdgeConfig] = None,
@@ -45,7 +45,7 @@ class EdgeTier:
                 sim,
                 cluster.node(name),
                 f"edge-{name}",
-                upstream,
+                subscribe,
                 topics,
                 config=self.config,
                 port=port,

@@ -7,6 +7,12 @@ delivers an event for the requested topic, and answers each poll from the
 per-topic :class:`~repro.edge.replay.ReplayRing` so reconnecting clients
 catch up on the window they missed.
 
+However many clients park on a gateway, it holds *one* upstream receiver
+per topic (the pgbouncer shape): the middleware's own subscribing client
+(:mod:`repro.powergrid.receiver`), made by the ``subscribe(node_name,
+topic, name, on_delivery)`` callable the gateway is given, with the
+gateway's ingest as ``on_delivery``.
+
 Resource budgets are real: every parked client *connection* holds
 ``parked_heap_bytes × weight`` on the gateway JVM for as long as its
 keep-alive socket lives (a poll can stand for a cohort of ``weight`` real
@@ -18,19 +24,19 @@ The gateway duck-types the fault injector's broker surface (``name`` /
 ``alive`` / ``jvm`` / ``node`` / ``crash()`` / ``restart()``), so
 ``broker_crash`` fault plans can kill and revive gateways: a crash severs
 every parked connection and discards the rings; a restart is a *fresh
-incarnation* — new ring epoch, new upstream session — and clients recover
-via time-cursor catch-up.
+incarnation* — new ring epoch, new upstream receivers — and clients
+recover via time-cursor catch-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.cluster.jvm import Jvm, OutOfMemoryError
+from repro.core.records import record_of
 from repro.edge.config import EdgeConfig
 from repro.edge.replay import ReplayEvent, ReplayRing
-from repro.edge.upstream import record_of
 from repro.transport.base import Channel, TransportError
 from repro.transport.http import HttpRequest, HttpServer
 
@@ -75,7 +81,7 @@ class EdgeGateway:
         sim: "Simulator",
         node: "Node",
         name: str,
-        upstream: Any,
+        subscribe: Callable[..., Any],
         topics: tuple[str, ...],
         config: Optional[EdgeConfig] = None,
         port: int = EDGE_PORT,
@@ -84,7 +90,7 @@ class EdgeGateway:
         self.sim = sim
         self.node = node
         self.name = name
-        self.upstream = upstream
+        self.subscribe = subscribe
         self.topics = tuple(topics)
         self.config = config or EdgeConfig()
         self.port = port
@@ -94,7 +100,7 @@ class EdgeGateway:
         self.incarnation = 0
         self.stats = GatewayStats()
         self._server: Optional[HttpServer] = None
-        self._session: Any = None
+        self._receivers: list[Any] = []
         self._rings: dict[str, ReplayRing] = {}
         self._waiters: dict[str, list[_Waiter]] = {}
         self._channels: set[Channel] = set()
@@ -128,11 +134,23 @@ class EdgeGateway:
             self._dispatch,
             accept_hook=self._accept,
         )
-        self._session = self.upstream.open(
-            self.node, f"edge.{self.name}.{self.incarnation}"
-        )
+        name = f"edge.{self.name}.{self.incarnation}"
         for topic in self.topics:
-            yield from self._session.subscribe(topic, self._on_upstream)
+            # A torn-down receiver can still hand over a message that was in
+            # flight; no later incarnation ingests it.
+            receiver = self.subscribe(
+                self.node.name, topic, name,
+                lambda payload, _t, topic=topic, incarnation=self.incarnation:
+                self._on_upstream(topic, incarnation, payload),
+            )
+            self._receivers.append(receiver)
+            subscribing = receiver.start()
+            if subscribing is None:
+                # A plog member joins in a process of its own: let it take
+                # its first step before the reaper starts.
+                yield self.sim.timeout(0.0)
+            else:
+                yield from subscribing
         self.sim.process(self._reaper(self.incarnation), name=f"{self.name}.reaper")
 
     def _reaper(self, incarnation: int) -> Generator[Any, Any, None]:
@@ -156,10 +174,10 @@ class EdgeGateway:
     def upstream_connections(self) -> int:
         """Current pooled connections to the middleware tier — the number
         the scaling experiment shows is O(topics), not O(clients)."""
-        return self._session.connections if self._session is not None else 0
+        return sum(receiver.connections for receiver in self._receivers)
 
-    def _on_upstream(self, topic: str, payload: Any, nbytes: float) -> None:
-        if not self.alive:
+    def _on_upstream(self, topic: str, incarnation: int, payload: Any) -> None:
+        if not self.alive or incarnation != self.incarnation:
             return
         ring = self._rings.get(topic)
         if ring is None:
@@ -170,6 +188,8 @@ class EdgeGateway:
         created = record.t_before_send if record is not None else now
         if record is not None:
             record.mark("edge_in", now, "edge", self.name)
+        wire_size = getattr(payload, "wire_size", None)
+        nbytes = float(wire_size()) if callable(wire_size) else 140.0
         ring.append(payload, nbytes, now, created)
         waiters = self._waiters.get(topic)
         if not waiters:
@@ -333,9 +353,9 @@ class EdgeGateway:
             if not channel.closed:
                 channel.close()
         self._channels.clear()
-        if self._session is not None:
-            self._session.close()
-            self._session = None
+        for receiver in self._receivers:
+            receiver.stop()
+        self._receivers = []
         for waiters in self._waiters.values():
             for waiter in waiters:
                 waiter.active = False

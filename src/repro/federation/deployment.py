@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.cluster.hydra import HydraCluster
 from repro.cluster.node import Node
+from repro.core.records import Recorder
 from repro.federation.broker import FederatedBroker
 from repro.federation.topology import TreeTopology
 from repro.jms.destination import Topic
@@ -212,10 +213,12 @@ class FederationSubscriber:
     """A raw-protocol subscriber client attached to one broker of either
     deployment.
 
+    Every delivery goes to its :class:`~repro.core.records.Recorder`.
     ``stamp_records=True`` makes it the *measuring* endpoint: it stamps
     ``t_arrived``/``t_received`` on each delivered message's record and
     emits the ``delivered`` telemetry mark.  Site-local subscribers pass
-    ``False`` so the control-room tier is the single RTT clock.
+    ``False`` so the control-room tier is the single RTT clock; they only
+    count.
     """
 
     def __init__(
@@ -232,9 +235,12 @@ class FederationSubscriber:
         self.broker_name = broker_name
         self.sub_id = sub_id
         self.topics = topics
-        self.stamp_records = stamp_records
         self.channel: Optional[Channel] = None
-        self.delivered = 0
+        # The client runs on its broker's node.
+        self.recorder = Recorder(
+            sim, deployment.middleware, deployment.broker(broker_name).node.name,
+            stamping=stamp_records,
+        )
         #: topic -> deliveries (tests assert matching-subscription safety).
         self.delivered_by_topic: dict[str, int] = {}
 
@@ -274,20 +280,12 @@ class FederationSubscriber:
             # else: a "subscribed" confirmation
 
     def _delivered(self, message: Any, arrived_at: float) -> None:
-        self.delivered += 1
         topic = getattr(message, "_fed_topic", None)
         if topic is not None:
             self.delivered_by_topic[topic] = (
                 self.delivered_by_topic.get(topic, 0) + 1
             )
-        if not self.stamp_records:
-            return
-        record = getattr(message, "_record", None)
-        if record is not None:
-            record.deliver(
-                arrived_at, self.sim.now,
-                self.deployment.middleware, self.channel.node.name,
-            )
+        self.recorder(message, arrived_at)
 
 
 class FederationSitePublishers:

@@ -111,9 +111,10 @@ def _middleware_adapter(middleware: str) -> Adapter:
 @dataclass
 class DirectAdapter(Adapter):
     """The edge testbed around a middleware adapter: ``inner`` deploys the
-    middleware, its publisher fleet and — as the no-edge baseline — its own
-    (tap) subscriber unchanged; this layer widens the cluster with client
-    nodes and fixes the publisher workload."""
+    middleware and its publisher fleet unchanged and — as the no-edge
+    baseline — makes one unfiltered recording subscriber on a client node
+    (``inner.subscriber``); this layer widens the cluster with client nodes
+    and fixes the publisher workload."""
 
     inner: Adapter
 
@@ -144,9 +145,11 @@ class DirectAdapter(Adapter):
         return sampled
 
     def attach_subscribers(self, fleet: FleetConfig) -> None:
-        self.inner.tap = CLIENT_NODES[0]
-        self.inner.attach_subscribers(fleet)
-        self.receivers = self.inner.receivers
+        receiver = self.inner.subscriber(CLIENT_NODES[0], self.inner.topic)
+        subscribing = receiver.start()
+        if subscribing is not None:
+            self.sim.run_process(subscribing)
+        self.receivers = [receiver]
 
     def attach_publishers(self, fleet: FleetConfig, book) -> Any:
         return self.inner.attach_publishers(fleet, book)
@@ -174,10 +177,10 @@ class EdgeAdapter(DirectAdapter):
 
     def build(self, sim, cluster) -> dict[str, str]:
         sampled = super().build(sim, cluster)
-        self.topic, upstream = self.inner.edge_upstream()
+        self.topic = self.inner.topic
         self.tier = EdgeTier(
-            sim, cluster, self.inner.transport, upstream, self.n_gateways,
-            (self.topic,), config=self.config,
+            sim, cluster, self.inner.transport, self.inner.subscriber,
+            self.n_gateways, (self.topic,), config=self.config,
         )
         # Gateways first: ``broker:0`` in a plan targets gateway 0 (the
         # stamping client's home), per the gateway_outage template.
@@ -206,7 +209,7 @@ class EdgeAdapter(DirectAdapter):
         # Client population: one stamping client homed on gateway 0 plus
         # cohort-weighted load clients spread over gateways and client nodes.
         self.stamper = client("edge-stamper", 0, 1.0, True)
-        self.receivers = [self.stamper.stats]
+        self.receivers = [self.stamper]
         n_cohorts = COHORTS_PER_GATEWAY * self.n_gateways
         cohort_weight = max(0.0, (self.n_clients - 1) / n_cohorts)
         clients = [self.stamper] + [
@@ -226,6 +229,7 @@ class EdgeAdapter(DirectAdapter):
 
     def counters(self, run) -> dict[str, Any]:
         gateways, stamper = self.tier.gateways, self.stamper.stats
+        recorder = self.stamper.recorder
         return dict(
             super().counters(run),
             n_clients=self.n_clients,
@@ -238,9 +242,9 @@ class EdgeAdapter(DirectAdapter):
             polls_shed=sum(g.stats.polls_shed for g in gateways),
             catch_up_polls=sum(g.stats.catch_up_polls for g in gateways),
             truncated_reads=sum(g.stats.truncated_reads for g in gateways),
-            client_received=stamper.received,
-            client_redeliveries=stamper.redeliveries,
-            client_duplicates=stamper.duplicates,
+            client_received=recorder.received,
+            client_redeliveries=recorder.redeliveries,
+            client_duplicates=recorder.duplicates,
             client_failovers=stamper.failovers,
             client_sheds=stamper.sheds,
             gateway_stats={

@@ -13,13 +13,13 @@ from typing import Any, Optional
 
 from repro.core import ExperimentResult, percentile_curve
 from repro.core.metrics import within_threshold
-from repro.edge.upstream import NaradaUpstream
 from repro.harness.figures import cpu_memory_figure, percentile_figure
 from repro.harness.parallel import RunSpec
 from repro.harness.pipeline import Adapter, RunResult, make_transport, run_point
 from repro.harness.registry import Experiment, RunContext
 from repro.harness.scale import Scale
 from repro.jms import AckMode
+from repro.jms.destination import Topic
 from repro.narada import Broker, NaradaConfig, star_network
 from repro.powergrid import FleetConfig, NaradaFleet, NaradaReceiver
 from repro.powergrid.workload import MONITORING_TOPIC
@@ -72,6 +72,7 @@ class NaradaAdapter(Adapter):
     durable_receivers: bool = False
 
     name = "narada"
+    topic = MONITORING_TOPIC.name
 
     def fleet_options(self) -> dict[str, Any]:
         return dict(
@@ -104,15 +105,12 @@ class NaradaAdapter(Adapter):
         covering its own node's generators ("data were received by the node
         where they were sent", §III.E.2) — all on the *subscribing* broker
         (the hub/unit controller in the DBN, Fig 5)."""
-        if self.tap is not None:
-            subscriptions = [(self.tap, None)]
-        else:
-            ranges = [fleet.id_range(k) for k in range(len(fleet.client_nodes))]
-            subscriptions = [
-                (node, f"id >= {lo} AND id < {hi}")
-                for node, (lo, hi) in zip(fleet.client_nodes, ranges)
-                if lo < hi
-            ]
+        ranges = [fleet.id_range(k) for k in range(len(fleet.client_nodes))]
+        subscriptions = [
+            (node, f"id >= {lo} AND id < {hi}")
+            for node, (lo, hi) in zip(fleet.client_nodes, ranges)
+            if lo < hi
+        ]
         self.receivers = self.consumers = []
         for node_name, selector in subscriptions:
             receiver = NaradaReceiver(
@@ -156,11 +154,15 @@ class NaradaAdapter(Adapter):
         narada_fleet.start()
         return narada_fleet
 
-    def edge_upstream(self) -> tuple[str, Any]:
-        """``(topic, upstream factory)`` for an edge tier fronting this run."""
-        address = (self.nodes[0], BROKER_PORT)
-        return MONITORING_TOPIC.name, NaradaUpstream(
-            self.sim, self.transport, address, self.config
+    def subscriber(
+        self, node_name: str, topic: str, name: Optional[str] = None,
+        on_delivery: Any = None,
+    ) -> NaradaReceiver:
+        """:meth:`Adapter.subscriber`: at the subscribing broker."""
+        return NaradaReceiver(
+            self.sim, self.cluster, self.transport, (self.nodes[0], BROKER_PORT),
+            node_name, Topic(topic), selector=None, config=self.config,
+            name=name, on_delivery=on_delivery,
         )
 
     def label(self, n_generators: int) -> str:
@@ -168,7 +170,7 @@ class NaradaAdapter(Adapter):
 
     def counters(self, run) -> dict[str, Any]:
         return dict(
-            redeliveries=sum(r.redeliveries for r in self.receivers),
+            redeliveries=sum(r.recorder.redeliveries for r in self.receivers),
             receiver_reconnects=sum(r.reconnects for r in self.receivers),
             messages_replayed=sum(b.stats.messages_replayed for b in self.brokers),
             broker_stats={

@@ -117,8 +117,8 @@ class Adapter:
         memory the run samples.  Leaves ``transport`` and ``brokers``
         (fault-injectable servers) on the instance.
     ``attach_subscribers(fleet_config)``
-        start the consumers; leaves ``receivers`` (each counting its
-        ``duplicates``) and ``consumers`` (the fault-injectable ones) on
+        start the consumers; leaves ``receivers`` (each counting through
+        its ``recorder``) and ``consumers`` (the fault-injectable ones) on
         the instance.
     ``attach_publishers(fleet_config, book) -> fleet``
         start the generator fleet (its ``.stats`` is read after the run).
@@ -127,6 +127,12 @@ class Adapter:
     ``counters(run) -> dict``
         result fields beyond :class:`RunResult`'s, given the shared ones
         (optional).
+    ``topic`` and ``subscriber(node_name, topic, name=None, on_delivery=None)``
+        (the middlewares the edge tier fronts) the topic the fleet
+        publishes, and one unfiltered receiver of it on a node, unstarted:
+        the edge tier's no-edge baseline records through it, and every edge
+        gateway incarnation subscribes through it with its ingest as
+        ``on_delivery``.
 
     :func:`run_point` sets ``measure_since``, the window start, before it
     attaches the clients.
@@ -140,9 +146,6 @@ class Adapter:
     extra_drain = 0.0
     #: Subscribers the deployment refused (counts towards ``oom``).
     subscribers_failed = 0
-    #: When set (the edge tier's no-edge baseline does), one unfiltered
-    #: subscriber on this node replaces the per-node filtered ones.
-    tap: Optional[str] = None
     brokers: Sequence[Any] = ()
     receivers: Sequence[Any] = ()
     consumers: Sequence[Any] = ()
@@ -261,6 +264,6 @@ def run_point(
         },
         oom=refused > 0 or adapter.subscribers_failed > 0,
         refused=refused,
-        duplicates=sum(r.duplicates for r in adapter.receivers),
+        duplicates=sum(r.recorder.duplicates for r in adapter.receivers),
     )
     return result_type(**identity, **run, **adapter.counters(run))

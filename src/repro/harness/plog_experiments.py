@@ -23,7 +23,6 @@ from typing import Any, Optional
 from repro.core import ExperimentResult
 from repro.core.dedup import DedupIndex
 from repro.core.metrics import soft_realtime_compliance
-from repro.edge.upstream import PlogUpstream
 from repro.harness.figures import percentile_figure
 from repro.harness.parallel import RunSpec
 from repro.harness.pipeline import CLIENT_NODES, Adapter, RunResult, make_transport, run_point
@@ -136,14 +135,10 @@ class PlogAdapter(Adapter):
         by the node where they were sent", §III.E.2) — the coordinator
         splits the topic's partitions evenly among them.  With
         ``dedup_receivers`` they share one ``(gen_id, seq)`` index."""
-        if self.tap is not None:
-            members = [(self.tap, dict(group="direct.monitor"))]
-        else:
-            dedup = DedupIndex() if self.dedup_receivers else None
-            members = [(node, dict(dedup=dedup)) for node in CLIENT_NODES]
+        dedup = DedupIndex() if self.dedup_receivers else None
         self.receivers = [
-            PlogReceiver(self.sim, self.cluster, self.deployment, node, **options)
-            for node, options in members
+            PlogReceiver(self.sim, self.cluster, self.deployment, node, dedup=dedup)
+            for node in CLIENT_NODES
         ]
         for receiver in self.receivers:
             receiver.start()
@@ -154,9 +149,24 @@ class PlogAdapter(Adapter):
         self.fleet.start()
         return self.fleet
 
-    def edge_upstream(self) -> tuple[str, Any]:
-        """``(topic, upstream factory)`` for an edge tier fronting this run."""
-        return self.deployment.topic, PlogUpstream(self.sim, self.deployment)
+    @property
+    def topic(self) -> str:
+        return self.deployment.topic
+
+    def subscriber(
+        self, node_name: str, topic: str, name: Optional[str] = None,
+        on_delivery: Any = None,
+    ) -> PlogReceiver:
+        """:meth:`Adapter.subscriber`: one member on every partition of the
+        deployment's one topic.  A gateway names each incarnation's member
+        ``<group>.<incarnation>``: the group, and so its committed offsets,
+        outlive the incarnation (the log *is* the catch-up window on this
+        path), and the fresh member name makes a clean rejoin."""
+        group = name.rsplit(".", 1)[0] if name else "direct.monitor"
+        return PlogReceiver(
+            self.sim, self.cluster, self.deployment, node_name, group=group,
+            name=name, on_delivery=on_delivery,
+        )
 
     def label(self, n_generators: int) -> str:
         return f"plog[{n_generators}x{len(self.nodes)}]"
@@ -186,7 +196,7 @@ class PlogAdapter(Adapter):
                 }
                 for b in brokers
             },
-            redeliveries=sum(r.redeliveries for r in receivers),
+            redeliveries=sum(r.recorder.redeliveries for r in receivers),
             duplicate_batches=sum(b.stats.duplicate_batches for b in brokers),
             fenced_commits=sum(
                 b.coordinator.fenced_commits

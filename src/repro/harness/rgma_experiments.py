@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core import ExperimentResult, percentile_curve, rtt_stats
-from repro.edge.upstream import RgmaUpstream
 from repro.harness.figures import cpu_memory_figure, percentile_figure
 from repro.harness.parallel import RunSpec
 from repro.harness.pipeline import Adapter, RunResult, run_point
@@ -49,6 +48,7 @@ class RgmaAdapter(Adapter):
     config: Optional[RGMAConfig] = None
 
     name = "rgma"
+    topic = "gridmon"
 
     def creation_interval(self, scale: Scale, n_generators: int) -> float:
         return scale.creation_interval_rgma
@@ -58,6 +58,7 @@ class RgmaAdapter(Adapter):
 
     def build(self, sim, cluster) -> dict[str, str]:
         self.sim, self.cluster = sim, cluster
+        self._next_index = 100  # consumer indices of subscriber()
         self.config = self.config or RGMAConfig()
         self.settle = self.config.mediation_period + 4.0
         transport = None
@@ -99,26 +100,19 @@ class RgmaAdapter(Adapter):
         """Two subscribers, each taking one publisher node's genid block
         via a WHERE clause (content-based filtering at the producers)."""
         self.receivers = []
-        if self.tap is not None:
-            return self._subscribe(self.tap)
         for k, node_name in enumerate(RECEIVE_NODES):
             lo, hi = fleet.id_range(k)
             if lo < hi:
-                self._subscribe(
-                    node_name,
+                receiver = RgmaReceiver(
+                    self.sim, self.cluster, self.deployment, node_name,
                     select_sql="SELECT * FROM gridmon "
                     f"WHERE genid >= {lo} AND genid < {hi}",
                     consumer_index=k,
                     producer_type="secondary" if self.secondary_producer else "primary",
                     poll_interval=self.config.poll_interval,
                 )
-
-    def _subscribe(self, node_name: str, **options: Any) -> None:
-        receiver = RgmaReceiver(
-            self.sim, self.cluster, self.deployment, node_name, **options
-        )
-        self.sim.run_process(receiver.start())
-        self.receivers.append(receiver)
+                self.sim.run_process(receiver.start())
+                self.receivers.append(receiver)
 
     def attach_publishers(self, fleet: FleetConfig, book) -> RgmaFleet:
         rgma_fleet = RgmaFleet(self.sim, self.cluster, self.deployment, fleet, book)
@@ -129,9 +123,19 @@ class RgmaAdapter(Adapter):
         for receiver in self.receivers:
             receiver.stop()
 
-    def edge_upstream(self) -> tuple[str, Any]:
-        """``(topic, upstream factory)`` for an edge tier fronting this run."""
-        return "gridmon", RgmaUpstream(self.sim, self.deployment)
+    def subscriber(
+        self, node_name: str, topic: str, name: Optional[str] = None,
+        on_delivery: Any = None,
+    ) -> RgmaReceiver:
+        """:meth:`Adapter.subscriber`: one polling consumer.  Its consumer
+        indices count up from 100, one counter for the whole run."""
+        receiver = RgmaReceiver(
+            self.sim, self.cluster, self.deployment, node_name,
+            select_sql=f"SELECT * FROM {topic}",
+            consumer_index=self._next_index, on_delivery=on_delivery,
+        )
+        self._next_index += 1
+        return receiver
 
     def label(self, n_generators: int) -> str:
         return f"rgma{'_dist' if self.distributed else ''}[{n_generators}]"

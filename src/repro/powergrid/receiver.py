@@ -1,21 +1,28 @@
-"""Recording receivers.
+"""Receivers: the one subscribing client per middleware.
 
 "Another Java program received data from the middleware.  Information of
 the monitoring data (such as sending and receiving time, etc) was dumped
-into a local text file for later analysis" (§III.B).  The receivers stamp
-``t_arrived`` / ``t_received`` on each message's record through
-:meth:`~repro.core.records.MessageRecord.deliver`; the "text file" is the
-shared :class:`~repro.core.records.RecordBook`.
+into a local text file for later analysis" (§III.B).  A receiver hands
+every delivery to one callback ``on_delivery(payload, t_arrived)``: by
+default its :class:`~repro.core.records.Recorder`, which counts it and
+stamps the message's record (the "text file" is the shared
+:class:`~repro.core.records.RecordBook`); an edge gateway passes its
+ingest instead, reads ``connections`` and tears the receiver down with
+``stop()``.  ``start()`` subscribes: Narada's and R-GMA's return a
+generator to drive; a plog member joins its group in a process of its
+own, which ``start()`` spawns, and returns ``None``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.core.dedup import DedupIndex
+from repro.core.records import Recorder
 from repro.jms import AckMode
 from repro.jms.destination import Topic
 from repro.narada.client import narada_connection_factory
+from repro.rgma.errors import RGMAException
 from repro.transport.base import ChannelClosed, MessageLost, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,12 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover
 #: data but just to simulate real uses" (§III.E).
 PAPER_SELECTOR = "id<10000"
 
+#: ``on_delivery(payload, t_arrived)``: a :class:`Recorder` returns whether
+#: the delivery counted (``False`` for a suppressed redelivery).
+OnDelivery = Callable[[Any, float], Any]
+
 
 class NaradaReceiver:
-    """One subscriber connection with a recording listener.
+    """One subscriber connection handing each message to ``on_delivery``.
 
     With ``durable_name`` the subscription is durable: the broker retains
-    delivered-but-unacked and offline messages for replay, and this side
+    delivered-but-unacked and offline messages for replay, and the recorder
     deduplicates redeliveries by ``(gen_id, seq)``.  With ``recover`` the
     receiver is *supervised*: :meth:`start` becomes a long-running process
     that reconnects and durably re-subscribes whenever its connection dies
@@ -58,6 +69,7 @@ class NaradaReceiver:
         recover: bool = False,
         reconnect_backoff: float = 0.25,
         name: Optional[str] = None,
+        on_delivery: Optional[OnDelivery] = None,
     ):
         self.sim = sim
         self.cluster = cluster
@@ -74,16 +86,23 @@ class NaradaReceiver:
         self.reconnect_backoff = reconnect_backoff
         #: Fault-injector surface (consumer_crash target).
         self.name = name or f"narada-recv.{node_name}"
-        self.received = 0
-        self.duplicates = 0
-        #: Redeliveries the (gen_id, seq) index suppressed (durable mode).
-        self.redeliveries = 0
+        # Exactly-once processing in durable mode: replayed deliveries are
+        # acknowledged (so the broker can settle its retention) but not
+        # re-counted.
+        self.recorder = Recorder(
+            sim, "narada", node_name,
+            dedup=DedupIndex() if durable_name is not None else None,
+        )
+        self.on_delivery = on_delivery or self.recorder
         self.reconnects = 0
         self.crashes = 0
         self.connected = False
         self.stopped = False
         self._connection = None
-        self._seen = DedupIndex()
+
+    @property
+    def connections(self) -> int:
+        return int(self.connected)
 
     def start(self) -> Generator[Any, Any, None]:
         """Connect and subscribe; raises if the broker refuses.
@@ -137,7 +156,7 @@ class NaradaReceiver:
     def close(self) -> None:
         """Consumer-crash hook: kill the subscriber process.
 
-        Severs the connection abruptly (no unsubscribe — the durable
+        Severs the channel abruptly (no unsubscribe — the durable
         subscription stays registered at the broker).  Without ``recover``
         the receiver stays down, like the plog consumer it mirrors; with
         ``recover`` the supervising loop restarts it, and the broker's
@@ -153,41 +172,36 @@ class NaradaReceiver:
                 channel.close()
 
     def stop(self) -> None:
-        """Permanently shut the receiver down (ends the supervisor loop)."""
+        """Shut the receiver down for good: close its JMS connection, which
+        ends every session dispatcher, and the supervisor loop with it."""
         self.stopped = True
-        self.close()
+        self.connected = False
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
     def _on_message(self, message: Any) -> None:
-        record = getattr(message, "_record", None)
-        if self.durable_name is not None and record is not None:
-            # Exactly-once processing: replayed deliveries are acknowledged
-            # (so the broker can settle its retention) but not re-counted.
-            if not self._seen.mark(record.gen_id, record.seq):
-                self.redeliveries += 1
-                return
-        self.received += 1
-        # First delivery wins: a retried publish reaching a second
-        # subscriber path counts once (the duplicate-% scorecard column).
-        if record is not None and not record.deliver(
-            getattr(message, "_t_arrived_client", self.sim.now),
-            self.sim.now, "narada", self.node_name,
-        ):
-            self.duplicates += 1
+        counted = self.on_delivery(
+            message, getattr(message, "_t_arrived_client", self.sim.now)
+        )
         if (
-            self.ack_mode == AckMode.CLIENT_ACKNOWLEDGE
-            and self.received % self.client_ack_batch == 0
+            counted
+            and self.ack_mode == AckMode.CLIENT_ACKNOWLEDGE
+            and self.recorder.received % self.client_ack_batch == 0
         ):
             message.acknowledge()
 
 
 class PlogReceiver:
-    """One consumer-group member with a recording record callback.
+    """One consumer-group member handing each record to ``on_delivery``.
 
     ``t_arrived`` is when the fetch response carrying the record landed at
     the consumer (the pull analogue of delivery time); ``t_received`` is
-    stamped after the per-record processing CPU.  The guard on
-    ``t_received`` makes redeliveries after a rebalance (at-least-once)
-    count once.
+    stamped after the per-record processing CPU.  The first-delivery stamp
+    makes redeliveries after a rebalance (at-least-once) count once; with a
+    shared ``dedup`` index they are not counted as received at all —
+    post-rebalance replay of records another member already processed (the
+    idempotent-sink half of exactly-once).
     """
 
     def __init__(
@@ -199,25 +213,24 @@ class PlogReceiver:
         group: str = "grid.monitor",
         name: Optional[str] = None,
         dedup: Optional[DedupIndex] = None,
+        on_delivery: Optional[OnDelivery] = None,
     ):
         self.sim = sim
-        self.received = 0
-        self.duplicates = 0
-        #: Redeliveries suppressed by the shared ``(gen_id, seq)`` index —
-        #: post-rebalance replay of records another member already
-        #: processed (the idempotent-sink half of exactly-once).
-        self.redeliveries = 0
-        self._dedup = dedup
+        name = name or f"consumer.{node_name}"
+        self.recorder = Recorder(sim, "plog", name, dedup=dedup)
         self.consumer = deployment.consumer(
             cluster.node(node_name),
-            name or f"consumer.{node_name}",
+            name,
             group,
-            on_record=self._on_record,
+            on_record=on_delivery or self.recorder,
         )
 
     @property
-    def connected(self) -> bool:
-        return self.consumer._coord is not None and not self.consumer.closed
+    def connections(self) -> int:
+        consumer = self.consumer
+        if consumer.closed:
+            return 0
+        return (consumer._coord is not None) + len(consumer._sessions)
 
     def start(self) -> None:
         """Spawn the consumer's group-membership process."""
@@ -229,17 +242,8 @@ class PlogReceiver:
         except (ChannelClosed, TransportError):
             return
 
-    def _on_record(self, value: Any, t_arrived: float) -> None:
-        record = getattr(value, "_record", None)
-        if self._dedup is not None and record is not None:
-            if not self._dedup.mark(record.gen_id, record.seq):
-                self.redeliveries += 1
-                return
-        self.received += 1
-        if record is not None and not record.deliver(
-            t_arrived, self.sim.now, "plog", self.consumer.name
-        ):
-            self.duplicates += 1
+    def stop(self) -> None:
+        self.consumer.close()
 
 
 class RgmaReceiver:
@@ -255,38 +259,43 @@ class RgmaReceiver:
         consumer_index: int = 0,
         producer_type: Optional[str] = None,
         poll_interval: float = 0.1,
+        on_delivery: Optional[OnDelivery] = None,
     ):
         self.sim = sim
-        self.deployment = deployment
         self.client = deployment.consumer_client(
             cluster.node(node_name), consumer_index
         )
         self.select_sql = select_sql
         self.producer_type = producer_type
         self.poll_interval = poll_interval
-        self.received = 0
-        self.duplicates = 0
+        self.recorder = Recorder(sim, "rgma", "subscriber")
+        self.on_delivery = on_delivery or self.recorder
         self.connected = False
+
+    @property
+    def connections(self) -> int:
+        return int(self.connected)
 
     def start(self) -> Generator[Any, Any, None]:
         yield from self.client.create(
             self.select_sql, producer_type=self.producer_type
         )
         self.connected = True
-        self.sim.process(
-            self.client.poll_loop(self._on_tuple, self.poll_interval),
-            name="rgma.subscriber",
-        )
+        self.sim.process(self._poll(), name="rgma.subscriber")
+
+    def _poll(self) -> Generator[Any, Any, None]:
+        try:
+            yield from self.client.poll_loop(self._on_tuple, self.poll_interval)
+        except (RGMAException, TransportError):
+            # The servlet is unreachable or the resource was torn down
+            # mid-poll: the loop ends (a gateway re-subscribes when it
+            # restarts).
+            return
 
     def _on_tuple(self, t: Any) -> None:
-        self.received += 1
-        record = t.meta.get("record")
         # A republished tuple (e.g. via a Secondary Producer) counts once.
-        if record is not None and not record.deliver(
-            t.meta.get("t_poll_start", self.sim.now),
-            self.sim.now, "rgma", "subscriber",
-        ):
-            self.duplicates += 1
+        self.on_delivery(t, t.meta.get("t_poll_start", self.sim.now))
 
     def stop(self) -> None:
+        self.connected = False
         self.client.stop()

@@ -16,32 +16,36 @@ class Payload:
         self._record = MessageRecord(gen_id, seq, created)
 
 
-class FakeSession:
-    def __init__(self, name):
+class FakeReceiver:
+    """A middleware receiver as the gateway uses one."""
+
+    def __init__(self, topic, name, on_delivery):
+        self.topic = topic
         self.name = name
-        self.closed = False
-        self.delivers = {}
+        self.on_delivery = on_delivery
+        self.stopped = False
         self.connections = 1
 
-    def subscribe(self, topic, deliver):
-        self.delivers[topic] = deliver
+    def start(self):
         yield from ()
 
-    def close(self):
-        self.closed = True
+    def stop(self):
+        self.stopped = True
 
-    def push(self, topic, payload, nbytes=140.0):
-        self.delivers[topic](topic, payload, nbytes)
+    def push(self, payload):
+        self.on_delivery(payload, 0.0)
 
 
 class FakeUpstream:
-    def __init__(self):
-        self.sessions = []
+    """The gateway's ``subscribe`` seam: one fake receiver per call."""
 
-    def open(self, node, name):
-        session = FakeSession(name)
-        self.sessions.append(session)
-        return session
+    def __init__(self):
+        self.receivers = []
+
+    def __call__(self, node_name, topic, name, on_delivery):
+        receiver = FakeReceiver(topic, name, on_delivery)
+        self.receivers.append(receiver)
+        return receiver
 
 
 def build(config=None, seed=11):
@@ -61,7 +65,7 @@ def build(config=None, seed=11):
     gateway.start()
     sim.run(until=sim.now + 0.1)
     client = HttpClient(sim, tcp, cluster.node("hydra1"), "hydra2", 7070)
-    return sim, gateway, upstream.sessions[-1], client, upstream
+    return sim, gateway, upstream.receivers[-1], client, upstream
 
 
 def poll(client, topic="gridmon", cursor=None, weight=1.0, catch_up_from=None):
@@ -74,8 +78,8 @@ def poll(client, topic="gridmon", cursor=None, weight=1.0, catch_up_from=None):
 
 
 def test_parked_poll_wakes_on_upstream_event():
-    sim, gateway, session, client, _ = build()
-    sim.call_at(sim.now + 1.0, lambda: session.push("gridmon", Payload(1, 0, sim.now)))
+    sim, gateway, receiver, client, _ = build()
+    sim.call_at(sim.now + 1.0, lambda: receiver.push(Payload(1, 0, sim.now)))
 
     def run():
         t0 = sim.now
@@ -92,7 +96,7 @@ def test_parked_poll_wakes_on_upstream_event():
 
 
 def test_unknown_topic_is_refused():
-    sim, gateway, session, client, _ = build()
+    sim, gateway, receiver, client, _ = build()
 
     def run():
         return (yield from poll(client, topic="nope"))
@@ -102,7 +106,7 @@ def test_unknown_topic_is_refused():
 
 
 def test_timeout_returns_204_then_cursor_resumes():
-    sim, gateway, session, client, _ = build(EdgeConfig(long_poll_timeout=2.0))
+    sim, gateway, receiver, client, _ = build(EdgeConfig(long_poll_timeout=2.0))
 
     def first():
         t0 = sim.now
@@ -117,7 +121,7 @@ def test_timeout_returns_204_then_cursor_resumes():
 
     # An event lands while the client is between polls; the cursor read
     # picks it up with no parking.
-    session.push("gridmon", Payload(1, 7, sim.now))
+    receiver.push(Payload(1, 7, sim.now))
 
     def second():
         return (yield from poll(client, cursor=cursor))
@@ -128,10 +132,10 @@ def test_timeout_returns_204_then_cursor_resumes():
 
 
 def test_catch_up_from_replays_created_window():
-    sim, gateway, session, client, _ = build()
+    sim, gateway, receiver, client, _ = build()
     created0 = sim.now
-    session.push("gridmon", Payload(1, 0, created0))
-    session.push("gridmon", Payload(1, 1, created0 + 10.0))
+    receiver.push(Payload(1, 0, created0))
+    receiver.push(Payload(1, 1, created0 + 10.0))
 
     def run():
         # A failed-over client knows only the created-time of its last
@@ -152,7 +156,7 @@ def test_shed_responds_503_with_jittered_retry_after():
         parked_heap_bytes=9216.0,
         shed_heap_fraction=0.5,
     )
-    sim, gateway, session, client, _ = build(config)
+    sim, gateway, receiver, client, _ = build(config)
 
     def run():
         # weight ~ a cohort of 100 clients: 921 KB > the 512 KB watermark.
@@ -168,11 +172,11 @@ def test_shed_responds_503_with_jittered_retry_after():
 
 def test_connection_heap_allocated_once_not_per_poll():
     config = EdgeConfig(long_poll_timeout=5.0)
-    sim, gateway, session, client, _ = build(config)
+    sim, gateway, receiver, client, _ = build(config)
 
     def cycle(i):
         sim.call_at(
-            sim.now + 0.5, lambda: session.push("gridmon", Payload(1, i, sim.now))
+            sim.now + 0.5, lambda: receiver.push(Payload(1, i, sim.now))
         )
         resp = yield from poll(client)
         return resp
@@ -189,7 +193,7 @@ def test_connection_heap_allocated_once_not_per_poll():
 
 
 def test_crash_severs_parked_polls_and_frees_heap():
-    sim, gateway, session, client, _ = build()
+    sim, gateway, receiver, client, _ = build()
     sim.call_at(sim.now + 1.0, gateway.crash)
 
     def run():
@@ -204,16 +208,16 @@ def test_crash_severs_parked_polls_and_frees_heap():
 
 
 def test_restart_is_a_fresh_incarnation():
-    sim, gateway, session, client, upstream = build()
+    sim, gateway, receiver, client, upstream = build()
     gateway.crash()
     gateway.restart()
     sim.run(until=sim.now + 0.1)
     assert gateway.alive
     assert gateway.incarnation == 1
-    fresh = upstream.sessions[-1]
-    assert fresh is not session and not fresh.closed
-    assert session.closed  # old incarnation's upstream was torn down
-    sim.call_at(sim.now + 0.5, lambda: fresh.push("gridmon", Payload(2, 0, sim.now)))
+    fresh = upstream.receivers[-1]
+    assert fresh is not receiver and not fresh.stopped
+    assert receiver.stopped  # old incarnation's upstream was torn down
+    sim.call_at(sim.now + 0.5, lambda: fresh.push(Payload(2, 0, sim.now)))
 
     def run():
         client2 = HttpClient(
@@ -227,7 +231,7 @@ def test_restart_is_a_fresh_incarnation():
 
 
 def test_parked_gauges_track_weight():
-    sim, gateway, session, client, _ = build(EdgeConfig(long_poll_timeout=2.0))
+    sim, gateway, receiver, client, _ = build(EdgeConfig(long_poll_timeout=2.0))
 
     def run():
         return (yield from poll(client, weight=250.0))

@@ -20,7 +20,7 @@ def poll(client, config, cursor=None):
 
 def test_answered_polls_leave_pending_events_bounded():
     config = EdgeConfig()  # 60 s park: every timer would outlive the test
-    sim, gateway, session, client, _ = build(config)
+    sim, gateway, receiver, client, _ = build(config)
     pending = []
 
     def cycles(n):
@@ -28,7 +28,7 @@ def test_answered_polls_leave_pending_events_bounded():
         for i in range(n):
             sim.call_at(
                 sim.now + 0.25,
-                lambda i=i: session.push("gridmon", Payload(1, i, sim.now)),
+                lambda i=i: receiver.push(Payload(1, i, sim.now)),
             )
             resp = yield from poll(client, config, cursor)
             assert resp.status == 200
@@ -44,7 +44,7 @@ def test_answered_polls_leave_pending_events_bounded():
 
 def test_unanswered_poll_still_returns_204_after_the_park_timeout():
     config = EdgeConfig(long_poll_timeout=2.0)
-    sim, gateway, session, client, _ = build(config)
+    sim, gateway, receiver, client, _ = build(config)
 
     def run():
         t0 = sim.now
@@ -60,7 +60,7 @@ def test_unanswered_poll_still_returns_204_after_the_park_timeout():
 
 def test_crash_leaves_no_live_expiry_timers():
     config = EdgeConfig()
-    sim, gateway, session, client, _ = build(config)
+    sim, gateway, receiver, client, _ = build(config)
     clients = [client] + [
         HttpClient(sim, client.transport, client.node, "hydra2", 7070)
         for _ in range(3)

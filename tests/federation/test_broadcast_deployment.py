@@ -39,7 +39,7 @@ def test_star_ledger_lists_every_link_and_sums_to_forward_counters():
     assert sum(totals.values()) == sum(
         b.stats.messages_forwarded for b in deployment.brokers
     )
-    assert control.delivered == fleet.published
+    assert control.recorder.received == fleet.published
 
 
 def test_broadcast_run_reports_the_windowed_ledger():

@@ -70,7 +70,7 @@ def test_subscription_propagates_to_root():
     # descends only the interested branch
     publish_one(sim, deployment, "fed6", "t")
     settle(sim)
-    assert sub.delivered == 1
+    assert sub.recorder.received == 1
     assert sub.delivered_by_topic == {"t": 1}
     # the publisher's subtree carried the climb but saw no descent
     assert deployment.link_traffic.get(("fed0", "fed2"), 0) == 0
@@ -88,7 +88,7 @@ def test_unsubscribe_withdraws_up_the_tree():
     descents_before = deployment.broker("fed0").stats.forwards_down
     publish_one(sim, deployment, "fed6", "t")
     settle(sim)
-    assert sub.delivered == 0
+    assert sub.recorder.received == 0
     assert deployment.broker("fed0").stats.forwards_down == descents_before
 
 
@@ -134,7 +134,7 @@ def test_parent_crash_reparents_and_reconverges():
     assert root_table.children_for("t4") == ("fed4",)
     publish_one(sim, deployment, "fed6", "t3")
     settle(sim)
-    assert sub3.delivered == 1
+    assert sub3.recorder.received == 1
 
     deployment.broker("fed1").restart()
     settle(sim, 2.0)
@@ -149,7 +149,7 @@ def test_parent_crash_reparents_and_reconverges():
     assert root_table.children_for("t4") == ("fed1",)
     publish_one(sim, deployment, "fed6", "t4", gen_id=1)
     settle(sim)
-    assert sub4.delivered == 1
+    assert sub4.recorder.received == 1
 
 
 def test_root_crash_waits_for_return():
@@ -179,7 +179,7 @@ def test_reparent_log_is_deterministic():
         publish_one(sim, deployment, "fed5", "t")
         settle(sim)
         logs.append(list(controller.reparent_log))
-        delivered.append(sub.delivered)
+        delivered.append(sub.recorder.received)
     assert logs[0] == logs[1]
     assert delivered[0] == delivered[1] == 1
 

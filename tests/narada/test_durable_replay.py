@@ -260,5 +260,5 @@ def test_random_crash_schedule_delivers_exactly_once(seed):
     # Exactly-once processing: nothing acknowledged is lost, nothing is
     # counted twice, and the receiver's tally matches the record book.
     assert [r for r in acked if r.t_received is None] == []
-    assert receiver.duplicates == 0
-    assert receiver.received == len(delivered)
+    assert receiver.recorder.duplicates == 0
+    assert receiver.recorder.received == len(delivered)

@@ -51,7 +51,7 @@ def test_narada_fleet_end_to_end():
     stats = rtt_stats(book)
     assert stats.loss_rate == 0.0
     assert stats.mean_ms < 50  # milliseconds domain
-    assert receiver.received == book.received_count
+    assert receiver.recorder.received == book.received_count
 
 
 def test_narada_fleet_meets_soft_realtime_requirement():
@@ -80,9 +80,9 @@ def test_narada_client_ack_receiver():
     fleet = NaradaFleet(sim, cluster, tcp, [("hydra1", 5045)], SMALL, book)
     fleet.start()
     sim.run(until=sim.now + 60.0)
-    assert receiver.received > 0
+    assert receiver.recorder.received > 0
     # Batched acks: strictly fewer ack ops than messages.
-    assert broker.stats.acks_processed >= receiver.received - 5
+    assert broker.stats.acks_processed >= receiver.recorder.received - 5
 
 
 def test_narada_selector_receives_everything():
