@@ -17,8 +17,9 @@ commit log.
   thread wall (:mod:`repro.plog.broker`);
 * producers batch records per partition with a linger timer and optional
   acknowledgements (:mod:`repro.plog.producer`);
-* consumers *pull* batches with long-poll fetches — one in-flight fetch
-  per partition is the backpressure (:mod:`repro.plog.consumer`);
+* consumers *pull* batches with long-poll fetches, one session per broker
+  naming all of a consumer's partitions there — one in-flight fetch per
+  broker is the backpressure (:mod:`repro.plog.consumer`);
 * consumer groups get partitions range-assigned by a coordinator and are
   rebalanced when membership changes (:mod:`repro.plog.group`);
 * a deployment spreads *partitions* (not full traffic, unlike the flawed

@@ -12,9 +12,9 @@ point of this subsystem:
   one partition log (sequential write, byte-oriented cost) and a fetch
   ships a contiguous offset range.  Per-message broker CPU is amortised by
   batching on both sides;
-* **pull, not push** — consumers long-poll: a fetch with no available data
-  parks (without holding an I/O thread) until an append to that partition
-  wakes it or ``fetch_max_wait`` expires.
+* **pull, not push** — consumers long-poll: a fetch session with no
+  available data parks (without holding an I/O thread) until an append to
+  any of its partitions wakes it or ``fetch_max_wait`` expires.
 
 Wire protocol (tuples over a transport channel):
 
@@ -23,8 +23,10 @@ Wire protocol (tuples over a transport channel):
 ``("produce", corr, topic, part, batch, acks,``
 ``  pid, seq_base)``                                        idempotent form
 ``("produce_ack", corr, base_offset)``                      broker → client
-``("fetch", corr, topic, part, offset, max_n, max_wait)``   client → broker
-``("fetch_resp", corr, records, next_offset, hwm)``         broker → client
+``("fetch", corr, topic, {part: offset}, max_n,``
+``  max_wait)``                                             client → broker
+``("fetch_resp", corr, {part: (records,``
+``  next_offset, hwm)})``                                   broker → client
 ``("join", group, member, topic)``                          client → coord
 ``("leave", group, member)``                                client → coord
 ``("commit", group, member, topic, {part: offset},``
@@ -33,26 +35,34 @@ Wire protocol (tuples over a transport channel):
 ==========================================================  ==============
 
 ``batch`` is ``[(key, value, nbytes), ...]``; fetch-response ``records``
-is ``[(offset, value), ...]``.
+is ``[(offset, value), ...]``.  A fetch is a *session* with one broker: it
+names every partition the consumer reads there, ``max_n`` caps each
+partition's batch, and the response carries an entry only for the
+partitions whose position moved.  An empty session parks until any of its
+partitions has data or ``max_wait`` passes, and one response pays one
+``request_cpu`` however many partitions it carries (Kafka's FetchRequest).
 
 Replication (``replication_factor > 1``) adds three frames:
 
 ==========================================================  ==============
-``("rfetch", corr, topic, part, offset, max_n,``
+``("rfetch", corr, {(topic, part): offset}, max_n,``
 ``  max_wait, follower)``                                   follower → leader
-``("rfetch_resp", corr, records4, leader_end, hwm,``
-``  epoch, producer_snapshot)``                             leader → follower
+``("rfetch_resp", corr, {(topic, part): (records4,``
+``  leader_end, hwm, epoch, producer_snapshot)})``          leader → follower
 ``("produce_err", corr, reason)``                           broker → client
 ==========================================================  ==============
 
 ``records4`` is ``[(offset, key, value, nbytes), ...]`` — a replica fetch
-ships full records so the follower's log is byte-identical.  A replica
-fetch at offset ``N`` acknowledges everything below ``N``; the leader's
-high watermark is the ``min`` over the ISR's acknowledged ends, consumers
-only read below it, and ``acks=-1`` produce responses park until it passes
-the batch.  ``produce_err`` reasons: ``not_leader`` (an election moved the
-partition — reconnect via the deployment's leader map) and
-``not_enough_replicas`` (ISR below ``min_insync_replicas``).
+ships full records so the follower's log is byte-identical.  It is a
+session too: one per (follower, leader) pair, naming every partition the
+follower replicates from that leader, answered with an entry for each of
+those the broker still leads.  A replica fetch at offset ``N``
+acknowledges everything below ``N``; the leader's high watermark is the
+``min`` over the ISR's acknowledged ends, consumers only read below it, and
+``acks=-1`` produce responses park until it passes the batch.
+``produce_err`` reasons: ``not_leader`` (an election moved the partition —
+reconnect via the deployment's leader map) and ``not_enough_replicas``
+(ISR below ``min_insync_replicas``).
 
 Every response is handed to a transient sender process instead of being
 sent inline from the I/O thread (``_send_async``).  This mirrors Kafka's
@@ -110,15 +120,15 @@ class PlogBrokerStats:
     duplicate_records: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class _FetchWaiter:
-    """A parked long-poll fetch."""
+    """A parked long-poll fetch session, indexed under each of its
+    partitions and answered once, by the first of them to get data."""
 
     channel: Channel
     corr: int
-    topic: str
-    partition: int
-    offset: int
+    #: (topic, partition) -> offset the session fetches from.
+    offsets: dict[tuple[str, int], int]
     max_records: int
     active: bool = True
     #: Follower name when this is a parked replica fetch (woken by appends,
@@ -148,8 +158,10 @@ class PlogBroker(JvmServer):
         #: snapshots on followers, and — like the logs — durable across
         #: ``crash()``/``restart()``.
         self.producer_states: dict[tuple[str, int], PartitionProducerState] = {}
+        #: Parked sessions by partition; a session sits in the list of each
+        #: of its partitions until it is answered.
         self._waiters: dict[tuple[str, int], list[_FetchWaiter]] = {}
-        #: Active waiters across ``_waiters``.
+        #: Parked sessions, each counted once.
         self._parked = 0
         self._requests: Store = Store(sim)
         self._io_started = False
@@ -158,6 +170,9 @@ class PlogBroker(JvmServer):
         #: Controller callback fired on every ISR change of a led partition
         #: (the stand-in for a metadata-store write).
         self.isr_listener: Optional[Any] = None
+        #: Deployment callback fired with a leader's name when this broker
+        #: starts following it, so a replica-fetch session to it runs.
+        self.follow_listener: Optional[Any] = None
 
     # ------------------------------------------------------------ partitions
     def create_partition(
@@ -222,10 +237,9 @@ class PlogBroker(JvmServer):
             yield from self._handle(channel, delivery.payload)
 
     def _on_channel_closed(self, channel: Channel) -> None:
-        for waiters in self._waiters.values():
-            for waiter in waiters:
-                if waiter.channel is channel or waiter.channel is channel.peer:
-                    self._unpark(waiter)
+        for waiter in self._parked_waiters():
+            if waiter.channel is channel or waiter.channel is channel.peer:
+                self._unpark(waiter)
         if self.coordinator is not None:
             self.coordinator.on_disconnect(channel)
 
@@ -243,15 +257,14 @@ class PlogBroker(JvmServer):
                 channel, corr, topic, partition, batch, acks, pid, seq_base
             )
         elif kind == "fetch":
-            _, corr, topic, partition, offset, max_records, max_wait = frame
+            _, corr, topic, offsets, max_records, max_wait = frame
             yield from self._on_fetch(
-                channel, corr, topic, partition, offset, max_records, max_wait
+                channel, corr, topic, offsets, max_records, max_wait
             )
         elif kind == "rfetch":
-            _, corr, topic, partition, offset, max_records, max_wait, follower = frame
+            _, corr, offsets, max_records, max_wait, follower = frame
             yield from self._on_replica_fetch(
-                channel, corr, topic, partition, offset, max_records, max_wait,
-                follower,
+                channel, corr, offsets, max_records, max_wait, follower
             )
         elif kind in ("join", "leave", "commit"):
             if self.coordinator is None:
@@ -380,25 +393,25 @@ class PlogBroker(JvmServer):
         channel: Channel,
         corr: int,
         topic: str,
-        partition: int,
-        offset: int,
+        offsets: dict[int, int],
         max_records: int,
         max_wait: float,
     ) -> Generator[Any, Any, None]:
-        key = (topic, partition)
-        if self._readable_end(key) > offset or max_wait <= 0:
-            yield from self._respond_fetch(
-                channel, corr, topic, partition, offset, max_records
-            )
+        keyed = {(topic, partition): offset for partition, offset in offsets.items()}
+        if max_wait <= 0 or any(
+            self._readable_end(key) > offset for key, offset in keyed.items()
+        ):
+            yield from self._respond_fetch(channel, corr, keyed, max_records)
             return
         # Long poll: park without holding an I/O thread.
-        self._park(_FetchWaiter(channel, corr, topic, partition, offset, max_records), max_wait)
+        self._park(_FetchWaiter(channel, corr, keyed, max_records), max_wait)
 
     def _park(self, waiter: _FetchWaiter, max_wait: float) -> None:
         waiter.expiry = self.sim.call_at(
             self.sim.now + max_wait, lambda: self._expire_waiter(waiter)
         )
-        self._waiters.setdefault((waiter.topic, waiter.partition), []).append(waiter)
+        for key in waiter.offsets:
+            self._waiters.setdefault(key, []).append(waiter)
         self._parked += 1
         self.stats.long_polls_parked += 1
 
@@ -413,31 +426,32 @@ class PlogBroker(JvmServer):
     def _wake_fetchers(
         self, topic: str, partition: int, replica: bool = False
     ) -> None:
-        key = (topic, partition)
-        waiters = self._waiters.get(key)
+        waiters = self._waiters.get((topic, partition))
         if not waiters:
             return
-        remaining: list[_FetchWaiter] = []
-        for waiter in waiters:
-            if not waiter.active:
-                continue
-            if (waiter.replica is not None) != replica:
-                remaining.append(waiter)
-                continue
+        for waiter in [w for w in waiters if (w.replica is not None) == replica]:
             self._unpark(waiter)
             self.sim.process(
                 self._respond_waiter(waiter), name=f"{self.name}.fetch-wake"
             )
-        if remaining:
-            self._waiters[key] = remaining
-        else:
-            self._waiters.pop(key, None)
+
+    def _parked_waiters(self) -> list[_FetchWaiter]:
+        """Every parked session once, in parking order per partition."""
+        return list(dict.fromkeys(w for ws in self._waiters.values() for w in ws))
 
     def _unpark(self, waiter: _FetchWaiter) -> None:
-        if waiter.active:
-            waiter.active = False
-            self._parked -= 1
+        """Take a session out of every partition's list and cancel its
+        expiry; a no-op once it is answered."""
+        if not waiter.active:
+            return
+        waiter.active = False
+        self._parked -= 1
         self.sim.cancel(waiter.expiry)  # a no-op when called from _expire_waiter
+        for key in waiter.offsets:
+            waiters = self._waiters[key]
+            waiters.remove(waiter)
+            if not waiters:
+                del self._waiters[key]
 
     def _expire_waiter(self, waiter: _FetchWaiter) -> None:
         if not waiter.active:
@@ -448,87 +462,85 @@ class PlogBroker(JvmServer):
         )
 
     def _respond_waiter(self, waiter: _FetchWaiter) -> Generator[Any, Any, None]:
-        if waiter.replica is not None:
-            yield from self._respond_replica_fetch(
-                waiter.channel, waiter.corr,
-                (waiter.topic, waiter.partition),
-                waiter.offset, waiter.max_records,
-            )
-        else:
-            yield from self._respond_fetch(
-                waiter.channel, waiter.corr, waiter.topic, waiter.partition,
-                waiter.offset, waiter.max_records,
-            )
+        respond = (
+            self._respond_fetch if waiter.replica is None
+            else self._respond_replica_fetch
+        )
+        yield from respond(
+            waiter.channel, waiter.corr, waiter.offsets, waiter.max_records
+        )
 
     def _respond_fetch(
         self,
         channel: Channel,
         corr: int,
-        topic: str,
-        partition: int,
-        offset: int,
+        offsets: dict[tuple[str, int], int],
         max_records: int,
     ) -> Generator[Any, Any, None]:
-        key = (topic, partition)
-        log = self.logs[key]
-        readable = self._readable_end(key)
-        stored = [r for r in log.read(offset, max_records) if r.offset < readable]
-        records = [(r.offset, r.value) for r in stored]
-        nbytes = (
-            sum(r.nbytes for r in stored)
-            + self.config.frame_overhead_bytes
-            + self.config.batch_overhead_bytes
-        )
-        next_offset = stored[-1].offset + 1 if stored else max(offset, log.start_offset)
+        """Answer a fetch session: a batch for each partition whose position
+        moves, one ``fetch_cpu`` charge for the whole response."""
+        batches: dict[int, tuple[list, int, int]] = {}
+        nbytes = self.config.frame_overhead_bytes
+        n_records = 0
+        marks = []
+        for key, offset in offsets.items():
+            log = self.logs[key]
+            readable = self._readable_end(key)
+            stored = (
+                [r for r in log.read(offset, max_records) if r.offset < readable]
+                if readable > offset else []
+            )
+            next_offset = stored[-1].offset + 1 if stored else max(offset, log.start_offset)
+            if next_offset == offset:
+                continue
+            batches[key[1]] = ([(r.offset, r.value) for r in stored], next_offset, readable)
+            nbytes += self.config.batch_overhead_bytes + sum(r.nbytes for r in stored)
+            n_records += len(stored)
+            marks.extend(
+                record
+                for r in stored
+                if (record := getattr(r.value, "_record", None)) is not None
+            )
         self.stats.fetches += 1
-        if stored:
-            self.stats.records_fetched += len(stored)
+        if n_records:
+            self.stats.records_fetched += n_records
         else:
             self.stats.empty_fetches += 1
-        yield from self.node.execute(
-            self.config.fetch_cpu(len(stored), nbytes)
-        )
-        marks = [
-            record
-            for r in stored
-            if (record := getattr(r.value, "_record", None)) is not None
-        ]
-        self._send_async(
-            channel,
-            ("fetch_resp", corr, records, next_offset, readable),
-            nbytes,
-            marks=marks,
-        )
+        yield from self.node.execute(self.config.fetch_cpu(n_records, nbytes))
+        self._send_async(channel, ("fetch_resp", corr, batches), nbytes, marks=marks)
 
     # ----------------------------------------------------------- replication
     def _on_replica_fetch(
         self,
         channel: Channel,
         corr: int,
-        topic: str,
-        partition: int,
-        offset: int,
+        offsets: dict[tuple[str, int], int],
         max_records: int,
         max_wait: float,
         follower: str,
     ) -> Generator[Any, Any, None]:
-        key = (topic, partition)
-        state = self.states.get(key)
-        log = self.logs.get(key)
-        if state is None or log is None or state.leader != self.name:
-            # Not the leader (any more): stay silent — the follower's
+        led = {
+            key: offset
+            for key, offset in offsets.items()
+            if key in self.states and self.states[key].leader == self.name
+        }
+        if not led:
+            # Leads none of them (any more): stay silent — the follower's
             # response timeout makes it re-resolve leadership and reconnect.
             yield from self.node.execute(self.config.request_cpu)
             return
         self.stats.replica_fetches += 1
-        self._record_follower_progress(state, log, follower, offset)
-        if log.end_offset > offset or max_wait <= 0:
-            yield from self._respond_replica_fetch(
-                channel, corr, key, offset, max_records
+        for key, offset in led.items():
+            self._record_follower_progress(
+                self.states[key], self.logs[key], follower, offset
             )
+        if max_wait <= 0 or any(
+            self.logs[key].end_offset > offset for key, offset in led.items()
+        ):
+            yield from self._respond_replica_fetch(channel, corr, led, max_records)
             return
         self._park(
-            _FetchWaiter(channel, corr, topic, partition, offset, max_records, replica=follower),
+            _FetchWaiter(channel, corr, led, max_records, replica=follower),
             max_wait,
         )
 
@@ -536,33 +548,32 @@ class PlogBroker(JvmServer):
         self,
         channel: Channel,
         corr: int,
-        key: tuple[str, int],
-        offset: int,
+        offsets: dict[tuple[str, int], int],
         max_records: int,
     ) -> Generator[Any, Any, None]:
-        log = self.logs[key]
-        state = self.states[key]
-        stored = log.read(offset, max_records)
-        records = [(r.offset, r.key, r.value, r.nbytes) for r in stored]
-        nbytes = (
-            sum(r.nbytes for r in stored)
-            + self.config.frame_overhead_bytes
-            + self.config.batch_overhead_bytes
-        )
-        yield from self.node.execute(self.config.fetch_cpu(len(stored), nbytes))
-        # Piggyback the idempotence state so a promoted follower still
-        # recognises producer retries (the follower merges entries only as
-        # the described batches become locally replicated).
-        pstate = self.producer_states.get(key)
-        producer_snapshot = pstate.snapshot() if pstate is not None else None
-        self._send_async(
-            channel,
-            (
-                "rfetch_resp", corr, records, log.end_offset, state.hwm,
-                state.epoch, producer_snapshot,
-            ),
-            nbytes,
-        )
+        """Answer a replica-fetch session: every partition's records past its
+        offset, log end, HWM and epoch, one ``fetch_cpu`` charge in all."""
+        partitions: dict[tuple[str, int], tuple] = {}
+        nbytes = self.config.frame_overhead_bytes
+        n_records = 0
+        for key, offset in offsets.items():
+            log = self.logs[key]
+            state = self.states[key]
+            stored = log.read(offset, max_records)
+            if stored:
+                nbytes += self.config.batch_overhead_bytes + sum(r.nbytes for r in stored)
+                n_records += len(stored)
+            # Piggyback the idempotence state so a promoted follower still
+            # recognises producer retries (the follower merges entries only
+            # as the described batches become locally replicated).
+            pstate = self.producer_states.get(key)
+            partitions[key] = (
+                [(r.offset, r.key, r.value, r.nbytes) for r in stored],
+                log.end_offset, state.hwm, state.epoch,
+                pstate.snapshot() if pstate is not None else None,
+            )
+        yield from self.node.execute(self.config.fetch_cpu(n_records, nbytes))
+        self._send_async(channel, ("rfetch_resp", corr, partitions), nbytes)
 
     def _record_follower_progress(
         self, state: PartitionState, log: PartitionLog, follower: str, offset: int
@@ -572,9 +583,10 @@ class PlogBroker(JvmServer):
         prog = state.progress.get(follower)
         if prog is None:
             prog = state.progress[follower] = ReplicaProgress()
-        # Replica fetches are single-in-flight per follower, so ``offset``
-        # is the follower's true end — including after a truncation, which
-        # is why this is an assignment and not a max().
+        # A partition sits in one single-in-flight replica-fetch session of
+        # its follower, so ``offset`` is the follower's true end — including
+        # after a truncation, which is why this is an assignment and not a
+        # max().
         prog.next_offset = offset
         if offset >= log.end_offset:
             prog.caught_up_at = self.sim.now
@@ -693,6 +705,8 @@ class PlogBroker(JvmServer):
             state.epoch = epoch
         state.progress = {}
         state.pending_acks.clear()
+        if self.follow_listener is not None:
+            self.follow_listener(leader)
 
     def wake_consumer_fetchers(self, topic: str, partition: int) -> None:
         """Follower-side hook: its HWM advanced, parked long-polls may now
@@ -764,10 +778,8 @@ class PlogBroker(JvmServer):
         the commit log is durable storage, so a restarted broker resumes
         serving existing offsets."""
         self._io_started = False
-        for waiters in self._waiters.values():
-            for waiter in waiters:
-                self._unpark(waiter)
-        self._waiters.clear()
+        for waiter in self._parked_waiters():
+            self._unpark(waiter)
         for state in self.states.values():
             # Parked acks=all responses die with their channels; producers
             # that retry re-send the batch to the new leader.

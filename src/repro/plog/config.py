@@ -57,10 +57,10 @@ class PlogConfig:
     max_in_flight: int = 5
 
     # -- consumer ----------------------------------------------------------
-    #: Max records returned by one fetch (the pull-side batch).
+    #: Max records one fetch returns per partition (the pull-side batch).
     fetch_max_records: int = 512
-    #: Long-poll: a fetch with no data parks at the broker for at most this
-    #: long before returning empty.
+    #: Long-poll: a fetch session with no data on any of its partitions
+    #: parks at the broker for at most this long before returning empty.
     fetch_max_wait: float = 0.25
     #: Client-side CPU to deserialise + process one fetched record.
     consumer_record_cpu: float = 40e-6
@@ -161,8 +161,8 @@ class PlogConfig:
     #: ``acks=-1`` produce requests fail with ``not_enough_replicas`` when
     #: the ISR has shrunk below this (Kafka ``min.insync.replicas``).
     min_insync_replicas: int = 1
-    #: Records per replica fetch (followers catch up in bigger bites than
-    #: consumers).
+    #: Records per partition of a replica fetch (followers catch up in
+    #: bigger bites than consumers).
     replica_fetch_max_records: int = 2048
     #: Long-poll ceiling for a replica fetch with no new data.
     replica_fetch_wait: float = 0.25

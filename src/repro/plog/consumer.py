@@ -1,19 +1,25 @@
-"""The fetching client: group membership, long-poll fetch loops, commits.
+"""The fetching client: group membership, per-broker fetch sessions, commits.
 
 A consumer joins a group at the coordinator and waits to be *assigned*
-partitions; it never picks them itself.  Per assigned partition it runs a
-sequential fetch loop — one request in flight, the next issued only after
-the previous response is fully processed — which is the pull-based
-backpressure that distinguishes this design from Narada's push delivery:
-a slow consumer lags in offsets instead of ballooning broker heap.
+partitions; it never picks them itself.  It keeps one fetch *session* per
+broker that leads any of them, as Kafka's consumer sends one FetchRequest
+per leader: each round names every assigned partition that broker leads,
+and the next request is issued only after the previous response is fully
+processed.  That one request in flight per broker is the pull-based
+backpressure that distinguishes this design from Narada's push delivery: a
+slow consumer lags in offsets instead of ballooning broker heap.
 
-Responses multiplex over one channel per broker; a reader process
-dispatches them to the waiting fetch loop by correlation id.  Rebalances
-bump the assignment *generation*; fetch loops from stale generations
-terminate at their next wakeup, and committed offsets let the new owner
-resume where the old one stopped (at-least-once delivery — the record
-stamping in :mod:`repro.powergrid.receiver` guards against counting
-redelivered records twice).
+Every round regroups the assigned partitions by current leader, so a
+rebalance or a leader failover moves a partition between sessions at the
+next round; a session's loop ends once its broker leads none of them, and
+a round that meets a leader without a loop starts one.  Responses arrive
+over one channel per broker; a reader process hands each to its loop by
+correlation id.  A batch is consumed only if it starts at its partition's
+current position: a response that lands after a rebalance does not advance
+a partition assigned away, and committed offsets let the new owner resume
+where the old one stopped (at-least-once delivery — the record stamping in
+:mod:`repro.powergrid.receiver` guards against counting redelivered
+records twice).
 """
 
 from __future__ import annotations
@@ -43,10 +49,7 @@ RecordCallback = Callable[[Any, float], None]
 
 @dataclass
 class _BrokerSession:
-    #: None while the owning fetch loop is still connecting.
-    channel: Optional[Channel]
-    #: Triggered once ``channel`` is usable (or failed on connect error).
-    ready: Any
+    channel: Channel
     #: corr id -> Event the fetch loop is parked on.
     pending: dict[int, Any] = field(default_factory=dict)
 
@@ -74,8 +77,14 @@ class PlogConsumer:
         self.on_record = on_record
         self.config = config or deployment.config
         self._coord: Optional[Channel] = None
-        #: broker name -> session (shared by that broker's partitions).
+        #: broker name -> connected session (shared by that broker's
+        #: partitions).
         self._sessions: dict[str, _BrokerSession] = {}
+        #: broker name -> True while its fetch loop runs, False once it gave
+        #: up (no ``consumer_recovery``) until the next assignment.
+        self._loops: dict[str, bool] = {}
+        #: Partitions whose batch is being handed to ``on_record``.
+        self._delivering: set[int] = set()
         self._corr = 0
         self.generation = 0
         #: Currently-assigned partitions.
@@ -153,34 +162,45 @@ class PlogConsumer:
         self.rebalances_seen += 1
         for partition in partitions:
             self.positions.setdefault(partition, offsets.get(partition, 0))
-            # Spawn a fresh loop for *every* assigned partition: loops from
-            # the previous generation terminate at their next wakeup (stale
-            # generation check), including for partitions we retained.
-            self.sim.process(
-                self._fetch_loop(partition, generation),
-                name=f"{self.name}.fetch.p{partition}",
-            )
         for partition in previous - set(partitions):
             self.positions.pop(partition, None)
+        # A new generation retries the sessions that gave up; running ones
+        # pick up the new partition set at their next round.
+        self._loops = {name: True for name, running in self._loops.items() if running}
+        self._round(None)
 
     # ---------------------------------------------------------------- fetching
-    def _fetch_loop(
-        self, partition: int, generation: int
-    ) -> Generator[Any, Any, None]:
+    def _round(self, broker: Optional[str]) -> dict[int, int]:
+        """``{partition: position}`` of the assigned partitions ``broker``
+        leads; starts the fetch loop of every other leader without one."""
+        offsets = {}
+        for partition in self.assigned:
+            owner = self.deployment.owner_name(partition)
+            if owner == broker:
+                offsets[partition] = self.positions[partition]
+            elif owner not in self._loops:
+                self._loops[owner] = True
+                self.sim.process(
+                    self._fetch_loop(owner), name=f"{self.name}.fetch.{owner}"
+                )
+        return offsets
+
+    def _fetch_loop(self, broker: str) -> Generator[Any, Any, None]:
         cfg = self.config
         recover = cfg.consumer_recovery
         backoff = cfg.consumer_retry_backoff
-        while not self.closed and self.generation == generation:
-            offset = self.positions.get(partition)
-            if offset is None:
-                return  # partition was reassigned away
+        while not self.closed:
+            offsets = self._round(broker)
+            if not offsets:
+                break
             try:
-                session = yield from self._session_for(partition)
+                session = yield from self._session_for(broker)
             except (TransportError, MessageLost):
                 if not recover:
+                    self._loops[broker] = False
                     return
                 # Broker down: keep knocking — the log is durable, so the
-                # loop resumes at its committed offset once it is back.
+                # session resumes at its positions once it is back.
                 self.reconnects += 1
                 yield self.sim.timeout(backoff)
                 backoff = min(backoff * 2.0, cfg.consumer_retry_max)
@@ -195,8 +215,7 @@ class PlogConsumer:
                         "fetch",
                         corr,
                         self.topic,
-                        partition,
-                        offset,
+                        offsets,
                         cfg.fetch_max_records,
                         cfg.fetch_max_wait,
                     ),
@@ -205,9 +224,10 @@ class PlogConsumer:
             except (MessageLost, ChannelClosed) as exc:
                 session.pending.pop(corr, None)
                 if not recover:
+                    self._loops[broker] = False
                     return
                 if isinstance(exc, ChannelClosed):
-                    self._drop_session(session)
+                    self._drop_session(broker)
                 self.fetch_retries += 1
                 yield self.sim.timeout(backoff)
                 backoff = min(backoff * 2.0, cfg.consumer_retry_max)
@@ -215,83 +235,74 @@ class PlogConsumer:
             self.fetches_issued += 1
             if recover:
                 try:
-                    result = yield from self.sim.wait_for(
+                    batches = yield from self.sim.wait_for(
                         response, cfg.fetch_max_wait + cfg.fetch_response_grace
                     )
                 except TimedOut:
                     # Response lost or broker stalled: re-issue from the
-                    # same offset (a late response is dropped harmlessly).
+                    # same positions (a late response is dropped harmlessly).
                     session.pending.pop(corr, None)
                     self.fetch_timeouts += 1
                     continue
             else:
-                result = yield response
-            if result is None:
+                batches = yield response
+            if batches is None:
                 # Session died while we were parked (reader saw EOF).
                 if not recover:
+                    self._loops[broker] = False
                     return
-                self._drop_session(session)
+                self._drop_session(broker)
                 self.reconnects += 1
                 yield self.sim.timeout(backoff)
                 backoff = min(backoff * 2.0, cfg.consumer_retry_max)
                 continue
             backoff = cfg.consumer_retry_backoff
-            records, next_offset, _hwm = result
-            t_arrived = self.sim.now
-            if self.closed or self.generation != generation:
-                return  # stale: do not advance offsets past a rebalance
+            yield from self._deliver(batches, offsets)
+        del self._loops[broker]
+
+    def _deliver(
+        self, batches: dict, requested: dict[int, int]
+    ) -> Generator[Any, Any, None]:
+        """Consume a response's batches and advance their positions."""
+        t_arrived = self.sim.now
+        for partition, (records, next_offset, _hwm) in batches.items():
+            # Only a batch that starts at the current position is consumed:
+            # one for a partition a rebalance assigned away, or a second
+            # fetch of it across a leader move, is dropped.
+            if (
+                self.closed
+                or partition in self._delivering
+                or self.positions.get(partition) != requested[partition]
+            ):
+                continue
+            self._delivering.add(partition)
             for _offset, value in records:
-                yield from self.node.execute(cfg.consumer_record_cpu)
+                yield from self.node.execute(self.config.consumer_record_cpu)
                 self.records_consumed += 1
                 if self.on_record is not None:
                     self.on_record(value, t_arrived)
+            self._delivering.discard(partition)
             if partition in self.positions:
                 self.positions[partition] = next_offset
 
-    def _session_for(
-        self, partition: int
-    ) -> Generator[Any, Any, _BrokerSession]:
-        broker_name = self.deployment.owner_name(partition)
-        session = self._sessions.get(broker_name)
-        if (
-            session is not None
-            and self.config.consumer_recovery
-            and session.channel is not None
-            and session.channel.closed
-        ):
-            # Stale session from before a broker crash: rebuild it.
-            self._drop_session(session)
-            session = None
+    def _session_for(self, broker: str) -> Generator[Any, Any, _BrokerSession]:
+        session = self._sessions.get(broker)
         if session is not None:
-            # Another fetch loop owns the connect; wait until it is usable.
-            if session.channel is None:
-                yield session.ready
-            if session.channel is None:
-                raise ChannelClosed(f"connect to {broker_name} failed")
-            return session
-        # Reserve the slot *before* yielding so concurrent fetch loops for
-        # partitions on the same broker share one connection.
-        session = _BrokerSession(None, self.sim.event())
-        self._sessions[broker_name] = session
-        try:
-            channel = yield from self.deployment.connect(self.node, partition)
-        except (TransportError, MessageLost):
-            del self._sessions[broker_name]
-            session.ready.succeed()
-            raise
-        session.channel = channel
-        session.ready.succeed()
+            if not (self.config.consumer_recovery and session.channel.closed):
+                return session
+            # Stale session from before a broker crash: rebuild it.
+            self._drop_session(broker)
+        channel = yield from self.deployment.connect_to_broker(self.node, broker)
+        session = self._sessions[broker] = _BrokerSession(channel)
         self.sim.process(
             self._response_reader(session), name=f"{self.name}.responses"
         )
         return session
 
-    def _drop_session(self, session: _BrokerSession) -> None:
+    def _drop_session(self, broker: str) -> None:
         """Forget a dead broker session so the next fetch reconnects."""
-        for name, existing in list(self._sessions.items()):
-            if existing is session:
-                del self._sessions[name]
-        if session.channel is not None and not session.channel.closed:
+        session = self._sessions.pop(broker, None)
+        if session is not None and not session.channel.closed:
             session.channel.close()
 
     def _response_reader(
@@ -300,8 +311,8 @@ class PlogConsumer:
         while not self.closed:
             delivery = yield session.channel.receive()
             if delivery.payload is EOF:
-                # ``None`` tells parked fetch loops the session is gone —
-                # they reconnect (recovery) or terminate (legacy).
+                # ``None`` tells a parked fetch loop the session is gone —
+                # it reconnects (recovery) or gives up (legacy).
                 for event in session.pending.values():
                     if not event.triggered:
                         event.succeed(None)
@@ -315,7 +326,7 @@ class PlogConsumer:
             )
             event = session.pending.pop(frame[1], None)
             if event is not None:
-                event.succeed((frame[2], frame[3], frame[4]))
+                event.succeed(frame[2])
 
     # ---------------------------------------------------------------- commits
     def _commit_loop(self) -> Generator[Any, Any, None]:
@@ -336,10 +347,17 @@ class PlogConsumer:
                 # is reachable again (missed commits just widen replay).
 
     # ------------------------------------------------------------------ admin
+    @property
+    def connections(self) -> int:
+        """Open channels: the coordinator's plus one per broker session."""
+        if self.closed:
+            return 0
+        return (self._coord is not None) + len(self._sessions)
+
     def close(self) -> None:
         self.closed = True
         if self._coord is not None and not self._coord.closed:
             self._coord.close()
         for session in self._sessions.values():
-            if session.channel is not None and not session.channel.closed:
+            if not session.channel.closed:
                 session.channel.close()

@@ -10,13 +10,14 @@ connections and traffic) spread across nodes — contrast
 message because the DBN floods.
 
 With ``replication_factor > 1`` each partition also gets follower replicas
-on the next brokers in the ring, a :class:`ReplicaFetcher` per follower,
-and a :class:`ClusterController` that re-elects leaders (and the group
-coordinator) on broker death.  ``owner()`` then answers from a *dynamic*
-leader map kept current by the controller — clients always route to the
-leader the control plane most recently installed.  The coordinator mirrors
-accepted offset commits into the internal replicated ``__offsets``
-partition so its successor can recover them.
+on the next brokers in the ring, one :class:`ReplicaFetcher` session per
+(follower, leader) broker pair, and a :class:`ClusterController` that
+re-elects leaders (and the group coordinator) on broker death.
+``owner()`` then answers from a *dynamic* leader map kept current by the
+controller — clients always route to the leader the control plane most
+recently installed.  The coordinator mirrors accepted offset commits into
+the internal replicated ``__offsets`` partition so its successor can
+recover them.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class PlogDeployment:
         self._leaders: dict[tuple[str, int], PlogBroker] = {}
         #: Partitions with no live in-sync replica (election failed).
         self._offline: dict[tuple[str, int], bool] = {}
-        self.replica_fetchers: list[ReplicaFetcher] = []
+        #: (follower, leader) broker names -> that pair's fetch session.
+        self.replica_fetchers: dict[tuple[str, str], ReplicaFetcher] = {}
         n = len(self.brokers)
         for partition in range(self.config.partitions):
             names = tuple(
@@ -97,9 +99,7 @@ class PlogDeployment:
                 )
             self._leaders[(self.topic, partition)] = self._by_name[names[0]]
             for name in names[1:]:
-                self.replica_fetchers.append(
-                    ReplicaFetcher(self, self._by_name[name], self.topic, partition)
-                )
+                self._fetcher(self._by_name[name], names[0])
         self._controller_enabled = replication > 1 and n > 1
         self._coordinator_broker = self.brokers[0]
         if self._controller_enabled:
@@ -113,9 +113,11 @@ class PlogDeployment:
                 )
             self._leaders[(OFFSETS_TOPIC, 0)] = self.brokers[0]
             for broker in self.brokers[1:]:
-                self.replica_fetchers.append(
-                    ReplicaFetcher(self, broker, OFFSETS_TOPIC, 0)
-                )
+                self._fetcher(broker, all_names[0])
+        for broker in self.brokers:
+            broker.follow_listener = (
+                lambda leader, broker=broker: self._fetcher(broker, leader).start()
+            )
         self.coordinator = GroupCoordinator(
             self.brokers[0], self.config.partitions
         )
@@ -124,6 +126,14 @@ class PlogDeployment:
         self.controller: Optional[ClusterController] = (
             ClusterController(sim, self) if self._controller_enabled else None
         )
+
+    def _fetcher(self, follower: PlogBroker, leader: str) -> ReplicaFetcher:
+        """``follower``'s fetch session with ``leader``, made on first use."""
+        fetcher = self.replica_fetchers.get((follower.name, leader))
+        if fetcher is None:
+            fetcher = ReplicaFetcher(self, follower, leader)
+            self.replica_fetchers[(follower.name, leader)] = fetcher
+        return fetcher
 
     # --------------------------------------------------------------- layout
     @property
@@ -185,7 +195,7 @@ class PlogDeployment:
         and the cluster controller."""
         for broker in self.brokers:
             broker.serve(self.transport, self._ports[broker.name])
-        for fetcher in self.replica_fetchers:
+        for fetcher in self.replica_fetchers.values():
             fetcher.start()
         if self.controller is not None:
             self.controller.start()
@@ -218,7 +228,7 @@ class PlogDeployment:
     def connect_to_broker(
         self, client_node: "Node", broker_name: str
     ) -> Generator[Any, Any, Channel]:
-        """Open a channel to a broker by name (replica fetchers)."""
+        """Open a channel to a broker by name (fetch sessions)."""
         broker = self._by_name[broker_name]
         channel = yield from self.transport.connect(
             client_node, broker.node.name, self._ports[broker.name]

@@ -5,9 +5,10 @@ Kafka's replication protocol:
 
 * every partition has ``replication_factor`` replicas; the first replica in
   the layout is the *preferred leader*.  Producers and consumers only ever
-  talk to the leader; followers run a :class:`ReplicaFetcher` that pulls
-  batches from the leader over the same simulated LAN (replication traffic
-  pays the same latency/loss/CPU costs as client traffic);
+  talk to the leader; a follower runs one :class:`ReplicaFetcher` session
+  per leader broker it follows, which pulls the batches of all those
+  partitions in one request over the same simulated LAN (replication
+  traffic pays the same latency/loss/CPU costs as client traffic);
 * the leader tracks each follower's progress.  A replica fetch at offset
   ``N`` acknowledges everything below ``N``, so the leader's *high
   watermark* (HWM) — the offset below which every in-sync replica has the
@@ -113,89 +114,89 @@ class PartitionState:
 
 
 class ReplicaFetcher:
-    """One follower's pull loop for one partition.
+    """One follower broker's fetch session with one leader broker.
 
-    Runs forever: while its broker is a follower it long-polls the current
-    leader with ``rfetch`` requests and appends the returned batches to the
-    local log; while its broker leads (or is dead) it idles.  A response
-    that does not arrive within the long-poll window plus a grace period is
-    treated as a dead leader connection — the pending receive is cancelled,
-    the channel dropped, and the loop reconnects to whatever the deployment
-    now says the leader is (which is how a fetcher follows an election).
+    Each round it long-polls the leader with one ``rfetch`` naming every
+    partition the follower currently follows from it, and installs each
+    partition's entry of the response into the local log (:meth:`_apply`).
+    The partition set is read afresh from the follower's replication state
+    every round, so an election moves a partition to another leader's
+    session at that session's next round.  The loop ends once the follower
+    follows nothing from this leader; ``become_follower`` naming the leader
+    again restarts it (:meth:`start`).  While its broker is dead it idles.
+    A response that does not arrive within the long-poll window plus a
+    grace period is treated as a dead leader connection — the pending
+    receive is cancelled, the channel dropped, and the session reconnects.
     """
 
     def __init__(
         self,
         deployment: "PlogDeployment",
         broker: "PlogBroker",
-        topic: str,
-        partition: int,
+        leader: str,
     ):
         self.deployment = deployment
         self.broker = broker
         self.sim: "Simulator" = broker.sim
-        self.topic = topic
-        self.partition = partition
-        self.key = (topic, partition)
+        self.leader = leader
         self._channel: Optional[Channel] = None
-        self._leader_name: Optional[str] = None
         self._corr = 0
+        self.running = False
         self.fetches = 0
         self.records_replicated = 0
         self.truncations = 0
         self.reconnects = 0
 
     def start(self) -> None:
-        self.sim.process(
-            self._run(), name=f"{self.broker.name}.replica.p{self.partition}"
-        )
+        """Run the session loop, unless it already runs."""
+        if not self.running:
+            self.running = True
+            self.sim.process(
+                self._run(), name=f"{self.broker.name}.replica.{self.leader}"
+            )
+
+    def _offsets(self) -> dict[tuple[str, int], int]:
+        """Local log end of every partition followed from this leader."""
+        broker = self.broker
+        return {
+            key: broker.logs[key].end_offset
+            for key, state in broker.states.items()
+            if state.leader == self.leader
+        }
 
     # ------------------------------------------------------------------ loop
     def _run(self) -> Generator[Any, Any, None]:
         cfg = self.broker.config
         while True:
-            state = self.broker.states.get(self.key)
-            if state is None:  # pragma: no cover - partitions are never dropped
+            offsets = self._offsets()
+            if not offsets:
+                self._drop_channel()
+                self.running = False
                 return
             if not self.broker.alive or self.broker.jvm.dead:
                 self._drop_channel()
                 yield self.sim.timeout(cfg.replica_fetch_backoff)
                 continue
-            if state.leader == self.broker.name:
-                # We lead: nothing to fetch.  Idle at the long-poll cadence
-                # so a later demotion is picked up promptly.
-                self._drop_channel()
-                yield self.sim.timeout(cfg.replica_fetch_wait)
-                continue
-            leader_name = state.leader
-            if leader_name is None:
-                yield self.sim.timeout(cfg.replica_fetch_backoff)
-                continue
-            if (
-                self._channel is None
-                or self._channel.closed
-                or self._leader_name != leader_name
-            ):
+            if self._channel is None or self._channel.closed:
                 self._drop_channel()
                 try:
                     self._channel = yield from self.deployment.connect_to_broker(
-                        self.broker.node, leader_name
+                        self.broker.node, self.leader
                     )
-                    self._leader_name = leader_name
                     self.reconnects += 1
                 except (TransportError, ChannelClosed, MessageLost):
                     yield self.sim.timeout(cfg.replica_fetch_backoff)
                     continue
-            ok = yield from self._fetch_once(state, cfg)
+            ok = yield from self._fetch_once(offsets, cfg)
             if not ok:
                 self._drop_channel()
                 yield self.sim.timeout(cfg.replica_fetch_backoff)
 
-    def _fetch_once(self, state: PartitionState, cfg) -> Generator[Any, Any, bool]:
+    def _fetch_once(
+        self, offsets: dict[tuple[str, int], int], cfg
+    ) -> Generator[Any, Any, bool]:
         """One request/response round trip; False = connection is suspect."""
         channel = self._channel
-        log = self.broker.logs[self.key]
-        offset = log.end_offset
         self._corr += 1
         corr = self._corr
         try:
@@ -203,9 +204,7 @@ class ReplicaFetcher:
                 (
                     "rfetch",
                     corr,
-                    self.topic,
-                    self.partition,
-                    offset,
+                    offsets,
                     cfg.replica_fetch_max_records,
                     cfg.replica_fetch_wait,
                     self.broker.name,
@@ -235,28 +234,29 @@ class ReplicaFetcher:
             yield from self.broker.node.execute(
                 channel.cost_model.recv_cost(delivery.nbytes)
             )
-            _, _, records, leader_end, leader_hwm, epoch, producer_snapshot = frame
-            return (
-                yield from self._apply(
-                    state, records, leader_end, leader_hwm, epoch,
-                    producer_snapshot,
-                )
-            )
+            for key, entry in frame[2].items():
+                if not (yield from self._apply(key, *entry)):
+                    return False
+            return True
 
     def _apply(
         self,
-        state: PartitionState,
+        key: tuple[str, int],
         records: list,
         leader_end: int,
         leader_hwm: int,
         epoch: int,
         producer_snapshot: Optional[dict] = None,
     ) -> Generator[Any, Any, bool]:
-        """Install one replica-fetch response into the local log."""
+        """Install one partition's entry of a replica-fetch response into
+        the local log; False = the session must reconnect."""
         broker = self.broker
-        log = broker.logs[self.key]
-        if state.leader != self._leader_name or not broker.alive:
-            return False  # an election or crash happened while we waited
+        if not broker.alive:
+            return False  # a crash happened while we waited
+        state = broker.states[key]
+        if state.leader != self.leader:
+            return True  # an election moved it to another session meanwhile
+        log = broker.logs[key]
         if epoch > state.epoch:
             state.epoch = epoch
         if leader_end < log.end_offset:
@@ -276,7 +276,7 @@ class ReplicaFetcher:
             if freed:
                 broker.jvm.free(freed)
         if records:
-            batch = [(key, value, nbytes) for _offset, key, value, nbytes in records]
+            batch = [(rkey, value, nbytes) for _offset, rkey, value, nbytes in records]
             payload_bytes = sum(nbytes for _, _, nbytes in batch)
             stored = payload_bytes + broker.config.per_record_overhead_bytes * len(batch)
             yield from broker.node.execute(
@@ -296,20 +296,19 @@ class ReplicaFetcher:
             # replica's log actually holds — a promotion mid-catch-up must
             # not dedup retries of records we never replicated.
             pstate = broker.producer_states.setdefault(
-                self.key, PartitionProducerState()
+                key, PartitionProducerState()
             )
             pstate.merge_snapshot(producer_snapshot, log.end_offset)
         new_hwm = min(leader_hwm, log.end_offset)
         if new_hwm > state.hwm:
             state.hwm = new_hwm
-            broker.wake_consumer_fetchers(self.topic, self.partition)
+            broker.wake_consumer_fetchers(*key)
         return True
 
     def _drop_channel(self) -> None:
         if self._channel is not None and not self._channel.closed:
             self._channel.close()
         self._channel = None
-        self._leader_name = None
 
 
 class MembershipController:

@@ -227,10 +227,7 @@ class PlogReceiver:
 
     @property
     def connections(self) -> int:
-        consumer = self.consumer
-        if consumer.closed:
-            return 0
-        return (consumer._coord is not None) + len(consumer._sessions)
+        return self.consumer.connections
 
     def start(self) -> None:
         """Spawn the consumer's group-membership process."""

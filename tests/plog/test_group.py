@@ -72,17 +72,33 @@ def test_member_leave_triggers_reassignment_to_survivors():
 
 
 def test_stale_generation_does_not_advance_offsets():
-    # After a rebalance, positions for partitions assigned away are dropped.
+    # After a rebalance, positions for partitions assigned away are dropped,
+    # and a response that lands after it does not advance them: 'first' has
+    # a fetch session parked on all eight partitions when the rebalance
+    # hands 4-7 to 'second', and that stale session's response carries
+    # partition 5's record, which only 'second' may consume.
     sim, cluster, deployment = make_world()
     first = start_consumer(sim, cluster, deployment, "first")
     sim.run(until=2.0)
     assert set(first.assigned) == set(range(8))
     second = start_consumer(sim, cluster, deployment, "second", node="hydra6")
+    while first.generation < 2:
+        sim.run(until=sim.now + 0.01)
+    broker = deployment.brokers[0]
+    key = (deployment.topic, 5)
+    # first's session, sent in generation 1, still names all eight.
+    everything = {(deployment.topic, p) for p in range(8)}
+    assert [set(w.offsets) == everything for w in broker._waiters[key]].count(True) == 1
+    broker.logs[key].append([(None, "v", 100.0)])
+    broker._wake_fetchers(*key)
     sim.run(until=6.0)
     # Range assignor: 'first' < 'second', each gets a contiguous half.
     assert set(first.assigned) == {0, 1, 2, 3}
     assert set(first.positions) == {0, 1, 2, 3}
     assert set(second.assigned) == {4, 5, 6, 7}
+    assert broker.stats.records_fetched == 2  # served to both sessions
+    assert first.records_consumed == 0
+    assert second.records_consumed == 1 and second.positions[5] == 1
 
 
 # -------------------------------------------------------------------- commits

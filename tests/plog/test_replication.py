@@ -5,7 +5,8 @@ import pytest
 
 from repro.faults import RetryPolicy, named_plan
 from repro.faults.recovery import RttEstimator
-from repro.harness.plog_experiments import plog_run
+from repro.harness import pipeline
+from repro.harness.plog_experiments import PlogAdapter, PlogRunResult, plog_run
 from repro.harness.scale import Scale
 from repro.plog import ACKS_ALL, PlogConfig, PartitionLog
 from repro.sim import Simulator
@@ -149,6 +150,34 @@ def test_leader_crash_loses_no_acked_record_rf2():
     assert run.acked_lost == 0
     # The outage is visible in *unacked* loss (one-shot producers), which
     # is exactly the contrast the ack contract is about.
+    assert run.received == run.acked
+
+
+def test_election_moves_partitions_to_the_new_leaders_session():
+    """Each consumer fetches per leader broker: once the crashed broker's
+    partitions are re-elected, their consumers read them to the end through
+    the new leader's session, losing and repeating nothing."""
+    adapter = PlogAdapter(n_brokers=4, config=_rf2_config())
+    run = pipeline.run_point(
+        adapter, 100, PlogRunResult, scale=SMOKE, seed=3,
+        fault_plan=named_plan("broker_outage"), connections=100,
+    )
+    deployment = adapter.deployment
+    moved = [
+        (partition, leader)
+        for _, topic, partition, leader in run.election_log
+        if topic == deployment.topic
+    ]
+    assert moved
+    for partition, leader in moved:
+        old_leader = deployment.replica_map[partition][0]
+        (consumer,) = [c for c in adapter.consumers if partition in c.assigned]
+        assert consumer._loops.get(leader) is True
+        assert old_leader not in consumer._loops
+        log = deployment._by_name[leader].logs[(deployment.topic, partition)]
+        assert consumer.positions[partition] == log.end_offset > 0
+    assert run.acked_lost == 0
+    assert run.duplicates == 0
     assert run.received == run.acked
 
 
